@@ -8,6 +8,11 @@ atomic measure) or a ``BoundaryFunction`` (evaluable density).  A
     halfspace space:   u = M[mu] + c |x_d|^(alpha-1)   ("martin" flavor)
                        u = P[f]  + c |x_d|^(alpha-1)   ("poisson" flavor)
 
+Representations are evaluated in batches by one function per geometry,
+``sphere_values`` (points as exact r - 1 plus unit directions) and
+``halfspace_values`` (points as foot point plus height); every per-point
+entry point, slice norm, majorant and Fatou probe goes through them.
+
 Surface measure on the sphere is realized by a trapezoid rule (d = 2) or
 a Gauss-Legendre x trapezoid product rule (d = 3); Lebesgue measure on
 the hyperplane by a per-axis tangent compactification with
@@ -29,9 +34,8 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .core import StableParams, as_point, join_last, norm
+from .core import StableParams, as_point, basis_last, join_last, norm
 from .errors import DomainError, IntegrabilityError, RepresentationError
-from .specfun import DEFAULT_CONTROL, SeriesControl
 from . import halfspace, sphere
 
 __all__ = [
@@ -41,6 +45,8 @@ __all__ = [
     "HarmonicRepresentation",
     "sphere_quadrature",
     "hyperplane_quadrature",
+    "sphere_values",
+    "halfspace_values",
     "poisson_integral_sphere",
     "poisson_integral_halfspace",
     "representation_value",
@@ -257,37 +263,17 @@ def hyperplane_quadrature(p: StableParams, resolution: int, decay_exponent: floa
     return QuadratureGrid(nodes, weights, "HYPERPLANE_TAN_MAP", tail_bound=tail)
 
 
-# --- integrals of representations ------------------------------------------
+# --- reference-measure integrals -------------------------------------------
 
-def _default_sphere_grid(p: StableParams, resolution: int | None) -> QuadratureGrid:
-    if resolution is None:
-        resolution = 1024 if p.d == 2 else 64
-    return sphere_quadrature(p, resolution)
+_SHELL_EDGES = np.array([0.0, 1.0, 1e1, 1e2, 1e3, 1e5, 1e8, 1e12, np.inf])
 
 
-def poisson_integral_sphere(p: StableParams, rep: HarmonicRepresentation, x,
-                            grid: QuadratureGrid | None = None,
-                            resolution: int | None = None,
-                            control: SeriesControl = DEFAULT_CONTROL) -> float:
-    """Evaluate u = P[mu or f] + c (1 - Phi) at a point off the sphere."""
-    if rep.space != SPHERE:
-        raise RepresentationError("poisson_integral_sphere needs a SPHERE representation")
-    x = as_point(x, p.d)
-    r = norm(x)
-    if r == 1.0:
-        raise DomainError("evaluation point lies on the sphere")
-    total = 0.0
-    if rep.measure is not None:
-        vals = sphere.poisson_kernel(p, x, rep.measure.atoms)
-        total += float(np.dot(np.atleast_1d(vals), rep.measure.weights))
-    if rep.density is not None:
-        if grid is None:
-            grid = _default_sphere_grid(p, resolution)
-        kern = sphere.poisson_kernel(p, x, grid.nodes)
-        total += grid.integrate(kern * rep.density(grid.nodes))
-    if rep.constant:
-        total += rep.constant * sphere.phi_complement(p, r, control)
-    return total
+def _shell_increments(nodes: np.ndarray, contrib: np.ndarray) -> np.ndarray:
+    # contributions summed over decade shells in |ybar|, outermost last
+    with np.errstate(over="ignore"):
+        radii = np.sqrt(np.sum(nodes ** 2, axis=1))
+    return np.array([contrib[(radii >= lo) & (radii < hi)].sum()
+                     for lo, hi in zip(_SHELL_EDGES[:-1], _SHELL_EDGES[1:])])
 
 
 def omega_integral_probe(p: StableParams, f: Callable[[np.ndarray], np.ndarray],
@@ -311,13 +297,10 @@ def omega_integral_probe(p: StableParams, f: Callable[[np.ndarray], np.ndarray],
             if weight == "omega":
                 vals = vals * halfspace.omega_alpha_density(p, grid.nodes)
             contrib = grid.weights * vals
-            radii = np.sqrt(np.sum(grid.nodes ** 2, axis=1))
-        return contrib, radii
+        return contrib, grid.nodes
 
-    contrib, radii = one_pass(resolution)
-    edges = np.array([0.0, 1.0, 1e1, 1e2, 1e3, 1e5, 1e8, 1e12, np.inf])
-    inc = np.array([np.abs(contrib[(radii >= lo) & (radii < hi)]).sum()
-                    for lo, hi in zip(edges[:-1], edges[1:])])
+    contrib, nodes = one_pass(resolution)
+    inc = _shell_increments(nodes, np.abs(contrib))
     if not np.all(np.isfinite(contrib)):
         # the integrand blows up on a node: divergent at an interior point
         return math.inf, True, inc
@@ -349,162 +332,214 @@ def _ensure_halfspace_integrable(p: StableParams, rep: HarmonicRepresentation) -
     rep._integrability_checked = True
 
 
-def poisson_integral_halfspace(p: StableParams, rep: HarmonicRepresentation, x,
-                               grid: QuadratureGrid | None = None,
-                               resolution: int | None = None) -> float:
-    """Evaluate a halfspace representation at a point off the hyperplane.
+# --- evaluating representations ---------------------------------------------
+
+_SPHERE_PEAK_NODES = 400    # peak-adapted rule on the circle
+_LINE_PEAK_NODES = 801      # peak-adapted rule on the line
+_BLOCK = 1 << 15            # kernel elements per block: a block stays in cache
+
+
+def _default_sphere_grid(p: StableParams) -> QuadratureGrid:
+    return sphere_quadrature(p, 1024 if p.d == 2 else 64)
+
+
+def _row_blocks(m: int, n: int):
+    step = max(1, _BLOCK // n)
+    return (slice(i, i + step) for i in range(0, m, step))
+
+
+def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # (m, k) squared distances between the rows of a and b, coordinate by
+    # coordinate so that nearby points keep their full relative accuracy
+    return sum((a[:, j, None] - b[None, :, j]) ** 2 for j in range(a.shape[1]))
+
+
+def _require_unit(z: np.ndarray, what: str) -> None:
+    if np.any(np.abs(np.sum(z * z, axis=1) - 1.0) > 1e-9):
+        raise DomainError(f"{what} must be unit vectors")
+
+
+def sphere_values(p: StableParams, rep: HarmonicRepresentation, r_minus_one,
+                  dirs, adapted: bool = False) -> np.ndarray:
+    """Values of u = P[mu or f] + c (1 - Phi) at the points (1 + r_minus_one) dirs.
+
+    Points are given by their exact offset r - 1 from the sphere and
+    their unit directions, so kernel distances are assembled as
+    (r - 1)^2 + r |eta - z|^2 and never through absolute coordinates.
+    Densities are integrated on the default surface grid, with the Gram
+    term eta.z from one matrix product, or, with ``adapted`` (d = 2 only),
+    by a rule whose nodes cluster at each kernel peak via
+    psi = |r - 1| sinh(v), which stays exact however close the point
+    sits to the circle.  ``dirs`` has shape (m, d); returns one value per
+    point.
+    """
+    if rep.space != SPHERE:
+        raise RepresentationError("sphere_values needs a SPHERE representation")
+    if adapted and p.d != 2:
+        raise DomainError("the peak-adapted sphere rule is implemented for d = 2")
+    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
+    if dirs.shape[1] != p.d:
+        raise DomainError(f"directions must have length d={p.d}")
+    rm1 = np.broadcast_to(np.asarray(r_minus_one, dtype=float), dirs.shape[:1])
+    _require_unit(dirs, "evaluation directions")
+    if np.any(rm1 == 0.0):
+        raise DomainError("evaluation point lies on the sphere")
+    if np.any(rm1 < -1.0):
+        raise DomainError("radius must be nonnegative")
+    r = 1.0 + rm1
+    delta = rm1 * (r + 1.0)               # r^2 - 1, exact in rm1
+    vals = np.zeros(len(rm1))
+    if rep.measure is not None:
+        _require_unit(rep.measure.atoms, "sphere atoms")
+        dist2 = rm1[:, None] ** 2 + r[:, None] * _sq_dist(dirs, rep.measure.atoms)
+        vals += sphere.poisson_kernel_dist2(p, delta[:, None], dist2) @ rep.measure.weights
+    if rep.density is not None:
+        rule = _sphere_peak_rule if adapted else _sphere_grid_rule
+        vals += rule(p, rep.density, rm1, dirs)
+    if rep.constant:
+        uniq, inv = np.unique(delta, return_inverse=True)
+        comp = np.array([sphere.phi_complement_delta(p, float(dl)) for dl in uniq])
+        vals += rep.constant * comp[inv]
+    return vals
+
+
+def _sphere_grid_rule(p: StableParams, f: BoundaryFunction, rm1: np.ndarray,
+                      dirs: np.ndarray) -> np.ndarray:
+    g = _default_sphere_grid(p)
+    wf = g.weights * f(g.nodes)
+    r = 1.0 + rm1
+    delta = rm1 * (r + 1.0)
+    out = np.empty(len(rm1))
+    for rows in _row_blocks(len(rm1), len(wf)):
+        dist2 = dirs[rows] @ g.nodes.T            # eta.z
+        dist2 *= -2.0
+        dist2 += 2.0                               # |eta - z|^2
+        np.maximum(dist2, 0.0, out=dist2)
+        dist2 *= r[rows, None]
+        dist2 += rm1[rows, None] ** 2
+        out[rows] = sphere.poisson_kernel_dist2(p, delta[rows, None], dist2) @ wf
+    return out
+
+
+def _sphere_peak_rule(p: StableParams, f: BoundaryFunction, rm1: np.ndarray,
+                      dirs: np.ndarray) -> np.ndarray:
+    # the nodes sit at angle psi from each direction; everything but the
+    # density depends on r - 1 alone, so it is built once per distinct radius
+    gl_x, gl_w = _leggauss(_SPHERE_PEAK_NODES)
+    uniq, inv = np.unique(rm1, return_inverse=True)
+    rm = uniq[:, None]
+    width = np.minimum(np.abs(rm), 1.0)
+    vmax = np.arcsinh(math.pi / width)
+    v = gl_x * vmax
+    psi = width * np.sinh(v)
+    r = 1.0 + rm
+    dist2 = rm * rm + 4.0 * r * np.sin(psi / 2.0) ** 2
+    jac = width * np.cosh(v) / (2.0 * math.pi)      # sigma = dtheta / 2pi
+    wk = gl_w * vmax * sphere.poisson_kernel_dist2(p, rm * (r + 1.0), dist2) * jac
+    cos_psi, sin_psi = np.cos(psi)[inv], np.sin(psi)[inv]
+    ex, ey = dirs[:, :1], dirs[:, 1:]
+    nodes = np.column_stack([(ex * cos_psi - ey * sin_psi).ravel(),
+                             (ey * cos_psi + ex * sin_psi).ravel()])
+    return np.sum(wk[inv] * f(nodes).reshape(cos_psi.shape), axis=1)
+
+
+def halfspace_values(p: StableParams, rep: HarmonicRepresentation, xbar, t,
+                     adapted: bool = False) -> np.ndarray:
+    """Values of a halfspace representation at the points (xbar, t).
 
     The "poisson" flavor integrates the hitting density, the "martin"
-    flavor the Martin kernel; either adds c |x_d|^(alpha-1).  Density
-    parts are first checked against the reference measure; a divergent
-    check raises IntegrabilityError.
+    flavor the Martin kernel; either adds c |t|^(alpha-1).  Density parts
+    are first checked against the reference measure; a divergent check
+    raises IntegrabilityError.  Densities are integrated on a tangent-map
+    grid centered at each foot point and scaled to its height, or, with
+    ``adapted`` (d = 2 only), on nodes |t| sinh(v) around it, which also
+    resolve density features far wider than the kernel peak.  Kernel
+    distances come from the node offsets themselves, so small heights
+    never collapse onto the foot point.  ``xbar`` has shape (m, d-1);
+    returns one value per point.
     """
     if rep.space != HALFSPACE:
-        raise RepresentationError("poisson_integral_halfspace needs a HALFSPACE representation")
-    x = as_point(x, p.d)
-    xd = x[-1]
-    if xd == 0.0:
+        raise RepresentationError("halfspace_values needs a HALFSPACE representation")
+    if adapted and p.d != 2:
+        raise DomainError("the peak-adapted halfspace rule is implemented for d = 2")
+    xbar = np.atleast_2d(np.asarray(xbar, dtype=float))
+    if xbar.shape[1] != p.d - 1:
+        raise DomainError(f"foot points must have length d-1={p.d - 1}")
+    t = np.broadcast_to(np.asarray(t, dtype=float), xbar.shape[:1])
+    if np.any(t == 0.0):
         raise DomainError("evaluation point lies on the hyperplane")
-    kern = (halfspace.poisson_kernel if rep.flavor == "poisson"
-            else halfspace.martin_kernel)
-    total = 0.0
-    if rep.measure is not None:
-        vals = np.atleast_1d(kern(p, x, rep.measure.atoms))
-        total += float(np.dot(vals, rep.measure.weights))
-    if rep.density is not None:
-        _ensure_halfspace_integrable(p, rep)
-        if grid is None:
-            n = resolution if resolution is not None else (241 if p.d == 2 else 161)
-            grid = hyperplane_quadrature(p, n, p.d + p.alpha - 2.0,
-                                         center=x[:-1], scale=max(abs(xd), 1e-6))
-        vals = np.atleast_1d(kern(p, x, grid.nodes))
-        total += grid.integrate(vals * rep.density(grid.nodes))
-    if rep.constant:
-        total += rep.constant * abs(xd) ** (p.alpha - 1.0)
-    return total
-
-
-# --- peak-adapted single integrals (d = 2) ----------------------------------
-
-def _sphere_adapted_value(p: StableParams, rep: HarmonicRepresentation,
-                          r_minus_one: float, theta0: float,
-                          n_nodes: int = 400,
-                          control: SeriesControl = DEFAULT_CONTROL) -> float:
-    """Sphere representation value at radius 1 + r_minus_one, angle theta0.
-
-    d = 2 only.  Works entirely in the exact boundary distance: kernel
-    distances are assembled as (r-1)^2 + 4 r sin^2(psi/2), never through
-    absolute coordinates, so nothing is lost however close the point
-    sits to the circle (down to the last representable radius).  Nodes
-    cluster at the kernel peak via psi = |r-1| sinh(v).
-    """
-    if p.d != 2:
-        raise DomainError("the peak-adapted sphere integral is implemented for d = 2")
-    rm1 = float(r_minus_one)
-    if rm1 == 0.0:
-        raise DomainError("evaluation point must be off the circle")
-    r = 1.0 + rm1
-    if r <= 0.0:
-        raise DomainError("radius must be positive")
-    kc = sphere.constants(p)
-    q = (p.d + p.alpha - 2.0) / 2.0
-    delta_sq = rm1 * (r + 1.0)            # r^2 - 1, exact in rm1
-    front = kc.phi_at_origin * abs(delta_sq) ** (p.alpha - 1.0)
-    total = 0.0
-    if rep.measure is not None:
-        phis = np.arctan2(rep.measure.atoms[:, 1], rep.measure.atoms[:, 0])
-        dist2 = rm1 * rm1 + 4.0 * r * np.sin((theta0 - phis) / 2.0) ** 2
-        total += float(np.dot(front / dist2 ** q, rep.measure.weights))
-    if rep.density is not None:
-        delta = min(abs(rm1), 1.0)
-        vmax = math.asinh(math.pi / delta)
-        gl_x, gl_w = _leggauss(n_nodes)
-        v = gl_x * vmax
-        psi = delta * np.sinh(v)
-        dist2 = rm1 * rm1 + 4.0 * r * np.sin(psi / 2.0) ** 2
-        theta = theta0 + psi
-        nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        jac = delta * np.cosh(v) / (2.0 * math.pi)   # sigma = dtheta / 2pi
-        total += float(np.dot(gl_w * vmax,
-                              front / dist2 ** q * rep.density(nodes) * jac))
-    if rep.constant:
-        total += rep.constant * sphere.phi_complement_delta(p, delta_sq, control)
-    return total
-
-
-def _halfspace_adapted_value(p: StableParams, rep: HarmonicRepresentation,
-                             xbar: float, t: float,
-                             n_nodes: int = 801) -> float:
-    """Halfspace representation value at (xbar, t), d = 2 only.
-
-    Kernel distances are built from the node offsets s = |t| sinh(v)
-    themselves (offset^2 + t^2), so arbitrarily small heights t never
-    collapse onto the foot point.
-    """
-    if p.d != 2:
-        raise DomainError("the peak-adapted halfspace integral is implemented for d = 2")
-    if t == 0.0:
-        raise DomainError("evaluation point lies on the hyperplane")
-    kc = sphere.constants(p)
-    q = (p.d + p.alpha - 2.0) / 2.0
-    front = kc.c3 * abs(t) ** (p.alpha - 1.0)
     martin = rep.flavor == "martin"
-    total = 0.0
+    vals = np.zeros(len(t))
     if rep.measure is not None:
-        off = rep.measure.atoms[:, 0] - xbar
-        dist2 = off * off + t * t
-        kern = front / dist2 ** q
+        atoms = rep.measure.atoms
+        dist2 = _sq_dist(xbar, atoms) + t[:, None] ** 2
+        kern = halfspace.poisson_kernel_dist2(p, t[:, None], dist2)
         if martin:
-            kern = kern / halfspace.omega_alpha_density(p, rep.measure.atoms)
-        total += float(np.dot(np.atleast_1d(kern), rep.measure.weights))
+            kern = kern / halfspace.omega_alpha_density(p, atoms)
+        vals += kern @ rep.measure.weights
     if rep.density is not None:
         _ensure_halfspace_integrable(p, rep)
-        vmax = max(60.0 / (p.alpha - 1.0), 60.0)
-        gl_x, gl_w = _leggauss(n_nodes)
-        v = gl_x * vmax
-        s_off = abs(t) * np.sinh(v)
-        dist2 = s_off * s_off + t * t
-        y = (xbar + s_off)[:, None]
-        kern = front / dist2 ** q
-        if martin:
-            kern = kern / halfspace.omega_alpha_density(p, y)
-        jac = abs(t) * np.cosh(v)
-        total += float(np.dot(gl_w * vmax, kern * rep.density(y) * jac))
+        uniq, inv = np.unique(np.abs(t), return_inverse=True)
+        rule = _line_peak_rule if adapted else _hyperplane_grid_rule
+        weights, offsets = rule(p, uniq)
+        n = weights.shape[1]
+        for rows in _row_blocks(len(t), n):
+            y = (xbar[rows, None, :] + offsets[inv[rows]]).reshape(-1, p.d - 1)
+            dens = rep.density(y)
+            if martin:
+                dens = dens / halfspace.omega_alpha_density(p, y)
+            vals[rows] += np.sum(weights[inv[rows]] * dens.reshape(-1, n), axis=1)
     if rep.constant:
-        total += rep.constant * abs(t) ** (p.alpha - 1.0)
-    return total
+        vals += rep.constant * np.abs(t) ** (p.alpha - 1.0)
+    return vals
 
 
-def _sphere_density_value(p: StableParams, rep: HarmonicRepresentation, x,
-                          n_nodes: int = 400,
-                          control: SeriesControl = DEFAULT_CONTROL) -> float:
-    """Adapted sphere value from cartesian coordinates (moderate radii)."""
-    x = as_point(x, 2)
-    r = norm(x)
-    if r == 0.0:
-        raise DomainError("evaluation point must be nonzero")
-    return _sphere_adapted_value(p, rep, r - 1.0, math.atan2(x[1], x[0]),
-                                 n_nodes=n_nodes, control=control)
+def _hyperplane_grid_rule(p: StableParams, heights: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    # per height: kernel x weight and node offsets of the tangent-map grid
+    # scaled to that height (the grid is affine in its center and scale)
+    ref = hyperplane_quadrature(p, 241 if p.d == 2 else 161, p.d + p.alpha - 2.0)
+    t = heights[:, None]
+    dist2 = t * t * (np.sum(ref.nodes ** 2, axis=1) + 1.0)
+    weights = halfspace.poisson_kernel_dist2(p, t, dist2) * ref.weights * t ** (p.d - 1)
+    return weights, t[:, :, None] * ref.nodes
 
 
-def _halfspace_density_value(p: StableParams, rep: HarmonicRepresentation, x,
-                             n_nodes: int = 801) -> float:
-    """Adapted halfspace value from cartesian coordinates."""
-    x = as_point(x, 2)
-    return _halfspace_adapted_value(p, rep, float(x[0]), float(x[1]),
-                                    n_nodes=n_nodes)
+def _line_peak_rule(p: StableParams, heights: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    # per height: kernel x weight and node offsets |t| sinh(v) on the line
+    gl_x, gl_w = _leggauss(_LINE_PEAK_NODES)
+    vmax = max(60.0 / (p.alpha - 1.0), 60.0)
+    v = gl_x * vmax
+    t = heights[:, None]
+    offsets = t * np.sinh(v)
+    kern = halfspace.poisson_kernel_dist2(p, t, offsets * offsets + t * t)
+    return gl_w * vmax * kern * t * np.cosh(v), offsets[:, :, None]
 
 
 def representation_value(p: StableParams, rep: HarmonicRepresentation, x,
-                         adapted: bool = False, **kw) -> float:
+                         adapted: bool = False) -> float:
     """Evaluate a representation at one point, optionally peak-adapted (d=2)."""
+    x = as_point(x, p.d)
     if rep.space == SPHERE:
-        if adapted:
-            return _sphere_density_value(p, rep, x, **kw)
-        return poisson_integral_sphere(p, rep, x, **kw)
-    if adapted:
-        return _halfspace_density_value(p, rep, x, **kw)
-    return poisson_integral_halfspace(p, rep, x, **kw)
+        r = norm(x)
+        eta = x / r if r > 0.0 else basis_last(p.d)   # any direction at the origin
+        return float(sphere_values(p, rep, r - 1.0, eta, adapted)[0])
+    return float(halfspace_values(p, rep, x[:-1], x[-1], adapted)[0])
+
+
+def poisson_integral_sphere(p: StableParams, rep: HarmonicRepresentation, x) -> float:
+    """Evaluate u = P[mu or f] + c (1 - Phi) at a point off the sphere."""
+    if rep.space != SPHERE:
+        raise RepresentationError("poisson_integral_sphere needs a SPHERE representation")
+    return representation_value(p, rep, x)
+
+
+def poisson_integral_halfspace(p: StableParams, rep: HarmonicRepresentation, x) -> float:
+    """Evaluate a halfspace representation at a point off the hyperplane."""
+    if rep.space != HALFSPACE:
+        raise RepresentationError("poisson_integral_halfspace needs a HALFSPACE representation")
+    return representation_value(p, rep, x)
 
 
 # --- Hardy norms -------------------------------------------------------------
@@ -545,10 +580,7 @@ def _slice_norm(space: str, p: StableParams, values: np.ndarray,
     with np.errstate(over="ignore"):
         contrib = grid.weights * np.abs(values) ** pexp
     if space == HALFSPACE:
-        radii = np.sqrt(np.sum(grid.nodes ** 2, axis=1))
-        edges = np.array([0.0, 1.0, 1e1, 1e2, 1e3, 1e5, 1e8, 1e12, np.inf])
-        inc = np.array([contrib[(radii >= lo) & (radii < hi)].sum()
-                        for lo, hi in zip(edges[:-1], edges[1:])])
+        inc = _shell_increments(grid.nodes, contrib)
         tot = contrib.sum()
         if inc[-1] > 1e-12 * max(tot, 1e-300) and inc[-1] >= 0.5 * inc[-2]:
             return math.inf
@@ -557,7 +589,6 @@ def _slice_norm(space: str, p: StableParams, values: np.ndarray,
 
 def hardy_norm(p: StableParams, space: str, u, pexp: float,
                schedule: np.ndarray | None = None,
-               resolution: int | None = None,
                grid: QuadratureGrid | None = None) -> HardyNormEstimate:
     """Schedule supremum of ||u_s||_p over slices s (radii or heights).
 
@@ -577,23 +608,24 @@ def hardy_norm(p: StableParams, space: str, u, pexp: float,
     builder = None
     if grid is None:
         if space == SPHERE:
-            grid = _default_sphere_grid(p, resolution)
+            grid = _default_sphere_grid(p)
         else:
             # slice integrands peak at the boundary support with width |t|;
             # the grid follows the slice so the peak stays resolved
             center, spread = _halfspace_support(p, rep)
-            res = resolution or 241
             builder = lambda t: hyperplane_quadrature(
-                p, res, p.d + p.alpha - 2.0, center=center,
+                p, 241, p.d + p.alpha - 2.0, center=center,
                 scale=max(abs(t), spread))
     slices: list[tuple[float, float]] = []
     for s in np.asarray(schedule, dtype=float):
         g = builder(s) if builder is not None else grid
-        pts = _slice_points(space, p, g, s)
-        if rep is not None:
-            values = _rep_slice_values(p, rep, pts, s, space)
+        if rep is None:
+            values = np.asarray(u(_slice_points(space, p, g, s)), dtype=float)
+        elif space == SPHERE:
+            # the slice radius enters as the exact s - 1
+            values = sphere_values(p, rep, s - 1.0, g.nodes, adapted=p.d == 2)
         else:
-            values = np.asarray(u(pts), dtype=float)
+            values = halfspace_values(p, rep, g.nodes, s, adapted=p.d == 2)
         slices.append((float(s), _slice_norm(space, p, values, g, pexp)))
     return _summarize_schedule(space, slices)
 
@@ -605,45 +637,6 @@ def _halfspace_support(p: StableParams,
         spread = float(np.max(np.linalg.norm(rep.measure.atoms - center, axis=1)))
         return center, spread
     return np.zeros(p.d - 1), 1.0
-
-
-def _rep_slice_values(p: StableParams, rep: HarmonicRepresentation,
-                      pts: np.ndarray, s: float, space: str) -> np.ndarray:
-    vals = np.zeros(pts.shape[0])
-    if space == SPHERE:
-        if rep.density is not None and p.d == 2:
-            # grid quadrature cannot resolve kernel peaks of width |s - 1|
-            # arbitrarily close to the circle; the adapted rule can
-            return np.array([_sphere_density_value(p, rep, x, n_nodes=200)
-                             for x in pts])
-        if rep.measure is not None:
-            kern = sphere.poisson_kernel(p, pts[:, None, :], rep.measure.atoms[None, :, :])
-            vals += np.atleast_2d(kern) @ rep.measure.weights
-        if rep.density is not None:
-            g = _default_sphere_grid(p, None)
-            kern = sphere.poisson_kernel(p, pts[:, None, :], g.nodes[None, :, :])
-            vals += np.atleast_2d(kern) @ (g.weights * rep.density(g.nodes))
-        if rep.constant:
-            vals += rep.constant * sphere.phi_complement(p, abs(s))
-        return vals
-    if rep.density is None:
-        # atomic halfspace slices vectorize across the whole slice
-        kc = sphere.constants(p)
-        q = (p.d + p.alpha - 2.0) / 2.0
-        front = kc.c3 * abs(s) ** (p.alpha - 1.0)
-        if rep.measure is not None:
-            diff = pts[:, None, :-1] - rep.measure.atoms[None, :, :]
-            dist2 = np.sum(diff * diff, axis=-1) + s * s
-            kern = front / dist2 ** q
-            if rep.flavor == "martin":
-                kern = kern / halfspace.omega_alpha_density(p, rep.measure.atoms)[None, :]
-            vals += kern @ rep.measure.weights
-        if rep.constant:
-            vals += rep.constant * abs(s) ** (p.alpha - 1.0)
-        return vals
-    for i, x in enumerate(pts):
-        vals[i] = poisson_integral_halfspace(p, rep, x)
-    return vals
 
 
 def _summarize_schedule(space: str, slices: list[tuple[float, float]]) -> HardyNormEstimate:
@@ -679,24 +672,20 @@ def _tail_increasing(seq: list[float], k: int = 3) -> bool:
 
 # --- closed-form Hardy norms and majorants -----------------------------------
 
-def _sphere_density_norm(p: StableParams, f: BoundaryFunction, pexp: float,
-                         resolution: int | None = None) -> float:
-    g = _default_sphere_grid(p, resolution)
+def _sphere_density_norm(p: StableParams, f: BoundaryFunction, pexp: float) -> float:
+    g = _default_sphere_grid(p)
     return float(np.sum(g.weights * np.abs(f(g.nodes)) ** pexp)) ** (1.0 / pexp)
 
 
-def omega_norm(p: StableParams, f: BoundaryFunction, pexp: float,
-               resolution: int = 241) -> float:
+def omega_norm(p: StableParams, f: BoundaryFunction, pexp: float) -> float:
     """L^p norm against the reference harmonic measure on the hyperplane."""
-    val, diverges, _ = omega_integral_probe(
-        p, lambda pts: np.abs(f(pts)) ** pexp, resolution=resolution)
+    val, diverges, _ = omega_integral_probe(p, lambda pts: np.abs(f(pts)) ** pexp)
     if diverges:
         return math.inf
     return val ** (1.0 / pexp)
 
 
-def prob_hardy_norm(p: StableParams, rep: HarmonicRepresentation, pexp: float,
-                    resolution: int | None = None) -> float:
+def prob_hardy_norm(p: StableParams, rep: HarmonicRepresentation, pexp: float) -> float:
     """Exit-moment Hardy norm from the closed-form identities.
 
     sphere, p = 1:     Phi(0) ||mu|| + |c| (1 - Phi(0))
@@ -715,12 +704,12 @@ def prob_hardy_norm(p: StableParams, rep: HarmonicRepresentation, pexp: float,
         if pexp == 1.0:
             tv = rep.measure.total_variation if rep.measure is not None else 0.0
             if rep.density is not None:
-                tv += _sphere_density_norm(p, rep.density, 1.0, resolution)
+                tv += _sphere_density_norm(p, rep.density, 1.0)
             return phi0 * tv + abs(rep.constant) * (1.0 - phi0)
         if rep.measure is not None:
             raise RepresentationError(
                 "p > 1 norms need a density part; atomic measures lie outside L^p")
-        fp = _sphere_density_norm(p, rep.density, pexp, resolution) ** pexp \
+        fp = _sphere_density_norm(p, rep.density, pexp) ** pexp \
             if rep.density is not None else 0.0
         return (phi0 * fp + abs(rep.constant) ** pexp * (1.0 - phi0)) ** (1.0 / pexp)
     # halfspace
@@ -735,7 +724,7 @@ def prob_hardy_norm(p: StableParams, rep: HarmonicRepresentation, pexp: float,
                 tv += rep.measure.total_variation
         if rep.density is not None:
             if rep.flavor == "poisson":
-                tv_d = omega_norm(p, rep.density, 1.0, resolution or 241)
+                tv_d = omega_norm(p, rep.density, 1.0)
             else:
                 val, diverges, _ = omega_integral_probe(
                     p, lambda pts: np.abs(rep.density(pts)), weight="lebesgue")
@@ -753,11 +742,10 @@ def prob_hardy_norm(p: StableParams, rep: HarmonicRepresentation, pexp: float,
         return 0.0
     if rep.flavor != "poisson":
         raise RepresentationError("p > 1 norms take the hitting-density flavor")
-    return omega_norm(p, rep.density, pexp, resolution or 241)
+    return omega_norm(p, rep.density, pexp)
 
 
-def majorant(p: StableParams, rep: HarmonicRepresentation, pexp: float, x,
-             resolution: int | None = None) -> float:
+def majorant(p: StableParams, rep: HarmonicRepresentation, pexp: float, x) -> float:
     """Minimal harmonic majorant of |u|^pexp evaluated at x (closed form).
 
     For pexp = 1 the boundary datum is replaced by its total-variation
@@ -774,9 +762,7 @@ def majorant(p: StableParams, rep: HarmonicRepresentation, pexp: float, x,
             constant=abs(rep.constant),
             flavor=rep.flavor,
         )
-        if rep.space == SPHERE:
-            return poisson_integral_sphere(p, abs_rep, x, resolution=resolution)
-        return poisson_integral_halfspace(p, abs_rep, x, resolution=resolution)
+        return representation_value(p, abs_rep, x)
     if rep.measure is not None:
         raise RepresentationError("p > 1 majorants need a density part")
     pow_rep = HarmonicRepresentation(
@@ -786,12 +772,10 @@ def majorant(p: StableParams, rep: HarmonicRepresentation, pexp: float, x,
         constant=abs(rep.constant) ** pexp,
         flavor=rep.flavor,
     )
-    if rep.space == SPHERE:
-        return poisson_integral_sphere(p, pow_rep, x, resolution=resolution)
-    if rep.constant != 0.0:
+    if rep.space == HALFSPACE and rep.constant != 0.0:
         raise RepresentationError(
             "p > 1 halfspace majorants require a vanishing constant part")
-    return poisson_integral_halfspace(p, pow_rep, x, resolution=resolution)
+    return representation_value(p, pow_rep, x)
 
 
 # --- pointwise fractional Laplacian ------------------------------------------
@@ -923,57 +907,47 @@ def fatou_probe(p: StableParams, rep: HarmonicRepresentation, y, beta: float,
     if rng is None:
         rng = np.random.default_rng(0)
     spread = math.sqrt((1.0 + beta) ** 2 - 1.0) * 0.9
+    y = np.atleast_1d(np.asarray(y, dtype=float))
     target = 0.0
     if rep.density is not None:
-        target = rep.density.value_at(np.asarray(y, dtype=float))
+        target = rep.density.value_at(y)
         if rep.space == HALFSPACE and rep.flavor == "martin":
             # a Lebesgue density g corresponds to g / (omega density)
             # with respect to the reference measure
-            target /= float(halfspace.omega_alpha_density(
-                p, np.atleast_1d(np.asarray(y, dtype=float))))
-    devs = np.empty((depth, 2))
-    points: list[np.ndarray] = []
-    use_adapted = p.d == 2
-    theta_y = math.atan2(y[1], y[0]) if rep.space == SPHERE and p.d == 2 else 0.0
+            target /= float(halfspace.omega_alpha_density(p, y))
+    if rep.space == SPHERE:
+        y = as_point(y, p.d) / norm(y)
+    offsets, bases = [], []
     for k in range(1, depth + 1):
         delta = 2.0 ** -k
-        for side, sgn in enumerate((-1.0, 1.0)):
-            if use_adapted and rep.space == SPHERE:
-                # the exact radial distance sgn*delta goes straight into the
-                # kernel algebra; coordinates would absorb it near the ulp
-                eta = spread * delta * (2.0 * rng.random() - 1.0)
-                val = _sphere_adapted_value(p, rep, sgn * delta, theta_y + eta)
-                r = 1.0 + sgn * delta
-                xk = r * np.array([math.cos(theta_y + eta), math.sin(theta_y + eta)])
-            elif use_adapted and rep.space == HALFSPACE:
-                ybar = np.atleast_1d(np.asarray(y, dtype=float))
-                eta = spread * delta * (2.0 * rng.random() - 1.0)
-                val = _halfspace_adapted_value(p, rep, float(ybar[0]) + eta,
-                                               sgn * delta)
-                xk = join_last(ybar + eta, sgn * delta)
-            else:
-                xk = _cone_point(rep.space, p, y, delta, sgn, spread, rng)
-                val = representation_value(p, rep, xk, adapted=False)
-            devs[k - 1, side] = abs(val - target)
-            points.append(xk)
+        for sgn in (-1.0, 1.0):
+            offsets.append(sgn * delta)
+            bases.append(_cone_base(rep.space, p, y, delta, spread, rng))
+    offsets, bases = np.array(offsets), np.array(bases)
+    # the exact boundary distance goes straight into the kernel algebra;
+    # coordinates would absorb it near the ulp
+    if rep.space == SPHERE:
+        vals = sphere_values(p, rep, offsets, bases, adapted=p.d == 2)
+        points = [(1.0 + o) * b for o, b in zip(offsets, bases)]
+    else:
+        vals = halfspace_values(p, rep, bases, offsets, adapted=p.d == 2)
+        points = [join_last(b, o) for o, b in zip(offsets, bases)]
+    devs = np.abs(vals - target).reshape(depth, 2)
     return FatouProbe(deviations=devs, target=target, points=points)
 
 
-def _cone_point(space: str, p: StableParams, y, delta: float, sgn: float,
-                spread: float, rng: np.random.Generator) -> np.ndarray:
+def _cone_base(space: str, p: StableParams, y: np.ndarray, delta: float,
+               spread: float, rng: np.random.Generator) -> np.ndarray:
+    # direction (sphere) or foot point (hyperplane) of one probe point
     if space == SPHERE:
-        y = as_point(y, p.d)
-        r = 1.0 + sgn * delta
         eta = spread * delta * (2.0 * rng.random() - 1.0)
-        tang = _tangent_direction(y, rng)
-        direction = y * math.cos(eta) + tang * math.sin(eta)
-        return r * direction
-    ybar = np.atleast_1d(np.asarray(y, dtype=float))
-    offset = rng.standard_normal(ybar.shape[0])
+        return y * math.cos(eta) + _tangent_direction(y, rng) * math.sin(eta)
+    if p.d == 2:
+        return y + spread * delta * (2.0 * rng.random() - 1.0)
+    offset = rng.standard_normal(y.shape[0])
     nrm = np.linalg.norm(offset)
     offset = offset / nrm if nrm > 0 else offset
-    eta = spread * delta * rng.random()
-    return join_last(ybar + eta * offset, sgn * delta)
+    return y + spread * delta * rng.random() * offset
 
 
 def _tangent_direction(y: np.ndarray, rng: np.random.Generator) -> np.ndarray:

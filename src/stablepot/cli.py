@@ -7,10 +7,10 @@ verify   run an identity suite, emit a JSON report, exit 1 on any FAIL;
 sample   draw from one of the exact samplers into a CSV file;
 report   write a plot-ready CSV curve (monotone abscissa + value columns).
 
-Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
-3 I/O error.  All randomized commands take --seed (default 42, printed);
-equal seeds reproduce byte-identical outputs.  STABLEPOT_THREADS caps
-the number of worker threads used by ``verify all``.
+Exit codes: 0 success, 1 verification failure, 2 usage, domain or
+numerical error, 3 I/O error.  All randomized commands take --seed
+(default 42, printed); equal seeds reproduce byte-identical outputs.
+STABLEPOT_THREADS caps the number of worker threads used by ``verify all``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import analysis, halfspace, montecarlo, relativistic, sphere
 from .core import INFINITY, StableParams, basis_last
-from .errors import DivergenceError, DomainError
+from .errors import ConvergenceError, DivergenceError, DomainError
 from .montecarlo import RngStream, WalkConfig
 from .relativistic import RelativisticParams
 from .suites import SUITES, run_suite
@@ -308,7 +308,8 @@ def main(argv=None) -> int:
         if args.command == "report":
             return _cmd_report(args)
         raise DomainError(f"unknown command {args.command}")
-    except (DomainError, DivergenceError, ValueError) as exc:
+    except (DomainError, DivergenceError, ValueError, ConvergenceError,
+            OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

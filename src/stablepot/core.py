@@ -16,9 +16,6 @@ __all__ = [
     "INFINITY",
     "as_point",
     "norm",
-    "unit_vector",
-    "in_sphere_complement",
-    "in_halfspace_complement",
     "split_last",
     "join_last",
     "basis_last",
@@ -82,24 +79,6 @@ def as_point(x, d: int | None = None) -> np.ndarray:
 
 def norm(x) -> float:
     return float(np.linalg.norm(np.asarray(x, dtype=float)))
-
-
-def unit_vector(x) -> np.ndarray:
-    p = as_point(x)
-    n = norm(p)
-    if n == 0.0:
-        raise DomainError("cannot normalize the zero vector")
-    return p / n
-
-
-def in_sphere_complement(x) -> bool:
-    """True iff |x| != 1, i.e. x avoids the unit sphere."""
-    return norm(x) != 1.0
-
-
-def in_halfspace_complement(x) -> bool:
-    """True iff the last coordinate is nonzero, i.e. x avoids the hyperplane."""
-    return float(np.asarray(x, dtype=float)[-1]) != 0.0
 
 
 def split_last(x) -> tuple[np.ndarray, float]:

@@ -35,6 +35,7 @@ from . import sphere
 
 __all__ = [
     "poisson_kernel",
+    "poisson_kernel_dist2",
     "omega_alpha_density",
     "green_function",
     "martin_kernel",
@@ -52,12 +53,20 @@ def _bar_array(ybar, d: int) -> np.ndarray:
     return y
 
 
+def poisson_kernel_dist2(p: StableParams, xd, dist2):
+    """Hitting density from the height x_d and dist2 = |x - (ybar, 0)|^2.
+
+    Broadcasts over arrays.
+    """
+    return (sphere.constants(p).c3 * np.abs(xd) ** (p.alpha - 1.0)
+            / dist2 ** ((p.d + p.alpha - 2.0) / 2.0))
+
+
 def poisson_kernel(p: StableParams, x, ybar):
     """Density of the hyperplane hitting distribution started from x.
 
     Broadcasts over arrays of boundary points ybar (shape (..., d-1)).
     """
-    kc = sphere.constants(p)
     x = coerce_full_point(x, p.d)
     xd = x[-1]
     if xd == 0.0:
@@ -65,7 +74,7 @@ def poisson_kernel(p: StableParams, x, ybar):
     y = _bar_array(ybar, p.d)
     diff = x[:-1] - y
     dist2 = np.sum(diff * diff, axis=-1) + xd * xd
-    out = kc.c3 * abs(xd) ** (p.alpha - 1.0) / dist2 ** ((p.d + p.alpha - 2.0) / 2.0)
+    out = poisson_kernel_dist2(p, xd, dist2)
     return out if np.ndim(out) else float(out)
 
 

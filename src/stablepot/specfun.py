@@ -21,7 +21,6 @@ __all__ = [
     "DEFAULT_CONTROL",
     "log_gamma",
     "gamma_sign",
-    "signed_gamma",
     "gauss_2f1",
     "gauss_2f1_tail",
     "legendre_p",
@@ -71,11 +70,6 @@ def gamma_sign(x: float) -> float:
     if x > 0.0:
         return 1.0
     return 1.0 if math.floor(x) % 2 == 0 else -1.0
-
-
-def signed_gamma(x: float) -> float:
-    """Gamma(x) including its sign; overflows for large |x| like exp(lgamma)."""
-    return gamma_sign(x) * math.exp(log_gamma(x))
 
 
 def gauss_2f1(a: float, b: float, c: float, s: float,

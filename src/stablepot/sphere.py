@@ -41,6 +41,7 @@ __all__ = [
     "phi_complement_delta",
     "hitting_probability",
     "poisson_kernel",
+    "poisson_kernel_dist2",
     "green_function",
     "martin_kernel",
     "ball_poisson_kernel",
@@ -173,7 +174,7 @@ def phi_complement_delta(p: StableParams, delta: float,
           F2 = F(alpha/2, (d+alpha)/2-1; alpha; .) and c = series_c < 0.
     """
     p.require_hitting_range()
-    if delta < -1.0:
+    if not delta >= -1.0:
         raise DomainError(f"delta = r^2 - 1 must be >= -1, got {delta}")
     if delta == 0.0:
         return 0.0
@@ -207,7 +208,7 @@ def phi(p: StableParams, r: float,
     sphere hits it immediately).
     """
     p.require_hitting_range()
-    if r < 0.0:
+    if not r >= 0.0:
         raise DomainError(f"radius must be nonnegative, got {r}")
     if r == 1.0:
         return 1.0
@@ -241,6 +242,16 @@ def _delta_of(x: np.ndarray) -> np.ndarray:
     return np.sum(x * x, axis=-1) - 1.0
 
 
+def poisson_kernel_dist2(p: StableParams, delta, dist2):
+    """Poisson kernel from delta = |x|^2 - 1 and dist2 = |x - z|^2.
+
+    For callers that know both quantities more exactly than the point's
+    coordinates would give them.  Broadcasts over arrays.
+    """
+    return (constants(p).phi_at_origin * np.abs(delta) ** (p.alpha - 1.0)
+            / dist2 ** ((p.d + p.alpha - 2.0) / 2.0))
+
+
 def poisson_kernel(p: StableParams, x, z,
                    unit_tol: float = 1e-9):
     """Poisson kernel of the sphere complement w.r.t. normalized surface measure.
@@ -248,7 +259,6 @@ def poisson_kernel(p: StableParams, x, z,
     x is a point (or broadcastable array of points) off the sphere, z a
     unit vector (or array of unit vectors).  Broadcasts over leading axes.
     """
-    kc = constants(p)
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     zn = np.sqrt(np.sum(z * z, axis=-1))
@@ -261,8 +271,7 @@ def poisson_kernel(p: StableParams, x, z,
     dist2 = np.sum(diff * diff, axis=-1)
     if np.any(dist2 == 0.0):
         raise SingularityError("sphere Poisson kernel is singular at x = z")
-    out = (kc.phi_at_origin * np.abs(delta) ** (p.alpha - 1.0)
-           / dist2 ** ((p.d + p.alpha - 2.0) / 2.0))
+    out = poisson_kernel_dist2(p, delta, dist2)
     return out if out.ndim else float(out)
 
 

@@ -7,11 +7,12 @@ from stablepot import halfspace, sphere
 from stablepot.analysis import (HALFSPACE, SPHERE, BoundaryFunction,
                                 DiscreteMeasure, HarmonicRepresentation,
                                 default_schedule, fatou_probe,
-                                fractional_laplacian, hardy_norm,
-                                hyperplane_quadrature, majorant,
+                                fractional_laplacian, halfspace_values,
+                                hardy_norm, hyperplane_quadrature, majorant,
                                 omega_integral_probe, poisson_integral_halfspace,
                                 poisson_integral_sphere, prob_hardy_norm,
-                                representation_value, sphere_quadrature)
+                                representation_value, sphere_quadrature,
+                                sphere_values)
 from stablepot.core import StableParams, basis_last
 from stablepot.errors import (DomainError, IntegrabilityError,
                               RepresentationError)
@@ -171,6 +172,58 @@ class TestOmegaProbe:
             _, div, _ = omega_integral_probe(
                 P2, lambda pts: np.abs(pts[:, 0]) ** (P2.alpha - 3.0))
         assert div
+
+
+class TestEvaluator:
+    def test_d3_slices_match_direct_quadrature(self):
+        f = BoundaryFunction(lambda pts: 1.0 + 0.5 * pts[:, 0] - 0.3 * pts[:, 2])
+        rep = HarmonicRepresentation(SPHERE, density=f, constant=0.25)
+        slice_grid = sphere_quadrature(P3, 8)
+        dens_grid = sphere_quadrature(P3, 64)     # the default density grid
+        wf = dens_grid.weights * f(dens_grid.nodes)
+        schedule = np.array([0.5, 1.0 - 2.0 ** -4, 1.0 + 2.0 ** -4, 3.0])
+        direct = {}
+        for s in schedule:
+            kern = sphere.poisson_kernel(P3, s * slice_grid.nodes[:, None, :],
+                                         dens_grid.nodes[None, :, :])
+            direct[s] = kern @ wf + 0.25 * sphere.phi_complement(P3, s)
+            got = sphere_values(P3, rep, s - 1.0, slice_grid.nodes)
+            np.testing.assert_allclose(got, direct[s], rtol=1e-12, atol=0.0)
+        for pexp in (1.0, math.inf):
+            est = hardy_norm(P3, SPHERE, rep, pexp, schedule=schedule,
+                             grid=slice_grid)
+            for s, got in est.slices:
+                u = np.abs(direct[s])
+                want = (slice_grid.integrate(u) if pexp == 1.0 else float(np.max(u)))
+                assert got == pytest.approx(want, rel=1e-12)
+
+    def test_d2_unit_density_slices_equal_phi(self):
+        rep = HarmonicRepresentation(SPHERE, density=BoundaryFunction(
+            lambda pts: np.ones(len(pts))))
+        grid = sphere_quadrature(P2, 16)
+        ks = np.arange(1, 41)
+        schedule = np.concatenate([1.0 - 2.0 ** -ks, 1.0 + 2.0 ** -ks])
+        for s in schedule:
+            vals = sphere_values(P2, rep, s - 1.0, grid.nodes, adapted=True)
+            assert np.max(np.abs(vals - sphere.phi(P2, s))) <= 1e-9
+        for pexp in (1.0, math.inf):
+            est = hardy_norm(P2, SPHERE, rep, pexp, schedule=schedule, grid=grid)
+            for s, got in est.slices:
+                assert abs(got - sphere.phi(P2, s)) <= 1e-9
+
+    def test_halfspace_batch_matches_points(self):
+        g = BoundaryFunction(lambda pts: np.exp(-pts[:, 0] ** 2))
+        mu = DiscreteMeasure(np.array([[0.5]]), [0.7])
+        xbar = np.array([[0.3], [-1.0], [2.0]])
+        t = np.array([0.5, -2.0 ** -20, 3.0])
+        for rep in (HarmonicRepresentation(HALFSPACE, density=g, constant=0.2,
+                                           flavor="martin"),
+                    HarmonicRepresentation(HALFSPACE, measure=mu, constant=0.2)):
+            for adapted in (False, True):
+                vals = halfspace_values(P2, rep, xbar, t, adapted)
+                one = [representation_value(P2, rep, [xb[0], tt], adapted)
+                       for xb, tt in zip(xbar, t)]
+                np.testing.assert_allclose(vals, one, rtol=1e-14, atol=0.0)
 
 
 class TestHardyNorm:

@@ -1,11 +1,18 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stablepot
 from stablepot.cli import main
+
+SRC = str(Path(stablepot.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -71,6 +78,20 @@ class TestEval:
         with pytest.raises(SystemExit) as exc:
             main(["eval", "bogus-kernel"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "phi", "--d", "400", "--r", "0.5"),      # overflowing constants
+        ("eval", "phi", "--r", "nan"),
+        ("eval", "green-D", "--x", "0,0.5", "--y", "0,1e200"),
+    ])
+    def test_numerical_failure_is_a_usage_error(self, argv):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        res = subprocess.run([sys.executable, "-m", "stablepot.cli", *argv],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert "error:" in res.stderr
 
     def test_divergence_maps_to_domain_exit(self, capsys):
         code, _, err = run(capsys, "eval", "u-lambda", "--d", "2",
