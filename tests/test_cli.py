@@ -21,6 +21,13 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_cli_process(*argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "stablepot.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 class TestEval:
     def test_martin_sphere_at_origin(self, capsys):
         code, out, _ = run(capsys, "eval", "martin-D", "--d", "2",
@@ -82,16 +89,23 @@ class TestEval:
     @pytest.mark.parametrize("argv", [
         ("eval", "phi", "--d", "400", "--r", "0.5"),      # overflowing constants
         ("eval", "phi", "--r", "nan"),
-        ("eval", "green-D", "--x", "0,0.5", "--y", "0,1e200"),
     ])
     def test_numerical_failure_is_a_usage_error(self, argv):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-        res = subprocess.run([sys.executable, "-m", "stablepot.cli", *argv],
-                             env=env, capture_output=True, text=True, timeout=120)
+        res = run_cli_process(*argv)
         assert res.returncode == 2
         assert "Traceback" not in res.stderr
         assert "error:" in res.stderr
+
+    def test_green_far_point_evaluates(self):
+        # |y| = 1e200 once overflowed |y|^2 and ended in an error; the
+        # value is A_(d,alpha) |y|^(alpha-d) (1 - Phi(|x|)) to rounding
+        res = run_cli_process("eval", "green-D", "--x", "0,0.5", "--y", "0,1e200")
+        assert res.returncode == 0
+        assert res.stderr == ""
+        p = stablepot.StableParams(2, 1.5)
+        want = stablepot.sphere.constants(p).a_d_alpha * 1e200 ** -0.5 \
+            * (1.0 - stablepot.sphere.phi(p, 0.5))
+        assert float(res.stdout) == pytest.approx(want, rel=1e-12)
 
     def test_divergence_maps_to_domain_exit(self, capsys):
         code, _, err = run(capsys, "eval", "u-lambda", "--d", "2",

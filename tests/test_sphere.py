@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -16,9 +17,9 @@ P2 = StableParams(2, 1.5)
 P3 = StableParams(3, 1.5)
 
 
-def mp_phi(d, alpha, r):
+def mp_phi(d, alpha, r, dps=40):
     # high-precision reference straight from the Legendre-function formula
-    with mpmath.workdps(40):
+    with mpmath.workdps(dps):
         a = mpmath.mpf(alpha)
         rr = mpmath.mpf(r)
         c2 = mpmath.sqrt(mpmath.pi) * 2 ** (2 - a) * mpmath.gamma((a + d) / 2 - 1) \
@@ -68,6 +69,17 @@ class TestPhi:
         for r in (1e-4, 0.3, 0.62, 0.9, 0.998, 1.002, 1.1, 1.6, 2.1, 30.0, 1e6):
             ref = mp_phi(d, alpha, r)
             assert phi(p, r) == pytest.approx(ref, rel=5e-12)
+
+    def test_huge_radii_against_legendre_reference(self):
+        # beyond r ~ 1.34e154, r^2 - 1 overflows; the reference needs
+        # about 2 log10(r) extra digits to resolve |r^2 - 1| against 1;
+        # near alpha = d, 1 - phi is visibly below 1 even out there
+        for p in (P2, StableParams(2, 1.99)):
+            for r in (1e154, 1e160, 1e300):
+                ref = mp_phi(2, p.alpha, r, dps=int(2 * math.log10(r)) + 40)
+                assert ref > 0.0
+                assert phi(p, r) == pytest.approx(ref, rel=1e-12)
+                assert phi_complement(p, r) == 1.0 - phi(p, r)
 
     def test_boundary_limits_canonical(self):
         # d = 2, alpha = 1.5: within 1e-3 of 1 near the sphere, small far out
@@ -196,6 +208,15 @@ class TestGreenFunction:
         y = np.array([1e3, 0.0])
         want = kc.a_d_alpha * 1e3 ** (P2.alpha - P2.d) * (1.0 - kc.phi_at_origin)
         assert green_function(P2, np.zeros(2), y) == pytest.approx(want, rel=1e-5)
+
+    def test_far_point_does_not_overflow(self):
+        want = constants(P2).a_d_alpha * 1e200 ** (P2.alpha - P2.d) \
+            * phi_complement(P2, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = green_function(P2, [0.0, 0.5], [0.0, 1e200])
+        assert math.isfinite(got)
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_errors(self):
         with pytest.raises(SingularityError):
