@@ -7,7 +7,7 @@ others.  See the ``demos/`` scripts for guided tours and the
 ``stablepot`` command line for evaluation, verification and sampling.
 """
 
-from .core import INFINITY, HalfspacePoint, Infinity, StableParams
+from .core import INFINITY, Infinity, StableParams
 from .errors import (ConvergenceError, DivergenceError, DomainError,
                      IntegrabilityError, PoleError, RepresentationError,
                      SingularityError)
@@ -15,7 +15,6 @@ from . import analysis, halfspace, montecarlo, relativistic, sphere
 
 __all__ = [
     "INFINITY",
-    "HalfspacePoint",
     "Infinity",
     "StableParams",
     "ConvergenceError",

@@ -34,7 +34,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .core import StableParams, as_point, basis_last, join_last, norm
+from .core import StableParams, as_point, basis_last, norm, require_unit
 from .errors import DomainError, IntegrabilityError, RepresentationError
 from . import halfspace, sphere
 
@@ -109,12 +109,10 @@ class BoundaryFunction:
     """Evaluable scalar function on the boundary.
 
     ``evaluator`` receives an (m, k) array of boundary points and returns
-    an (m,) array.  ``declared_p`` is metadata recording the integrability
-    class the caller claims for it.
+    an (m,) array.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
-    declared_p: float = math.inf
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         vals = np.asarray(self.evaluator(np.atleast_2d(pts)), dtype=float)
@@ -194,12 +192,15 @@ def sphere_quadrature(p: StableParams, resolution: int) -> QuadratureGrid:
     raise DomainError(f"sphere quadrature supports d in {{2, 3}}, got d={p.d}")
 
 
-def _line_rule(n: int, decay_q: float, scale: float, center: float,
-               tail_tol: float) -> tuple[np.ndarray, np.ndarray]:
+_TAIL_TOL = 1e-14           # endpoint share the tangent-map rule aims for
+
+
+def _line_rule(n: int, decay_q: float, scale: float,
+               center: float) -> tuple[np.ndarray, np.ndarray]:
     # y = center + scale * tan(pi u / 2), u = tanh((pi/2) sinh(w)),
     # trapezoid in w; endpoint contributions scale like eps^(decay_q - 1).
     # The reach is capped where y approaches the double-precision range.
-    need = -math.log(tail_tol) / max(decay_q - 1.0, 1e-3)
+    need = -math.log(_TAIL_TOL) / max(decay_q - 1.0, 1e-3)
     big_t = min(math.asinh(max(need, 40.0) * 2.0 / math.pi), 6.0)
     w = np.linspace(-big_t, big_t, n)
     h = w[1] - w[0]
@@ -217,8 +218,7 @@ def _line_rule(n: int, decay_q: float, scale: float, center: float,
 
 
 def hyperplane_quadrature(p: StableParams, resolution: int, decay_exponent: float,
-                          center=None, scale: float = 1.0,
-                          tail_tol: float = 1e-14) -> QuadratureGrid:
+                          center=None, scale: float = 1.0) -> QuadratureGrid:
     """Lebesgue measure on R^(d-1) through a compactifying tangent map.
 
     ``decay_exponent`` is the algebraic decay the integrand is declared
@@ -246,14 +246,14 @@ def hyperplane_quadrature(p: StableParams, resolution: int, decay_exponent: floa
     if scale <= 0.0:
         raise DomainError("scale must be positive")
     if k == 1:
-        y, wt = _line_rule(resolution, decay_exponent, scale, center[0], tail_tol)
+        y, wt = _line_rule(resolution, decay_exponent, scale, center[0])
         nodes = y[:, None]
         weights = wt
         ymax = float(np.max(np.abs(y)))
         tail = 2.0 * ymax ** (1.0 - decay_exponent) / (decay_exponent - 1.0)
     else:
-        y1, w1 = _line_rule(resolution, decay_exponent, scale, center[0], tail_tol)
-        y2, w2 = _line_rule(resolution, decay_exponent, scale, center[1], tail_tol)
+        y1, w1 = _line_rule(resolution, decay_exponent, scale, center[0])
+        y2, w2 = _line_rule(resolution, decay_exponent, scale, center[1])
         g1, g2 = np.meshgrid(y1, y2, indexing="ij")
         nodes = np.stack([g1.ravel(), g2.ravel()], axis=1)
         weights = np.outer(w1, w2).ravel()
@@ -266,27 +266,38 @@ def hyperplane_quadrature(p: StableParams, resolution: int, decay_exponent: floa
 # --- reference-measure integrals -------------------------------------------
 
 _SHELL_EDGES = np.array([0.0, 1.0, 1e1, 1e2, 1e3, 1e5, 1e8, 1e12, np.inf])
+_PROBE_NODES = 241          # per axis, for the reference-measure probe
 
 
-def _shell_increments(nodes: np.ndarray, contrib: np.ndarray) -> np.ndarray:
-    # contributions summed over decade shells in |ybar|, outermost last
+def _shell_test(p: StableParams, nodes: np.ndarray,
+                contrib: np.ndarray) -> tuple[bool, np.ndarray]:
+    # Decade-shell sums of the nonnegative contributions, outermost last,
+    # and whether the outermost shell marks a divergent tail: it must hold
+    # at least half the next one's mass and twice the share rho that the
+    # reference measure's own |ybar|^(-(d + alpha - 2)) tail puts there
+    # (rho is 0.01 at alpha = 1.5, 0.66 at alpha = 1.1).
     with np.errstate(over="ignore"):
         radii = np.sqrt(np.sum(nodes ** 2, axis=1))
-    return np.array([contrib[(radii >= lo) & (radii < hi)].sum()
-                     for lo, hi in zip(_SHELL_EDGES[:-1], _SHELL_EDGES[1:])])
+    inc = np.array([contrib[(radii >= lo) & (radii < hi)].sum()
+                    for lo, hi in zip(_SHELL_EDGES[:-1], _SHELL_EDGES[1:])])
+    if not inc[-1] > 1e-12 * max(inc.sum(), 1e-300):
+        return False, inc
+    s = p.alpha - 1.0                   # the reference decay beyond dimension d - 1
+    lo, mid, reach = _SHELL_EDGES[-3], _SHELL_EDGES[-2], float(radii.max())
+    rho = (mid ** -s - reach ** -s) / (lo ** -s - mid ** -s)
+    return bool(inc[-1] >= max(0.5, 2.0 * rho) * inc[-2]), inc
 
 
 def omega_integral_probe(p: StableParams, f: Callable[[np.ndarray], np.ndarray],
-                         resolution: int = 241,
                          weight: Literal["omega", "lebesgue"] = "omega"
                          ) -> tuple[float, bool, np.ndarray]:
     """Integrate f against the reference measure with a divergence probe.
 
     ``weight="omega"`` integrates f d(omega_alpha), ``"lebesgue"`` plain
     f d(ybar).  Returns (value, diverges, shell_increments).  The
-    increments are the contributions from dyadic-decade shells in |ybar|;
-    a heavy outermost shell that fails to decay marks the integral
-    divergent.
+    increments are the contributions from decade shells in |ybar|; an
+    outermost shell heavier than the reference measure's own tail marks
+    the integral divergent.
     """
     q = p.d + p.alpha - 2.0 if weight == "omega" else p.d - 1.0 + 1e-3
 
@@ -299,19 +310,17 @@ def omega_integral_probe(p: StableParams, f: Callable[[np.ndarray], np.ndarray],
             contrib = grid.weights * vals
         return contrib, grid.nodes
 
-    contrib, nodes = one_pass(resolution)
-    inc = _shell_increments(nodes, np.abs(contrib))
+    contrib, nodes = one_pass(_PROBE_NODES)
+    diverges, inc = _shell_test(p, nodes, np.abs(contrib))
     if not np.all(np.isfinite(contrib)):
         # the integrand blows up on a node: divergent at an interior point
         return math.inf, True, inc
     total = float(contrib.sum())
     scale = np.abs(contrib).sum()
-    nz = inc > 1e-12 * max(scale, 1e-300)
-    diverges = bool(nz[-1] and inc[-1] >= 0.5 * inc[-2])
     if not diverges and scale > 0.0:
         # refinement probe: an integrable singularity keeps the value put,
         # a divergence at an interior point keeps growing with the mesh
-        coarse, _ = one_pass(max(resolution // 2 + 1, 9))
+        coarse, _ = one_pass(_PROBE_NODES // 2 + 1)
         ctot = np.abs(coarse).sum()
         if np.all(np.isfinite(coarse)) and ctot > 0.0 and scale > 1.3 * ctot:
             diverges = True
@@ -352,38 +361,32 @@ def _row_blocks(m: int, n: int):
 
 def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # (m, k) squared distances between the rows of a and b, coordinate by
-    # coordinate so that nearby points keep their full relative accuracy
-    return sum((a[:, j, None] - b[None, :, j]) ** 2 for j in range(a.shape[1]))
-
-
-def _require_unit(z: np.ndarray, what: str) -> None:
-    if np.any(np.abs(np.sum(z * z, axis=1) - 1.0) > 1e-9):
-        raise DomainError(f"{what} must be unit vectors")
+    # coordinate so that nearby points keep their full relative accuracy;
+    # beyond the float range they are inf, where every kernel vanishes
+    with np.errstate(over="ignore"):
+        return sum((a[:, j, None] - b[None, :, j]) ** 2 for j in range(a.shape[1]))
 
 
 def sphere_values(p: StableParams, rep: HarmonicRepresentation, r_minus_one,
-                  dirs, adapted: bool = False) -> np.ndarray:
+                  dirs) -> np.ndarray:
     """Values of u = P[mu or f] + c (1 - Phi) at the points (1 + r_minus_one) dirs.
 
     Points are given by their exact offset r - 1 from the sphere and
     their unit directions, so kernel distances are assembled as
     (r - 1)^2 + r |eta - z|^2 and never through absolute coordinates.
-    Densities are integrated on the default surface grid, with the Gram
-    term eta.z from one matrix product, or, with ``adapted`` (d = 2 only),
-    by a rule whose nodes cluster at each kernel peak via
-    psi = |r - 1| sinh(v), which stays exact however close the point
-    sits to the circle.  ``dirs`` has shape (m, d); returns one value per
-    point.
+    The density rule follows d: in d = 2 its nodes cluster at each
+    kernel peak via psi = |r - 1| sinh(v), which stays exact however
+    close the point sits to the circle; in d = 3 it is the default
+    surface grid, with the Gram term eta.z from one matrix product.
+    ``dirs`` has shape (m, d); returns one value per point.
     """
     if rep.space != SPHERE:
         raise RepresentationError("sphere_values needs a SPHERE representation")
-    if adapted and p.d != 2:
-        raise DomainError("the peak-adapted sphere rule is implemented for d = 2")
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
     if dirs.shape[1] != p.d:
         raise DomainError(f"directions must have length d={p.d}")
     rm1 = np.broadcast_to(np.asarray(r_minus_one, dtype=float), dirs.shape[:1])
-    _require_unit(dirs, "evaluation directions")
+    require_unit(dirs, "evaluation directions")
     if np.any(rm1 == 0.0):
         raise DomainError("evaluation point lies on the sphere")
     if np.any(rm1 < -1.0):
@@ -392,11 +395,11 @@ def sphere_values(p: StableParams, rep: HarmonicRepresentation, r_minus_one,
     delta = rm1 * (r + 1.0)               # r^2 - 1, exact in rm1
     vals = np.zeros(len(rm1))
     if rep.measure is not None:
-        _require_unit(rep.measure.atoms, "sphere atoms")
+        require_unit(rep.measure.atoms, "sphere atoms")
         dist2 = rm1[:, None] ** 2 + r[:, None] * _sq_dist(dirs, rep.measure.atoms)
         vals += sphere.poisson_kernel_dist2(p, delta[:, None], dist2) @ rep.measure.weights
     if rep.density is not None:
-        rule = _sphere_peak_rule if adapted else _sphere_grid_rule
+        rule = _sphere_peak_rule if p.d == 2 else _sphere_grid_rule
         vals += rule(p, rep.density, rm1, dirs)
     if rep.constant:
         uniq, inv = np.unique(delta, return_inverse=True)
@@ -445,25 +448,23 @@ def _sphere_peak_rule(p: StableParams, f: BoundaryFunction, rm1: np.ndarray,
     return np.sum(wk[inv] * f(nodes).reshape(cos_psi.shape), axis=1)
 
 
-def halfspace_values(p: StableParams, rep: HarmonicRepresentation, xbar, t,
-                     adapted: bool = False) -> np.ndarray:
+def halfspace_values(p: StableParams, rep: HarmonicRepresentation, xbar,
+                     t) -> np.ndarray:
     """Values of a halfspace representation at the points (xbar, t).
 
     The "poisson" flavor integrates the hitting density, the "martin"
     flavor the Martin kernel; either adds c |t|^(alpha-1).  Density parts
     are first checked against the reference measure; a divergent check
-    raises IntegrabilityError.  Densities are integrated on a tangent-map
-    grid centered at each foot point and scaled to its height, or, with
-    ``adapted`` (d = 2 only), on nodes |t| sinh(v) around it, which also
-    resolve density features far wider than the kernel peak.  Kernel
-    distances come from the node offsets themselves, so small heights
-    never collapse onto the foot point.  ``xbar`` has shape (m, d-1);
-    returns one value per point.
+    raises IntegrabilityError.  The density rule follows d: in d = 2 its
+    nodes |t| sinh(v) sit around each foot point, which also resolves
+    density features far wider than the kernel peak; in d = 3 it is a
+    tangent-map grid centered at the foot point and scaled to its
+    height.  Kernel distances come from the node offsets themselves, so
+    small heights never collapse onto the foot point.  ``xbar`` has
+    shape (m, d-1); returns one value per point.
     """
     if rep.space != HALFSPACE:
         raise RepresentationError("halfspace_values needs a HALFSPACE representation")
-    if adapted and p.d != 2:
-        raise DomainError("the peak-adapted halfspace rule is implemented for d = 2")
     xbar = np.atleast_2d(np.asarray(xbar, dtype=float))
     if xbar.shape[1] != p.d - 1:
         raise DomainError(f"foot points must have length d-1={p.d - 1}")
@@ -482,7 +483,7 @@ def halfspace_values(p: StableParams, rep: HarmonicRepresentation, xbar, t,
     if rep.density is not None:
         _ensure_halfspace_integrable(p, rep)
         uniq, inv = np.unique(np.abs(t), return_inverse=True)
-        rule = _line_peak_rule if adapted else _hyperplane_grid_rule
+        rule = _line_peak_rule if p.d == 2 else _hyperplane_grid_rule
         weights, offsets = rule(p, uniq)
         n = weights.shape[1]
         for rows in _row_blocks(len(t), n):
@@ -528,15 +529,14 @@ def _line_peak_rule(p: StableParams, heights: np.ndarray
     return np.broadcast_to(weights, offsets.shape), offsets[:, :, None]
 
 
-def representation_value(p: StableParams, rep: HarmonicRepresentation, x,
-                         adapted: bool = False) -> float:
-    """Evaluate a representation at one point, optionally peak-adapted (d=2)."""
+def representation_value(p: StableParams, rep: HarmonicRepresentation, x) -> float:
+    """Evaluate a representation at one point."""
     x = as_point(x, p.d)
     if rep.space == SPHERE:
         r = norm(x)
         eta = x / r if r > 0.0 else basis_last(p.d)   # any direction at the origin
-        return float(sphere_values(p, rep, r - 1.0, eta, adapted)[0])
-    return float(halfspace_values(p, rep, x[:-1], x[-1], adapted)[0])
+        return float(sphere_values(p, rep, r - 1.0, eta)[0])
+    return float(halfspace_values(p, rep, x[:-1], x[-1])[0])
 
 
 def poisson_integral_sphere(p: StableParams, rep: HarmonicRepresentation, x) -> float:
@@ -590,11 +590,8 @@ def _slice_norm(space: str, p: StableParams, values: np.ndarray,
         return float(np.max(np.abs(values)))  # grid max: lower bound of ess sup
     with np.errstate(over="ignore"):
         contrib = grid.weights * np.abs(values) ** pexp
-    if space == HALFSPACE:
-        inc = _shell_increments(grid.nodes, contrib)
-        tot = contrib.sum()
-        if inc[-1] > 1e-12 * max(tot, 1e-300) and inc[-1] >= 0.5 * inc[-2]:
-            return math.inf
+    if space == HALFSPACE and _shell_test(p, grid.nodes, contrib)[0]:
+        return math.inf
     return float(np.sum(contrib)) ** (1.0 / pexp)
 
 
@@ -634,9 +631,9 @@ def hardy_norm(p: StableParams, space: str, u, pexp: float,
             values = np.asarray(u(_slice_points(space, p, g, s)), dtype=float)
         elif space == SPHERE:
             # the slice radius enters as the exact s - 1
-            values = sphere_values(p, rep, s - 1.0, g.nodes, adapted=p.d == 2)
+            values = sphere_values(p, rep, s - 1.0, g.nodes)
         else:
-            values = halfspace_values(p, rep, g.nodes, s, adapted=p.d == 2)
+            values = halfspace_values(p, rep, g.nodes, s)
         slices.append((float(s), _slice_norm(space, p, values, g, pexp)))
     return _summarize_schedule(space, slices)
 
@@ -893,7 +890,6 @@ class FatouProbe:
 
     deviations: np.ndarray        # (depth, 2): boundary distance 2^-k, two sides
     target: float
-    points: list[np.ndarray]
 
     @property
     def running_max_tail(self) -> np.ndarray:
@@ -938,13 +934,11 @@ def fatou_probe(p: StableParams, rep: HarmonicRepresentation, y, beta: float,
     # the exact boundary distance goes straight into the kernel algebra;
     # coordinates would absorb it near the ulp
     if rep.space == SPHERE:
-        vals = sphere_values(p, rep, offsets, bases, adapted=p.d == 2)
-        points = [(1.0 + o) * b for o, b in zip(offsets, bases)]
+        vals = sphere_values(p, rep, offsets, bases)
     else:
-        vals = halfspace_values(p, rep, bases, offsets, adapted=p.d == 2)
-        points = [join_last(b, o) for o, b in zip(offsets, bases)]
+        vals = halfspace_values(p, rep, bases, offsets)
     devs = np.abs(vals - target).reshape(depth, 2)
-    return FatouProbe(deviations=devs, target=target, points=points)
+    return FatouProbe(deviations=devs, target=target)
 
 
 def _cone_base(space: str, p: StableParams, y: np.ndarray, delta: float,

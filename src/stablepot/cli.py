@@ -1,23 +1,26 @@
 """Command line front end: evaluate kernels, verify identities, sample, report.
 
-Subcommands
------------
-eval     print one kernel value;
-verify   run an identity suite, emit a JSON report, exit 1 on any FAIL;
-sample   draw from one of the exact samplers into a CSV file;
-report   write a plot-ready CSV curve (monotone abscissa + value columns).
+Subcommands, each with the options it reads besides --d and --alpha
+(any other option is a usage error):
+
+eval     print one kernel value: --x --y --z --r --center --radius --m
+         --lambda --format;
+verify   run an identity suite, or all in order, print a JSON report and
+         exit 1 on any FAIL: --tol --seed --out;
+sample   draw from an exact sampler: --x --n --seed --stream --eps-shell
+         --r-max --out (CSV file);
+report   write a plot-ready CSV curve: --curve --r --m --p --beta --depth
+         --seed --out.
 
 Exit codes: 0 success, 1 verification failure, 2 usage, domain or
-numerical error, 3 I/O error.  All randomized commands take --seed
-(default 42, printed); equal seeds reproduce byte-identical outputs.
-STABLEPOT_THREADS caps the number of worker threads used by ``verify all``.
+numerical error, 3 I/O error.  Equal --seed values (default 42)
+reproduce byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -27,6 +30,7 @@ from .core import INFINITY, StableParams, basis_last
 from .errors import ConvergenceError, DivergenceError, DomainError
 from .montecarlo import RngStream, WalkConfig
 from .relativistic import RelativisticParams
+from .report import write_csv
 from .suites import SUITES, run_suite
 
 EXIT_OK = 0
@@ -65,6 +69,21 @@ def _scalar(point, name: str) -> float:
     raise DomainError(f"--{name} must be a single number for this kernel")
 
 
+# options shared by several subcommands
+_OPTIONS = {
+    "--d": dict(type=int, default=2),
+    "--alpha": dict(type=float, default=1.5),
+    "--m": dict(type=float, default=1.0),
+    "--lambda": dict(dest="lam", type=float, default=0.0),
+    "--p": dict(dest="pexp", type=float, default=1.0),
+    "--tol": dict(type=float, default=None),
+    "--seed": dict(type=int, default=42),
+    "--n": dict(type=int, default=10_000),
+    "--out": dict(type=str, default=None),
+    "--format": dict(choices=("text", "json"), default="text"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="stablepot",
@@ -72,17 +91,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "stable processes off a sphere or hyperplane")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--d", type=int, default=2)
-        sp.add_argument("--alpha", type=float, default=1.5)
-        sp.add_argument("--m", type=float, default=1.0)
-        sp.add_argument("--lambda", dest="lam", type=float, default=0.0)
-        sp.add_argument("--p", dest="pexp", type=float, default=1.0)
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--seed", type=int, default=42)
-        sp.add_argument("--n", type=int, default=10_000)
-        sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--format", choices=("text", "json"), default="text")
+    def common(sp, *flags):
+        for flag in ("--d", "--alpha", *flags):
+            sp.add_argument(flag, **_OPTIONS[flag])
 
     se = sub.add_parser("eval", help="evaluate a kernel at given points")
     se.add_argument("kernel", choices=KERNELS)
@@ -92,11 +103,11 @@ def _build_parser() -> argparse.ArgumentParser:
     se.add_argument("--center", type=str, default="0,0")
     se.add_argument("--radius", type=float, default=1.0)
     se.add_argument("--r", type=float, default=None)
-    common(se)
+    common(se, "--m", "--lambda", "--format")
 
     sv = sub.add_parser("verify", help="run an identity suite")
     sv.add_argument("suite", choices=tuple(SUITES) + ("all",))
-    common(sv)
+    common(sv, "--tol", "--seed", "--out")
 
     ss = sub.add_parser("sample", help="draw from an exact sampler")
     ss.add_argument("sampler", choices=("ball-exit", "halfplane-hit",
@@ -105,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ss.add_argument("--stream", type=int, default=0)
     ss.add_argument("--eps-shell", type=float, default=1e-4)
     ss.add_argument("--r-max", type=float, default=1e3)
-    common(ss)
+    common(ss, "--seed", "--n", "--out")
 
     sr = sub.add_parser("report", help="write a plot-ready CSV curve")
     sr.add_argument("--curve", choices=CURVES, required=True)
@@ -113,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="abscissa range start:stop:count")
     sr.add_argument("--beta", type=float, default=1.0)
     sr.add_argument("--depth", type=int, default=20)
-    common(sr)
+    common(sr, "--m", "--p", "--seed", "--out")
     return ap
 
 
@@ -168,9 +179,8 @@ def _cmd_eval(args) -> int:
 # --- verify -----------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    threads = int(os.environ.get("STABLEPOT_THREADS", "1"))
     rep = run_suite(args.suite, d=args.d, alpha=args.alpha, tol=args.tol,
-                    seed=args.seed, threads=max(threads, 1))
+                    seed=args.seed)
     text = rep.to_json()
     if args.out:
         with open(args.out, "w") as fh:
@@ -206,7 +216,6 @@ def _cmd_sample(args) -> int:
         meta["x"] = ",".join(repr(v) for v in x)
         cfg = WalkConfig(eps_shell=args.eps_shell, r_max=args.r_max)
         res = montecarlo.walk_on_balls_hitting(p, x, cfg, args.n, rng)
-        draws = np.array([[res.estimate]])
         sample = montecarlo.EmpiricalSample(
             np.array([[float(res.hits), float(res.escapes),
                        float(res.inconclusive)]]),
@@ -223,20 +232,6 @@ def _cmd_sample(args) -> int:
 
 # --- report -----------------------------------------------------------------
 
-def _write_curve(path, meta: dict, header: list[str], rows) -> None:
-    lines = [f"# {k}={v}" for k, v in sorted(meta.items())]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
-                              for v in row))
-    text = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _cmd_report(args) -> int:
     p = StableParams(args.d, args.alpha)
     meta = {"curve": args.curve, "d": args.d, "alpha": args.alpha,
@@ -249,27 +244,27 @@ def _cmd_report(args) -> int:
             rs[int(np.argmin(np.abs(rs - 1.0)))] = 1.0
         fn = sphere.phi if args.curve == "phi" else sphere.phi_complement
         rows = [(float(r), fn(p, float(r))) for r in rs]
-        _write_curve(args.out, meta, ["r", args.curve.replace("-", "_")], rows)
+        write_csv(args.out, meta, rows, ["r", args.curve.replace("-", "_")])
     elif args.curve == "omega-alpha":
         rs = _parse_range(args.r)
         rows = [(float(r), halfspace.omega_alpha_density(
             p, np.concatenate([[float(r)], np.zeros(args.d - 2)])))
             for r in rs]
-        _write_curve(args.out, meta, ["radius", "density"], rows)
+        write_csv(args.out, meta, rows, ["radius", "density"])
     elif args.curve == "qm":
         rp = RelativisticParams(p, args.m)
         meta["m"] = args.m
         rs = _parse_range(args.r)
         rows = [(float(r), relativistic.subordinator_potential(rp, float(r)))
                 for r in rs if r > 0]
-        _write_curve(args.out, meta, ["x", "qm"], rows)
+        write_csv(args.out, meta, rows, ["x", "qm"])
     elif args.curve == "poisson-H-profile":
         rs = _parse_range(args.r)
         x = basis_last(args.d)
         rows = [(float(r), halfspace.poisson_kernel(
             p, x, np.concatenate([[float(r)], np.zeros(args.d - 2)])))
             for r in rs]
-        _write_curve(args.out, meta, ["ybar", "kernel"], rows)
+        write_csv(args.out, meta, rows, ["ybar", "kernel"])
     elif args.curve == "fatou-decay":
         meta["beta"] = args.beta
         smooth = analysis.BoundaryFunction(lambda pts: 1.0 + 0.5 * pts[:, 0])
@@ -280,7 +275,7 @@ def _cmd_report(args) -> int:
         running = probe.running_max_tail
         rows = [(k + 1, float(probe.deviations[k].max()), float(running[k]))
                 for k in range(args.depth)]
-        _write_curve(args.out, meta, ["depth", "deviation", "running_max"], rows)
+        write_csv(args.out, meta, rows, ["depth", "deviation", "running_max"])
     elif args.curve == "hardy-schedule":
         meta["p"] = args.pexp
         phi_fun = lambda pts: np.array([sphere.phi(p, float(np.linalg.norm(q)))
@@ -289,7 +284,7 @@ def _cmd_report(args) -> int:
         est = analysis.hardy_norm(p, analysis.SPHERE, phi_fun, args.pexp,
                                   grid=grid)
         rows = [(float(s), float(v)) for s, v in est.slices]
-        _write_curve(args.out, meta, ["r", "slice_norm"], rows)
+        write_csv(args.out, meta, rows, ["r", "slice_norm"])
     else:  # pragma: no cover
         raise DomainError(f"unknown curve {args.curve}")
     return EXIT_OK

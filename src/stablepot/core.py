@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -11,13 +11,13 @@ from .errors import DomainError
 
 __all__ = [
     "StableParams",
-    "HalfspacePoint",
     "Infinity",
     "INFINITY",
     "as_point",
+    "as_boundary_points",
     "norm",
-    "split_last",
-    "join_last",
+    "require_unit",
+    "far_scale",
     "basis_last",
 ]
 
@@ -77,18 +77,35 @@ def as_point(x, d: int | None = None) -> np.ndarray:
     return p
 
 
+def as_boundary_points(ybar, d: int) -> np.ndarray:
+    """Points of the hyperplane {x_d = 0} as an array of shape (..., d-1)."""
+    y = np.asarray(ybar, dtype=float)
+    if y.shape[-1] != d - 1:
+        raise DomainError(f"boundary points of the hyperplane have length d-1={d-1}, "
+                          f"got trailing length {y.shape[-1]}")
+    return y
+
+
 def norm(x) -> float:
-    return float(np.linalg.norm(np.asarray(x, dtype=float)))
+    """Euclidean length, finite for every finite x (the squares never overflow)."""
+    return math.hypot(*np.asarray(x, dtype=float))
 
 
-def split_last(x) -> tuple[np.ndarray, float]:
-    p = as_point(x)
-    return p[:-1], float(p[-1])
+def require_unit(z, what: str) -> None:
+    """Raise DomainError unless each vector along the last axis of z has length 1."""
+    z = np.asarray(z, dtype=float)
+    if np.any(np.abs(np.sqrt(np.sum(z * z, axis=-1)) - 1.0) > 1e-9):
+        raise DomainError(f"{what} must be unit vectors")
 
 
-def join_last(bar, last: float) -> np.ndarray:
-    bar = np.atleast_1d(np.asarray(bar, dtype=float))
-    return np.concatenate([bar, [float(last)]])
+def far_scale(*points) -> float:
+    """The power of four s with s <= m < 4 s, m the largest |coordinate|.
+
+    s = 1 when m < 4.  Dividing by s is exact, and the scaled points'
+    squared norms and distances stay inside the float range.
+    """
+    big = max(float(np.max(np.abs(x))) for x in points)
+    return math.ldexp(1.0, 2 * ((math.frexp(big)[1] - 1) // 2)) if big > 1.0 else 1.0
 
 
 def basis_last(d: int) -> np.ndarray:
@@ -96,33 +113,3 @@ def basis_last(d: int) -> np.ndarray:
     e = np.zeros(d)
     e[-1] = 1.0
     return e
-
-
-class HalfspacePoint(NamedTuple):
-    """A point of R^d split as (bar, last) across the hyperplane {x_d = 0}."""
-
-    bar: np.ndarray
-    last: float
-
-    @classmethod
-    def from_point(cls, x) -> "HalfspacePoint":
-        bar, last = split_last(x)
-        return cls(bar, last)
-
-    def to_point(self) -> np.ndarray:
-        return join_last(self.bar, self.last)
-
-    @property
-    def in_complement(self) -> bool:
-        return self.last != 0.0
-
-    @property
-    def d(self) -> int:
-        return len(self.bar) + 1
-
-
-def coerce_full_point(x, d: int) -> np.ndarray:
-    """Accept either a d-vector or a HalfspacePoint and return the d-vector."""
-    if isinstance(x, HalfspacePoint):
-        x = x.to_point()
-    return as_point(x, d)

@@ -27,8 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (INFINITY, Infinity, StableParams, as_point, basis_last,
-                   coerce_full_point)
+from .core import (INFINITY, Infinity, StableParams, as_boundary_points, as_point,
+                   basis_last, far_scale)
 from .errors import DomainError, SingularityError
 from . import sphere
 
@@ -38,18 +38,10 @@ __all__ = [
     "omega_alpha_density",
     "green_function",
     "martin_kernel",
-    "invert",
+    "invert_t",
+    "invert_t_tilde",
     "kelvin",
-    "KELVIN_PREFACTORS",
 ]
-
-
-def _bar_array(ybar, d: int) -> np.ndarray:
-    y = np.asarray(ybar, dtype=float)
-    if y.shape[-1] != d - 1:
-        raise DomainError(f"boundary points of the hyperplane have length d-1={d-1}, "
-                          f"got trailing length {y.shape[-1]}")
-    return y
 
 
 def poisson_kernel_dist2(p: StableParams, xd, dist2):
@@ -66,11 +58,11 @@ def poisson_kernel(p: StableParams, x, ybar):
 
     Broadcasts over arrays of boundary points ybar (shape (..., d-1)).
     """
-    x = coerce_full_point(x, p.d)
+    x = as_point(x, p.d)
     xd = x[-1]
     if xd == 0.0:
         raise DomainError("x must lie off the hyperplane")
-    y = _bar_array(ybar, p.d)
+    y = as_boundary_points(ybar, p.d)
     diff = x[:-1] - y
     dist2 = np.sum(diff * diff, axis=-1) + xd * xd
     out = poisson_kernel_dist2(p, xd, dist2)
@@ -90,20 +82,23 @@ def green_function(p: StableParams, x, y) -> float:
 
     The hitting-probability argument enters through
     delta = 4 x_d y_d / |x-y|^2, which is >= -1 always, positive when the
-    points share a side and negative across the plane.
+    points share a side and negative across the plane.  Far points are
+    scaled, and an overflowing delta handled, as in the sphere Green
+    function.
     """
     kc = sphere.constants(p)
-    x = coerce_full_point(x, p.d)
-    y = coerce_full_point(y, p.d)
+    x = as_point(x, p.d)
+    y = as_point(y, p.d)
     if x[-1] == 0.0 or y[-1] == 0.0:
         raise DomainError("green_function requires both points off the hyperplane")
-    diff = x - y
-    dist2 = float(np.dot(diff, diff))
+    s = far_scale(x, y)
+    xs, ys = x / s, y / s
+    diff = xs - ys
+    dist2 = float(np.dot(diff, diff))          # |x - y|^2 / s^2
     if dist2 == 0.0:
         raise SingularityError("green_function is singular on the diagonal x = y")
-    delta = 4.0 * x[-1] * y[-1] / dist2
-    comp = sphere.phi_complement_delta(p, delta)
-    return kc.a_d_alpha * dist2 ** ((p.alpha - p.d) / 2.0) * comp
+    comp = sphere._complement_of_ratio(p, 4.0 * float(xs[-1]), float(ys[-1]), dist2)
+    return kc.a_d_alpha * s ** (p.alpha - p.d) * dist2 ** ((p.alpha - p.d) / 2.0) * comp
 
 
 def martin_kernel(p: StableParams, x, z):
@@ -113,13 +108,13 @@ def martin_kernel(p: StableParams, x, z):
     |x_d|^(alpha-1).  Broadcasts over arrays of finite boundary points.
     """
     p.require_hitting_range()
-    x = coerce_full_point(x, p.d)
+    x = as_point(x, p.d)
     xd = x[-1]
     if xd == 0.0:
         raise DomainError("martin_kernel requires x off the hyperplane")
     if isinstance(z, Infinity):
         return abs(xd) ** (p.alpha - 1.0)
-    z = _bar_array(z, p.d)
+    z = as_boundary_points(z, p.d)
     q = (p.d + p.alpha - 2.0) / 2.0
     num2 = np.sum(z * z, axis=-1) + 1.0          # |e_d - (z, 0)|^2
     den2 = np.sum((x[:-1] - z) ** 2, axis=-1) + xd * xd
@@ -131,23 +126,12 @@ def martin_kernel(p: StableParams, x, z):
 
 # --- inversions -----------------------------------------------------------
 
-def invert(which: str, x, d: int | None = None):
-    """Inversion maps: "T" is x -> x/|x|^2, "T_TILDE" is x -> 2T(x+e_d)-e_d.
-
-    Both are involutions; 0 and INFINITY are exchanged by T, while
-    T_TILDE exchanges -e_d and INFINITY.  x may be INFINITY, in which
-    case the ambient dimension d must be supplied.
-    """
-    key = which.upper().replace("-", "_")
-    if key == "T":
-        return invert_t(x, d)
-    if key == "T_TILDE":
-        return invert_t_tilde(x, d)
-    raise DomainError(f"unknown inversion {which!r}; use 'T' or 'T_TILDE'")
-
-
 def invert_t(x, d: int | None = None):
-    """Inversion through the unit sphere, with 0 <-> INFINITY."""
+    """Inversion x -> x/|x|^2 through the unit sphere, with 0 <-> INFINITY.
+
+    An involution; x may be INFINITY, in which case the ambient
+    dimension d must be supplied.
+    """
     if isinstance(x, Infinity):
         if d is None:
             raise DomainError("inverting INFINITY needs the ambient dimension")
@@ -160,24 +144,19 @@ def invert_t(x, d: int | None = None):
 
 
 def invert_t_tilde(x, d: int | None = None):
-    """Shifted inversion mapping the sphere complement onto the hyperplane one."""
+    """Shifted inversion x -> 2T(x + e_d) - e_d, with -e_d <-> INFINITY.
+
+    An involution exchanging the sphere complement and the hyperplane one.
+    """
     if isinstance(x, Infinity):
-        if d is None:
-            raise DomainError("inverting INFINITY needs the ambient dimension")
-        return -basis_last(d)
+        return 2.0 * invert_t(x, d) - basis_last(d)
     x = as_point(x)
     e = basis_last(len(x))
-    shifted = x + e
-    n2 = float(np.dot(shifted, shifted))
-    if n2 == 0.0:
-        return INFINITY
-    return 2.0 * shifted / n2 - e
+    t = invert_t(x + e)
+    return t if isinstance(t, Infinity) else 2.0 * t - e
 
 
 # --- Kelvin transforms ----------------------------------------------------
-
-KELVIN_PREFACTORS = ("standard", "green")
-
 
 def _tilde_prefactor(p: StableParams, scaling: str) -> float:
     if scaling == "standard":

@@ -26,8 +26,9 @@ from typing import Callable
 
 import numpy as np
 
-from .core import StableParams, as_point, coerce_full_point, norm
+from .core import StableParams, as_point
 from .errors import DomainError
+from .report import write_csv
 from . import sphere
 
 __all__ = [
@@ -76,10 +77,11 @@ class EmpiricalSample:
 
     def to_csv(self, path) -> None:
         """One draw per row; '#'-prefixed header lines carry the metadata."""
-        header = "\n".join(f"{k}={self.meta[k]}" for k in sorted(self.meta))
         cols = self.draws if self.draws.ndim > 1 else self.draws[:, None]
-        np.savetxt(path, cols, delimiter=",", comments="# ", header=header,
-                   fmt="%.17g")
+        # Python floats format faster than numpy scalars; blocks keep memory flat
+        rows = (row for i in range(0, len(cols), 4096)
+                for row in cols[i:i + 4096].tolist())
+        write_csv(path, self.meta, rows)
 
 
 @dataclass(frozen=True)
@@ -163,7 +165,7 @@ def sample_halfplane_hit(p: StableParams, x, rng: np.random.Generator,
     returned).
     """
     p.require_hitting_range()
-    x = coerce_full_point(x, p.d)
+    x = as_point(x, p.d)
     xd = x[-1]
     if xd == 0.0:
         raise DomainError("the start point must lie off the hyperplane")

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .core import StableParams, as_point, coerce_full_point, norm
+from .core import StableParams, as_boundary_points, as_point, norm
 from .errors import DivergenceError, DomainError
 from .specfun import bessel_i_scaled, bessel_k, log_mittag_leffler
 
@@ -270,14 +270,11 @@ def poisson_kernel_halfspace(rp: RelativisticParams, x, ybar):
     the stable kernel as m -> 0.
     """
     c4 = relativistic_constant(rp)
-    x = coerce_full_point(x, rp.d)
+    x = as_point(x, rp.d)
     xd = x[-1]
     if xd == 0.0:
         raise DomainError("x must lie off the hyperplane")
-    y = np.asarray(ybar, dtype=float)
-    if y.shape[-1] != rp.d - 1:
-        raise DomainError(f"boundary points have length {rp.d - 1}")
-    diff = x[:-1] - y
+    diff = x[:-1] - as_boundary_points(ybar, rp.d)
     dist = np.sqrt(np.sum(diff * diff, axis=-1) + xd * xd)
     nu = (rp.d + rp.alpha - 2.0) / 2.0
     scale = rp.m ** (1.0 / rp.alpha)

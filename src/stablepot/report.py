@@ -1,9 +1,11 @@
-"""Structured pass/fail records for the verification suites."""
+"""Structured pass/fail records for the verification suites, and CSV output."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 PASS = "PASS"
@@ -123,3 +125,16 @@ def merge_reports(suite: str, params: dict,
                                   e.expected, e.tolerance, e.citation)
                        for e in r.entries])
     return merged
+
+
+def write_csv(path, meta: dict, rows, header=None) -> None:
+    """Write '# key=value' metadata lines, an optional header row, then rows.
+
+    Rows are written one at a time, numbers as %.17g; a path of None
+    writes to stdout.
+    """
+    with (open(path, "w") if path else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.writelines(f"# {k}={meta[k]}\n" for k in sorted(meta))
+        if header:
+            fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(["%.17g"] * len(row)) % tuple(row) + "\n" for row in rows)

@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import StableParams, Infinity, as_point, norm
+from .core import StableParams, Infinity, as_point, norm, require_unit, far_scale
 from .errors import DomainError, SingularityError
 from .specfun import gauss_2f1, gauss_2f1_tail
 
@@ -89,7 +89,6 @@ def constants(p: StableParams) -> KernelConstants:
     """All kernel constants for the given parameters (alpha in (1, 2))."""
     p.require_hitting_range()
     d, a = p.d, p.alpha
-    c1 = math.gamma(d / 2.0) * math.pi ** (-1.0 - d / 2.0) * math.sin(math.pi * a / 2.0)
     c2 = math.sqrt(math.pi) * 2.0 ** (2.0 - a) * math.gamma((a + d) / 2.0 - 1.0) / \
         math.gamma((a - 1.0) / 2.0)
     c3 = math.pi ** ((1.0 - d) / 2.0) * math.gamma((a + d) / 2.0 - 1.0) / \
@@ -99,7 +98,7 @@ def constants(p: StableParams) -> KernelConstants:
     return KernelConstants(
         a_d_alpha=_riesz_constant(d, a),
         a_d_neg_alpha=_riesz_constant(d, -a),
-        c1=c1,
+        c1=ball_constant(p),
         c2=c2,
         c3=c3,
         series_c=series_c,
@@ -171,8 +170,8 @@ def phi_complement_delta(p: StableParams, delta: float) -> float:
           F2 = F(alpha/2, (d+alpha)/2-1; alpha; .) and c = series_c < 0.
     """
     p.require_hitting_range()
-    if not delta >= -1.0:
-        raise DomainError(f"delta = r^2 - 1 must be >= -1, got {delta}")
+    if not -1.0 <= delta < math.inf:
+        raise DomainError(f"delta = r^2 - 1 must be finite and >= -1, got {delta}")
     if delta == 0.0:
         return 0.0
     r = math.sqrt(1.0 + delta)
@@ -214,8 +213,6 @@ def phi(p: StableParams, r: float) -> float:
         return constants(p).phi_at_origin * r ** (p.alpha - p.d)
     if abs(r - 1.0) < NEAR_SPHERE_BAND:
         return 1.0 - phi_complement_delta(p, delta)
-    if r == 0.0:
-        return constants(p).phi_at_origin
     return _phi_direct_delta(p, delta)
 
 
@@ -252,8 +249,7 @@ def poisson_kernel_dist2(p: StableParams, delta, dist2):
             / dist2 ** ((p.d + p.alpha - 2.0) / 2.0))
 
 
-def poisson_kernel(p: StableParams, x, z,
-                   unit_tol: float = 1e-9):
+def poisson_kernel(p: StableParams, x, z):
     """Poisson kernel of the sphere complement w.r.t. normalized surface measure.
 
     x is a point (or broadcastable array of points) off the sphere, z a
@@ -261,9 +257,7 @@ def poisson_kernel(p: StableParams, x, z,
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    zn = np.sqrt(np.sum(z * z, axis=-1))
-    if np.any(np.abs(zn - 1.0) > unit_tol):
-        raise DomainError("boundary argument of the sphere Poisson kernel must be a unit vector")
+    require_unit(z, "boundary arguments of the sphere Poisson kernel")
     delta = _delta_of(x)
     if np.any(delta == 0.0):
         raise DomainError("x must lie off the unit sphere")
@@ -275,33 +269,39 @@ def poisson_kernel(p: StableParams, x, z,
     return out if out.ndim else float(out)
 
 
+def _complement_of_ratio(p: StableParams, a: float, b: float, c: float) -> float:
+    # phi_complement_delta at delta = a b / c; where delta overflows (a b > 0),
+    # 1 - Phi is taken at sqrt(1 + delta), formed from square roots
+    delta = a * b / c
+    if math.isinf(delta):
+        return phi_complement(p, math.sqrt(abs(a)) * math.sqrt(abs(b)) / math.sqrt(c))
+    return phi_complement_delta(p, delta)
+
+
 def green_function(p: StableParams, x, y) -> float:
     """Green function of the sphere complement at points x != y off the sphere.
 
     The hitting-probability argument reduces to the radius with
     delta_w = (1 - |x|^2)(1 - |y|^2) / |x - y|^2, which is fed straight
     into the cancellation-free complement series.  Far points are scaled
-    by a power of four s near max(|x|, |y|), which is exact: delta_w is
-    formed as (dx/s)(dy/s)/(dist2/s^2), so nothing overflows on the way.
+    by a power of four s near their largest coordinate, which is exact:
+    delta_w is formed as (dx/s)(dy/s)/(dist2/s^2), so nothing overflows on
+    the way.  Where delta_w itself exceeds the float range, 1 - Phi is
+    taken at r_w = sqrt(|dx/s|) sqrt(|dy/s|) / sqrt(dist2/s^2) instead.
     """
     kc = constants(p)
     x = as_point(x, p.d)
     y = as_point(y, p.d)
-    big = max(float(np.max(np.abs(x))), float(np.max(np.abs(y))))
-    half_log4 = (math.frexp(big)[1] - 1) // 2 if big > 1.0 else 0
-    root = math.ldexp(1.0, half_log4)          # sqrt(s), a power of two
-    s = root * root
-    xs, ys = x / root, y / root
-    dx = float(np.sum(xs * xs)) - 1.0 / s     # (|x|^2 - 1)/s
-    dy = float(np.sum(ys * ys)) - 1.0 / s
+    s = far_scale(x, y)
+    dx = float(np.sum(x / s * x)) - 1.0 / s   # (|x|^2 - 1)/s
+    dy = float(np.sum(y / s * y)) - 1.0 / s
     if dx == 0.0 or dy == 0.0:
         raise DomainError("green_function requires both points off the unit sphere")
     diff = x / s - y / s
     dist2 = float(np.dot(diff, diff))          # |x - y|^2 / s^2
     if dist2 == 0.0:
         raise SingularityError("green_function is singular on the diagonal x = y")
-    delta_w = dx * dy / dist2
-    comp = phi_complement_delta(p, delta_w)
+    comp = _complement_of_ratio(p, dx, dy, dist2)
     return kc.a_d_alpha * s ** (p.alpha - p.d) * dist2 ** ((p.alpha - p.d) / 2.0) * comp
 
 
@@ -320,8 +320,7 @@ def martin_kernel(p: StableParams, x, z) -> float:
         r = norm(x)
         return phi_complement(p, r) / (1.0 - kc.phi_at_origin)
     z = as_point(z, p.d)
-    if abs(norm(z) - 1.0) > 1e-9:
-        raise DomainError("finite Martin boundary points lie on the unit sphere")
+    require_unit(z, "finite Martin boundary points")
     diff = x - z
     dist2 = float(np.dot(diff, diff))
     if dist2 == 0.0:

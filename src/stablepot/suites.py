@@ -422,7 +422,7 @@ def hardy_suite(d: int = 2, alpha: float = 1.5, tol: float = 1e-3,
                    4.0, 1e-12, "exit-moment-norm-halfplane"))
 
     # majorant at the base point reproduces the exit-moment norm
-    f_dens = BoundaryFunction(lambda pts: 1.0 + 0.5 * pts[:, 0], declared_p=2)
+    f_dens = BoundaryFunction(lambda pts: 1.0 + 0.5 * pts[:, 0])
     rep_f = HarmonicRepresentation(SPHERE, density=f_dens, constant=0.5)
     for pexp in (1.0, 2.0):
         base = analysis.majorant(p, rep_f, pexp, np.zeros(d)) ** (1.0 / pexp)
@@ -443,8 +443,7 @@ def hardy_suite(d: int = 2, alpha: float = 1.5, tol: float = 1e-3,
         for i in range(5):
             c = rng.uniform(-1.0, 1.0)
             a1, a2 = rng.uniform(0.3, 1.0, 2)
-            f = BoundaryFunction(
-                lambda pts, a1=a1, a2=a2: a1 + a2 * pts[:, 0], declared_p=2)
+            f = BoundaryFunction(lambda pts, a1=a1, a2=a2: a1 + a2 * pts[:, 0])
             rr = HarmonicRepresentation(SPHERE, density=f, constant=c)
             hn = analysis.hardy_norm(p, SPHERE, rr, 2.0, grid=small_grid,
                                      schedule=profile_schedule)
@@ -817,20 +816,11 @@ SUITES = {
 
 
 def run_suite(name: str, d: int = 2, alpha: float = 1.5,
-              tol: float | None = None, seed: int = 42,
-              threads: int = 1) -> VerificationReport:
-    """Run one named suite, or all of them merged in a fixed order."""
+              tol: float | None = None, seed: int = 42) -> VerificationReport:
+    """Run one named suite, or all of them in order, merged."""
     if name == "all":
-        names = list(SUITES)
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futs = {nm: pool.submit(run_suite, nm, d=d, alpha=alpha,
-                                        tol=tol, seed=seed) for nm in names}
-                reports = [futs[nm].result() for nm in names]
-        else:
-            reports = [run_suite(nm, d=d, alpha=alpha, tol=tol, seed=seed)
-                       for nm in names]
+        reports = [run_suite(nm, d=d, alpha=alpha, tol=tol, seed=seed)
+                   for nm in SUITES]
         return merge_reports("all", {"d": d, "alpha": alpha, "seed": seed},
                              reports)
     if name not in SUITES:

@@ -114,6 +114,21 @@ class TestEval:
         assert code == 2
 
 
+class TestOptions:
+    @pytest.mark.parametrize("argv", [
+        ("eval", "phi", "--r", "2", "--seed", "3"),
+        ("verify", "identities", "--format", "json"),
+        ("sample", "ball-exit", "--n", "10", "--tol", "1e-3"),
+        ("report", "--curve", "phi", "--lambda", "0.5"),
+    ])
+    def test_unread_option_is_a_usage_error(self, capsys, argv):
+        # each subcommand declares only the options it reads
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestVerify:
     def test_identities_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "identities", "--d", "2",
@@ -197,6 +212,22 @@ class TestReport:
         data = np.loadtxt(out_file, delimiter=",", skiprows=meta + 1)
         running = data[:, 2]
         assert np.all(np.diff(running) <= 1e-15)         # nonincreasing
+
+    def test_curve_bytes_match_savetxt(self, capsys, tmp_path):
+        # metadata and header rows, then the rows as np.savetxt wrote them
+        out_file = tmp_path / "phi.csv"
+        code, _, _ = run(capsys, "report", "--curve", "phi", "--d", "3",
+                         "--alpha", "1.2", "--r", "0:2.4:11", "--out", str(out_file))
+        assert code == 0
+        p = stablepot.StableParams(3, 1.2)
+        rs = np.linspace(0.0, 2.4, 11)
+        rs[4] = 1.0                          # 0.96, snapped onto the sphere
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w") as fh:
+            fh.write("# alpha=1.2\n# curve=phi\n# d=3\n# seed=42\nr,phi\n")
+            np.savetxt(fh, [(r, stablepot.sphere.phi(p, r)) for r in rs],
+                       delimiter=",", fmt="%.17g")
+        assert out_file.read_bytes() == ref.read_bytes()
 
     def test_stdout_when_no_out(self, capsys):
         code, out, _ = run(capsys, "report", "--curve", "omega-alpha",

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from stablepot.core import INFINITY, HalfspacePoint, StableParams, basis_last
+from stablepot.core import INFINITY, StableParams, basis_last
 from stablepot.errors import DomainError, SingularityError
 from stablepot import sphere
-from stablepot.halfspace import (green_function, invert, invert_t,
+from stablepot.halfspace import (green_function, invert_t,
                                  invert_t_tilde, kelvin, martin_kernel,
                                  omega_alpha_density, poisson_kernel)
 
@@ -47,11 +47,6 @@ class TestPoissonKernel:
         lhs = poisson_kernel(P3, lam * x, lam * yb)
         rhs = lam ** (1 - P3.d) * poisson_kernel(P3, x, yb)
         assert lhs == pytest.approx(rhs, rel=1e-13)
-
-    def test_accepts_halfspace_point(self):
-        hp = HalfspacePoint(np.array([0.3]), 1.2)
-        assert poisson_kernel(P2, hp, np.array([0.0])) == pytest.approx(
-            poisson_kernel(P2, np.array([0.3, 1.2]), np.array([0.0])), rel=0)
 
     def test_errors(self):
         with pytest.raises(DomainError):
@@ -134,6 +129,20 @@ class TestGreenFunction:
             rhs = pref * sphere.green_function(p, invert_t_tilde(x),
                                                invert_t_tilde(y))
             assert lhs == pytest.approx(rhs, rel=1e-9)
+
+    def test_far_points_do_not_overflow(self):
+        # |x - y|^2 and 4 x_d y_d exceed the float range; delta = 8 is exact
+        kc = sphere.constants(P2)
+        want = kc.a_d_alpha * 1e200 ** (P2.alpha - P2.d) * (1.0 - sphere.phi(P2, 3.0))
+        got = green_function(P2, [0.0, 1e200], [1.0, 2e200])
+        assert got == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(1.6891700470302208e-101, rel=1e-12)
+
+    def test_near_coincident_points(self):
+        # delta = 4 * 3.9^2 / 2.5e-307 overflows; 1 - Phi(1.56e154) is 1 to rounding
+        want = sphere.constants(P2).a_d_alpha * 5e-154 ** (P2.alpha - P2.d)
+        got = green_function(P2, [0.0, 3.9], [5e-154, 3.9])
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_errors(self):
         with pytest.raises(SingularityError):
@@ -220,13 +229,6 @@ class TestInversions:
         up = invert_t_tilde(np.array([0.7, 0.9]))
         down = invert_t_tilde(np.array([0.7, -0.9]))
         assert np.linalg.norm(up) < 1.0 < np.linalg.norm(down)
-
-    def test_dispatch(self):
-        x = np.array([0.4, 0.6])
-        assert np.array_equal(invert("T", x), invert_t(x))
-        assert np.array_equal(invert("T_TILDE", x), invert_t_tilde(x))
-        with pytest.raises(DomainError):
-            invert("bogus", x)
 
 
 class TestKelvin:

@@ -265,6 +265,20 @@ class TestEmpiricalSample:
         header = [ln for ln in f1.read_text().splitlines() if ln.startswith("#")]
         assert any("sampler=halfplane-hit" in ln for ln in header)
 
+    @pytest.mark.parametrize("shape", [(300,), (300, 1), (300, 3)])
+    def test_csv_bytes_match_savetxt(self, tmp_path, shape):
+        # the file format is the one np.savetxt wrote, kept as the reference
+        rng = np.random.default_rng(20)
+        draws = rng.standard_cauchy(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        draws.flat[:4] = [0.0, -0.0, 5e-324, 1.7976931348623157e308]
+        meta = {"sampler": "unit", "x": "0.5,-1e-20", "seed": 20, "n": 300}
+        EmpiricalSample(draws, meta).to_csv(tmp_path / "new.csv")
+        header = "\n".join(f"{k}={meta[k]}" for k in sorted(meta))
+        cols = draws if draws.ndim > 1 else draws[:, None]
+        np.savetxt(tmp_path / "old.csv", cols, delimiter=",", comments="# ",
+                   header=header, fmt="%.17g")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
     def test_walk_config_validation(self):
         with pytest.raises(DomainError):
             WalkConfig(eps_shell=2.0)

@@ -62,6 +62,17 @@ class TestPhi:
     def test_on_sphere_is_one(self):
         assert phi(P2, 1.0) == 1.0
 
+    def test_hitting_probability_at_huge_norm(self):
+        # |x|^2 overflows; the norm must not
+        for x in ([0.0, 1e200], [3e300, -4e300]):
+            r = float(np.hypot(*x))
+            assert hitting_probability(P2, x) == pytest.approx(phi(P2, r), rel=1e-12)
+        assert phi(P2, 1e200) == pytest.approx(8.472130847939793e-101, rel=1e-12)
+
+    def test_complement_rejects_infinite_delta(self):
+        with pytest.raises(DomainError):
+            phi_complement_delta(P2, math.inf)
+
     @pytest.mark.parametrize("d,alpha", [(2, 1.2), (2, 1.5), (2, 1.8),
                                          (3, 1.2), (3, 1.5), (3, 1.8)])
     def test_against_legendre_reference(self, d, alpha):
@@ -216,6 +227,23 @@ class TestGreenFunction:
             warnings.simplefilter("error")
             got = green_function(P2, [0.0, 0.5], [0.0, 1e200])
         assert math.isfinite(got)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_far_points_far_apart(self):
+        # delta_w ~ 1e400 overflows; 1 - Phi is taken at r_w = |x||y|/|x - y|,
+        # where Phi is its far-field form Phi(0) r^(alpha - d)
+        p = StableParams(2, 1.99)
+        kc = constants(p)
+        want = kc.a_d_alpha * (math.sqrt(2.0) * 1e200) ** (p.alpha - p.d) \
+            * (1.0 - kc.phi_at_origin * (1e200 / math.sqrt(2.0)) ** (p.alpha - p.d))
+        got = green_function(p, [0.0, 1e200], [1e200, 0.0])
+        assert got == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(0.1571949424746409, rel=1e-12)
+
+    def test_near_coincident_points_inside(self):
+        # dx = dy = -0.75 and dist2 = 2.5e-307 overflow delta_w; 1 - Phi is 1 there
+        want = constants(P2).a_d_alpha * 5e-154 ** (P2.alpha - P2.d)
+        got = green_function(P2, [0.0, 0.5], [5e-154, 0.5])
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_errors(self):

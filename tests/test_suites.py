@@ -1,8 +1,3 @@
-import json
-import os
-import subprocess
-import sys
-
 import pytest
 
 from stablepot.suites import (fatou_suite, hardy_suite, identities_suite,
@@ -22,7 +17,8 @@ class TestSuitesAcrossParameters:
         rep = identities_suite(d=d, alpha=alpha, seed=11)
         assert _failing(rep) == []
 
-    @pytest.mark.parametrize("d,alpha", [(2, 1.2), (2, 1.8), (3, 1.2)])
+    @pytest.mark.parametrize("d,alpha", [(2, 1.1), (2, 1.2), (2, 1.8), (3, 1.1),
+                                         (3, 1.2)])
     def test_hardy(self, d, alpha):
         rep = hardy_suite(d=d, alpha=alpha, seed=11)
         assert _failing(rep) == []
@@ -52,12 +48,3 @@ class TestRunner:
     def test_unknown_suite(self):
         with pytest.raises(KeyError):
             run_suite("bogus")
-
-    def test_thread_pool_is_deterministic(self):
-        env = dict(os.environ, STABLEPOT_THREADS="3")
-        cmd = [sys.executable, "-m", "stablepot.cli", "verify", "all",
-               "--seed", "42"]
-        threaded = subprocess.run(cmd, capture_output=True, env=env, check=True)
-        plain = subprocess.run(cmd, capture_output=True, check=True)
-        assert threaded.stdout == plain.stdout
-        assert json.loads(threaded.stdout)["summary"]["fail"] == 0
