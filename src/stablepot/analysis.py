@@ -55,6 +55,7 @@ __all__ = [
     "default_schedule",
     "HardyNormEstimate",
     "hardy_norm",
+    "hardy_norms",
     "prob_hardy_norm",
     "majorant",
     "PVResult",
@@ -598,17 +599,27 @@ def _slice_norm(space: str, p: StableParams, values: np.ndarray,
 def hardy_norm(p: StableParams, space: str, u, pexp: float,
                schedule: np.ndarray | None = None,
                grid: QuadratureGrid | None = None) -> HardyNormEstimate:
-    """Schedule supremum of ||u_s||_p over slices s (radii or heights).
+    """Schedule supremum of ||u_s||_p over slices s; see ``hardy_norms``."""
+    return hardy_norms(p, space, u, (pexp,), schedule, grid)[0]
+
+
+def hardy_norms(p: StableParams, space: str, u, pexps,
+                schedule: np.ndarray | None = None,
+                grid: QuadratureGrid | None = None) -> list[HardyNormEstimate]:
+    """Schedule suprema of ||u_s||_p over slices s (radii or heights), per p.
 
     ``u`` is either a vectorized callable on (m, d) arrays of points or a
-    HarmonicRepresentation (evaluated efficiently slice by slice).  The
-    estimate reports whether the running sup is still increasing at the
-    schedule ends; a genuine blow-up toward the boundary is flagged as
-    ``diverges`` rather than raised.
+    HarmonicRepresentation (evaluated efficiently slice by slice).  Each
+    slice is evaluated once and reduced for every exponent in ``pexps``;
+    one estimate is returned per exponent, in order.  An estimate reports
+    whether the running sup is still increasing at the schedule ends; a
+    genuine blow-up toward the boundary is flagged as ``diverges`` rather
+    than raised.
     """
     if space not in (SPHERE, HALFSPACE):
         raise DomainError(f"unknown space {space!r}")
-    if pexp < 1.0:
+    pexps = [float(q) for q in pexps]
+    if not all(q >= 1.0 for q in pexps):
         raise DomainError("the slice exponent must be >= 1")
     if schedule is None:
         schedule = default_schedule(space)
@@ -624,7 +635,7 @@ def hardy_norm(p: StableParams, space: str, u, pexp: float,
             builder = lambda t: hyperplane_quadrature(
                 p, 241, p.d + p.alpha - 2.0, center=center,
                 scale=max(abs(t), spread))
-    slices: list[tuple[float, float]] = []
+    slices: list[list[tuple[float, float]]] = [[] for _ in pexps]
     for s in np.asarray(schedule, dtype=float):
         g = builder(s) if builder is not None else grid
         if rep is None:
@@ -634,8 +645,9 @@ def hardy_norm(p: StableParams, space: str, u, pexp: float,
             values = sphere_values(p, rep, s - 1.0, g.nodes)
         else:
             values = halfspace_values(p, rep, g.nodes, s)
-        slices.append((float(s), _slice_norm(space, p, values, g, pexp)))
-    return _summarize_schedule(space, slices)
+        for q, out in zip(pexps, slices):
+            out.append((float(s), _slice_norm(space, p, values, g, q)))
+    return [_summarize_schedule(space, sl) for sl in slices]
 
 
 def _halfspace_support(p: StableParams,

@@ -18,6 +18,7 @@ __all__ = [
     "norm",
     "require_unit",
     "far_scale",
+    "near_scale",
     "basis_last",
 ]
 
@@ -105,7 +106,22 @@ def far_scale(*points) -> float:
     squared norms and distances stay inside the float range.
     """
     big = max(float(np.max(np.abs(x))) for x in points)
-    return math.ldexp(1.0, 2 * ((math.frexp(big)[1] - 1) // 2)) if big > 1.0 else 1.0
+    return _power_of_four_below(big) if big > 1.0 else 1.0
+
+
+def near_scale(diff) -> float:
+    """The power of four s with s <= m < 4 s, m the largest |coordinate| of diff.
+
+    s = 1 unless 0 < m < 2^-510.  Dividing by s is exact, and the scaled
+    difference has a squared length that is a normal float, which a
+    difference this small does not have.
+    """
+    small = float(np.max(np.abs(diff)))
+    return _power_of_four_below(small) if 0.0 < small < 2.0 ** -510 else 1.0
+
+
+def _power_of_four_below(m: float) -> float:
+    return math.ldexp(1.0, 2 * ((math.frexp(m)[1] - 1) // 2))
 
 
 def basis_last(d: int) -> np.ndarray:

@@ -49,8 +49,8 @@ def poisson_kernel_dist2(p: StableParams, xd, dist2):
 
     Broadcasts over arrays.
     """
-    return (sphere.constants(p).c3 * np.abs(xd) ** (p.alpha - 1.0)
-            / dist2 ** ((p.d + p.alpha - 2.0) / 2.0))
+    out = np.power(dist2, -(p.d + p.alpha - 2.0) / 2.0)
+    return sphere._scaled(out, sphere.constants(p).c3 * np.abs(xd) ** (p.alpha - 1.0))
 
 
 def poisson_kernel(p: StableParams, x, ybar):
@@ -84,21 +84,15 @@ def green_function(p: StableParams, x, y) -> float:
     delta = 4 x_d y_d / |x-y|^2, which is >= -1 always, positive when the
     points share a side and negative across the plane.  Far points are
     scaled, and an overflowing delta handled, as in the sphere Green
-    function.
+    function; so are nearly coincident points.
     """
-    kc = sphere.constants(p)
     x = as_point(x, p.d)
     y = as_point(y, p.d)
     if x[-1] == 0.0 or y[-1] == 0.0:
         raise DomainError("green_function requires both points off the hyperplane")
     s = far_scale(x, y)
     xs, ys = x / s, y / s
-    diff = xs - ys
-    dist2 = float(np.dot(diff, diff))          # |x - y|^2 / s^2
-    if dist2 == 0.0:
-        raise SingularityError("green_function is singular on the diagonal x = y")
-    comp = sphere._complement_of_ratio(p, 4.0 * float(xs[-1]), float(ys[-1]), dist2)
-    return kc.a_d_alpha * s ** (p.alpha - p.d) * dist2 ** ((p.alpha - p.d) / 2.0) * comp
+    return sphere._green_of_ratio(p, 4.0 * float(xs[-1]), float(ys[-1]), xs - ys, s)
 
 
 def martin_kernel(p: StableParams, x, z):

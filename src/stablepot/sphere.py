@@ -23,12 +23,13 @@ Green functions can supply exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+import sys
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import StableParams, Infinity, as_point, norm, require_unit, far_scale
+from .core import (StableParams, Infinity, as_point, norm, require_unit, far_scale,
+                   near_scale)
 from .errors import DomainError, SingularityError
 from .specfun import gauss_2f1, gauss_2f1_tail
 
@@ -49,7 +50,6 @@ __all__ = [
 NEAR_SPHERE_BAND = 1e-3  # |r - 1| below this switches Phi to the 1-Phi series
 
 
-@dataclass(frozen=True)
 class KernelConstants:
     """The positive constants entering the closed-form kernels.
 
@@ -60,61 +60,110 @@ class KernelConstants:
     c3             hyperplane Poisson kernel constant
     series_c       (negative) coefficient of ||x|^2-1|^(alpha-1) in 1 - Phi
     phi_at_origin  Phi(0) = c2 / Gamma(d/2)
+
+    Each is formed on first use.  One that lies beyond the float range at
+    this d raises DomainError, so at large d a kernel fails only if a
+    constant it reads does (c2 overflows from d ~ 340, the others from
+    d ~ 440; phi reads only phi_at_origin and series_c).
     """
 
-    a_d_alpha: float
-    a_d_neg_alpha: float
-    c1: float
-    c2: float
-    c3: float
-    series_c: float
-    phi_at_origin: float
+    def __init__(self, p: StableParams):
+        self.p = p
+
+    @cached_property
+    def a_d_alpha(self) -> float:
+        # Gamma((d - a)/2) / (2^a pi^(d/2) Gamma(a/2))
+        d, a = self.p.d, self.p.alpha
+        return _gamma_product("a_d_alpha", d, a, [(d - a) / 2.0], [a / 2.0],
+                              [(2.0, -a), (math.pi, -d / 2.0)])
+
+    @cached_property
+    def a_d_neg_alpha(self) -> float:
+        # Gamma((d + a)/2) / (2^-a pi^(d/2) |Gamma(-a/2)|)
+        d, a = self.p.d, self.p.alpha
+        return -_gamma_product("a_d_neg_alpha", d, a, [(d + a) / 2.0], [-a / 2.0],
+                               [(2.0, a), (math.pi, -d / 2.0)])
+
+    @cached_property
+    def c1(self) -> float:
+        return ball_constant(self.p)
+
+    @cached_property
+    def c2(self) -> float:
+        d, a = self.p.d, self.p.alpha
+        return _gamma_product("c2", d, a, [(a + d) / 2.0 - 1.0], [(a - 1.0) / 2.0],
+                              [(math.pi, 0.5), (2.0, 2.0 - a)])
+
+    @cached_property
+    def c3(self) -> float:
+        d, a = self.p.d, self.p.alpha
+        return _gamma_product("c3", d, a, [(a + d) / 2.0 - 1.0], [(a - 1.0) / 2.0],
+                              [(math.pi, (1.0 - d) / 2.0)])
+
+    @cached_property
+    def series_c(self) -> float:
+        d, a = self.p.d, self.p.alpha
+        return _gamma_product("series_c", d, a, [(a + d) / 2.0 - 1.0, 1.0 - a],
+                              [(a - 1.0) / 2.0, 1.0 - a / 2.0, (d - a) / 2.0],
+                              [(math.pi, 0.5), (2.0, 2.0 - a)])
+
+    @cached_property
+    def phi_at_origin(self) -> float:
+        d, a = self.p.d, self.p.alpha
+        return _gamma_product("phi_at_origin", d, a, [(a + d) / 2.0 - 1.0],
+                              [(a - 1.0) / 2.0, d / 2.0], [(math.pi, 0.5), (2.0, 2.0 - a)])
 
 
-def _riesz_constant(d: int, gamma: float) -> float:
-    # Gamma((d - g)/2) / (2^g pi^(d/2) |Gamma(g/2)|)
-    num = math.gamma((d - gamma) / 2.0)
-    den = 2.0 ** gamma * math.pi ** (d / 2.0) * abs(_gamma_real(gamma / 2.0))
-    return num / den
+_LOG_FLOAT_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 
 
-def _gamma_real(x: float) -> float:
-    if x > 0.0:
-        return math.gamma(x)
-    return math.pi / (math.sin(math.pi * x) * math.gamma(1.0 - x))
+def _gamma_product(name: str, d: int, alpha: float, num, den, powers) -> float:
+    # prod b^e over powers * prod Gamma(num) / prod Gamma(den), for gamma
+    # arguments in (-1, 0) or > 0.  Formed directly while every factor is a
+    # float, which stays within a few ulp (a sum of logarithms loses up to
+    # ~20 ulp at d = 2, 3); at large d, where single factors overflow, as
+    # the exponential of a sum of lgamma values with explicit signs.
+    try:
+        value = math.prod(b ** e for b, e in powers) * \
+            math.prod(map(math.gamma, num)) / math.prod(map(math.gamma, den))
+    except OverflowError:
+        value = math.inf
+    if value != 0.0 and math.isfinite(value):
+        return value
+    sign = math.prod(-1.0 if x < 0.0 else 1.0 for x in (*num, *den))
+    log = math.fsum([e * math.log(b) for b, e in powers]
+                    + [_log_abs_gamma(x) for x in num]
+                    + [-_log_abs_gamma(x) for x in den])
+    if not _LOG_FLOAT_RANGE[0] < log < _LOG_FLOAT_RANGE[1]:
+        raise DomainError(
+            f"kernel constant {name} is about 1e{log / math.log(10.0):.0f} at "
+            f"d={d}, alpha={alpha}, outside the float range "
+            f"[{sys.float_info.min:.3g}, {sys.float_info.max:.3g}]")
+    return sign * math.exp(log)
+
+
+def _log_abs_gamma(x: float) -> float:
+    # log |Gamma(x)|; for x in (-1, 0) through Gamma(x) = Gamma(x + 1) / x
+    return math.lgamma(x) if x > 0.0 else math.lgamma(x + 1.0) - math.log(-x)
 
 
 @lru_cache(maxsize=None)
 def constants(p: StableParams) -> KernelConstants:
     """All kernel constants for the given parameters (alpha in (1, 2))."""
     p.require_hitting_range()
-    d, a = p.d, p.alpha
-    c2 = math.sqrt(math.pi) * 2.0 ** (2.0 - a) * math.gamma((a + d) / 2.0 - 1.0) / \
-        math.gamma((a - 1.0) / 2.0)
-    c3 = math.pi ** ((1.0 - d) / 2.0) * math.gamma((a + d) / 2.0 - 1.0) / \
-        math.gamma((a - 1.0) / 2.0)
-    series_c = c2 * _gamma_real(1.0 - a) / (math.gamma(1.0 - a / 2.0)
-                                            * math.gamma((d - a) / 2.0))
-    return KernelConstants(
-        a_d_alpha=_riesz_constant(d, a),
-        a_d_neg_alpha=_riesz_constant(d, -a),
-        c1=ball_constant(p),
-        c2=c2,
-        c3=c3,
-        series_c=series_c,
-        phi_at_origin=c2 / math.gamma(d / 2.0),
-    )
+    return KernelConstants(p)
 
 
 def ball_constant(p: StableParams) -> float:
     """C1 of the ball Poisson kernel; valid for all alpha in (0, 2)."""
-    return math.gamma(p.d / 2.0) * math.pi ** (-1.0 - p.d / 2.0) * \
-        math.sin(math.pi * p.alpha / 2.0)
+    return _gamma_product("c1", p.d, p.alpha, [p.d / 2.0], [],
+                          [(math.pi, -1.0 - p.d / 2.0)]) * math.sin(math.pi * p.alpha / 2.0)
 
 
 # --- radial hitting probability ------------------------------------------
 
 _GOLDEN = (math.sqrt(5.0) + 1.0) / 2.0
+_MAX_CANCELLATION = 1e4
 
 
 def _phi_direct_delta(p: StableParams, delta: float) -> float:
@@ -137,11 +186,20 @@ def _phi_direct_delta(p: StableParams, delta: float) -> float:
             f2_part = kc.series_c * delta ** (a - 1.0) * \
                 math.exp(0.5 * (2.0 - d - a) * log1p) * \
                 gauss_2f1(a / 2.0, (a + d) / 2.0 - 1.0, a, s)
-            return f1_part + f2_part
-        s = -delta
-        return gauss_2f1(1.0 - a / 2.0, (d - a) / 2.0, 2.0 - a, s) + \
-            kc.series_c * s ** (a - 1.0) * \
-            gauss_2f1(a / 2.0, (a + d) / 2.0 - 1.0, a, s)
+        else:
+            s = -delta
+            f1_part = gauss_2f1(1.0 - a / 2.0, (d - a) / 2.0, 2.0 - a, s)
+            f2_part = kc.series_c * s ** (a - 1.0) * \
+                gauss_2f1(a / 2.0, (a + d) / 2.0 - 1.0, a, s)
+        # the two terms grow with d and cancel: by up to 71 / 139 / 8.9e3
+        # (|f1| + |f2| against |f1 + f2|) at d = 2 / 3 / 12, which costs
+        # that many rounding errors; past _MAX_CANCELLATION no digit is sure
+        if abs(f1_part) + abs(f2_part) > _MAX_CANCELLATION * abs(f1_part + f2_part):
+            raise DomainError(
+                f"phi at d={d}, alpha={a}, r^2 - 1 = {delta} cancels beyond "
+                f"{_MAX_CANCELLATION:g} within the golden-ratio band; this formula "
+                "stays within it up to about d = 12")
+        return f1_part + f2_part
     # expansion around t = 1: the prefactor ((t+1)/(t-1))^((1-d/2)/2)
     # combines with |delta|^(a/2-1) r^(1-d/2) into plain delta powers
     if delta < 0.0:
@@ -245,8 +303,17 @@ def poisson_kernel_dist2(p: StableParams, delta, dist2):
     For callers that know both quantities more exactly than the point's
     coordinates would give them.  Broadcasts over arrays.
     """
-    return (constants(p).phi_at_origin * np.abs(delta) ** (p.alpha - 1.0)
-            / dist2 ** ((p.d + p.alpha - 2.0) / 2.0))
+    out = np.power(dist2, -(p.d + p.alpha - 2.0) / 2.0)
+    return _scaled(out, constants(p).phi_at_origin * np.abs(delta) ** (p.alpha - 1.0))
+
+
+def _scaled(out, factor):
+    # out * factor, written into out (a fresh power of the caller's dist2)
+    # where it already has the joint shape, so no second kernel-sized array
+    if np.shape(out) == np.broadcast(out, factor).shape:
+        out *= factor
+        return out
+    return out * factor
 
 
 def poisson_kernel(p: StableParams, x, z):
@@ -269,13 +336,33 @@ def poisson_kernel(p: StableParams, x, z):
     return out if out.ndim else float(out)
 
 
-def _complement_of_ratio(p: StableParams, a: float, b: float, c: float) -> float:
-    # phi_complement_delta at delta = a b / c; where delta overflows (a b > 0),
-    # 1 - Phi is taken at sqrt(1 + delta), formed from square roots
-    delta = a * b / c
+def _green_of_ratio(p: StableParams, a: float, b: float, diff: np.ndarray,
+                    s: float) -> float:
+    # A_(d,alpha) |x - y|^(alpha - d) (1 - Phi) at delta_w = a b / |x - y|^2,
+    # from diff = (x - y)/s and a, b scaled by 1/s as well.  A difference
+    # whose squared length would be subnormal is scaled by a power of four
+    # t once more, so the distance power keeps its full relative accuracy.
+    t = near_scale(diff)
+    diff = diff / t
+    a, b = a / t, b / t
+    dist2 = float(np.dot(diff, diff))          # |x - y|^2 / (s t)^2
+    if dist2 == 0.0:
+        raise SingularityError("green_function is singular on the diagonal x = y")
+    delta = a * b / dist2
     if math.isinf(delta):
-        return phi_complement(p, math.sqrt(abs(a)) * math.sqrt(abs(b)) / math.sqrt(c))
-    return phi_complement_delta(p, delta)
+        # a b > 0: 1 - Phi is taken at sqrt(1 + delta), formed from square roots
+        comp = phi_complement(p, math.sqrt(abs(a)) * math.sqrt(abs(b)) / math.sqrt(dist2))
+    else:
+        comp = phi_complement_delta(p, delta)
+    try:
+        g = constants(p).a_d_alpha * (s * t) ** (p.alpha - p.d) * \
+            dist2 ** ((p.alpha - p.d) / 2.0) * comp
+    except OverflowError:
+        g = math.inf
+    if math.isinf(g):
+        raise SingularityError("green_function exceeds the float range this close "
+                               "to the diagonal x = y")
+    return g
 
 
 def green_function(p: StableParams, x, y) -> float:
@@ -288,8 +375,9 @@ def green_function(p: StableParams, x, y) -> float:
     delta_w is formed as (dx/s)(dy/s)/(dist2/s^2), so nothing overflows on
     the way.  Where delta_w itself exceeds the float range, 1 - Phi is
     taken at r_w = sqrt(|dx/s|) sqrt(|dy/s|) / sqrt(dist2/s^2) instead.
+    Points closer than about 1e-154 have their difference scaled up by a
+    power of four in the same way, so |x - y|^2 never goes subnormal.
     """
-    kc = constants(p)
     x = as_point(x, p.d)
     y = as_point(y, p.d)
     s = far_scale(x, y)
@@ -297,12 +385,7 @@ def green_function(p: StableParams, x, y) -> float:
     dy = float(np.sum(y / s * y)) - 1.0 / s
     if dx == 0.0 or dy == 0.0:
         raise DomainError("green_function requires both points off the unit sphere")
-    diff = x / s - y / s
-    dist2 = float(np.dot(diff, diff))          # |x - y|^2 / s^2
-    if dist2 == 0.0:
-        raise SingularityError("green_function is singular on the diagonal x = y")
-    comp = _complement_of_ratio(p, dx, dy, dist2)
-    return kc.a_d_alpha * s ** (p.alpha - p.d) * dist2 ** ((p.alpha - p.d) / 2.0) * comp
+    return _green_of_ratio(p, dx, dy, x / s - y / s, s)
 
 
 def martin_kernel(p: StableParams, x, z) -> float:

@@ -394,19 +394,18 @@ def hardy_suite(d: int = 2, alpha: float = 1.5, tol: float = 1e-3,
     # radii cannot approach the sphere beyond the 48-bit cap, so the
     # reachable sup may sit this far below 1 regardless of the tolerance
     tol_profile = max(tol, 0.8 * near_gap + far_gap)
-    for pexp, tag in ((1.0, "l1"), (2.0, "l2"), (math.inf, "sup")):
-        est = analysis.hardy_norm(p, SPHERE, phi_fun, pexp, grid=small_grid,
-                                  schedule=profile_schedule)
-        e.append(check(f"hardy-norm-poisson-of-one-{tag}",
-                       abs(est.value - 1.0) < tol_profile and not est.diverges,
-                       est.value, 1.0, tol_profile,
-                       "hardy-norm-density-or-constant-max"))
-        est = analysis.hardy_norm(p, SPHERE, comp_fun, pexp, grid=small_grid,
-                                  schedule=profile_schedule)
-        e.append(check(f"hardy-norm-constant-profile-{tag}",
-                       abs(est.value - 1.0) < tol_profile and not est.diverges,
-                       est.value, 1.0, tol_profile,
-                       "hardy-norm-density-or-constant-max"))
+    pexps, tags = (1.0, 2.0, math.inf), ("l1", "l2", "sup")
+    profiles = [(name, analysis.hardy_norms(p, SPHERE, fn, pexps, grid=small_grid,
+                                            schedule=profile_schedule))
+                for name, fn in (("poisson-of-one", phi_fun),
+                                 ("constant-profile", comp_fun))]
+    for i, tag in enumerate(tags):
+        for name, ests in profiles:
+            est = ests[i]
+            e.append(check(f"hardy-norm-{name}-{tag}",
+                           abs(est.value - 1.0) < tol_profile and not est.diverges,
+                           est.value, 1.0, tol_profile,
+                           "hardy-norm-density-or-constant-max"))
 
     # closed-form exit-moment norms
     mu2 = DiscreteMeasure(np.stack([np.eye(d)[0], -np.eye(d)[0]]), [1.2, -0.8])
@@ -474,11 +473,11 @@ def hardy_suite(d: int = 2, alpha: float = 1.5, tol: float = 1e-3,
     fsharp = BoundaryFunction(lambda pts: 1.0 + 0.5 * pts[:, 0])
     rep_c = HarmonicRepresentation(SPHERE, density=fsharp)
     contraction_schedule = analysis.default_schedule(SPHERE, 16 if d == 2 else 4)
-    for pexp, tag in ((1.0, "l1"), (2.0, "l2"), (math.inf, "sup")):
+    ests = analysis.hardy_norms(p, SPHERE, rep_c, pexps, grid=small_grid,
+                                schedule=contraction_schedule)
+    for pexp, tag, est in zip(pexps, tags, ests):
         norm_f = (analysis._sphere_density_norm(p, fsharp, pexp)
                   if math.isfinite(pexp) else 1.5)   # sup |1 + z1/2| on the sphere
-        est = analysis.hardy_norm(p, SPHERE, rep_c, pexp, grid=small_grid,
-                                  schedule=contraction_schedule)
         e.append(check(f"hardy-slice-contraction-{tag}",
                        est.value <= norm_f * (1.0 + 1e-6),
                        est.value, norm_f, 1e-6, "poisson-slice-contraction"))

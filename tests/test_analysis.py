@@ -8,8 +8,9 @@ from stablepot.analysis import (HALFSPACE, SPHERE, BoundaryFunction,
                                 DiscreteMeasure, HarmonicRepresentation,
                                 default_schedule, fatou_probe,
                                 fractional_laplacian, halfspace_values,
-                                hardy_norm, hyperplane_quadrature, majorant,
-                                omega_integral_probe, poisson_integral_halfspace,
+                                hardy_norm, hardy_norms, hyperplane_quadrature,
+                                majorant, omega_integral_probe,
+                                poisson_integral_halfspace,
                                 poisson_integral_sphere, prob_hardy_norm,
                                 representation_value, sphere_quadrature,
                                 sphere_values)
@@ -296,6 +297,50 @@ class TestHardyNorm:
     def test_exponent_guard(self):
         with pytest.raises(DomainError):
             hardy_norm(P2, SPHERE, lambda pts: np.ones(len(pts)), 0.5)
+
+
+class TestHardyNorms:
+    PEXPS = (1.0, 2.0, math.inf)
+
+    @staticmethod
+    def _cases():
+        f = BoundaryFunction(lambda pts: 1.0 + 0.5 * pts[:, 0])
+        mu = DiscreteMeasure(np.array([[0.0], [1.5]]), [1.0, -0.4])
+        return [
+            (P3, SPHERE, HarmonicRepresentation(SPHERE, density=f),
+             default_schedule(SPHERE, 3), sphere_quadrature(P3, 8)),
+            (P2, SPHERE, HarmonicRepresentation(SPHERE, density=f, constant=0.3),
+             default_schedule(SPHERE, 6), sphere_quadrature(P2, 32)),
+            (P2, HALFSPACE, HarmonicRepresentation(HALFSPACE, measure=mu,
+                                                   flavor="poisson"),
+             default_schedule(HALFSPACE, 6), None),
+            (P2, HALFSPACE, lambda pts: np.atleast_2d(pts)[:, 0],
+             default_schedule(HALFSPACE, 6), None),
+        ]
+
+    def test_equal_to_separate_hardy_norms(self):
+        for p, space, u, schedule, grid in self._cases():
+            together = hardy_norms(p, space, u, self.PEXPS, schedule=schedule, grid=grid)
+            apart = [hardy_norm(p, space, u, pexp, schedule=schedule, grid=grid)
+                     for pexp in self.PEXPS]
+            assert together == apart
+
+    def test_each_slice_evaluated_once(self):
+        calls = []
+
+        def u(pts):
+            calls.append(len(pts))
+            return 1.0 + np.atleast_2d(pts)[:, 0]
+
+        schedule = default_schedule(SPHERE, 5)
+        ests = hardy_norms(P2, SPHERE, u, self.PEXPS, schedule=schedule,
+                           grid=sphere_quadrature(P2, 16))
+        assert len(calls) == len(schedule)
+        assert [len(est.slices) for est in ests] == [len(schedule)] * 3
+
+    def test_exponent_guard(self):
+        with pytest.raises(DomainError):
+            hardy_norms(P2, SPHERE, lambda pts: np.ones(len(pts)), (1.0, 0.5))
 
 
 class TestProbHardyNorm:

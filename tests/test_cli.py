@@ -87,7 +87,7 @@ class TestEval:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv", [
-        ("eval", "phi", "--d", "400", "--r", "0.5"),      # overflowing constants
+        ("eval", "phi", "--d", "400", "--r", "1.5"),      # cancelling reduced forms
         ("eval", "phi", "--r", "nan"),
     ])
     def test_numerical_failure_is_a_usage_error(self, argv):
@@ -95,6 +95,16 @@ class TestEval:
         assert res.returncode == 2
         assert "Traceback" not in res.stderr
         assert "error:" in res.stderr
+
+    def test_phi_at_large_dimension_evaluates(self):
+        # Gamma((d + alpha)/2 - 1) overflowed inside the constants at d = 400
+        for r in ("2", "0.5"):
+            res = run_cli_process("eval", "phi", "--d", "400", "--alpha", "1.5",
+                                  "--r", r)
+            assert res.returncode == 0
+            assert res.stderr == ""
+            assert 0.0 <= float(res.stdout) <= 1.0
+        assert float(res.stdout) == pytest.approx(0.1976470190745546, rel=1e-12)
 
     def test_green_far_point_evaluates(self):
         # |y| = 1e200 once overflowed |y|^2 and ended in an error; the

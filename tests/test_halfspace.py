@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -143,6 +145,25 @@ class TestGreenFunction:
         want = sphere.constants(P2).a_d_alpha * 5e-154 ** (P2.alpha - P2.d)
         got = green_function(P2, [0.0, 3.9], [5e-154, 3.9])
         assert got == pytest.approx(want, rel=1e-12)
+
+    def test_subnormal_squared_distance(self):
+        # |x - y|^2 = 1e-320 is subnormal; the distance power once came out
+        # 2.8e-6 off (3.32968862e79)
+        with mpmath.workdps(30):
+            want = float(sphere.constants(P2).a_d_alpha
+                         * mpmath.mpf(1e-160) ** (P2.alpha - P2.d))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = green_function(P2, [0.0, 1.0], [1e-160, 1.0])
+        assert got == pytest.approx(want, rel=1e-13)
+        assert got == pytest.approx(3.32967936e79, rel=1e-8)
+        # both points this near the plane as well: the Green function is
+        # homogeneous of degree alpha - d, and 2^-530 scales exactly
+        lam = 2.0 ** -530
+        x, y = np.array([0.0, 1.0]), np.array([1.0, 2.0])
+        with mpmath.workdps(30):
+            want = float(green_function(P2, x, y) * mpmath.mpf(lam) ** (P2.alpha - P2.d))
+        assert green_function(P2, lam * x, lam * y) == pytest.approx(want, rel=1e-13)
 
     def test_errors(self):
         with pytest.raises(SingularityError):

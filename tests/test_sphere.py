@@ -53,6 +53,62 @@ class TestConstants:
         with pytest.raises(DomainError):
             constants(StableParams(2, 0.9))
 
+    @staticmethod
+    def _mp_constants(d, alpha):
+        with mpmath.workdps(50):
+            a, g, pi = mpmath.mpf(alpha), mpmath.gamma, mpmath.pi
+            c2 = mpmath.sqrt(pi) * 2 ** (2 - a) * g((a + d) / 2 - 1) / g((a - 1) / 2)
+            want = {
+                "a_d_alpha": g((d - a) / 2) / (2 ** a * pi ** (mpmath.mpf(d) / 2) * g(a / 2)),
+                "a_d_neg_alpha": g((d + a) / 2) / (2 ** -a * pi ** (mpmath.mpf(d) / 2)
+                                                   * abs(g(-a / 2))),
+                "c1": g(mpmath.mpf(d) / 2) * pi ** (-1 - mpmath.mpf(d) / 2)
+                * mpmath.sin(pi * a / 2),
+                "c2": c2,
+                "c3": pi ** ((1 - mpmath.mpf(d)) / 2) * g((a + d) / 2 - 1) / g((a - 1) / 2),
+                "series_c": c2 * g(1 - a) / (g(1 - a / 2) * g((d - a) / 2)),
+                "phi_at_origin": c2 / g(mpmath.mpf(d) / 2),
+            }
+            return {k: float(v) for k, v in want.items()}
+
+    def test_ulps_against_mpmath(self):
+        # within 4 ulp at the verify points; over alpha in (1, 2) the worst is
+        # c1 near alpha = 2, where sin(pi alpha / 2) loses about 29 ulp
+        for d in (2, 3):
+            for a in [1.5 if d == 2 else 1.2] + list(np.linspace(1.01, 1.99, 50)):
+                kc = constants(StableParams(d, float(a)))
+                bound = 4 if (d, a) in ((2, 1.5), (3, 1.2)) else 32
+                for name, want in self._mp_constants(d, float(a)).items():
+                    assert abs(getattr(kc, name) - want) <= bound * math.ulp(want), \
+                        (d, a, name)
+
+    def test_large_dimension(self):
+        # Gamma((d + alpha)/2 - 1) alone overflows from d ~ 340; the ratios
+        # phi needs stay finite, and a constant beyond the float range is a
+        # DomainError naming it
+        p = StableParams(400, 1.5)
+        kc = constants(p)
+        for name, want in self._mp_constants(400, 1.5).items():
+            if name == "c2":
+                with pytest.raises(DomainError, match="c2"):
+                    kc.c2
+            else:
+                assert getattr(kc, name) == pytest.approx(want, rel=2e-13), name
+        with pytest.raises(DomainError, match="c1"):
+            ball_constant(StableParams(500, 1.5))
+        for r in (0.5, 0.9995, 2.0, 3.0):
+            got = phi(p, r)
+            assert 0.0 <= got <= 1.0
+            assert got == pytest.approx(mp_phi(400, 1.5, r, dps=80), rel=1e-12)
+
+    def test_large_dimension_cancellation_is_refused(self):
+        # in the golden-ratio band the two reduced terms cancel ever harder
+        # as d grows; at d = 400 and r = 1.5 they left -1.2e-15
+        with pytest.raises(DomainError, match="d = 12"):
+            phi(StableParams(400, 1.5), 1.5)
+        with pytest.raises(DomainError):
+            phi(StableParams(400, 1.5), 0.7)
+
 
 class TestPhi:
     def test_origin_value(self):
@@ -245,6 +301,24 @@ class TestGreenFunction:
         want = constants(P2).a_d_alpha * 5e-154 ** (P2.alpha - P2.d)
         got = green_function(P2, [0.0, 0.5], [5e-154, 0.5])
         assert got == pytest.approx(want, rel=1e-12)
+
+    def test_subnormal_squared_distance(self):
+        # |x - y|^2 = 1e-320 is subnormal; the distance power once came out
+        # 2.8e-6 off.  Phi at r_w ~ 1e160 is below 1e-80, so 1 - Phi is 1
+        for p in (P2, StableParams(3, 1.2)):
+            x = np.zeros(p.d)
+            x[-1] = 0.5
+            y = x.copy()
+            y[0] = 1e-160
+            with mpmath.workdps(30):
+                want = float(constants(p).a_d_alpha
+                             * mpmath.mpf(1e-160) ** (p.alpha - p.d))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = green_function(p, x, y)
+            assert got == pytest.approx(want, rel=1e-13)
+        with pytest.raises(SingularityError, match="float range"):
+            green_function(StableParams(3, 1.2), [0.0, 0.0, 0.5], [1e-300, 0.0, 0.5])
 
     def test_errors(self):
         with pytest.raises(SingularityError):
