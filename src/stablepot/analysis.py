@@ -13,11 +13,11 @@ Representations are evaluated in batches by one function per geometry,
 ``halfspace_values`` (points as foot point plus height); every per-point
 entry point, slice norm, majorant and Fatou probe goes through them.
 
-Surface measure on the sphere is realized by a trapezoid rule (d = 2) or
-a Gauss-Legendre x trapezoid product rule (d = 3); Lebesgue measure on
-the hyperplane by a per-axis tangent compactification with
-double-exponential node placement, which keeps full accuracy for the
-heavy-tailed kernels (decay exponents barely above the dimension).
+Density parts are integrated by one peak-adapted polar rule per
+geometry, the same in every d <= 4: geodesic polar coordinates around
+each evaluation direction on the sphere, polar coordinates around each
+foot point on the hyperplane, with a ring rule on S^(d-2) for the
+angles.  Slice grids on the hyperplane are polar as well.
 
 Hardy norms are schedule suprema of slice L^p norms; divergence is a
 reported state, never an exception.  The pointwise fractional Laplacian
@@ -34,7 +34,8 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .core import StableParams, as_point, basis_last, norm, require_unit
+from .core import (StableParams, as_point, basis_last, norm, require_finite,
+                   require_unit, scales, sphere_area)
 from .errors import DomainError, IntegrabilityError, RepresentationError
 from . import halfspace, sphere
 
@@ -193,46 +194,50 @@ def sphere_quadrature(p: StableParams, resolution: int) -> QuadratureGrid:
     raise DomainError(f"sphere quadrature supports d in {{2, 3}}, got d={p.d}")
 
 
-_TAIL_TOL = 1e-14           # endpoint share the tangent-map rule aims for
+def _ring(p: StableParams) -> tuple[np.ndarray, np.ndarray]:
+    # normalized surface measure on the unit sphere S^(d-2) of R^(d-1): the
+    # two points +-1 in d = 2, the surface grid of S^(d-2) beyond, with
+    # _RING_NODES nodes around each circle of latitude
+    if p.d == 2:
+        return np.array([[1.0], [-1.0]]), np.array([0.5, 0.5])
+    if p.d > 4:
+        raise DomainError(f"density rules support d <= 4, got d={p.d}")
+    g = sphere_quadrature(StableParams(p.d - 1, p.alpha), _RING_NODES // (p.d - 2))
+    return g.nodes, g.weights
 
 
-def _line_rule(n: int, decay_q: float, scale: float,
-               center: float) -> tuple[np.ndarray, np.ndarray]:
-    # y = center + scale * tan(pi u / 2), u = tanh((pi/2) sinh(w)),
-    # trapezoid in w; endpoint contributions scale like eps^(decay_q - 1).
-    # The reach is capped where y approaches the double-precision range.
-    need = -math.log(_TAIL_TOL) / max(decay_q - 1.0, 1e-3)
-    big_t = min(math.asinh(max(need, 40.0) * 2.0 / math.pi), 6.0)
-    w = np.linspace(-big_t, big_t, n)
-    h = w[1] - w[0]
-    sh = (math.pi / 2.0) * np.sinh(w)
-    abs_sh = np.abs(sh)
-    eps = 2.0 * np.exp(-2.0 * abs_sh) / (1.0 + np.exp(-2.0 * abs_sh))   # 1 - |u|
-    half = 0.5 * math.pi * eps
-    y = np.sign(w) * scale / np.tan(half)
-    y[np.abs(w) < 1e-300] = 0.0
-    # log-assembled weight: h * (pi/2) cosh(w) / cosh(sh)^2 * scale (pi/2) / sin(half)^2
-    log_cosh_sh = abs_sh + np.log1p(np.exp(-2.0 * abs_sh)) - math.log(2.0)
-    log_wt = (math.log(h * scale) + 2.0 * math.log(math.pi / 2.0)
-              + np.log(np.cosh(w)) - 2.0 * log_cosh_sh - 2.0 * np.log(np.sin(half)))
-    return center + y, np.exp(log_wt)
+_TAIL_TOL = 1e-14           # tail share the radial rule aims for
+
+
+def _radial_rule(n: int, decay_q: float, scale: float, k: int):
+    # rho = scale exp((pi/2) sinh(w)), trapezoid in w, for the radial part
+    # rho^(k-1) F(rho) d(rho) of an integral over R^k, F ~ rho^(-decay_q):
+    # in w it falls off double-exponentially at both ends.  Inward the nodes
+    # reach rho = scale e^(-0.3 n / k), which grows with n, so a singularity
+    # at the center shows up as growth under refinement; outward they aim
+    # for the tail share _TAIL_TOL and stop before rho^k overflows
+    x_hi = min(max(-math.log(_TAIL_TOL) / max(decay_q - k, 1e-3), 40.0),
+               650.0 / k - math.log(max(scale, 1.0)))
+    w = np.linspace(-math.asinh(0.6 * n / (math.pi * k)), math.asinh(2.0 * x_hi / math.pi), n)
+    rho = scale * np.exp((math.pi / 2.0) * np.sinh(w))
+    return rho, (w[1] - w[0]) * (math.pi / 2.0) * np.cosh(w) * rho ** k
 
 
 def hyperplane_quadrature(p: StableParams, resolution: int, decay_exponent: float,
                           center=None, scale: float = 1.0) -> QuadratureGrid:
-    """Lebesgue measure on R^(d-1) through a compactifying tangent map.
+    """Lebesgue measure on R^(d-1) in polar coordinates around ``center``.
 
-    ``decay_exponent`` is the algebraic decay the integrand is declared
-    to have; it must exceed d - 1 for integrability and controls how far
-    into the tails the node placement reaches.  ``center``/``scale``
-    relocate the dense part of the rule (pass the foot point and height
-    of a kernel peak to resolve it).  The reported ``tail_bound`` is the
-    residual integral of |y|^(-decay_exponent) beyond the largest node,
-    per unit coefficient.
+    The radius runs through an exponential-sinh map, double-exponential
+    toward the center and the tail, which keeps full accuracy for the
+    heavy-tailed kernels; the directions through a ring rule on S^(d-2)
+    (d <= 4).  ``decay_exponent`` is the algebraic decay the integrand is
+    declared to have; it must exceed d - 1 for integrability and sets how
+    far into the tail the radial nodes reach.  ``center``/``scale`` move
+    the dense part of the rule (pass a kernel peak's foot point and height).
+    The reported ``tail_bound`` is the residual integral of
+    |y|^(-decay_exponent) beyond the largest radius, per unit coefficient.
     """
     k = p.d - 1
-    if k not in (1, 2):
-        raise DomainError(f"hyperplane quadrature supports d in {{2, 3}}, got d={p.d}")
     if decay_exponent <= k:
         raise DomainError(
             f"decay exponent {decay_exponent} does not dominate the boundary "
@@ -244,30 +249,20 @@ def hyperplane_quadrature(p: StableParams, resolution: int, decay_exponent: floa
     center = np.atleast_1d(np.asarray(center, dtype=float))
     if center.shape != (k,):
         raise DomainError(f"center must have length {k}")
-    if scale <= 0.0:
-        raise DomainError("scale must be positive")
-    if k == 1:
-        y, wt = _line_rule(resolution, decay_exponent, scale, center[0])
-        nodes = y[:, None]
-        weights = wt
-        ymax = float(np.max(np.abs(y)))
-        tail = 2.0 * ymax ** (1.0 - decay_exponent) / (decay_exponent - 1.0)
-    else:
-        y1, w1 = _line_rule(resolution, decay_exponent, scale, center[0])
-        y2, w2 = _line_rule(resolution, decay_exponent, scale, center[1])
-        g1, g2 = np.meshgrid(y1, y2, indexing="ij")
-        nodes = np.stack([g1.ravel(), g2.ravel()], axis=1)
-        weights = np.outer(w1, w2).ravel()
-        ymax = float(np.max(np.abs(nodes)))
-        tail = 2.0 * math.pi * ymax ** (2.0 - decay_exponent) / (decay_exponent - 2.0) \
-            if decay_exponent > 2.0 else math.inf
-    return QuadratureGrid(nodes, weights, "HYPERPLANE_TAN_MAP", tail_bound=tail)
+    if not 0.0 < scale <= math.exp(650.0 / k - 40.0):    # radial weights stay finite
+        raise DomainError(f"scale must lie in (0, {math.exp(650.0 / k - 40.0):.3g}]")
+    rho, wt = _radial_rule((resolution + 1) // 2, decay_exponent, scale, k)
+    ring, ring_w = _ring(p)
+    nodes = center + (rho[:, None, None] * ring).reshape(-1, k)
+    tail = sphere_area(k) * float(rho.max()) ** (k - decay_exponent) / (decay_exponent - k)
+    return QuadratureGrid(nodes, np.outer(wt * sphere_area(k), ring_w).ravel(),
+                          "HYPERPLANE_POLAR", tail_bound=tail)
 
 
 # --- reference-measure integrals -------------------------------------------
 
 _SHELL_EDGES = np.array([0.0, 1.0, 1e1, 1e2, 1e3, 1e5, 1e8, 1e12, np.inf])
-_PROBE_NODES = 241          # per axis, for the reference-measure probe
+_PROBE_NODES = 241          # resolution of the reference-measure probe
 
 
 def _shell_test(p: StableParams, nodes: np.ndarray,
@@ -344,11 +339,12 @@ def _ensure_halfspace_integrable(p: StableParams, rep: HarmonicRepresentation) -
 
 # --- evaluating representations ---------------------------------------------
 
-_SPHERE_PEAK_NODES = 400    # peak-adapted rule on the circle
-_LINE_CORE_NODES = 200      # peak-adapted rule on the line, |v| <= _LINE_CORE_V
-_LINE_TAIL_NODES = 60       # and on each tail beyond it
-_LINE_CORE_V = 8.0
-_BLOCK = 1 << 15            # kernel elements per block: a block stays in cache
+_POLAR_NODES = 120          # sphere polar rule: Gauss-Legendre nodes in v
+_RING_NODES = 64            # ring rule: nodes around each circle of the S^(d-2) ring
+_RADIAL_CORE_NODES = 100    # halfspace polar rule: Gauss-Legendre on 0 <= v <= _RADIAL_CORE_V
+_RADIAL_TAIL_NODES = 60     # and on the tail beyond it
+_RADIAL_CORE_V = 8.0
+_BLOCK = 1 << 15            # density nodes per block: a block stays in cache
 
 
 def _default_sphere_grid(p: StableParams) -> QuadratureGrid:
@@ -360,12 +356,26 @@ def _row_blocks(m: int, n: int):
     return (slice(i, i + step) for i in range(0, m, step))
 
 
-def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # (m, k) squared distances between the rows of a and b, coordinate by
-    # coordinate so that nearby points keep their full relative accuracy;
-    # beyond the float range they are inf, where every kernel vanishes
-    with np.errstate(over="ignore"):
-        return sum((a[:, j, None] - b[None, :, j]) ** 2 for j in range(a.shape[1]))
+def _pair_dist2(h, a, b, r=1.0) -> tuple[np.ndarray, np.ndarray]:
+    # (m, k) values h_i^2 + r |a_i - b_j|^2 over s^2, and s, with the exact
+    # scale s = scales(max(|h_i|, |a_i - b_j|)) that keeps the squares in the
+    # normal range; coordinate by coordinate, so nearby points keep accuracy
+    diffs = [a[:, j, None] - b[None, :, j] for j in range(a.shape[1])]
+    s = scales(np.maximum(np.abs(h)[:, None], np.max(np.abs(diffs), axis=0)))
+    return (h[:, None] / s) ** 2 + r * sum((dj / s) ** 2 for dj in diffs), s
+
+
+def _polar_frames(eta: np.ndarray, ring: np.ndarray) -> np.ndarray:
+    # (m, k, 2, d): rows eta and T omega for each unit eta and ring node
+    # omega, T the Householder reflection I - 2 u u^T / |u|^2 with
+    # u = eta + sign(eta_d) e_d, which maps (omega, 0) into eta's tangent space
+    u = eta + np.outer(np.where(eta[:, -1] >= 0.0, 1.0, -1.0), basis_last(eta.shape[1]))
+    proj = (eta[:, :-1] @ ring.T) / (1.0 + np.abs(eta[:, -1]))[:, None]
+    frames = np.empty((len(eta), len(ring), 2, eta.shape[1]))
+    frames[:, :, 0] = eta[:, None, :]
+    frames[:, :, 1] = -proj[:, :, None] * u[:, None, :]
+    frames[:, :, 1, :-1] += ring
+    return frames
 
 
 def sphere_values(p: StableParams, rep: HarmonicRepresentation, r_minus_one,
@@ -374,12 +384,12 @@ def sphere_values(p: StableParams, rep: HarmonicRepresentation, r_minus_one,
 
     Points are given by their exact offset r - 1 from the sphere and
     their unit directions, so kernel distances are assembled as
-    (r - 1)^2 + r |eta - z|^2 and never through absolute coordinates.
-    The density rule follows d: in d = 2 its nodes cluster at each
-    kernel peak via psi = |r - 1| sinh(v), which stays exact however
-    close the point sits to the circle; in d = 3 it is the default
-    surface grid, with the Gram term eta.z from one matrix product.
-    ``dirs`` has shape (m, d); returns one value per point.
+    (r - 1)^2 + r |eta - z|^2, scaled exactly where they would leave the
+    float range.  Densities are integrated in geodesic polar coordinates
+    around each direction: the polar angle psi = |r - 1| sinh(v) keeps the
+    kernel peak resolved however close the point sits to the sphere.  A
+    value beyond the float range raises DomainError.  ``dirs`` has shape
+    (m, d); returns one value per point.
     """
     if rep.space != SPHERE:
         raise RepresentationError("sphere_values needs a SPHERE representation")
@@ -387,66 +397,59 @@ def sphere_values(p: StableParams, rep: HarmonicRepresentation, r_minus_one,
     if dirs.shape[1] != p.d:
         raise DomainError(f"directions must have length d={p.d}")
     rm1 = np.broadcast_to(np.asarray(r_minus_one, dtype=float), dirs.shape[:1])
+    require_finite(rm1, "offsets r - 1 from the sphere")
     require_unit(dirs, "evaluation directions")
     if np.any(rm1 == 0.0):
         raise DomainError("evaluation point lies on the sphere")
     if np.any(rm1 < -1.0):
         raise DomainError("radius must be nonnegative")
     r = 1.0 + rm1
-    delta = rm1 * (r + 1.0)               # r^2 - 1, exact in rm1
     vals = np.zeros(len(rm1))
     if rep.measure is not None:
         require_unit(rep.measure.atoms, "sphere atoms")
-        dist2 = rm1[:, None] ** 2 + r[:, None] * _sq_dist(dirs, rep.measure.atoms)
-        vals += sphere.poisson_kernel_dist2(p, delta[:, None], dist2) @ rep.measure.weights
+        dist2, s = _pair_dist2(rm1, dirs, rep.measure.atoms, r[:, None])
+        delta = rm1[:, None] / s * ((r[:, None] + 1.0) / s)     # (r^2 - 1) / s^2
+        with np.errstate(over="ignore", invalid="ignore"):      # caught below
+            kern = sphere.poisson_kernel_dist2(p, delta, dist2) * s ** (p.alpha - p.d)
+        vals += kern @ rep.measure.weights
     if rep.density is not None:
-        rule = _sphere_peak_rule if p.d == 2 else _sphere_grid_rule
-        vals += rule(p, rep.density, rm1, dirs)
+        vals += _sphere_polar_rule(p, rep.density, rm1, dirs)
     if rep.constant:
-        uniq, inv = np.unique(delta, return_inverse=True)
-        comp = np.array([sphere.phi_complement_delta(p, float(dl)) for dl in uniq])
+        uniq, inv = np.unique(rm1, return_inverse=True)
+        comp = np.array([sphere.phi_complement_offset(p, float(x)) for x in uniq])
         vals += rep.constant * comp[inv]
+    require_finite(vals, "the representation's values")
     return vals
 
 
-def _sphere_grid_rule(p: StableParams, f: BoundaryFunction, rm1: np.ndarray,
-                      dirs: np.ndarray) -> np.ndarray:
-    g = _default_sphere_grid(p)
-    wf = g.weights * f(g.nodes)
-    r = 1.0 + rm1
-    delta = rm1 * (r + 1.0)
-    out = np.empty(len(rm1))
-    for rows in _row_blocks(len(rm1), len(wf)):
-        dist2 = dirs[rows] @ g.nodes.T            # eta.z
-        dist2 *= -2.0
-        dist2 += 2.0                               # |eta - z|^2
-        np.maximum(dist2, 0.0, out=dist2)
-        dist2 *= r[rows, None]
-        dist2 += rm1[rows, None] ** 2
-        out[rows] = sphere.poisson_kernel_dist2(p, delta[rows, None], dist2) @ wf
-    return out
-
-
-def _sphere_peak_rule(p: StableParams, f: BoundaryFunction, rm1: np.ndarray,
-                      dirs: np.ndarray) -> np.ndarray:
-    # the nodes sit at angle psi from each direction; everything but the
-    # density depends on r - 1 alone, so it is built once per distinct radius
-    gl_x, gl_w = _leggauss(_SPHERE_PEAK_NODES)
+def _sphere_polar_rule(p: StableParams, f: BoundaryFunction, rm1: np.ndarray,
+                       dirs: np.ndarray) -> np.ndarray:
+    # Nodes z = cos(psi) eta + sin(psi) omega, omega on the tangent ring.  The
+    # kernel x sin^(d-2)(psi) x Jacobian weight depends on r - 1 alone and is
+    # built once per radius: with rho = |r - 1|, w = min(rho, 1), b = max(rho, 1)
+    # and g = |r eta - z| / rho it is sigma(S^(d-2))/sigma(S^(d-1)) Phi(0) cosh(v)
+    # ((r+1)/b)^(alpha-1) b^(alpha-d) (sin(psi)/(w g))^(d-2) g^(-alpha), all in range
+    ring, ring_w = _ring(p)
+    gl_x, gl_w = _leggauss(_POLAR_NODES)
     uniq, inv = np.unique(rm1, return_inverse=True)
-    rm = uniq[:, None]
-    width = np.minimum(np.abs(rm), 1.0)
+    rho, r = np.abs(uniq)[:, None], 1.0 + uniq[:, None]
+    width, big = np.minimum(rho, 1.0), np.maximum(rho, 1.0)
     vmax = np.arcsinh(math.pi / width)
-    v = gl_x * vmax
+    v = (gl_x + 1.0) / 2.0 * vmax
     psi = width * np.sinh(v)
-    r = 1.0 + rm
-    dist2 = rm * rm + 4.0 * r * np.sin(psi / 2.0) ** 2
-    jac = width * np.cosh(v) / (2.0 * math.pi)      # sigma = dtheta / 2pi
-    wk = gl_w * vmax * sphere.poisson_kernel_dist2(p, rm * (r + 1.0), dist2) * jac
-    cos_psi, sin_psi = np.cos(psi)[inv], np.sin(psi)[inv]
-    ex, ey = dirs[:, :1], dirs[:, 1:]
-    nodes = np.column_stack([(ex * cos_psi - ey * sin_psi).ravel(),
-                             (ey * cos_psi + ex * sin_psi).ravel()])
-    return np.sum(wk[inv] * f(nodes).reshape(cos_psi.shape), axis=1)
+    g = np.hypot(1.0, 2.0 * np.sqrt(r) * np.sin(psi / 2.0) / rho)
+    dv = gl_w * vmax / 2.0 * np.cosh(v)
+    kern = (((r + 1.0) / big) ** (p.alpha - 1.0) * big ** (p.alpha - p.d)
+            * (np.sin(psi) / (width * g)) ** (p.d - 2) * g ** -p.alpha)
+    wk = sphere.constants(p).phi_at_origin * sphere_area(p.d - 1) / sphere_area(p.d) * dv * kern
+    cos_sin = np.stack([np.cos(psi), np.sin(psi)], axis=-1)
+    out = np.empty(len(rm1))
+    for rows in _row_blocks(len(rm1), psi.shape[1] * len(ring_w)):
+        i = inv[rows]
+        nodes = cos_sin[i, None] @ _polar_frames(dirs[rows], ring)   # (m, k, n, d)
+        fv = f(nodes.reshape(-1, p.d)).reshape(len(i), len(ring_w), -1)
+        out[rows] = np.sum(wk[i] * (ring_w @ fv), axis=1)
+    return out
 
 
 def halfspace_values(p: StableParams, rep: HarmonicRepresentation, xbar,
@@ -456,13 +459,12 @@ def halfspace_values(p: StableParams, rep: HarmonicRepresentation, xbar,
     The "poisson" flavor integrates the hitting density, the "martin"
     flavor the Martin kernel; either adds c |t|^(alpha-1).  Density parts
     are first checked against the reference measure; a divergent check
-    raises IntegrabilityError.  The density rule follows d: in d = 2 its
-    nodes |t| sinh(v) sit around each foot point, which also resolves
-    density features far wider than the kernel peak; in d = 3 it is a
-    tangent-map grid centered at the foot point and scaled to its
-    height.  Kernel distances come from the node offsets themselves, so
-    small heights never collapse onto the foot point.  ``xbar`` has
-    shape (m, d-1); returns one value per point.
+    raises IntegrabilityError.  Densities are integrated in polar
+    coordinates around each foot point: the radius |t| sinh(v) makes the
+    kernel weight independent of the height.  Atom distances come from
+    the offsets themselves, scaled exactly, so small heights never
+    collapse onto the foot point.  A value beyond the float range raises
+    DomainError.  ``xbar`` has shape (m, d-1); returns one value per point.
     """
     if rep.space != HALFSPACE:
         raise RepresentationError("halfspace_values needs a HALFSPACE representation")
@@ -470,64 +472,59 @@ def halfspace_values(p: StableParams, rep: HarmonicRepresentation, xbar,
     if xbar.shape[1] != p.d - 1:
         raise DomainError(f"foot points must have length d-1={p.d - 1}")
     t = np.broadcast_to(np.asarray(t, dtype=float), xbar.shape[:1])
+    require_finite(xbar, "foot points")
+    require_finite(t, "heights")
     if np.any(t == 0.0):
         raise DomainError("evaluation point lies on the hyperplane")
     martin = rep.flavor == "martin"
     vals = np.zeros(len(t))
     if rep.measure is not None:
         atoms = rep.measure.atoms
-        dist2 = _sq_dist(xbar, atoms) + t[:, None] ** 2
-        kern = halfspace.poisson_kernel_dist2(p, t[:, None], dist2)
+        dist2, s = _pair_dist2(t, xbar, atoms)
+        with np.errstate(over="ignore", invalid="ignore"):      # caught below
+            kern = halfspace.poisson_kernel_dist2(p, t[:, None] / s, dist2) * s ** (1.0 - p.d)
         if martin:
             kern = kern / halfspace.omega_alpha_density(p, atoms)
         vals += kern @ rep.measure.weights
     if rep.density is not None:
         _ensure_halfspace_integrable(p, rep)
-        uniq, inv = np.unique(np.abs(t), return_inverse=True)
-        rule = _line_peak_rule if p.d == 2 else _hyperplane_grid_rule
-        weights, offsets = rule(p, uniq)
-        n = weights.shape[1]
-        for rows in _row_blocks(len(t), n):
-            y = (xbar[rows, None, :] + offsets[inv[rows]]).reshape(-1, p.d - 1)
-            dens = rep.density(y)
-            if martin:
-                dens = dens / halfspace.omega_alpha_density(p, y)
-            vals[rows] += np.sum(weights[inv[rows]] * dens.reshape(-1, n), axis=1)
+        offsets, weights = _halfspace_polar_rule(p)
+        for rows in _row_blocks(len(t), len(weights)):
+            # nodes past the float range sit at infinity; a density value
+            # there that is not finite is caught below
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                y = (xbar[rows, None, :] + np.abs(t[rows])[:, None, None] * offsets
+                     ).reshape(-1, p.d - 1)
+                dens = rep.density(y)
+                if martin:
+                    dens = dens / halfspace.omega_alpha_density(p, y)
+                vals[rows] += dens.reshape(-1, len(weights)) @ weights
     if rep.constant:
         vals += rep.constant * np.abs(t) ** (p.alpha - 1.0)
+    require_finite(vals, "the representation's values")
     return vals
 
 
-def _hyperplane_grid_rule(p: StableParams, heights: np.ndarray
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    # per height: kernel x weight and node offsets of the tangent-map grid
-    # scaled to that height (the grid is affine in its center and scale)
-    ref = hyperplane_quadrature(p, 241 if p.d == 2 else 161, p.d + p.alpha - 2.0)
-    t = heights[:, None]
-    dist2 = t * t * (np.sum(ref.nodes ** 2, axis=1) + 1.0)
-    weights = halfspace.poisson_kernel_dist2(p, t, dist2) * ref.weights * t ** (p.d - 1)
-    return weights, t[:, :, None] * ref.nodes
-
-
-def _line_peak_rule(p: StableParams, heights: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    # per height: kernel x weight and node offsets |t| sinh(v) on the line.
-    # In d = 2 the kernel weight is c3 cosh(v)^(1 - alpha) dv at every
-    # height.  Gauss-Legendre covers |v| <= 8; each tail runs in
-    # u = exp(-(alpha - 1)(|v| - 8)) on (0, 1), where that weight is smooth.
-    core_x, core_w = _leggauss(_LINE_CORE_NODES)
-    tail_x, tail_w = _leggauss(_LINE_TAIL_NODES)
+def _halfspace_polar_rule(p: StableParams) -> tuple[np.ndarray, np.ndarray]:
+    # Node offsets sinh(v) omega at unit height and their weights.  With
+    # |y| = |t| sinh(v) around the foot point, kernel x polar Jacobian is
+    # c3 sigma(S^(d-2)) tanh^(d-2)(v) cosh^(1-alpha)(v) dv at every height.
+    # Gauss-Legendre covers 0 <= v <= 8; the tail runs in
+    # u = exp(-(alpha - 1)(v - 8)) on (0, 1), where that weight is smooth.
+    core_x, core_w = _leggauss(_RADIAL_CORE_NODES)
+    tail_x, tail_w = _leggauss(_RADIAL_TAIL_NODES)
     a1 = p.alpha - 1.0
     u = (tail_x + 1.0) / 2.0
-    tail_v = _LINE_CORE_V - np.log(u) / a1
-    tail_dv = tail_w / (2.0 * a1 * u)
-    v = np.concatenate([-tail_v[::-1], _LINE_CORE_V * core_x, tail_v])
-    dv = np.concatenate([tail_dv[::-1], _LINE_CORE_V * core_w, tail_dv])
-    av = np.abs(v)
-    log_cosh = av + np.log1p(np.exp(-2.0 * av)) - math.log(2.0)
-    weights = sphere.constants(p).c3 * np.exp(-a1 * log_cosh) * dv
-    offsets = heights[:, None] * np.sinh(v)
-    return np.broadcast_to(weights, offsets.shape), offsets[:, :, None]
+    half = _RADIAL_CORE_V / 2.0
+    v = np.concatenate([(core_x + 1.0) * half, _RADIAL_CORE_V - np.log(u) / a1])
+    dv = np.concatenate([core_w * half, tail_w / (2.0 * a1 * u)])
+    log_cosh = v + np.log1p(np.exp(-2.0 * v)) - math.log(2.0)
+    radial = (sphere.constants(p).c3 * sphere_area(p.d - 1) * np.tanh(v) ** (p.d - 2)
+              * np.exp(-a1 * log_cosh) * dv)
+    ring, ring_w = _ring(p)
+    with np.errstate(over="ignore"):     # near alpha = 1 tail nodes sit at infinity
+        offsets = (np.sinh(v)[:, None, None] * ring).reshape(-1, p.d - 1)
+    return offsets, np.outer(radial, ring_w).ravel()
 
 
 def representation_value(p: StableParams, rep: HarmonicRepresentation, x) -> float:

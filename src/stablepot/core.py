@@ -16,10 +16,13 @@ __all__ = [
     "as_point",
     "as_boundary_points",
     "norm",
+    "require_finite",
     "require_unit",
     "far_scale",
     "near_scale",
+    "scales",
     "basis_last",
+    "sphere_area",
 ]
 
 
@@ -73,8 +76,7 @@ def as_point(x, d: int | None = None) -> np.ndarray:
         raise DomainError(f"expected a flat coordinate vector, got shape {p.shape}")
     if d is not None and p.shape[0] != d:
         raise DomainError(f"expected a point of R^{d}, got length {p.shape[0]}")
-    if not np.all(np.isfinite(p)):
-        raise DomainError("point coordinates must be finite")
+    require_finite(p, "point coordinates")
     return p
 
 
@@ -92,10 +94,16 @@ def norm(x) -> float:
     return math.hypot(*np.asarray(x, dtype=float))
 
 
+def require_finite(x, what: str) -> None:
+    """Raise DomainError unless every entry of x is finite (no NaN, no inf)."""
+    if not np.all(np.isfinite(x)):
+        raise DomainError(f"{what} must be finite")
+
+
 def require_unit(z, what: str) -> None:
     """Raise DomainError unless each vector along the last axis of z has length 1."""
     z = np.asarray(z, dtype=float)
-    if np.any(np.abs(np.sqrt(np.sum(z * z, axis=-1)) - 1.0) > 1e-9):
+    if not np.all(np.abs(np.sqrt(np.sum(z * z, axis=-1)) - 1.0) <= 1e-9):
         raise DomainError(f"{what} must be unit vectors")
 
 
@@ -106,7 +114,7 @@ def far_scale(*points) -> float:
     squared norms and distances stay inside the float range.
     """
     big = max(float(np.max(np.abs(x))) for x in points)
-    return _power_of_four_below(big) if big > 1.0 else 1.0
+    return float(scales(max(big, 1.0)))
 
 
 def near_scale(diff) -> float:
@@ -117,11 +125,20 @@ def near_scale(diff) -> float:
     difference this small does not have.
     """
     small = float(np.max(np.abs(diff)))
-    return _power_of_four_below(small) if 0.0 < small < 2.0 ** -510 else 1.0
+    return float(scales(min(small, 1.0)))
 
 
-def _power_of_four_below(m: float) -> float:
-    return math.ldexp(1.0, 2 * ((math.frexp(m)[1] - 1) // 2))
+def scales(m) -> np.ndarray:
+    """Elementwise power of four s with s <= m < 4 s for magnitudes m >= 4
+    or 0 < m < 2^-510, and s = 1 for every other m >= 0.
+
+    Dividing by s is exact.  Sums of squares of coordinates no larger
+    than m, divided by s, then neither overflow nor lose their relative
+    accuracy below the normal range.
+    """
+    m = np.asarray(m, dtype=float)
+    s = np.ldexp(1.0, 2 * ((np.frexp(m)[1] - 1) // 2))
+    return np.where((m >= 4.0) | ((m > 0.0) & (m < 2.0 ** -510)), s, 1.0)
 
 
 def basis_last(d: int) -> np.ndarray:
@@ -129,3 +146,8 @@ def basis_last(d: int) -> np.ndarray:
     e = np.zeros(d)
     e[-1] = 1.0
     return e
+
+
+def sphere_area(k: int) -> float:
+    """Surface area of the unit sphere S^(k-1) of R^k."""
+    return 2.0 * math.pi ** (k / 2.0) / math.gamma(k / 2.0)

@@ -1,14 +1,13 @@
 """Special functions underlying every closed-form kernel.
 
-Gauss 2F1 (also inside ``legendre_p``), the modified Bessel functions I
-and K and the regularized incomplete beta are ``scipy.special``'s
-``hyp2f1``, ``ive``, ``kv`` and ``betainc`` behind this package's domain
-checks and typed errors.  Three pieces stay here, each for a measured
-reason: ``gauss_2f1_tail`` (F - 1 as a fixed 80-term series, about 1e-15
-relative for |s| <= 0.618), because ``hyp2f1 - 1`` loses digits where
-F - 1 is small; the x >= 30 expansion of ``bessel_i_scaled``, because
-scipy's ``ive`` is NaN from x ~ 1.1e9 on; and the Mittag-Leffler
-function, which scipy lacks.
+Gauss 2F1, the modified Bessel functions I and K and the regularized
+incomplete beta are ``scipy.special``'s ``hyp2f1``, ``ive``, ``kv`` and
+``betainc`` behind this package's domain checks and typed errors.
+Three pieces stay here, each for a measured reason: ``gauss_2f1_tail``
+(F - 1 as a fixed 80-term series, about 1e-15 relative for |s| <= 0.618),
+because ``hyp2f1 - 1`` loses digits where F - 1 is small; the x >= 30
+expansion of ``bessel_i_scaled``, because scipy's ``ive`` is NaN from
+x ~ 1.1e9 on; and the Mittag-Leffler function, which scipy lacks.
 """
 
 from __future__ import annotations
@@ -22,11 +21,8 @@ from scipy import special as _sps
 from .errors import ConvergenceError, DomainError, PoleError
 
 __all__ = [
-    "log_gamma",
-    "gamma_sign",
     "gauss_2f1",
     "gauss_2f1_tail",
-    "legendre_p",
     "bessel_i",
     "bessel_i_scaled",
     "bessel_k",
@@ -43,20 +39,6 @@ _MAX_TERMS = 10_000  # Mittag-Leffler series term cap
 def _check_not_nonpositive_integer(x: float, what: str) -> None:
     if x <= 0.0 and x == math.floor(x):
         raise PoleError(f"{what} has a pole at nonpositive integer {x}")
-
-
-def log_gamma(x: float) -> float:
-    """log|Gamma(x)| for real x off the poles at 0, -1, -2, ..."""
-    _check_not_nonpositive_integer(x, "log_gamma")
-    return math.lgamma(x)
-
-
-def gamma_sign(x: float) -> float:
-    """Sign of Gamma(x): +1 for x > 0, alternating on (-n-1, -n)."""
-    _check_not_nonpositive_integer(x, "gamma_sign")
-    if x > 0.0:
-        return 1.0
-    return 1.0 if math.floor(x) % 2 == 0 else -1.0
 
 
 def _check_2f1(c: float, s: float) -> None:
@@ -94,56 +76,15 @@ def gauss_2f1_tail(a: float, b: float, c: float, s: float) -> float:
 
 # --- Legendre function of the first kind on (1, oo) ---------------------
 #
-# For mu = 1 - d/2, nu = -alpha/2 (integer d >= 2, alpha in (1, 2)): the
-# expansion in 2/(1+t) for large t (near the sphere), the one in (1-t)/2
-# for t near 1, switched at t = sqrt(5) where both variables equal 0.618.
-
-_T_SWITCH = math.sqrt(5.0)
-
+# For mu = 1 - d/2, nu = -alpha/2 (integer d >= 2, alpha in (1, 2)), the
+# expansion in 2/(1+t) for large t (near the sphere) has two terms; this
+# is the prefactor of the first.
 
 def legendre_f1(d: int, alpha: float, t: float) -> float:
     """First prefactor of the large-t expansion of P^(1-d/2)_(-alpha/2)."""
     pref = 2.0 ** (1.0 - alpha / 2.0) * math.gamma(alpha - 1.0) / (
         math.gamma(alpha / 2.0) * math.gamma((alpha + d) / 2.0 - 1.0))
     return pref * (t + 1.0) ** (alpha / 2.0 - d / 4.0 - 0.5) * (t - 1.0) ** (d / 4.0 - 0.5)
-
-
-def legendre_f2(d: int, alpha: float, t: float) -> float:
-    """Second prefactor of the large-t expansion (negative for alpha in (1,2))."""
-    pref = 2.0 ** (alpha / 2.0) * math.gamma(1.0 - alpha) / (
-        math.gamma(1.0 - alpha / 2.0) * math.gamma((d - alpha) / 2.0))
-    return pref * (t + 1.0) ** (0.5 - d / 4.0 - alpha / 2.0) * (t - 1.0) ** (d / 4.0 - 0.5)
-
-
-def _legendre_params(mu: float, nu: float) -> tuple[int, float]:
-    d = 2.0 * (1.0 - mu)
-    alpha = -2.0 * nu
-    if abs(d - round(d)) > 1e-12 or round(d) < 2:
-        raise DomainError(f"order mu={mu} is outside the supported family 1 - d/2, d >= 2")
-    if not (1.0 < alpha < 2.0):
-        raise DomainError(f"degree nu={nu} is outside the supported family -alpha/2, alpha in (1,2)")
-    return int(round(d)), alpha
-
-
-def legendre_p(mu: float, nu: float, t: float) -> float:
-    """Legendre P^mu_nu(t) on t > 1 for mu = 1 - d/2, nu = -alpha/2.
-
-    For t >= sqrt(5) the two-term hypergeometric expansion in 2/(1+t) is
-    used; below, the equivalent expansion in (1-t)/2, accurate as t -> 1+,
-
-        P^mu_nu(t) = ((t+1)/(t-1))^(mu/2) F(-nu, nu+1; 1-mu; (1-t)/2) / Gamma(1-mu).
-    """
-    d, alpha = _legendre_params(mu, nu)
-    if t <= 1.0:
-        raise DomainError(f"legendre_p requires t > 1, got t={t}")
-    if t >= _T_SWITCH:
-        s = 2.0 / (1.0 + t)
-        return (legendre_f1(d, alpha, t) * gauss_2f1(1.0 - alpha / 2.0, (d - alpha) / 2.0,
-                                                     2.0 - alpha, s)
-                + legendre_f2(d, alpha, t) * gauss_2f1(alpha / 2.0, (d + alpha) / 2.0 - 1.0,
-                                                       alpha, s))
-    halo = ((t + 1.0) / (t - 1.0)) ** (mu / 2.0)
-    return halo * gauss_2f1(-nu, nu + 1.0, 1.0 - mu, (1.0 - t) / 2.0) / math.gamma(1.0 - mu)
 
 
 # --- modified Bessel functions ------------------------------------------

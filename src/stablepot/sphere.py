@@ -28,8 +28,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import (StableParams, Infinity, as_point, norm, require_unit, far_scale,
-                   near_scale)
+from .core import (StableParams, Infinity, as_point, norm, require_finite, require_unit,
+                   far_scale, near_scale, scales)
 from .errors import DomainError, SingularityError
 from .specfun import gauss_2f1, gauss_2f1_tail
 
@@ -39,6 +39,7 @@ __all__ = [
     "phi",
     "phi_complement",
     "phi_complement_delta",
+    "phi_complement_offset",
     "hitting_probability",
     "poisson_kernel",
     "poisson_kernel_dist2",
@@ -278,9 +279,19 @@ def phi_complement(p: StableParams, r: float) -> float:
     """1 - phi(r), cancellation-free near the sphere."""
     if r < 0.0:
         raise DomainError(f"radius must be nonnegative, got {r}")
-    delta = (r - 1.0) * (r + 1.0)
+    return phi_complement_offset(p, r - 1.0)
+
+
+def phi_complement_offset(p: StableParams, rm1: float) -> float:
+    """1 - phi(1 + rm1) from the offset rm1 = r - 1 supplied exactly.
+
+    delta = r^2 - 1 is formed as rm1 (rm1 + 2), which keeps every digit of
+    an offset far below the spacing of floats at 1; beyond the float
+    range of delta the radius itself is used.
+    """
+    delta = rm1 * (rm1 + 2.0)
     if math.isinf(delta):
-        return 1.0 - phi(p, r)
+        return 1.0 - phi(p, 1.0 + rm1)
     return phi_complement_delta(p, delta)
 
 
@@ -321,18 +332,25 @@ def poisson_kernel(p: StableParams, x, z):
 
     x is a point (or broadcastable array of points) off the sphere, z a
     unit vector (or array of unit vectors).  Broadcasts over leading axes.
+    Each point is scaled by a power of four s near its largest coordinate
+    (s = 1 below 4), so that |x|^2 - 1 and |x - z|^2 are formed as
+    (|x|^2 - 1)/s^2 and |x - z|^2/s^2 and never overflow; the kernel is
+    homogeneous of degree alpha - d in that scaling.
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
+    require_finite(x, "points of the sphere Poisson kernel")
     require_unit(z, "boundary arguments of the sphere Poisson kernel")
-    delta = _delta_of(x)
+    s = scales(np.maximum(np.max(np.abs(x), axis=-1), 1.0))
+    xs = x / s[..., None]
+    delta = np.sum(xs * xs, axis=-1) - 1.0 / s / s
     if np.any(delta == 0.0):
         raise DomainError("x must lie off the unit sphere")
-    diff = x - z
+    diff = xs - z / s[..., None]
     dist2 = np.sum(diff * diff, axis=-1)
     if np.any(dist2 == 0.0):
         raise SingularityError("sphere Poisson kernel is singular at x = z")
-    out = poisson_kernel_dist2(p, delta, dist2)
+    out = poisson_kernel_dist2(p, delta, dist2) * s ** (p.alpha - p.d)
     return out if out.ndim else float(out)
 
 

@@ -18,7 +18,7 @@ from scipy import special as _sps
 from . import analysis, halfspace, montecarlo, relativistic, sphere
 from .analysis import (BoundaryFunction, DiscreteMeasure, HALFSPACE,
                        HarmonicRepresentation, SPHERE)
-from .core import INFINITY, StableParams, basis_last
+from .core import INFINITY, StableParams, basis_last, sphere_area
 from .errors import DivergenceError
 from .montecarlo import RngStream
 from .relativistic import RelativisticParams
@@ -139,7 +139,7 @@ def identities_suite(d: int = 2, alpha: float = 1.5, tol: float = 1e-9,
     s2 = lam ** -d * sphere.ball_poisson_kernel(p, np.zeros(d), 1.0, xs, ys)
     e.append(check("ball-poisson-scaling", abs(s1 - s2) / abs(s2) < 1e-12,
                    s1, s2, 1e-12, "ball-poisson-scaling"))
-    area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    area = sphere_area(d)
     val, _ = _spi.quad(lambda w: 0.5 * sphere.ball_constant(p) * area
                        * w ** (alpha / 2.0 - 1.0) * (1.0 - w) ** (-alpha / 2.0),
                        0.0, 1.0, points=[0.0, 1.0], limit=200)
@@ -431,8 +431,11 @@ def hardy_suite(d: int = 2, alpha: float = 1.5, tol: float = 1e-3,
                        closed, 1e-6, "exit-moment-norm-as-majorant"))
 
     # sandwich between slice-sup and exit-moment norms on mixed data; the
-    # peak-adapted slice evaluation behind it is d = 2 machinery.  The
-    # schedule gap at both accumulation points is priced explicitly.
+    # schedule gap at both accumulation points is priced explicitly.  The
+    # polar density rule resolves these slices at d = 3 too, where the check
+    # passes, but on this grid and schedule it costs some 50 times the rest
+    # of the suite, and perfbench/reference.json records its d = 3 status
+    # as SKIP; both wait for a sparser d = 3 schedule and a re-recording.
     if d == 2:
         rng = RngStream(seed, 202).generator()
         lo = min(phi0, 1.0 - phi0)
@@ -468,8 +471,9 @@ def hardy_suite(d: int = 2, alpha: float = 1.5, tol: float = 1e-3,
                    est.value, 1.0, tol, "halfplane-slice-norm-total-variation"))
 
     # contraction of slice norms under the Poisson integral for p in
-    # {1, 2, inf}; slice points deeper than the evaluation grid resolves
-    # are kept off the schedule away from d = 2 (no adapted rule there)
+    # {1, 2, inf}.  The polar density rule resolves any depth; d = 3 stops at
+    # depth 4 because depth 16, which passes there too, quadruples the time of
+    # the suite the verify-d3 benchmark measures
     fsharp = BoundaryFunction(lambda pts: 1.0 + 0.5 * pts[:, 0])
     rep_c = HarmonicRepresentation(SPHERE, density=fsharp)
     contraction_schedule = analysis.default_schedule(SPHERE, 16 if d == 2 else 4)
@@ -489,9 +493,11 @@ def hardy_suite(d: int = 2, alpha: float = 1.5, tol: float = 1e-3,
     e.append(diverges("gallery-linear-coordinate-halfplane", est.diverges,
                       est.value, "linear-coordinate-not-in-hardy"))
 
+    # the Kelvin image |x|^(alpha-d) u(x/|x|^2) of u = x_1 is
+    # x_1 |x|^(alpha-d-2); its exit moment diverges at the origin
     _, div_ka, _ = analysis.omega_integral_probe(
         p, lambda pts: np.abs(pts[:, 0])
-        * np.sum(pts * pts, axis=1) ** ((alpha - 4.0) / 2.0))
+        * np.sum(pts * pts, axis=1) ** ((alpha - d - 2.0) / 2.0))
     e.append(diverges("gallery-kelvin-image-exit-norm", div_ka, None,
                       "kelvin-image-not-in-exit-hardy"))
 
@@ -702,7 +708,7 @@ def montecarlo_suite(d: int = 2, alpha: float = 1.5, tol: float = 1e-3,
 
     # ball exit radius: the quadrature oracle first, then the draws
     a2 = alpha / 2.0
-    area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    area = sphere_area(d)
     c_rad = sphere.ball_constant(p) * area
 
     def radial_tail(rho):

@@ -1,11 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy import integrate, special
 
 from stablepot import halfspace, sphere
 from stablepot.analysis import (HALFSPACE, SPHERE, BoundaryFunction,
                                 DiscreteMeasure, HarmonicRepresentation,
+                                QuadratureGrid,
                                 default_schedule, fatou_probe,
                                 fractional_laplacian, halfspace_values,
                                 hardy_norm, hardy_norms, hyperplane_quadrature,
@@ -171,13 +174,21 @@ class TestOmegaProbe:
     def test_heavy_reference_tail_near_alpha_one(self, d):
         # at alpha = 1.1 omega_alpha itself puts 2/3 of its next-to-last
         # decade shell's mass into the outermost one; that is convergence.
-        # The d = 3 product grid integrates it to 1 - 1.8e-5 only.
+        # The polar grid's radial reach follows the tail's decay in every d
         p = StableParams(d, 1.1)
         val, div, _ = omega_integral_probe(p, lambda pts: np.ones(len(pts)))
         assert not div
-        assert val == pytest.approx(1.0, abs=1e-6 if d == 2 else 1e-4)
+        assert val == pytest.approx(1.0, abs=1e-6)
         _, div, _ = omega_integral_probe(p, lambda pts: np.abs(pts[:, 0]))
         assert div
+
+    def test_reference_mass_near_alpha_one_in_d3(self):
+        # the per-axis product grid the polar grid replaced sized its reach
+        # from the 1-D decay and gave 1 - 0.015 here
+        val, div, _ = omega_integral_probe(StableParams(3, 1.05),
+                                           lambda pts: np.ones(len(pts)))
+        assert not div
+        assert val == pytest.approx(1.0, abs=1e-6)
 
     def test_divergent_at_interior_point(self):
         with np.errstate(all="ignore"):
@@ -186,23 +197,85 @@ class TestOmegaProbe:
         assert div
 
 
+def _zonal_poisson_d3(alpha, r, weights, dps=20):
+    # the d = 3 Poisson integral at r eta of a density whose mean over each
+    # circle psi = const around eta is g(psi):
+    #   1/2 int_0^pi K_r(cos psi) g(psi) sin psi dpsi,
+    #   K_r(t) = Phi(0) |r^2 - 1|^(alpha-1) (r^2 + 1 - 2 r t)^(-(1+alpha)/2),
+    # one value per g in weights, by mpmath quadrature split geometrically
+    # around the peak at 0
+    with mpmath.workdps(dps):
+        a, rr = mpmath.mpf(alpha), mpmath.mpf(r)
+        phi0 = mpmath.sqrt(mpmath.pi) * 2 ** (2 - a) * mpmath.gamma((a + 1) / 2) \
+            / (mpmath.gamma((a - 1) / 2) * mpmath.gamma(mpmath.mpf(3) / 2))
+        c = phi0 * abs(rr * rr - 1) ** (a - 1) / 2
+        rho = abs(rr - 1)
+        cuts = [mpmath.mpf(0)] + [rho * 4 ** j for j in range(40)
+                                  if rho * 4 ** j < mpmath.pi] + [mpmath.pi]
+        return [float(mpmath.quad(
+            lambda s: c * ((rr - 1) ** 2 + 4 * rr * mpmath.sin(s / 2) ** 2)
+            ** (-(1 + a) / 2) * g(s) * mpmath.sin(s), cuts))
+            for g in weights]
+
+
+def _funk_hecke_d3(alpha, r):
+    # Funk-Hecke: the d = 3 Poisson integral maps a spherical harmonic of
+    # degree n to lambda_n(r) times itself, lambda_n the zonal integral of P_n
+    legendre = (lambda s: 1, mpmath.cos, lambda s: (3 * mpmath.cos(s) ** 2 - 1) / 2)
+    return _zonal_poisson_d3(alpha, r, legendre)
+
+
+def _unit_directions(d, m=3):
+    v = np.random.default_rng(d).standard_normal((m, d))
+    return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+ONE = BoundaryFunction(lambda pts: np.ones(len(pts)))
+NEAR = 2.0 ** -np.arange(1, 41)       # |r - 1| and |t| down to 2^-40
+
+
+def _assert_unit_density_slices_equal_phi(p, grid):
+    rep = HarmonicRepresentation(SPHERE, density=ONE)
+    schedule = np.concatenate([1.0 - NEAR, 1.0 + NEAR])
+    for s in schedule:
+        vals = sphere_values(p, rep, s - 1.0, grid.nodes)
+        assert np.max(np.abs(vals - sphere.phi(p, s))) <= 1e-12
+    for est in hardy_norms(p, SPHERE, rep, (1.0, math.inf), schedule=schedule, grid=grid):
+        for s, got in est.slices:
+            assert abs(got - sphere.phi(p, s)) <= 1e-12
+
+
+def _assert_polar_rule_integrates_unit_density(p):
+    t = np.concatenate([[1.0, 1e3], NEAR, -NEAR])
+    rep = HarmonicRepresentation(HALFSPACE, density=ONE)
+    xbar = np.random.default_rng(0).standard_normal((len(t), p.d - 1))
+    vals = halfspace_values(p, rep, xbar, t)
+    np.testing.assert_allclose(vals, 1.0, rtol=0.0, atol=1e-12)
+
+
 class TestEvaluator:
     def test_d3_slices_match_direct_quadrature(self):
-        f = BoundaryFunction(lambda pts: 1.0 + 0.5 * pts[:, 0] - 0.3 * pts[:, 2])
+        # the reference is the Funk-Hecke multipliers of degrees 0, 1, 2
+        p = StableParams(3, 1.2)
+        f = BoundaryFunction(lambda z: 1.0 + 0.5 * z[:, 0] - 0.3 * z[:, 2]
+                             + 0.4 * z[:, 1] * z[:, 2])
         rep = HarmonicRepresentation(SPHERE, density=f, constant=0.25)
-        slice_grid = sphere_quadrature(P3, 8)
-        dens_grid = sphere_quadrature(P3, 64)     # the default density grid
-        wf = dens_grid.weights * f(dens_grid.nodes)
-        schedule = np.array([0.5, 1.0 - 2.0 ** -4, 1.0 + 2.0 ** -4, 3.0])
+        slice_grid = sphere_quadrature(p, 8)
+        eta = slice_grid.nodes
+        schedule = np.array([0.5, 3.0, 1.0 - 2.0 ** -2, 1.0 + 2.0 ** -6, 1.0 - 2.0 ** -12,
+                             1.0 + 2.0 ** -20, 1.0 - 2.0 ** -30, 1.0 - 2.0 ** -40,
+                             1.0 + 2.0 ** -40])
         direct = {}
         for s in schedule:
-            kern = sphere.poisson_kernel(P3, s * slice_grid.nodes[:, None, :],
-                                         dens_grid.nodes[None, :, :])
-            direct[s] = kern @ wf + 0.25 * sphere.phi_complement(P3, s)
-            got = sphere_values(P3, rep, s - 1.0, slice_grid.nodes)
-            np.testing.assert_allclose(got, direct[s], rtol=1e-12, atol=0.0)
+            lam = _funk_hecke_d3(p.alpha, s)
+            assert lam[0] == pytest.approx(sphere.phi(p, s), rel=1e-13)
+            direct[s] = (lam[0] + lam[1] * (0.5 * eta[:, 0] - 0.3 * eta[:, 2])
+                         + lam[2] * 0.4 * eta[:, 1] * eta[:, 2]
+                         + 0.25 * sphere.phi_complement(p, s))
+            got = sphere_values(p, rep, s - 1.0, eta)
+            np.testing.assert_allclose(got, direct[s], rtol=0.0, atol=1e-12)
         for pexp in (1.0, math.inf):
-            est = hardy_norm(P3, SPHERE, rep, pexp, schedule=schedule,
+            est = hardy_norm(p, SPHERE, rep, pexp, schedule=schedule,
                              grid=slice_grid)
             for s, got in est.slices:
                 u = np.abs(direct[s])
@@ -210,27 +283,100 @@ class TestEvaluator:
                 assert got == pytest.approx(want, rel=1e-12)
 
     def test_d2_unit_density_slices_equal_phi(self):
-        rep = HarmonicRepresentation(SPHERE, density=BoundaryFunction(
-            lambda pts: np.ones(len(pts))))
-        grid = sphere_quadrature(P2, 16)
-        ks = np.arange(1, 41)
-        schedule = np.concatenate([1.0 - 2.0 ** -ks, 1.0 + 2.0 ** -ks])
-        for s in schedule:
-            vals = sphere_values(P2, rep, s - 1.0, grid.nodes)
-            assert np.max(np.abs(vals - sphere.phi(P2, s))) <= 1e-9
-        for pexp in (1.0, math.inf):
-            est = hardy_norm(P2, SPHERE, rep, pexp, schedule=schedule, grid=grid)
-            for s, got in est.slices:
-                assert abs(got - sphere.phi(P2, s)) <= 1e-9
+        _assert_unit_density_slices_equal_phi(P2, sphere_quadrature(P2, 16))
 
-    @pytest.mark.parametrize("alpha", [1.1, 1.2, 1.5, 1.9])
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_unit_density_slices_equal_phi(self, d):
+        p = StableParams(d, 1.5)
+        dirs = _unit_directions(d)
+        grid = QuadratureGrid(dirs, np.full(len(dirs), 1.0 / len(dirs)), "DIRECTIONS")
+        _assert_unit_density_slices_equal_phi(p, grid)
+
+    @pytest.mark.parametrize("alpha", [1.005, 1.1, 1.2, 1.5, 1.9])
     def test_d2_line_rule_integrates_unit_density(self, alpha):
-        p = StableParams(2, alpha)
-        t = np.array([1e-6, 1.0, 1e3])
+        # at alpha = 1.005 a share 0.03 of the kernel lies beyond |y| = 1e300
+        _assert_polar_rule_integrates_unit_density(StableParams(2, alpha))
+
+    @pytest.mark.parametrize("alpha", [1.005, 1.1, 1.2, 1.5, 1.9])
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_polar_rule_integrates_unit_density(self, d, alpha):
+        _assert_polar_rule_integrates_unit_density(StableParams(d, alpha))
+
+    def test_d3_boundary_regressions(self):
+        # the retired d = 3 grid rules gave 0.340 for Phi = 0.782 here, and
+        # 1 + 8.4e-5 for the hyperplane integral of density 1
+        p = StableParams(3, 1.2)
+        rep = HarmonicRepresentation(SPHERE, density=ONE)
+        x = [0.0, 0.0, 1.0 + 2.0 ** -10]
+        assert poisson_integral_sphere(p, rep, x) == pytest.approx(
+            sphere.phi(p, 1.0 + 2.0 ** -10), abs=1e-12)
+        rep = HarmonicRepresentation(HALFSPACE, density=ONE)
+        assert poisson_integral_halfspace(p, rep, [0.3, -0.2, 0.7]) == pytest.approx(
+            1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.5])
+    def test_d3_off_center_cap_on_sphere(self, alpha):
+        # a von Mises-Fisher cap exp(kappa (mu.z - 1)) seen from directions
+        # eta orthogonal to mu: its mean over the circle psi = const around
+        # eta is exp(-kappa) I0(kappa sin psi), so the reference is one
+        # zonal integral.  A ring too coarse for the cap's angular width
+        # (16 nodes: 3e-3 at kappa = 20, 0.15 at kappa = 50) shows here
+        p = StableParams(3, alpha)
+        mu = np.array([1.0, 0.0, 0.0])
+        eta = np.array([[0.0, 0.0, 1.0], [0.0, 0.6, 0.8]])
+        for kappa in (20.0, 50.0):
+            rep = HarmonicRepresentation(SPHERE, density=BoundaryFunction(
+                lambda z: np.exp(kappa * (z @ mu - 1.0))))
+            for r in (0.5, 0.9, 1.1, 2.0):
+                [want] = _zonal_poisson_d3(alpha, r, [
+                    lambda s: mpmath.exp(-kappa) * mpmath.besseli(0, kappa * mpmath.sin(s))])
+                got = sphere_values(p, rep, r - 1.0, eta)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.5])
+    def test_d3_off_center_bump_on_hyperplane(self, alpha):
+        # exp(-|y|^2) seen from foot points 3 to 5 away: around a foot point
+        # xbar its mean over the circle |y - xbar| = rho is
+        # exp(-(|xbar| - rho)^2) ive(0, 2 |xbar| rho), so the reference is a
+        # radial integral.  At foot distance 5 the radial rule, not the
+        # ring, sets the error (1e-7); a 16-node ring gave 0.14 there
+        p = StableParams(3, alpha)
         rep = HarmonicRepresentation(HALFSPACE, density=BoundaryFunction(
-            lambda pts: np.ones(len(pts))))
-        vals = halfspace_values(p, rep, np.zeros((3, 1)), t)
-        np.testing.assert_allclose(vals, 1.0, rtol=0.0, atol=1e-12)
+            lambda y: np.exp(-np.sum(y * y, axis=1))))
+        for xbar in ([3.0, 0.0], [0.0, -4.0], [3.0, 4.0]):
+            big = float(np.hypot(*xbar))
+            for t in (1.0, 0.3):
+                def radial(rho):
+                    k = halfspace.poisson_kernel(p, [0.0, 0.0, t], [rho, 0.0])
+                    return (float(k) * 2.0 * math.pi * rho * math.exp(-(big - rho) ** 2)
+                            * special.ive(0, 2.0 * big * rho))
+                want, _ = integrate.quad(radial, 0.0, big + 40.0, points=[big],
+                                         epsabs=0.0, epsrel=1e-13, limit=500)
+                got = halfspace_values(p, rep, [xbar], t)[0]
+                assert got == pytest.approx(want, rel=1e-6)
+
+    def test_density_rules_name_the_callers_dimension(self):
+        # the S^(d-2) ring exists for d <= 4; the error names d, not d - 1
+        p = StableParams(5, 1.5)
+        with pytest.raises(DomainError, match="d=5"):
+            sphere_values(p, HarmonicRepresentation(SPHERE, density=ONE), 0.5,
+                          [basis_last(5)])
+        with pytest.raises(DomainError, match="d=5"):
+            hyperplane_quadrature(p, 16, 6.0)
+
+    def test_non_finite_input_is_refused(self):
+        rep = HarmonicRepresentation(SPHERE, density=ONE)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                sphere_values(P2, rep, bad, [[0.0, 1.0]])
+            with pytest.raises(DomainError):
+                sphere_values(P2, rep, 0.5, [[0.0, bad]])
+        rep = HarmonicRepresentation(HALFSPACE, density=ONE)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                halfspace_values(P2, rep, [[0.0]], bad)
+            with pytest.raises(DomainError):
+                halfspace_values(P2, rep, [[bad]], 1.0)
 
     def test_halfspace_batch_matches_points(self):
         g = BoundaryFunction(lambda pts: np.exp(-pts[:, 0] ** 2))

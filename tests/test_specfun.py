@@ -8,36 +8,9 @@ from scipy import integrate
 
 from stablepot.errors import DomainError, PoleError
 from stablepot.specfun import (bessel_i, bessel_i_scaled, bessel_k,
-                               gamma_sign, gauss_2f1,
-                               gauss_2f1_tail, legendre_p, log_gamma,
+                               gauss_2f1, gauss_2f1_tail,
                                log_mittag_leffler, mittag_leffler,
                                regularized_beta_cdf)
-
-
-class TestLogGamma:
-    def test_at_one(self):
-        assert log_gamma(1.0) == 0.0
-        assert gamma_sign(1.0) == 1.0
-
-    def test_at_half(self):
-        assert abs(log_gamma(0.5) - 0.5 * math.log(math.pi)) < 1e-15
-        assert gamma_sign(0.5) == 1.0
-
-    def test_at_minus_half(self):
-        # reflection oracle: Gamma(-1/2) = -2 sqrt(pi)
-        assert abs(log_gamma(-0.5) - math.log(2.0 * math.sqrt(math.pi))) < 1e-14
-        assert gamma_sign(-0.5) == -1.0
-
-    def test_poles(self):
-        for x in (0.0, -1.0, -7.0):
-            with pytest.raises(PoleError):
-                log_gamma(x)
-            with pytest.raises(PoleError):
-                gamma_sign(x)
-
-    def test_recurrence(self):
-        for x in np.linspace(0.1, 50.0, 200):
-            assert abs(log_gamma(x + 1.0) - log_gamma(x) - math.log(x)) < 1e-12
 
 
 class TestGauss2F1:
@@ -82,32 +55,6 @@ class TestGauss2F1:
                     with mpmath.workdps(40):
                         ref = float(mpmath.hyp2f1(a, b, c, s) - 1)
                     assert abs(gauss_2f1_tail(a, b, c, s) - ref) <= 1e-14 * abs(ref)
-
-
-class TestLegendreP:
-    @pytest.mark.parametrize("d", [2, 3])
-    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
-    def test_against_mpmath(self, d, alpha):
-        mu, nu = 1.0 - d / 2.0, -alpha / 2.0
-        for t in (1.05, 1.5, 2.0, 2.236, 2.3, 5.0, 50.0, 1e4):
-            ref = float(mpmath.legenp(nu, mu, t, type=3))
-            got = legendre_p(mu, nu, t)
-            assert abs(got - ref) <= 1e-12 * abs(ref)
-
-    def test_branch_continuity(self):
-        # the two internal expansions must join smoothly at t = sqrt(5)
-        mu, nu = 0.0, -0.75
-        lo = legendre_p(mu, nu, math.sqrt(5.0) - 1e-9)
-        hi = legendre_p(mu, nu, math.sqrt(5.0) + 1e-9)
-        assert abs(lo - hi) < 1e-9
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            legendre_p(0.0, -0.75, 1.0)
-        with pytest.raises(DomainError):
-            legendre_p(0.3, -0.75, 2.0)
-        with pytest.raises(DomainError):
-            legendre_p(0.0, -0.25, 2.0)
 
 
 class TestBesselI:

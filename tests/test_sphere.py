@@ -240,6 +240,26 @@ class TestPoissonKernel:
         with pytest.raises(DomainError):
             poisson_kernel(P2, np.array([0.5, 0.0]), np.array([0.5, 0.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_is_refused(self, bad):
+        # broadcasting skips as_point, so the check is explicit; the old
+        # kernel returned nan for both (with a RuntimeWarning for inf)
+        with pytest.raises(DomainError):
+            poisson_kernel(P2, [0.0, bad], [0.0, 1.0])
+        with pytest.raises(DomainError):
+            poisson_kernel(P2, [0.0, 0.5], [bad, 1.0])
+
+    def test_far_points_scale_exactly(self):
+        # |x|^2 - 1 and |x - z|^2 overflow beyond |x| ~ 1e154; far out the
+        # kernel is Phi(0) |x|^(alpha - d) up to a relative O(1/|x|)
+        z = np.array([0.6, 0.8])
+        x = np.array([-3.0, 7.0])
+        for k in (100, 250, 500):
+            want = constants(P2).phi_at_origin * (4.0 ** k * 58.0 ** 0.5) ** (P2.alpha - P2.d)
+            assert poisson_kernel(P2, 4.0 ** k * x, z) == pytest.approx(want, rel=1e-13)
+        both = poisson_kernel(P2, np.array([[0.0, 1e300], [0.0, 0.5]]), z)
+        assert both[1] == poisson_kernel(P2, np.array([0.0, 0.5]), z)
+
 
 class TestGreenFunction:
     def test_symmetry(self):
