@@ -35,7 +35,7 @@ from typing import Callable, Literal
 import numpy as np
 
 from .core import (StableParams, as_point, basis_last, norm, require_finite,
-                   require_unit, scales, sphere_area)
+                   require_unit, sphere_area)
 from .errors import DomainError, IntegrabilityError, RepresentationError
 from . import halfspace, sphere
 
@@ -356,15 +356,6 @@ def _row_blocks(m: int, n: int):
     return (slice(i, i + step) for i in range(0, m, step))
 
 
-def _pair_dist2(h, a, b, r=1.0) -> tuple[np.ndarray, np.ndarray]:
-    # (m, k) values h_i^2 + r |a_i - b_j|^2 over s^2, and s, with the exact
-    # scale s = scales(max(|h_i|, |a_i - b_j|)) that keeps the squares in the
-    # normal range; coordinate by coordinate, so nearby points keep accuracy
-    diffs = [a[:, j, None] - b[None, :, j] for j in range(a.shape[1])]
-    s = scales(np.maximum(np.abs(h)[:, None], np.max(np.abs(diffs), axis=0)))
-    return (h[:, None] / s) ** 2 + r * sum((dj / s) ** 2 for dj in diffs), s
-
-
 def _polar_frames(eta: np.ndarray, ring: np.ndarray) -> np.ndarray:
     # (m, k, 2, d): rows eta and T omega for each unit eta and ring node
     # omega, T the Householder reflection I - 2 u u^T / |u|^2 with
@@ -403,14 +394,13 @@ def sphere_values(p: StableParams, rep: HarmonicRepresentation, r_minus_one,
         raise DomainError("evaluation point lies on the sphere")
     if np.any(rm1 < -1.0):
         raise DomainError("radius must be nonnegative")
-    r = 1.0 + rm1
     vals = np.zeros(len(rm1))
     if rep.measure is not None:
-        require_unit(rep.measure.atoms, "sphere atoms")
-        dist2, s = _pair_dist2(rm1, dirs, rep.measure.atoms, r[:, None])
-        delta = rm1[:, None] / s * ((r[:, None] + 1.0) / s)     # (r^2 - 1) / s^2
+        atoms = rep.measure.atoms
+        require_unit(atoms, "sphere atoms")
         with np.errstate(over="ignore", invalid="ignore"):      # caught below
-            kern = sphere.poisson_kernel_dist2(p, delta, dist2) * s ** (p.alpha - p.d)
+            kern = sphere._kernel(p, rm1[:, None], dirs[:, None, :], atoms[None, :, :],
+                                  sphere.constants(p).phi_at_origin)
         vals += kern @ rep.measure.weights
     if rep.density is not None:
         vals += _sphere_polar_rule(p, rep.density, rm1, dirs)
@@ -479,12 +469,9 @@ def halfspace_values(p: StableParams, rep: HarmonicRepresentation, xbar,
     martin = rep.flavor == "martin"
     vals = np.zeros(len(t))
     if rep.measure is not None:
-        atoms = rep.measure.atoms
-        dist2, s = _pair_dist2(t, xbar, atoms)
+        kernel = halfspace._martin if martin else halfspace._poisson
         with np.errstate(over="ignore", invalid="ignore"):      # caught below
-            kern = halfspace.poisson_kernel_dist2(p, t[:, None] / s, dist2) * s ** (1.0 - p.d)
-        if martin:
-            kern = kern / halfspace.omega_alpha_density(p, atoms)
+            kern = kernel(p, t[:, None], xbar[:, None, :], rep.measure.atoms[None, :, :])
         vals += kern @ rep.measure.weights
     if rep.density is not None:
         _ensure_halfspace_integrable(p, rep)

@@ -14,13 +14,14 @@ __all__ = [
     "Infinity",
     "INFINITY",
     "as_point",
-    "as_boundary_points",
+    "as_points",
     "norm",
     "require_finite",
+    "finite_value",
     "require_unit",
     "far_scale",
-    "near_scale",
     "scales",
+    "scaled_dist2",
     "basis_last",
     "sphere_area",
 ]
@@ -71,6 +72,8 @@ INFINITY = Infinity()
 
 def as_point(x, d: int | None = None) -> np.ndarray:
     """Coerce to a finite float vector, optionally checking its length."""
+    if isinstance(x, Infinity):
+        raise DomainError("expected a finite point, got INFINITY")
     p = np.asarray(x, dtype=float)
     if p.ndim != 1:
         raise DomainError(f"expected a flat coordinate vector, got shape {p.shape}")
@@ -80,12 +83,18 @@ def as_point(x, d: int | None = None) -> np.ndarray:
     return p
 
 
-def as_boundary_points(ybar, d: int) -> np.ndarray:
-    """Points of the hyperplane {x_d = 0} as an array of shape (..., d-1)."""
-    y = np.asarray(ybar, dtype=float)
-    if y.shape[-1] != d - 1:
-        raise DomainError(f"boundary points of the hyperplane have length d-1={d-1}, "
-                          f"got trailing length {y.shape[-1]}")
+def as_points(x, n: int, what: str) -> np.ndarray:
+    """Coerce to an array of finite points of R^n along its last axis.
+
+    INFINITY, a trailing length other than n and NaN or inf coordinates
+    raise DomainError.
+    """
+    if isinstance(x, Infinity):
+        raise DomainError(f"{what} must be finite, got INFINITY")
+    y = np.asarray(x, dtype=float)
+    if y.ndim == 0 or y.shape[-1] != n:
+        raise DomainError(f"{what} must have length {n}, got shape {y.shape}")
+    require_finite(y, what)
     return y
 
 
@@ -96,14 +105,28 @@ def norm(x) -> float:
 
 def require_finite(x, what: str) -> None:
     """Raise DomainError unless every entry of x is finite (no NaN, no inf)."""
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise DomainError(f"{what} must be finite")
+
+
+def finite_value(out, what: str):
+    """out (as a float when 0-d), or DomainError where a value overflowed to inf."""
+    if isinstance(out, np.ndarray) and out.ndim:
+        finite = np.isfinite(out).all()
+    else:
+        out = float(out)
+        finite = math.isfinite(out)
+    if not finite:
+        raise DomainError(f"{what} is beyond the float range here")
+    return out
 
 
 def require_unit(z, what: str) -> None:
     """Raise DomainError unless each vector along the last axis of z has length 1."""
     z = np.asarray(z, dtype=float)
-    if not np.all(np.abs(np.sqrt(np.sum(z * z, axis=-1)) - 1.0) <= 1e-9):
+    with np.errstate(over="ignore"):      # a square past the float range is no unit
+        unit = np.all(np.abs(np.sqrt(np.sum(z * z, axis=-1)) - 1.0) <= 1e-9)
+    if not unit:
         raise DomainError(f"{what} must be unit vectors")
 
 
@@ -117,28 +140,34 @@ def far_scale(*points) -> float:
     return float(scales(max(big, 1.0)))
 
 
-def near_scale(diff) -> float:
-    """The power of four s with s <= m < 4 s, m the largest |coordinate| of diff.
-
-    s = 1 unless 0 < m < 2^-510.  Dividing by s is exact, and the scaled
-    difference has a squared length that is a normal float, which a
-    difference this small does not have.
-    """
-    small = float(np.max(np.abs(diff)))
-    return float(scales(min(small, 1.0)))
-
-
 def scales(m) -> np.ndarray:
-    """Elementwise power of four s with s <= m < 4 s for magnitudes m >= 4
-    or 0 < m < 2^-510, and s = 1 for every other m >= 0.
+    """Elementwise power of four s with s <= m < 4 s, for magnitudes m > 0.
 
-    Dividing by s is exact.  Sums of squares of coordinates no larger
-    than m, divided by s, then neither overflow nor lose their relative
-    accuracy below the normal range.
+    Dividing by s is exact.  A sum of n squares of magnitudes no larger
+    than m, divided by s^2, lies in [1, 16 n) when m is among them, so
+    neither it nor its powers leave the normal float range.  (m = 0 gives
+    s = 1/4.)
     """
-    m = np.asarray(m, dtype=float)
-    s = np.ldexp(1.0, 2 * ((np.frexp(m)[1] - 1) // 2))
-    return np.where((m >= 4.0) | ((m > 0.0) & (m < 2.0 ** -510)), s, 1.0)
+    return np.ldexp(1.0, 2 * ((np.frexp(m)[1] - 1) >> 1))
+
+
+def scaled_dist2(h, a, b, r=1.0):
+    """(h^2 + r |a - b|^2) / s^2 and s = scales(m), broadcast over leading axes.
+
+    a and b are float arrays of points along their last axis and m is the
+    largest of |h| and the |a_j - b_j|, so the sum neither overflows nor
+    goes subnormal however near or far the points are.  Every kernel
+    squared distance is formed here: on the sphere with h = r - 1 and unit
+    a, b (|r a - b|^2 = (r - 1)^2 + r |a - b|^2), on the hyperplane with h
+    the height.  The sum runs coordinate by coordinate, so no difference
+    array with a trailing coordinate axis is built.
+    """
+    diffs = [a[..., j] - b[..., j] for j in range(a.shape[-1])]
+    m = abs(h)
+    for dj in diffs:
+        m = np.maximum(m, abs(dj))
+    s = scales(m)
+    return (h / s) ** 2 + r * sum((dj / s) ** 2 for dj in diffs), s
 
 
 def basis_last(d: int) -> np.ndarray:

@@ -5,8 +5,12 @@ written H.  The hitting distribution of the hyperplane has the density
 
     P_H(x, ybar) = C3 |x_d|^(alpha-1) / |x - (ybar, 0)|^(d+alpha-2)
 
-with respect to (d-1)-dimensional Lebesgue measure, and the Green
-function of H reuses the radial sphere machinery through
+with respect to (d-1)-dimensional Lebesgue measure, assembled from the
+height and the foot point with |x - (ybar, 0)|^2 scaled by an exact power
+of four (``core.scaled_dist2``); the batch evaluator in ``analysis`` uses
+the same assembly.  The Martin kernel is the Poisson ratio
+M(x, z) = P_H(x, z) / P_H(e_d, z), formed from the two scaled distances.
+The Green function of H reuses the radial sphere machinery through
 
     G_H(x, y) = A_(d,alpha) |x-y|^(alpha-d)
                 [1 - phi(sqrt(1 + 4 x_d y_d / |x-y|^2))].
@@ -27,14 +31,13 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (INFINITY, Infinity, StableParams, as_boundary_points, as_point,
-                   basis_last, far_scale)
+from .core import (INFINITY, Infinity, StableParams, as_point, as_points, basis_last,
+                   far_scale, finite_value, scaled_dist2)
 from .errors import DomainError, SingularityError
 from . import sphere
 
 __all__ = [
     "poisson_kernel",
-    "poisson_kernel_dist2",
     "omega_alpha_density",
     "green_function",
     "martin_kernel",
@@ -44,29 +47,52 @@ __all__ = [
 ]
 
 
-def poisson_kernel_dist2(p: StableParams, xd, dist2):
-    """Hitting density from the height x_d and dist2 = |x - (ybar, 0)|^2.
+def _poisson(p: StableParams, t, xbar, ybar):
+    # C3 |t|^(alpha-1) / |(xbar - ybar, t)|^(d+alpha-2), broadcast, from the
+    # distance over s^2 as core.scaled_dist2 forms it; the kernel is
+    # homogeneous of degree 1 - d in s.  Past the float range the value is
+    # inf (with the overflow flag raised), which callers check.
+    dist2, s = scaled_dist2(t, xbar, ybar)
+    out = dist2 ** (-(p.d + p.alpha - 2.0) / 2.0)
+    out *= sphere.constants(p).c3 * abs(t / s) ** (p.alpha - 1.0)
+    out *= s ** (1.0 - p.d)
+    return out
 
-    Broadcasts over arrays.
-    """
-    out = np.power(dist2, -(p.d + p.alpha - 2.0) / 2.0)
-    return sphere._scaled(out, sphere.constants(p).c3 * np.abs(xd) ** (p.alpha - 1.0))
+
+def _martin(p: StableParams, t, xbar, z):
+    # P(x, z) / P(e_d, z) = |t|^(alpha-1) (|e_d - (z, 0)|^2 / |x - (z, 0)|^2)^q,
+    # broadcast, from the two scaled distances with rho = s0 / s their scale
+    # ratio: the kernel values themselves underflow together once |z| passes
+    # ~1e140 at d = 3.  Written as |t rho|^(alpha-1) (num2/den2)^q rho^(d-1),
+    # since 2q = (d - 1) + (alpha - 1), no factor overflows on its own.
+    q = (p.d + p.alpha - 2.0) / 2.0
+    den2, s = scaled_dist2(t, xbar, z)
+    num2, s0 = scaled_dist2(1.0, np.zeros(p.d - 1), z)
+    rho = s0 / s
+    return abs(t * rho) ** (p.alpha - 1.0) * (num2 / den2) ** q * rho ** (p.d - 1)
+
+
+def _height(x: np.ndarray) -> float:
+    if x[-1] == 0.0:
+        raise DomainError("x must lie off the hyperplane")
+    return x[-1]
 
 
 def poisson_kernel(p: StableParams, x, ybar):
     """Density of the hyperplane hitting distribution started from x.
 
     Broadcasts over arrays of boundary points ybar (shape (..., d-1)).
+    The distance |x - (ybar, 0)|^2 is scaled by an exact power of four
+    (``core.scaled_dist2``), so far points and small heights neither
+    overflow nor underflow on the way; a value beyond the float range
+    raises DomainError.
     """
     x = as_point(x, p.d)
-    xd = x[-1]
-    if xd == 0.0:
-        raise DomainError("x must lie off the hyperplane")
-    y = as_boundary_points(ybar, p.d)
-    diff = x[:-1] - y
-    dist2 = np.sum(diff * diff, axis=-1) + xd * xd
-    out = poisson_kernel_dist2(p, xd, dist2)
-    return out if np.ndim(out) else float(out)
+    t = _height(x)
+    y = as_points(ybar, p.d - 1, "boundary points of the hyperplane")
+    with np.errstate(over="ignore"):
+        out = _poisson(p, t, x[:-1], y)
+    return finite_value(out, "the hitting density")
 
 
 def omega_alpha_density(p: StableParams, xbar):
@@ -92,30 +118,27 @@ def green_function(p: StableParams, x, y) -> float:
         raise DomainError("green_function requires both points off the hyperplane")
     s = far_scale(x, y)
     xs, ys = x / s, y / s
-    return sphere._green_of_ratio(p, 4.0 * float(xs[-1]), float(ys[-1]), xs - ys, s)
+    return sphere._green_of_ratio(p, 4.0 * float(xs[-1]), float(ys[-1]), xs, ys, s)
 
 
 def martin_kernel(p: StableParams, x, z):
     """Martin kernel of the hyperplane complement, normalized at e_d.
 
     z is a point of R^(d-1) or INFINITY; the infinity branch is
-    |x_d|^(alpha-1).  Broadcasts over arrays of finite boundary points.
+    |x_d|^(alpha-1).  For finite z it is the Poisson ratio
+    P(x, z) / P(e_d, z), formed from the two scaled distances rather than
+    from two kernel values, so it stays finite wherever the ratio does.
+    Broadcasts over arrays of finite boundary points.
     """
     p.require_hitting_range()
     x = as_point(x, p.d)
-    xd = x[-1]
-    if xd == 0.0:
-        raise DomainError("martin_kernel requires x off the hyperplane")
+    xd = _height(x)
     if isinstance(z, Infinity):
         return abs(xd) ** (p.alpha - 1.0)
-    z = as_boundary_points(z, p.d)
-    q = (p.d + p.alpha - 2.0) / 2.0
-    num2 = np.sum(z * z, axis=-1) + 1.0          # |e_d - (z, 0)|^2
-    den2 = np.sum((x[:-1] - z) ** 2, axis=-1) + xd * xd
-    if np.any(den2 == 0.0):
-        raise SingularityError("martin_kernel is singular at x = (z, 0)")
-    out = abs(xd) ** (p.alpha - 1.0) * (num2 / den2) ** q
-    return out if np.ndim(out) else float(out)
+    z = as_points(z, p.d - 1, "finite Martin boundary points")
+    with np.errstate(over="ignore"):
+        out = _martin(p, xd, x[:-1], z)
+    return finite_value(out, "the Martin kernel")
 
 
 # --- inversions -----------------------------------------------------------

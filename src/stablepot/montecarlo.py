@@ -42,7 +42,6 @@ __all__ = [
     "walk_on_balls_hitting",
     "GOFResult",
     "ks_test",
-    "chi2_test",
     "KS_CRITICAL",
 ]
 
@@ -59,9 +58,6 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         key = [self.seed & _MASK64, self.stream_id & _MASK64]
         return np.random.Generator(np.random.Philox(key=key))
-
-    def spawn(self, offset: int) -> "RngStream":
-        return RngStream(self.seed, self.stream_id + offset)
 
 
 @dataclass
@@ -298,50 +294,3 @@ def ks_test(draws: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> GOFRe
     stat = float(max(np.max(np.abs(grid - f)), np.max(np.abs(grid - 1.0 / n - f))))
     crit = {lvl: c / math.sqrt(n) for lvl, c in KS_CRITICAL.items()}
     return GOFResult("KS", stat, crit, {lvl: stat < c for lvl, c in crit.items()}, n)
-
-
-def chi2_test(draws: np.ndarray, bin_edges: np.ndarray,
-              expected_probs: np.ndarray) -> GOFResult:
-    """Pearson chi-square test with caller-supplied bins; expected counts >= 5."""
-    from scipy import stats
-
-    draws = np.asarray(draws, dtype=float).ravel()
-    n = len(draws)
-    expected = np.asarray(expected_probs, dtype=float) * n
-    if np.any(expected < 5.0):
-        raise DomainError("chi-square bins need expected counts >= 5; merge bins")
-    observed, _ = np.histogram(draws, bins=bin_edges)
-    stat = float(np.sum((observed - expected) ** 2 / expected))
-    dof = len(expected) - 1
-    crit = {lvl: float(stats.chi2.ppf(1.0 - lvl, dof)) for lvl in (0.05, 0.01)}
-    return GOFResult("CHI2", stat, crit, {lvl: stat < c for lvl, c in crit.items()}, n)
-
-
-def validate_empirical(sample: EmpiricalSample, reference, test: str = "KS",
-                       bin_edges=None, expected_probs=None,
-                       column: int = 0):
-    """Run a GOF test on a sample and wrap the outcome as a report entry.
-
-    ``reference`` is a monotone CDF callable for "KS", or ignored for
-    "CHI2" (which takes bins and expected probabilities).  Deterministic
-    given the sample.
-    """
-    from .report import CheckEntry, FAIL, PASS
-
-    draws = sample.draws if sample.draws.ndim == 1 else sample.draws[:, column]
-    if test.upper() == "KS":
-        res = ks_test(draws, reference)
-    elif test.upper() == "CHI2":
-        res = chi2_test(draws, bin_edges, expected_probs)
-    else:
-        raise DomainError(f"unknown test {test!r}; use 'KS' or 'CHI2'")
-    name = sample.meta.get("sampler", "sample")
-    entry = CheckEntry(
-        check_id=f"{name}-{res.test.lower()}",
-        status=PASS if res.passed[0.05] else FAIL,
-        value=res.statistic,
-        expected=[0.0, res.critical[0.05]],
-        tolerance=res.critical[0.01],
-        citation="empirical-law-validation",
-    )
-    return entry

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .core import StableParams, as_boundary_points, as_point, norm
+from .core import StableParams, as_point, as_points, finite_value, norm, scaled_dist2
 from .errors import DivergenceError, DomainError
 from .specfun import bessel_i_scaled, bessel_k, log_mittag_leffler
 
@@ -158,8 +158,8 @@ def lambda_potential(rp: RelativisticParams, x: float, y: float,
     infinite: alpha <= 1 on the diagonal x = y, lam = 0 in d = 2, and the
     origin-diagonal x = y = 0.
     """
-    if x < 0.0 or y < 0.0:
-        raise DomainError("radii must be nonnegative")
+    if not (0.0 <= x < math.inf and 0.0 <= y < math.inf):
+        raise DomainError(f"radii must be finite and nonnegative, got {x}, {y}")
     a = rp.alpha
     if rp.lam == 0.0 and rp.d == 2:
         raise DivergenceError(
@@ -216,8 +216,8 @@ def hitting_probability_sphere(rp: RelativisticParams, r: float, x) -> float:
     Requires alpha in (1, 2) (the sphere is polar otherwise).
     """
     rp.base.require_hitting_range()
-    if r <= 0.0:
-        raise DomainError(f"sphere radius must be positive, got {r}")
+    if not 0.0 < r < math.inf:
+        raise DomainError(f"sphere radius must be positive and finite, got {r}")
     rho = _radial_argument(rp, x)
     if rp.d == 2:
         return 1.0
@@ -237,8 +237,8 @@ def hitting_laplace_transform(rp: RelativisticParams, r: float, x, lam: float) -
     rp.base.require_hitting_range()
     if not (0.0 < lam < rp.m):
         raise DomainError(f"the transform needs 0 < lam < m, got lam={lam}")
-    if r <= 0.0:
-        raise DomainError(f"sphere radius must be positive, got {r}")
+    if not 0.0 < r < math.inf:
+        raise DomainError(f"sphere radius must be positive and finite, got {r}")
     rho = _radial_argument(rp, x)
     shifted = RelativisticParams(rp.base, rp.m, lam)
     if rho == r:
@@ -248,8 +248,8 @@ def hitting_laplace_transform(rp: RelativisticParams, r: float, x, lam: float) -
 
 def _radial_argument(rp: RelativisticParams, x) -> float:
     if np.isscalar(x):
-        if x < 0.0:
-            raise DomainError("radius must be nonnegative")
+        if not 0.0 <= x < math.inf:
+            raise DomainError(f"radius must be finite and nonnegative, got {x}")
         return float(x)
     return norm(as_point(x, rp.d))
 
@@ -274,9 +274,12 @@ def poisson_kernel_halfspace(rp: RelativisticParams, x, ybar):
     xd = x[-1]
     if xd == 0.0:
         raise DomainError("x must lie off the hyperplane")
-    diff = x[:-1] - as_boundary_points(ybar, rp.d)
-    dist = np.sqrt(np.sum(diff * diff, axis=-1) + xd * xd)
+    y = as_points(ybar, rp.d - 1, "boundary points of the hyperplane")
+    dist2, s = scaled_dist2(xd, x[:-1], y)       # |x - (ybar, 0)|^2 / s^2
     nu = (rp.d + rp.alpha - 2.0) / 2.0
-    scale = rp.m ** (1.0 / rp.alpha)
-    out = c4 * abs(xd) ** (rp.alpha - 1.0) * bessel_k(nu, scale * dist) / dist ** nu
-    return out if np.ndim(out) else float(out)
+    with np.errstate(over="ignore"):
+        # K_nu at |x - y| and |x - y|^-nu = dist2^(-nu/2) s^-nu: far points
+        # give K_nu = 0 and s^-nu -> 0; near ones overflow and are refused
+        k = bessel_k(nu, rp.m ** (1.0 / rp.alpha) * np.sqrt(dist2) * s)
+        out = c4 * abs(xd) ** (rp.alpha - 1.0) * k * dist2 ** (-nu / 2.0) * s ** -nu
+    return finite_value(out, "the killed hitting density")

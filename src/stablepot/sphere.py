@@ -18,6 +18,13 @@ series for 1 - Phi whose leading term is |c| ||x|^2-1|^(alpha-1); the two
 routes agree to ~1e-13 on the overlap band.  All radial internals work
 with the signed quantity delta = |x|^2 - 1, which callers such as the
 Green functions can supply exactly.
+
+The Poisson kernel has one assembly, shared with the batch evaluator in
+``analysis``: a point enters as its offset r - 1 and direction eta, and
+r^2 - 1 = (r - 1)(r + 1) and |x - z|^2 = (r - 1)^2 + r |eta - z|^2 come
+scaled by an exact power of four from ``core.scaled_dist2``.  The Martin
+kernel is the Poisson ratio P(x, z) / P(0, z), and P(0, z) = Phi(0) for
+every unit z, so it is the same assembly with the constant left out.
 """
 
 from __future__ import annotations
@@ -28,8 +35,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import (StableParams, Infinity, as_point, norm, require_finite, require_unit,
-                   far_scale, near_scale, scales)
+from .core import (StableParams, Infinity, as_point, as_points, finite_value, norm,
+                   require_unit, far_scale, scaled_dist2)
 from .errors import DomainError, SingularityError
 from .specfun import gauss_2f1, gauss_2f1_tail
 
@@ -42,7 +49,6 @@ __all__ = [
     "phi_complement_offset",
     "hitting_probability",
     "poisson_kernel",
-    "poisson_kernel_dist2",
     "green_function",
     "martin_kernel",
     "ball_poisson_kernel",
@@ -303,28 +309,30 @@ def hitting_probability(p: StableParams, x) -> float:
 
 # --- kernels --------------------------------------------------------------
 
-def _delta_of(x: np.ndarray) -> np.ndarray:
-    # |x|^2 - 1 along the last axis
-    return np.sum(x * x, axis=-1) - 1.0
+def _kernel(p: StableParams, rm1, eta, z, c: float):
+    # c |r^2 - 1|^(alpha-1) / |x - z|^(d+alpha-2) at x = (1 + rm1) eta,
+    # broadcast: with r = 1 + rm1, r^2 - 1 = rm1 (r + 1) and |x - z|^2 =
+    # rm1^2 + r |eta - z|^2 for unit eta and z, both over s^2 as
+    # core.scaled_dist2 forms them; the value is homogeneous of degree
+    # alpha - d in s.  c = Phi(0) gives the Poisson kernel, c = 1 the Martin
+    # kernel.  Past the float range the value is inf (with the overflow flag
+    # raised), which callers check.
+    r = 1.0 + rm1
+    dist2, s = scaled_dist2(rm1, eta, z, r)
+    out = dist2 ** (-(p.d + p.alpha - 2.0) / 2.0)
+    out *= c * abs(rm1 / s * ((r + 1.0) / s)) ** (p.alpha - 1.0)
+    out *= s ** (p.alpha - p.d)
+    return out
 
 
-def poisson_kernel_dist2(p: StableParams, delta, dist2):
-    """Poisson kernel from delta = |x|^2 - 1 and dist2 = |x - z|^2.
-
-    For callers that know both quantities more exactly than the point's
-    coordinates would give them.  Broadcasts over arrays.
-    """
-    out = np.power(dist2, -(p.d + p.alpha - 2.0) / 2.0)
-    return _scaled(out, constants(p).phi_at_origin * np.abs(delta) ** (p.alpha - 1.0))
-
-
-def _scaled(out, factor):
-    # out * factor, written into out (a fresh power of the caller's dist2)
-    # where it already has the joint shape, so no second kernel-sized array
-    if np.shape(out) == np.broadcast(out, factor).shape:
-        out *= factor
-        return out
-    return out * factor
+def _offsets(x):
+    # (r - 1, x / r) for points x along the last axis; the origin keeps the
+    # direction 0, which the kernel weighs with r = 0
+    r = np.hypot.reduce(x, axis=-1)
+    rm1 = r - 1.0
+    if np.any(rm1 == 0.0):
+        raise DomainError("x must lie off the unit sphere")
+    return rm1, x / np.where(r > 0.0, r, 1.0)[..., None]
 
 
 def poisson_kernel(p: StableParams, x, z):
@@ -332,38 +340,29 @@ def poisson_kernel(p: StableParams, x, z):
 
     x is a point (or broadcastable array of points) off the sphere, z a
     unit vector (or array of unit vectors).  Broadcasts over leading axes.
-    Each point is scaled by a power of four s near its largest coordinate
-    (s = 1 below 4), so that |x|^2 - 1 and |x - z|^2 are formed as
-    (|x|^2 - 1)/s^2 and |x - z|^2/s^2 and never overflow; the kernel is
-    homogeneous of degree alpha - d in that scaling.
+    Each point enters through its offset r - 1 and direction eta, and the
+    kernel distance |x - z|^2 = (r - 1)^2 + r |eta - z|^2 is scaled by an
+    exact power of four (``core.scaled_dist2``), so no point, however far
+    or near, overflows on the way.  A value beyond the float range raises
+    DomainError.
     """
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    require_finite(x, "points of the sphere Poisson kernel")
+    x = as_points(x, p.d, "points of the sphere Poisson kernel")
+    z = as_points(z, p.d, "boundary arguments of the sphere Poisson kernel")
     require_unit(z, "boundary arguments of the sphere Poisson kernel")
-    s = scales(np.maximum(np.max(np.abs(x), axis=-1), 1.0))
-    xs = x / s[..., None]
-    delta = np.sum(xs * xs, axis=-1) - 1.0 / s / s
-    if np.any(delta == 0.0):
-        raise DomainError("x must lie off the unit sphere")
-    diff = xs - z / s[..., None]
-    dist2 = np.sum(diff * diff, axis=-1)
-    if np.any(dist2 == 0.0):
-        raise SingularityError("sphere Poisson kernel is singular at x = z")
-    out = poisson_kernel_dist2(p, delta, dist2) * s ** (p.alpha - p.d)
-    return out if out.ndim else float(out)
+    with np.errstate(over="ignore", invalid="ignore"):      # |x| past DBL_MAX: nan
+        out = _kernel(p, *_offsets(x), z, constants(p).phi_at_origin)
+    return finite_value(out, "the sphere Poisson kernel")
 
 
-def _green_of_ratio(p: StableParams, a: float, b: float, diff: np.ndarray,
-                    s: float) -> float:
+def _green_of_ratio(p: StableParams, a: float, b: float, xs: np.ndarray,
+                    ys: np.ndarray, s: float) -> float:
     # A_(d,alpha) |x - y|^(alpha - d) (1 - Phi) at delta_w = a b / |x - y|^2,
-    # from diff = (x - y)/s and a, b scaled by 1/s as well.  A difference
-    # whose squared length would be subnormal is scaled by a power of four
-    # t once more, so the distance power keeps its full relative accuracy.
-    t = near_scale(diff)
-    diff = diff / t
+    # from xs = x/s, ys = y/s and a, b scaled by 1/s as well.  The distance
+    # comes from core.scaled_dist2 with its own power of four t, so a
+    # difference whose squared length would be subnormal keeps its full
+    # relative accuracy.
+    dist2, t = map(float, scaled_dist2(0.0, xs, ys))   # |x - y|^2 / (s t)^2
     a, b = a / t, b / t
-    dist2 = float(np.dot(diff, diff))          # |x - y|^2 / (s t)^2
     if dist2 == 0.0:
         raise SingularityError("green_function is singular on the diagonal x = y")
     delta = a * b / dist2
@@ -403,30 +402,30 @@ def green_function(p: StableParams, x, y) -> float:
     dy = float(np.sum(y / s * y)) - 1.0 / s
     if dx == 0.0 or dy == 0.0:
         raise DomainError("green_function requires both points off the unit sphere")
-    return _green_of_ratio(p, dx, dy, x / s - y / s, s)
+    return _green_of_ratio(p, dx, dy, x / s, y / s, s)
 
 
-def martin_kernel(p: StableParams, x, z) -> float:
+def martin_kernel(p: StableParams, x, z):
     """Martin kernel of the sphere complement, normalized at the origin.
 
     z is either a unit vector on the sphere or INFINITY; the infinity
-    branch returns (1 - Phi(x)) / (1 - Phi(0)).
+    branch returns (1 - Phi(x)) / (1 - Phi(0)).  For finite z it is the
+    Poisson ratio P(x, z) / P(0, z) = P(x, z) / Phi(0), formed with the
+    constant left out of the scaled kernel, so it stays finite wherever
+    the ratio does.  Broadcasts over arrays of finite boundary points.
     """
     kc = constants(p)
     x = as_point(x, p.d)
-    delta = _delta_of(x)
-    if delta == 0.0:
-        raise DomainError("martin_kernel requires x off the unit sphere")
+    r = norm(x)
+    if r == 1.0:
+        raise DomainError("x must lie off the unit sphere")
     if isinstance(z, Infinity):
-        r = norm(x)
         return phi_complement(p, r) / (1.0 - kc.phi_at_origin)
-    z = as_point(z, p.d)
+    z = as_points(z, p.d, "finite Martin boundary points")
     require_unit(z, "finite Martin boundary points")
-    diff = x - z
-    dist2 = float(np.dot(diff, diff))
-    if dist2 == 0.0:
-        raise SingularityError("martin_kernel is singular at x = z")
-    return abs(delta) ** (p.alpha - 1.0) / dist2 ** ((p.d + p.alpha - 2.0) / 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):      # |x| past DBL_MAX: nan
+        out = _kernel(p, *_offsets(x), z, 1.0)
+    return finite_value(out, "the sphere Martin kernel")
 
 
 def ball_poisson_kernel(p: StableParams, center, radius: float, x, y):
@@ -435,19 +434,22 @@ def ball_poisson_kernel(p: StableParams, center, radius: float, x, y):
     Valid for every alpha in (0, 2); x must lie inside the open ball and
     y strictly outside the closed ball.  Broadcasts over arrays of y.
     """
-    if radius <= 0.0:
-        raise DomainError(f"ball radius must be positive, got {radius}")
+    if not 0.0 < radius < math.inf:
+        raise DomainError(f"ball radius must be positive and finite, got {radius}")
     c1 = ball_constant(p)
-    a = np.asarray(center, dtype=float)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    in2 = np.sum((x - a) ** 2, axis=-1)
-    out2 = np.sum((y - a) ** 2, axis=-1)
-    if np.any(in2 >= radius * radius):
-        raise DomainError("x must lie inside the open ball")
-    if np.any(out2 <= radius * radius):
-        raise DomainError("y must lie outside the closed ball")
-    dist2 = np.sum((x - y) ** 2, axis=-1)
-    val = c1 * ((radius * radius - in2) / (out2 - radius * radius)) ** (p.alpha / 2.0) \
-        / dist2 ** (p.d / 2.0)
-    return val if val.ndim else float(val)
+    a = as_points(center, p.d, "the ball center")
+    x = as_points(x, p.d, "points inside the ball")
+    y = as_points(y, p.d, "points outside the ball")
+    # each squared distance over its own power of four, compared as lengths
+    # so that no square overflows on the way
+    in2, si = scaled_dist2(0.0, x, a)
+    out2, so = scaled_dist2(0.0, y, a)
+    dist2, sd = scaled_dist2(0.0, x, y)
+    with np.errstate(over="ignore", invalid="ignore"):     # radius^2 past DBL_MAX
+        if np.any(np.sqrt(in2) >= radius / si):
+            raise DomainError("x must lie inside the open ball")
+        if np.any(np.sqrt(out2) <= radius / so):
+            raise DomainError("y must lie outside the closed ball")
+        ratio = (radius * radius - in2 * si * si) / (out2 * so * so - radius * radius)
+        val = c1 * ratio ** (p.alpha / 2.0) / (dist2 ** (p.d / 2.0) * sd ** p.d)
+    return finite_value(val, "the ball Poisson kernel")

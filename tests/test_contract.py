@@ -1,18 +1,23 @@
-"""Robustness contract of the array entry points.
+"""Robustness contract of the array entry points and of ``stablepot eval``.
 
 At every radius or height in [0, 1e300], and at NaN and inf, a call
 returns finite values or raises one of the package's typed errors; it
 never returns NaN or inf and never lets a RuntimeWarning (an error in
-this suite) or a raw arithmetic exception escape.
+this suite) or a raw arithmetic exception escape.  Every ``eval`` kernel,
+with any one point argument pushed to 1e300, 1e-300, NaN, inf or the
+point at infinity, prints one finite value and exits 0, or prints one
+``error:`` line and exits 2.
 """
 
 import math
+import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablepot import sphere
+from stablepot import cli, sphere
 from stablepot.analysis import (HALFSPACE, SPHERE, BoundaryFunction,
                                 DiscreteMeasure, HarmonicRepresentation,
                                 halfspace_values, sphere_values)
@@ -86,3 +91,70 @@ def test_halfspace_values(d, t, below):
     for rep in HALFSPACE_REPS[d]:
         _finite_or_typed_error(lambda: halfspace_values(
             p, rep, xbar, -t if below else t))
+
+
+# --- stablepot eval ----------------------------------------------------------
+
+def _last(d, v, n=None):
+    return [0.0] * ((n or d) - 1) + [v]
+
+
+# per kernel, the option sets of an ordinary call: a list is a point (its
+# last coordinate is swept; so is the whole argument, as "inf" = INFINITY),
+# a float a radius or scalar point (swept), a string an option held fixed
+EVAL_CASES = {
+    "phi": lambda d: [{"x": _last(d, 0.5)}, {"r": 0.5}],
+    "poisson-D": lambda d: [{"x": _last(d, 0.5), "z": _last(d, 1.0)}],
+    "green-D": lambda d: [{"x": _last(d, 0.5), "y": _last(d, 2.0)}],
+    "martin-D": lambda d: [{"x": _last(d, 0.5), "z": _last(d, 1.0)}],
+    "poisson-H": lambda d: [{"x": _last(d, 1.0), "z": _last(d, 0.3, d - 1)}],
+    "green-H": lambda d: [{"x": _last(d, 1.0), "y": _last(d, 2.0)}],
+    "martin-H": lambda d: [{"x": _last(d, 1.0), "z": _last(d, 0.3, d - 1)}],
+    "ball-poisson": lambda d: [{"center": _last(d, 0.0), "radius": 1.0,
+                                "x": _last(d, 0.5), "y": _last(d, 2.0)}],
+    "phi-rel": lambda d: [{"x": _last(d, 2.0), "radius": 1.0},
+                          {"r": 2.0, "radius": 1.0}],
+    "poisson-H-rel": lambda d: [{"x": _last(d, 1.0), "z": _last(d, 0.3, d - 1)}],
+    "u-lambda": lambda d: [{"x": 0.5, "y": 1.5, "lambda": "0.5"}],
+}
+EXTREMES = (1e300, 1e-300, math.nan, math.inf)
+
+
+def _text(value):
+    if isinstance(value, list):
+        return ",".join(repr(v) for v in value)
+    return value if isinstance(value, str) else repr(value)
+
+
+def _eval_argvs(kernel, d):
+    for base in EVAL_CASES[kernel](d):
+        for key, value in base.items():
+            if isinstance(value, str):
+                continue
+            swept = [value[:-1] + [v] if isinstance(value, list) else v
+                     for v in EXTREMES]
+            if isinstance(value, list):
+                swept.append("inf")
+            for v in swept:
+                opts = dict(base, **{key: v})
+                yield ["eval", kernel, "--d", str(d), "--alpha", "1.5",
+                       *(f"--{k}={_text(w)}" for k, w in opts.items())]
+
+
+def test_eval_cases_cover_every_kernel():
+    assert set(EVAL_CASES) == set(cli.KERNELS)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kernel", cli.KERNELS)
+def test_eval_exit_contract(kernel, d, capsys):
+    for argv in _eval_argvs(kernel, d):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(argv)
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert math.isfinite(float(out)) and err == "", argv
+        else:
+            assert code == 2 and out == "", argv
+            assert len(err.splitlines()) == 1 and err.startswith("error: "), argv

@@ -54,6 +54,63 @@ class TestPoissonKernel:
         with pytest.raises(DomainError):
             poisson_kernel(P2, np.array([0.3, 0.0]), np.array([0.0]))
 
+    def test_non_finite_boundary_points_are_refused(self):
+        # each once returned nan
+        for call in (poisson_kernel, martin_kernel):
+            with pytest.raises(DomainError):
+                call(P2, [0.0, 1.0], [math.nan])
+        with pytest.raises(DomainError):
+            omega_alpha_density(P2, [math.nan])
+        # the point at infinity is no finite boundary point: once a TypeError
+        with pytest.raises(DomainError):
+            poisson_kernel(P2, [0.0, 1.0], INFINITY)
+        with pytest.raises(DomainError):
+            martin_kernel(P2, INFINITY, [0.0])
+
+    def test_far_and_near_heights(self):
+        # c3 / t at d = 2; the parent's unscaled distance gave 0.0 and inf
+        c3 = sphere.constants(P2).c3
+        assert poisson_kernel(P2, [0.0, 1e200], [0.0]) == pytest.approx(c3 * 1e-200, rel=1e-13)
+        assert poisson_kernel(P2, [0.0, 1e-200], [0.0]) == pytest.approx(c3 * 1e200, rel=1e-13)
+
+
+class TestPowersOfFour:
+    # exact power-of-four scalings: the hitting density jointly in (x, ybar),
+    # the Martin kernel and omega_alpha in their far and near regimes, where
+    # the neglected terms are O(4^-2|k|); unscaled squares once overflowed or
+    # underflowed at d = 3
+    X = {2: np.array([-0.3, 0.7]), 3: np.array([0.4, -0.2, 0.8])}
+    Y = {2: np.array([1.1]), 3: np.array([1.0, 0.5])}
+
+    @pytest.mark.parametrize("p", [P2, P3])
+    @pytest.mark.parametrize("k", [-250, 100, 250])
+    def test_hitting_density(self, p, k):
+        x, yb, lam = self.X[p.d], self.Y[p.d], 4.0 ** k
+        want = lam ** (1 - p.d) * poisson_kernel(p, x, yb)
+        assert poisson_kernel(p, lam * x, lam * yb) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("p", [P2, P3])
+    @pytest.mark.parametrize("k", [-250, 100, 250])
+    def test_martin_kernel(self, p, k):
+        x, z, lam = self.X[p.d], self.Y[p.d], 4.0 ** k
+        q = (p.d + p.alpha - 2.0) / 2.0
+        t, dist2 = abs(x[-1]), np.sum((x[:-1] - z) ** 2) + x[-1] ** 2
+        if k > 0:    # |e_d - lam z| ~ lam |z|
+            want = lam ** (p.alpha - 1.0) * t ** (p.alpha - 1.0) * (z @ z / dist2) ** q
+        else:        # |e_d - lam z| ~ 1
+            want = lam ** (1 - p.d) * t ** (p.alpha - 1.0) * dist2 ** -q
+        got = martin_kernel(p, lam * x, lam * z)
+        assert got == pytest.approx(want, rel=1e-13)
+        both = martin_kernel(p, lam * x, np.stack([lam * z, -lam * z]))
+        assert both[0] == got
+
+    @pytest.mark.parametrize("k", [-250, 100, 250])
+    def test_omega_alpha(self, k):
+        yb, lam = self.Y[2], 4.0 ** k
+        c3 = sphere.constants(P2).c3
+        want = c3 if k < 0 else c3 * (lam * abs(yb[0])) ** -P2.alpha
+        assert omega_alpha_density(P2, lam * yb) == pytest.approx(want, rel=1e-13)
+
 
 class TestOmegaAlpha:
     def test_value_at_origin(self):
@@ -182,6 +239,12 @@ class TestMartinKernel:
         x = np.array([0.0, 0.0, 2.0])
         assert martin_kernel(P3, x, INFINITY) == pytest.approx(
             2.0 ** (P3.alpha - 1.0), rel=1e-15)
+
+    def test_far_boundary_point(self):
+        # |e_d - z| = |x - z| exactly here; the ratio of the two kernel
+        # values was 0/0 = nan
+        assert martin_kernel(P2, [0.0, 1.0], [1e200]) == pytest.approx(1.0, rel=1e-13)
+        assert martin_kernel(P3, [0.0, 0.0, 1.0], [1e200, 0.0]) == pytest.approx(1.0, rel=1e-13)
 
     def test_poisson_ratio_identity(self):
         rng = np.random.default_rng(4)

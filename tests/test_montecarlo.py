@@ -9,10 +9,9 @@ from scipy import integrate
 from stablepot.core import StableParams, basis_last
 from stablepot.errors import DomainError
 from stablepot.montecarlo import (EmpiricalSample, RngStream, WalkConfig,
-                                  chi2_test, gamma_small_shape, ks_test,
+                                  gamma_small_shape, ks_test,
                                   sample_ball_exit_center,
-                                  sample_halfplane_hit, validate_empirical,
-                                  walk_on_balls_hitting)
+                                  sample_halfplane_hit, walk_on_balls_hitting)
 from stablepot import sphere
 from stablepot.specfun import regularized_beta_cdf
 
@@ -32,9 +31,6 @@ class TestRngStream:
         c = RngStream(8, 3).generator().random(16)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
-
-    def test_spawn(self):
-        assert RngStream(7, 3).spawn(2) == RngStream(7, 5)
 
 
 class TestGammaSmallShape:
@@ -223,25 +219,6 @@ class TestGOF:
     def test_ks_needs_monotone_cdf(self):
         with pytest.raises(DomainError):
             ks_test(np.linspace(0, 1, 100), lambda x: -np.asarray(x))
-
-    def test_chi2_calibration(self):
-        u = RngStream(16, 0).generator().random(10_000)
-        edges = np.linspace(0.0, 1.0, 11)
-        res = chi2_test(u, edges, np.full(10, 0.1))
-        assert res.passed[0.05]
-
-    def test_chi2_bin_guard(self):
-        u = RngStream(17, 0).generator().random(100)
-        edges = np.linspace(0.0, 1.0, 51)
-        with pytest.raises(DomainError):
-            chi2_test(u, edges, np.full(50, 0.02))
-
-    def test_validate_empirical_entry(self):
-        draws = RngStream(18, 0).generator().random(5000)
-        sample = EmpiricalSample(draws, {"sampler": "unit", "seed": 18})
-        entry = validate_empirical(sample, lambda x: np.clip(x, 0.0, 1.0))
-        assert entry.status == "PASS"
-        assert entry.check_id == "unit-ks"
 
 
 class TestEmpiricalSample:

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 
 from stablepot import halfspace
-from stablepot.core import StableParams
+from stablepot.core import INFINITY, StableParams
 from stablepot.errors import DivergenceError, DomainError
 from stablepot.relativistic import (RelativisticParams, bessel_transition,
                                     hitting_laplace_transform,
@@ -117,6 +117,15 @@ class TestLambdaPotential:
         with pytest.raises(DivergenceError):
             lambda_potential(RP2, 2.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_radii_are_refused(self, bad):
+        # NaN once slipped past `x < 0` and came out 0.0
+        rp = RelativisticParams(P3, 1.0, 0.5)
+        with pytest.raises(DomainError):
+            lambda_potential(rp, bad, 1.0)
+        with pytest.raises(DomainError):
+            lambda_potential(rp, 1.0, bad)
+
     def test_origin_diagonal_diverges(self):
         rp = RelativisticParams(P3, 1.0, 0.5)
         with pytest.raises(DivergenceError):
@@ -140,6 +149,15 @@ class TestHittingProbability:
         v_scalar = hitting_probability_sphere(RP3, 1.0, 2.0)
         v_point = hitting_probability_sphere(RP3, 1.0, [0.0, 0.0, 2.0])
         assert v_scalar == pytest.approx(v_point, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_radii_are_refused(self, bad):
+        # a NaN distance once came out 0.0, a NaN sphere radius a ZeroDivisionError
+        for r, x in ((1.0, bad), (1.0, [0.0, 0.0, bad]), (bad, 2.0)):
+            with pytest.raises(DomainError):
+                hitting_probability_sphere(RP3, r, x)
+            with pytest.raises(DomainError):
+                hitting_laplace_transform(RP3, r, x, 0.5)
 
     def test_alpha_guard(self):
         rp = RelativisticParams(StableParams(3, 0.9), 1.0)
@@ -201,3 +219,17 @@ class TestKilledHyperplaneKernel:
     def test_constant_positive(self):
         assert relativistic_constant(RP2) > 0.0
         assert relativistic_constant(RP3) > 0.0
+
+    def test_far_and_near_points(self):
+        # far out K_nu underflows: 0 is the value; at height 1e-300 it is
+        # about 1e600, which is refused rather than returned as inf
+        for x in ([0.0, 0.0, 1e300], [1e300, 0.0, 1.0]):
+            assert math.isfinite(poisson_kernel_halfspace(RP3, x, np.zeros(2)))
+        with pytest.raises(DomainError):
+            poisson_kernel_halfspace(RP3, [0.0, 0.0, 1e-300], np.zeros(2))
+
+    def test_non_finite_points_are_refused(self):
+        x = np.array([0.0, 1.0])
+        for z in ([math.nan], INFINITY):
+            with pytest.raises(DomainError):
+                poisson_kernel_halfspace(RP2, x, z)

@@ -242,12 +242,18 @@ class TestPoissonKernel:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_input_is_refused(self, bad):
-        # broadcasting skips as_point, so the check is explicit; the old
-        # kernel returned nan for both (with a RuntimeWarning for inf)
+        # the old kernel returned nan for both (with a RuntimeWarning for inf)
         with pytest.raises(DomainError):
             poisson_kernel(P2, [0.0, bad], [0.0, 1.0])
         with pytest.raises(DomainError):
             poisson_kernel(P2, [0.0, 0.5], [bad, 1.0])
+
+    def test_point_at_infinity_is_refused(self):
+        # once a raw TypeError from the float coercion
+        with pytest.raises(DomainError):
+            poisson_kernel(P2, [0.0, 0.5], INFINITY)
+        with pytest.raises(DomainError):
+            poisson_kernel(P2, INFINITY, [0.0, 1.0])
 
     def test_far_points_scale_exactly(self):
         # |x|^2 - 1 and |x - z|^2 overflow beyond |x| ~ 1e154; far out the
@@ -382,6 +388,31 @@ class TestMartinKernel:
         want = phi_complement(P2, 0.5) / (1.0 - kc.phi_at_origin)
         assert martin_kernel(P2, x, INFINITY) == pytest.approx(want, rel=1e-13)
 
+    def test_far_point(self):
+        # P(x, z) / Phi(0) = |x|^(alpha - d) up to O(1/|x|); once nan from
+        # the overflowing |x|^2 - 1
+        assert martin_kernel(P2, [0.0, 1e200], [0.0, 1.0]) == pytest.approx(1e-100, rel=1e-13)
+
+    @pytest.mark.parametrize("p", [P2, StableParams(3, 1.2)])
+    @pytest.mark.parametrize("k", [-250, 100, 250])
+    def test_powers_of_four_scale_exactly(self, p, k):
+        # far out M = |x|^(alpha - d) up to O(1/|x|); near the origin M = 1 up
+        # to O(|x|); the overflowing |x|^2 - 1 once made the d = 3 far values 0
+        # and the near ones were fine
+        x = np.array([-3.0, 7.0] + [2.0] * (p.d - 2))
+        z = np.array([0.6, 0.8] + [0.0] * (p.d - 2))
+        lam = 4.0 ** k
+        want = 1.0 if k < 0 else (lam * np.linalg.norm(x)) ** (p.alpha - p.d)
+        assert martin_kernel(p, lam * x, z) == pytest.approx(want, rel=1e-13)
+        both = martin_kernel(p, lam * x, np.stack([z, -z]))
+        assert both[0] == martin_kernel(p, lam * x, z)
+
+    def test_refuses_non_finite_points(self):
+        with pytest.raises(DomainError):
+            martin_kernel(P2, [0.0, 0.5], [math.nan, 1.0])
+        with pytest.raises(DomainError):
+            martin_kernel(P2, INFINITY, [0.0, 1.0])
+
 
 class TestBallPoisson:
     def test_isotropy_at_center(self):
@@ -434,6 +465,26 @@ class TestBallPoisson:
         total, _ = integrate.quad(per_angle, 0.0, 2.0 * math.pi, limit=100)
         assert total == pytest.approx(1.0, abs=2e-6)
         assert x2 < 1.0   # start really is interior
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_is_refused(self, bad):
+        # a NaN center, point or radius once gave nan
+        z, x, y = np.zeros(2), np.array([0.0, 0.5]), np.array([0.0, 2.0])
+        for args in (([0.0, bad], 1.0, x, y), (z, bad, x, y),
+                     (z, 1.0, [0.0, bad], y), (z, 1.0, x, [0.0, bad]),
+                     (z, 1.0, x, INFINITY)):
+            with pytest.raises(DomainError):
+                ball_poisson_kernel(P2, *args)
+
+    def test_far_and_near_points(self):
+        c1 = ball_constant(P2)
+        x = np.zeros(2)
+        assert ball_poisson_kernel(P2, x, 1.0, x, [0.0, 1e60]) == pytest.approx(
+            c1 * 1e-60 ** (P2.alpha + P2.d), rel=1e-13)
+        # c1 |y|^-(alpha + d) = 1e-525 underflows; |y|^2 once overflowed
+        assert ball_poisson_kernel(P2, x, 1.0, x, [0.0, 1e300]) == 0.0
+        near = ball_poisson_kernel(P2, x, 1.0, [0.0, 1e-300], [0.0, 2.0])
+        assert near == ball_poisson_kernel(P2, x, 1.0, x, [0.0, 2.0])
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
