@@ -20,6 +20,7 @@ reproduce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -84,7 +85,9 @@ _OPTIONS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args fills a fresh namespace each call
     ap = argparse.ArgumentParser(
         prog="stablepot",
         description="kernels, verification suites and hitting samplers for "

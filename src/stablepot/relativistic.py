@@ -17,10 +17,17 @@ integrand behaves like s^((alpha-3)/2) near 0 on the diagonal and decays
 like exp([(m-lambda)^(2/alpha) - m^(2/alpha)] s) s^(-d/2) at infinity,
 so the integral converges only for alpha in (1, 2) on the diagonal, and
 for lambda = 0 only in d >= 3; both failure modes raise
-``DivergenceError``.  The quadrature splits at s = 1 with a power-law
-substitution on (0, 1] (absorbing the s^((alpha-3)/2) endpoint) and an
-exponential (or inverse-square, when lambda = 0) substitution on
-[1, oo), leaving smooth integrands for adaptive quadrature.
+``DivergenceError``.
+
+The integrand is evaluated in log form on whole arrays of log s, so that
+s may lie beyond the float range (radii near 1e+-300 put the mass of the
+integral near s = 1e+-600).  The quadrature splits at s0 = max(x, y)^2:
+s = s0 w^(2/(alpha-1)) on w in (0, 1] absorbs the s^((alpha-3)/2)
+endpoint, and s = s0 / v^2 on v in (0, 1] maps the tail.  A globally
+adaptive Gauss-Kronrod (10, 21) rule integrates both pieces at once,
+evaluating every new interval's nodes in one call per pass, and the sum
+is kept relative to its largest term, so potentials beyond the float
+range still give finite hitting ratios.
 
 The hitting probability of the sphere of radius r is identically 1 in
 d = 2 and u_m(|x|, r)/u_m(r, r) in d >= 3; the exponentially-discounted
@@ -40,11 +47,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .core import StableParams, as_point, as_points, finite_value, norm, scaled_dist2
-from .errors import DivergenceError, DomainError
-from .specfun import bessel_i_scaled, bessel_k, log_mittag_leffler
+from .errors import ConvergenceError, DivergenceError, DomainError
+from .specfun import (_log_mittag_leffler_scaled, bessel_i_scaled, bessel_k,
+                      log_mittag_leffler)
 
 __all__ = [
     "RelativisticParams",
@@ -90,24 +97,55 @@ class RelativisticParams:
         return self.base.alpha
 
 
-def log_bessel_transition(d: int, t: float, x: float, y: float) -> float:
-    """log of the radial Bessel transition density f(t, x, y), t > 0.
+_LOG2 = math.log(2.0)
+_SMALL_Z = 1e-8      # below, (z/2)^nu / Gamma(nu+1) is exp(z) I_nu(z) to rounding
+_LOG_BIG_Z = 690.0   # above, exp(z) I_nu(z) sqrt(2 pi z) is 1 to rounding
+
+
+def _log_bessel_i_scaled(nu: float, log_z):
+    """log(exp(-z) I_nu(z)) at z = exp(log_z), nu >= 0, with z past the float range."""
+    log_z = np.asarray(log_z, dtype=float)
+    z = np.exp(np.minimum(log_z, _LOG_BIG_Z))
+    out = np.array(nu * (log_z - _LOG2) - math.lgamma(nu + 1.0) - z)
+    mid = z >= _SMALL_Z
+    if mid.any():
+        lz, zm = log_z[mid], z[mid]
+        out[mid] = np.log(bessel_i_scaled(nu, zm)) + 0.5 * (np.log(zm) - lz)
+    return out
+
+
+def _spread(r: float, log_t):
+    """r^2 / 4t at t = exp(log_t), formed in logs (inf where it leaves the range)."""
+    if r == 0.0:
+        return 0.0
+    with np.errstate(over="ignore"):
+        return np.exp(2.0 * math.log(r) - 2.0 * _LOG2 - log_t)
+
+
+def _log_transition(d: int, log_t, x: float, y: float):
+    """log f(t, x, y) at t = exp(log_t) for finite radii x, y >= 0."""
+    if x == 0.0 or y == 0.0:
+        return -d / 2.0 * (_LOG2 + log_t) - _spread(math.hypot(x, y), log_t)
+    log_xy = math.log(x) + math.log(y) - _LOG2
+    return (math.lgamma(d / 2.0) - _LOG2 - log_t + (1.0 - d / 2.0) * log_xy
+            - _spread(abs(x - y), log_t)
+            + _log_bessel_i_scaled(d / 2.0 - 1.0, log_xy - log_t))
+
+
+def log_bessel_transition(d: int, t, x: float, y: float):
+    """log of the radial Bessel transition density f(t, x, y), t > 0; arrays of t.
 
     Evaluated through the exponentially scaled Bessel I so that the
     (x - y)^2 / 4t Gaussian factor is explicit and nothing overflows.
     x = 0 or y = 0 is the small-argument limit (2t)^(-d/2) e^(-(x^2+y^2)/4t).
     """
-    if t <= 0.0:
+    ta = np.asarray(t, dtype=float)
+    if not np.all(ta > 0.0):
         raise DomainError(f"time must be positive, got {t}")
     if x < 0.0 or y < 0.0:
         raise DomainError("radii must be nonnegative")
-    if x == 0.0 or y == 0.0:
-        return -d / 2.0 * math.log(2.0 * t) - (x * x + y * y) / (4.0 * t)
-    z = x * y / (2.0 * t)
-    return (math.lgamma(d / 2.0) - math.log(2.0 * t)
-            + (1.0 - d / 2.0) * math.log(x * y / 2.0)
-            - (x - y) ** 2 / (4.0 * t)
-            + math.log(bessel_i_scaled(d / 2.0 - 1.0, z)))
+    out = np.asarray(_log_transition(d, np.log(ta), x, y))
+    return out if out.ndim else float(out)
 
 
 def bessel_transition(rp_or_d, t: float, x: float, y: float) -> float:
@@ -142,22 +180,101 @@ def subordinator_potential(rp: RelativisticParams, x: float) -> float:
     return math.exp(log_subordinator_potential(rp, x))
 
 
-def _log_time_integrand(rp: RelativisticParams, s: float, x: float, y: float) -> float:
-    a = rp.alpha
-    g = a / 2.0
-    return (-rp.m ** (2.0 / a) * s + (g - 1.0) * math.log(s)
-            + log_bessel_transition(rp.d, s, x, y)
-            + log_mittag_leffler(g, g, (rp.m - rp.lam) * s ** g))
+def _log_time_integrand(rp: RelativisticParams, log_s, x: float, y: float):
+    """log of the time integrand at s = exp(log_s), elementwise.
 
-
-def lambda_potential(rp: RelativisticParams, x: float, y: float,
-                     quad_tol: float = 1e-11) -> float:
-    """The radial potential u_m^lambda(x, y); u_m for lam = 0.
-
-    Raises ``DivergenceError`` in the regimes where the time integral is
-    infinite: alpha <= 1 on the diagonal x = y, lam = 0 in d = 2, and the
-    origin-diagonal x = y = 0.
+    exp(-m^(2/alpha) s) E((m-lambda) s^(alpha/2)) is formed as
+    exp(-(m^(2/alpha) - (m-lambda)^(2/alpha)) s) times the scaled
+    Mittag-Leffler function, so no terms of size s cancel (at lambda = 0
+    the rate is 0 and the integrand stays finite for any s).
     """
+    log_s = np.asarray(log_s, dtype=float)
+    a, m, lam = rp.alpha, rp.m, rp.lam
+    g = a / 2.0
+    out = ((g - 1.0) * log_s + _log_transition(rp.d, log_s, x, y)
+           + _log_mittag_leffler_scaled(g, g, math.log(m - lam) + g * log_s))
+    rate = m ** (2.0 / a) - (m - lam) ** (2.0 / a)
+    if rate > 0.0:
+        with np.errstate(over="ignore"):
+            out = out - rate * np.exp(log_s)
+    return out
+
+
+# Gauss-Kronrod (10, 21) on [-1, 1]: the nonnegative Kronrod nodes, their
+# weights, and the weights of the Gauss nodes among them (odd positions)
+_XK = np.array([0.0, 0.14887433898163122, 0.2943928627014602, 0.4333953941292472,
+                0.5627571346686047, 0.6794095682990244, 0.7808177265864169,
+                0.8650633666889845, 0.9301574913557082, 0.9739065285171717,
+                0.9956571630258081])
+_WK = np.array([0.1494455540029169, 0.14773910490133849, 0.14277593857706009,
+                0.13470921731147334, 0.12349197626206584, 0.10938715880229764,
+                0.0931254545836976, 0.07503967481091996, 0.054755896574351995,
+                0.032558162307964725, 0.011694638867371874])
+_WG = np.array([0.29552422471475287, 0.26926671930999635, 0.21908636251598204,
+                0.1494513491505806, 0.06667134430868814])
+_NODES = np.concatenate([-_XK[:0:-1], _XK])
+_WK21 = np.concatenate([_WK[:0:-1], _WK])
+_WG21 = np.zeros(21)
+_WG21[1::2] = np.concatenate([_WG[::-1], _WG])
+_START = 4           # intervals per piece on the first pass
+_MAX_PASSES = 50     # bounds the bisection depth ...
+_MAX_INTERVALS = 500  # ... and this the breadth (a smooth case needs 8 to 24)
+_QUAD_TOL = 1e-10    # relative tolerance of the time quadrature
+
+
+def _integrate_log(log_f, tol: float) -> float:
+    """log of the integral of exp(log_f(u)) over u in (0, 2), to relative tol.
+
+    Globally adaptive: each pass evaluates the nodes of every new interval
+    in one call, then bisects the intervals whose error estimate is at
+    least a quarter of the largest, until the summed estimate is at most
+    tol times the integral.  Values are kept relative to exp(shift), the
+    largest integrand value seen, so neither end of the float range is hit.
+    """
+    lo = np.linspace(0.0, 2.0, 2 * _START + 1)
+    a, b = lo[:-1], lo[1:]
+    vals = errs = np.empty(0)
+    keep_a = keep_b = np.empty(0)
+    shift = -math.inf
+    for _ in range(_MAX_PASSES):
+        half = 0.5 * (b - a)
+        lf = log_f((0.5 * (a + b))[:, None] + half[:, None] * _NODES)
+        top = lf.max()
+        if top > shift:
+            if shift > -math.inf:
+                vals, errs = vals * math.exp(shift - top), errs * math.exp(shift - top)
+            shift = top
+        if shift == -math.inf:          # the integrand underflows everywhere
+            return -math.inf
+        f = np.exp(lf - shift)
+        kron = f @ _WK21
+        gauss = f @ _WG21
+        # QUADPACK's scaling of |K - G| to the error of K
+        mean = kron / 2.0
+        asc = np.abs(f - mean[:, None]) @ _WK21
+        err = np.abs(kron - gauss)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            err = np.where(asc > 0.0, asc * np.minimum(1.0, (200.0 * err / asc) ** 1.5), err)
+        vals = np.concatenate([vals, half * kron])
+        errs = np.concatenate([errs, half * err])
+        keep_a, keep_b = np.concatenate([keep_a, a]), np.concatenate([keep_b, b])
+        total = vals.sum()                # > 0: the node at exp(shift) has weight
+        if errs.sum() <= tol * total:
+            return shift + math.log(total)
+        split = errs >= 0.25 * errs.max()
+        if len(errs) + split.sum() > _MAX_INTERVALS:
+            break
+        mid = 0.5 * (keep_a[split] + keep_b[split])
+        a = np.concatenate([keep_a[split], mid])
+        b = np.concatenate([mid, keep_b[split]])
+        vals, errs = vals[~split], errs[~split]
+        keep_a, keep_b = keep_a[~split], keep_b[~split]
+    raise ConvergenceError(f"the time integral did not reach relative tolerance {tol} "
+                           f"within {_MAX_PASSES} passes and {_MAX_INTERVALS} intervals")
+
+
+def _log_potential(rp: RelativisticParams, x: float, y: float, quad_tol: float) -> float:
+    """log u_m^lambda(x, y), finite where the potential itself leaves the float range."""
     if not (0.0 <= x < math.inf and 0.0 <= y < math.inf):
         raise DomainError(f"radii must be finite and nonnegative, got {x}, {y}")
     a = rp.alpha
@@ -172,41 +289,30 @@ def lambda_potential(rp: RelativisticParams, x: float, y: float,
                 "(the sphere is polar)")
         if x == 0.0:
             raise DivergenceError("the potential is infinite at x = y = 0")
-
-    def log_g(s: float) -> float:
-        return _log_time_integrand(rp, s, x, y)
-
-    # (0, 1]: s = w^p with p = 2/(alpha-1) flattens the diagonal endpoint
     pw = 2.0 / (a - 1.0) if a > 1.0 else 4.0
+    log_s0 = 2.0 * math.log(max(x, y))
 
-    def inner(w: float) -> float:
-        if w <= 0.0:
-            return 0.0
-        s = w ** pw
-        lv = log_g(s) + math.log(pw) + (pw - 1.0) * math.log(w)
-        return math.exp(lv) if lv > _LOG_TINY else 0.0
+    def log_f(u):
+        inner = u < 1.0
+        log_w = np.log(np.where(inner, u, 2.0 - u))      # w, or v on the tail
+        log_s = log_s0 + np.where(inner, pw * log_w, -2.0 * log_w)
+        log_jac = np.where(inner, math.log(pw) + (pw - 1.0) * log_w, _LOG2 - 3.0 * log_w)
+        return _log_time_integrand(rp, log_s, x, y) + log_s0 + log_jac
 
-    v1, _ = integrate.quad(inner, 0.0, 1.0, limit=200, epsabs=quad_tol, epsrel=1e-10)
+    return _integrate_log(log_f, quad_tol)
 
-    if rp.lam > 0.0:
-        rate = rp.m ** (2.0 / a) - (rp.m - rp.lam) ** (2.0 / a)
 
-        def outer(v: float) -> float:
-            if v <= 0.0:
-                return 0.0
-            s = 1.0 - math.log(v) / rate
-            lv = log_g(s) - math.log(rate * v)
-            return math.exp(lv) if lv > _LOG_TINY else 0.0
-    else:
-        def outer(v: float) -> float:
-            if v <= 0.0:
-                return 0.0
-            s = v ** -2.0
-            lv = log_g(s) + math.log(2.0) - 3.0 * math.log(v)
-            return math.exp(lv) if lv > _LOG_TINY else 0.0
+def lambda_potential(rp: RelativisticParams, x: float, y: float,
+                     quad_tol: float = _QUAD_TOL) -> float:
+    """The radial potential u_m^lambda(x, y); u_m for lam = 0.
 
-    v2, _ = integrate.quad(outer, 0.0, 1.0, limit=200, epsabs=quad_tol, epsrel=1e-10)
-    return v1 + v2
+    ``quad_tol`` is the relative tolerance of the time quadrature.
+    Raises ``DivergenceError`` in the regimes where the time integral is
+    infinite: alpha <= 1 on the diagonal x = y, lam = 0 in d = 2, and the
+    origin-diagonal x = y = 0.
+    """
+    with np.errstate(over="ignore"):
+        return finite_value(np.exp(_log_potential(rp, x, y, quad_tol)), "the potential")
 
 
 def hitting_probability_sphere(rp: RelativisticParams, r: float, x) -> float:
@@ -224,7 +330,7 @@ def hitting_probability_sphere(rp: RelativisticParams, r: float, x) -> float:
     if rho == r:
         return 1.0
     zero = RelativisticParams(rp.base, rp.m, 0.0)
-    return lambda_potential(zero, rho, r) / lambda_potential(zero, r, r)
+    return _potential_ratio(zero, rho, r)
 
 
 def hitting_laplace_transform(rp: RelativisticParams, r: float, x, lam: float) -> float:
@@ -243,7 +349,16 @@ def hitting_laplace_transform(rp: RelativisticParams, r: float, x, lam: float) -
     shifted = RelativisticParams(rp.base, rp.m, lam)
     if rho == r:
         return 1.0
-    return lambda_potential(shifted, rho, r) / lambda_potential(shifted, r, r)
+    return _potential_ratio(shifted, rho, r)
+
+
+def _potential_ratio(rp: RelativisticParams, rho: float, r: float) -> float:
+    """u(rho, r) / u(r, r), formed from the logs so that neither potential
+    has to lie in the float range; at most 1 (the potential peaks on the
+    diagonal), which the quadrature's relative error could otherwise pass."""
+    log_ratio = (_log_potential(rp, rho, r, _QUAD_TOL)
+                 - _log_potential(rp, r, r, _QUAD_TOL))
+    return math.exp(min(log_ratio, 0.0))
 
 
 def _radial_argument(rp: RelativisticParams, x) -> float:

@@ -8,6 +8,14 @@ Three pieces stay here, each for a measured reason: ``gauss_2f1_tail``
 because ``hyp2f1 - 1`` loses digits where F - 1 is small; the x >= 30
 expansion of ``bessel_i_scaled``, because scipy's ``ive`` is NaN from
 x ~ 1.1e9 on; and the Mittag-Leffler function, which scipy lacks.
+
+The Mittag-Leffler function takes arrays: below t^(1/gamma) = 45 its
+series is summed in log space as one block per band of arguments, with
+the term count set by the band's largest t^(1/gamma); past it the
+one-term asymptotic form is exact to 1e-19 relative.
+``_log_mittag_leffler_scaled`` gives log(e^(-t^(1/gamma)) E(t)) from
+log t, for callers whose t leaves the float range or who would cancel
+the e^(t^(1/gamma)).
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special as _sps
 
-from .errors import ConvergenceError, DomainError, PoleError
+from .errors import DomainError, PoleError
 
 __all__ = [
     "gauss_2f1",
@@ -32,8 +40,6 @@ __all__ = [
 ]
 
 _LOG_HUGE = 709.0   # exp() overflows above this
-_REL_TOL = 1e-13    # truncation of the Bessel I expansion and Mittag-Leffler series
-_MAX_TERMS = 10_000  # Mittag-Leffler series term cap
 
 
 def _check_not_nonpositive_integer(x: float, what: str) -> None:
@@ -90,30 +96,43 @@ def legendre_f1(d: int, alpha: float, t: float) -> float:
 # --- modified Bessel functions ------------------------------------------
 
 _BESSEL_I_SWITCH = 30.0  # scipy below, asymptotic expansion above
+_EXPANSION_TERMS = 40
 
 
-def bessel_i_scaled(nu: float, x: float) -> float:
-    """exp(-x) I_nu(x) for x >= 0, nu >= -1/2; never overflows."""
-    if x < 0.0:
+@lru_cache(maxsize=16)
+def _expansion_ratios(nu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ratios of successive terms of the large-x series (times x), and
+    their running maximum: term k is below term k-1 while x >= the latter."""
+    k = np.arange(_EXPANSION_TERMS)
+    ratio = -(4.0 * nu * nu - (2.0 * k + 1.0) ** 2) / (8.0 * (k + 1.0))
+    for arr in (ratio, reach := np.maximum.accumulate(np.abs(ratio))):
+        arr.setflags(write=False)
+    return ratio, reach
+
+
+def _bessel_i_expansion(nu: float, x: np.ndarray) -> np.ndarray:
+    """sqrt(2 pi x) exp(-x) I_nu(x) from the large-x series in 1/x,
+    truncated at its smallest term; elementwise over x."""
+    ratio, reach = _expansion_ratios(nu)
+    terms = np.cumprod(ratio / x[:, None], axis=1)
+    return 1.0 + np.sum(terms, axis=1, where=reach <= x[:, None])
+
+
+def bessel_i_scaled(nu: float, x):
+    """exp(-x) I_nu(x) for x >= 0, nu >= -1/2; never overflows; broadcasts over arrays of x."""
+    xa = np.asarray(x, dtype=float)
+    if (xa < 0.0).any():
         raise DomainError(f"bessel_i requires x >= 0, got {x}")
     if nu < -0.5:
         raise DomainError(f"bessel_i requires nu >= -1/2, got {nu}")
-    if x == 0.0 and nu < 0.0:
-        return math.inf   # scipy gives NaN for this limit
-    if x < _BESSEL_I_SWITCH:
-        return float(_sps.ive(nu, x))
-    # large-x expansion, truncated at the smallest term
-    mu4 = 4.0 * nu * nu
-    total = term = prev = 1.0
-    for k in range(40):
-        term *= -(mu4 - (2 * k + 1) ** 2) / (8.0 * x * (k + 1.0))
-        if abs(term) > prev:
-            break
-        prev = abs(term)
-        total += term
-        if abs(term) <= _REL_TOL * abs(total):
-            break
-    return total / math.sqrt(2.0 * math.pi * x)
+    big = xa >= _BESSEL_I_SWITCH
+    out = np.asarray(_sps.ive(nu, np.where(big, 0.0, xa)))
+    if nu < 0.0:
+        out[xa == 0.0] = math.inf   # scipy gives NaN for this limit
+    if big.any():
+        xb = xa[big]
+        out[big] = _bessel_i_expansion(nu, xb) / np.sqrt(2.0 * math.pi * xb)
+    return out if out.ndim else float(out)
 
 
 def bessel_i(nu: float, x: float) -> float:
@@ -133,41 +152,66 @@ def bessel_k(nu: float, z):
 
 
 # --- Mittag-Leffler ------------------------------------------------------
+#
+# E_(gamma,beta)(t) = sum_n t^n / Gamma(beta + gamma n).  With u = t^(1/gamma)
+# the terms peak near gamma n = u - beta.  Past u = 45 (for beta <= 1) the
+# one-term asymptotic form gamma^-1 t^((1-beta)/gamma) e^u is exact to 1e-19
+# relative: its algebraic remainder is e^-u times a power of u, and for
+# gamma <= 4 no other exponential enters it.  A larger beta moves the
+# switch out with the power; for gamma > 4 the dropped exponentials
+# e^(u cos(2 pi k/gamma)) move it out by 1/(1 - cos(2 pi/gamma)).
 
-def log_mittag_leffler(gamma: float, beta: float, t: float) -> float:
-    """log E_(gamma,beta)(t) for gamma, beta > 0 and t >= 0.
+_ML_SWITCH = 45.0
 
-    The all-positive series sum_n t^n / Gamma(beta + gamma n) is
-    accumulated in log space (streaming log-sum-exp), so the result stays
-    finite even when E itself overflows.  When the dominant series index
-    ~ t^(1/gamma)/gamma would exceed the term cap, the large-t form
-    gamma^-1 t^((1-beta)/gamma) exp(t^(1/gamma)) takes over; at that
-    point its relative error is far below double precision.
+
+def _ml_switch(gamma: float, beta: float) -> float:
+    u = _ML_SWITCH + 2.0 * max(beta - 1.0, 0.0)
+    if gamma > 4.0:
+        u /= 1.0 - math.cos(2.0 * math.pi / gamma)
+    return u
+
+
+def _log_mittag_leffler_scaled(gamma: float, beta: float, log_t):
+    """log(exp(-t^(1/gamma)) E_(gamma,beta)(t)) at t = exp(log_t), elementwise.
+
+    Given log t, t itself may lie beyond the float range, and the scaled
+    value never holds the e^u that would cancel against a caller's e^-u.
+    """
+    log_t = np.asarray(log_t, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):   # 0 * log 0 at beta = 1
+        u = np.exp(log_t / gamma)
+        out = np.array(-math.log(gamma) + (1.0 - beta) / gamma * log_t)
+    # the terms needed grow with u: sum each band of u with its own count
+    for lo, hi in ((-1.0, 4.0), (4.0, 16.0), (16.0, _ml_switch(gamma, beta))):
+        band = (lo < u) & (u <= hi)
+        if not band.any():
+            continue
+        # from gamma n = 2u + 40 on, a term is below e^-50 of the sum
+        n = np.arange(math.ceil((2.0 * u[band].max() + 40.0) / gamma) + 1)
+        log_gamma = _sps.gammaln(beta + gamma * n)
+        with np.errstate(invalid="ignore"):      # 0 * log 0 at t = 0
+            logs = np.multiply.outer(log_t[band], n) - log_gamma
+        logs[:, 0] = -log_gamma[0]               # t^0 = 1, also at t = 0
+        top = logs.max(axis=1)
+        out[band] = top + np.log(np.exp(logs - top[:, None]).sum(axis=1)) - u[band]
+    return out
+
+
+def log_mittag_leffler(gamma: float, beta: float, t):
+    """log E_(gamma,beta)(t) for gamma, beta > 0 and t >= 0; broadcasts over arrays of t.
+
+    Below the switch the all-positive series is summed in log space; past
+    it the asymptotic form takes over.  The result stays finite even where
+    E itself overflows.
     """
     if gamma <= 0.0 or beta <= 0.0:
         raise DomainError(f"mittag_leffler requires gamma, beta > 0, got {gamma}, {beta}")
-    if t < 0.0:
+    ta = np.asarray(t, dtype=float)
+    if not np.all(ta >= 0.0):
         raise DomainError(f"mittag_leffler requires t >= 0, got {t}")
-    if t == 0.0:
-        return -math.lgamma(beta)
-    log_t = math.log(t)
-    peak = (t ** (1.0 / gamma) - beta) / gamma
-    if peak + 60.0 * math.sqrt(max(peak, 1.0)) > _MAX_TERMS:
-        return -math.log(gamma) + (1.0 - beta) / gamma * log_t + t ** (1.0 / gamma)
-    running_max = -math.inf
-    acc = 0.0
-    log_tol = math.log(_REL_TOL) - 5.0
-    for n in range(_MAX_TERMS):
-        a = n * log_t - math.lgamma(beta + gamma * n)
-        if a > running_max:
-            acc = acc * math.exp(running_max - a) + 1.0
-            running_max = a
-        else:
-            acc += math.exp(a - running_max)
-        if n > peak and a - (running_max + math.log(acc)) < log_tol:
-            return running_max + math.log(acc)
-    raise ConvergenceError(
-        f"mittag_leffler({gamma}, {beta}, {t}) did not converge in {_MAX_TERMS} terms")
+    with np.errstate(divide="ignore", over="ignore"):
+        out = _log_mittag_leffler_scaled(gamma, beta, np.log(ta)) + ta ** (1.0 / gamma)
+    return out if out.ndim else float(out)
 
 
 def mittag_leffler(gamma: float, beta: float, t: float) -> float:

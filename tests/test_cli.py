@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import stablepot
+from stablepot import cli
 from stablepot.cli import main
 
 SRC = str(Path(stablepot.__file__).resolve().parents[1])
@@ -124,19 +125,39 @@ class TestEval:
         assert code == 2
 
 
+UNREAD_OPTIONS = [
+    ("eval", "phi", "--r", "2", "--seed", "3"),
+    ("verify", "identities", "--format", "json"),
+    ("sample", "ball-exit", "--n", "10", "--tol", "1e-3"),
+    ("report", "--curve", "phi", "--lambda", "0.5"),
+]
+
+
 class TestOptions:
-    @pytest.mark.parametrize("argv", [
-        ("eval", "phi", "--r", "2", "--seed", "3"),
-        ("verify", "identities", "--format", "json"),
-        ("sample", "ball-exit", "--n", "10", "--tol", "1e-3"),
-        ("report", "--curve", "phi", "--lambda", "0.5"),
-    ])
+    @pytest.mark.parametrize("argv", UNREAD_OPTIONS)
     def test_unread_option_is_a_usage_error(self, capsys, argv):
         # each subcommand declares only the options it reads
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_cached_parser_keeps_no_state_between_calls(self, capsys):
+        # the parser is built once per process; a verify with non-default
+        # options, then the usage errors above, must leave every later
+        # parse equal to one by a freshly built parser
+        code, _, _ = run(capsys, "verify", "relativistic", "--d", "3", "--alpha", "1.2",
+                         "--tol", "0.5", "--seed", "7")
+        assert code == 0
+        for argv in UNREAD_OPTIONS:
+            with pytest.raises(SystemExit):
+                main(list(argv))
+        capsys.readouterr()
+        fresh = cli._build_parser.__wrapped__()
+        for argv in (["verify", "relativistic"], ["eval", "phi", "--r", "2"],
+                     ["sample", "ball-exit"], ["report", "--curve", "qm"]):
+            assert vars(cli._build_parser().parse_args(argv)) == vars(fresh.parse_args(argv))
+        assert cli._build_parser() is cli._build_parser()
 
 
 class TestVerify:
@@ -237,6 +258,20 @@ class TestReport:
             fh.write("# alpha=1.2\n# curve=phi\n# d=3\n# seed=42\nr,phi\n")
             np.savetxt(fh, [(r, stablepot.sphere.phi(p, r)) for r in rs],
                        delimiter=",", fmt="%.17g")
+        assert out_file.read_bytes() == ref.read_bytes()
+
+    def test_sample_bytes_match_savetxt(self, capsys, tmp_path):
+        # more draws than one 4096-row block of `to_csv`, written as np.savetxt wrote them
+        out_file = tmp_path / "draws.csv"
+        code, _, _ = run(capsys, "sample", "ball-exit", "--d", "3", "--n", "5000",
+                         "--seed", "11", "--out", str(out_file))
+        assert code == 0
+        draws = stablepot.montecarlo.sample_ball_exit_center(
+            stablepot.StableParams(3, 1.5), stablepot.montecarlo.RngStream(11, 0).generator(),
+            5000)
+        ref = tmp_path / "ref.csv"
+        np.savetxt(ref, draws, delimiter=",", fmt="%.17g", comments="# ",
+                   header="alpha=1.5\nd=3\nn=5000\nsampler=ball-exit\nseed=11\nstream=0")
         assert out_file.read_bytes() == ref.read_bytes()
 
     def test_stdout_when_no_out(self, capsys):

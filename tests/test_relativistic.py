@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from stablepot import halfspace
 from stablepot.core import INFINITY, StableParams
@@ -11,6 +11,7 @@ from stablepot.relativistic import (RelativisticParams, bessel_transition,
                                     hitting_laplace_transform,
                                     hitting_probability_sphere,
                                     lambda_potential,
+                                    log_bessel_transition,
                                     log_subordinator_potential,
                                     poisson_kernel_halfspace,
                                     radial_reference_density,
@@ -21,6 +22,74 @@ P2 = StableParams(2, 1.5)
 P3 = StableParams(3, 1.5)
 RP2 = RelativisticParams(P2, 1.0)
 RP3 = RelativisticParams(P3, 1.0)
+
+
+# --- reference: the scalar time integral under QUADPACK ----------------------
+#
+# The potential as it was computed before the array rule: a streaming
+# log-sum-exp Mittag-Leffler series, scipy's ive (two-term expansion past
+# 1e8, where ive is NaN), and two scipy.integrate.quad calls split at s = 1.
+
+def _ref_log_mittag_leffler(g, b, t):
+    if t == 0.0:
+        return -math.lgamma(b)
+    log_t = math.log(t)
+    peak = (t ** (1.0 / g) - b) / g
+    if peak + 60.0 * math.sqrt(max(peak, 1.0)) > 10_000:
+        return -math.log(g) + (1.0 - b) / g * log_t + t ** (1.0 / g)
+    running_max, acc = -math.inf, 0.0
+    for n in range(10_000):
+        a = n * log_t - math.lgamma(b + g * n)
+        if a > running_max:
+            acc = acc * math.exp(running_max - a) + 1.0
+            running_max = a
+        else:
+            acc += math.exp(a - running_max)
+        if n > peak and a - (running_max + math.log(acc)) < math.log(1e-13) - 5.0:
+            return running_max + math.log(acc)
+    raise AssertionError("reference Mittag-Leffler series did not converge")
+
+
+def _ref_log_transition(d, t, x, y):
+    if x == 0.0 or y == 0.0:
+        return -d / 2.0 * math.log(2.0 * t) - (x * x + y * y) / (4.0 * t)
+    nu, z = d / 2.0 - 1.0, x * y / (2.0 * t)
+    log_ive = (math.log(special.ive(nu, z)) if z < 1e8 else
+               math.log1p(-(4.0 * nu * nu - 1.0) / (8.0 * z)) - 0.5 * math.log(2.0 * math.pi * z))
+    return (math.lgamma(d / 2.0) - math.log(2.0 * t) + (1.0 - d / 2.0) * math.log(x * y / 2.0)
+            - (x - y) ** 2 / (4.0 * t) + log_ive)
+
+
+def _ref_lambda_potential(rp, x, y):
+    a, m, lam = rp.alpha, rp.m, rp.lam
+    g = a / 2.0
+
+    def log_g(s):
+        return (-m ** (2.0 / a) * s + (g - 1.0) * math.log(s)
+                + _ref_log_transition(rp.d, s, x, y)
+                + _ref_log_mittag_leffler(g, g, (m - lam) * s ** g))
+
+    def integrand(s_of, log_jac):
+        def f(v):
+            if v <= 0.0:
+                return 0.0
+            s = s_of(v)
+            if s <= 0.0:
+                return 0.0
+            lv = log_g(s) + log_jac(v)
+            return math.exp(lv) if lv > -745.0 else 0.0
+        return f
+
+    pw = 2.0 / (a - 1.0) if a > 1.0 else 4.0
+    inner = integrand(lambda w: w ** pw, lambda w: math.log(pw) + (pw - 1.0) * math.log(w))
+    if lam > 0.0:
+        rate = m ** (2.0 / a) - (m - lam) ** (2.0 / a)
+        outer = integrand(lambda v: 1.0 - math.log(v) / rate, lambda v: -math.log(rate * v))
+    else:
+        outer = integrand(lambda v: v ** -2.0, lambda v: math.log(2.0) - 3.0 * math.log(v))
+    # full_output keeps quad's roundoff notes out of the warnings
+    return sum(integrate.quad(f, 0.0, 1.0, limit=200, epsabs=1e-14, epsrel=1e-12,
+                              full_output=1)[0] for f in (inner, outer))
 
 
 class TestParams:
@@ -57,6 +126,26 @@ class TestBesselTransition:
                 lambda y: bessel_transition(d, t, x, y)
                 * radial_reference_density(d, y), 0.0, np.inf, limit=300)
             assert val == pytest.approx(1.0, abs=1e-9)
+
+
+    def test_radii_beyond_the_float_range_of_their_products(self):
+        # (x - y)^2 once overflowed at 1e300 and exp(-z) I_nu(z) underflowed
+        # to a log(0) at 1e-300; Brownian scaling f(c^2 t, cx, cy) = c^-d f(t, x, y)
+        # is the oracle
+        for d in (2, 3, 4):
+            for c in (1e150, 1e-150):
+                for (t, x, y) in [(0.7, 1.0, 1.3), (2.0, 0.0, 0.4), (1e-3, 1.0, 1.0)]:
+                    want = log_bessel_transition(d, t, x, y) - d * math.log(c)
+                    got = log_bessel_transition(d, c * c * t, c * x, c * y)
+                    assert got == pytest.approx(want, rel=1e-12)
+        assert bessel_transition(3, 1.0, 1e300, 1.5) == 0.0
+        small = log_bessel_transition(3, 1e300, 1e-300, 1.0)
+        assert small == pytest.approx(-1.5 * math.log(2e300), rel=1e-14)
+
+    def test_array_times(self):
+        ts = np.array([1e-6, 0.3, 1.0, 40.0])
+        want = [log_bessel_transition(3, t, 0.8, 1.1) for t in ts]
+        np.testing.assert_allclose(log_bessel_transition(3, ts, 0.8, 1.1), want, rtol=1e-15)
 
 
 class TestSubordinatorPotential:
@@ -131,6 +220,34 @@ class TestLambdaPotential:
         with pytest.raises(DivergenceError):
             lambda_potential(rp, 0.0, 0.0)
 
+    def test_against_quadpack_reference(self):
+        # the edge cases of the time integral, then a seeded spread
+        cases = [(3, 1.05, 1.0, 0.5, 1.0, 1.0), (3, 1.05, 2.0, 0.95, 0.5, 0.501),
+                 (3, 1.5, 1.0, 0.0, 0.0, 1.2), (2, 1.5, 1.0, 0.95, 1.0, 1.001),
+                 (4, 1.2, 0.7, 0.0, 1.0, 1.0), (4, 1.9, 1.5, 0.3, 2.0, 0.0),
+                 (4, 1.05, 1.0, 0.0, 0.3, 0.301), (2, 1.05, 0.5, 0.2, 0.0, 2.0)]
+        rng = np.random.default_rng(2024)
+        for _ in range(12):
+            d = int(rng.integers(2, 5))
+            lam_frac = rng.uniform(0.05, 0.95) if d == 2 or rng.random() < 0.5 else 0.0
+            cases.append((d, rng.uniform(1.05, 1.95), rng.uniform(0.5, 2.0), lam_frac,
+                          rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0)))
+        checked = 0
+        for d, a, m, lam_frac, x, y in cases:
+            rp = RelativisticParams(StableParams(d, a), m, lam_frac * m)
+            want = _ref_lambda_potential(rp, x, y)
+            if want > 1e-6:
+                assert lambda_potential(rp, x, y) == pytest.approx(want, rel=1e-9), \
+                    (d, a, m, lam_frac, x, y)
+                checked += 1
+        assert checked >= 16
+
+    def test_potential_beyond_the_float_range_is_refused(self):
+        # u(r, r) ~ r^(alpha - d) is about 1e450 at r = 1e-300
+        with pytest.raises(DomainError):
+            lambda_potential(RP3, 1e-300, 1e-300)
+        assert lambda_potential(RelativisticParams(P3, 1.0, 0.5), 1e300, 1.5) == 0.0
+
 
 class TestHittingProbability:
     def test_planar_case_is_one(self):
@@ -181,6 +298,15 @@ class TestHittingProbability:
             got = hitting_probability_sphere(rp, 1.0, rho)
             want = sphere.phi(P3, rho)
             assert got == pytest.approx(want, rel=1e-7)
+
+    def test_spheres_at_the_ends_of_the_float_range(self):
+        # the two potentials leave the float range but their ratio does not:
+        # a huge sphere is hit almost surely from near its center, a tiny
+        # one almost never, and from far out the value is about 1/|x| in d = 3
+        assert 1.0 - 1e-9 < hitting_probability_sphere(RP3, 1e300, 2.0) <= 1.0
+        assert hitting_probability_sphere(RP3, 1e-300, 2.0) == 0.0
+        far = hitting_probability_sphere(RP3, 1.0, 1e300)
+        assert 0.0 < far < 1e-299
 
     def test_scaling_between_radii(self):
         # hitting a sphere of radius r from rho equals hitting the unit

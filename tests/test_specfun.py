@@ -76,9 +76,13 @@ class TestBesselI:
 
     @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.4, 2.0, 3.5])
     def test_against_scipy_scaled(self, nu):
-        for x in (1e-8, 0.1, 1.0, 5.0, 29.9, 30.1, 80.0, 700.0, 4000.0):
-            ref = sps.ive(nu, x)
-            assert abs(bessel_i_scaled(nu, x) - ref) <= 1e-12 * ref
+        xs = np.array([1e-8, 0.1, 1.0, 5.0, 29.9, 30.1, 80.0, 700.0, 4000.0])
+        ref = sps.ive(nu, xs)
+        for x, want in zip(xs, ref):
+            assert abs(bessel_i_scaled(nu, x) - want) <= 1e-12 * want
+        # an array argument gives the same values as the scalar calls
+        got = bessel_i_scaled(nu, xs)
+        np.testing.assert_array_equal(got, [bessel_i_scaled(nu, x) for x in xs])
 
     def test_huge_argument_expansion(self):
         # scipy's ive is NaN out here; the two-term expansion is exact to
@@ -169,6 +173,20 @@ class TestMittagLeffler:
                         (0.9, 0.6, 5.0)]:
             ref = oracle(g, b, t)
             assert abs(mittag_leffler(g, b, t) - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("g, b", [(0.525, 0.525), (0.75, 0.75), (0.95, 0.95),
+                                      (0.6, 1.0), (1.5, 2.0)])
+    def test_array_across_the_asymptotic_switch(self, g, b):
+        # t^(1/g) = 45 is where the series hands over to the one-term form;
+        # the oracle is the series itself at 40 digits
+        u = np.array([1e-3, 0.5, 3.9, 4.1, 15.9, 16.1, 22.0, 30.0, 44.5, 44.99, 45.01, 45.5, 60.0])
+        ts = u ** g
+        got = np.exp(log_mittag_leffler(g, b, ts) - u)
+        with mpmath.workdps(40):
+            for t, uk, e in zip(ts, u, got):
+                ref = mpmath.fsum(mpmath.mpf(t) ** n / mpmath.gamma(b + g * n)
+                                  for n in range(int(3.0 * uk / g) + 80))
+                assert abs(e / float(ref * mpmath.exp(-uk)) - 1.0) <= 1e-13, (t, uk)
 
     def test_asymptotic_ratio(self):
         g, b = 0.75, 0.75
