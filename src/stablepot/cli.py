@@ -258,8 +258,8 @@ def _cmd_report(args) -> int:
         rp = RelativisticParams(p, args.m)
         meta["m"] = args.m
         rs = _parse_range(args.r)
-        rows = [(float(r), relativistic.subordinator_potential(rp, float(r)))
-                for r in rs if r > 0]
+        rs = rs[rs > 0]
+        rows = list(zip(rs.tolist(), relativistic.subordinator_potential(rp, rs).tolist()))
         write_csv(args.out, meta, rows, ["x", "qm"])
     elif args.curve == "poisson-H-profile":
         rs = _parse_range(args.r)

@@ -118,7 +118,7 @@ def green_function(p: StableParams, x, y) -> float:
         raise DomainError("green_function requires both points off the hyperplane")
     s = far_scale(x, y)
     xs, ys = x / s, y / s
-    return sphere._green_of_ratio(p, 4.0 * float(xs[-1]), float(ys[-1]), xs, ys, s)
+    return sphere._green_of_ratio(p, 4.0 * float(xs[-1]), float(ys[-1]), 1.0, xs, ys, s)
 
 
 def martin_kernel(p: StableParams, x, z):

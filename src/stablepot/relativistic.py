@@ -166,18 +166,21 @@ def radial_reference_density(d: int, y: float) -> float:
     return 2.0 ** (1.0 - d / 2.0) * y ** (d - 1) / math.gamma(d / 2.0)
 
 
-def log_subordinator_potential(rp: RelativisticParams, x: float) -> float:
-    """log q_m(x) for x > 0 (stays finite where q_m itself would not)."""
-    if x <= 0.0:
-        raise DomainError(f"the potential density needs x > 0, got {x}")
+def log_subordinator_potential(rp: RelativisticParams, x):
+    """log q_m(x) for finite x > 0, finite where q_m is not; elementwise."""
+    xa = np.asarray(x, dtype=float)
+    if not np.all((xa > 0.0) & (xa < math.inf)):
+        raise DomainError(f"the potential density needs finite x > 0, got {x}")
     a, m = rp.alpha, rp.m
-    return (-m ** (2.0 / a) * x + (a / 2.0 - 1.0) * math.log(x)
-            + log_mittag_leffler(a / 2.0, a / 2.0, m * x ** (a / 2.0)))
+    out = (-m ** (2.0 / a) * xa + (a / 2.0 - 1.0) * np.log(xa)
+           + log_mittag_leffler(a / 2.0, a / 2.0, m * xa ** (a / 2.0)))
+    return out if out.ndim else float(out)
 
 
-def subordinator_potential(rp: RelativisticParams, x: float) -> float:
-    """Potential density q_m(x) of the tempered one-sided subordinator."""
-    return math.exp(log_subordinator_potential(rp, x))
+def subordinator_potential(rp: RelativisticParams, x):
+    """Potential density q_m(x) of the tempered one-sided subordinator, elementwise."""
+    out = np.exp(log_subordinator_potential(rp, x))
+    return out if out.ndim else float(out)
 
 
 def _log_time_integrand(rp: RelativisticParams, log_s, x: float, y: float):

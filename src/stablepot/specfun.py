@@ -3,11 +3,13 @@
 Gauss 2F1, the modified Bessel functions I and K and the regularized
 incomplete beta are ``scipy.special``'s ``hyp2f1``, ``ive``, ``kv`` and
 ``betainc`` behind this package's domain checks and typed errors.
-Three pieces stay here, each for a measured reason: ``gauss_2f1_tail``
-(F - 1 as a fixed 80-term series, about 1e-15 relative for |s| <= 0.618),
-because ``hyp2f1 - 1`` loses digits where F - 1 is small; the x >= 30
-expansion of ``bessel_i_scaled``, because scipy's ``ive`` is NaN from
-x ~ 1.1e9 on; and the Mittag-Leffler function, which scipy lacks.
+Three pieces stay here, each for a measured reason: the F - 1 series
+``TailPair``, because ``hyp2f1 - 1`` loses digits where F - 1 is small (it
+sums as many of 80 terms as |s| needs, about 6 at 2e-3 and 22 at 0.19, up
+to a reach it works out from the coefficients: |s| ~ 0.66 at d = 2, 0.09
+at d = 400 for the sphere); the x >= 30 expansion of ``bessel_i_scaled``,
+because scipy's ``ive`` is NaN from x ~ 1.1e9 on; and the Mittag-Leffler
+function, which scipy lacks.
 
 The Mittag-Leffler function takes arrays: below t^(1/gamma) = 45 its
 series is summed in log space as one block per band of arguments, with
@@ -21,6 +23,7 @@ the e^(t^(1/gamma)).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from functools import lru_cache
 
 import numpy as np
@@ -31,6 +34,7 @@ from .errors import DomainError, PoleError
 __all__ = [
     "gauss_2f1",
     "gauss_2f1_tail",
+    "TailPair",
     "bessel_i",
     "bessel_i_scaled",
     "bessel_k",
@@ -42,13 +46,9 @@ __all__ = [
 _LOG_HUGE = 709.0   # exp() overflows above this
 
 
-def _check_not_nonpositive_integer(x: float, what: str) -> None:
-    if x <= 0.0 and x == math.floor(x):
-        raise PoleError(f"{what} has a pole at nonpositive integer {x}")
-
-
 def _check_2f1(c: float, s: float) -> None:
-    _check_not_nonpositive_integer(c, "gauss_2f1 parameter c")
+    if c <= 0.0 and c == math.floor(c):
+        raise PoleError(f"gauss_2f1 parameter c has a pole at nonpositive integer {c}")
     if not abs(s) < 1.0:
         raise DomainError(f"gauss_2f1 requires |s| < 1, got s={s}")
 
@@ -59,25 +59,51 @@ def gauss_2f1(a: float, b: float, c: float, s: float) -> float:
     return float(_sps.hyp2f1(a, b, c, s))
 
 
-_TAIL_POWERS = np.arange(1.0, 81.0)   # the 80 series terms s^1 ... s^80
-_TAIL_MAX_S = 0.618                   # where 80 terms reach double precision
+_TAIL_TERMS = 80
 
 
-@lru_cache(maxsize=64)
-def _tail_coefficients(a: float, b: float, c: float) -> np.ndarray:
-    n = _TAIL_POWERS - 1.0
-    coef = np.cumprod((a + n) * (b + n) / ((c + n) * (n + 1.0)))
-    coef.setflags(write=False)
-    return coef
+class TailPair:
+    """F(a, b; c; s) - 1 free of cancellation for two fixed triples (a, b, c):
+    sum_(n >= 1) (a)_n (b)_n / ((c)_n n!) s^n for both by Horner's rule, in one
+    pass over as many of 80 terms as |s| needs; past their reach, hyp2f1 - 1."""
+
+    def __init__(self, first: tuple, second: tuple):
+        self.params = (first, second)
+        a, b, c = np.array(self.params).T[:, :, None]
+        k = np.arange(_TAIL_TERMS + 1.0)
+        rho = (a + k) * (b + k) / ((c + k) * (k + 1.0))
+        with np.errstate(over="ignore"):           # past the float range: no reach
+            coef = np.cumprod(rho, axis=1)         # coef[:, j] multiplies s^(j+1)
+        # reach[n - 1]: the largest |s| where the terms past s^n add at most 2^-53
+        # of the first.  They shrink by rho_k |s|, rho_k -> 1, so with R the largest
+        # of 1 and |rho_k|, k >= n, they add below |term_(n+1)| / (1 - R |s|), which
+        # is within bounds at |s| = (K (1 - R K^(1/n)))^(1/n), K = 2^-53 |coef_1 /
+        # coef_(n+1)|; more terms never need a smaller |s|.
+        big = np.maximum(np.maximum.accumulate(np.abs(rho[:, :0:-1]), axis=1)[:, ::-1], 1.0)
+        tol = 2.0 ** -53 * np.abs(coef[:, :1] / coef[:, 1:])
+        reach = (tol * np.clip(1.0 - big * tol ** (1.0 / k[1:]), 0.0, None)) ** (1.0 / k[1:])
+        self._reach = np.maximum.accumulate(reach, axis=1).min(axis=0).tolist()
+        self._coef = coef[:, _TAIL_TERMS - 1::-1].T.tolist()   # s^80 first
+
+    def __call__(self, s: float) -> tuple[float, float]:
+        # NaN and |s| >= 1 land past the reach, where gauss_2f1 refuses them
+        n = bisect_right(self._reach, abs(s)) + 1
+        if n > _TAIL_TERMS:
+            return tuple(gauss_2f1(*abc, s) - 1.0 for abc in self.params)
+        tail1 = tail2 = 0.0
+        for c1, c2 in self._coef[_TAIL_TERMS - n:]:
+            tail1 = (tail1 + c1) * s
+            tail2 = (tail2 + c2) * s
+        return tail1, tail2
+
+
+_cached_pair = lru_cache(maxsize=64)(TailPair)
 
 
 def gauss_2f1_tail(a: float, b: float, c: float, s: float) -> float:
-    """F(a, b; c; s) - 1 free of cancellation: for |s| <= 0.618 the series
-    sum_(n=1..80) (a)_n (b)_n / ((c)_n n!) s^n, beyond it hyp2f1 - 1."""
+    """F(a, b; c; s) - 1 free of cancellation (``TailPair`` of the triple with itself)."""
     _check_2f1(c, s)
-    if abs(s) > _TAIL_MAX_S:
-        return float(_sps.hyp2f1(a, b, c, s)) - 1.0
-    return float(_tail_coefficients(a, b, c) @ s ** _TAIL_POWERS)
+    return _cached_pair((a, b, c), (a, b, c))(s)[0]
 
 
 # --- Legendre function of the first kind on (1, oo) ---------------------

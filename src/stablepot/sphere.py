@@ -6,18 +6,17 @@ sphere and its radial profile phi, the Poisson kernel of D with respect
 to normalized surface measure, the Green function and Martin kernel of
 D, and the Poisson kernel of an arbitrary ball.
 
-The hitting probability is evaluated along two routes.  Away from the
-sphere, the Legendre-function formula
+The hitting probability is the Legendre-function formula
 
     Phi(x) = C2 ||x|^2 - 1|^(alpha/2 - 1) |x|^(1 - d/2)
-             P^(1-d/2)_(-alpha/2)((|x|^2 + 1) / ||x|^2 - 1|)
+             P^(1-d/2)_(-alpha/2)((|x|^2 + 1) / ||x|^2 - 1|),
 
-is used directly.  Within a band ||x| - 1| < 1e-3 the hypergeometric
-expansion of the Legendre function is rearranged into a cancellation-free
-series for 1 - Phi whose leading term is |c| ||x|^2-1|^(alpha-1); the two
-routes agree to ~1e-13 on the overlap band.  All radial internals work
-with the signed quantity delta = |x|^2 - 1, which callers such as the
-Green functions can supply exactly.
+written in the signed quantity delta = |x|^2 - 1, which callers such as
+the Green functions can supply exactly.  Within the golden-ratio band
+-1/golden <= delta <= golden, one evaluation of the reduced two-term
+expansion gives both Phi and 1 - Phi, the latter accurate up to the
+sphere; outside it, the expansion around argument 1 gives Phi.  The two
+routes agree within 5e-14 across the band edges at d <= 4.
 
 The Poisson kernel has one assembly, shared with the batch evaluator in
 ``analysis``: a point enters as its offset r - 1 and direction eta, and
@@ -38,7 +37,7 @@ import numpy as np
 from .core import (StableParams, Infinity, as_point, as_points, finite_value, norm,
                    require_unit, far_scale, scaled_dist2)
 from .errors import DomainError, SingularityError
-from .specfun import gauss_2f1, gauss_2f1_tail
+from .specfun import TailPair, gauss_2f1
 
 __all__ = [
     "KernelConstants",
@@ -54,9 +53,6 @@ __all__ = [
     "ball_poisson_kernel",
 ]
 
-NEAR_SPHERE_BAND = 1e-3  # |r - 1| below this switches Phi to the 1-Phi series
-
-
 class KernelConstants:
     """The positive constants entering the closed-form kernels.
 
@@ -66,6 +62,7 @@ class KernelConstants:
     c2             hitting probability constant
     c3             hyperplane Poisson kernel constant
     series_c       (negative) coefficient of ||x|^2-1|^(alpha-1) in 1 - Phi
+    golden_tails   the series F1 - 1 and F2 - 1 of Phi in the golden-ratio band
     phi_at_origin  Phi(0) = c2 / Gamma(d/2)
 
     Each is formed on first use.  One that lies beyond the float range at
@@ -113,6 +110,11 @@ class KernelConstants:
         return _gamma_product("series_c", d, a, [(a + d) / 2.0 - 1.0, 1.0 - a],
                               [(a - 1.0) / 2.0, 1.0 - a / 2.0, (d - a) / 2.0],
                               [(math.pi, 0.5), (2.0, 2.0 - a)])
+
+    @cached_property
+    def golden_tails(self) -> TailPair:
+        d, a = self.p.d, self.p.alpha
+        return TailPair((1.0 - a / 2.0, (d - a) / 2.0, 2.0 - a), (a / 2.0, (a + d) / 2.0 - 1.0, a))
 
     @cached_property
     def phi_at_origin(self) -> float:
@@ -173,44 +175,42 @@ _GOLDEN = (math.sqrt(5.0) + 1.0) / 2.0
 _MAX_CANCELLATION = 1e4
 
 
-def _phi_direct_delta(p: StableParams, delta: float) -> float:
-    # Legendre-function route, written directly in delta = r^2 - 1.  The
-    # Legendre argument is t = (2 + delta)/|delta|; for t >= sqrt(5)
-    # (|x| within golden-ratio distance of the sphere) the two-term
-    # expansion collapses to the reduced forms below, otherwise the
-    # complementary expansion around t = 1 takes over.  Both are exact
-    # functions of delta, so nothing is lost at extreme radii.
+def _phi_golden(p: StableParams, delta: float) -> tuple[float, float]:
+    # (Phi, 1 - Phi) for -1/golden <= delta <= golden, from the reduced
+    # two-term expansion of the Legendre function in 2/(1+t), t >= sqrt(5):
+    #   Phi = v^(a-d) + T,  1 - Phi = (1 - v^(a-d)) - T,
+    #   T = v^(a-d) (F1(s) - 1) + c |delta|^(a-1) v^(2-d-a) F2(s),
+    # s = delta/(1+delta), v^2 = 1 + delta above the sphere, s = -delta, v = 1 below;
+    # F1 = F(1-a/2, (d-a)/2; 2-a; .), F2 = F(a/2, (a+d)/2-1; a; .), c = series_c < 0.
+    # F2 - 1 comes from the series with F1 - 1: quicker than hyp2f1, and more
+    # accurate inside the sphere at alpha ~ 2, where T cancels 200-fold.
     kc = constants(p)
     d, a = p.d, p.alpha
-    if delta == -1.0:  # r = 0
-        return kc.phi_at_origin
-    if -1.0 / _GOLDEN <= delta <= _GOLDEN:
-        if delta > 0.0:
-            s = delta / (1.0 + delta)
-            log1p = math.log1p(delta)
-            f1_part = math.exp(0.5 * (a - d) * log1p) * \
-                gauss_2f1(1.0 - a / 2.0, (d - a) / 2.0, 2.0 - a, s)
-            f2_part = kc.series_c * delta ** (a - 1.0) * \
-                math.exp(0.5 * (2.0 - d - a) * log1p) * \
-                gauss_2f1(a / 2.0, (a + d) / 2.0 - 1.0, a, s)
-        else:
-            s = -delta
-            f1_part = gauss_2f1(1.0 - a / 2.0, (d - a) / 2.0, 2.0 - a, s)
-            f2_part = kc.series_c * s ** (a - 1.0) * \
-                gauss_2f1(a / 2.0, (a + d) / 2.0 - 1.0, a, s)
-        # the two terms grow with d and cancel: by up to 71 / 139 / 8.9e3
-        # (|f1| + |f2| against |f1 + f2|) at d = 2 / 3 / 12, which costs
-        # that many rounding errors; past _MAX_CANCELLATION no digit is sure
-        if abs(f1_part) + abs(f2_part) > _MAX_CANCELLATION * abs(f1_part + f2_part):
-            raise DomainError(
-                f"phi at d={d}, alpha={a}, r^2 - 1 = {delta} cancels beyond "
-                f"{_MAX_CANCELLATION:g} within the golden-ratio band; this formula "
-                "stays within it up to about d = 12")
-        return f1_part + f2_part
-    # expansion around t = 1: the prefactor ((t+1)/(t-1))^((1-d/2)/2)
-    # combines with |delta|^(a/2-1) r^(1-d/2) into plain delta powers
+    s, log_v2 = (delta / (1.0 + delta), math.log1p(delta)) if delta > 0.0 else (-delta, 0.0)
+    v_ad = math.exp(0.5 * (a - d) * log_v2)
+    tail1, tail2 = kc.golden_tails(s)
+    f1_tail = v_ad * tail1
+    f2 = kc.series_c * abs(delta) ** (a - 1.0) * math.exp(0.5 * (2.0 - d - a) * log_v2) * \
+        (1.0 + tail2)
+    value = v_ad + (f1_tail + f2)
+    # the terms v^(a-d) F1 and f2 grow with d and cancel: by up to 71 / 139 /
+    # 8.9e3 (their magnitudes against Phi) at d = 2 / 3 / 12, which costs that
+    # many rounding errors; past _MAX_CANCELLATION (or at inf - inf) no digit is sure
+    if not abs(v_ad + f1_tail) + abs(f2) <= _MAX_CANCELLATION * abs(value):
+        raise DomainError(
+            f"phi at d={d}, alpha={a}, r^2 - 1 = {delta} cancels beyond "
+            f"{_MAX_CANCELLATION:g} within the golden-ratio band; this formula "
+            "stays within it up to about d = 12")
+    return value, -math.expm1(0.5 * (a - d) * log_v2) - (f1_tail + f2)
+
+
+def _phi_t1(p: StableParams, delta: float) -> float:
+    # Phi outside the golden-ratio band, from the expansion around t = 1: the prefactor
+    # ((t+1)/(t-1))^((1-d/2)/2) combines with |delta|^(a/2-1) r^(1-d/2) into delta powers
+    kc = constants(p)
+    d, a = p.d, p.alpha
     if delta < 0.0:
-        arg = (1.0 + delta) / delta            # -r^2/(1 - r^2), in (-1, 0)
+        arg = (1.0 + delta) / delta            # -r^2/(1 - r^2), in (-1, 0]
         return kc.phi_at_origin * (-delta) ** (a / 2.0 - 1.0) * \
             gauss_2f1(a / 2.0, 1.0 - a / 2.0, d / 2.0, arg)
     arg = -1.0 / delta
@@ -219,46 +219,22 @@ def _phi_direct_delta(p: StableParams, delta: float) -> float:
         gauss_2f1(a / 2.0, 1.0 - a / 2.0, d / 2.0, arg)
 
 
+def _phi_pair(p: StableParams, delta: float) -> tuple[float, float]:
+    # (Phi, 1 - Phi) at r^2 - 1 = delta, finite and >= -1
+    if delta == 0.0:
+        return 1.0, 0.0
+    if -1.0 / _GOLDEN <= delta <= _GOLDEN:
+        return _phi_golden(p, delta)
+    value = _phi_t1(p, delta)
+    return value, 1.0 - value
+
+
 def phi_complement_delta(p: StableParams, delta: float) -> float:
-    """1 - phi(sqrt(1 + delta)) with delta = r^2 - 1 supplied exactly.
-
-    Inside the near-sphere band the cancellation-free rearrangement of
-    the Legendre expansion is used:
-
-      outside (delta > 0), with s = delta/(1+delta), v^2 = 1+delta:
-        1 - Phi = (1 - v^(alpha-d)) - v^(alpha-d) (F1(s) - 1)
-                  + |c| delta^(alpha-1) v^(2-d-alpha) F2(s)
-      inside (delta < 0), with s = -delta:
-        1 - Phi = -(F1(s) - 1) + |c| s^(alpha-1) F2(s)
-
-    where F1 = F(1-alpha/2, (d-alpha)/2; 2-alpha; .),
-          F2 = F(alpha/2, (d+alpha)/2-1; alpha; .) and c = series_c < 0.
-    """
+    """1 - phi(sqrt(1 + delta)) with delta = r^2 - 1 supplied exactly."""
     p.require_hitting_range()
     if not -1.0 <= delta < math.inf:
         raise DomainError(f"delta = r^2 - 1 must be finite and >= -1, got {delta}")
-    if delta == 0.0:
-        return 0.0
-    r = math.sqrt(1.0 + delta)
-    if abs(r - 1.0) >= NEAR_SPHERE_BAND:
-        return 1.0 - _phi_direct_delta(p, delta)
-    kc = constants(p)
-    d, a = p.d, p.alpha
-    if delta > 0.0:
-        s = delta / (1.0 + delta)
-        log1p = math.log1p(delta)
-        v_ad = math.exp(0.5 * (a - d) * log1p)
-        v_2da = math.exp(0.5 * (2.0 - d - a) * log1p)
-        lead = -math.expm1(0.5 * (a - d) * log1p)
-        tail1 = -v_ad * gauss_2f1_tail(1.0 - a / 2.0, (d - a) / 2.0, 2.0 - a, s)
-        tail2 = -kc.series_c * delta ** (a - 1.0) * v_2da * \
-            gauss_2f1(a / 2.0, (a + d) / 2.0 - 1.0, a, s)
-        return lead + tail1 + tail2
-    s = -delta
-    tail1 = -gauss_2f1_tail(1.0 - a / 2.0, (d - a) / 2.0, 2.0 - a, s)
-    tail2 = -kc.series_c * s ** (a - 1.0) * \
-        gauss_2f1(a / 2.0, (a + d) / 2.0 - 1.0, a, s)
-    return tail1 + tail2
+    return _phi_pair(p, delta)[1]
 
 
 def phi(p: StableParams, r: float) -> float:
@@ -270,15 +246,11 @@ def phi(p: StableParams, r: float) -> float:
     p.require_hitting_range()
     if not r >= 0.0:
         raise DomainError(f"radius must be nonnegative, got {r}")
-    if r == 1.0:
-        return 1.0
     delta = (r - 1.0) * (r + 1.0)
     if math.isinf(delta):
         # r beyond sqrt(DBL_MAX): the 2F1 factor is exactly 1 there
         return constants(p).phi_at_origin * r ** (p.alpha - p.d)
-    if abs(r - 1.0) < NEAR_SPHERE_BAND:
-        return 1.0 - phi_complement_delta(p, delta)
-    return _phi_direct_delta(p, delta)
+    return _phi_pair(p, delta)[0]
 
 
 def phi_complement(p: StableParams, r: float) -> float:
@@ -354,15 +326,13 @@ def poisson_kernel(p: StableParams, x, z):
     return finite_value(out, "the sphere Poisson kernel")
 
 
-def _green_of_ratio(p: StableParams, a: float, b: float, xs: np.ndarray,
+def _green_of_ratio(p: StableParams, a: float, b: float, q: float, xs: np.ndarray,
                     ys: np.ndarray, s: float) -> float:
-    # A_(d,alpha) |x - y|^(alpha - d) (1 - Phi) at delta_w = a b / |x - y|^2,
-    # from xs = x/s, ys = y/s and a, b scaled by 1/s as well.  The distance
-    # comes from core.scaled_dist2 with its own power of four t, so a
-    # difference whose squared length would be subnormal keeps its full
-    # relative accuracy.
+    # A_(d,alpha) |x - y|^(alpha - d) (1 - Phi) at delta_w = a b q^2 / |xs - ys|^2,
+    # xs = x/s, ys = y/s, with a power of two q >= 1 carrying what a, b cannot
+    # hold; the distance has its own power of four t (core.scaled_dist2).
     dist2, t = map(float, scaled_dist2(0.0, xs, ys))   # |x - y|^2 / (s t)^2
-    a, b = a / t, b / t
+    a, b = a / t * q, b / t * q
     if dist2 == 0.0:
         raise SingularityError("green_function is singular on the diagonal x = y")
     delta = a * b / dist2
@@ -386,23 +356,23 @@ def green_function(p: StableParams, x, y) -> float:
     """Green function of the sphere complement at points x != y off the sphere.
 
     The hitting-probability argument reduces to the radius with
-    delta_w = (1 - |x|^2)(1 - |y|^2) / |x - y|^2, which is fed straight
-    into the cancellation-free complement series.  Far points are scaled
-    by a power of four s near their largest coordinate, which is exact:
-    delta_w is formed as (dx/s)(dy/s)/(dist2/s^2), so nothing overflows on
-    the way.  Where delta_w itself exceeds the float range, 1 - Phi is
-    taken at r_w = sqrt(|dx/s|) sqrt(|dy/s|) / sqrt(dist2/s^2) instead.
-    Points closer than about 1e-154 have their difference scaled up by a
-    power of four in the same way, so |x - y|^2 never goes subnormal.
+    delta_w = (1 - |x|^2)(1 - |y|^2) / |x - y|^2, fed straight into 1 - Phi.
+    Each |x|^2 - 1 is formed over the square of the point's own power of
+    four (``core.far_scale``), so a coordinate of 1.7e308 does not overflow
+    and a near point does not go subnormal; the scales meet again as one
+    exact power of two.  Where delta_w exceeds the float range, 1 - Phi is
+    taken at r_w = sqrt(delta_w), formed from square roots.  Points closer
+    than about 1e-154 have their difference scaled up by a power of four.
     """
     x = as_point(x, p.d)
     y = as_point(y, p.d)
-    s = far_scale(x, y)
-    dx = float(np.sum(x / s * x)) - 1.0 / s   # (|x|^2 - 1)/s
-    dy = float(np.sum(y / s * y)) - 1.0 / s
+    sx, sy = far_scale(x), far_scale(y)
+    dx = float(np.sum((x / sx) ** 2)) - (1.0 / sx) ** 2    # (|x|^2 - 1)/sx^2
+    dy = float(np.sum((y / sy) ** 2)) - (1.0 / sy) ** 2
     if dx == 0.0 or dy == 0.0:
         raise DomainError("green_function requires both points off the unit sphere")
-    return _green_of_ratio(p, dx, dy, x / s, y / s, s)
+    s = max(sx, sy)     # far_scale(x, y): (|x|^2 - 1)(|y|^2 - 1)/s^2 = dx dy min(sx, sy)^2
+    return _green_of_ratio(p, dx, dy, min(sx, sy), x / s, y / s, s)
 
 
 def martin_kernel(p: StableParams, x, z):

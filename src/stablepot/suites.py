@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate as _spi
 from scipy import special as _sps
 
 from . import analysis, halfspace, montecarlo, relativistic, sphere
@@ -37,6 +36,14 @@ def _unit(v):
 
 def _rand_unit(rng, d):
     return _unit(rng.standard_normal(d))
+
+
+def _beta_integral(a: float, q: float, w: float) -> float:
+    """int_0^w t^(a-1) (1-t)^(-q) dt, a > 0, w < 1, as (w^a / a) int_0^1
+    (1 - w u^(1/a))^(-q) du (t = w u^(1/a)) by 128-node Gauss-Legendre."""
+    x, wt = analysis._leggauss(128)
+    u = 0.5 * (x + 1.0)
+    return w ** a / a * 0.5 * float(wt @ (1.0 - w * u ** (1.0 / a)) ** (-q))
 
 
 # --------------------------------------------------------------------------
@@ -139,10 +146,11 @@ def identities_suite(d: int = 2, alpha: float = 1.5, tol: float = 1e-9,
     s2 = lam ** -d * sphere.ball_poisson_kernel(p, np.zeros(d), 1.0, xs, ys)
     e.append(check("ball-poisson-scaling", abs(s1 - s2) / abs(s2) < 1e-12,
                    s1, s2, 1e-12, "ball-poisson-scaling"))
-    area = sphere_area(d)
-    val, _ = _spi.quad(lambda w: 0.5 * sphere.ball_constant(p) * area
-                       * w ** (alpha / 2.0 - 1.0) * (1.0 - w) ** (-alpha / 2.0),
-                       0.0, 1.0, points=[0.0, 1.0], limit=200)
+    # the exit radius law integrates to 1: split at 1/2, with w -> 1 - w on
+    # the upper half, so each piece has one endpoint singularity at 0
+    a2 = alpha / 2.0
+    val = 0.5 * sphere.ball_constant(p) * sphere_area(d) * \
+        (_beta_integral(a2, a2, 0.5) + _beta_integral(1.0 - a2, 1.0 - a2, 0.5))
     e.append(check("ball-poisson-normalization", abs(val - 1.0) < 1e-6, val,
                    1.0, 1e-6, "ball-exit-total-mass"))
 
@@ -297,15 +305,14 @@ def identities_suite(d: int = 2, alpha: float = 1.5, tol: float = 1e-9,
     e.append(check("legendre-reduction-identity", worst < 1e-10, worst, 0.0,
                    1e-10, "legendre-first-term-reduction"))
 
-    # dual-path hitting probability on the overlap band
+    # the golden-band and t = 1 routes of phi agree on both sides of the
+    # band edges delta = golden and -1/golden, where both hold
     worst = 0.0
-    for dr in (1e-3, 1.5e-3, 2e-3):
-        for sgn in (1.0, -1.0):
-            r = 1.0 + sgn * dr
-            delta = (r - 1.0) * (r + 1.0)
-            series = sphere.phi_complement_delta(p, delta)
-            direct = 1.0 - sphere._phi_direct_delta(p, delta)
-            worst = max(worst, abs(series - direct) / abs(series))
+    g = sphere._GOLDEN
+    for delta in (1.2, 1.5, g, 1.7, 2.0, -0.55, -0.6, -1.0 / g, -0.65, -0.7):
+        golden = sphere._phi_golden(p, delta)[0]
+        far = sphere._phi_t1(p, delta)
+        worst = max(worst, abs(golden - far) / abs(far))
     e.append(check("phi-dual-path-overlap", worst < 1e-8, worst, 0.0, 1e-8,
                    "hitting-prob-dual-route"))
 
@@ -623,8 +630,8 @@ def relativistic_suite(d: int = 2, alpha: float = 1.5, tol: float = 1e-3,
 
     # the killed kernel is a strict sub-probability
     rp1 = RelativisticParams(p2, 1.0)
-    mass, _ = _spi.quad(lambda yv: relativistic.poisson_kernel_halfspace(
-        rp1, x, np.array([yv])), -np.inf, np.inf, limit=200)
+    grid = analysis.hyperplane_quadrature(p2, 241, p2.d + alpha - 2.0)
+    mass = grid.integrate(relativistic.poisson_kernel_halfspace(rp1, x, grid.nodes))
     e.append(check("relativistic-subprobability-mass", 0.0 < mass < 1.0,
                    mass, "(0, 1)", None, "killed-kernel-subprobability"))
 
@@ -708,18 +715,11 @@ def montecarlo_suite(d: int = 2, alpha: float = 1.5, tol: float = 1e-3,
 
     # ball exit radius: the quadrature oracle first, then the draws
     a2 = alpha / 2.0
-    area = sphere_area(d)
-    c_rad = sphere.ball_constant(p) * area
-
-    def radial_tail(rho):
-        v, _ = _spi.quad(lambda w: 0.5 * c_rad * w ** (a2 - 1.0)
-                         * (1.0 - w) ** (-a2), 0.0, 1.0 / rho ** 2,
-                         points=[0.0], limit=200)
-        return v
+    c_rad = sphere.ball_constant(p) * sphere_area(d)
 
     worst = 0.0
     for rho in (1.1, 1.5, 2.0, 5.0):
-        quad_val = radial_tail(rho)
+        quad_val = 0.5 * c_rad * _beta_integral(a2, a2, 1.0 / rho ** 2)
         beta_val = regularized_beta_cdf(a2, 1.0 - a2, 1.0 / rho ** 2)
         worst = max(worst, abs(quad_val - beta_val))
     e.append(check("ball-exit-beta-reduction-oracle", worst < 1e-8, worst,

@@ -149,21 +149,22 @@ def test_criterion_04_martin_limits():
 
 
 def test_criterion_05_phi_dual_path_and_limits():
+    # the golden-band and t = 1 routes, on both sides of the band edges
+    # r^2 - 1 = golden and -1/golden, where both hold
+    golden = (math.sqrt(5.0) + 1.0) / 2.0
+    deltas = (1.2, 1.5, golden, 1.7, 2.0, -0.55, -0.6, -1.0 / golden, -0.65, -0.7)
     worst = 0.0
     for d in (2, 3):
         for alpha in (1.2, 1.5, 1.8):
             p = StableParams(d, alpha)
-            for dr in (1e-3, 1.5e-3, 2e-3):
-                for sgn in (1.0, -1.0):
-                    r = 1.0 + sgn * dr
-                    delta = (r - 1.0) * (r + 1.0)
-                    series = sphere.phi_complement_delta(p, delta)
-                    direct = 1.0 - sphere._phi_direct_delta(p, delta)
-                    worst = max(worst, abs(series - direct) / abs(series))
+            for delta in deltas:
+                band = sphere._phi_golden(p, delta)[0]
+                far = sphere._phi_t1(p, delta)
+                worst = max(worst, abs(band - far) / abs(far))
     assert worst < 1e-8
     assert sphere.phi(P2, 1.0 - 1e-8) > 0.999
     assert sphere.phi(P2, 1e6) < 1e-2
-    report(5, "dual-route hitting probability agrees on the overlap band",
+    report(5, "dual-route hitting probability agrees across the band edges",
            f"worst rel = {worst:.2e}; phi(1-1e-8) = "
            f"{sphere.phi(P2, 1.0 - 1e-8):.6f}, phi(1e6) = {sphere.phi(P2, 1e6):.2e}")
 

@@ -279,3 +279,12 @@ class TestReport:
                            "--r", "0:3:10")
         assert code == 0
         assert out.splitlines()[-1].count(",") == 1
+
+
+def test_import_leaves_scipy_integrate_out():
+    # scipy.integrate costs every command ~0.5 s and ~26 MB to import; the
+    # verification suites integrate with the package's own Gauss rules
+    code = "import sys, stablepot.cli; sys.exit('scipy.integrate' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+    assert res.returncode == 0, res.stderr

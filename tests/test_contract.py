@@ -3,10 +3,10 @@
 At every radius or height in [0, 1e300], and at NaN and inf, a call
 returns finite values or raises one of the package's typed errors; it
 never returns NaN or inf and never lets a RuntimeWarning (an error in
-this suite) or a raw arithmetic exception escape.  Every ``eval`` kernel,
-with any one point argument pushed to 1e300, 1e-300, NaN, inf or the
-point at infinity, prints one finite value and exits 0, or prints one
-``error:`` line and exits 2.
+this suite) or a raw arithmetic exception escape.  Every ``eval`` kernel
+at d = 2, 3, 13 and 40, with any one point argument pushed to 1e300,
+1e-300, +-1.7e308, NaN, inf or the point at infinity, prints one finite
+value and exits 0, or prints one ``error:`` line and exits 2.
 """
 
 import math
@@ -117,7 +117,7 @@ EVAL_CASES = {
     "poisson-H-rel": lambda d: [{"x": _last(d, 1.0), "z": _last(d, 0.3, d - 1)}],
     "u-lambda": lambda d: [{"x": 0.5, "y": 1.5, "lambda": "0.5"}],
 }
-EXTREMES = (1e300, 1e-300, math.nan, math.inf)
+EXTREMES = (1e300, 1e-300, 1.7e308, -1.7e308, math.nan, math.inf)
 
 
 def _text(value):
@@ -151,7 +151,7 @@ def test_eval_cases_cover_every_kernel():
     assert set(EVAL_CASES) == set(cli.KERNELS)
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 13, 40])
 @pytest.mark.parametrize("kernel", cli.KERNELS)
 def test_eval_exit_contract(kernel, d, capsys):
     for argv in _eval_argvs(kernel, d):

@@ -176,8 +176,17 @@ class TestSubordinatorPotential:
             log_subordinator_potential(RP2, 0.5), rel=1e-13)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            subordinator_potential(RP2, 0.0)
+        for x in (0.0, math.inf, math.nan, [0.5, 0.0]):
+            with pytest.raises(DomainError):
+                subordinator_potential(RP2, x)
+
+    def test_array_matches_scalar_calls(self):
+        # the qm report curve evaluates its whole abscissa in one call
+        xs = np.linspace(0.01, 10.0, 200)
+        for rp in (RP2, RelativisticParams(P3, 2.0),
+                   RelativisticParams(StableParams(2, 1.05), 0.5)):
+            want = np.array([subordinator_potential(rp, float(x)) for x in xs])
+            assert np.all(np.abs(subordinator_potential(rp, xs) / want - 1.0) <= 1e-14)
 
 
 class TestLambdaPotential:

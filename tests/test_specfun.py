@@ -56,6 +56,18 @@ class TestGauss2F1:
                         ref = float(mpmath.hyp2f1(a, b, c, s) - 1)
                     assert abs(gauss_2f1_tail(a, b, c, s) - ref) <= 1e-14 * abs(ref)
 
+    @pytest.mark.parametrize("d", [2, 40, 400])
+    def test_tail_reach_follows_the_coefficients(self, d):
+        # with b ~ d/2 the terms grow until n ~ b |s|: 80 of them fall short
+        # of s = 0.56 at d = 400 (the sum was off by orders of magnitude),
+        # while at d = 2 they reach past 0.618; past the reach, hyp2f1 - 1,
+        # itself good to ~1e-13 where F reaches 4e18 (d = 400, s = 0.64)
+        a, b, c = 0.25, (d - 1.5) / 2.0, 0.5
+        for s in (1e-9, 2e-3, 0.05, 0.2, 0.56, 0.64, -0.56):
+            with mpmath.workdps(40):
+                ref = float(mpmath.hyp2f1(a, b, c, s) - 1)
+            assert abs(gauss_2f1_tail(a, b, c, s) - ref) <= 1e-12 * abs(ref), s
+
 
 class TestBesselI:
     def test_half_integer_closed_form(self):

@@ -17,18 +17,37 @@ P2 = StableParams(2, 1.5)
 P3 = StableParams(3, 1.5)
 
 
+def _mp_phi(d, alpha, r):
+    # Phi straight from the Legendre-function formula, at the working precision
+    a = mpmath.mpf(alpha)
+    rr = mpmath.mpf(r)
+    c2 = mpmath.sqrt(mpmath.pi) * 2 ** (2 - a) * mpmath.gamma((a + d) / 2 - 1) \
+        / mpmath.gamma((a - 1) / 2)
+    if r == 0:
+        return c2 / mpmath.gamma(mpmath.mpf(d) / 2)
+    t = (rr * rr + 1) / abs(rr * rr - 1)
+    return c2 * abs(rr * rr - 1) ** (a / 2 - 1) * rr ** (1 - mpmath.mpf(d) / 2) \
+        * mpmath.legenp(-a / 2, 1 - mpmath.mpf(d) / 2, t, type=3)
+
+
 def mp_phi(d, alpha, r, dps=40):
     # high-precision reference straight from the Legendre-function formula
     with mpmath.workdps(dps):
-        a = mpmath.mpf(alpha)
-        rr = mpmath.mpf(r)
-        c2 = mpmath.sqrt(mpmath.pi) * 2 ** (2 - a) * mpmath.gamma((a + d) / 2 - 1) \
-            / mpmath.gamma((a - 1) / 2)
-        if r == 0:
-            return float(c2 / mpmath.gamma(mpmath.mpf(d) / 2))
-        t = (rr * rr + 1) / abs(rr * rr - 1)
-        return float(c2 * abs(rr * rr - 1) ** (a / 2 - 1) * rr ** (1 - mpmath.mpf(d) / 2)
-                     * mpmath.legenp(-a / 2, 1 - mpmath.mpf(d) / 2, t, type=3))
+        return float(_mp_phi(d, alpha, r))
+
+
+def mp_green(p, x, y, dps=50):
+    # A |x - y|^(alpha - d) (1 - Phi(r_w)), r_w^2 = 1 + (|x|^2 - 1)(|y|^2 - 1)/|x - y|^2,
+    # with every square formed in mpmath
+    with mpmath.workdps(dps):
+        a, d = mpmath.mpf(p.alpha), p.d
+        xs, ys = [mpmath.mpf(v) for v in x], [mpmath.mpf(v) for v in y]
+        dist2 = sum((u - v) ** 2 for u, v in zip(xs, ys))
+        delta = (sum(u * u for u in xs) - 1) * (sum(v * v for v in ys) - 1) / dist2
+        riesz = mpmath.gamma((d - a) / 2) / (2 ** a * mpmath.pi ** (mpmath.mpf(d) / 2)
+                                              * mpmath.gamma(a / 2))
+        return float(riesz * dist2 ** ((a - d) / 2)
+                     * (1 - _mp_phi(d, p.alpha, mpmath.sqrt(1 + delta))))
 
 
 class TestConstants:
@@ -110,6 +129,14 @@ class TestConstants:
             phi(StableParams(400, 1.5), 0.7)
 
 
+    @pytest.mark.parametrize("d", [100_000, 1_000_000])
+    def test_overflowing_band_terms_are_refused(self, d):
+        # the band's two terms overflow to +-inf and their sum was NaN; the
+        # series coefficients themselves leave the float range at d = 1e6
+        with pytest.raises(DomainError, match="d = 12"):
+            phi(StableParams(d, 1.5), 0.9)
+
+
 class TestPhi:
     def test_origin_value(self):
         assert phi(P2, 0.0) == constants(P2).phi_at_origin
@@ -165,6 +192,23 @@ class TestPhi:
                         series = phi_complement_delta(p, delta)
                         direct = 1.0 - mp_phi(d, alpha, r)
                         assert series == pytest.approx(direct, rel=1e-8)
+
+    def test_golden_band_against_legendre_reference(self):
+        # Phi and 1 - Phi within 1e-13 over the golden-ratio band, from
+        # either side up to 1e-12 of the sphere; inside the sphere at alpha
+        # near 2 the two terms of 1 - Phi cancel about 200-fold
+        radii = [float(r) for r in np.linspace(0.62, 1.61, 12)] + \
+            [1.0 + sgn * 10.0 ** -k for k in (2.5, 3, 3.2, 4, 6, 9, 12) for sgn in (1.0, -1.0)]
+        for d in (2, 3, 4):
+            for alpha in (1.05, 1.2, 1.5, 1.9, 1.99):
+                p = StableParams(d, alpha)
+                for r in radii:
+                    with mpmath.workdps(50):
+                        ref = _mp_phi(d, alpha, r)
+                        want, want_comp = float(ref), float(1 - ref)
+                    assert abs(phi(p, r) - want) <= 1e-13 * want, (d, alpha, r)
+                    assert abs(phi_complement(p, r) - want_comp) <= 1e-13 * want_comp, \
+                        (d, alpha, r)
 
     def test_complement_positive_and_monotone_near_sphere(self):
         prev_in = prev_out = None
@@ -310,6 +354,22 @@ class TestGreenFunction:
             got = green_function(P2, [0.0, 0.5], [0.0, 1e200])
         assert math.isfinite(got)
         assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_coordinates_near_the_float_maximum(self, d):
+        # |x|^2 - 1 of a coordinate of 1.7e308, over the pair's scale, used
+        # to overflow, and 1 - Phi was taken at r_w = inf (2.6x too large)
+        p = StableParams(d, 1.5)
+        e1 = np.eye(d)[0]
+        for big in (1.7e308, -1.7e308):
+            x = big * np.eye(d)[-1]
+            for y in (2.0 * e1, 0.5 * e1, 1.25 * e1):
+                want = mp_green(p, x, y)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    for got in (green_function(p, x, y), green_function(p, y, x)):
+                        assert abs(got - want) <= 1e-12 * want, (big, y)
+        assert abs(green_function(P2, [0.0, 1.7e308], [2.0, 0.0]) - 9.9724e-156) <= 1e-159
 
     def test_far_points_far_apart(self):
         # delta_w ~ 1e400 overflows; 1 - Phi is taken at r_w = |x||y|/|x - y|,
