@@ -57,6 +57,7 @@ __all__ = [
     "HardyNormEstimate",
     "hardy_norm",
     "hardy_norms",
+    "radial_profile",
     "prob_hardy_norm",
     "majorant",
     "PVResult",
@@ -147,7 +148,7 @@ class HarmonicRepresentation:
     density: BoundaryFunction | None = None
     constant: float = 0.0
     flavor: Literal["poisson", "martin"] = "poisson"
-    _integrability_checked: bool = field(default=False, repr=False)
+    _integrability_checked: set[StableParams] = field(default_factory=set, repr=False)
 
     def __post_init__(self):
         if self.space not in (SPHERE, HALFSPACE):
@@ -169,6 +170,8 @@ def sphere_quadrature(p: StableParams, resolution: int) -> QuadratureGrid:
     integrands); d = 3: Gauss-Legendre in the polar cosine times a
     trapezoid in azimuth with 2 x resolution nodes.
     """
+    if p.d not in (2, 3):
+        raise DomainError(f"sphere quadrature supports d in {{2, 3}}, got d={p.d}")
     if resolution < 8:
         raise DomainError(f"resolution must be >= 8, got {resolution}")
     if p.d == 2:
@@ -176,22 +179,20 @@ def sphere_quadrature(p: StableParams, resolution: int) -> QuadratureGrid:
         nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         weights = np.full(resolution, 1.0 / resolution)
         return QuadratureGrid(nodes, weights, "SPHERE_TRAPEZOID")
-    if p.d == 3:
-        mu, wmu = _leggauss(resolution)
-        n_az = 2 * resolution
-        phi_az = 2.0 * math.pi * (np.arange(n_az) + 0.5) / n_az
-        sin_th = np.sqrt(1.0 - mu * mu)
-        nodes = np.empty((resolution * n_az, 3))
-        weights = np.empty(resolution * n_az)
-        cp, sp = np.cos(phi_az), np.sin(phi_az)
-        for i in range(resolution):
-            rows = slice(i * n_az, (i + 1) * n_az)
-            nodes[rows, 0] = sin_th[i] * cp
-            nodes[rows, 1] = sin_th[i] * sp
-            nodes[rows, 2] = mu[i]
-            weights[rows] = 0.5 * wmu[i] / n_az
-        return QuadratureGrid(nodes, weights, "SPHERE_PRODUCT_GL")
-    raise DomainError(f"sphere quadrature supports d in {{2, 3}}, got d={p.d}")
+    mu, wmu = _leggauss(resolution)
+    n_az = 2 * resolution
+    phi_az = 2.0 * math.pi * (np.arange(n_az) + 0.5) / n_az
+    sin_th = np.sqrt(1.0 - mu * mu)
+    nodes = np.empty((resolution * n_az, 3))
+    weights = np.empty(resolution * n_az)
+    cp, sp = np.cos(phi_az), np.sin(phi_az)
+    for i in range(resolution):
+        rows = slice(i * n_az, (i + 1) * n_az)
+        nodes[rows, 0] = sin_th[i] * cp
+        nodes[rows, 1] = sin_th[i] * sp
+        nodes[rows, 2] = mu[i]
+        weights[rows] = 0.5 * wmu[i] / n_az
+    return QuadratureGrid(nodes, weights, "SPHERE_PRODUCT_GL")
 
 
 def _ring(p: StableParams) -> tuple[np.ndarray, np.ndarray]:
@@ -325,8 +326,9 @@ def omega_integral_probe(p: StableParams, f: Callable[[np.ndarray], np.ndarray],
 
 def _ensure_halfspace_integrable(p: StableParams, rep: HarmonicRepresentation) -> None:
     # the poisson flavor needs |f| integrable against omega_alpha, the
-    # martin flavor plain Lebesgue integrability (finite total variation)
-    if rep._integrability_checked or rep.density is None:
+    # martin flavor plain Lebesgue integrability (finite total variation);
+    # both depend on (d, alpha), so a pass is recorded per parameter set
+    if p in rep._integrability_checked or rep.density is None:
         return
     f = rep.density
     weight = "omega" if rep.flavor == "poisson" else "lebesgue"
@@ -334,7 +336,7 @@ def _ensure_halfspace_integrable(p: StableParams, rep: HarmonicRepresentation) -
     if diverges:
         raise IntegrabilityError(
             "boundary density fails the reference-measure integrability condition")
-    rep._integrability_checked = True
+    rep._integrability_checked.add(p)
 
 
 # --- evaluating representations ---------------------------------------------
@@ -634,6 +636,15 @@ def hardy_norms(p: StableParams, space: str, u, pexps,
     return [_summarize_schedule(space, sl) for sl in slices]
 
 
+def radial_profile(p: StableParams, fn: Callable[[StableParams, float], float]):
+    """u(x) = fn(p, |x|) for ``hardy_norms`` on sphere slices, whose points
+    share one radius: ``fn`` runs once per slice, at its first point."""
+    def u(pts):
+        pts = np.atleast_2d(pts)
+        return np.full(len(pts), fn(p, float(np.linalg.norm(pts[0]))))
+    return u
+
+
 def _halfspace_support(p: StableParams,
                        rep: HarmonicRepresentation | None) -> tuple[np.ndarray, float]:
     if rep is not None and rep.measure is not None and rep.density is None:
@@ -798,25 +809,25 @@ def fractional_laplacian(p: StableParams, u, x, eps: float = 1e-4,
                          n_angle: int = 256, n_radial: int = 192) -> PVResult:
     """Pointwise fractional Laplacian of u at x by principal-value quadrature.
 
-    Only d = 2 is supported.  The annulus eps <= |h| <= 1 is integrated
-    with the symmetrized increment (u(x+h) + u(x-h) - 2u(x))/2, which
-    turns the principal value into an absolutely convergent integral for
-    C^2 functions; the remaining eps-ball contributes
-    c2 eps^(2-alpha)/(2-alpha) at leading order and is added back from a
-    curvature estimate of the innermost rings, with the residual priced
-    into the error estimate.  [1, rmax] is integrated directly; the tail
-    beyond rmax is bounded analytically from ``growth_exponent`` (the
-    declared growth |u(y)| = O(|y|^g), g < alpha) and also reported in
-    the error estimate.  The default rmax is 1e4 rather than 1e3:
-    growth exponents near alpha - 1 make the truncated tail scale like
-    rmax^(-alpha), and 1e3 leaves it above the per-mille accuracy the
-    harmonicity probes target.
+    Runs in d in {2, 3} on the directions of ``sphere_quadrature`` at
+    resolution n_angle^(1/(d-1)), which must reach 8: n_angle points on the
+    circle, a 16 x 32 product grid by default in d = 3.  The annulus
+    eps <= |h| <= 1 is integrated with the symmetrized increment
+    (u(x+h) + u(x-h) - 2u(x))/2, which turns the principal value into an
+    absolutely convergent integral for C^2 functions; the remaining
+    eps-ball contributes c2 eps^(2-alpha)/(2-alpha) at leading order and
+    is added back from a curvature estimate of the innermost rings, with
+    the residual priced into the error estimate.  [1, rmax] is integrated
+    directly; the tail beyond rmax is bounded analytically from
+    ``growth_exponent`` (the declared growth |u(y)| = O(|y|^g), g < alpha)
+    and also reported in the error estimate.  The default rmax is 1e4
+    rather than 1e3: growth exponents near alpha - 1 make the truncated
+    tail scale like rmax^(-alpha), and 1e3 leaves it above the per-mille
+    accuracy the harmonicity probes target.
 
     ``local_scale`` is the integral of the absolute integrand, the
     natural magnitude against which a residual should be judged.
     """
-    if p.d != 2:
-        raise DomainError("the PV fractional Laplacian is implemented for d = 2")
     if growth_exponent >= p.alpha:
         raise IntegrabilityError(
             f"declared growth {growth_exponent} >= alpha={p.alpha}: "
@@ -827,28 +838,28 @@ def fractional_laplacian(p: StableParams, u, x, eps: float = 1e-4,
         raise DomainError("n_angle must be even so that the direction set is symmetric")
     a = p.alpha
     coef = sphere.constants(p).a_d_neg_alpha
-    x = as_point(x, 2)
+    x = as_point(x, p.d)
+    grid = sphere_quadrature(p, round(n_angle ** (1.0 / (p.d - 1))))
+    dirs, w_dir = grid.nodes, grid.weights * sphere_area(p.d)
     u0 = float(np.asarray(u(x[None, :]))[0])
-    theta = 2.0 * math.pi * (np.arange(n_angle) + 0.5) / n_angle
-    dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     gl_x, gl_w = _leggauss(n_radial)
 
     def ring_values(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pts_p = x[None, None, :] + rho[:, None, None] * dirs[None, :, :]
-        pts_m = x[None, None, :] - rho[:, None, None] * dirs[None, :, :]
-        up = np.asarray(u(pts_p.reshape(-1, 2))).reshape(len(rho), n_angle)
-        um = np.asarray(u(pts_m.reshape(-1, 2))).reshape(len(rho), n_angle)
+        h = rho[:, None, None] * dirs[None, :, :]
+        up = np.asarray(u((x + h).reshape(-1, p.d))).reshape(len(rho), len(dirs))
+        um = np.asarray(u((x - h).reshape(-1, p.d))).reshape(len(rho), len(dirs))
         return up, um
 
-    # inner annulus in log-radius
+    # inner annulus in log-radius; in polar coordinates the kernel
+    # |h|^(-d-alpha) times rho^(d-1) (polar) times rho (log map) is rho^(-alpha)
     s_in = (gl_x + 1.0) / 2.0 * (-math.log(eps)) + math.log(eps)
     w_in = gl_w / 2.0 * (-math.log(eps))
     rho_in = np.exp(s_in)
     up, um = ring_values(rho_in)
     g_in = (up + um) / 2.0 - u0
-    radial_in = w_in * rho_in ** (-a)     # rho^{-2-alpha} * rho (polar) * rho (log map)
-    inner = float(np.einsum("s,st->", radial_in, g_in)) * (2.0 * math.pi / n_angle)
-    inner_abs = float(np.einsum("s,st->", radial_in, np.abs(g_in))) * (2.0 * math.pi / n_angle)
+    radial_in = w_in * rho_in ** (-a)
+    inner = float(radial_in @ g_in @ w_dir)
+    inner_abs = float(radial_in @ np.abs(g_in) @ w_dir)
 
     # eps-ball: the symmetrized increment is c2(theta) rho^2 + O(rho^4) for
     # locally C^4 u, so the [0, eps) piece integrates to
@@ -856,9 +867,9 @@ def fractional_laplacian(p: StableParams, u, x, eps: float = 1e-4,
     # innermost rings and their disagreement prices the correction
     c2_a = g_in[0] / rho_in[0] ** 2
     c2_b = g_in[1] / rho_in[1] ** 2
-    ball_factor = eps ** (2.0 - a) / (2.0 - a) * (2.0 * math.pi / n_angle)
-    ball = float(np.sum(c2_a)) * ball_factor
-    err_ball = abs(float(np.sum(c2_a - c2_b))) * ball_factor
+    ball_factor = eps ** (2.0 - a) / (2.0 - a)
+    ball = float(c2_a @ w_dir) * ball_factor
+    err_ball = abs(float((c2_a - c2_b) @ w_dir)) * ball_factor
 
     # outer annulus [1, rmax]
     s_out = (gl_x + 1.0) / 2.0 * math.log(rmax)
@@ -867,12 +878,12 @@ def fractional_laplacian(p: StableParams, u, x, eps: float = 1e-4,
     up, _ = ring_values(rho_out)
     g_out = up - u0
     radial_out = w_out * rho_out ** (-a)
-    outer = float(np.einsum("s,st->", radial_out, g_out)) * (2.0 * math.pi / n_angle)
-    outer_abs = float(np.einsum("s,st->", radial_out, np.abs(g_out))) * (2.0 * math.pi / n_angle)
+    outer = float(radial_out @ g_out @ w_dir)
+    outer_abs = float(radial_out @ np.abs(g_out) @ w_dir)
 
     # error budget: eps-ball correction residual + analytic tail beyond rmax
     rim = float(np.max(np.abs(g_out[-1])))
-    err_tail = 2.0 * math.pi * rim * rmax ** (-a) / (a - growth_exponent)
+    err_tail = sphere_area(p.d) * rim * rmax ** (-a) / (a - growth_exponent)
     return PVResult(value=coef * (inner + outer + ball),
                     error_estimate=coef * (err_ball + err_tail),
                     local_scale=coef * (inner_abs + outer_abs))
@@ -925,7 +936,7 @@ def fatou_probe(p: StableParams, rep: HarmonicRepresentation, y, beta: float,
         delta = 2.0 ** -k
         for sgn in (-1.0, 1.0):
             offsets.append(sgn * delta)
-            bases.append(_cone_base(rep.space, p, y, delta, spread, rng))
+            bases.append(_cone_base(rep.space, y, delta, spread, rng))
     offsets, bases = np.array(offsets), np.array(bases)
     # the exact boundary distance goes straight into the kernel algebra;
     # coordinates would absorb it near the ulp
@@ -937,26 +948,16 @@ def fatou_probe(p: StableParams, rep: HarmonicRepresentation, y, beta: float,
     return FatouProbe(deviations=devs, target=target)
 
 
-def _cone_base(space: str, p: StableParams, y: np.ndarray, delta: float,
-               spread: float, rng: np.random.Generator) -> np.ndarray:
-    # direction (sphere) or foot point (hyperplane) of one probe point
-    if space == SPHERE:
-        eta = spread * delta * (2.0 * rng.random() - 1.0)
-        return y * math.cos(eta) + _tangent_direction(y, rng) * math.sin(eta)
-    if p.d == 2:
-        return y + spread * delta * (2.0 * rng.random() - 1.0)
-    offset = rng.standard_normal(y.shape[0])
-    nrm = np.linalg.norm(offset)
-    offset = offset / nrm if nrm > 0 else offset
-    return y + spread * delta * rng.random() * offset
-
-
-def _tangent_direction(y: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    if len(y) == 2:
-        return np.array([-y[1], y[0]])
+def _cone_base(space: str, y: np.ndarray, delta: float, spread: float,
+               rng: np.random.Generator) -> np.ndarray:
+    # direction (sphere) or foot point (hyperplane) of one probe point: a
+    # step of uniform length up to spread * delta along a uniform direction
+    # tangent to the boundary at y
     v = rng.standard_normal(len(y))
-    v -= np.dot(v, y) * y
-    n = np.linalg.norm(v)
-    if n == 0.0:
-        return _tangent_direction(y, rng)
-    return v / n
+    if space == SPHERE:
+        v -= np.dot(v, y) * y
+    v /= np.linalg.norm(v) or 1.0
+    step = spread * delta * rng.random()
+    if space == SPHERE:
+        return y * math.cos(step) + v * math.sin(step)
+    return y + step * v

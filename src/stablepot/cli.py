@@ -59,9 +59,12 @@ def _parse_point(text: str):
 def _parse_range(text: str) -> np.ndarray:
     try:
         start, stop, count = text.split(":")
-        return np.linspace(float(start), float(stop), int(count))
+        start, stop, count = float(start), float(stop), int(count)
     except ValueError as exc:
         raise DomainError(f"range must look like start:stop:count, got {text!r}") from exc
+    if not math.isfinite(stop - start) or count < 1:    # also NaN or infinite ends
+        raise DomainError(f"range needs a finite span and a count of at least 1, got {text!r}")
+    return np.linspace(start, stop, count)
 
 
 def _scalar(point, name: str) -> float:
@@ -250,9 +253,8 @@ def _cmd_report(args) -> int:
         write_csv(args.out, meta, rows, ["r", args.curve.replace("-", "_")])
     elif args.curve == "omega-alpha":
         rs = _parse_range(args.r)
-        rows = [(float(r), halfspace.omega_alpha_density(
-            p, np.concatenate([[float(r)], np.zeros(args.d - 2)])))
-            for r in rs]
+        dens = halfspace.omega_alpha_density(p, np.outer(rs, np.eye(args.d - 1)[0]))
+        rows = zip(rs.tolist(), dens.tolist())
         write_csv(args.out, meta, rows, ["radius", "density"])
     elif args.curve == "qm":
         rp = RelativisticParams(p, args.m)
@@ -263,17 +265,16 @@ def _cmd_report(args) -> int:
         write_csv(args.out, meta, rows, ["x", "qm"])
     elif args.curve == "poisson-H-profile":
         rs = _parse_range(args.r)
-        x = basis_last(args.d)
-        rows = [(float(r), halfspace.poisson_kernel(
-            p, x, np.concatenate([[float(r)], np.zeros(args.d - 2)])))
-            for r in rs]
+        kern = halfspace.poisson_kernel(p, basis_last(args.d),
+                                       np.outer(rs, np.eye(args.d - 1)[0]))
+        rows = zip(rs.tolist(), kern.tolist())
         write_csv(args.out, meta, rows, ["ybar", "kernel"])
     elif args.curve == "fatou-decay":
         meta["beta"] = args.beta
         smooth = analysis.BoundaryFunction(lambda pts: 1.0 + 0.5 * pts[:, 0])
         rep = analysis.HarmonicRepresentation(analysis.SPHERE, density=smooth)
         rng = RngStream(args.seed, 9).generator()
-        probe = analysis.fatou_probe(p, rep, np.array([1.0, 0.0]), args.beta,
+        probe = analysis.fatou_probe(p, rep, np.eye(args.d)[0], args.beta,
                                      args.depth, rng)
         running = probe.running_max_tail
         rows = [(k + 1, float(probe.deviations[k].max()), float(running[k]))
@@ -281,11 +282,9 @@ def _cmd_report(args) -> int:
         write_csv(args.out, meta, rows, ["depth", "deviation", "running_max"])
     elif args.curve == "hardy-schedule":
         meta["p"] = args.pexp
-        phi_fun = lambda pts: np.array([sphere.phi(p, float(np.linalg.norm(q)))
-                                        for q in np.atleast_2d(pts)])
         grid = analysis.sphere_quadrature(p, 64)
-        est = analysis.hardy_norm(p, analysis.SPHERE, phi_fun, args.pexp,
-                                  grid=grid)
+        est = analysis.hardy_norm(p, analysis.SPHERE, analysis.radial_profile(p, sphere.phi),
+                                  args.pexp, grid=grid)
         rows = [(float(s), float(v)) for s, v in est.slices]
         write_csv(args.out, meta, rows, ["r", "slice_norm"])
     else:  # pragma: no cover

@@ -244,11 +244,12 @@ def walk_on_balls_hitting(p: StableParams, x, cfg: WalkConfig, n: int,
         esc = (radii > cfg.r_max) & ~hit
         hits += int(hit.sum())
         escapes += int(esc.sum())
-        active[idx[hit | esc]] = False
-        live = idx[~(hit | esc)]
+        done = hit | esc
+        active[idx[done]] = False
+        live = idx[~done]
         if live.size == 0:
             continue
-        rho = cfg.kappa * np.abs(np.linalg.norm(pos[live], axis=1) - 1.0)
+        rho = cfg.kappa * dist[~done]
         pos[live] += rho[:, None] * sample_ball_exit_center(p, rng, live.size)
     inconclusive = int(active.sum())
     est = hits / n

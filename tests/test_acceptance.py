@@ -107,7 +107,7 @@ def test_criterion_03_kelvin_green_relation():
     twice = halfspace.kelvin("K_TILDE_ALPHA", P2,
                              lambda z: halfspace.kelvin("K_TILDE_ALPHA", P2, u, z),
                              x0)
-    assert twice == pytest.approx(u(x0), rel=1e-12)
+    assert twice == pytest.approx(u(x0), rel=1e-12, abs=0)
     report(3, "Green functions agree through the shifted Kelvin route",
            f"worst rel err = {worst:.2e}; per-argument weight 2^((d-a)/2), "
            "squared constant 2^(d-a)")
@@ -257,12 +257,12 @@ def test_criterion_09_hardy_identities():
     mu = DiscreteMeasure(np.array([[1.0, 0.0], [-1.0, 0.0]]), [1.2, -0.8])
     v = analysis.prob_hardy_norm(P2, HarmonicRepresentation(SPHERE, measure=mu),
                                  1.0)
-    assert v == pytest.approx(2.0 * phi0, rel=1e-14)
+    assert v == pytest.approx(2.0 * phi0, rel=1e-14, abs=0)
     mu_h = DiscreteMeasure(np.zeros((1, 1)), [1.0])
     v = analysis.prob_hardy_norm(
         P2, HarmonicRepresentation(HALFSPACE, measure=mu_h, constant=3.0,
                                    flavor="martin"), 1.0)
-    assert v == pytest.approx(4.0, rel=1e-15)
+    assert v == pytest.approx(4.0, rel=1e-15, abs=0)
     f = BoundaryFunction(lambda pts: 1.0 + 0.5 * pts[:, 0])
     rep_f = HarmonicRepresentation(SPHERE, density=f, constant=0.5)
     for pexp in (1.0, 2.0):

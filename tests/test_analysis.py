@@ -85,7 +85,7 @@ class TestPoissonIntegralSphere:
         rep = HarmonicRepresentation(SPHERE, constant=1.0)
         x = np.array([0.3, 0.1])
         want = sphere.phi_complement(P2, float(np.linalg.norm(x)))
-        assert poisson_integral_sphere(P2, rep, x) == pytest.approx(want, rel=1e-14)
+        assert poisson_integral_sphere(P2, rep, x) == pytest.approx(want, rel=1e-14, abs=0)
 
     def test_atoms_sum_exactly(self):
         mu = DiscreteMeasure(np.array([[1.0, 0.0], [0.0, 1.0]]), [0.7, -0.2])
@@ -93,7 +93,7 @@ class TestPoissonIntegralSphere:
         x = np.array([0.4, -0.2])
         want = 0.7 * sphere.poisson_kernel(P2, x, np.array([1.0, 0.0])) \
             - 0.2 * sphere.poisson_kernel(P2, x, np.array([0.0, 1.0]))
-        assert poisson_integral_sphere(P2, rep, x) == pytest.approx(want, rel=1e-14)
+        assert poisson_integral_sphere(P2, rep, x) == pytest.approx(want, rel=1e-14, abs=0)
 
     def test_uniform_convergence_to_continuous_density(self):
         # the image of a continuous boundary function converges uniformly
@@ -133,7 +133,7 @@ class TestPoissonIntegralHalfspace:
         mu = DiscreteMeasure(np.zeros((1, 1)), [1.0])
         rep = HarmonicRepresentation(HALFSPACE, measure=mu, flavor="martin")
         assert poisson_integral_halfspace(P2, rep, basis_last(2)) == \
-            pytest.approx(1.0, rel=1e-15)
+            pytest.approx(1.0, rel=1e-15, abs=0)
 
     def test_lp_convergence_for_compact_density(self):
         f = BoundaryFunction(lambda pts: np.maximum(1.0 - pts[:, 0] ** 2, 0.0))
@@ -158,6 +158,15 @@ class TestPoissonIntegralHalfspace:
         rep = HarmonicRepresentation(HALFSPACE, density=bad)
         with pytest.raises(IntegrabilityError):
             poisson_integral_halfspace(P2, rep, [0.0, 1.0])
+
+    def test_integrability_is_checked_per_parameter_set(self):
+        # (1 + |y|^2)^0.35 is omega-integrable at alpha = 1.9, not at 1.2:
+        # a pass at one alpha must not carry over to the other
+        f = BoundaryFunction(lambda pts: (1.0 + np.sum(pts ** 2, axis=1)) ** 0.35)
+        rep = HarmonicRepresentation(HALFSPACE, density=f)
+        assert np.isfinite(halfspace_values(StableParams(2, 1.9), rep, [[0.0]], 1.0)[0])
+        with pytest.raises(IntegrabilityError):
+            halfspace_values(StableParams(2, 1.2), rep, [[0.0]], 1.0)
 
 
 class TestOmegaProbe:
@@ -268,7 +277,7 @@ class TestEvaluator:
         direct = {}
         for s in schedule:
             lam = _funk_hecke_d3(p.alpha, s)
-            assert lam[0] == pytest.approx(sphere.phi(p, s), rel=1e-13)
+            assert lam[0] == pytest.approx(sphere.phi(p, s), rel=1e-13, abs=0)
             direct[s] = (lam[0] + lam[1] * (0.5 * eta[:, 0] - 0.3 * eta[:, 2])
                          + lam[2] * 0.4 * eta[:, 1] * eta[:, 2]
                          + 0.25 * sphere.phi_complement(p, s))
@@ -280,7 +289,7 @@ class TestEvaluator:
             for s, got in est.slices:
                 u = np.abs(direct[s])
                 want = (slice_grid.integrate(u) if pexp == 1.0 else float(np.max(u)))
-                assert got == pytest.approx(want, rel=1e-12)
+                assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_d2_unit_density_slices_equal_phi(self):
         _assert_unit_density_slices_equal_phi(P2, sphere_quadrature(P2, 16))
@@ -353,7 +362,7 @@ class TestEvaluator:
                 want, _ = integrate.quad(radial, 0.0, big + 40.0, points=[big],
                                          epsabs=0.0, epsrel=1e-13, limit=500)
                 got = halfspace_values(p, rep, [xbar], t)[0]
-                assert got == pytest.approx(want, rel=1e-6)
+                assert got == pytest.approx(want, rel=1e-6, abs=0)
 
     def test_density_rules_name_the_callers_dimension(self):
         # the S^(d-2) ring exists for d <= 4; the error names d, not d - 1
@@ -495,13 +504,13 @@ class TestProbHardyNorm:
         mu = DiscreteMeasure(np.array([[1.0, 0.0], [-1.0, 0.0]]), [1.5, -0.5])
         rep = HarmonicRepresentation(SPHERE, measure=mu, constant=-0.25)
         want = kc.phi_at_origin * 2.0 + 0.25 * (1.0 - kc.phi_at_origin)
-        assert prob_hardy_norm(P2, rep, 1.0) == pytest.approx(want, rel=1e-14)
+        assert prob_hardy_norm(P2, rep, 1.0) == pytest.approx(want, rel=1e-14, abs=0)
 
     def test_halfspace_atomic(self):
         mu = DiscreteMeasure(np.zeros((1, 1)), [1.0])
         rep = HarmonicRepresentation(HALFSPACE, measure=mu, constant=3.0,
                                      flavor="martin")
-        assert prob_hardy_norm(P2, rep, 1.0) == pytest.approx(4.0, rel=1e-15)
+        assert prob_hardy_norm(P2, rep, 1.0) == pytest.approx(4.0, rel=1e-15, abs=0)
 
     def test_sphere_density_p2(self):
         kc = sphere.constants(P2)
@@ -510,7 +519,7 @@ class TestProbHardyNorm:
         norm2 = 1.0 + 0.125   # mean of (1 + z1/2)^2 over the circle
         want = math.sqrt(kc.phi_at_origin * norm2
                          + 0.25 * (1.0 - kc.phi_at_origin))
-        assert prob_hardy_norm(P2, rep, 2.0) == pytest.approx(want, rel=1e-6)
+        assert prob_hardy_norm(P2, rep, 2.0) == pytest.approx(want, rel=1e-6, abs=0)
 
     def test_atomic_p2_rejected(self):
         mu = DiscreteMeasure(np.array([[1.0, 0.0]]), [1.0])
@@ -539,7 +548,7 @@ class TestMajorant:
         rep = HarmonicRepresentation(SPHERE, density=f, constant=0.5)
         x = np.array([0.4, 0.1])
         u = poisson_integral_sphere(P2, rep, x)
-        assert majorant(P2, rep, 1.0, x) == pytest.approx(u, rel=1e-12)
+        assert majorant(P2, rep, 1.0, x) == pytest.approx(u, rel=1e-12, abs=0)
 
     def test_jensen_domination(self):
         f = BoundaryFunction(lambda pts: pts[:, 0])
@@ -566,7 +575,7 @@ class TestMajorant:
         rep_h = HarmonicRepresentation(HALFSPACE, measure=mu, constant=0.3,
                                        flavor="martin")
         base = majorant(P2, rep_h, 1.0, basis_last(2))
-        assert base == pytest.approx(prob_hardy_norm(P2, rep_h, 1.0), rel=1e-12)
+        assert base == pytest.approx(prob_hardy_norm(P2, rep_h, 1.0), rel=1e-12, abs=0)
 
     def test_majorant_is_harmonic(self):
         # spot check: the density part of a majorant annihilates the
@@ -620,7 +629,7 @@ class TestFractionalLaplacian:
         kc = sphere.constants(P2)
         want = kc.a_d_neg_alpha * math.pi * math.gamma(-P2.alpha / 2.0)
         assert res.value < 0.0
-        assert res.value == pytest.approx(want, rel=1e-6)
+        assert res.value == pytest.approx(want, rel=1e-6, abs=0)
 
     def test_growth_guard(self):
         with pytest.raises(IntegrabilityError):
@@ -628,9 +637,33 @@ class TestFractionalLaplacian:
                                  growth_exponent=1.6)
 
     def test_dimension_guard(self):
-        with pytest.raises(DomainError):
-            fractional_laplacian(P3, lambda pts: pts[:, 0], np.zeros(3),
-                                 growth_exponent=1.0)
+        # the directions come from sphere_quadrature, which stops at d = 3
+        with pytest.raises(DomainError, match="d=4"):
+            fractional_laplacian(StableParams(4, 1.5), lambda pts: pts[:, 0],
+                                 np.zeros(4), growth_exponent=1.0)
+
+    @pytest.mark.parametrize("alpha", [1.05, 1.2, 1.5, 1.9, 1.99])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_gaussian_against_closed_form(self, d, alpha):
+        # (-Delta)^(alpha/2) applied to exp(-|x|^2), with the sign of the
+        # generator: -2^alpha Gamma((d+alpha)/2)/Gamma(d/2) 1F1((d+alpha)/2; d/2; -|x|^2)
+        p = StableParams(d, alpha)
+        for x in (np.zeros(d), np.eye(d)[0] * 0.5 - np.eye(d)[1] * 0.3):
+            res = fractional_laplacian(p, lambda pts: np.exp(-np.sum(pts ** 2, axis=1)), x)
+            want = float(-mpmath.mpf(2) ** alpha * mpmath.gamma((d + alpha) / 2.0)
+                         / mpmath.gamma(d / 2.0)
+                         * mpmath.hyp1f1((d + alpha) / 2.0, d / 2.0, -float(x @ x)))
+            assert res.value == pytest.approx(want, rel=5e-5, abs=0)
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.9])
+    def test_harmonic_profiles_in_d3(self, alpha):
+        p = StableParams(3, alpha)
+        lin = fractional_laplacian(p, lambda pts: pts[:, 0], np.array([0.3, 0.0, 0.7]),
+                                   growth_exponent=1.0)
+        assert abs(lin.value) < 2e-4 * lin.local_scale
+        mar = fractional_laplacian(p, lambda pts: np.abs(pts[:, -1]) ** (alpha - 1.0),
+                                   np.array([0.4, 0.0, 0.8]), growth_exponent=alpha - 1.0)
+        assert abs(mar.value) < 2e-4 * mar.local_scale
 
 
 class TestFatouProbe:
@@ -659,7 +692,7 @@ class TestFatouProbe:
         probe = fatou_probe(P2, rep, ybar, beta=4.0, depth=18,
                             rng=np.random.default_rng(16))
         want = math.exp(-0.09) / float(halfspace.omega_alpha_density(P2, ybar))
-        assert probe.target == pytest.approx(want, rel=1e-12)
+        assert probe.target == pytest.approx(want, rel=1e-12, abs=0)
         assert probe.running_max_tail[-1] < 1e-2
 
     def test_cone_guard(self):

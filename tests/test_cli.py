@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def read_curve(path):
+    # the rows of a report CSV, past its metadata lines and header row
+    lines = path.read_text().splitlines()
+    meta = sum(1 for ln in lines if ln.startswith("#"))
+    return np.loadtxt(path, delimiter=",", skiprows=meta + 1, ndmin=2)
 
 
 def run_cli_process(*argv):
@@ -40,7 +48,7 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "martin-H", "--d", "2",
                            "--alpha", "1.5", "--x", "0,2", "--z", "inf")
         assert code == 0
-        assert float(out) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert float(out) == pytest.approx(math.sqrt(2.0), rel=1e-15, abs=0)
 
     def test_green_halfspace_symmetry(self, capsys):
         code, a, _ = run(capsys, "eval", "green-H", "--x", "0,1", "--y", "1,-1")
@@ -105,7 +113,7 @@ class TestEval:
             assert res.returncode == 0
             assert res.stderr == ""
             assert 0.0 <= float(res.stdout) <= 1.0
-        assert float(res.stdout) == pytest.approx(0.1976470190745546, rel=1e-12)
+        assert float(res.stdout) == pytest.approx(0.1976470190745546, rel=1e-12, abs=0)
 
     def test_green_far_point_evaluates(self):
         # |y| = 1e200 once overflowed |y|^2 and ended in an error; the
@@ -116,7 +124,7 @@ class TestEval:
         p = stablepot.StableParams(2, 1.5)
         want = stablepot.sphere.constants(p).a_d_alpha * 1e200 ** -0.5 \
             * (1.0 - stablepot.sphere.phi(p, 0.5))
-        assert float(res.stdout) == pytest.approx(want, rel=1e-12)
+        assert float(res.stdout) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_divergence_maps_to_domain_exit(self, capsys):
         code, _, err = run(capsys, "eval", "u-lambda", "--d", "2",
@@ -238,11 +246,60 @@ class TestReport:
         code, _, _ = run(capsys, "report", "--curve", "fatou-decay",
                          "--depth", "12", "--out", str(out_file))
         assert code == 0
-        lines = out_file.read_text().splitlines()
-        meta = sum(1 for ln in lines if ln.startswith("#"))
-        data = np.loadtxt(out_file, delimiter=",", skiprows=meta + 1)
+        data = read_curve(out_file)
+        assert data.shape == (12, 3)
         running = data[:, 2]
         assert np.all(np.diff(running) <= 1e-15)         # nonincreasing
+
+    def test_fatou_decay_curve_in_d3(self, capsys, tmp_path):
+        # the curve approaches e_1 of R^3
+        out_file = tmp_path / "fatou.csv"
+        code, _, _ = run(capsys, "report", "--curve", "fatou-decay", "--d", "3",
+                         "--depth", "12", "--out", str(out_file))
+        assert code == 0
+        data = read_curve(out_file)
+        assert data.shape == (12, 3)
+        running = data[:, 2]
+        assert np.all(np.diff(running) <= 1e-15)         # nonincreasing
+
+    def test_hardy_schedule_curve_in_d3(self, capsys, tmp_path):
+        # the slice points share one radius, so each slice norm is phi there;
+        # the radius is taken as |s z| for a unit node z, s up to rounding
+        out_file = tmp_path / "hardy.csv"
+        code, _, _ = run(capsys, "report", "--curve", "hardy-schedule", "--d", "3",
+                         "--alpha", "1.2", "--out", str(out_file))
+        assert code == 0
+        data = read_curve(out_file)
+        p = stablepot.StableParams(3, 1.2)
+        want = [stablepot.sphere.phi(p, r) for r in data[:, 0]]
+        assert data[:, 1] == pytest.approx(want, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("curve", ["omega-alpha", "poisson-H-profile"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_boundary_curves_match_pointwise_kernels(self, capsys, tmp_path, curve, d):
+        # one broadcast kernel call for the whole curve, at the points r e_1
+        out_file = tmp_path / "curve.csv"
+        code, _, _ = run(capsys, "report", "--curve", curve, "--d", str(d),
+                         "--r=-4:6:41", "--out", str(out_file))
+        assert code == 0
+        data = read_curve(out_file)
+        p = stablepot.StableParams(d, 1.5)
+        x = np.eye(d)[-1]
+        want = [stablepot.halfspace.poisson_kernel(p, x, np.eye(d - 1)[0] * r)
+                for r in data[:, 0]]
+        assert data[:, 1] == pytest.approx(want, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("rng", ["0.5:2:0", "0.5:2:-3", "0.5:inf:3", "nan:2:3",
+                                     "-inf:2:3", "-1.7e308:1.7e308:3"])
+    @pytest.mark.parametrize("curve", ["phi", "omega-alpha", "qm"])
+    def test_bad_range_is_one_error_line(self, capsys, curve, rng):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "report", "--curve", curve, f"--r={rng}")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert repr(rng) in err
 
     def test_curve_bytes_match_savetxt(self, capsys, tmp_path):
         # metadata and header rows, then the rows as np.savetxt wrote them

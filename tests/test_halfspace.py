@@ -40,7 +40,7 @@ class TestPoissonKernel:
             t = rng.uniform(0.1, 2.0)
             a = poisson_kernel(P3, np.concatenate([xb, [t]]), yb)
             b = poisson_kernel(P3, np.concatenate([yb, [t]]), xb)
-            assert a == pytest.approx(b, rel=1e-13)
+            assert a == pytest.approx(b, rel=1e-13, abs=0)
 
     def test_scaling(self):
         lam = 3.0
@@ -48,7 +48,7 @@ class TestPoissonKernel:
         yb = np.array([1.0, 0.5])
         lhs = poisson_kernel(P3, lam * x, lam * yb)
         rhs = lam ** (1 - P3.d) * poisson_kernel(P3, x, yb)
-        assert lhs == pytest.approx(rhs, rel=1e-13)
+        assert lhs == pytest.approx(rhs, rel=1e-13, abs=0)
 
     def test_errors(self):
         with pytest.raises(DomainError):
@@ -70,8 +70,10 @@ class TestPoissonKernel:
     def test_far_and_near_heights(self):
         # c3 / t at d = 2; the parent's unscaled distance gave 0.0 and inf
         c3 = sphere.constants(P2).c3
-        assert poisson_kernel(P2, [0.0, 1e200], [0.0]) == pytest.approx(c3 * 1e-200, rel=1e-13)
-        assert poisson_kernel(P2, [0.0, 1e-200], [0.0]) == pytest.approx(c3 * 1e200, rel=1e-13)
+        assert poisson_kernel(P2, [0.0, 1e200], [0.0]) == \
+            pytest.approx(c3 * 1e-200, rel=1e-13, abs=0)
+        assert poisson_kernel(P2, [0.0, 1e-200], [0.0]) == \
+            pytest.approx(c3 * 1e200, rel=1e-13, abs=0)
 
 
 class TestPowersOfFour:
@@ -87,7 +89,7 @@ class TestPowersOfFour:
     def test_hitting_density(self, p, k):
         x, yb, lam = self.X[p.d], self.Y[p.d], 4.0 ** k
         want = lam ** (1 - p.d) * poisson_kernel(p, x, yb)
-        assert poisson_kernel(p, lam * x, lam * yb) == pytest.approx(want, rel=1e-13)
+        assert poisson_kernel(p, lam * x, lam * yb) == pytest.approx(want, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("p", [P2, P3])
     @pytest.mark.parametrize("k", [-250, 100, 250])
@@ -100,7 +102,7 @@ class TestPowersOfFour:
         else:        # |e_d - lam z| ~ 1
             want = lam ** (1 - p.d) * t ** (p.alpha - 1.0) * dist2 ** -q
         got = martin_kernel(p, lam * x, lam * z)
-        assert got == pytest.approx(want, rel=1e-13)
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
         both = martin_kernel(p, lam * x, np.stack([lam * z, -lam * z]))
         assert both[0] == got
 
@@ -109,13 +111,13 @@ class TestPowersOfFour:
         yb, lam = self.Y[2], 4.0 ** k
         c3 = sphere.constants(P2).c3
         want = c3 if k < 0 else c3 * (lam * abs(yb[0])) ** -P2.alpha
-        assert omega_alpha_density(P2, lam * yb) == pytest.approx(want, rel=1e-13)
+        assert omega_alpha_density(P2, lam * yb) == pytest.approx(want, rel=1e-13, abs=0)
 
 
 class TestOmegaAlpha:
     def test_value_at_origin(self):
         assert omega_alpha_density(P2, np.zeros(1)) == pytest.approx(
-            sphere.constants(P2).c3, rel=1e-15)
+            sphere.constants(P2).c3, rel=1e-15, abs=0)
 
     def test_total_mass(self):
         from stablepot.analysis import hyperplane_quadrature
@@ -128,7 +130,7 @@ class TestOmegaAlpha:
     def test_radial(self):
         v1 = omega_alpha_density(P3, np.array([0.6, 0.8]))
         v2 = omega_alpha_density(P3, np.array([1.0, 0.0]))
-        assert v1 == pytest.approx(v2, rel=1e-14)
+        assert v1 == pytest.approx(v2, rel=1e-14, abs=0)
 
 
 class TestGreenFunction:
@@ -141,9 +143,9 @@ class TestGreenFunction:
             x[-1] = rng.uniform(0.1, 1.0)
             y[-1] = rng.uniform(-1.0, -0.1)
             g = green_function(P2, x, y)
-            assert g == pytest.approx(green_function(P2, y, x), rel=1e-12)
+            assert g == pytest.approx(green_function(P2, y, x), rel=1e-12, abs=0)
             assert g == pytest.approx(green_function(P2, x + shift, y + shift),
-                                      rel=1e-12)
+                                      rel=1e-12, abs=0)
 
     def test_opposite_sides_stay_finite_positive(self):
         # the radial argument drops below 1 across the plane; mirror points
@@ -154,7 +156,7 @@ class TestGreenFunction:
         kc = sphere.constants(P2)
         want = kc.a_d_alpha * 2.0 ** (P2.alpha - P2.d) \
             * (1.0 - kc.phi_at_origin)
-        assert g == pytest.approx(want, rel=1e-13)
+        assert g == pytest.approx(want, rel=1e-13, abs=0)
 
     def test_scaling(self):
         lam = 2.5
@@ -162,7 +164,7 @@ class TestGreenFunction:
         y = np.array([-0.4, -0.2])
         lhs = green_function(P2, lam * x, lam * y)
         rhs = lam ** (P2.alpha - P2.d) * green_function(P2, x, y)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("p", [P2, StableParams(2, 1.2), P3,
                                    StableParams(3, 1.8)])
@@ -187,21 +189,21 @@ class TestGreenFunction:
                 * np.linalg.norm(y + e_d) ** (p.alpha - p.d)
             rhs = pref * sphere.green_function(p, invert_t_tilde(x),
                                                invert_t_tilde(y))
-            assert lhs == pytest.approx(rhs, rel=1e-9)
+            assert lhs == pytest.approx(rhs, rel=1e-9, abs=0)
 
     def test_far_points_do_not_overflow(self):
         # |x - y|^2 and 4 x_d y_d exceed the float range; delta = 8 is exact
         kc = sphere.constants(P2)
         want = kc.a_d_alpha * 1e200 ** (P2.alpha - P2.d) * (1.0 - sphere.phi(P2, 3.0))
         got = green_function(P2, [0.0, 1e200], [1.0, 2e200])
-        assert got == pytest.approx(want, rel=1e-12)
-        assert got == pytest.approx(1.6891700470302208e-101, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+        assert got == pytest.approx(1.6891700470302208e-101, rel=1e-12, abs=0)
 
     def test_near_coincident_points(self):
         # delta = 4 * 3.9^2 / 2.5e-307 overflows; 1 - Phi(1.56e154) is 1 to rounding
         want = sphere.constants(P2).a_d_alpha * 5e-154 ** (P2.alpha - P2.d)
         got = green_function(P2, [0.0, 3.9], [5e-154, 3.9])
-        assert got == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_subnormal_squared_distance(self):
         # |x - y|^2 = 1e-320 is subnormal; the distance power once came out
@@ -212,15 +214,15 @@ class TestGreenFunction:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = green_function(P2, [0.0, 1.0], [1e-160, 1.0])
-        assert got == pytest.approx(want, rel=1e-13)
-        assert got == pytest.approx(3.32967936e79, rel=1e-8)
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
+        assert got == pytest.approx(3.32967936e79, rel=1e-8, abs=0)
         # both points this near the plane as well: the Green function is
         # homogeneous of degree alpha - d, and 2^-530 scales exactly
         lam = 2.0 ** -530
         x, y = np.array([0.0, 1.0]), np.array([1.0, 2.0])
         with mpmath.workdps(30):
             want = float(green_function(P2, x, y) * mpmath.mpf(lam) ** (P2.alpha - P2.d))
-        assert green_function(P2, lam * x, lam * y) == pytest.approx(want, rel=1e-13)
+        assert green_function(P2, lam * x, lam * y) == pytest.approx(want, rel=1e-13, abs=0)
 
     def test_errors(self):
         with pytest.raises(SingularityError):
@@ -233,18 +235,19 @@ class TestMartinKernel:
     def test_normalization_at_basis(self):
         e2 = basis_last(2)
         for z in (np.array([0.0]), np.array([2.5]), np.array([-17.0])):
-            assert martin_kernel(P2, e2, z) == pytest.approx(1.0, rel=1e-15)
+            assert martin_kernel(P2, e2, z) == pytest.approx(1.0, rel=1e-15, abs=0)
 
     def test_infinity_branch(self):
         x = np.array([0.0, 0.0, 2.0])
         assert martin_kernel(P3, x, INFINITY) == pytest.approx(
-            2.0 ** (P3.alpha - 1.0), rel=1e-15)
+            2.0 ** (P3.alpha - 1.0), rel=1e-15, abs=0)
 
     def test_far_boundary_point(self):
         # |e_d - z| = |x - z| exactly here; the ratio of the two kernel
         # values was 0/0 = nan
-        assert martin_kernel(P2, [0.0, 1.0], [1e200]) == pytest.approx(1.0, rel=1e-13)
-        assert martin_kernel(P3, [0.0, 0.0, 1.0], [1e200, 0.0]) == pytest.approx(1.0, rel=1e-13)
+        assert martin_kernel(P2, [0.0, 1.0], [1e200]) == pytest.approx(1.0, rel=1e-13, abs=0)
+        assert martin_kernel(P3, [0.0, 0.0, 1.0], [1e200, 0.0]) == \
+            pytest.approx(1.0, rel=1e-13, abs=0)
 
     def test_poisson_ratio_identity(self):
         rng = np.random.default_rng(4)
@@ -254,8 +257,8 @@ class TestMartinKernel:
             z = rng.uniform(-2, 2, 1)
             want = poisson_kernel(P2, x, z) / poisson_kernel(P2, e2, z)
             assert martin_kernel(P2, x, z) * poisson_kernel(P2, e2, z) == \
-                pytest.approx(poisson_kernel(P2, x, z), rel=1e-12)
-            assert martin_kernel(P2, x, z) == pytest.approx(want, rel=1e-12)
+                pytest.approx(poisson_kernel(P2, x, z), rel=1e-12, abs=0)
+            assert martin_kernel(P2, x, z) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_green_ratio_limit(self):
         x = np.array([0.5, 1.3])
@@ -303,7 +306,7 @@ class TestInversions:
             lhs = np.linalg.norm(invert_t_tilde(x) - invert_t_tilde(y))
             rhs = 2 * np.linalg.norm(x - y) / (
                 np.linalg.norm(x + e3) * np.linalg.norm(y + e3))
-            assert lhs == pytest.approx(rhs, rel=1e-12)
+            assert lhs == pytest.approx(rhs, rel=1e-12, abs=0)
 
     def test_basis_maps_to_origin(self):
         assert np.array_equal(invert_t_tilde(basis_last(3)), np.zeros(3))
@@ -333,7 +336,7 @@ class TestKelvin:
             if np.linalg.norm(x) < 0.1:
                 continue
             want = x[0] * np.linalg.norm(x) ** (P2.alpha - 4.0)
-            assert kelvin("K_ALPHA", P2, u, x) == pytest.approx(want, rel=1e-13)
+            assert kelvin("K_ALPHA", P2, u, x) == pytest.approx(want, rel=1e-13, abs=0)
 
     def test_k_tilde_standard_is_involutive_green_is_not(self):
         u = lambda z: float(z[0] * math.exp(-float(np.dot(z, z))))
@@ -343,7 +346,7 @@ class TestKelvin:
         grn = kelvin("K_TILDE_ALPHA", P2,
                      lambda z: kelvin("K_TILDE_ALPHA", P2, u, z, scaling="green"),
                      x, scaling="green")
-        assert std == pytest.approx(u(x), rel=1e-12)
+        assert std == pytest.approx(u(x), rel=1e-12, abs=0)
         assert abs(grn - u(x)) > 1e-3 * abs(u(x))
 
     def test_k_tilde_image_is_harmonic(self):

@@ -193,6 +193,13 @@ class TestWalkOnBalls:
         target = sphere.constants(P2).phi_at_origin
         assert abs(res.estimate - target) <= 3.0 * res.stderr + res.bias_budget
 
+    def test_seeded_counts_are_pinned(self):
+        # hits, escapes and inconclusive walkers of one seeded walk, as the
+        # step rule rho = kappa |1 - |z|| has always drawn them
+        res = walk_on_balls_hitting(P2, np.array([0.5, 0.0]), WalkConfig(max_steps=10),
+                                    2000, RngStream(7, 0).generator())
+        assert (res.hits, res.escapes, res.inconclusive) == (483, 1, 1516)
+
     def test_merge_is_order_free(self):
         cfg = WalkConfig()
         a = walk_on_balls_hitting(P2, np.zeros(2), cfg, 500,

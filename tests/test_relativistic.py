@@ -107,16 +107,16 @@ class TestBesselTransition:
         for d in (2, 3):
             for (t, x, y) in [(0.5, 1.0, 2.0), (2.0, 0.3, 0.9)]:
                 assert bessel_transition(d, t, x, y) == pytest.approx(
-                    bessel_transition(d, t, y, x), rel=1e-13)
+                    bessel_transition(d, t, y, x), rel=1e-13, abs=0)
 
     def test_zero_radius_limit(self):
         # f(t, x, 0) extends continuously; oracle = limit of f(t, eps, eps)
         for d in (2, 3):
             t = 0.7
             want = (2.0 * t) ** (-d / 2.0)
-            assert bessel_transition(d, t, 0.0, 0.0) == pytest.approx(want, rel=1e-14)
+            assert bessel_transition(d, t, 0.0, 0.0) == pytest.approx(want, rel=1e-14, abs=0)
             seq = [bessel_transition(d, t, e, e) for e in (1e-2, 1e-4, 1e-6)]
-            assert seq[-1] == pytest.approx(want, rel=1e-9)
+            assert seq[-1] == pytest.approx(want, rel=1e-9, abs=0)
             assert abs(seq[0] - want) > abs(seq[-1] - want)
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -137,10 +137,10 @@ class TestBesselTransition:
                 for (t, x, y) in [(0.7, 1.0, 1.3), (2.0, 0.0, 0.4), (1e-3, 1.0, 1.0)]:
                     want = log_bessel_transition(d, t, x, y) - d * math.log(c)
                     got = log_bessel_transition(d, c * c * t, c * x, c * y)
-                    assert got == pytest.approx(want, rel=1e-12)
+                    assert got == pytest.approx(want, rel=1e-12, abs=0)
         assert bessel_transition(3, 1.0, 1e300, 1.5) == 0.0
         small = log_bessel_transition(3, 1e300, 1e-300, 1.0)
-        assert small == pytest.approx(-1.5 * math.log(2e300), rel=1e-14)
+        assert small == pytest.approx(-1.5 * math.log(2e300), rel=1e-14, abs=0)
 
     def test_array_times(self):
         ts = np.array([1e-6, 0.3, 1.0, 40.0])
@@ -153,7 +153,7 @@ class TestSubordinatorPotential:
         rp = RelativisticParams(P3, 1e-12)
         for x in (0.3, 1.0, 4.0):
             want = x ** (P3.alpha / 2.0 - 1.0) / math.gamma(P3.alpha / 2.0)
-            assert subordinator_potential(rp, x) == pytest.approx(want, rel=1e-6)
+            assert subordinator_potential(rp, x) == pytest.approx(want, rel=1e-6, abs=0)
 
     def test_positive(self):
         rng = np.random.default_rng(0)
@@ -168,12 +168,12 @@ class TestSubordinatorPotential:
         for n in range(200):
             total += 1.0 / math.gamma(0.75 + 0.75 * n)
         want = math.exp(-1.0) * total
-        assert subordinator_potential(RP2, 1.0) == pytest.approx(want, rel=1e-12)
+        assert subordinator_potential(RP2, 1.0) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_log_form_matches(self):
         v = subordinator_potential(RP2, 0.5)
         assert math.log(v) == pytest.approx(
-            log_subordinator_potential(RP2, 0.5), rel=1e-13)
+            log_subordinator_potential(RP2, 0.5), rel=1e-13, abs=0)
 
     def test_domain(self):
         for x in (0.0, math.inf, math.nan, [0.5, 0.0]):
@@ -196,13 +196,13 @@ class TestLambdaPotential:
         assert 0.0 < v < math.inf
         a = lambda_potential(rp, 0.7, 1.3)
         b = lambda_potential(rp, 1.3, 0.7)
-        assert a == pytest.approx(b, rel=1e-9)
+        assert a == pytest.approx(b, rel=1e-9, abs=0)
 
     def test_quadrature_self_consistency(self):
         rp = RelativisticParams(P3, 1.0, 0.5)
         coarse = lambda_potential(rp, 1.0, 2.0, quad_tol=1e-8)
         fine = lambda_potential(rp, 1.0, 2.0, quad_tol=1e-13)
-        assert coarse == pytest.approx(fine, rel=1e-7)
+        assert coarse == pytest.approx(fine, rel=1e-7, abs=0)
 
     def test_low_alpha_diverges_on_diagonal(self):
         rp = RelativisticParams(StableParams(3, 0.9), 1.0, 0.5)
@@ -246,7 +246,7 @@ class TestLambdaPotential:
             rp = RelativisticParams(StableParams(d, a), m, lam_frac * m)
             want = _ref_lambda_potential(rp, x, y)
             if want > 1e-6:
-                assert lambda_potential(rp, x, y) == pytest.approx(want, rel=1e-9), \
+                assert lambda_potential(rp, x, y) == pytest.approx(want, rel=1e-9, abs=0), \
                     (d, a, m, lam_frac, x, y)
                 checked += 1
         assert checked >= 16
@@ -274,7 +274,7 @@ class TestHittingProbability:
     def test_accepts_points(self):
         v_scalar = hitting_probability_sphere(RP3, 1.0, 2.0)
         v_point = hitting_probability_sphere(RP3, 1.0, [0.0, 0.0, 2.0])
-        assert v_scalar == pytest.approx(v_point, rel=1e-12)
+        assert v_scalar == pytest.approx(v_point, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_radii_are_refused(self, bad):
@@ -306,7 +306,7 @@ class TestHittingProbability:
         for rho in (1.5, 2.0, 4.0):
             got = hitting_probability_sphere(rp, 1.0, rho)
             want = sphere.phi(P3, rho)
-            assert got == pytest.approx(want, rel=1e-7)
+            assert got == pytest.approx(want, rel=1e-7, abs=0)
 
     def test_spheres_at_the_ends_of_the_float_range(self):
         # the two potentials leave the float range but their ratio does not:
@@ -325,7 +325,7 @@ class TestHittingProbability:
             RelativisticParams(P3, 1.0), 2.0, 3.0)
         want = hitting_probability_sphere(
             RelativisticParams(P3, 2.0 ** P3.alpha), 1.0, 1.5)
-        assert got == pytest.approx(want, rel=1e-8)
+        assert got == pytest.approx(want, rel=1e-8, abs=0)
 
 
 class TestKilledHyperplaneKernel:
@@ -348,7 +348,7 @@ class TestKilledHyperplaneKernel:
         x = np.array([0.4, 0.9])
         left = poisson_kernel_halfspace(RP2, x, np.array([0.4 - 1.3]))
         right = poisson_kernel_halfspace(RP2, x, np.array([0.4 + 1.3]))
-        assert left == pytest.approx(right, rel=1e-12)
+        assert left == pytest.approx(right, rel=1e-12, abs=0)
         assert left > 0.0
 
     def test_constant_positive(self):

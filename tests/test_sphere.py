@@ -57,13 +57,13 @@ class TestConstants:
             kc = constants(p)
             assert kc.c1 == pytest.approx(
                 math.gamma(d / 2) * math.pi ** (-1 - d / 2) * math.sin(math.pi * a / 2),
-                rel=1e-15)
+                rel=1e-15, abs=0)
             assert kc.c2 == pytest.approx(
                 math.sqrt(math.pi) * 2 ** (2 - a) * math.gamma((a + d) / 2 - 1)
-                / math.gamma((a - 1) / 2), rel=1e-15)
+                / math.gamma((a - 1) / 2), rel=1e-15, abs=0)
             assert kc.c3 == pytest.approx(
                 math.pi ** ((1 - d) / 2) * math.gamma((a + d) / 2 - 1)
-                / math.gamma((a - 1) / 2), rel=1e-15)
+                / math.gamma((a - 1) / 2), rel=1e-15, abs=0)
             assert kc.c1 > 0 and kc.c2 > 0 and kc.c3 > 0
             assert kc.series_c < 0
             assert 0.0 < kc.phi_at_origin < 1.0
@@ -112,13 +112,13 @@ class TestConstants:
                 with pytest.raises(DomainError, match="c2"):
                     kc.c2
             else:
-                assert getattr(kc, name) == pytest.approx(want, rel=2e-13), name
+                assert getattr(kc, name) == pytest.approx(want, rel=2e-13, abs=0), name
         with pytest.raises(DomainError, match="c1"):
             ball_constant(StableParams(500, 1.5))
         for r in (0.5, 0.9995, 2.0, 3.0):
             got = phi(p, r)
             assert 0.0 <= got <= 1.0
-            assert got == pytest.approx(mp_phi(400, 1.5, r, dps=80), rel=1e-12)
+            assert got == pytest.approx(mp_phi(400, 1.5, r, dps=80), rel=1e-12, abs=0)
 
     def test_large_dimension_cancellation_is_refused(self):
         # in the golden-ratio band the two reduced terms cancel ever harder
@@ -149,8 +149,8 @@ class TestPhi:
         # |x|^2 overflows; the norm must not
         for x in ([0.0, 1e200], [3e300, -4e300]):
             r = float(np.hypot(*x))
-            assert hitting_probability(P2, x) == pytest.approx(phi(P2, r), rel=1e-12)
-        assert phi(P2, 1e200) == pytest.approx(8.472130847939793e-101, rel=1e-12)
+            assert hitting_probability(P2, x) == pytest.approx(phi(P2, r), rel=1e-12, abs=0)
+        assert phi(P2, 1e200) == pytest.approx(8.472130847939793e-101, rel=1e-12, abs=0)
 
     def test_complement_rejects_infinite_delta(self):
         with pytest.raises(DomainError):
@@ -162,7 +162,7 @@ class TestPhi:
         p = StableParams(d, alpha)
         for r in (1e-4, 0.3, 0.62, 0.9, 0.998, 1.002, 1.1, 1.6, 2.1, 30.0, 1e6):
             ref = mp_phi(d, alpha, r)
-            assert phi(p, r) == pytest.approx(ref, rel=5e-12)
+            assert phi(p, r) == pytest.approx(ref, rel=5e-12, abs=0)
 
     def test_huge_radii_against_legendre_reference(self):
         # beyond r ~ 1.34e154, r^2 - 1 overflows; the reference needs
@@ -172,7 +172,7 @@ class TestPhi:
             for r in (1e154, 1e160, 1e300):
                 ref = mp_phi(2, p.alpha, r, dps=int(2 * math.log10(r)) + 40)
                 assert ref > 0.0
-                assert phi(p, r) == pytest.approx(ref, rel=1e-12)
+                assert phi(p, r) == pytest.approx(ref, rel=1e-12, abs=0)
                 assert phi_complement(p, r) == 1.0 - phi(p, r)
 
     def test_boundary_limits_canonical(self):
@@ -191,7 +191,7 @@ class TestPhi:
                         delta = (r - 1.0) * (r + 1.0)
                         series = phi_complement_delta(p, delta)
                         direct = 1.0 - mp_phi(d, alpha, r)
-                        assert series == pytest.approx(direct, rel=1e-8)
+                        assert series == pytest.approx(direct, rel=1e-8, abs=0)
 
     def test_golden_band_against_legendre_reference(self):
         # Phi and 1 - Phi within 1e-13 over the golden-ratio band, from
@@ -229,7 +229,7 @@ class TestPhi:
             q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
             a = hitting_probability(P3, x)
             b = hitting_probability(P3, q @ x)
-            assert a == pytest.approx(b, rel=5e-14)
+            assert a == pytest.approx(b, rel=5e-14, abs=0)
 
     def test_bounds(self):
         rng = np.random.default_rng(1)
@@ -253,7 +253,7 @@ class TestPoissonKernel:
         for ang in (0.0, 1.0, 2.5):
             z = np.array([math.cos(ang), math.sin(ang)])
             assert poisson_kernel(P2, np.zeros(2), z) == pytest.approx(
-                kc.phi_at_origin, rel=1e-15)
+                kc.phi_at_origin, rel=1e-15, abs=0)
 
     def test_exchange_symmetry(self):
         rng = np.random.default_rng(2)
@@ -264,7 +264,7 @@ class TestPoissonKernel:
                 z = rng.standard_normal(3)
                 z /= np.linalg.norm(z)
                 assert poisson_kernel(P3, r * y, z) == pytest.approx(
-                    poisson_kernel(P3, r * z, y), rel=1e-13)
+                    poisson_kernel(P3, r * z, y), rel=1e-13, abs=0)
 
     def test_integrates_to_phi(self):
         from stablepot.analysis import sphere_quadrature
@@ -306,7 +306,7 @@ class TestPoissonKernel:
         x = np.array([-3.0, 7.0])
         for k in (100, 250, 500):
             want = constants(P2).phi_at_origin * (4.0 ** k * 58.0 ** 0.5) ** (P2.alpha - P2.d)
-            assert poisson_kernel(P2, 4.0 ** k * x, z) == pytest.approx(want, rel=1e-13)
+            assert poisson_kernel(P2, 4.0 ** k * x, z) == pytest.approx(want, rel=1e-13, abs=0)
         both = poisson_kernel(P2, np.array([[0.0, 1e300], [0.0, 0.5]]), z)
         assert both[1] == poisson_kernel(P2, np.array([0.0, 0.5]), z)
 
@@ -325,7 +325,7 @@ class TestGreenFunction:
             done += 1
             g1 = green_function(P2, x, y)
             g2 = green_function(P2, y, x)
-            assert g1 == pytest.approx(g2, rel=1e-12)
+            assert g1 == pytest.approx(g2, rel=1e-12, abs=0)
             assert g1 >= 0.0
 
     def test_vanishes_at_sphere(self):
@@ -344,7 +344,7 @@ class TestGreenFunction:
         kc = constants(P2)
         y = np.array([1e3, 0.0])
         want = kc.a_d_alpha * 1e3 ** (P2.alpha - P2.d) * (1.0 - kc.phi_at_origin)
-        assert green_function(P2, np.zeros(2), y) == pytest.approx(want, rel=1e-5)
+        assert green_function(P2, np.zeros(2), y) == pytest.approx(want, rel=1e-5, abs=0)
 
     def test_far_point_does_not_overflow(self):
         want = constants(P2).a_d_alpha * 1e200 ** (P2.alpha - P2.d) \
@@ -353,7 +353,7 @@ class TestGreenFunction:
             warnings.simplefilter("error")
             got = green_function(P2, [0.0, 0.5], [0.0, 1e200])
         assert math.isfinite(got)
-        assert got == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_coordinates_near_the_float_maximum(self, d):
@@ -379,14 +379,14 @@ class TestGreenFunction:
         want = kc.a_d_alpha * (math.sqrt(2.0) * 1e200) ** (p.alpha - p.d) \
             * (1.0 - kc.phi_at_origin * (1e200 / math.sqrt(2.0)) ** (p.alpha - p.d))
         got = green_function(p, [0.0, 1e200], [1e200, 0.0])
-        assert got == pytest.approx(want, rel=1e-12)
-        assert got == pytest.approx(0.1571949424746409, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+        assert got == pytest.approx(0.1571949424746409, rel=1e-12, abs=0)
 
     def test_near_coincident_points_inside(self):
         # dx = dy = -0.75 and dist2 = 2.5e-307 overflow delta_w; 1 - Phi is 1 there
         want = constants(P2).a_d_alpha * 5e-154 ** (P2.alpha - P2.d)
         got = green_function(P2, [0.0, 0.5], [5e-154, 0.5])
-        assert got == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_subnormal_squared_distance(self):
         # |x - y|^2 = 1e-320 is subnormal; the distance power once came out
@@ -402,7 +402,7 @@ class TestGreenFunction:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = green_function(p, x, y)
-            assert got == pytest.approx(want, rel=1e-13)
+            assert got == pytest.approx(want, rel=1e-13, abs=0)
         with pytest.raises(SingularityError, match="float range"):
             green_function(StableParams(3, 1.2), [0.0, 0.0, 0.5], [1e-300, 0.0, 0.5])
 
@@ -428,7 +428,7 @@ class TestMartinKernel:
             z = rng.standard_normal(2)
             z /= np.linalg.norm(z)
             want = poisson_kernel(P2, x, z) / poisson_kernel(P2, np.zeros(2), z)
-            assert martin_kernel(P2, x, z) == pytest.approx(want, rel=1e-12)
+            assert martin_kernel(P2, x, z) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_green_ratio_limit(self):
         x = np.array([0.4, 0.1])
@@ -446,12 +446,13 @@ class TestMartinKernel:
         kc = constants(P2)
         x = np.array([0.3, 0.4])
         want = phi_complement(P2, 0.5) / (1.0 - kc.phi_at_origin)
-        assert martin_kernel(P2, x, INFINITY) == pytest.approx(want, rel=1e-13)
+        assert martin_kernel(P2, x, INFINITY) == pytest.approx(want, rel=1e-13, abs=0)
 
     def test_far_point(self):
         # P(x, z) / Phi(0) = |x|^(alpha - d) up to O(1/|x|); once nan from
         # the overflowing |x|^2 - 1
-        assert martin_kernel(P2, [0.0, 1e200], [0.0, 1.0]) == pytest.approx(1e-100, rel=1e-13)
+        assert martin_kernel(P2, [0.0, 1e200], [0.0, 1.0]) == \
+            pytest.approx(1e-100, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("p", [P2, StableParams(3, 1.2)])
     @pytest.mark.parametrize("k", [-250, 100, 250])
@@ -463,7 +464,7 @@ class TestMartinKernel:
         z = np.array([0.6, 0.8] + [0.0] * (p.d - 2))
         lam = 4.0 ** k
         want = 1.0 if k < 0 else (lam * np.linalg.norm(x)) ** (p.alpha - p.d)
-        assert martin_kernel(p, lam * x, z) == pytest.approx(want, rel=1e-13)
+        assert martin_kernel(p, lam * x, z) == pytest.approx(want, rel=1e-13, abs=0)
         both = martin_kernel(p, lam * x, np.stack([z, -z]))
         assert both[0] == martin_kernel(p, lam * x, z)
 
@@ -502,7 +503,7 @@ class TestBallPoisson:
         y = np.array([1.4, 1.2])
         lhs = ball_poisson_kernel(P2, np.zeros(2), lam, lam * x, lam * y)
         rhs = lam ** -2 * ball_poisson_kernel(P2, np.zeros(2), 1.0, x, y)
-        assert lhs == pytest.approx(rhs, rel=1e-13)
+        assert lhs == pytest.approx(rhs, rel=1e-13, abs=0)
 
     def test_off_center_normalization(self):
         # the exit density integrates to 1 from any interior start, not
@@ -540,7 +541,7 @@ class TestBallPoisson:
         c1 = ball_constant(P2)
         x = np.zeros(2)
         assert ball_poisson_kernel(P2, x, 1.0, x, [0.0, 1e60]) == pytest.approx(
-            c1 * 1e-60 ** (P2.alpha + P2.d), rel=1e-13)
+            c1 * 1e-60 ** (P2.alpha + P2.d), rel=1e-13, abs=0)
         # c1 |y|^-(alpha + d) = 1e-525 underflows; |y|^2 once overflowed
         assert ball_poisson_kernel(P2, x, 1.0, x, [0.0, 1e300]) == 0.0
         near = ball_poisson_kernel(P2, x, 1.0, [0.0, 1e-300], [0.0, 2.0])
@@ -562,7 +563,7 @@ class TestHigherDimensions:
     def test_phi_d4_against_reference(self):
         p = StableParams(4, 1.5)
         for r in (0.3, 0.9, 1.2, 5.0):
-            assert phi(p, r) == pytest.approx(mp_phi(4, 1.5, r), rel=5e-12)
+            assert phi(p, r) == pytest.approx(mp_phi(4, 1.5, r), rel=5e-12, abs=0)
 
     def test_kelvin_route_d4(self):
         from stablepot import halfspace
@@ -585,4 +586,4 @@ class TestHigherDimensions:
                 * np.linalg.norm(y + e4) ** (p.alpha - 4)
             rhs = pref * green_function(p, halfspace.invert_t_tilde(x),
                                         halfspace.invert_t_tilde(y))
-            assert lhs == pytest.approx(rhs, rel=1e-10)
+            assert lhs == pytest.approx(rhs, rel=1e-10, abs=0)
