@@ -15,9 +15,10 @@ entry point, slice norm, majorant and Fatou probe goes through them.
 
 Density parts are integrated by one peak-adapted polar rule per
 geometry, the same in every d <= 4: geodesic polar coordinates around
-each evaluation direction on the sphere, polar coordinates around each
-foot point on the hyperplane, with a ring rule on S^(d-2) for the
-angles.  Slice grids on the hyperplane are polar as well.
+each evaluation direction on the sphere, with the zonal weights of
+``sphere.polar_weights``, polar coordinates around each foot point on
+the hyperplane, with a ring rule on S^(d-2) for the angles.  Slice grids
+on the hyperplane are polar as well.
 
 Hardy norms are schedule suprema of slice L^p norms; divergence is a
 reported state, never an exception.  The pointwise fractional Laplacian
@@ -29,13 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Literal
 
 import numpy as np
 
 from .core import (StableParams, as_point, basis_last, norm, require_finite,
-                   require_unit, sphere_area)
+                   require_unit, sphere_area, _leggauss)
 from .errors import DomainError, IntegrabilityError, RepresentationError
 from . import halfspace, sphere
 
@@ -68,14 +68,6 @@ __all__ = [
 
 SPHERE = "SPHERE"
 HALFSPACE = "HALFSPACE"
-
-
-@lru_cache(maxsize=64)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
 
 
 # --- boundary data ---------------------------------------------------------
@@ -127,11 +119,10 @@ class BoundaryFunction:
 
 @dataclass
 class QuadratureGrid:
-    """Discrete surrogate of a boundary measure: nodes, weights, kind tag."""
+    """Discrete surrogate of a boundary measure: nodes and weights."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str
     tail_bound: float = 0.0
 
     def integrate(self, values: np.ndarray) -> float:
@@ -178,7 +169,7 @@ def sphere_quadrature(p: StableParams, resolution: int) -> QuadratureGrid:
         theta = 2.0 * math.pi * (np.arange(resolution) + 0.5) / resolution
         nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         weights = np.full(resolution, 1.0 / resolution)
-        return QuadratureGrid(nodes, weights, "SPHERE_TRAPEZOID")
+        return QuadratureGrid(nodes, weights)
     mu, wmu = _leggauss(resolution)
     n_az = 2 * resolution
     phi_az = 2.0 * math.pi * (np.arange(n_az) + 0.5) / n_az
@@ -192,7 +183,7 @@ def sphere_quadrature(p: StableParams, resolution: int) -> QuadratureGrid:
         nodes[rows, 1] = sin_th[i] * sp
         nodes[rows, 2] = mu[i]
         weights[rows] = 0.5 * wmu[i] / n_az
-    return QuadratureGrid(nodes, weights, "SPHERE_PRODUCT_GL")
+    return QuadratureGrid(nodes, weights)
 
 
 def _ring(p: StableParams) -> tuple[np.ndarray, np.ndarray]:
@@ -256,8 +247,7 @@ def hyperplane_quadrature(p: StableParams, resolution: int, decay_exponent: floa
     ring, ring_w = _ring(p)
     nodes = center + (rho[:, None, None] * ring).reshape(-1, k)
     tail = sphere_area(k) * float(rho.max()) ** (k - decay_exponent) / (decay_exponent - k)
-    return QuadratureGrid(nodes, np.outer(wt * sphere_area(k), ring_w).ravel(),
-                          "HYPERPLANE_POLAR", tail_bound=tail)
+    return QuadratureGrid(nodes, np.outer(wt * sphere_area(k), ring_w).ravel(), tail_bound=tail)
 
 
 # --- reference-measure integrals -------------------------------------------
@@ -341,11 +331,7 @@ def _ensure_halfspace_integrable(p: StableParams, rep: HarmonicRepresentation) -
 
 # --- evaluating representations ---------------------------------------------
 
-_POLAR_NODES = 120          # sphere polar rule: Gauss-Legendre nodes in v
 _RING_NODES = 64            # ring rule: nodes around each circle of the S^(d-2) ring
-_RADIAL_CORE_NODES = 100    # halfspace polar rule: Gauss-Legendre on 0 <= v <= _RADIAL_CORE_V
-_RADIAL_TAIL_NODES = 60     # and on the tail beyond it
-_RADIAL_CORE_V = 8.0
 _BLOCK = 1 << 15            # density nodes per block: a block stays in cache
 
 
@@ -416,24 +402,11 @@ def sphere_values(p: StableParams, rep: HarmonicRepresentation, r_minus_one,
 
 def _sphere_polar_rule(p: StableParams, f: BoundaryFunction, rm1: np.ndarray,
                        dirs: np.ndarray) -> np.ndarray:
-    # Nodes z = cos(psi) eta + sin(psi) omega, omega on the tangent ring.  The
-    # kernel x sin^(d-2)(psi) x Jacobian weight depends on r - 1 alone and is
-    # built once per radius: with rho = |r - 1|, w = min(rho, 1), b = max(rho, 1)
-    # and g = |r eta - z| / rho it is sigma(S^(d-2))/sigma(S^(d-1)) Phi(0) cosh(v)
-    # ((r+1)/b)^(alpha-1) b^(alpha-d) (sin(psi)/(w g))^(d-2) g^(-alpha), all in range
+    # Nodes z = cos(psi) eta + sin(psi) omega, omega on the tangent ring, with
+    # the zonal weights of sphere.polar_weights, built once per radius
     ring, ring_w = _ring(p)
-    gl_x, gl_w = _leggauss(_POLAR_NODES)
     uniq, inv = np.unique(rm1, return_inverse=True)
-    rho, r = np.abs(uniq)[:, None], 1.0 + uniq[:, None]
-    width, big = np.minimum(rho, 1.0), np.maximum(rho, 1.0)
-    vmax = np.arcsinh(math.pi / width)
-    v = (gl_x + 1.0) / 2.0 * vmax
-    psi = width * np.sinh(v)
-    g = np.hypot(1.0, 2.0 * np.sqrt(r) * np.sin(psi / 2.0) / rho)
-    dv = gl_w * vmax / 2.0 * np.cosh(v)
-    kern = (((r + 1.0) / big) ** (p.alpha - 1.0) * big ** (p.alpha - p.d)
-            * (np.sin(psi) / (width * g)) ** (p.d - 2) * g ** -p.alpha)
-    wk = sphere.constants(p).phi_at_origin * sphere_area(p.d - 1) / sphere_area(p.d) * dv * kern
+    psi, wk = sphere.polar_weights(p, uniq)
     cos_sin = np.stack([np.cos(psi), np.sin(psi)], axis=-1)
     out = np.empty(len(rm1))
     for rows in _row_blocks(len(rm1), psi.shape[1] * len(ring_w)):
@@ -477,7 +450,13 @@ def halfspace_values(p: StableParams, rep: HarmonicRepresentation, xbar,
         vals += kern @ rep.measure.weights
     if rep.density is not None:
         _ensure_halfspace_integrable(p, rep)
-        offsets, weights = _halfspace_polar_rule(p)
+        # node offsets sinh(v) omega at unit height, with the radial weights
+        # of halfspace.polar_weights times the ring's
+        v, radial = halfspace.polar_weights(p)
+        ring, ring_w = _ring(p)
+        with np.errstate(over="ignore"):     # near alpha = 1 tail nodes sit at infinity
+            offsets = (np.sinh(v)[:, None, None] * ring).reshape(-1, p.d - 1)
+        weights = np.outer(radial, ring_w).ravel()
         for rows in _row_blocks(len(t), len(weights)):
             # nodes past the float range sit at infinity; a density value
             # there that is not finite is caught below
@@ -492,28 +471,6 @@ def halfspace_values(p: StableParams, rep: HarmonicRepresentation, xbar,
         vals += rep.constant * np.abs(t) ** (p.alpha - 1.0)
     require_finite(vals, "the representation's values")
     return vals
-
-
-def _halfspace_polar_rule(p: StableParams) -> tuple[np.ndarray, np.ndarray]:
-    # Node offsets sinh(v) omega at unit height and their weights.  With
-    # |y| = |t| sinh(v) around the foot point, kernel x polar Jacobian is
-    # c3 sigma(S^(d-2)) tanh^(d-2)(v) cosh^(1-alpha)(v) dv at every height.
-    # Gauss-Legendre covers 0 <= v <= 8; the tail runs in
-    # u = exp(-(alpha - 1)(v - 8)) on (0, 1), where that weight is smooth.
-    core_x, core_w = _leggauss(_RADIAL_CORE_NODES)
-    tail_x, tail_w = _leggauss(_RADIAL_TAIL_NODES)
-    a1 = p.alpha - 1.0
-    u = (tail_x + 1.0) / 2.0
-    half = _RADIAL_CORE_V / 2.0
-    v = np.concatenate([(core_x + 1.0) * half, _RADIAL_CORE_V - np.log(u) / a1])
-    dv = np.concatenate([core_w * half, tail_w / (2.0 * a1 * u)])
-    log_cosh = v + np.log1p(np.exp(-2.0 * v)) - math.log(2.0)
-    radial = (sphere.constants(p).c3 * sphere_area(p.d - 1) * np.tanh(v) ** (p.d - 2)
-              * np.exp(-a1 * log_cosh) * dv)
-    ring, ring_w = _ring(p)
-    with np.errstate(over="ignore"):     # near alpha = 1 tail nodes sit at infinity
-        offsets = (np.sinh(v)[:, None, None] * ring).reshape(-1, p.d - 1)
-    return offsets, np.outer(radial, ring_w).ravel()
 
 
 def representation_value(p: StableParams, rep: HarmonicRepresentation, x) -> float:

@@ -141,6 +141,8 @@ def _cmd_eval(args) -> int:
     k = args.kernel
     if k == "phi":
         if args.r is not None:
+            if not math.isfinite(args.r):     # phi(inf) is the limit 0 inside the package
+                raise DomainError(f"--r must be finite, got {args.r}")
             value = sphere.phi(p, args.r)
         else:
             value = sphere.hitting_probability(p, _parse_point(args.x))

@@ -27,17 +27,19 @@ function are transformed at once.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
 
 from .core import (INFINITY, Infinity, StableParams, as_point, as_points, basis_last,
-                   far_scale, finite_value, scaled_dist2)
+                   far_scale, finite_value, scaled_dist2, sphere_area, _leggauss)
 from .errors import DomainError, SingularityError
 from . import sphere
 
 __all__ = [
     "poisson_kernel",
+    "polar_weights",
     "omega_alpha_density",
     "green_function",
     "martin_kernel",
@@ -57,6 +59,32 @@ def _poisson(p: StableParams, t, xbar, ybar):
     out *= sphere.constants(p).c3 * abs(t / s) ** (p.alpha - 1.0)
     out *= s ** (1.0 - p.d)
     return out
+
+
+_RADIAL_CORE_NODES = 100    # Gauss-Legendre nodes on 0 <= v <= _RADIAL_CORE_V
+_RADIAL_TAIL_NODES = 60     # and on the tail beyond it
+_RADIAL_CORE_V = 8.0
+
+
+def polar_weights(p: StableParams) -> tuple[np.ndarray, np.ndarray]:
+    """(v, w): with ybar = xbar + |t| sinh(v) omega, |omega| = 1, the Poisson
+    integral of f at (xbar, t) is sum_j w_j times the mean of f over the
+    ring at v_j, at every height t.
+
+    w is c3 |S^(d-2)| tanh^(d-2)(v) cosh^(1-alpha)(v) dv: Gauss-Legendre on
+    0 <= v <= 8, and in u = exp(-(alpha - 1)(v - 8)) on the tail, where it
+    is smooth.
+    """
+    core_x, core_w = _leggauss(_RADIAL_CORE_NODES)
+    tail_x, tail_w = _leggauss(_RADIAL_TAIL_NODES)
+    a1 = p.alpha - 1.0
+    u = (tail_x + 1.0) / 2.0
+    half = _RADIAL_CORE_V / 2.0
+    v = np.concatenate([(core_x + 1.0) * half, _RADIAL_CORE_V - np.log(u) / a1])
+    dv = np.concatenate([core_w * half, tail_w / (2.0 * a1 * u)])
+    log_cosh = v + np.log1p(np.exp(-2.0 * v)) - math.log(2.0)
+    return v, (sphere.constants(p).c3 * sphere_area(p.d - 1) * np.tanh(v) ** (p.d - 2)
+               * np.exp(-a1 * log_cosh) * dv)
 
 
 def _martin(p: StableParams, t, xbar, z):

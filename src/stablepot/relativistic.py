@@ -55,9 +55,7 @@ from .specfun import (_log_mittag_leffler_scaled, bessel_i_scaled, bessel_k,
 
 __all__ = [
     "RelativisticParams",
-    "bessel_transition",
     "log_bessel_transition",
-    "radial_reference_density",
     "subordinator_potential",
     "log_subordinator_potential",
     "lambda_potential",
@@ -66,9 +64,6 @@ __all__ = [
     "poisson_kernel_halfspace",
     "relativistic_constant",
 ]
-
-_LOG_TINY = -745.0
-
 
 @dataclass(frozen=True)
 class RelativisticParams:
@@ -146,24 +141,6 @@ def log_bessel_transition(d: int, t, x: float, y: float):
         raise DomainError("radii must be nonnegative")
     out = np.asarray(_log_transition(d, np.log(ta), x, y))
     return out if out.ndim else float(out)
-
-
-def bessel_transition(rp_or_d, t: float, x: float, y: float) -> float:
-    """Radial Bessel transition density f(t, x, y); symmetric in (x, y)."""
-    d = rp_or_d.d if isinstance(rp_or_d, RelativisticParams) else int(rp_or_d)
-    lv = log_bessel_transition(d, t, x, y)
-    return math.exp(lv) if lv > _LOG_TINY else 0.0
-
-
-def radial_reference_density(d: int, y: float) -> float:
-    """Density of the radial reference measure, 2^(1-d/2) y^(d-1) / Gamma(d/2).
-
-    This is the speed measure against which the transition density
-    integrates to one (the |B_t| law in R^d is f(t, x, y) times this).
-    """
-    if y < 0.0:
-        raise DomainError("radius must be nonnegative")
-    return 2.0 ** (1.0 - d / 2.0) * y ** (d - 1) / math.gamma(d / 2.0)
 
 
 def log_subordinator_potential(rp: RelativisticParams, x):

@@ -33,7 +33,6 @@ from .errors import DomainError, PoleError
 
 __all__ = [
     "gauss_2f1",
-    "gauss_2f1_tail",
     "TailPair",
     "bessel_i",
     "bessel_i_scaled",
@@ -89,7 +88,7 @@ class TailPair:
         # NaN and |s| >= 1 land past the reach, where gauss_2f1 refuses them
         n = bisect_right(self._reach, abs(s)) + 1
         if n > _TAIL_TERMS:
-            return tuple(gauss_2f1(*abc, s) - 1.0 for abc in self.params)
+            return tuple(_gauss_2f1_minus_one(*abc, s) for abc in self.params)
         tail1 = tail2 = 0.0
         for c1, c2 in self._coef[_TAIL_TERMS - n:]:
             tail1 = (tail1 + c1) * s
@@ -97,13 +96,17 @@ class TailPair:
         return tail1, tail2
 
 
-_cached_pair = lru_cache(maxsize=64)(TailPair)
-
-
-def gauss_2f1_tail(a: float, b: float, c: float, s: float) -> float:
-    """F(a, b; c; s) - 1 free of cancellation (``TailPair`` of the triple with itself)."""
+def _gauss_2f1_minus_one(a: float, b: float, c: float, s: float) -> float:
+    # F(a, b; c; s) - 1 by hyp2f1, which takes an a below ~1e-13 for 0: so
+    # F(a, b; 2a; s) (the sphere's F1 as alpha -> 2) by the quadratic
+    # transformation (1 - s/2)^(-b) F(b/2, b/2 + 1/2; a + 1/2; (s/(2 - s))^2)
+    # (DLMF 15.8.13), with a prefactor past the float range taken as inf
+    if c != 2.0 * a:
+        return gauss_2f1(a, b, c, s) - 1.0
     _check_2f1(c, s)
-    return _cached_pair((a, b, c), (a, b, c))(s)[0]
+    log_pref = -b * math.log1p(-s / 2.0)
+    pref = math.exp(log_pref) if log_pref < _LOG_HUGE else math.inf
+    return pref * gauss_2f1(b / 2.0, b / 2.0 + 0.5, a + 0.5, (s / (2.0 - s)) ** 2) - 1.0
 
 
 # --- Legendre function of the first kind on (1, oo) ---------------------

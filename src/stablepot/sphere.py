@@ -16,7 +16,9 @@ the Green functions can supply exactly.  Within the golden-ratio band
 -1/golden <= delta <= golden, one evaluation of the reduced two-term
 expansion gives both Phi and 1 - Phi, the latter accurate up to the
 sphere; outside it, the expansion around argument 1 gives Phi.  The two
-routes agree within 5e-14 across the band edges at d <= 4.
+routes agree within 5e-14 across the band edges at d <= 4.  Where the
+band's two terms cancel, Phi is the sum of the zonal weights of the
+Poisson kernel (``polar_weights``, which ``analysis`` integrates with).
 
 The Poisson kernel has one assembly, shared with the batch evaluator in
 ``analysis``: a point enters as its offset r - 1 and direction eta, and
@@ -35,7 +37,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .core import (StableParams, Infinity, as_point, as_points, finite_value, norm,
-                   require_unit, far_scale, scaled_dist2)
+                   require_unit, far_scale, scaled_dist2, _leggauss)
 from .errors import DomainError, SingularityError
 from .specfun import TailPair, gauss_2f1
 
@@ -47,6 +49,7 @@ __all__ = [
     "phi_complement_delta",
     "phi_complement_offset",
     "hitting_probability",
+    "polar_weights",
     "poisson_kernel",
     "green_function",
     "martin_kernel",
@@ -68,7 +71,11 @@ class KernelConstants:
     Each is formed on first use.  One that lies beyond the float range at
     this d raises DomainError, so at large d a kernel fails only if a
     constant it reads does (c2 overflows from d ~ 340, the others from
-    d ~ 440; phi reads only phi_at_origin and series_c).
+    d ~ 440; phi reads none that overflow).  Their Gamma arguments
+    (d +- alpha)/2 are rounded, which costs some d ulp at large d, so
+    beyond d = 12, where the direct products drift past a few ulp,
+    phi_at_origin and series_c take their Gamma ratios in d/2 from
+    ``_log_gamma_ratio`` and stay within 2e-15 at every d.
     """
 
     def __init__(self, p: StableParams):
@@ -107,6 +114,9 @@ class KernelConstants:
     @cached_property
     def series_c(self) -> float:
         d, a = self.p.d, self.p.alpha
+        if d > 12:      # phi_at_origin Gamma(1-a) / Gamma(1-a/2) Gamma(d/2) / Gamma((d-a)/2)
+            return self.phi_at_origin * math.gamma(1.0 - a) / math.gamma(1.0 - a / 2.0) * \
+                math.exp(-_log_gamma_ratio(d / 2.0, -a / 2.0))
         return _gamma_product("series_c", d, a, [(a + d) / 2.0 - 1.0, 1.0 - a],
                               [(a - 1.0) / 2.0, 1.0 - a / 2.0, (d - a) / 2.0],
                               [(math.pi, 0.5), (2.0, 2.0 - a)])
@@ -119,6 +129,9 @@ class KernelConstants:
     @cached_property
     def phi_at_origin(self) -> float:
         d, a = self.p.d, self.p.alpha
+        if d > 12:      # c2 / Gamma(d/2) with c2's Gamma((a+d)/2 - 1) as a ratio
+            return math.sqrt(math.pi) * 2.0 ** (2.0 - a) / math.gamma((a - 1.0) / 2.0) * \
+                math.exp(_log_gamma_ratio(d / 2.0, a / 2.0 - 1.0))
         return _gamma_product("phi_at_origin", d, a, [(a + d) / 2.0 - 1.0],
                               [(a - 1.0) / 2.0, d / 2.0], [(math.pi, 0.5), (2.0, 2.0 - a)])
 
@@ -151,6 +164,23 @@ def _gamma_product(name: str, d: int, alpha: float, num, den, powers) -> float:
     return sign * math.exp(log)
 
 
+@lru_cache(maxsize=64)
+def _log_gamma_ratio(x: float, eps: float) -> float:
+    # log(Gamma(x + eps) / Gamma(x)) for x = d/2 >= 1 and |eps| < 1, free of
+    # the rounding of x + eps, which Gamma amplifies by x psi(x): the
+    # recurrence up to x >= 50, then the difference of the Stirling series,
+    # whose first omitted term is below 1e-18 there
+    n = max(0, math.ceil(50.0 - x))
+    shift = math.fsum(math.log1p(eps / (x + k)) for k in range(n))
+    x += n
+
+    def series(z):
+        w = 1.0 / (z * z)
+        return (1.0 / 12.0 - w * (1.0 / 360.0 - w * (1.0 / 1260.0 - w / 1680.0))) / z
+    return eps * math.log(x) + (x + eps - 0.5) * math.log1p(eps / x) - eps + \
+        (series(x + eps) - series(x)) - shift
+
+
 def _log_abs_gamma(x: float) -> float:
     # log |Gamma(x)|; for x in (-1, 0) through Gamma(x) = Gamma(x + 1) / x
     return math.lgamma(x) if x > 0.0 else math.lgamma(x + 1.0) - math.log(-x)
@@ -172,7 +202,7 @@ def ball_constant(p: StableParams) -> float:
 # --- radial hitting probability ------------------------------------------
 
 _GOLDEN = (math.sqrt(5.0) + 1.0) / 2.0
-_MAX_CANCELLATION = 1e4
+_GOLDEN_BUDGET = 1e3
 
 
 def _phi_golden(p: StableParams, delta: float) -> tuple[float, float]:
@@ -193,14 +223,13 @@ def _phi_golden(p: StableParams, delta: float) -> tuple[float, float]:
     f2 = kc.series_c * abs(delta) ** (a - 1.0) * math.exp(0.5 * (2.0 - d - a) * log_v2) * \
         (1.0 + tail2)
     value = v_ad + (f1_tail + f2)
-    # the terms v^(a-d) F1 and f2 grow with d and cancel: by up to 71 / 139 /
-    # 8.9e3 (their magnitudes against Phi) at d = 2 / 3 / 12, which costs that
-    # many rounding errors; past _MAX_CANCELLATION (or at inf - inf) no digit is sure
-    if not abs(v_ad + f1_tail) + abs(f2) <= _MAX_CANCELLATION * abs(value):
-        raise DomainError(
-            f"phi at d={d}, alpha={a}, r^2 - 1 = {delta} cancels beyond "
-            f"{_MAX_CANCELLATION:g} within the golden-ratio band; this formula "
-            "stays within it up to about d = 12")
+    # v^(a-d) F1 and f2 cancel, harder as d grows, and each carries some d ulp
+    # (powers of v, series), so Phi loses ~d ulp per unit of their excess over
+    # Phi.  Past _GOLDEN_BUDGET ulp (d <= 4 stays below 180) or at inf - inf
+    # (from d ~ 1e5), Phi is the sum of the zonal weights: ~d ulp in all
+    if not (abs(v_ad + f1_tail) + abs(f2) - abs(value)) * d <= _GOLDEN_BUDGET * abs(value):
+        total = float(np.sum(polar_weights(p, delta / (1.0 + math.sqrt(1.0 + delta)))[1]))
+        return total, 1.0 - total
     return value, -math.expm1(0.5 * (a - d) * log_v2) - (f1_tail + f2)
 
 
@@ -224,9 +253,13 @@ def _phi_pair(p: StableParams, delta: float) -> tuple[float, float]:
     if delta == 0.0:
         return 1.0, 0.0
     if -1.0 / _GOLDEN <= delta <= _GOLDEN:
-        return _phi_golden(p, delta)
-    value = _phi_t1(p, delta)
-    return value, 1.0 - value
+        value, comp = _phi_golden(p, delta)
+    else:
+        value = _phi_t1(p, delta)
+        comp = 1.0 - value
+    if value > 1.0 or comp < 0.0:       # inside the sphere as alpha -> 2, Phi -> 1
+        return 1.0, 0.0
+    return value, comp
 
 
 def phi_complement_delta(p: StableParams, delta: float) -> float:
@@ -280,6 +313,37 @@ def hitting_probability(p: StableParams, x) -> float:
 
 
 # --- kernels --------------------------------------------------------------
+
+def polar_weights(p: StableParams, rm1):
+    """Zonal weights of the Poisson kernel at x = (1 + rm1) eta, |eta| = 1.
+
+    With z = cos(psi) eta + sin(psi) omega, omega on the unit sphere of
+    eta's tangent space, the Poisson integral of f at x is sum_j w_j times
+    the mean of f over the ring at psi_j (Funk-Hecke), and sum_j w_j = Phi.
+    psi = min(|r - 1|, 1) sinh(v) on Gauss-Legendre nodes in v keeps the
+    kernel peak resolved however near the sphere x lies: 120 nodes up to
+    d = 400, ceil(6 sqrt(d)) beyond.  Returns (psi, w) with the nodes along
+    a new last axis of rm1.
+    """
+    # w = Phi(0) |S^(d-2)|/|S^(d-1)| cosh(v) dv ((r+1)/b)^(alpha-1) b^(alpha-d)
+    # (sin(psi)/m)^(d-2) g^(2-d-alpha), m = min(rho, 1), b = max(rho, 1), g =
+    # |x - z| / rho, summed in logs so that no factor leaves the float range
+    d, a = p.d, p.alpha
+    gl_x, gl_w = _leggauss(max(120, math.ceil(6.0 * math.sqrt(d))))
+    rm1 = np.asarray(rm1, dtype=float)[..., None]
+    rho, r = np.abs(rm1), 1.0 + rm1
+    width, big = np.minimum(rho, 1.0), np.maximum(rho, 1.0)
+    vmax = np.arcsinh(math.pi / width)
+    v = (gl_x + 1.0) / 2.0 * vmax
+    psi = width * np.sinh(v)
+    log_g = np.log(np.hypot(1.0, 2.0 * np.sqrt(r) * np.sin(psi / 2.0) / rho))
+    log_c = math.log(constants(p).phi_at_origin / (2.0 * math.sqrt(math.pi))) - \
+        _log_gamma_ratio(d / 2.0, -0.5)
+    log_w = (log_c + np.log(gl_w * vmax / 2.0) + v + np.log1p(np.exp(-2.0 * v))
+             + (a - 1.0) * np.log((r + 1.0) / big) + (a - d) * np.log(big)
+             + (d - 2.0) * np.log(np.sin(psi) / width) + (2.0 - d - a) * log_g)
+    return psi, np.exp(log_w)
+
 
 def _kernel(p: StableParams, rm1, eta, z, c: float):
     # c |r^2 - 1|^(alpha-1) / |x - z|^(d+alpha-2) at x = (1 + rm1) eta,

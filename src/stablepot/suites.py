@@ -17,7 +17,7 @@ from scipy import special as _sps
 from . import analysis, halfspace, montecarlo, relativistic, sphere
 from .analysis import (BoundaryFunction, DiscreteMeasure, HALFSPACE,
                        HarmonicRepresentation, SPHERE)
-from .core import INFINITY, StableParams, basis_last, sphere_area
+from .core import INFINITY, StableParams, basis_last, sphere_area, _leggauss
 from .errors import DivergenceError
 from .montecarlo import RngStream
 from .relativistic import RelativisticParams
@@ -41,7 +41,7 @@ def _rand_unit(rng, d):
 def _beta_integral(a: float, q: float, w: float) -> float:
     """int_0^w t^(a-1) (1-t)^(-q) dt, a > 0, w < 1, as (w^a / a) int_0^1
     (1 - w u^(1/a))^(-q) du (t = w u^(1/a)) by 128-node Gauss-Legendre."""
-    x, wt = analysis._leggauss(128)
+    x, wt = _leggauss(128)
     u = 0.5 * (x + 1.0)
     return w ** a / a * 0.5 * float(wt @ (1.0 - w * u ** (1.0 / a)) ** (-q))
 

@@ -298,7 +298,7 @@ class TestEvaluator:
     def test_unit_density_slices_equal_phi(self, d):
         p = StableParams(d, 1.5)
         dirs = _unit_directions(d)
-        grid = QuadratureGrid(dirs, np.full(len(dirs), 1.0 / len(dirs)), "DIRECTIONS")
+        grid = QuadratureGrid(dirs, np.full(len(dirs), 1.0 / len(dirs)))
         _assert_unit_density_slices_equal_phi(p, grid)
 
     @pytest.mark.parametrize("alpha", [1.005, 1.1, 1.2, 1.5, 1.9])

@@ -96,7 +96,8 @@ class TestEval:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv", [
-        ("eval", "phi", "--d", "400", "--r", "1.5"),      # cancelling reduced forms
+        ("eval", "poisson-H", "--d", "500",               # c3 beyond the float range
+         "--x", ",".join(["0"] * 499 + ["1"]), "--z", ",".join(["0"] * 499)),
         ("eval", "phi", "--r", "nan"),
     ])
     def test_numerical_failure_is_a_usage_error(self, argv):
@@ -106,8 +107,9 @@ class TestEval:
         assert "error:" in res.stderr
 
     def test_phi_at_large_dimension_evaluates(self):
-        # Gamma((d + alpha)/2 - 1) overflowed inside the constants at d = 400
-        for r in ("2", "0.5"):
+        # Gamma((d + alpha)/2 - 1) overflowed inside the constants at d = 400,
+        # and r = 1.5 in the golden-ratio band was refused as cancelling
+        for r in ("1.5", "2", "0.5"):
             res = run_cli_process("eval", "phi", "--d", "400", "--alpha", "1.5",
                                   "--r", r)
             assert res.returncode == 0

@@ -9,8 +9,10 @@ at d = 2, 3, 13 and 40, with any one point argument pushed to 1e300,
 value and exits 0, or prints one ``error:`` line and exits 2.
 """
 
+import io
 import math
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -168,3 +170,29 @@ def test_eval_exit_contract(kernel, d, capsys):
         else:
             assert code == 2 and out == "", argv
             assert len(err.splitlines()) == 1 and err.startswith("error: "), argv
+
+
+GOLDEN_BAND = (math.sqrt(1.0 - 2.0 / (1.0 + math.sqrt(5.0))),   # r^2 - 1 = -1/golden
+               math.sqrt(1.0 + (1.0 + math.sqrt(5.0)) / 2.0))    # r^2 - 1 = golden
+
+
+@CONTRACT
+@given(d=st.integers(2, 1000),
+       alpha=st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
+       r=st.one_of(st.floats(0.0, 1e300), st.floats(*GOLDEN_BAND),
+                   st.sampled_from([math.nan, math.inf])))
+def test_eval_phi_in_every_dimension(d, alpha, r):
+    # a finite radius prints Phi in [0, 1] at every d, the golden-ratio
+    # band included; NaN and inf print one error line
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli.main(["eval", "phi", "--d", str(d), "--alpha", repr(alpha),
+                         f"--r={r!r}"])
+    out, err = out.getvalue(), err.getvalue()
+    if math.isfinite(r):
+        assert code == 0 and err == "", (d, alpha, r, err)
+        assert 0.0 <= float(out) <= 1.0, (d, alpha, r, out)
+    else:
+        assert code == 2 and out == "", (d, alpha, r)
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), (d, alpha, r)

@@ -7,14 +7,13 @@ from scipy import integrate, special
 from stablepot import halfspace
 from stablepot.core import INFINITY, StableParams
 from stablepot.errors import DivergenceError, DomainError
-from stablepot.relativistic import (RelativisticParams, bessel_transition,
+from stablepot.relativistic import (RelativisticParams,
                                     hitting_laplace_transform,
                                     hitting_probability_sphere,
                                     lambda_potential,
                                     log_bessel_transition,
                                     log_subordinator_potential,
                                     poisson_kernel_halfspace,
-                                    radial_reference_density,
                                     relativistic_constant,
                                     subordinator_potential)
 
@@ -102,29 +101,36 @@ class TestParams:
             RelativisticParams(P2, 1.0, -0.1)
 
 
+def _transition(d, t, x, y):
+    return math.exp(log_bessel_transition(d, t, x, y))
+
+
 class TestBesselTransition:
     def test_symmetry(self):
         for d in (2, 3):
             for (t, x, y) in [(0.5, 1.0, 2.0), (2.0, 0.3, 0.9)]:
-                assert bessel_transition(d, t, x, y) == pytest.approx(
-                    bessel_transition(d, t, y, x), rel=1e-13, abs=0)
+                assert _transition(d, t, x, y) == pytest.approx(
+                    _transition(d, t, y, x), rel=1e-13, abs=0)
 
     def test_zero_radius_limit(self):
         # f(t, x, 0) extends continuously; oracle = limit of f(t, eps, eps)
         for d in (2, 3):
             t = 0.7
             want = (2.0 * t) ** (-d / 2.0)
-            assert bessel_transition(d, t, 0.0, 0.0) == pytest.approx(want, rel=1e-14, abs=0)
-            seq = [bessel_transition(d, t, e, e) for e in (1e-2, 1e-4, 1e-6)]
+            assert _transition(d, t, 0.0, 0.0) == pytest.approx(want, rel=1e-14, abs=0)
+            seq = [_transition(d, t, e, e) for e in (1e-2, 1e-4, 1e-6)]
             assert seq[-1] == pytest.approx(want, rel=1e-9, abs=0)
             assert abs(seq[0] - want) > abs(seq[-1] - want)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_normalization_against_reference_measure(self, d):
+        # the speed measure 2^(1-d/2) y^(d-1) / Gamma(d/2) dy: the |B_t| law
+        # in R^d is f(t, x, y) times it
         for (t, x) in [(0.5, 1.0), (2.0, 0.3), (1.0, 0.0)]:
             val, _ = integrate.quad(
-                lambda y: bessel_transition(d, t, x, y)
-                * radial_reference_density(d, y), 0.0, np.inf, limit=300)
+                lambda y: _transition(d, t, x, y)
+                * 2.0 ** (1.0 - d / 2.0) * y ** (d - 1) / math.gamma(d / 2.0),
+                0.0, np.inf, limit=300)
             assert val == pytest.approx(1.0, abs=1e-9)
 
 
@@ -138,7 +144,12 @@ class TestBesselTransition:
                     want = log_bessel_transition(d, t, x, y) - d * math.log(c)
                     got = log_bessel_transition(d, c * c * t, c * x, c * y)
                     assert got == pytest.approx(want, rel=1e-12, abs=0)
-        assert bessel_transition(3, 1.0, 1e300, 1.5) == 0.0
+        # a density far below e^-745 keeps a finite log; at 1e300 the log
+        # itself, -(x - y)^2 / 4t ~ -2.5e599, is beyond the float range
+        far = log_bessel_transition(3, 1.0, 1e150, 1.5)
+        assert math.isfinite(far)
+        assert far == pytest.approx(-0.25e300, rel=1e-13, abs=0)    # formed in logs
+        assert log_bessel_transition(3, 1.0, 1e300, 1.5) == -math.inf
         small = log_bessel_transition(3, 1e300, 1e-300, 1.0)
         assert small == pytest.approx(-1.5 * math.log(2e300), rel=1e-14, abs=0)
 

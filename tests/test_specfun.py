@@ -7,9 +7,8 @@ import scipy.special as sps
 from scipy import integrate
 
 from stablepot.errors import DomainError, PoleError
-from stablepot.specfun import (bessel_i, bessel_i_scaled, bessel_k,
-                               gauss_2f1, gauss_2f1_tail,
-                               log_mittag_leffler, mittag_leffler,
+from stablepot.specfun import (TailPair, bessel_i, bessel_i_scaled, bessel_k,
+                               gauss_2f1, log_mittag_leffler, mittag_leffler,
                                regularized_beta_cdf)
 
 
@@ -38,7 +37,7 @@ class TestGauss2F1:
 
     def test_tail_variant(self):
         s = 0.37
-        assert abs(gauss_2f1_tail(0.4, 0.9, 1.7, s)
+        assert abs(TailPair((0.4, 0.9, 1.7), (0.4, 0.9, 1.7))(s)[0]
                    - (gauss_2f1(0.4, 0.9, 1.7, s) - 1.0)) < 1e-15
 
     @pytest.mark.parametrize("alpha", [1.02, 1.5, 1.98])
@@ -54,19 +53,36 @@ class TestGauss2F1:
                 for s in (mag, -mag):
                     with mpmath.workdps(40):
                         ref = float(mpmath.hyp2f1(a, b, c, s) - 1)
-                    assert abs(gauss_2f1_tail(a, b, c, s) - ref) <= 1e-14 * abs(ref)
+                    got = TailPair((a, b, c), (a, b, c))(s)[0]
+                    assert abs(got - ref) <= 1e-14 * abs(ref)
 
     @pytest.mark.parametrize("d", [2, 40, 400])
     def test_tail_reach_follows_the_coefficients(self, d):
         # with b ~ d/2 the terms grow until n ~ b |s|: 80 of them fall short
         # of s = 0.56 at d = 400 (the sum was off by orders of magnitude),
-        # while at d = 2 they reach past 0.618; past the reach, hyp2f1 - 1,
-        # itself good to ~1e-13 where F reaches 4e18 (d = 400, s = 0.64)
+        # while at d = 2 they reach past 0.618; past the reach, F(a, b; 2a; s)
+        # - 1 from the quadratic transformation, good to ~1e-13 where F
+        # reaches 4e18 (d = 400, s = 0.64)
         a, b, c = 0.25, (d - 1.5) / 2.0, 0.5
         for s in (1e-9, 2e-3, 0.05, 0.2, 0.56, 0.64, -0.56):
             with mpmath.workdps(40):
                 ref = float(mpmath.hyp2f1(a, b, c, s) - 1)
-            assert abs(gauss_2f1_tail(a, b, c, s) - ref) <= 1e-12 * abs(ref), s
+            got = TailPair((a, b, c), (a, b, c))(s)[0]
+            assert abs(got - ref) <= 1e-12 * abs(ref), s
+
+    @pytest.mark.parametrize("d", [5, 10, 400])
+    def test_tail_as_alpha_tends_to_two(self, d):
+        # the sphere's F1 = F(1 - alpha/2, (d - alpha)/2; 2 - alpha; s): hyp2f1
+        # takes a first parameter below ~1e-13 for 0 and returned F = 1 (F - 1
+        # off by 100%); past the reach F(a, b; 2a; s) takes the quadratic
+        # transformation, within 1.4e-13 where F reaches 3e30 (d = 400)
+        for alpha in (2.0 - 2.0 ** -52, 2.0 - 1e-13, 1.9):
+            abc = (1.0 - alpha / 2.0, (d - alpha) / 2.0, 2.0 - alpha)
+            pair = TailPair(abc, abc)
+            for s in (0.3, 0.56, 0.618):
+                with mpmath.workdps(40):
+                    ref = float(mpmath.hyp2f1(*abc, s) - 1)
+                assert abs(pair(s)[0] - ref) <= 2e-13 * abs(ref), (alpha, s)
 
 
 class TestBesselI:

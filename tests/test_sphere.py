@@ -30,6 +30,23 @@ def _mp_phi(d, alpha, r):
         * mpmath.legenp(-a / 2, 1 - mpmath.mpf(d) / 2, t, type=3)
 
 
+def _mp_phi_inside(d, alpha, r):
+    # Phi(0) (1 - r^2)^(alpha - 1) F(alpha/2, (d + alpha)/2 - 1; d/2; r^2) for
+    # r < 1, summed term by term: its terms are positive, and at d ~ 1e5 it
+    # converges where the Legendre form does not
+    a, z = mpmath.mpf(alpha), mpmath.mpf(r) ** 2
+    pa, pb, pc = a / 2, (d + a) / 2 - 1, mpmath.mpf(d) / 2
+    phi0 = mpmath.sqrt(mpmath.pi) * 2 ** (2 - a) * mpmath.gamma(pb) \
+        / (mpmath.gamma((a - 1) / 2) * mpmath.gamma(pc))
+    term = total = mpmath.mpf(1)
+    n = 0
+    while term > total * mpmath.mpf(10) ** -(mpmath.mp.dps + 5):
+        term *= (pa + n) * (pb + n) / ((pc + n) * (n + 1)) * z
+        total += term
+        n += 1
+    return phi0 * (1 - z) ** (a - 1) * total
+
+
 def mp_phi(d, alpha, r, dps=40):
     # high-precision reference straight from the Legendre-function formula
     with mpmath.workdps(dps):
@@ -101,6 +118,17 @@ class TestConstants:
                     assert abs(getattr(kc, name) - want) <= bound * math.ulp(want), \
                         (d, a, name)
 
+    @pytest.mark.parametrize("d", [13, 80, 160, 1000, 10_000, 1_000_000])
+    def test_phi_constants_at_large_dimension(self, d):
+        # the rounded Gamma arguments (d +- alpha)/2 cost series_c 2.1e-14 at
+        # d = 80 and phi_at_origin 4.5e-12 at d = 1e4; as ratios in d/2 both
+        # stay within 2.1e-15 (measured up to d = 1e6)
+        for a in (1.01, 1.2, 1.5, 1.9, 1.99):
+            kc = constants(StableParams(d, a))
+            want = self._mp_constants(d, a)
+            for name in ("phi_at_origin", "series_c"):
+                assert getattr(kc, name) == pytest.approx(want[name], rel=4e-15, abs=0), (a, name)
+
     def test_large_dimension(self):
         # Gamma((d + alpha)/2 - 1) alone overflows from d ~ 340; the ratios
         # phi needs stay finite, and a constant beyond the float range is a
@@ -120,21 +148,57 @@ class TestConstants:
             assert 0.0 <= got <= 1.0
             assert got == pytest.approx(mp_phi(400, 1.5, r, dps=80), rel=1e-12, abs=0)
 
-    def test_large_dimension_cancellation_is_refused(self):
-        # in the golden-ratio band the two reduced terms cancel ever harder
-        # as d grows; at d = 400 and r = 1.5 they left -1.2e-15
-        with pytest.raises(DomainError, match="d = 12"):
-            phi(StableParams(400, 1.5), 1.5)
-        with pytest.raises(DomainError):
-            phi(StableParams(400, 1.5), 0.7)
+    # worst relative errors of (phi, 1 - phi) over alpha in {1.2, 1.5, 1.9}
+    # and BAND_RADII, as measured against the references, with a margin:
+    # (2.7e-14, 4.0e-14) at d = 13, 2.9e-14 at d = 160, (5.4e-14, 1.4e-13) at
+    # d = 400, (2.2e-13, 1.3e-12) at d = 1e3 and (6.5e-12, 1.3e-11) at 1e4.
+    # The zonal sum loses about d ulp; 1 - phi a further phi / (1 - phi)
+    # where phi ~ 0.9 (alpha = 1.9 near the sphere)
+    LARGE_D_BOUNDS = {13: (1e-13, 1e-13), 20: (1e-13, 1e-13), 40: (1e-13, 1e-13),
+                      80: (1e-13, 1e-13), 160: (1e-13, 1e-13), 400: (2e-13, 2e-13),
+                      1000: (5e-13, 3e-12), 10_000: (1e-11, 3e-11)}
+    BAND_RADII = (0.62, 0.8, 0.99, 1.0 - 1e-6, 1.0 + 1e-6, 1.01, 1.3, 1.6)
 
+    @pytest.mark.parametrize("d", list(LARGE_D_BOUNDS))
+    def test_large_dimension_band_against_legendre_reference(self, d):
+        # the golden-ratio band once refused these from d ~ 13 on, where its
+        # two reduced terms cancel; phi there is the sum of the zonal weights.
+        # At d = 1e4 the reference is slow at r = 0.8, and phi is 0 beyond 1.3
+        bound, comp_bound = self.LARGE_D_BOUNDS[d]
+        radii = self.BAND_RADII if d < 10_000 else (0.62, 0.99, 1.0 - 1e-6, 1.0 + 1e-6, 1.01)
+        for alpha in (1.2, 1.5, 1.9):
+            p = StableParams(d, alpha)
+            for r in radii:
+                with mpmath.workdps(80):
+                    ref = _mp_phi(d, alpha, r)
+                    want, want_comp = float(ref), float(1 - ref)
+                assert abs(phi(p, r) - want) <= bound * want, (alpha, r)
+                assert abs(phi_complement(p, r) - want_comp) <= comp_bound * want_comp, \
+                    (alpha, r)
 
     @pytest.mark.parametrize("d", [100_000, 1_000_000])
-    def test_overflowing_band_terms_are_refused(self, d):
-        # the band's two terms overflow to +-inf and their sum was NaN; the
-        # series coefficients themselves leave the float range at d = 1e6
-        with pytest.raises(DomainError, match="d = 12"):
-            phi(StableParams(d, 1.5), 0.9)
+    def test_overflowing_band_terms_take_the_zonal_sum(self, d):
+        # the band's two terms overflow to +-inf and their sum is NaN; the
+        # zonal sum on ceil(6 sqrt(d)) nodes stays within the measured
+        # 4.5e-12 (d = 1e5) and 7.9e-12 (d = 1e6) of the series reference
+        got = phi(StableParams(d, 1.5), 0.9)
+        assert 0.0 < got < 1.0
+        with mpmath.workdps(40):
+            want = float(_mp_phi_inside(d, 1.5, 0.9))
+        assert abs(got - want) <= {100_000: 1e-11, 1_000_000: 2e-11}[d] * want
+
+    def test_phi_stays_within_the_unit_interval_near_alpha_two(self):
+        # inside the sphere phi -> 1 as alpha -> 2, and the golden-band terms
+        # rounded to 1 + 4.7e-15 at (32, 2 - 2 ulp, 0.75); the quadratic
+        # transformation keeps F1 right where hyp2f1 takes its tiny a for 0
+        # (phi was -0.44 at (10, 2 - 1 ulp, 1.5))
+        for d in (10, 32):
+            for alpha in (2.0 - 2.0 ** -52, 2.0 - 2.0 ** -51):
+                for r in (0.75, 1.5):
+                    assert 0.0 <= phi(StableParams(d, alpha), r) <= 1.0
+                    assert 0.0 <= phi_complement(StableParams(d, alpha), r) <= 1.0
+        assert phi(StableParams(10, 2.0 - 2.0 ** -52), 1.5) == \
+            pytest.approx(1.5 ** -8, rel=1e-12, abs=0)
 
 
 class TestPhi:
@@ -243,6 +307,13 @@ class TestPhi:
     def test_domain(self):
         with pytest.raises(DomainError):
             phi(P2, -0.5)
+        with pytest.raises(DomainError):
+            phi(P2, math.nan)
+        with pytest.raises(DomainError):
+            phi_complement(P2, math.nan)
+        # r = inf is the far-field limit, which green_function reaches for
+        # far points close relative to their size
+        assert phi(P2, math.inf) == 0.0 and phi_complement(P2, math.inf) == 1.0
         with pytest.raises(DomainError):
             phi(StableParams(2, 0.7), 0.5)
 
@@ -381,6 +452,14 @@ class TestGreenFunction:
         got = green_function(p, [0.0, 1e200], [1e200, 0.0])
         assert got == pytest.approx(want, rel=1e-12, abs=0)
         assert got == pytest.approx(0.1571949424746409, rel=1e-12, abs=0)
+
+    def test_far_points_close_together(self):
+        # r_w = |x| |y| / |x - y| ~ 1e310 overflows; 1 - Phi is 1 there and
+        # G is the free-space a_(d,alpha) |x - y|^(alpha - d)
+        x, y = [1e300, 0.0], [1.0000000001e300, 0.0]
+        want = constants(P2).a_d_alpha * (y[0] - x[0]) ** (P2.alpha - P2.d)
+        for got in (green_function(P2, x, y), green_function(P2, y, x)):
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_near_coincident_points_inside(self):
         # dx = dy = -0.75 and dist2 = 2.5e-307 overflow delta_w; 1 - Phi is 1 there
