@@ -69,8 +69,7 @@ print(f"G_H(x, y) = {lhs:.14f}")
 print(f"transported G_D  = {rhs:.14f}   (rel diff {abs(lhs-rhs)/lhs:.1e})")
 
 rs = np.linspace(0.01, 3.0, 300)
-vals = [sphere.phi(p, float(r)) for r in rs]
-np.savetxt("phi_profile.csv", np.column_stack([rs, vals]), delimiter=",",
+np.savetxt("phi_profile.csv", np.column_stack([rs, sphere.phi(p, rs)]), delimiter=",",
            header="r,phi", comments="")
 print()
 print("wrote phi_profile.csv (300 rows)")

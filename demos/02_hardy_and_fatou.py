@@ -18,13 +18,11 @@ phi0 = kc.phi_at_origin
 
 print("== slice norms of the two basic profiles ==")
 grid = analysis.sphere_quadrature(p, 64)
-phi_fun = lambda pts: np.array([sphere.phi(p, float(np.linalg.norm(q)))
-                                for q in np.atleast_2d(pts)])
+phi_fun = lambda pts: sphere.phi(p, np.linalg.norm(np.atleast_2d(pts), axis=1))
 est = analysis.hardy_norm(p, SPHERE, phi_fun, 1.0, grid=grid)
 print(f"||P[1]||_h1 schedule sup = {est.value:.6f} at r = {est.sup_at:.6g} "
       f"(exact value 1)")
-comp_fun = lambda pts: np.array([sphere.phi_complement(p, float(np.linalg.norm(q)))
-                                 for q in np.atleast_2d(pts)])
+comp_fun = lambda pts: sphere.phi_complement(p, np.linalg.norm(np.atleast_2d(pts), axis=1))
 est = analysis.hardy_norm(p, SPHERE, comp_fun, 1.0, grid=grid)
 print(f"||1-Phi||_h1 schedule sup = {est.value:.6f} at r = {est.sup_at:.6g}")
 print()

@@ -394,8 +394,7 @@ def sphere_values(p: StableParams, rep: HarmonicRepresentation, r_minus_one,
         vals += _sphere_polar_rule(p, rep.density, rm1, dirs)
     if rep.constant:
         uniq, inv = np.unique(rm1, return_inverse=True)
-        comp = np.array([sphere.phi_complement_offset(p, float(x)) for x in uniq])
-        vals += rep.constant * comp[inv]
+        vals += rep.constant * sphere.phi_complement_offset(p, uniq)[inv]
     require_finite(vals, "the representation's values")
     return vals
 

@@ -64,7 +64,8 @@ def _parse_range(text: str) -> np.ndarray:
         raise DomainError(f"range must look like start:stop:count, got {text!r}") from exc
     if not math.isfinite(stop - start) or count < 1:    # also NaN or infinite ends
         raise DomainError(f"range needs a finite span and a count of at least 1, got {text!r}")
-    return np.linspace(start, stop, count)
+    with np.errstate(over="ignore"):    # a span near DBL_MAX: the last point, set to stop
+        return np.linspace(start, stop, count)
 
 
 def _scalar(point, name: str) -> float:
@@ -246,31 +247,30 @@ def _cmd_report(args) -> int:
             "seed": args.seed}
     if args.curve in ("phi", "one-minus-phi"):
         rs = _parse_range(args.r)
-        if rs[0] < 1.0 < rs[-1]:
+        if rs.min() < 1.0 < rs.max():
             # snap the nearest point onto the sphere so the boundary value
             # (phi = 1 there) shows up in the table
             rs[int(np.argmin(np.abs(rs - 1.0)))] = 1.0
         fn = sphere.phi if args.curve == "phi" else sphere.phi_complement
-        rows = [(float(r), fn(p, float(r))) for r in rs]
-        write_csv(args.out, meta, rows, ["r", args.curve.replace("-", "_")])
+        write_csv(args.out, meta, np.column_stack([rs, fn(p, rs)]),
+                  ["r", args.curve.replace("-", "_")])
     elif args.curve == "omega-alpha":
         rs = _parse_range(args.r)
         dens = halfspace.omega_alpha_density(p, np.outer(rs, np.eye(args.d - 1)[0]))
-        rows = zip(rs.tolist(), dens.tolist())
-        write_csv(args.out, meta, rows, ["radius", "density"])
+        write_csv(args.out, meta, np.column_stack([rs, dens]), ["radius", "density"])
     elif args.curve == "qm":
         rp = RelativisticParams(p, args.m)
         meta["m"] = args.m
         rs = _parse_range(args.r)
         rs = rs[rs > 0]
-        rows = list(zip(rs.tolist(), relativistic.subordinator_potential(rp, rs).tolist()))
-        write_csv(args.out, meta, rows, ["x", "qm"])
+        write_csv(args.out, meta,
+                  np.column_stack([rs, relativistic.subordinator_potential(rp, rs)]),
+                  ["x", "qm"])
     elif args.curve == "poisson-H-profile":
         rs = _parse_range(args.r)
         kern = halfspace.poisson_kernel(p, basis_last(args.d),
                                        np.outer(rs, np.eye(args.d - 1)[0]))
-        rows = zip(rs.tolist(), kern.tolist())
-        write_csv(args.out, meta, rows, ["ybar", "kernel"])
+        write_csv(args.out, meta, np.column_stack([rs, kern]), ["ybar", "kernel"])
     elif args.curve == "fatou-decay":
         meta["beta"] = args.beta
         smooth = analysis.BoundaryFunction(lambda pts: 1.0 + 0.5 * pts[:, 0])
@@ -278,17 +278,15 @@ def _cmd_report(args) -> int:
         rng = RngStream(args.seed, 9).generator()
         probe = analysis.fatou_probe(p, rep, np.eye(args.d)[0], args.beta,
                                      args.depth, rng)
-        running = probe.running_max_tail
-        rows = [(k + 1, float(probe.deviations[k].max()), float(running[k]))
-                for k in range(args.depth)]
+        rows = np.column_stack([np.arange(1, args.depth + 1), probe.deviations.max(axis=1),
+                                probe.running_max_tail])
         write_csv(args.out, meta, rows, ["depth", "deviation", "running_max"])
     elif args.curve == "hardy-schedule":
         meta["p"] = args.pexp
         grid = analysis.sphere_quadrature(p, 64)
         est = analysis.hardy_norm(p, analysis.SPHERE, analysis.radial_profile(p, sphere.phi),
                                   args.pexp, grid=grid)
-        rows = [(float(s), float(v)) for s, v in est.slices]
-        write_csv(args.out, meta, rows, ["r", "slice_norm"])
+        write_csv(args.out, meta, est.slices, ["r", "slice_norm"])
     else:  # pragma: no cover
         raise DomainError(f"unknown curve {args.curve}")
     return EXIT_OK

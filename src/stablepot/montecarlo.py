@@ -73,11 +73,7 @@ class EmpiricalSample:
 
     def to_csv(self, path) -> None:
         """One draw per row; '#'-prefixed header lines carry the metadata."""
-        cols = self.draws if self.draws.ndim > 1 else self.draws[:, None]
-        # Python floats format faster than numpy scalars; blocks keep memory flat
-        rows = (row for i in range(0, len(cols), 4096)
-                for row in cols[i:i + 4096].tolist())
-        write_csv(path, self.meta, rows)
+        write_csv(path, self.meta, self.draws if self.draws.ndim > 1 else self.draws[:, None])
 
 
 @dataclass(frozen=True)
@@ -213,7 +209,7 @@ def _far_field_sup(p: StableParams, r_max: float, n_grid: int = 64) -> float:
     # sup of Phi over [r_max, 10 r_max] on a grid; radial monotonicity far
     # out is not a stated fact, so the window is scanned rather than assumed
     rs = np.geomspace(r_max, 10.0 * r_max, n_grid)
-    return max(sphere.phi(p, float(r)) for r in rs)
+    return float(np.max(sphere.phi(p, rs)))
 
 
 def walk_on_balls_hitting(p: StableParams, x, cfg: WalkConfig, n: int,

@@ -83,6 +83,7 @@ class TailPair:
         reach = (tol * np.clip(1.0 - big * tol ** (1.0 / k[1:]), 0.0, None)) ** (1.0 / k[1:])
         self._reach = np.maximum.accumulate(reach, axis=1).min(axis=0).tolist()
         self._coef = coef[:, _TAIL_TERMS - 1::-1].T.tolist()   # s^80 first
+        self._coef_columns = np.array(self._coef)[:, :, None]
 
     def __call__(self, s: float) -> tuple[float, float]:
         # NaN and |s| >= 1 land past the reach, where gauss_2f1 refuses them
@@ -94,6 +95,49 @@ class TailPair:
             tail1 = (tail1 + c1) * s
             tail2 = (tail2 + c2) * s
         return tail1, tail2
+
+    def on_array(self, s: np.ndarray) -> np.ndarray:
+        """Both tails at every element of a flat array s, finite with |s| < 1,
+        stacked on a new first axis: ``__call__``'s Horner steps, run on each
+        element from its own first term, so every element sees the arithmetic
+        of ``__call__``; past the reach, hyp2f1 - 1."""
+        # an element of n terms joins at coefficient row 80 - n; sorted by that
+        # row, the elements under way at each row are a prefix
+        first = _TAIL_TERMS - 1 - np.searchsorted(self._reach, np.abs(s), side="right")
+        past = first < 0
+        first[past] = _TAIL_TERMS
+        order = np.argsort(first, kind="stable")
+        under_way = np.searchsorted(first[order], np.arange(_TAIL_TERMS), side="right")
+        s_sorted = s[order]
+        sorted_tails = np.zeros((2, s.size))
+        for coef, m in zip(self._coef_columns, under_way.tolist()):
+            if m:
+                t = sorted_tails[:, :m]
+                t += coef
+                t *= s_sorted[:m]
+        tails = np.empty_like(sorted_tails)
+        tails[:, order] = sorted_tails
+        if past.any():
+            tails[:, past] = [_gauss_2f1_minus_one_array(*abc, s[past]) for abc in self.params]
+        return tails
+
+
+def _libm_map(fn, x: np.ndarray, *args) -> np.ndarray:
+    # fn, a function of floats such as math.exp or pow, at every element of x
+    # (and of args), rounded as the C library rounds it: numpy's own exp, log1p
+    # and power differ in the last place for some 5% of arguments
+    return np.fromiter(map(fn, x.tolist(), *args), float, count=x.size)
+
+
+def _gauss_2f1_minus_one_array(a: float, b: float, c: float, s: np.ndarray) -> np.ndarray:
+    # _gauss_2f1_minus_one at every element of s, |s| < 1, with its roundings
+    if c != 2.0 * a:
+        return _sps.hyp2f1(a, b, c, s) - 1.0
+    log_pref = -b * _libm_map(math.log1p, -s / 2.0)
+    pref = _libm_map(math.exp, np.minimum(log_pref, _LOG_HUGE))
+    pref[log_pref >= _LOG_HUGE] = math.inf
+    with np.errstate(invalid="ignore"):
+        return pref * _sps.hyp2f1(b / 2.0, b / 2.0 + 0.5, a + 0.5, (s / (2.0 - s)) ** 2) - 1.0
 
 
 def _gauss_2f1_minus_one(a: float, b: float, c: float, s: float) -> float:

@@ -243,6 +243,18 @@ class TestReport:
         nearest = np.argmin(np.abs(data[:, 0] - 1.0))
         assert data[nearest, 1] > 0.99
 
+    @pytest.mark.parametrize("rng", ["0.1:2:6", "2:0.1:6"])
+    def test_phi_curve_snaps_onto_the_sphere_either_way(self, capsys, rng):
+        # the point nearest r = 1 moves onto the sphere, where 1 - phi is 0,
+        # whichever way the range runs
+        code, out, _ = run(capsys, "report", "--curve", "one-minus-phi", f"--r={rng}")
+        assert code == 0
+        rows = out.splitlines()[-6:]
+        assert "1,0" in rows
+        want = np.linspace(*map(float, rng.split(":")[:2]), 6)
+        want[np.argmin(np.abs(want - 1.0))] = 1.0
+        assert [float(row.split(",")[0]) for row in rows] == want.tolist()
+
     def test_fatou_decay_curve(self, capsys, tmp_path):
         out_file = tmp_path / "fatou.csv"
         code, _, _ = run(capsys, "report", "--curve", "fatou-decay",

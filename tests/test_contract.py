@@ -16,7 +16,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stablepot import cli, sphere
@@ -196,3 +196,83 @@ def test_eval_phi_in_every_dimension(d, alpha, r):
     else:
         assert code == 2 and out == "", (d, alpha, r)
         assert len(err.splitlines()) == 1 and err.startswith("error: "), (d, alpha, r)
+
+
+# --- Phi over arrays ---------------------------------------------------------
+
+# the kinds of radius that pick Phi's routes: the golden-ratio band, its
+# edges r^2 - 1 = -1/golden, golden and their neighbours, offsets from the
+# sphere down to 1e-15, the origin, past sqrt(DBL_MAX), where r^2 - 1 overflows, and inf
+ROUTE_RADII = st.one_of(
+    st.floats(*GOLDEN_BAND),
+    st.sampled_from([np.nextafter(r, t) for r in GOLDEN_BAND for t in (0.0, 2.0)]
+                    + list(GOLDEN_BAND) + [0.0, math.inf]),
+    st.builds(lambda k, sgn: 1.0 + sgn * 10.0 ** -k, st.floats(1.0, 15.0),
+              st.sampled_from([1.0, -1.0])),
+    st.floats(1.35e154, 1e300),
+    st.floats(0.0, 1e3))
+PHI_ROUTES = ("phi", "phi_complement", "phi_complement_offset")
+
+
+def _as_route_input(name, r):
+    return r - 1.0 if name == "phi_complement_offset" else r
+
+
+@CONTRACT
+@given(d=st.integers(2, 1000),
+       alpha=st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
+       radii=st.lists(ROUTE_RADII, min_size=1, max_size=40),
+       rows=st.sampled_from([1, 2]))
+def test_phi_array_route_equals_float_route(d, alpha, radii, rows):
+    # an array of at least _ARRAY_MIN radii takes the array route, which
+    # gives the float route's bits elementwise and keeps the input's shape
+    p = StableParams(d, alpha)
+    rs = np.resize(np.array(radii), 2 * max(len(radii), sphere._ARRAY_MIN)).reshape(rows, -1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name in PHI_ROUTES:
+            fn = getattr(sphere, name)
+            x = _as_route_input(name, rs)
+            got = fn(p, x)
+            want = np.array([fn(p, v) for v in x.ravel().tolist()]).reshape(x.shape)
+            assert got.shape == x.shape and got.dtype == float
+            assert np.array_equal(got, want), (name, d, alpha)
+            assert np.all((got >= 0.0) & (got <= 1.0))
+            assert isinstance(fn(p, float(x.flat[0])), float)
+        finite = rs[rs < 1e154]
+        delta = (finite - 1.0) * (finite + 1.0)
+        assert np.array_equal(sphere.phi_complement_delta(p, delta),
+                              [sphere.phi_complement_delta(p, v) for v in delta.tolist()])
+        spoiled = rs.copy()
+        spoiled.flat[len(radii) // 2] = math.nan
+        for name in PHI_ROUTES:
+            with pytest.raises(DomainError):
+                getattr(sphere, name)(p, _as_route_input(name, spoiled))
+
+
+@CONTRACT
+@given(curve=st.sampled_from(["phi", "one-minus-phi"]),
+       d=st.sampled_from([2, 3, 13]),
+       alpha=st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
+       lo=st.one_of(st.floats(-2.0, 1e3), st.floats(allow_nan=True, allow_infinity=True)),
+       hi=st.one_of(st.floats(0.0, 1e3), st.floats(allow_nan=True, allow_infinity=True)),
+       n=st.integers(-2, 300))
+@example(curve="phi", d=2, alpha=1.5, lo=0.0, hi=1.7976931348623157e308, n=25)
+def test_report_phi_curve_contract(curve, d, alpha, lo, hi, n):
+    # n finite rows in [0, 1] and exit 0, or one error line and exit 2
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["report", "--curve", curve, "--d", str(d), "--alpha", repr(alpha),
+            f"--r={lo!r}:{hi!r}:{n}"]
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert err == ""
+        rows = np.loadtxt([ln for ln in out.splitlines() if not ln.startswith("#")][1:],
+                          delimiter=",", ndmin=2)
+        assert rows.shape == (n, 2), argv
+        assert np.all(np.isfinite(rows)) and np.all((rows[:, 1] >= 0.0) & (rows[:, 1] <= 1.0))
+    else:
+        assert code == 2 and out == "", argv
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), argv

@@ -70,6 +70,18 @@ class TestGauss2F1:
             got = TailPair((a, b, c), (a, b, c))(s)[0]
             assert abs(got - ref) <= 1e-12 * abs(ref), s
 
+    @pytest.mark.parametrize("d", [2, 40, 400])
+    def test_tails_on_array_equal_the_float_call(self, d):
+        # every element takes the float call's Horner steps, or past the
+        # reach its hyp2f1 - 1 (c = 2a, by the quadratic transformation,
+        # and c != 2a directly), to the bit
+        s = np.concatenate([np.linspace(-0.64, 0.64, 129), [0.0, 1e-300, -2e-3]])
+        for pair in (TailPair((0.25, (d - 1.5) / 2.0, 0.5), (0.4, 0.9, 1.7)),
+                     TailPair((0.1, d / 2.0, 1.3), (0.25, (d - 1.5) / 2.0, 0.5))):
+            got = pair.on_array(s)
+            assert got.shape == (2, s.size)
+            assert np.array_equal(got.T, [pair(x) for x in s.tolist()])
+
     @pytest.mark.parametrize("d", [5, 10, 400])
     def test_tail_as_alpha_tends_to_two(self, d):
         # the sphere's F1 = F(1 - alpha/2, (d - alpha)/2; 2 - alpha; s): hyp2f1
