@@ -39,11 +39,8 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-KERNELS = ("phi", "poisson-D", "green-D", "martin-D", "poisson-H", "green-H",
-           "martin-H", "ball-poisson", "phi-rel", "poisson-H-rel", "u-lambda")
-
-CURVES = ("phi", "one-minus-phi", "omega-alpha", "qm", "poisson-H-profile",
-          "fatou-decay", "hardy-schedule")
+# the largest row count of a report range; its two columns alone take 160 MB
+_MAX_ROWS = 10_000_000
 
 
 def _parse_point(text: str):
@@ -62,8 +59,9 @@ def _parse_range(text: str) -> np.ndarray:
         start, stop, count = float(start), float(stop), int(count)
     except ValueError as exc:
         raise DomainError(f"range must look like start:stop:count, got {text!r}") from exc
-    if not math.isfinite(stop - start) or count < 1:    # also NaN or infinite ends
-        raise DomainError(f"range needs a finite span and a count of at least 1, got {text!r}")
+    if not math.isfinite(stop - start) or not 1 <= count <= _MAX_ROWS:   # also NaN ends
+        raise DomainError(f"range needs a finite span and a count from 1 to {_MAX_ROWS}, "
+                          f"got {text!r}")
     with np.errstate(over="ignore"):    # a span near DBL_MAX: the last point, set to stop
         return np.linspace(start, stop, count)
 
@@ -137,49 +135,45 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # --- eval -------------------------------------------------------------------
 
+def _eval_phi(p, a):
+    if a.r is None:
+        return sphere.hitting_probability(p, _parse_point(a.x))
+    if not math.isfinite(a.r):     # phi(inf) is the limit 0 inside the package
+        raise DomainError(f"--r must be finite, got {a.r}")
+    return sphere.phi(p, a.r)
+
+
+def _points(args, *names):
+    return [_parse_point(getattr(args, name)) for name in names]
+
+
+# kernel name -> value from (StableParams, parsed arguments)
+_KERNELS = {
+    "phi": _eval_phi,
+    "poisson-D": lambda p, a: sphere.poisson_kernel(p, *_points(a, "x", "z")),
+    "green-D": lambda p, a: sphere.green_function(p, *_points(a, "x", "y")),
+    "martin-D": lambda p, a: sphere.martin_kernel(p, *_points(a, "x", "z")),
+    "poisson-H": lambda p, a: halfspace.poisson_kernel(p, *_points(a, "x", "z")),
+    "green-H": lambda p, a: halfspace.green_function(p, *_points(a, "x", "y")),
+    "martin-H": lambda p, a: halfspace.martin_kernel(p, *_points(a, "x", "z")),
+    "ball-poisson": lambda p, a: sphere.ball_poisson_kernel(
+        p, _parse_point(a.center), a.radius, *_points(a, "x", "y")),
+    "phi-rel": lambda p, a: relativistic.hitting_probability_sphere(
+        RelativisticParams(p, a.m), a.radius, _parse_point(a.x) if a.x else a.r),
+    "poisson-H-rel": lambda p, a: relativistic.poisson_kernel_halfspace(
+        RelativisticParams(p, a.m), *_points(a, "x", "z")),
+    "u-lambda": lambda p, a: relativistic.lambda_potential(
+        RelativisticParams(p, a.m, a.lam), _scalar(_parse_point(a.x), "x"),
+        _scalar(_parse_point(a.y), "y")),
+}
+KERNELS = tuple(_KERNELS)
+
+
 def _cmd_eval(args) -> int:
-    p = StableParams(args.d, args.alpha)
-    k = args.kernel
-    if k == "phi":
-        if args.r is not None:
-            if not math.isfinite(args.r):     # phi(inf) is the limit 0 inside the package
-                raise DomainError(f"--r must be finite, got {args.r}")
-            value = sphere.phi(p, args.r)
-        else:
-            value = sphere.hitting_probability(p, _parse_point(args.x))
-    elif k == "poisson-D":
-        value = sphere.poisson_kernel(p, _parse_point(args.x), _parse_point(args.z))
-    elif k == "green-D":
-        value = sphere.green_function(p, _parse_point(args.x), _parse_point(args.y))
-    elif k == "martin-D":
-        value = sphere.martin_kernel(p, _parse_point(args.x), _parse_point(args.z))
-    elif k == "poisson-H":
-        value = halfspace.poisson_kernel(p, _parse_point(args.x), _parse_point(args.z))
-    elif k == "green-H":
-        value = halfspace.green_function(p, _parse_point(args.x), _parse_point(args.y))
-    elif k == "martin-H":
-        value = halfspace.martin_kernel(p, _parse_point(args.x), _parse_point(args.z))
-    elif k == "ball-poisson":
-        value = sphere.ball_poisson_kernel(p, _parse_point(args.center),
-                                           args.radius, _parse_point(args.x),
-                                           _parse_point(args.y))
-    elif k == "phi-rel":
-        rp = RelativisticParams(p, args.m)
-        value = relativistic.hitting_probability_sphere(
-            rp, args.radius, _parse_point(args.x) if args.x else args.r)
-    elif k == "poisson-H-rel":
-        rp = RelativisticParams(p, args.m)
-        value = relativistic.poisson_kernel_halfspace(
-            rp, _parse_point(args.x), _parse_point(args.z))
-    elif k == "u-lambda":
-        rp = RelativisticParams(p, args.m, args.lam)
-        value = relativistic.lambda_potential(
-            rp, _scalar(_parse_point(args.x), "x"), _scalar(_parse_point(args.y), "y"))
-    else:  # pragma: no cover
-        raise DomainError(f"unknown kernel {k}")
+    value = _KERNELS[args.kernel](StableParams(args.d, args.alpha), args)
     if args.format == "json":
         import json
-        print(json.dumps({"kernel": k, "value": value}, sort_keys=True))
+        print(json.dumps({"kernel": args.kernel, "value": value}, sort_keys=True))
     else:
         print(repr(float(value)))
     return EXIT_OK
@@ -214,7 +208,7 @@ def _cmd_sample(args) -> int:
                    f"P(|y|>2)={np.mean(radii > 2):.6g}")
     elif args.sampler == "halfplane-hit":
         x = _parse_point(args.x) if args.x else basis_last(args.d)
-        meta["x"] = ",".join(repr(v) for v in x)
+        meta["x"] = ",".join(repr(float(v)) for v in x)
         draws = montecarlo.sample_halfplane_hit(p, x, rng, args.n)
         sample = montecarlo.EmpiricalSample(draws, meta)
         m = draws[:, 0].mean()
@@ -222,7 +216,7 @@ def _cmd_sample(args) -> int:
         summary = f"n={args.n} seed={args.seed} mean[0]={m:.6g} stderr={se:.6g}"
     else:
         x = _parse_point(args.x) if args.x else np.zeros(args.d)
-        meta["x"] = ",".join(repr(v) for v in x)
+        meta["x"] = ",".join(repr(float(v)) for v in x)
         cfg = WalkConfig(eps_shell=args.eps_shell, r_max=args.r_max)
         res = montecarlo.walk_on_balls_hitting(p, x, cfg, args.n, rng)
         sample = montecarlo.EmpiricalSample(
@@ -241,70 +235,88 @@ def _cmd_sample(args) -> int:
 
 # --- report -----------------------------------------------------------------
 
+def _curve_phi(p, args, meta):      # phi and one-minus-phi
+    rs = _parse_range(args.r)
+    if rs.min() < 1.0 < rs.max():
+        # snap the nearest point onto the sphere so the boundary value
+        # (phi = 1 there) shows up in the table
+        rs[int(np.argmin(np.abs(rs - 1.0)))] = 1.0
+    fn = sphere.phi if args.curve == "phi" else sphere.phi_complement
+    write_csv(args.out, meta, np.column_stack([rs, fn(p, rs)]),
+              ["r", args.curve.replace("-", "_")])
+
+
+def _curve_omega_alpha(p, args, meta):
+    rs = _parse_range(args.r)
+    dens = halfspace.omega_alpha_density(p, np.outer(rs, np.eye(args.d - 1)[0]))
+    write_csv(args.out, meta, np.column_stack([rs, dens]), ["radius", "density"])
+
+
+def _curve_qm(p, args, meta):
+    rp = RelativisticParams(p, args.m)
+    meta["m"] = args.m
+    rs = _parse_range(args.r)
+    rs = rs[rs > 0]
+    write_csv(args.out, meta,
+              np.column_stack([rs, relativistic.subordinator_potential(rp, rs)]),
+              ["x", "qm"])
+
+
+def _curve_poisson_h_profile(p, args, meta):
+    rs = _parse_range(args.r)
+    kern = halfspace.poisson_kernel(p, basis_last(args.d),
+                                   np.outer(rs, np.eye(args.d - 1)[0]))
+    write_csv(args.out, meta, np.column_stack([rs, kern]), ["ybar", "kernel"])
+
+
+def _curve_fatou_decay(p, args, meta):
+    meta["beta"] = args.beta
+    smooth = analysis.BoundaryFunction(lambda pts: 1.0 + 0.5 * pts[:, 0])
+    rep = analysis.HarmonicRepresentation(analysis.SPHERE, density=smooth)
+    rng = RngStream(args.seed, 9).generator()
+    probe = analysis.fatou_probe(p, rep, np.eye(args.d)[0], args.beta, args.depth, rng)
+    rows = np.column_stack([np.arange(1, args.depth + 1), probe.deviations.max(axis=1),
+                            probe.running_max_tail])
+    write_csv(args.out, meta, rows, ["depth", "deviation", "running_max"])
+
+
+def _curve_hardy_schedule(p, args, meta):
+    meta["p"] = args.pexp
+    grid = analysis.sphere_quadrature(p, 64)
+    est = analysis.hardy_norm(p, analysis.SPHERE, analysis.radial_profile(p, sphere.phi),
+                              args.pexp, grid=grid)
+    write_csv(args.out, meta, est.slices, ["r", "slice_norm"])
+
+
+# curve name -> CSV writer from (StableParams, parsed arguments, metadata)
+_CURVES = {
+    "phi": _curve_phi,
+    "one-minus-phi": _curve_phi,
+    "omega-alpha": _curve_omega_alpha,
+    "qm": _curve_qm,
+    "poisson-H-profile": _curve_poisson_h_profile,
+    "fatou-decay": _curve_fatou_decay,
+    "hardy-schedule": _curve_hardy_schedule,
+}
+CURVES = tuple(_CURVES)
+
+
 def _cmd_report(args) -> int:
-    p = StableParams(args.d, args.alpha)
     meta = {"curve": args.curve, "d": args.d, "alpha": args.alpha,
             "seed": args.seed}
-    if args.curve in ("phi", "one-minus-phi"):
-        rs = _parse_range(args.r)
-        if rs.min() < 1.0 < rs.max():
-            # snap the nearest point onto the sphere so the boundary value
-            # (phi = 1 there) shows up in the table
-            rs[int(np.argmin(np.abs(rs - 1.0)))] = 1.0
-        fn = sphere.phi if args.curve == "phi" else sphere.phi_complement
-        write_csv(args.out, meta, np.column_stack([rs, fn(p, rs)]),
-                  ["r", args.curve.replace("-", "_")])
-    elif args.curve == "omega-alpha":
-        rs = _parse_range(args.r)
-        dens = halfspace.omega_alpha_density(p, np.outer(rs, np.eye(args.d - 1)[0]))
-        write_csv(args.out, meta, np.column_stack([rs, dens]), ["radius", "density"])
-    elif args.curve == "qm":
-        rp = RelativisticParams(p, args.m)
-        meta["m"] = args.m
-        rs = _parse_range(args.r)
-        rs = rs[rs > 0]
-        write_csv(args.out, meta,
-                  np.column_stack([rs, relativistic.subordinator_potential(rp, rs)]),
-                  ["x", "qm"])
-    elif args.curve == "poisson-H-profile":
-        rs = _parse_range(args.r)
-        kern = halfspace.poisson_kernel(p, basis_last(args.d),
-                                       np.outer(rs, np.eye(args.d - 1)[0]))
-        write_csv(args.out, meta, np.column_stack([rs, kern]), ["ybar", "kernel"])
-    elif args.curve == "fatou-decay":
-        meta["beta"] = args.beta
-        smooth = analysis.BoundaryFunction(lambda pts: 1.0 + 0.5 * pts[:, 0])
-        rep = analysis.HarmonicRepresentation(analysis.SPHERE, density=smooth)
-        rng = RngStream(args.seed, 9).generator()
-        probe = analysis.fatou_probe(p, rep, np.eye(args.d)[0], args.beta,
-                                     args.depth, rng)
-        rows = np.column_stack([np.arange(1, args.depth + 1), probe.deviations.max(axis=1),
-                                probe.running_max_tail])
-        write_csv(args.out, meta, rows, ["depth", "deviation", "running_max"])
-    elif args.curve == "hardy-schedule":
-        meta["p"] = args.pexp
-        grid = analysis.sphere_quadrature(p, 64)
-        est = analysis.hardy_norm(p, analysis.SPHERE, analysis.radial_profile(p, sphere.phi),
-                                  args.pexp, grid=grid)
-        write_csv(args.out, meta, est.slices, ["r", "slice_norm"])
-    else:  # pragma: no cover
-        raise DomainError(f"unknown curve {args.curve}")
+    _CURVES[args.curve](StableParams(args.d, args.alpha), args, meta)
     return EXIT_OK
+
+
+_COMMANDS = {"eval": _cmd_eval, "verify": _cmd_verify, "sample": _cmd_sample,
+             "report": _cmd_report}
 
 
 def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
     try:
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "sample":
-            return _cmd_sample(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        raise DomainError(f"unknown command {args.command}")
+        return _COMMANDS[args.command](args)
     except (DomainError, DivergenceError, ValueError, ConvergenceError,
             OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -183,21 +183,24 @@ class WalkResult:
     n: int
     bias_terms: dict = field(default_factory=dict)
 
+    @classmethod
+    def from_counts(cls, hits: int, escapes: int, inconclusive: int, n: int,
+                    shell: float, escape_sup: float) -> "WalkResult":
+        """The estimate hits/n, its binomial standard error, and the bias
+        budget shell * estimate + escape_sup * escapes/n + inconclusive/n."""
+        est = hits / n
+        stderr = math.sqrt(max(est * (1.0 - est), 1e-300) / n)
+        budget = shell * est + escape_sup * (escapes / n) + inconclusive / n
+        return cls(est, stderr, budget, hits, escapes, inconclusive, n,
+                   {"shell": shell, "escape_sup": escape_sup})
+
     def merge(self, other: "WalkResult") -> "WalkResult":
         """Combine disjoint-stream counters; associative and order-free."""
-        n = self.n + other.n
-        hits = self.hits + other.hits
-        esc = self.escapes + other.escapes
-        inc = self.inconclusive + other.inconclusive
-        est = hits / n
-        se = math.sqrt(max(est * (1.0 - est), 1e-300) / n)
-        terms = {
-            "shell": max(self.bias_terms.get("shell", 0.0), other.bias_terms.get("shell", 0.0)),
-            "escape_sup": max(self.bias_terms.get("escape_sup", 0.0),
-                              other.bias_terms.get("escape_sup", 0.0)),
-        }
-        budget = terms["shell"] * est + terms["escape_sup"] * (esc / n) + inc / n
-        return WalkResult(est, se, budget, hits, esc, inc, n, terms)
+        return WalkResult.from_counts(
+            self.hits + other.hits, self.escapes + other.escapes,
+            self.inconclusive + other.inconclusive, self.n + other.n,
+            *(max(self.bias_terms.get(k, 0.0), other.bias_terms.get(k, 0.0))
+              for k in ("shell", "escape_sup")))
 
 
 def _shell_complement_sup(p: StableParams, eps: float) -> float:
@@ -247,15 +250,9 @@ def walk_on_balls_hitting(p: StableParams, x, cfg: WalkConfig, n: int,
             continue
         rho = cfg.kappa * dist[~done]
         pos[live] += rho[:, None] * sample_ball_exit_center(p, rng, live.size)
-    inconclusive = int(active.sum())
-    est = hits / n
-    stderr = math.sqrt(max(est * (1.0 - est), 1e-300) / n)
-    shell = _shell_complement_sup(p, cfg.eps_shell)
-    far = _far_field_sup(p, cfg.r_max)
-    budget = shell * est + far * (escapes / n) + inconclusive / n
-    return WalkResult(estimate=est, stderr=stderr, bias_budget=budget,
-                      hits=hits, escapes=escapes, inconclusive=inconclusive,
-                      n=n, bias_terms={"shell": shell, "escape_sup": far})
+    return WalkResult.from_counts(hits, escapes, int(active.sum()), n,
+                                  _shell_complement_sup(p, cfg.eps_shell),
+                                  _far_field_sup(p, cfg.r_max))
 
 
 # --- goodness of fit ---------------------------------------------------------

@@ -1,4 +1,8 @@
-"""Structured pass/fail records for the verification suites, and CSV output."""
+"""Structured pass/fail records for the verification suites, and CSV output.
+
+``within`` passes a check when |value - expected| <= tolerance (times |expected|
+when relative) and records those three numbers; ``check`` records any other rule.
+"""
 
 from __future__ import annotations
 
@@ -68,6 +72,14 @@ def check(check_id: str, ok: bool, value=None, expected=None, tolerance=None,
                       expected=expected, tolerance=tolerance, citation=citation)
 
 
+def within(check_id: str, value, expected, tolerance, citation: str = "",
+           rel: bool = False) -> CheckEntry:
+    """PASS when |value - expected| <= tolerance, times |expected| if rel; NaN
+    fails.  The entry records value, expected and tolerance as given."""
+    ok = abs(value - expected) <= (tolerance * abs(expected) if rel else tolerance)
+    return check(check_id, ok, value, expected, tolerance, citation)
+
+
 def diverges(check_id: str, did_diverge: bool, value=None,
              citation: str = "") -> CheckEntry:
     """Entry for a check whose expected outcome is divergence."""
@@ -84,9 +96,8 @@ class VerificationReport:
     entries: list[CheckEntry] = field(default_factory=list)
 
     def __post_init__(self):
-        ids = [e.check_id for e in self.entries]
-        if len(set(ids)) != len(ids):
-            raise ValueError("check ids must be unique within a report")
+        entries, self.entries = self.entries, []
+        self.extend(entries)
 
     def extend(self, entries) -> None:
         self.entries.extend(entries)

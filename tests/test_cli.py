@@ -211,6 +211,14 @@ class TestSample:
         se = rows.std() / math.sqrt(2000)
         assert abs(rows.mean()) < 4.0 * se
 
+    @pytest.mark.parametrize("sampler", ["halfplane-hit", "walk-on-balls"])
+    def test_start_point_metadata_reads_as_floats(self, capsys, tmp_path, sampler):
+        out_file = tmp_path / "s.csv"
+        code, _, _ = run(capsys, "sample", sampler, "--x", "0.5,1", "--n", "50",
+                         "--out", str(out_file))
+        assert code == 0
+        assert "# x=0.5,1.0" in out_file.read_text().splitlines()
+
     def test_walk_on_balls_summary(self, capsys):
         code, out, _ = run(capsys, "sample", "walk-on-balls", "--x", "0,0",
                            "--n", "2000", "--seed", "3")
@@ -304,7 +312,8 @@ class TestReport:
         assert data[:, 1] == pytest.approx(want, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("rng", ["0.5:2:0", "0.5:2:-3", "0.5:inf:3", "nan:2:3",
-                                     "-inf:2:3", "-1.7e308:1.7e308:3"])
+                                     "-inf:2:3", "-1.7e308:1.7e308:3", "0:1:10000001",
+                                     "0:1:1000000000000000000"])
     @pytest.mark.parametrize("curve", ["phi", "omega-alpha", "qm"])
     def test_bad_range_is_one_error_line(self, capsys, curve, rng):
         with warnings.catch_warnings():

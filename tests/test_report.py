@@ -1,9 +1,45 @@
-"""The CSV writer against np.savetxt, the format it has always written."""
+"""The pass rule of the verification records, and the CSV writer against
+np.savetxt, the format it has always written."""
+
+import math
 
 import numpy as np
 import pytest
 
-from stablepot.report import write_csv
+from stablepot.report import CheckEntry, VerificationReport, within, write_csv
+
+
+@pytest.mark.parametrize("value,expected,tol,rel,status", [
+    (1.0 + 1e-7, 1.0, 1e-6, False, "PASS"),        # absolute
+    (2.0 + 1.5e-6, 2.0, 1e-6, True, "PASS"),       # relative: 1.5e-6 <= 2e-6
+    (2.0 + 1.5e-6, 2.0, 1e-6, False, "FAIL"),      # the same gap, absolute
+    (0.75, 0.5, 0.25, False, "PASS"),              # a gap of exactly the tolerance
+    (0.75, 0.5, np.nextafter(0.25, 0.0), False, "FAIL"),   # one ulp past it
+    (-3.0, -3.0 + 3e-12, 1e-12, True, "PASS"),     # relative to |expected|
+    (0.7, 0.7, 0.0, False, "PASS"),                # exact match at tolerance 0
+    (0.7, np.nextafter(0.7, 1.0), 0.0, False, "FAIL"),   # 1 ulp off
+    (0.7, np.nextafter(0.7, 1.0), 0.0, True, "FAIL"),
+    (math.nan, 0.0, 1.0, False, "FAIL"),
+    (math.nan, 1.0, 1.0, True, "FAIL"),
+    (1.0, math.nan, 1.0, False, "FAIL"),
+])
+def test_within_pass_rule(value, expected, tol, rel, status):
+    entry = within("probe", value, expected, tol, "cite", rel=rel)
+    assert entry.status == status
+    # the entry records exactly the numbers the rule compared
+    assert (entry.check_id, entry.citation) == ("probe", "cite")
+    for got, want in ((entry.value, value), (entry.expected, expected),
+                      (entry.tolerance, tol)):
+        assert got is want
+
+
+def test_report_ids_unique_from_constructor_and_extend():
+    with pytest.raises(ValueError, match="unique"):
+        VerificationReport("s", {}, [CheckEntry("a", "PASS"), CheckEntry("a", "FAIL")])
+    rep = VerificationReport("s", {}, [CheckEntry("a", "PASS")])
+    rep.extend([CheckEntry("b", "PASS")])
+    with pytest.raises(ValueError, match="unique"):
+        rep.extend([CheckEntry("b", "SKIP")])
 
 EXTREMES = [-0.0, 5e-324, 1.7976931348623157e308]
 
