@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Literal
 
 import numpy as np
@@ -332,7 +333,7 @@ def _ensure_halfspace_integrable(p: StableParams, rep: HarmonicRepresentation) -
 # --- evaluating representations ---------------------------------------------
 
 _RING_NODES = 64            # ring rule: nodes around each circle of the S^(d-2) ring
-_BLOCK = 1 << 15            # density nodes per block: a block stays in cache
+_BLOCK = 1 << 15            # density nodes, atom terms or slice points per block
 
 
 def _default_sphere_grid(p: StableParams) -> QuadratureGrid:
@@ -386,10 +387,14 @@ def sphere_values(p: StableParams, rep: HarmonicRepresentation, r_minus_one,
     if rep.measure is not None:
         atoms = rep.measure.atoms
         require_unit(atoms, "sphere atoms")
-        with np.errstate(over="ignore", invalid="ignore"):      # caught below
-            kern = sphere._kernel(p, rm1[:, None], dirs[:, None, :], atoms[None, :, :],
-                                  sphere.constants(p).phi_at_origin)
-        vals += kern @ rep.measure.weights
+        c = sphere.constants(p).phi_at_origin
+        # a row sum rather than a BLAS product, whose last bits depend on a
+        # row's place in the call: no value depends on how points are batched
+        for rows in _row_blocks(len(rm1), len(atoms)):
+            with np.errstate(over="ignore", invalid="ignore"):      # caught below
+                kern = sphere._kernel(p, rm1[rows, None], dirs[rows, None, :],
+                                      atoms[None, :, :], c)
+            vals[rows] += np.sum(kern * rep.measure.weights, axis=1)
     if rep.density is not None:
         vals += _sphere_polar_rule(p, rep.density, rm1, dirs)
     if rep.constant:
@@ -550,13 +555,14 @@ def hardy_norms(p: StableParams, space: str, u, pexps,
                 grid: QuadratureGrid | None = None) -> list[HardyNormEstimate]:
     """Schedule suprema of ||u_s||_p over slices s (radii or heights), per p.
 
-    ``u`` is either a vectorized callable on (m, d) arrays of points or a
-    HarmonicRepresentation (evaluated efficiently slice by slice).  Each
-    slice is evaluated once and reduced for every exponent in ``pexps``;
-    one estimate is returned per exponent, in order.  An estimate reports
-    whether the running sup is still increasing at the schedule ends; a
-    genuine blow-up toward the boundary is flagged as ``diverges`` rather
-    than raised.
+    ``u`` is either a vectorized callable on (m, d) arrays of points, called
+    once per slice, or a HarmonicRepresentation; a sphere representation's
+    slices share one grid and are evaluated together, in batches of up to
+    ``_BLOCK`` points.  Each slice is evaluated once and reduced for every
+    exponent in ``pexps``; one estimate is returned per exponent, in
+    order.  An estimate reports whether the running sup is still
+    increasing at the schedule ends; a genuine blow-up toward the boundary
+    is flagged as ``diverges`` rather than raised.
     """
     if space not in (SPHERE, HALFSPACE):
         raise DomainError(f"unknown space {space!r}")
@@ -578,18 +584,34 @@ def hardy_norms(p: StableParams, space: str, u, pexps,
                 p, 241, p.d + p.alpha - 2.0, center=center,
                 scale=max(abs(t), spread))
     slices: list[list[tuple[float, float]]] = [[] for _ in pexps]
-    for s in np.asarray(schedule, dtype=float):
-        g = builder(s) if builder is not None else grid
-        if rep is None:
-            values = np.asarray(u(_slice_points(space, p, g, s)), dtype=float)
-        elif space == SPHERE:
-            # the slice radius enters as the exact s - 1
-            values = sphere_values(p, rep, s - 1.0, g.nodes)
-        else:
-            values = halfspace_values(p, rep, g.nodes, s)
+    for s, values, g in _slice_values(p, space, u, rep,
+                                      np.asarray(schedule, dtype=float), grid, builder):
         for q, out in zip(pexps, slices):
             out.append((float(s), _slice_norm(space, p, values, g, q)))
     return [_summarize_schedule(space, sl) for sl in slices]
+
+
+def _slice_values(p: StableParams, space: str, u, rep, schedule: np.ndarray,
+                  grid: QuadratureGrid | None, builder):
+    # (s, values on the slice, its grid), slice by slice.  A sphere
+    # representation's slices share the fixed grid, so they go through
+    # sphere_values together, up to _BLOCK points and at least one slice per
+    # call, each slice radius entering as the exact s - 1
+    if rep is not None and space == SPHERE:
+        n = len(grid.nodes)
+        for rows in _row_blocks(len(schedule), n):
+            batch = schedule[rows]
+            values = sphere_values(p, rep, np.repeat(batch - 1.0, n),
+                                   np.tile(grid.nodes, (len(batch), 1)))
+            yield from zip(batch, values.reshape(-1, n), repeat(grid))
+        return
+    for s in schedule:
+        g = builder(s) if builder is not None else grid
+        if rep is None:
+            values = np.asarray(u(_slice_points(space, p, g, s)), dtype=float)
+        else:
+            values = halfspace_values(p, rep, g.nodes, s)
+        yield s, values, g
 
 
 def radial_profile(p: StableParams, fn: Callable[[StableParams, float], float]):

@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import analysis, halfspace, montecarlo, relativistic, sphere
-from .core import INFINITY, StableParams, basis_last
+from .core import INFINITY, StableParams, as_point, basis_last
 from .errors import ConvergenceError, DivergenceError, DomainError
 from .montecarlo import RngStream, WalkConfig
 from .relativistic import RelativisticParams
@@ -43,7 +43,9 @@ EXIT_IO = 3
 _MAX_ROWS = 10_000_000
 
 
-def _parse_point(text: str):
+def _parse_point(text: str | None, name: str):
+    if text is None:
+        raise DomainError(f"this command needs --{name}")
     if text.strip().lower() in ("inf", "infinity"):
         return INFINITY
     try:
@@ -66,7 +68,8 @@ def _parse_range(text: str) -> np.ndarray:
         return np.linspace(start, stop, count)
 
 
-def _scalar(point, name: str) -> float:
+def _scalar(args, name: str) -> float:
+    point = _parse_point(getattr(args, name), name)
     if isinstance(point, np.ndarray) and point.size == 1:
         return float(point[0])
     raise DomainError(f"--{name} must be a single number for this kernel")
@@ -135,16 +138,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # --- eval -------------------------------------------------------------------
 
+def _radius_or_point(a):
+    # --x as a point, else --r
+    if a.x:
+        return _parse_point(a.x, "x")
+    if a.r is None:
+        raise DomainError(f"{a.kernel} needs --r or --x")
+    return a.r
+
+
 def _eval_phi(p, a):
     if a.r is None:
-        return sphere.hitting_probability(p, _parse_point(a.x))
+        return sphere.hitting_probability(p, _radius_or_point(a))
     if not math.isfinite(a.r):     # phi(inf) is the limit 0 inside the package
         raise DomainError(f"--r must be finite, got {a.r}")
     return sphere.phi(p, a.r)
 
 
 def _points(args, *names):
-    return [_parse_point(getattr(args, name)) for name in names]
+    return [_parse_point(getattr(args, name), name) for name in names]
 
 
 # kernel name -> value from (StableParams, parsed arguments)
@@ -157,14 +169,13 @@ _KERNELS = {
     "green-H": lambda p, a: halfspace.green_function(p, *_points(a, "x", "y")),
     "martin-H": lambda p, a: halfspace.martin_kernel(p, *_points(a, "x", "z")),
     "ball-poisson": lambda p, a: sphere.ball_poisson_kernel(
-        p, _parse_point(a.center), a.radius, *_points(a, "x", "y")),
+        p, _parse_point(a.center, "center"), a.radius, *_points(a, "x", "y")),
     "phi-rel": lambda p, a: relativistic.hitting_probability_sphere(
-        RelativisticParams(p, a.m), a.radius, _parse_point(a.x) if a.x else a.r),
+        RelativisticParams(p, a.m), a.radius, _radius_or_point(a)),
     "poisson-H-rel": lambda p, a: relativistic.poisson_kernel_halfspace(
         RelativisticParams(p, a.m), *_points(a, "x", "z")),
     "u-lambda": lambda p, a: relativistic.lambda_potential(
-        RelativisticParams(p, a.m, a.lam), _scalar(_parse_point(a.x), "x"),
-        _scalar(_parse_point(a.y), "y")),
+        RelativisticParams(p, a.m, a.lam), _scalar(a, "x"), _scalar(a, "y")),
 }
 KERNELS = tuple(_KERNELS)
 
@@ -207,15 +218,16 @@ def _cmd_sample(args) -> int:
         summary = (f"n={args.n} seed={args.seed} mean|y|={radii.mean():.6g} "
                    f"P(|y|>2)={np.mean(radii > 2):.6g}")
     elif args.sampler == "halfplane-hit":
-        x = _parse_point(args.x) if args.x else basis_last(args.d)
+        x = as_point(_parse_point(args.x, "x") if args.x else basis_last(args.d))
         meta["x"] = ",".join(repr(float(v)) for v in x)
         draws = montecarlo.sample_halfplane_hit(p, x, rng, args.n)
         sample = montecarlo.EmpiricalSample(draws, meta)
-        m = draws[:, 0].mean()
-        se = draws[:, 0].std() / math.sqrt(args.n)
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf draw: inf or nan
+            m = draws[:, 0].mean()
+            se = draws[:, 0].std() / math.sqrt(args.n)
         summary = f"n={args.n} seed={args.seed} mean[0]={m:.6g} stderr={se:.6g}"
     else:
-        x = _parse_point(args.x) if args.x else np.zeros(args.d)
+        x = as_point(_parse_point(args.x, "x") if args.x else np.zeros(args.d))
         meta["x"] = ",".join(repr(float(v)) for v in x)
         cfg = WalkConfig(eps_shell=args.eps_shell, r_max=args.r_max)
         res = montecarlo.walk_on_balls_hitting(p, x, cfg, args.n, rng)

@@ -120,7 +120,8 @@ def gamma_small_shape(shape: float, rng: np.random.Generator,
 
 def _uniform_directions(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     z = rng.standard_normal((n, d))
-    return z / np.linalg.norm(z, axis=1)[:, None]
+    z /= np.sqrt(np.add.reduce(z * z, axis=1))[:, None]     # as np.linalg.norm forms it
+    return z
 
 
 def sample_ball_exit_center(p: StableParams, rng: np.random.Generator,
@@ -135,6 +136,8 @@ def sample_ball_exit_center(p: StableParams, rng: np.random.Generator,
     fraction of exits sits within an ulp of the sphere, where the radius
     coordinate alone can no longer resolve the law.
     """
+    if size < 1:
+        raise DomainError("need at least one draw")
     g1 = gamma_small_shape(p.alpha / 2.0, rng, size)
     g2 = gamma_small_shape(1.0 - p.alpha / 2.0, rng, size)
     w = g1 / (g1 + g2)
@@ -158,13 +161,22 @@ def sample_halfplane_hit(p: StableParams, x, rng: np.random.Generator,
     """
     p.require_hitting_range()
     x = as_point(x, p.d)
-    xd = x[-1]
+    xd = float(x[-1])
     if xd == 0.0:
         raise DomainError("the start point must lie off the hyperplane")
+    if not math.isfinite(xd * xd):
+        raise DomainError("the start point lies too far off the hyperplane: "
+                          "x_d^2 leaves the float range")
+    if size < 1:
+        raise DomainError("need at least one draw")
     g = gamma_small_shape((p.alpha - 1.0) / 2.0, rng, size)
-    t0 = xd * xd / (2.0 * g)
     steps = rng.standard_normal((size, p.d - 1))
-    hits = x[:-1][None, :] + np.sqrt(t0)[:, None] * steps
+    # a tail draw of G below about 1e-308 (or rounded to 0, which alpha
+    # near 1 reaches) puts T0 past the float range: it rounds to inf, and
+    # its position to +-inf
+    with np.errstate(over="ignore", divide="ignore"):
+        t0 = xd * xd / (2.0 * g)
+        hits = x[:-1][None, :] + np.sqrt(t0)[:, None] * steps
     if return_time:
         return hits, t0
     return hits
@@ -230,27 +242,22 @@ def walk_on_balls_hitting(p: StableParams, x, cfg: WalkConfig, n: int,
     x = as_point(x, p.d)
     if n < 1:
         raise DomainError("need at least one walker")
-    pos = np.tile(x, (n, 1))
-    active = np.ones(n, dtype=bool)
+    pos = np.tile(x, (n, 1))      # the live walkers, in their original order
     hits = escapes = 0
     for _ in range(cfg.max_steps):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        radii = np.linalg.norm(pos[idx], axis=1)
+        with np.errstate(over="ignore"):    # a radius past the float range escapes
+            radii = np.linalg.norm(pos, axis=1)
         dist = np.abs(radii - 1.0)
         hit = dist < cfg.eps_shell
         esc = (radii > cfg.r_max) & ~hit
         hits += int(hit.sum())
         escapes += int(esc.sum())
-        done = hit | esc
-        active[idx[done]] = False
-        live = idx[~done]
-        if live.size == 0:
-            continue
-        rho = cfg.kappa * dist[~done]
-        pos[live] += rho[:, None] * sample_ball_exit_center(p, rng, live.size)
-    return WalkResult.from_counts(hits, escapes, int(active.sum()), n,
+        live = ~(hit | esc)
+        pos = pos[live]
+        if len(pos) == 0:
+            break
+        pos += (cfg.kappa * dist[live])[:, None] * sample_ball_exit_center(p, rng, len(pos))
+    return WalkResult.from_counts(hits, escapes, len(pos), n,
                                   _shell_complement_sup(p, cfg.eps_shell),
                                   _far_field_sup(p, cfg.r_max))
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from stablepot import halfspace, sphere
+from stablepot import analysis, halfspace, sphere
 from stablepot.analysis import (HALFSPACE, SPHERE, BoundaryFunction,
                                 DiscreteMeasure, HarmonicRepresentation,
                                 QuadratureGrid,
@@ -496,6 +496,67 @@ class TestHardyNorms:
     def test_exponent_guard(self):
         with pytest.raises(DomainError):
             hardy_norms(P2, SPHERE, lambda pts: np.ones(len(pts)), (1.0, 0.5))
+
+    @staticmethod
+    def _per_slice(p, rep, pexps, schedule, grid):
+        # the reference: one sphere_values call and one slice norm per slice
+        slices = [[] for _ in pexps]
+        for s in schedule:
+            values = sphere_values(p, rep, s - 1.0, grid.nodes)
+            for q, out in zip(pexps, slices):
+                out.append((float(s), analysis._slice_norm(SPHERE, p, values, grid, q)))
+        return [analysis._summarize_schedule(SPHERE, sl) for sl in slices]
+
+    @staticmethod
+    def _atoms(d, n, seed):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((n, d))
+        return DiscreteMeasure(z / np.linalg.norm(z, axis=1)[:, None],
+                               rng.uniform(-1.0, 1.0, n))
+
+    @pytest.mark.parametrize("case", ["density-d2", "density-d3", "atoms-d2", "atoms-d3"])
+    def test_sphere_batches_equal_per_slice_reference(self, case, monkeypatch):
+        # a budget of three slices per sphere_values call splits the schedule
+        # into several batches; every field of every estimate keeps the bits
+        # of the reference, evaluated under the same budget
+        kind, d = case.split("-d")
+        p = P2 if d == "2" else StableParams(3, 1.2)
+        f = BoundaryFunction(lambda pts: 1.0 + 0.5 * pts[:, 0] - 0.25 * pts[:, -1] ** 2)
+        rep = (HarmonicRepresentation(SPHERE, density=f, constant=0.4) if kind == "density"
+               else HarmonicRepresentation(SPHERE, measure=self._atoms(p.d, 37, 3),
+                                           constant=-0.3))
+        grid = sphere_quadrature(p, 16 if p.d == 2 else 8)
+        schedule = default_schedule(SPHERE, 4)
+        monkeypatch.setattr(analysis, "_BLOCK", 3 * len(grid.nodes) + 1)
+        want = self._per_slice(p, rep, self.PEXPS, schedule, grid)
+        calls = []
+        counted = lambda *args: calls.append(1) or sphere_values(*args)
+        monkeypatch.setattr(analysis, "sphere_values", counted)
+        got = hardy_norms(p, SPHERE, rep, self.PEXPS, schedule=schedule, grid=grid)
+        assert len(calls) == math.ceil(len(schedule) / 3)
+        assert got == want
+
+    def test_default_grid_batches_equal_per_slice_reference(self):
+        # the default d = 2 grid under the real budget: two batches
+        f = BoundaryFunction(lambda pts: 1.0 + 0.5 * pts[:, 0])
+        rep = HarmonicRepresentation(SPHERE, density=f, constant=-0.7)
+        grid = analysis._default_sphere_grid(P2)
+        schedule = default_schedule(SPHERE, 10)
+        assert analysis._BLOCK < len(schedule) * len(grid.nodes) <= 2 * analysis._BLOCK
+        assert hardy_norms(P2, SPHERE, rep, self.PEXPS, schedule=schedule) == \
+            self._per_slice(P2, rep, self.PEXPS, schedule, grid)
+
+    def test_sphere_values_with_atoms_beyond_one_block(self):
+        # more than _BLOCK points, whose row blocks cut across the slices,
+        # give each point the bits of its slice evaluated alone
+        grid = sphere_quadrature(P2, 4096)
+        rs = np.array([0.25, 0.75, 0.999, 1.001, 1.5, 4.0, 64.0, 1e6, 1e12])
+        assert len(rs) * len(grid.nodes) > analysis._BLOCK
+        rep = HarmonicRepresentation(SPHERE, measure=self._atoms(2, 37, 5), constant=0.6)
+        together = sphere_values(P2, rep, np.repeat(rs - 1.0, len(grid.nodes)),
+                                 np.tile(grid.nodes, (len(rs), 1)))
+        apart = np.concatenate([sphere_values(P2, rep, r - 1.0, grid.nodes) for r in rs])
+        assert np.array_equal(together, apart)
 
 
 class TestProbHardyNorm:

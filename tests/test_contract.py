@@ -6,7 +6,10 @@ never returns NaN or inf and never lets a RuntimeWarning (an error in
 this suite) or a raw arithmetic exception escape.  Every ``eval`` kernel
 at d = 2, 3, 13 and 40, with any one point argument pushed to 1e300,
 1e-300, +-1.7e308, NaN, inf or the point at infinity, prints one finite
-value and exits 0, or prints one ``error:`` line and exits 2.
+value and exits 0, or prints one ``error:`` line and exits 2; so does any
+``eval`` call with some of its options left out or pushed to those values,
+and any ``sample`` call, at the point at infinity or fewer than one draw
+included.
 """
 
 import io
@@ -172,6 +175,96 @@ def test_eval_exit_contract(kernel, d, capsys):
             assert len(err.splitlines()) == 1 and err.startswith("error: "), argv
 
 
+def _run_cli(argv):
+    # (exit code, stdout, stderr) of one in-process run, warnings as errors
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_exit_contract(argv, code, out, err, printed):
+    # exit 0 with finite printed numbers and nothing on stderr, or exit 2
+    # with one error line and nothing on stdout
+    if code == 0:
+        assert err == "" and all(math.isfinite(v) for v in printed(out)), (argv, out, err)
+    else:
+        assert code == 2 and out == "", (argv, code)
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
+
+
+# what an option of an ordinary eval call may become: left out, the point at
+# infinity, or its swept coordinate set to NaN, inf or a float-range extreme
+OPTION_FATES = st.sampled_from(["keep", "drop", "inf", *EXTREMES])
+
+
+@st.composite
+def _eval_argv(draw):
+    kernel = draw(st.sampled_from(cli.KERNELS))
+    d = draw(DIMS)
+    base = draw(st.sampled_from(EVAL_CASES[kernel](d)))
+    opts = {}
+    for key, value in base.items():
+        fate = draw(OPTION_FATES)
+        if fate == "drop":
+            continue
+        if fate == "keep" or isinstance(value, str):
+            opts[key] = value
+        elif fate == "inf":
+            opts[key] = "inf" if isinstance(value, list) else math.inf
+        else:
+            opts[key] = value[:-1] + [fate] if isinstance(value, list) else fate
+    return ["eval", kernel, "--d", str(d), "--alpha", "1.5",
+            *(f"--{k}={_text(w)}" for k, w in opts.items())]
+
+
+@CONTRACT
+@given(argv=_eval_argv())
+@example(argv=["eval", "phi", "--d", "2", "--alpha", "1.5"])
+@example(argv=["eval", "green-H", "--d", "2", "--alpha", "1.5", "--x=0.0,1.0"])
+@example(argv=["eval", "poisson-D", "--d", "2", "--alpha", "1.5", "--z=0.0,1.0"])
+def test_eval_exit_contract_property(argv):
+    code, out, err = _run_cli(argv)
+    _assert_exit_contract(argv, code, out, err, lambda text: [float(text)])
+
+
+def _summary_numbers(text):
+    # the numbers of a sample summary line "n=... seed=... key=value ..."
+    return [float(tok.split("=")[1]) for tok in text.split()]
+
+
+@CONTRACT
+@given(sampler=st.sampled_from(["ball-exit", "halfplane-hit", "walk-on-balls"]),
+       d=DIMS,
+       x=st.one_of(st.none(), st.just("inf"), st.sampled_from(EXTREMES)),
+       n=st.integers(-3, 3))
+@example(sampler="halfplane-hit", d=2, x="inf", n=10)
+@example(sampler="walk-on-balls", d=2, x="inf", n=10)
+@example(sampler="ball-exit", d=2, x=None, n=0)
+@example(sampler="halfplane-hit", d=2, x=None, n=0)
+@example(sampler="ball-exit", d=3, x=None, n=-1)
+def test_sample_exit_contract_property(sampler, d, x, n):
+    # a start point is ordinary (None), the point at infinity, or the point
+    # 0.5 e_d with its last coordinate replaced by an extreme
+    argv = ["sample", sampler, "--d", str(d), "--alpha", "1.5", "--n", str(n)]
+    if x is not None and sampler != "ball-exit":
+        argv.append(f"--x={_text(x if x == 'inf' else _last(d, x))}")
+    code, out, err = _run_cli(argv)
+    _assert_exit_contract(argv, code, out, err, _summary_numbers)
+    if n < 1 or (x == "inf" and sampler != "ball-exit"):
+        assert code == 2, argv
+
+
+def test_sample_tail_draw_past_the_float_range():
+    # at alpha = 1.05 stream (1114, 4) draws one hitting time past the float
+    # range: the sample is written, and its summary reads inf and nan
+    code, out, err = _run_cli(["sample", "halfplane-hit", "--d", "2", "--alpha", "1.05",
+                               "--seed", "1114", "--stream", "4", "--n", "20000"])
+    assert (code, err) == (0, "")
+    assert out == "n=20000 seed=1114 mean[0]=inf stderr=nan\n"
+
+
 GOLDEN_BAND = (math.sqrt(1.0 - 2.0 / (1.0 + math.sqrt(5.0))),   # r^2 - 1 = -1/golden
                math.sqrt(1.0 + (1.0 + math.sqrt(5.0)) / 2.0))    # r^2 - 1 = golden
 
@@ -184,12 +277,8 @@ GOLDEN_BAND = (math.sqrt(1.0 - 2.0 / (1.0 + math.sqrt(5.0))),   # r^2 - 1 = -1/g
 def test_eval_phi_in_every_dimension(d, alpha, r):
     # a finite radius prints Phi in [0, 1] at every d, the golden-ratio
     # band included; NaN and inf print one error line
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
-        warnings.simplefilter("error")
-        code = cli.main(["eval", "phi", "--d", str(d), "--alpha", repr(alpha),
-                         f"--r={r!r}"])
-    out, err = out.getvalue(), err.getvalue()
+    code, out, err = _run_cli(["eval", "phi", "--d", str(d), "--alpha", repr(alpha),
+                               f"--r={r!r}"])
     if math.isfinite(r):
         assert code == 0 and err == "", (d, alpha, r, err)
         assert 0.0 <= float(out) <= 1.0, (d, alpha, r, out)
@@ -260,13 +349,9 @@ def test_phi_array_route_equals_float_route(d, alpha, radii, rows):
 @example(curve="phi", d=2, alpha=1.5, lo=0.0, hi=1.7976931348623157e308, n=25)
 def test_report_phi_curve_contract(curve, d, alpha, lo, hi, n):
     # n finite rows in [0, 1] and exit 0, or one error line and exit 2
-    out, err = io.StringIO(), io.StringIO()
     argv = ["report", "--curve", curve, "--d", str(d), "--alpha", repr(alpha),
             f"--r={lo!r}:{hi!r}:{n}"]
-    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
-        warnings.simplefilter("error")
-        code = cli.main(argv)
-    out, err = out.getvalue(), err.getvalue()
+    code, out, err = _run_cli(argv)
     if code == 0:
         assert err == ""
         rows = np.loadtxt([ln for ln in out.splitlines() if not ln.startswith("#")][1:],

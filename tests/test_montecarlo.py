@@ -9,7 +9,7 @@ from scipy import integrate
 from stablepot.core import StableParams, basis_last
 from stablepot.errors import DomainError
 from stablepot.montecarlo import (EmpiricalSample, RngStream, WalkConfig,
-                                  gamma_small_shape, ks_test,
+                                  WalkResult, gamma_small_shape, ks_test,
                                   sample_ball_exit_center,
                                   sample_halfplane_hit, walk_on_balls_hitting)
 from stablepot import sphere
@@ -268,3 +268,127 @@ class TestEmpiricalSample:
             WalkConfig(eps_shell=2.0)
         with pytest.raises(DomainError):
             WalkConfig(kappa=0.0)
+
+
+# --- the samplers' first formulations, kept as bitwise oracles ----------------
+# The gamma rejection, the in-place normalization and the compacted walk
+# must give the same draws, advance the Philox stream alike and reach the
+# same WalkResult as these.
+
+def _gamma_oracle(shape, rng, size):
+    out = np.empty(size)
+    filled = 0
+    b = 1.0 + shape / math.e
+    while filled < size:
+        m = (size - filled) * 2 + 16
+        u = rng.random(m)
+        v = rng.random(m)
+        prop = b * u
+        small = prop <= 1.0
+        with np.errstate(all="ignore"):
+            x = np.where(small, prop ** (1.0 / shape), -np.log((b - prop) / shape))
+            accept = np.where(small, v <= np.exp(-x), v <= x ** (shape - 1.0))
+        x = x[accept]
+        take = min(len(x), size - filled)
+        out[filled:filled + take] = x[:take]
+        filled += take
+    return out
+
+
+def _ball_exit_oracle(p, rng, size):
+    g1 = _gamma_oracle(p.alpha / 2.0, rng, size)
+    g2 = _gamma_oracle(1.0 - p.alpha / 2.0, rng, size)
+    radius = 1.0 / np.sqrt(g1 / (g1 + g2))
+    z = rng.standard_normal((size, p.d))
+    return radius[:, None] * (z / np.linalg.norm(z, axis=1)[:, None])
+
+
+def _walk_oracle(p, x, cfg, n, rng):
+    pos = np.tile(x, (n, 1))
+    active = np.ones(n, dtype=bool)
+    hits = escapes = 0
+    for _ in range(cfg.max_steps):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        radii = np.linalg.norm(pos[idx], axis=1)
+        dist = np.abs(radii - 1.0)
+        hit = dist < cfg.eps_shell
+        esc = (radii > cfg.r_max) & ~hit
+        hits += int(hit.sum())
+        escapes += int(esc.sum())
+        done = hit | esc
+        active[idx[done]] = False
+        live = idx[~done]
+        if live.size == 0:
+            continue
+        rho = cfg.kappa * dist[~done]
+        pos[live] += rho[:, None] * _ball_exit_oracle(p, rng, live.size)
+    return hits, escapes, int(active.sum())
+
+
+class TestAgainstFirstFormulations:
+    @staticmethod
+    def _same_stream_after(a, b):
+        return np.array_equal(a.random(8), b.random(8))
+
+    @pytest.mark.parametrize("shape", [0.05, 0.25, 0.6, 0.75])
+    @pytest.mark.parametrize("size", [1, 7, 15000])
+    def test_gamma(self, shape, size):
+        r1, r2 = RngStream(31, 2).generator(), RngStream(31, 2).generator()
+        assert np.array_equal(gamma_small_shape(shape, r1, size),
+                              _gamma_oracle(shape, r2, size))
+        assert self._same_stream_after(r1, r2)
+
+    @pytest.mark.parametrize("p", [P2, StableParams(3, 1.2)])
+    @pytest.mark.parametrize("size", [1, 5000])
+    def test_ball_exit(self, p, size):
+        r1, r2 = RngStream(32, 0).generator(), RngStream(32, 0).generator()
+        assert np.array_equal(sample_ball_exit_center(p, r1, size),
+                              _ball_exit_oracle(p, r2, size))
+        assert self._same_stream_after(r1, r2)
+
+    @pytest.mark.parametrize("p,x", [(P2, [0.5, 0.0]),
+                                     (StableParams(3, 1.2), [2.0, 0.0, 0.0])])
+    def test_walk(self, p, x):
+        cfg = WalkConfig()
+        r1, r2 = RngStream(33, 0).generator(), RngStream(33, 0).generator()
+        res = walk_on_balls_hitting(p, np.array(x), cfg, 2000, r1)
+        hits, escapes, inconclusive = _walk_oracle(p, np.array(x), cfg, 2000, r2)
+        want = WalkResult.from_counts(hits, escapes, inconclusive, 2000,
+                                      res.bias_terms["shell"], res.bias_terms["escape_sup"])
+        assert res == want
+        assert self._same_stream_after(r1, r2)
+
+
+class TestSamplerRefusals:
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_fewer_than_one_draw(self, size):
+        with pytest.raises(DomainError, match="at least one draw"):
+            sample_ball_exit_center(P2, RngStream(0, 0).generator(), size)
+        with pytest.raises(DomainError, match="at least one draw"):
+            sample_halfplane_hit(P2, basis_last(2), RngStream(0, 0).generator(), size)
+
+    def test_start_height_past_the_float_range(self):
+        with pytest.raises(DomainError, match="float range"):
+            sample_halfplane_hit(P2, [0.0, 1e300], RngStream(0, 0).generator(), 4)
+
+    @pytest.mark.parametrize("seed", [1114, 2207])
+    def test_tail_draw_past_the_float_range_is_kept(self, seed):
+        # at alpha = 1.05 the Gamma(0.025) draw falls below 1e-308 about
+        # once in 4e7 draws; stream (seed, 4) with 20,000 draws reaches it
+        # (1114 through a draw rounded to 0): that T0 is inf, its position
+        # +-inf, and no warning is raised
+        with np.errstate(all="raise"):
+            hits, t0 = sample_halfplane_hit(StableParams(2, 1.05), basis_last(2),
+                                            RngStream(seed, 4).generator(), 20_000,
+                                            return_time=True)
+        tail = np.isinf(t0)
+        assert tail.sum() == 1 and np.array_equal(np.isinf(hits[:, 0]), tail)
+        assert np.isfinite(t0[~tail]).all() and (t0[~tail] > 0).all()
+
+    def test_walk_from_past_the_float_range_escapes(self):
+        with np.errstate(all="raise"):
+            res = walk_on_balls_hitting(P2, [0.0, 1e300], WalkConfig(), 8,
+                                        RngStream(0, 0).generator())
+        assert (res.hits, res.escapes) == (0, 8)

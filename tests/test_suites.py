@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from stablepot.suites import (fatou_suite, hardy_suite, identities_suite,
@@ -33,6 +35,15 @@ class TestSuitesAcrossParameters:
         # variable keeps the KS test honest there
         rep = montecarlo_suite(d=2, alpha=1.8, seed=11, n_draws=10_000)
         assert _failing(rep) == []
+
+    def test_montecarlo_tail_draw_near_alpha_one(self):
+        # at (2, 1.05) seed 2207 draws one hitting time past the float
+        # range; it is kept as inf, so the symmetry check's spread is NaN
+        # and that check alone fails, with no warning and no refusal
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = montecarlo_suite(d=2, alpha=1.05, seed=2207)
+        assert _failing(rep) == ["halfplane-hit-symmetry"]
 
     def test_relativistic_off_default(self):
         rep = relativistic_suite(alpha=1.3, seed=11)
