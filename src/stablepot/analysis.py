@@ -449,9 +449,12 @@ def halfspace_values(p: StableParams, rep: HarmonicRepresentation, xbar,
     vals = np.zeros(len(t))
     if rep.measure is not None:
         kernel = halfspace._martin if martin else halfspace._poisson
-        with np.errstate(over="ignore", invalid="ignore"):      # caught below
-            kern = kernel(p, t[:, None], xbar[:, None, :], rep.measure.atoms[None, :, :])
-        vals += kern @ rep.measure.weights
+        atoms = rep.measure.atoms
+        # a row sum, as on the sphere: no value depends on how points are batched
+        for rows in _row_blocks(len(t), len(atoms)):
+            with np.errstate(over="ignore", invalid="ignore"):      # caught below
+                kern = kernel(p, t[rows, None], xbar[rows, None, :], atoms[None, :, :])
+            vals[rows] += np.sum(kern * rep.measure.weights, axis=1)
     if rep.density is not None:
         _ensure_halfspace_integrable(p, rep)
         # node offsets sinh(v) omega at unit height, with the radial weights
@@ -681,8 +684,8 @@ def omega_norm(p: StableParams, f: BoundaryFunction, pexp: float) -> float:
 def prob_hardy_norm(p: StableParams, rep: HarmonicRepresentation, pexp: float) -> float:
     """Exit-moment Hardy norm from the closed-form identities.
 
-    sphere, p = 1:     Phi(0) ||mu|| + |c| (1 - Phi(0))
-    sphere, p > 1:     [Phi(0) ||f||_p^p + |c|^p (1 - Phi(0))]^(1/p)
+    sphere:            [Phi(0) (||mu|| + ||f||_p^p) + |c|^p (1 - Phi(0))]^(1/p)
+                       (mu = 0 when p > 1)
     halfspace, p = 1:  ||mu|| + |c|
     halfspace, p > 1:  ||f||_(p, omega)   (requires constant part 0)
 
@@ -691,20 +694,15 @@ def prob_hardy_norm(p: StableParams, rep: HarmonicRepresentation, pexp: float) -
     """
     if pexp < 1.0:
         raise DomainError("the exponent must be >= 1")
+    if pexp != 1.0 and rep.measure is not None:
+        raise RepresentationError(
+            "p > 1 norms need a density part; atomic measures lie outside L^p")
     if rep.space == SPHERE:
-        kc = sphere.constants(p)
-        phi0 = kc.phi_at_origin
-        if pexp == 1.0:
-            tv = rep.measure.total_variation if rep.measure is not None else 0.0
-            if rep.density is not None:
-                tv += _sphere_density_norm(p, rep.density, 1.0)
-            return phi0 * tv + abs(rep.constant) * (1.0 - phi0)
-        if rep.measure is not None:
-            raise RepresentationError(
-                "p > 1 norms need a density part; atomic measures lie outside L^p")
+        phi0 = sphere.constants(p).phi_at_origin
+        tv = rep.measure.total_variation if rep.measure is not None else 0.0
         fp = _sphere_density_norm(p, rep.density, pexp) ** pexp \
             if rep.density is not None else 0.0
-        return (phi0 * fp + abs(rep.constant) ** pexp * (1.0 - phi0)) ** (1.0 / pexp)
+        return (phi0 * (tv + fp) + abs(rep.constant) ** pexp * (1.0 - phi0)) ** (1.0 / pexp)
     # halfspace
     if pexp == 1.0:
         tv = 0.0
@@ -726,9 +724,6 @@ def prob_hardy_norm(p: StableParams, rep: HarmonicRepresentation, pexp: float) -
                 return math.inf
             tv += tv_d
         return tv + abs(rep.constant)
-    if rep.measure is not None:
-        raise RepresentationError(
-            "p > 1 norms need a density part; atomic measures lie outside L^p")
     if rep.constant != 0.0:
         return math.inf   # the constant profile has no finite exit p-moment
     if rep.density is None:
@@ -746,29 +741,20 @@ def majorant(p: StableParams, rep: HarmonicRepresentation, pexp: float, x) -> fl
     """
     if pexp < 1.0:
         raise DomainError("the exponent must be >= 1")
-    if pexp == 1.0:
-        abs_rep = HarmonicRepresentation(
-            space=rep.space,
-            measure=rep.measure.absolute() if rep.measure is not None else None,
-            density=BoundaryFunction(lambda pts, f=rep.density: np.abs(f(pts)))
-            if rep.density is not None else None,
-            constant=abs(rep.constant),
-            flavor=rep.flavor,
-        )
-        return representation_value(p, abs_rep, x)
-    if rep.measure is not None:
+    if pexp != 1.0 and rep.measure is not None:
         raise RepresentationError("p > 1 majorants need a density part")
-    pow_rep = HarmonicRepresentation(
+    if pexp != 1.0 and rep.space == HALFSPACE and rep.constant != 0.0:
+        raise RepresentationError(
+            "p > 1 halfspace majorants require a vanishing constant part")
+    abs_rep = HarmonicRepresentation(
         space=rep.space,
+        measure=rep.measure.absolute() if rep.measure is not None else None,
         density=BoundaryFunction(lambda pts, f=rep.density: np.abs(f(pts)) ** pexp)
         if rep.density is not None else None,
         constant=abs(rep.constant) ** pexp,
         flavor=rep.flavor,
     )
-    if rep.space == HALFSPACE and rep.constant != 0.0:
-        raise RepresentationError(
-            "p > 1 halfspace majorants require a vanishing constant part")
-    return representation_value(p, pow_rep, x)
+    return representation_value(p, abs_rep, x)
 
 
 # --- pointwise fractional Laplacian ------------------------------------------

@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import analysis, halfspace, montecarlo, relativistic, sphere
-from .core import INFINITY, StableParams, as_point, basis_last
+from .core import INFINITY, StableParams, as_point, basis_last, far_scale
 from .errors import ConvergenceError, DivergenceError, DomainError
 from .montecarlo import RngStream, WalkConfig
 from .relativistic import RelativisticParams
@@ -222,9 +222,12 @@ def _cmd_sample(args) -> int:
         meta["x"] = ",".join(repr(float(v)) for v in x)
         draws = montecarlo.sample_halfplane_hit(p, x, rng, args.n)
         sample = montecarlo.EmpiricalSample(draws, meta)
-        with np.errstate(over="ignore", invalid="ignore"):  # an inf draw: inf or nan
-            m = draws[:, 0].mean()
-            se = draws[:, 0].std() / math.sqrt(args.n)
+        # over the draws divided by their power of four, exactly, so that finite
+        # draws have finite sums; an inf draw gives inf or nan
+        s = far_scale(draws[:, 0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = (draws[:, 0] / s).mean() * s
+            se = (draws[:, 0] / s).std() * s / math.sqrt(args.n)
         summary = f"n={args.n} seed={args.seed} mean[0]={m:.6g} stderr={se:.6g}"
     else:
         x = as_point(_parse_point(args.x, "x") if args.x else np.zeros(args.d))

@@ -88,6 +88,9 @@ class WalkConfig:
     def __post_init__(self):
         if not (0.0 < self.eps_shell < 1.0 < self.r_max):
             raise DomainError("need 0 < eps_shell < 1 < r_max")
+        if not 10.0 * self.r_max < math.inf:
+            raise DomainError(f"the far-field window [r_max, 10 r_max] leaves the float "
+                              f"range, got r_max={self.r_max}")
         if not (0.0 < self.kappa <= 1.0):
             raise DomainError("the ball-radius safety factor lies in (0, 1]")
         if self.max_steps < 1:

@@ -52,6 +52,7 @@ from .core import StableParams, as_point, as_points, finite_value, norm, scaled_
 from .errors import ConvergenceError, DivergenceError, DomainError
 from .specfun import (_log_mittag_leffler_scaled, bessel_i_scaled, bessel_k,
                       log_mittag_leffler)
+from .sphere import _gamma_product
 
 __all__ = [
     "RelativisticParams",
@@ -80,6 +81,8 @@ class RelativisticParams:
     def __post_init__(self):
         if self.m <= 0.0:
             raise DomainError(f"mass must be positive, got {self.m}")
+        if not math.isfinite(self.m):
+            raise DomainError(f"mass must be finite, got {self.m}")
         if not (0.0 <= self.lam < self.m):
             raise DomainError(f"killing rate must satisfy 0 <= lam < m, got {self.lam}")
 
@@ -143,13 +146,22 @@ def log_bessel_transition(d: int, t, x: float, y: float):
     return out if out.ndim else float(out)
 
 
+def _mass_power(m: float, alpha: float) -> float:
+    """m^(2/alpha), the tempering rate, or DomainError past the float range."""
+    try:
+        return m ** (2.0 / alpha)
+    except OverflowError:
+        raise DomainError(f"m^(2/alpha) leaves the float range at m={m}, "
+                          f"alpha={alpha}") from None
+
+
 def log_subordinator_potential(rp: RelativisticParams, x):
     """log q_m(x) for finite x > 0, finite where q_m is not; elementwise."""
     xa = np.asarray(x, dtype=float)
     if not np.all((xa > 0.0) & (xa < math.inf)):
         raise DomainError(f"the potential density needs finite x > 0, got {x}")
     a, m = rp.alpha, rp.m
-    out = (-m ** (2.0 / a) * xa + (a / 2.0 - 1.0) * np.log(xa)
+    out = (-_mass_power(m, a) * xa + (a / 2.0 - 1.0) * np.log(xa)
            + log_mittag_leffler(a / 2.0, a / 2.0, m * xa ** (a / 2.0)))
     return out if out.ndim else float(out)
 
@@ -173,7 +185,7 @@ def _log_time_integrand(rp: RelativisticParams, log_s, x: float, y: float):
     g = a / 2.0
     out = ((g - 1.0) * log_s + _log_transition(rp.d, log_s, x, y)
            + _log_mittag_leffler_scaled(g, g, math.log(m - lam) + g * log_s))
-    rate = m ** (2.0 / a) - (m - lam) ** (2.0 / a)
+    rate = _mass_power(m, a) - _mass_power(m - lam, a)
     if rate > 0.0:
         with np.errstate(over="ignore"):
             out = out - rate * np.exp(log_s)
@@ -301,16 +313,7 @@ def hitting_probability_sphere(rp: RelativisticParams, r: float, x) -> float:
     Identically 1 in d = 2; the ratio u_m(|x|, r) / u_m(r, r) in d >= 3.
     Requires alpha in (1, 2) (the sphere is polar otherwise).
     """
-    rp.base.require_hitting_range()
-    if not 0.0 < r < math.inf:
-        raise DomainError(f"sphere radius must be positive and finite, got {r}")
-    rho = _radial_argument(rp, x)
-    if rp.d == 2:
-        return 1.0
-    if rho == r:
-        return 1.0
-    zero = RelativisticParams(rp.base, rp.m, 0.0)
-    return _potential_ratio(zero, rho, r)
+    return _hitting_ratio(rp, r, x, 0.0)
 
 
 def hitting_laplace_transform(rp: RelativisticParams, r: float, x, lam: float) -> float:
@@ -320,24 +323,25 @@ def hitting_laplace_transform(rp: RelativisticParams, r: float, x, lam: float) -
     nonincreasing in lam and tends to the plain hitting probability as
     lam -> 0 where that is defined.
     """
-    rp.base.require_hitting_range()
     if not (0.0 < lam < rp.m):
         raise DomainError(f"the transform needs 0 < lam < m, got lam={lam}")
+    return _hitting_ratio(rp, r, x, lam)
+
+
+def _hitting_ratio(rp: RelativisticParams, r: float, x, lam: float) -> float:
+    """u_m^lam(|x|, r) / u_m^lam(r, r), 1 on the sphere and for lam = 0 in
+    d = 2, formed from the logs so that neither potential has to lie in the
+    float range; at most 1 (the potential peaks on the diagonal), which the
+    quadrature's relative error could otherwise pass."""
+    rp.base.require_hitting_range()
     if not 0.0 < r < math.inf:
         raise DomainError(f"sphere radius must be positive and finite, got {r}")
     rho = _radial_argument(rp, x)
-    shifted = RelativisticParams(rp.base, rp.m, lam)
-    if rho == r:
+    if rho == r or (lam == 0.0 and rp.d == 2):
         return 1.0
-    return _potential_ratio(shifted, rho, r)
-
-
-def _potential_ratio(rp: RelativisticParams, rho: float, r: float) -> float:
-    """u(rho, r) / u(r, r), formed from the logs so that neither potential
-    has to lie in the float range; at most 1 (the potential peaks on the
-    diagonal), which the quadrature's relative error could otherwise pass."""
-    log_ratio = (_log_potential(rp, rho, r, _QUAD_TOL)
-                 - _log_potential(rp, r, r, _QUAD_TOL))
+    shifted = RelativisticParams(rp.base, rp.m, lam)
+    log_ratio = (_log_potential(shifted, rho, r, _QUAD_TOL)
+                 - _log_potential(shifted, r, r, _QUAD_TOL))
     return math.exp(min(log_ratio, 0.0))
 
 
@@ -350,11 +354,23 @@ def _radial_argument(rp: RelativisticParams, x) -> float:
 
 
 def relativistic_constant(rp: RelativisticParams) -> float:
-    """C4, the constant of the killed-process hyperplane kernel."""
+    """C4, the constant of the killed-process hyperplane kernel.
+
+    Where a factor leaves the float range the product is taken in logs;
+    a C4 outside the float range itself raises DomainError.
+    """
     a, d, m = rp.alpha, rp.d, rp.m
     rp.base.require_hitting_range()
-    return ((a - 1.0) * (m ** (1.0 / a) / 2.0) ** ((d + a - 2.0) / 2.0)
-            / (math.pi ** ((d - 1.0) / 2.0) * math.gamma((a + 1.0) / 2.0)))
+    try:
+        c4 = ((a - 1.0) * (m ** (1.0 / a) / 2.0) ** ((d + a - 2.0) / 2.0)
+              / (math.pi ** ((d - 1.0) / 2.0) * math.gamma((a + 1.0) / 2.0)))
+    except OverflowError:
+        c4 = math.inf
+    if 0.0 < c4 < math.inf:
+        return c4
+    return _gamma_product("C4", d, a, [], [(a + 1.0) / 2.0],
+                          [(a - 1.0, 1.0), (m ** (1.0 / a) / 2.0, (d + a - 2.0) / 2.0),
+                           (math.pi, (1.0 - d) / 2.0)])
 
 
 def poisson_kernel_halfspace(rp: RelativisticParams, x, ybar):

@@ -86,10 +86,13 @@ class TailPair:
         self._coef_columns = np.array(self._coef)[:, :, None]
 
     def __call__(self, s: float) -> tuple[float, float]:
-        # NaN and |s| >= 1 land past the reach, where gauss_2f1 refuses them
+        # NaN and |s| >= 1 land past the reach, where _check_2f1 refuses them
         n = bisect_right(self._reach, abs(s)) + 1
         if n > _TAIL_TERMS:
-            return tuple(_gauss_2f1_minus_one(*abc, s) for abc in self.params)
+            for _, _, c in self.params:
+                _check_2f1(c, s)
+            return tuple(float(_gauss_2f1_minus_one_array(*abc, np.array([s]))[0])
+                         for abc in self.params)
         tail1 = tail2 = 0.0
         for c1, c2 in self._coef[_TAIL_TERMS - n:]:
             tail1 = (tail1 + c1) * s
@@ -130,7 +133,11 @@ def _libm_map(fn, x: np.ndarray, *args) -> np.ndarray:
 
 
 def _gauss_2f1_minus_one_array(a: float, b: float, c: float, s: np.ndarray) -> np.ndarray:
-    # _gauss_2f1_minus_one at every element of s, |s| < 1, with its roundings
+    # F(a, b; c; s) - 1 at every element of s, |s| < 1, by hyp2f1, which
+    # takes an a below ~1e-13 for 0: so F(a, b; 2a; s) (the sphere's F1 as
+    # alpha -> 2) by the quadratic transformation (1 - s/2)^(-b)
+    # F(b/2, b/2 + 1/2; a + 1/2; (s/(2 - s))^2) (DLMF 15.8.13), with a
+    # prefactor past the float range taken as inf
     if c != 2.0 * a:
         return _sps.hyp2f1(a, b, c, s) - 1.0
     log_pref = -b * _libm_map(math.log1p, -s / 2.0)
@@ -138,19 +145,6 @@ def _gauss_2f1_minus_one_array(a: float, b: float, c: float, s: np.ndarray) -> n
     pref[log_pref >= _LOG_HUGE] = math.inf
     with np.errstate(invalid="ignore"):
         return pref * _sps.hyp2f1(b / 2.0, b / 2.0 + 0.5, a + 0.5, (s / (2.0 - s)) ** 2) - 1.0
-
-
-def _gauss_2f1_minus_one(a: float, b: float, c: float, s: float) -> float:
-    # F(a, b; c; s) - 1 by hyp2f1, which takes an a below ~1e-13 for 0: so
-    # F(a, b; 2a; s) (the sphere's F1 as alpha -> 2) by the quadratic
-    # transformation (1 - s/2)^(-b) F(b/2, b/2 + 1/2; a + 1/2; (s/(2 - s))^2)
-    # (DLMF 15.8.13), with a prefactor past the float range taken as inf
-    if c != 2.0 * a:
-        return gauss_2f1(a, b, c, s) - 1.0
-    _check_2f1(c, s)
-    log_pref = -b * math.log1p(-s / 2.0)
-    pref = math.exp(log_pref) if log_pref < _LOG_HUGE else math.inf
-    return pref * gauss_2f1(b / 2.0, b / 2.0 + 0.5, a + 0.5, (s / (2.0 - s)) ** 2) - 1.0
 
 
 # --- Legendre function of the first kind on (1, oo) ---------------------

@@ -22,10 +22,12 @@ Poisson kernel (``polar_weights``, which ``analysis`` integrates with).
 
 ``phi``, ``phi_complement``, ``phi_complement_offset`` and
 ``phi_complement_delta`` take a number or an array and return the same
-shape.  An array of 64 or more elements takes the array route, which runs
-the branches above under masks; anything smaller takes the float route
-element by element.  The two routes give the same bits at every d: the
-array route rounds each exp, log1p, expm1 and power as the C library does.
+shape.  Each checks its argument and hands it, with its formula for
+r^2 - 1, to one dispatcher: an array of 64 or more elements takes the
+array route, which runs the branches above under masks; anything smaller
+takes the float route element by element.  The two routes give the same
+bits at every d: the array route rounds each exp, log1p, expm1 and power
+as the C library does.
 
 The Poisson kernel has one assembly, shared with the batch evaluator in
 ``analysis``: a point enters as its offset r - 1 and direction eta, and
@@ -330,71 +332,67 @@ def _phi_pairs(p: StableParams, delta: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return value, comp
 
 
-def _refuse(x: np.ndarray, ok: np.ndarray, what: str) -> None:
-    if not ok.all():
-        raise DomainError(f"{what}, got {x[~ok][0]}")
-
-
-def _phi_array(p: StableParams, r: np.ndarray) -> np.ndarray:
-    p.require_hitting_range()
-    _refuse(r, r >= 0.0, "radius must be nonnegative")
-    with np.errstate(over="ignore"):
-        delta = (r - 1.0) * (r + 1.0)
-    out = np.empty_like(r)
-    far = np.isinf(delta)
-    out[~far] = _phi_pairs(p, delta[~far])[0]
-    out[far] = constants(p).phi_at_origin * _libm_map(pow, r[far], repeat(p.alpha - p.d))
-    return out
-
-
-def _phi_complement_delta_array(p: StableParams, delta: np.ndarray) -> np.ndarray:
-    p.require_hitting_range()
-    _refuse(delta, (-1.0 <= delta) & (delta < math.inf),
-            "delta = r^2 - 1 must be finite and >= -1")
-    return _phi_pairs(p, delta)[1]
-
-
-def _phi_complement_offset_array(p: StableParams, rm1: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        delta = rm1 * (rm1 + 2.0)
-    out = np.empty_like(rm1)
-    far = np.isinf(delta)
-    out[far] = 1.0 - phi(p, 1.0 + rm1[far])
-    out[~far] = phi_complement_delta(p, delta[~far])
-    return out
-
-
-def _phi_complement_array(p: StableParams, r: np.ndarray) -> np.ndarray:
-    _refuse(r, ~(r < 0.0), "radius must be nonnegative")
-    return phi_complement_offset(p, r - 1.0)
+def _refuse(x, ok, what: str) -> None:
+    # DomainError naming the first element of x that fails a check, where ok
+    # is the check's truth value at a number x or its mask over an array x
+    if ok is True or np.all(ok):
+        return
+    raise DomainError(f"{what}, got {x[~ok][0] if np.ndim(x) else x}")
 
 
 # Fewer radii than this take the float route one at a time: the array route
 # costs ~0.1 ms however few radii it gets, ~0.6 ms in the band, where its
 # series takes up to 80 numpy passes, while the float route costs ~3 us a radius
 _ARRAY_MIN = 64
+_DELTA_RANGE = "delta = r^2 - 1 must be finite and >= -1"
+# each front end's kind for _radial: its part of _phi_pair, r^2 - 1 from its
+# argument, and its value where that leaves the float range (2F1 is exactly 1)
+_OF_RADIUS = (0, lambda r: (r - 1.0) * (r + 1.0),
+              lambda p, r: constants(p).phi_at_origin * r ** (p.alpha - p.d))
+_OF_OFFSET = (1, lambda rm1: rm1 * (rm1 + 2.0), lambda p, rm1: 1.0 - phi(p, 1.0 + rm1))
+_OF_DELTA = (1, lambda delta: delta, None)
 
 
-def _on_array(p: StableParams, x, float_route, array_route):
-    # a radial function at an x that is not a float: an array of _ARRAY_MIN
-    # or more elements takes array_route on x flattened, a 0-d or smaller one
-    # float_route element by element; the result has x's shape
+def _radial_input(x):
+    # a float as it is, a number or 0-d array as a float, else a float array
+    if isinstance(x, float):
+        return x
     x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        return float_route(p, float(x))
-    if x.size >= _ARRAY_MIN:
-        return array_route(p, x.ravel()).reshape(x.shape)
-    return np.array([float_route(p, v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+    return float(x) if x.ndim == 0 else x
+
+
+def _radial(p: StableParams, x, kind: tuple):
+    # kind = (part, delta_of, far): part 0 (Phi) or 1 (1 - Phi) of _phi_pair at
+    # x with r^2 - 1 = delta_of(x), or far(p, v) at a float v whose delta leaves
+    # the float range (refused if far is None), in x's shape, for params the
+    # caller checked.  The one place a route is chosen: a float takes
+    # _phi_pair, an array _phi_pairs, or the float route if under _ARRAY_MIN
+    part, delta_of, far = kind
+    if isinstance(x, float):
+        delta = delta_of(x)
+        if far is not None and math.isinf(delta):
+            return far(p, x)
+        if not -1.0 <= delta < math.inf:
+            raise DomainError(f"{_DELTA_RANGE}, got {delta}")
+        return _phi_pair(p, delta)[part]
+    flat = x.ravel()
+    if flat.size < _ARRAY_MIN:
+        return np.array([_radial(p, v, kind) for v in flat.tolist()], float).reshape(x.shape)
+    with np.errstate(over="ignore"):
+        delta = delta_of(flat)
+    out = np.empty_like(flat)
+    beyond = np.isinf(delta) if far is not None else np.zeros(flat.size, dtype=bool)
+    out[beyond] = [far(p, v) for v in flat[beyond].tolist()]
+    near = delta[~beyond]
+    _refuse(near, (-1.0 <= near) & (near < math.inf), _DELTA_RANGE)
+    out[~beyond] = _phi_pairs(p, near)[part]
+    return out.reshape(x.shape)
 
 
 def phi_complement_delta(p: StableParams, delta: float) -> float:
     """1 - phi(sqrt(1 + delta)) with delta = r^2 - 1 supplied exactly."""
-    if not isinstance(delta, float):
-        return _on_array(p, delta, phi_complement_delta, _phi_complement_delta_array)
     p.require_hitting_range()
-    if not -1.0 <= delta < math.inf:
-        raise DomainError(f"delta = r^2 - 1 must be finite and >= -1, got {delta}")
-    return _phi_pair(p, delta)[1]
+    return _radial(p, _radial_input(delta), _OF_DELTA)
 
 
 def phi(p: StableParams, r: float) -> float:
@@ -405,24 +403,16 @@ def phi(p: StableParams, r: float) -> float:
     shape (so for phi_complement, phi_complement_offset and
     phi_complement_delta).
     """
-    if not isinstance(r, float):
-        return _on_array(p, r, phi, _phi_array)
+    r = _radial_input(r)
     p.require_hitting_range()
-    if not r >= 0.0:
-        raise DomainError(f"radius must be nonnegative, got {r}")
-    delta = (r - 1.0) * (r + 1.0)
-    if math.isinf(delta):
-        # r beyond sqrt(DBL_MAX): the 2F1 factor is exactly 1 there
-        return constants(p).phi_at_origin * r ** (p.alpha - p.d)
-    return _phi_pair(p, delta)[0]
+    _refuse(r, r >= 0.0, "radius must be nonnegative")
+    return _radial(p, r, _OF_RADIUS)
 
 
 def phi_complement(p: StableParams, r: float) -> float:
     """1 - phi(r), cancellation-free near the sphere."""
-    if not isinstance(r, float):
-        return _on_array(p, r, phi_complement, _phi_complement_array)
-    if r < 0.0:
-        raise DomainError(f"radius must be nonnegative, got {r}")
+    r = _radial_input(r)
+    _refuse(r, (r >= 0.0) | (r != r), "radius must be nonnegative")   # NaN: the delta check
     return phi_complement_offset(p, r - 1.0)
 
 
@@ -433,12 +423,8 @@ def phi_complement_offset(p: StableParams, rm1: float) -> float:
     an offset far below the spacing of floats at 1; beyond the float
     range of delta the radius itself is used.
     """
-    if not isinstance(rm1, float):
-        return _on_array(p, rm1, phi_complement_offset, _phi_complement_offset_array)
-    delta = rm1 * (rm1 + 2.0)
-    if math.isinf(delta):
-        return 1.0 - phi(p, 1.0 + rm1)
-    return phi_complement_delta(p, delta)
+    p.require_hitting_range()
+    return _radial(p, _radial_input(rm1), _OF_OFFSET)
 
 
 def hitting_probability(p: StableParams, x) -> float:

@@ -400,6 +400,21 @@ class TestEvaluator:
                    for xb, tt in zip(xbar, t)]
             np.testing.assert_allclose(vals, one, rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("p", [P2, P3])
+    def test_halfspace_atoms_sum_alike_in_any_batch(self, p):
+        # each value is its own row sum over the atoms, bit for bit the same
+        # in one batched call as in per-point calls
+        rng = np.random.default_rng(5)
+        mu = DiscreteMeasure(rng.normal(size=(37, p.d - 1)), rng.normal(size=37))
+        xbar = rng.normal(size=(23, p.d - 1))
+        t = rng.uniform(0.1, 3.0, 23) * rng.choice([-1.0, 1.0], 23)
+        for flavor in ("poisson", "martin"):
+            rep = HarmonicRepresentation(HALFSPACE, measure=mu, flavor=flavor)
+            batch = halfspace_values(p, rep, xbar, t)
+            single = [halfspace_values(p, rep, xbar[i:i + 1], t[i:i + 1])[0]
+                      for i in range(len(t))]
+            assert np.array_equal(batch, single), flavor
+
 
 class TestHardyNorm:
     def test_atomic_slice_contraction_sphere(self):

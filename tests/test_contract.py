@@ -265,6 +265,24 @@ def test_sample_tail_draw_past_the_float_range():
     assert out == "n=20000 seed=1114 mean[0]=inf stderr=nan\n"
 
 
+@pytest.mark.parametrize("x", ["1.7e308,1", "1e308,1"])
+def test_sample_summary_of_draws_past_the_float_range_of_their_sum(x):
+    # finite draws near DBL_MAX: their mean and spread stay finite
+    code, out, err = _run_cli(["sample", "halfplane-hit", "--d", "2", "--x", x, "--n", "5"])
+    assert (code, err) == (0, "")
+    assert all(math.isfinite(v) for v in _summary_numbers(out)), out
+
+
+@pytest.mark.parametrize("r_max", ["inf", "1e308", "2e307"])
+def test_walk_far_field_window_past_the_float_range(r_max):
+    # [r_max, 10 r_max] must lie in the float range: one error line, no warning
+    code, out, err = _run_cli(["sample", "walk-on-balls", "--r-max", r_max, "--n", "10"])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    code, out, err = _run_cli(["sample", "walk-on-balls", "--r-max", "1e306", "--n", "10"])
+    assert (code, err) == (0, "")
+
+
 GOLDEN_BAND = (math.sqrt(1.0 - 2.0 / (1.0 + math.sqrt(5.0))),   # r^2 - 1 = -1/golden
                math.sqrt(1.0 + (1.0 + math.sqrt(5.0)) / 2.0))    # r^2 - 1 = golden
 
@@ -332,6 +350,19 @@ def test_phi_array_route_equals_float_route(d, alpha, radii, rows):
         delta = (finite - 1.0) * (finite + 1.0)
         assert np.array_equal(sphere.phi_complement_delta(p, delta),
                               [sphere.phi_complement_delta(p, v) for v in delta.tolist()])
+        # arrays under _ARRAY_MIN, a 0-d array and an int take the float route
+        for name in PHI_ROUTES + ("phi_complement_delta",):
+            fn = getattr(sphere, name)
+            x = delta if name == "phi_complement_delta" else _as_route_input(name, rs).ravel()
+            for small in (x[:1], x[:5]):
+                got = fn(p, small)
+                assert got.shape == small.shape and got.dtype == float
+                assert np.array_equal(got, [fn(p, v) for v in small.tolist()]), (name, small)
+            if x.size:
+                got = fn(p, np.array(x[0]))
+                assert isinstance(got, float) and got == fn(p, float(x[0]))
+            got = fn(p, 2)
+            assert isinstance(got, float) and got == fn(p, 2.0)
         spoiled = rs.copy()
         spoiled.flat[len(radii) // 2] = math.nan
         for name in PHI_ROUTES:

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate, special
 
 from stablepot import halfspace
+from stablepot.cli import main
 from stablepot.core import INFINITY, StableParams
 from stablepot.errors import DivergenceError, DomainError
 from stablepot.relativistic import (RelativisticParams,
@@ -99,6 +101,30 @@ class TestParams:
             RelativisticParams(P2, 1.0, 1.0)
         with pytest.raises(DomainError):
             RelativisticParams(P2, 1.0, -0.1)
+        with pytest.raises(DomainError, match="finite"):
+            RelativisticParams(P2, math.inf)
+
+    @pytest.mark.parametrize("call", [
+        lambda: relativistic_constant(RelativisticParams(StableParams(40, 1.5), 1e308)),
+        lambda: poisson_kernel_halfspace(RelativisticParams(StableParams(1500, 1.5), 1.0),
+                                         [0.0] * 1499 + [1.0], np.zeros(1499)),
+        lambda: subordinator_potential(RelativisticParams(P2, 1e300), 1.0),
+        lambda: hitting_probability_sphere(RelativisticParams(P3, 1e300), 2.0, 1.0),
+    ])
+    def test_quantities_past_the_float_range_are_refused(self, call):
+        # m^(2/alpha) or C4 beyond the float range: a DomainError naming it
+        with pytest.raises(DomainError, match="C4|m\\^\\(2/alpha\\)"):
+            call()
+
+    @pytest.mark.parametrize("m", ["1e300", "inf"])
+    def test_eval_at_an_extreme_mass_is_one_error_line(self, m, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["eval", "phi-rel", "--d", "3", "--m", m, "--r", "2"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert "Numerical result out of range" not in err
 
 
 def _transition(d, t, x, y):
