@@ -9,6 +9,7 @@ phi profile to phi_profile.csv for plotting.
 import numpy as np
 
 from stablepot import INFINITY, StableParams, halfspace, sphere
+from stablepot.report import write_csv
 
 p = StableParams(d=2, alpha=1.5)
 kc = sphere.constants(p)
@@ -69,7 +70,7 @@ print(f"G_H(x, y) = {lhs:.14f}")
 print(f"transported G_D  = {rhs:.14f}   (rel diff {abs(lhs-rhs)/lhs:.1e})")
 
 rs = np.linspace(0.01, 3.0, 300)
-np.savetxt("phi_profile.csv", np.column_stack([rs, sphere.phi(p, rs)]), delimiter=",",
-           header="r,phi", comments="")
+write_csv("phi_profile.csv", {"curve": "phi", "d": p.d, "alpha": p.alpha},
+          np.column_stack([rs, sphere.phi(p, rs)]), ["r", "phi"])
 print()
 print("wrote phi_profile.csv (300 rows)")

@@ -421,10 +421,14 @@ def phi_complement_offset(p: StableParams, rm1: float) -> float:
 
     delta = r^2 - 1 is formed as rm1 (rm1 + 2), which keeps every digit of
     an offset far below the spacing of floats at 1; beyond the float
-    range of delta the radius itself is used.
+    range of delta the radius itself is used.  An offset below -1, a
+    negative radius, is refused.
     """
+    rm1 = _radial_input(rm1)
     p.require_hitting_range()
-    return _radial(p, _radial_input(rm1), _OF_OFFSET)
+    # NaN goes on to the delta check
+    _refuse(rm1, (rm1 >= -1.0) | (rm1 != rm1), "offset r - 1 must be >= -1")
+    return _radial(p, rm1, _OF_OFFSET)
 
 
 def hitting_probability(p: StableParams, x) -> float:

@@ -341,7 +341,7 @@ class TestReport:
         assert out_file.read_bytes() == ref.read_bytes()
 
     def test_sample_bytes_match_savetxt(self, capsys, tmp_path):
-        # more draws than one 4096-row block of `to_csv`, written as np.savetxt wrote them
+        # more draws than one 4096-value block of `to_csv`, written as np.savetxt wrote them
         out_file = tmp_path / "draws.csv"
         code, _, _ = run(capsys, "sample", "ball-exit", "--d", "3", "--n", "5000",
                          "--seed", "11", "--out", str(out_file))
@@ -359,6 +359,42 @@ class TestReport:
                            "--r", "0:3:10")
         assert code == 0
         assert out.splitlines()[-1].count(",") == 1
+
+
+# SHA-256 of the file each CSV-writing command writes, recorded before the
+# writer formatted numbers by array operations: the bytes must not move
+GOLDEN_CSV = [
+    ("3edc83c7ed6b79df89bb5b663b11ff1c60b77d66d4ce692db6c11a5ec82e9eb0",
+     "report --curve phi --d 2 --alpha 1.5 --r 0.3:2.5:301"),     # across both band edges
+    ("bb15882adebe135a4df2822cfeea7220609e82a8f0238eb6e92e50b4ff26a61b",
+     "report --curve one-minus-phi --d 3 --alpha 1.2 --r 0.3:2.5:301"),
+    ("47dbe790114e39ac6034cb2a1edc121e7f8a9b4a20335638e723288a07b035ae",
+     "report --curve qm --d 2 --alpha 1.5 --m 1.3 --r 0.01:8:201"),
+    ("bd3dc9c8d6e08a9e7d5ca7ea3bf1a4c5e5226a413a96d1d5d88be5e1857421f3",
+     "report --curve poisson-H-profile --d 3 --alpha 1.2 --r=-6:6:201"),
+    ("9ee9e4871c792737d5747992eaa71df493c897d5e1e871d9fb8c94e49e9cac75",
+     "report --curve omega-alpha --d 3 --alpha 1.5 --r 0.01:5:101"),
+    ("d26a1cfceb77133f83ef89593baf6e629d431c5ecbfa5ec52aa340a9ec44f201",
+     "report --curve hardy-schedule --d 2 --alpha 1.5 --p 2"),
+    ("da33465fa92d828e088e50708f587cbe492caba00b0d4e68dd47da30b427cebd",
+     "report --curve fatou-decay --d 2 --alpha 1.5 --depth 12 --seed 7"),
+    ("5abdff5dfafc876857a8753f37472a19800a0e1f93e2f3b91da49802cdc8a829",
+     "sample ball-exit --d 2 --alpha 1.5 --n 3000 --seed 7"),
+    ("c9b63c018c92c6aab42e8ff7389fc689cc3e4cb572553723e6382a88fccc45c7",
+     "sample halfplane-hit --d 2 --alpha 1.5 --n 3000 --seed 7"),
+    ("1e611006b310338725c852132b3ab7a47ed312f8df03c8e0e413d4e465e1cae9",
+     "sample halfplane-hit --d 3 --alpha 1.2 --x=0.5,-1,0.25 --n 3000 --seed 7"),
+    ("cd1573ac5a065b662986980d05411c8cddd57c703c5b2d55103c363b949e57b5",
+     "sample walk-on-balls --d 2 --alpha 1.5 --x=0.5,0 --n 300 --seed 7"),
+]
+
+
+@pytest.mark.parametrize("digest,command", GOLDEN_CSV, ids=[c for _, c in GOLDEN_CSV])
+def test_csv_bytes_match_golden_digest(capsys, tmp_path, digest, command):
+    out_file = tmp_path / "out.csv"
+    code, _, _ = run(capsys, *command.split(), "--out", str(out_file))
+    assert code == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
 def test_import_leaves_scipy_integrate_out():

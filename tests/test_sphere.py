@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate
 
 from stablepot.core import INFINITY, StableParams
+from stablepot import sphere
 from stablepot.errors import DomainError, SingularityError
 from stablepot.sphere import (ball_constant, ball_poisson_kernel, constants,
                               green_function, hitting_probability,
@@ -316,6 +317,16 @@ class TestPhi:
         assert phi(P2, math.inf) == 0.0 and phi_complement(P2, math.inf) == 1.0
         with pytest.raises(DomainError):
             phi(StableParams(2, 0.7), 0.5)
+
+    @pytest.mark.parametrize("rm1", [-3.0, -1.5, np.nextafter(-1.0, -2.0), -math.inf])
+    def test_offset_below_minus_one_is_refused(self, rm1):
+        # r = 1 + rm1 < 0: refused on the float route and on the array route,
+        # where it used to answer 1 - Phi(|r|)
+        with pytest.raises(DomainError, match="offset"):
+            sphere.phi_complement_offset(P2, rm1)
+        with pytest.raises(DomainError, match="offset"):
+            sphere.phi_complement_offset(P2, np.full(2 * sphere._ARRAY_MIN, 0.5).tolist() + [rm1])
+        assert sphere.phi_complement_offset(P2, -1.0) == phi_complement(P2, 0.0)
 
 
 class TestPoissonKernel:
