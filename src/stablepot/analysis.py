@@ -10,8 +10,10 @@ atomic measure) or a ``BoundaryFunction`` (evaluable density).  A
 
 Representations are evaluated in batches by one function per geometry,
 ``sphere_values`` (points as exact r - 1 plus unit directions) and
-``halfspace_values`` (points as foot point plus height); every per-point
-entry point, slice norm, majorant and Fatou probe goes through them.
+``halfspace_values`` (points as foot point plus height).  The one
+per-point entry, ``representation_value``, and every slice norm, majorant
+and Fatou probe go through them; no value depends on how the points are
+batched.
 
 Density parts are integrated by one peak-adapted polar rule per
 geometry, the same in every d <= 4: geodesic polar coordinates around
@@ -49,8 +51,6 @@ __all__ = [
     "hyperplane_quadrature",
     "sphere_values",
     "halfspace_values",
-    "poisson_integral_sphere",
-    "poisson_integral_halfspace",
     "representation_value",
     "omega_integral_probe",
     "omega_norm",
@@ -315,16 +315,22 @@ def omega_integral_probe(p: StableParams, f: Callable[[np.ndarray], np.ndarray],
     return total, diverges, inc
 
 
-def _ensure_halfspace_integrable(p: StableParams, rep: HarmonicRepresentation) -> None:
-    # the poisson flavor needs |f| integrable against omega_alpha, the
-    # martin flavor plain Lebesgue integrability (finite total variation);
-    # both depend on (d, alpha), so a pass is recorded per parameter set
-    if p in rep._integrability_checked or rep.density is None:
-        return
+def _density_probe(p: StableParams, rep: HarmonicRepresentation) -> float:
+    # the integral of |f| against the flavor's reference measure, omega_alpha
+    # for the poisson flavor and Lebesgue measure for the martin flavor
+    # (total variation); inf where the probe marks it divergent
     f = rep.density
     weight = "omega" if rep.flavor == "poisson" else "lebesgue"
-    _, diverges, _ = omega_integral_probe(p, lambda pts: np.abs(f(pts)), weight=weight)
-    if diverges:
+    val, diverges, _ = omega_integral_probe(p, lambda pts: np.abs(f(pts)), weight=weight)
+    return math.inf if diverges else val
+
+
+def _ensure_halfspace_integrable(p: StableParams, rep: HarmonicRepresentation) -> None:
+    # a halfspace density must have a finite _density_probe; that depends on
+    # (d, alpha), so a pass is recorded per parameter set
+    if p in rep._integrability_checked or rep.density is None:
+        return
+    if math.isinf(_density_probe(p, rep)):
         raise IntegrabilityError(
             "boundary density fails the reference-measure integrability condition")
     rep._integrability_checked.add(p)
@@ -350,7 +356,10 @@ def _polar_frames(eta: np.ndarray, ring: np.ndarray) -> np.ndarray:
     # omega, T the Householder reflection I - 2 u u^T / |u|^2 with
     # u = eta + sign(eta_d) e_d, which maps (omega, 0) into eta's tangent space
     u = eta + np.outer(np.where(eta[:, -1] >= 0.0, 1.0, -1.0), basis_last(eta.shape[1]))
-    proj = (eta[:, :-1] @ ring.T) / (1.0 + np.abs(eta[:, -1]))[:, None]
+    # eta . (omega, 0) coordinate by coordinate, as core.scaled_dist2 sums: a
+    # BLAS product's last bits depend on the block's row count
+    terms = [eta[:, j, None] * ring[:, j] for j in range(ring.shape[1])]
+    proj = sum(terms[1:], terms[0]) / (1.0 + np.abs(eta[:, -1]))[:, None]
     frames = np.empty((len(eta), len(ring), 2, eta.shape[1]))
     frames[:, :, 0] = eta[:, None, :]
     frames[:, :, 1] = -proj[:, :, None] * u[:, None, :]
@@ -473,7 +482,8 @@ def halfspace_values(p: StableParams, rep: HarmonicRepresentation, xbar,
                 dens = rep.density(y)
                 if martin:
                     dens = dens / halfspace.omega_alpha_density(p, y)
-                vals[rows] += dens.reshape(-1, len(weights)) @ weights
+                # a row sum, not a BLAS product: as for the atoms above
+                vals[rows] += np.sum(dens.reshape(-1, len(weights)) * weights, axis=1)
     if rep.constant:
         vals += rep.constant * np.abs(t) ** (p.alpha - 1.0)
     require_finite(vals, "the representation's values")
@@ -481,27 +491,14 @@ def halfspace_values(p: StableParams, rep: HarmonicRepresentation, xbar,
 
 
 def representation_value(p: StableParams, rep: HarmonicRepresentation, x) -> float:
-    """Evaluate a representation at one point."""
+    """Evaluate a representation at one point off its boundary: the value
+    ``sphere_values`` or ``halfspace_values`` gives it in any batch."""
     x = as_point(x, p.d)
     if rep.space == SPHERE:
         r = norm(x)
         eta = x / r if r > 0.0 else basis_last(p.d)   # any direction at the origin
         return float(sphere_values(p, rep, r - 1.0, eta)[0])
     return float(halfspace_values(p, rep, x[:-1], x[-1])[0])
-
-
-def poisson_integral_sphere(p: StableParams, rep: HarmonicRepresentation, x) -> float:
-    """Evaluate u = P[mu or f] + c (1 - Phi) at a point off the sphere."""
-    if rep.space != SPHERE:
-        raise RepresentationError("poisson_integral_sphere needs a SPHERE representation")
-    return representation_value(p, rep, x)
-
-
-def poisson_integral_halfspace(p: StableParams, rep: HarmonicRepresentation, x) -> float:
-    """Evaluate a halfspace representation at a point off the hyperplane."""
-    if rep.space != HALFSPACE:
-        raise RepresentationError("poisson_integral_halfspace needs a HALFSPACE representation")
-    return representation_value(p, rep, x)
 
 
 # --- Hardy norms -------------------------------------------------------------
@@ -714,15 +711,7 @@ def prob_hardy_norm(p: StableParams, rep: HarmonicRepresentation, pexp: float) -
             else:
                 tv += rep.measure.total_variation
         if rep.density is not None:
-            if rep.flavor == "poisson":
-                tv_d = omega_norm(p, rep.density, 1.0)
-            else:
-                val, diverges, _ = omega_integral_probe(
-                    p, lambda pts: np.abs(rep.density(pts)), weight="lebesgue")
-                tv_d = math.inf if diverges else val
-            if math.isinf(tv_d):
-                return math.inf
-            tv += tv_d
+            tv += _density_probe(p, rep)
         return tv + abs(rep.constant)
     if rep.constant != 0.0:
         return math.inf   # the constant profile has no finite exit p-moment
@@ -880,8 +869,11 @@ def fatou_probe(p: StableParams, rep: HarmonicRepresentation, y, beta: float,
     at y; purely atomic data at off-atom points target 0.  Returns
     |u(x_k) - target|.
     """
-    if beta <= 0.0:
-        raise DomainError("the cone aperture must be positive")
+    if not 0.0 < beta <= 1e154:                 # (1 + beta)^2 stays a float
+        raise DomainError(f"the cone aperture beta must lie in (0, 1e154], got {beta}")
+    if not 1 <= depth <= 1074:                  # 2^-1074 is the least positive float
+        raise DomainError(f"the probe depth must lie in [1, 1074], where the boundary "
+                          f"distance 2^-depth is positive, got {depth}")
     if rng is None:
         rng = np.random.default_rng(0)
     spread = math.sqrt((1.0 + beta) ** 2 - 1.0) * 0.9

@@ -261,12 +261,6 @@ def _curve_phi(p, args, meta):      # phi and one-minus-phi
               ["r", args.curve.replace("-", "_")])
 
 
-def _curve_omega_alpha(p, args, meta):
-    rs = _parse_range(args.r)
-    dens = halfspace.omega_alpha_density(p, np.outer(rs, np.eye(args.d - 1)[0]))
-    write_csv(args.out, meta, np.column_stack([rs, dens]), ["radius", "density"])
-
-
 def _curve_qm(p, args, meta):
     rp = RelativisticParams(p, args.m)
     meta["m"] = args.m
@@ -277,11 +271,13 @@ def _curve_qm(p, args, meta):
               ["x", "qm"])
 
 
-def _curve_poisson_h_profile(p, args, meta):
+def _curve_halfspace_profile(p, args, meta):
+    # omega-alpha and poisson-H-profile: the hitting density seen from e_d,
+    # which is the omega_alpha density, along the first boundary axis
     rs = _parse_range(args.r)
-    kern = halfspace.poisson_kernel(p, basis_last(args.d),
-                                   np.outer(rs, np.eye(args.d - 1)[0]))
-    write_csv(args.out, meta, np.column_stack([rs, kern]), ["ybar", "kernel"])
+    dens = halfspace.omega_alpha_density(p, np.outer(rs, np.eye(args.d - 1)[0]))
+    header = ["radius", "density"] if args.curve == "omega-alpha" else ["ybar", "kernel"]
+    write_csv(args.out, meta, np.column_stack([rs, dens]), header)
 
 
 def _curve_fatou_decay(p, args, meta):
@@ -307,9 +303,9 @@ def _curve_hardy_schedule(p, args, meta):
 _CURVES = {
     "phi": _curve_phi,
     "one-minus-phi": _curve_phi,
-    "omega-alpha": _curve_omega_alpha,
+    "omega-alpha": _curve_halfspace_profile,
     "qm": _curve_qm,
-    "poisson-H-profile": _curve_poisson_h_profile,
+    "poisson-H-profile": _curve_halfspace_profile,
     "fatou-decay": _curve_fatou_decay,
     "hardy-schedule": _curve_hardy_schedule,
 }

@@ -204,11 +204,14 @@ def invert_t_tilde(x, d: int | None = None):
 # --- Kelvin transforms ----------------------------------------------------
 
 def _tilde_prefactor(p: StableParams, scaling: str) -> float:
-    if scaling == "standard":
-        return 2.0 ** ((p.d - p.alpha) / 2.0)
-    if scaling == "green":
-        return 2.0 ** (p.d - p.alpha)
-    raise DomainError(f"unknown Kelvin scaling {scaling!r}; use 'standard' or 'green'")
+    power = {"standard": 0.5, "green": 1.0}.get(scaling)    # kappa = 2^(power (d - alpha))
+    if power is None:
+        raise DomainError(f"unknown Kelvin scaling {scaling!r}; use 'standard' or 'green'")
+    try:
+        return 2.0 ** (power * (p.d - p.alpha))
+    except OverflowError:
+        raise DomainError(f"the {scaling} shifted-Kelvin constant leaves the float range "
+                          f"at d={p.d}, alpha={p.alpha}") from None
 
 
 def kelvin(which: str, p: StableParams, u: Callable, x, *,
@@ -221,20 +224,25 @@ def kelvin(which: str, p: StableParams, u: Callable, x, *,
                       "standard" = 2^((d-alpha)/2) (involutive),
                       "green"    = 2^(d-alpha) (the squared constant of
                       the two-argument Green relation).
+
+    A weight kappa |x+e_d|^(alpha-d) or |x|^(alpha-d) beyond the float
+    range raises DomainError.
     """
     key = which.upper().replace("-", "_")
+    if key not in ("K_ALPHA", "K_TILDE_ALPHA"):
+        raise DomainError(f"unknown Kelvin transform {which!r}")
     x = as_point(x, p.d)
-    if key == "K_ALPHA":
-        n2 = float(np.dot(x, x))
-        if n2 == 0.0:
-            raise SingularityError("K_alpha has a pole at the origin")
-        return n2 ** ((p.alpha - p.d) / 2.0) * float(u(x / n2))
-    if key == "K_TILDE_ALPHA":
-        e = basis_last(p.d)
-        shifted = x + e
-        n2 = float(np.dot(shifted, shifted))
-        if n2 == 0.0:
-            raise SingularityError("the shifted Kelvin transform has a pole at -e_d")
-        kappa = _tilde_prefactor(p, scaling)
-        return kappa * n2 ** ((p.alpha - p.d) / 2.0) * float(u(2.0 * shifted / n2 - e))
-    raise DomainError(f"unknown Kelvin transform {which!r}")
+    tilde = key == "K_TILDE_ALPHA"
+    e = basis_last(p.d)
+    shifted = x + e if tilde else x
+    n2 = float(np.dot(shifted, shifted))
+    if n2 == 0.0:
+        raise SingularityError("the shifted Kelvin transform has a pole at -e_d" if tilde
+                               else "K_alpha has a pole at the origin")
+    kappa = _tilde_prefactor(p, scaling) if tilde else 1.0
+    try:
+        weight = kappa * n2 ** ((p.alpha - p.d) / 2.0)
+    except OverflowError:
+        weight = math.inf
+    image = 2.0 * shifted / n2 - e if tilde else x / n2
+    return finite_value(weight, f"the {key} weight") * float(u(image))

@@ -82,7 +82,6 @@ class WalkConfig:
 
     eps_shell: float = 1e-4
     r_max: float = 1e3
-    kappa: float = 1.0
     max_steps: int = 100_000
 
     def __post_init__(self):
@@ -91,8 +90,6 @@ class WalkConfig:
         if not 10.0 * self.r_max < math.inf:
             raise DomainError(f"the far-field window [r_max, 10 r_max] leaves the float "
                               f"range, got r_max={self.r_max}")
-        if not (0.0 < self.kappa <= 1.0):
-            raise DomainError("the ball-radius safety factor lies in (0, 1]")
         if self.max_steps < 1:
             raise DomainError("max_steps must be positive")
 
@@ -235,7 +232,7 @@ def walk_on_balls_hitting(p: StableParams, x, cfg: WalkConfig, n: int,
     """Estimate the sphere-hitting probability by chained exact ball exits.
 
     Each step jumps from the current point z by rho * (unit ball exit)
-    with rho = kappa |1 - |z||; the ball is contained in the sphere
+    with rho = |1 - |z||, the largest ball contained in the sphere
     complement, so the chain has the exact harmonic-measure law.  The
     bias budget charges (1 - inf_shell Phi) against declared hits,
     sup Phi over [r_max, 10 r_max] against escapes, and the full
@@ -259,7 +256,7 @@ def walk_on_balls_hitting(p: StableParams, x, cfg: WalkConfig, n: int,
         pos = pos[live]
         if len(pos) == 0:
             break
-        pos += (cfg.kappa * dist[live])[:, None] * sample_ball_exit_center(p, rng, len(pos))
+        pos += dist[live][:, None] * sample_ball_exit_center(p, rng, len(pos))
     return WalkResult.from_counts(hits, escapes, len(pos), n,
                                   _shell_complement_sup(p, cfg.eps_shell),
                                   _far_field_sup(p, cfg.r_max))
@@ -279,10 +276,6 @@ class GOFResult:
     critical: dict
     passed: dict
     n: int
-
-    @property
-    def passed_at_01(self) -> bool:
-        return self.passed[0.01]
 
 
 def ks_test(draws: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> GOFResult:

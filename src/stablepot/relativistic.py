@@ -361,13 +361,6 @@ def relativistic_constant(rp: RelativisticParams) -> float:
     """
     a, d, m = rp.alpha, rp.d, rp.m
     rp.base.require_hitting_range()
-    try:
-        c4 = ((a - 1.0) * (m ** (1.0 / a) / 2.0) ** ((d + a - 2.0) / 2.0)
-              / (math.pi ** ((d - 1.0) / 2.0) * math.gamma((a + 1.0) / 2.0)))
-    except OverflowError:
-        c4 = math.inf
-    if 0.0 < c4 < math.inf:
-        return c4
     return _gamma_product("C4", d, a, [], [(a + 1.0) / 2.0],
                           [(a - 1.0, 1.0), (m ** (1.0 / a) / 2.0, (d + a - 2.0) / 2.0),
                            (math.pi, (1.0 - d) / 2.0)])

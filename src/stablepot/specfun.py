@@ -1,15 +1,17 @@
 """Special functions underlying every closed-form kernel.
 
-Gauss 2F1, the modified Bessel functions I and K and the regularized
-incomplete beta are ``scipy.special``'s ``hyp2f1``, ``ive``, ``kv`` and
-``betainc`` behind this package's domain checks and typed errors.
+Gauss 2F1, the exponentially scaled modified Bessel function I, the
+modified Bessel function K and the regularized incomplete beta are
+``scipy.special``'s ``hyp2f1``, ``ive``, ``kv`` and ``betainc`` behind this
+package's domain checks and typed errors.
 Three pieces stay here, each for a measured reason: the F - 1 series
 ``TailPair``, because ``hyp2f1 - 1`` loses digits where F - 1 is small (it
 sums as many of 80 terms as |s| needs, about 6 at 2e-3 and 22 at 0.19, up
 to a reach it works out from the coefficients: |s| ~ 0.66 at d = 2, 0.09
 at d = 400 for the sphere); the x >= 30 expansion of ``bessel_i_scaled``,
 because scipy's ``ive`` is NaN from x ~ 1.1e9 on; and the Mittag-Leffler
-function, which scipy lacks.
+function, which scipy lacks, as its logarithm.  Bessel I and the
+Mittag-Leffler function come only in these forms, which never overflow.
 
 The Mittag-Leffler function takes arrays: below t^(1/gamma) = 45 its
 series is summed in log space as one block per band of arguments, with
@@ -34,10 +36,8 @@ from .errors import DomainError, PoleError
 __all__ = [
     "gauss_2f1",
     "TailPair",
-    "bessel_i",
     "bessel_i_scaled",
     "bessel_k",
-    "mittag_leffler",
     "log_mittag_leffler",
     "regularized_beta_cdf",
 ]
@@ -154,10 +154,20 @@ def _gauss_2f1_minus_one_array(a: float, b: float, c: float, s: np.ndarray) -> n
 # is the prefactor of the first.
 
 def legendre_f1(d: int, alpha: float, t: float) -> float:
-    """First prefactor of the large-t expansion of P^(1-d/2)_(-alpha/2)."""
-    pref = 2.0 ** (1.0 - alpha / 2.0) * math.gamma(alpha - 1.0) / (
-        math.gamma(alpha / 2.0) * math.gamma((alpha + d) / 2.0 - 1.0))
-    return pref * (t + 1.0) ** (alpha / 2.0 - d / 4.0 - 0.5) * (t - 1.0) ** (d / 4.0 - 0.5)
+    """First prefactor of the large-t expansion of P^(1-d/2)_(-alpha/2), t > 1;
+    a value or factor beyond the float range raises DomainError."""
+    if not 1.0 < t < math.inf:
+        raise DomainError(f"the Legendre expansion term F1 needs finite t > 1, got {t}")
+    try:
+        pref = 2.0 ** (1.0 - alpha / 2.0) * math.gamma(alpha - 1.0) / (
+            math.gamma(alpha / 2.0) * math.gamma((alpha + d) / 2.0 - 1.0))
+        value = pref * (t + 1.0) ** (alpha / 2.0 - d / 4.0 - 0.5) * (t - 1.0) ** (d / 4.0 - 0.5)
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"the Legendre expansion term F1 leaves the float range at "
+                          f"d={d}, alpha={alpha}, t={t}")
+    return value
 
 
 # --- modified Bessel functions ------------------------------------------
@@ -200,14 +210,6 @@ def bessel_i_scaled(nu: float, x):
         xb = xa[big]
         out[big] = _bessel_i_expansion(nu, xb) / np.sqrt(2.0 * math.pi * xb)
     return out if out.ndim else float(out)
-
-
-def bessel_i(nu: float, x: float) -> float:
-    """Modified Bessel I_nu(x); signals overflow where exp(x) is unrepresentable."""
-    scaled = bessel_i_scaled(nu, x)
-    if x > _LOG_HUGE and scaled > 0.0:
-        raise OverflowError(f"bessel_i({nu}, {x}) overflows; use bessel_i_scaled")
-    return scaled * math.exp(x)
 
 
 def bessel_k(nu: float, z):
@@ -279,14 +281,6 @@ def log_mittag_leffler(gamma: float, beta: float, t):
     with np.errstate(divide="ignore", over="ignore"):
         out = _log_mittag_leffler_scaled(gamma, beta, np.log(ta)) + ta ** (1.0 / gamma)
     return out if out.ndim else float(out)
-
-
-def mittag_leffler(gamma: float, beta: float, t: float) -> float:
-    """Two-parameter Mittag-Leffler E_(gamma,beta)(t); overflow raised explicitly."""
-    lv = log_mittag_leffler(gamma, beta, t)
-    if lv > _LOG_HUGE:
-        raise OverflowError(f"E_({gamma},{beta})({t}) overflows; use log_mittag_leffler")
-    return math.exp(lv)
 
 
 # --- regularized incomplete beta -----------------------------------------

@@ -71,7 +71,6 @@ class KernelConstants:
 
     a_d_alpha      Riesz constant of order alpha
     a_d_neg_alpha  constant of the pointwise fractional Laplacian
-    c1             ball Poisson kernel constant
     c2             hitting probability constant
     c3             hyperplane Poisson kernel constant
     series_c       (negative) coefficient of ||x|^2-1|^(alpha-1) in 1 - Phi
@@ -104,10 +103,6 @@ class KernelConstants:
         d, a = self.p.d, self.p.alpha
         return -_gamma_product("a_d_neg_alpha", d, a, [(d + a) / 2.0], [-a / 2.0],
                                [(2.0, a), (math.pi, -d / 2.0)])
-
-    @cached_property
-    def c1(self) -> float:
-        return ball_constant(self.p)
 
     @cached_property
     def c2(self) -> float:

@@ -72,7 +72,7 @@ def _raises_divergence(check_id: str, call, citation: str) -> CheckEntry:
 def _ks(check_id: str, draws, cdf, citation: str) -> CheckEntry:
     """PASS when the KS test of draws against cdf passes at the 1% level."""
     res = montecarlo.ks_test(draws, cdf)
-    return check(check_id, res.passed_at_01, res.statistic, res.critical[0.01],
+    return check(check_id, res.passed[0.01], res.statistic, res.critical[0.01],
                  None, citation)
 
 

@@ -13,8 +13,7 @@ from stablepot.analysis import (HALFSPACE, SPHERE, BoundaryFunction,
                                 fractional_laplacian, halfspace_values,
                                 hardy_norm, hardy_norms, hyperplane_quadrature,
                                 majorant, omega_integral_probe,
-                                poisson_integral_halfspace,
-                                poisson_integral_sphere, prob_hardy_norm,
+                                prob_hardy_norm,
                                 representation_value, sphere_quadrature,
                                 sphere_values)
 from stablepot.core import StableParams, basis_last
@@ -78,14 +77,14 @@ class TestPoissonIntegralSphere:
         rep = HarmonicRepresentation(SPHERE, density=BoundaryFunction(
             lambda pts: np.ones(len(pts))))
         for x in ([0.5, 0.0], [0.0, 1.7]):
-            got = poisson_integral_sphere(P2, rep, x)
+            got = representation_value(P2, rep, x)
             assert got == pytest.approx(sphere.hitting_probability(P2, x), abs=1e-9)
 
     def test_constant_part_gives_complement(self):
         rep = HarmonicRepresentation(SPHERE, constant=1.0)
         x = np.array([0.3, 0.1])
         want = sphere.phi_complement(P2, float(np.linalg.norm(x)))
-        assert poisson_integral_sphere(P2, rep, x) == pytest.approx(want, rel=1e-14, abs=0)
+        assert representation_value(P2, rep, x) == pytest.approx(want, rel=1e-14, abs=0)
 
     def test_atoms_sum_exactly(self):
         mu = DiscreteMeasure(np.array([[1.0, 0.0], [0.0, 1.0]]), [0.7, -0.2])
@@ -93,7 +92,7 @@ class TestPoissonIntegralSphere:
         x = np.array([0.4, -0.2])
         want = 0.7 * sphere.poisson_kernel(P2, x, np.array([1.0, 0.0])) \
             - 0.2 * sphere.poisson_kernel(P2, x, np.array([0.0, 1.0]))
-        assert poisson_integral_sphere(P2, rep, x) == pytest.approx(want, rel=1e-14, abs=0)
+        assert representation_value(P2, rep, x) == pytest.approx(want, rel=1e-14, abs=0)
 
     def test_uniform_convergence_to_continuous_density(self):
         # the image of a continuous boundary function converges uniformly
@@ -118,7 +117,7 @@ class TestPoissonIntegralSphere:
     def test_on_sphere_rejected(self):
         rep = HarmonicRepresentation(SPHERE, constant=1.0)
         with pytest.raises(DomainError):
-            poisson_integral_sphere(P2, rep, [1.0, 0.0])
+            representation_value(P2, rep, [1.0, 0.0])
 
 
 class TestPoissonIntegralHalfspace:
@@ -126,13 +125,13 @@ class TestPoissonIntegralHalfspace:
         rep = HarmonicRepresentation(HALFSPACE, density=BoundaryFunction(
             lambda pts: np.ones(len(pts))))
         for x in ([3.0, 0.25], [0.0, -1.4]):
-            assert poisson_integral_halfspace(P2, rep, x) == pytest.approx(
+            assert representation_value(P2, rep, x) == pytest.approx(
                 1.0, abs=1e-6)
 
     def test_martin_atom_at_basis(self):
         mu = DiscreteMeasure(np.zeros((1, 1)), [1.0])
         rep = HarmonicRepresentation(HALFSPACE, measure=mu, flavor="martin")
-        assert poisson_integral_halfspace(P2, rep, basis_last(2)) == \
+        assert representation_value(P2, rep, basis_last(2)) == \
             pytest.approx(1.0, rel=1e-15, abs=0)
 
     def test_lp_convergence_for_compact_density(self):
@@ -157,7 +156,7 @@ class TestPoissonIntegralHalfspace:
                                ** (P2.alpha / 2.0))
         rep = HarmonicRepresentation(HALFSPACE, density=bad)
         with pytest.raises(IntegrabilityError):
-            poisson_integral_halfspace(P2, rep, [0.0, 1.0])
+            representation_value(P2, rep, [0.0, 1.0])
 
     def test_integrability_is_checked_per_parameter_set(self):
         # (1 + |y|^2)^0.35 is omega-integrable at alpha = 1.9, not at 1.2:
@@ -317,10 +316,10 @@ class TestEvaluator:
         p = StableParams(3, 1.2)
         rep = HarmonicRepresentation(SPHERE, density=ONE)
         x = [0.0, 0.0, 1.0 + 2.0 ** -10]
-        assert poisson_integral_sphere(p, rep, x) == pytest.approx(
+        assert representation_value(p, rep, x) == pytest.approx(
             sphere.phi(p, 1.0 + 2.0 ** -10), abs=1e-12)
         rep = HarmonicRepresentation(HALFSPACE, density=ONE)
-        assert poisson_integral_halfspace(p, rep, [0.3, -0.2, 0.7]) == pytest.approx(
+        assert representation_value(p, rep, [0.3, -0.2, 0.7]) == pytest.approx(
             1.0, abs=1e-12)
 
     @pytest.mark.parametrize("alpha", [1.2, 1.5])
@@ -414,6 +413,30 @@ class TestEvaluator:
             single = [halfspace_values(p, rep, xbar[i:i + 1], t[i:i + 1])[0]
                       for i in range(len(t))]
             assert np.array_equal(batch, single), flavor
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_densities_sum_alike_in_any_batch(self, d):
+        # the density rules sum nodes by rows and project ring nodes
+        # coordinate by coordinate, so one batched call and per-point calls
+        # give the same bits; BLAS products gave up to 2.7e-15 apart
+        p = StableParams(d, 1.2 if d == 3 else 1.5)
+        rng = np.random.default_rng(48)
+        m = 24 if d < 4 else 4
+        f = BoundaryFunction(lambda y: np.exp(-np.sum(y * y, axis=1)) * (1.0 + 0.3 * y[:, 0]))
+        xbar, t = rng.normal(size=(m, d - 1)), rng.uniform(0.1, 2.0, m) * rng.choice([-1, 1], m)
+        for flavor in ("poisson", "martin"):
+            rep = HarmonicRepresentation(HALFSPACE, density=f, flavor=flavor)
+            batch = halfspace_values(p, rep, xbar, t)
+            single = [halfspace_values(p, rep, xbar[i:i + 1], t[i:i + 1])[0] for i in range(m)]
+            assert np.array_equal(batch, single), flavor
+        rep = HarmonicRepresentation(SPHERE, density=BoundaryFunction(
+            lambda z: 1.0 + z[:, 0] / 2.0 + z[:, -1] ** 2))
+        dirs = rng.normal(size=(m, d))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        rm1 = rng.uniform(-0.9, 2.0, m)
+        batch = sphere_values(p, rep, rm1, dirs)
+        single = [sphere_values(p, rep, rm1[i:i + 1], dirs[i:i + 1])[0] for i in range(m)]
+        assert np.array_equal(batch, single)
 
 
 class TestHardyNorm:
@@ -623,7 +646,7 @@ class TestMajorant:
         f = BoundaryFunction(lambda pts: 1.0 + 0.5 * pts[:, 0])
         rep = HarmonicRepresentation(SPHERE, density=f, constant=0.5)
         x = np.array([0.4, 0.1])
-        u = poisson_integral_sphere(P2, rep, x)
+        u = representation_value(P2, rep, x)
         assert majorant(P2, rep, 1.0, x) == pytest.approx(u, rel=1e-12, abs=0)
 
     def test_jensen_domination(self):
@@ -636,7 +659,7 @@ class TestMajorant:
             if abs(np.linalg.norm(x) - 1.0) < 0.05:
                 continue
             count += 1
-            u = poisson_integral_sphere(P2, rep, x)
+            u = representation_value(P2, rep, x)
             bound = majorant(P2, rep, 2.0, x)
             assert u * u <= bound * (1.0 + 1e-9) + 1e-12
 
@@ -801,9 +824,9 @@ class TestRepresentationValidation:
         rep_s = HarmonicRepresentation(SPHERE, constant=1.0)
         rep_h = HarmonicRepresentation(HALFSPACE, constant=1.0)
         with pytest.raises(RepresentationError):
-            poisson_integral_sphere(P2, rep_h, [0.5, 0.0])
+            sphere_values(P2, rep_h, -0.5, [[1.0, 0.0]])
         with pytest.raises(RepresentationError):
-            poisson_integral_halfspace(P2, rep_s, [0.5, 1.0])
+            halfspace_values(P2, rep_s, [[0.5]], 1.0)
 
     def test_hyperplane_center_validation(self):
         with pytest.raises(DomainError):

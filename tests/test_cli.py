@@ -324,6 +324,19 @@ class TestReport:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert repr(rng) in err
 
+    @pytest.mark.parametrize("argv", [("--beta", "nan"), ("--beta", "inf"), ("--beta", "0"),
+                                      ("--beta", "-1"), ("--beta", "1e200"), ("--depth", "0"),
+                                      ("--depth", "-1"), ("--depth", "1075"),
+                                      ("--depth", "2000")])
+    def test_bad_fatou_argument_is_one_error_line(self, capsys, argv):
+        # each refusal names the argument, not a symptom further down
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "report", "--curve", "fatou-decay", *argv)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert argv[0].removeprefix("--") in err, err
+
     def test_curve_bytes_match_savetxt(self, capsys, tmp_path):
         # metadata and header rows, then the rows as np.savetxt wrote them
         out_file = tmp_path / "phi.csv"

@@ -1,9 +1,12 @@
+import importlib
 import math
+import pkgutil
 
 import mpmath
 import numpy as np
 import pytest
 
+import stablepot
 from stablepot.core import _leggauss, sphere_area
 from stablepot.errors import DomainError
 
@@ -57,3 +60,11 @@ class TestLegendreGauss:
                     t -= p1 / dp
                 assert abs(xi - t) <= 2.3e-16
                 assert abs(wi - 2 / ((1 - t * t) * dp * dp)) <= 1e-12 * wi
+
+
+@pytest.mark.parametrize("module", ["stablepot"] + [
+    f"stablepot.{m.name}" for m in pkgutil.iter_modules(stablepot.__path__)])
+def test_every_exported_name_resolves(module):
+    # a retired name must leave __all__ with its definition
+    mod = importlib.import_module(module)
+    assert [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)] == []

@@ -372,6 +372,20 @@ class TestKelvin:
                                    n_angle=2048, n_radial=1024)
         assert abs(res.value) < 1e-3 * res.local_scale
 
+    def test_weights_past_the_float_range_are_refused(self):
+        # 2^((d - alpha)/2), or |x|^(alpha - d) near the pole, past the float
+        # range: a DomainError naming it, never a raw OverflowError
+        u = lambda z: 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="standard shifted-Kelvin constant"):
+                kelvin("K_TILDE_ALPHA", StableParams(3000, 1.5), u, np.ones(3000))
+            with pytest.raises(DomainError, match="K_TILDE_ALPHA weight"):
+                kelvin("K_TILDE_ALPHA", StableParams(2000, 1.5), u,
+                       np.concatenate([[0.5], np.zeros(1998), [-1.0]]))
+            with pytest.raises(DomainError, match="K_ALPHA weight"):
+                kelvin("K_ALPHA", StableParams(10, 1.5), u, np.full(10, 1e-50))
+
     def test_pole_errors(self):
         u = lambda z: 1.0
         with pytest.raises(SingularityError):

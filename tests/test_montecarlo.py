@@ -186,16 +186,9 @@ class TestWalkOnBalls:
         assert res.hits + res.escapes + res.inconclusive == 200
         assert res.bias_budget >= res.inconclusive / 200
 
-    def test_conservative_ball_factor(self):
-        cfg = WalkConfig(kappa=0.5)
-        res = walk_on_balls_hitting(P2, np.zeros(2), cfg, 4000,
-                                    RngStream(21, 0).generator())
-        target = sphere.constants(P2).phi_at_origin
-        assert abs(res.estimate - target) <= 3.0 * res.stderr + res.bias_budget
-
     def test_seeded_counts_are_pinned(self):
         # hits, escapes and inconclusive walkers of one seeded walk, as the
-        # step rule rho = kappa |1 - |z|| has always drawn them
+        # step rule rho = |1 - |z|| has always drawn them
         res = walk_on_balls_hitting(P2, np.array([0.5, 0.0]), WalkConfig(max_steps=10),
                                     2000, RngStream(7, 0).generator())
         assert (res.hits, res.escapes, res.inconclusive) == (483, 1, 1516)
@@ -267,7 +260,7 @@ class TestEmpiricalSample:
         with pytest.raises(DomainError):
             WalkConfig(eps_shell=2.0)
         with pytest.raises(DomainError):
-            WalkConfig(kappa=0.0)
+            WalkConfig(max_steps=0)
 
 
 # --- the samplers' first formulations, kept as bitwise oracles ----------------
@@ -322,7 +315,7 @@ def _walk_oracle(p, x, cfg, n, rng):
         live = idx[~done]
         if live.size == 0:
             continue
-        rho = cfg.kappa * dist[~done]
+        rho = dist[~done]
         pos[live] += rho[:, None] * _ball_exit_oracle(p, rng, live.size)
     return hits, escapes, int(active.sum())
 

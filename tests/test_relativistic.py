@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -391,6 +392,28 @@ class TestKilledHyperplaneKernel:
     def test_constant_positive(self):
         assert relativistic_constant(RP2) > 0.0
         assert relativistic_constant(RP3) > 0.0
+
+    @pytest.mark.parametrize("d", [2, 3, 40, 1500])
+    @pytest.mark.parametrize("alpha", [1.05, 1.5, 1.95])
+    def test_constant_against_mpmath(self, d, alpha):
+        # the reference takes the exponents 1/alpha, (d + alpha - 2)/2,
+        # (1 - d)/2 and (alpha + 1)/2 as the float formula rounds them: the
+        # rounding of 1/alpha alone moves C4 by up to ~420 ulp at m = 1e300,
+        # through the factor (d + alpha - 2)/2 log m.  Against it C4 is
+        # within 8 ulp (the worst at d = 40)
+        for m in (1e-10, 1.0, 1e100, 1e300):
+            inv, e, pe, g = (mpmath.mpf(v) for v in (
+                1.0 / alpha, (d + alpha - 2.0) / 2.0, (1.0 - d) / 2.0, (alpha + 1.0) / 2.0))
+            with mpmath.workdps(40):
+                want = ((alpha - 1) * (mpmath.mpf(m) ** inv / 2) ** e * mpmath.pi ** pe
+                        / mpmath.gamma(g))
+            rp = RelativisticParams(StableParams(d, alpha), m)
+            if not 2.2250738585072014e-308 <= want <= 1.7976931348623157e308:
+                with pytest.raises(DomainError, match="C4"):
+                    relativistic_constant(rp)
+                continue
+            got = relativistic_constant(rp)
+            assert abs(got - want) <= 10 * 2.0 ** -52 * want, (m, got, want)
 
     def test_far_and_near_points(self):
         # far out K_nu underflows: 0 is the value; at height 1e-300 it is

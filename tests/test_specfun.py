@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -7,8 +8,8 @@ import scipy.special as sps
 from scipy import integrate
 
 from stablepot.errors import DomainError, PoleError
-from stablepot.specfun import (TailPair, bessel_i, bessel_i_scaled, bessel_k,
-                               gauss_2f1, log_mittag_leffler, mittag_leffler,
+from stablepot.specfun import (TailPair, bessel_i_scaled, bessel_k,
+                               gauss_2f1, legendre_f1, log_mittag_leffler,
                                regularized_beta_cdf)
 
 
@@ -97,17 +98,30 @@ class TestGauss2F1:
                 assert abs(pair(s)[0] - ref) <= 2e-13 * abs(ref), (alpha, s)
 
 
+class TestLegendreF1:
+    def test_beyond_the_float_range_is_refused(self):
+        # Gamma((alpha + d)/2 - 1) overflows at d = 400, (t - 1)^(d/4 - 1/2)
+        # at t = 1e300, and the value underflows near t = 1 at d = 300; t
+        # below 1 once gave a complex number
+        assert 0.0 < legendre_f1(2, 1.5, 3.0) < math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d, t in ((400, 3.0), (40, 1e300), (300, 1.0001), (4, 0.5), (4, math.nan)):
+                with pytest.raises(DomainError, match="F1"):
+                    legendre_f1(d, 1.5, t)
+
+
 class TestBesselI:
     def test_half_integer_closed_form(self):
         # I_(1/2)(x) = sqrt(2/(pi x)) sinh x; at x = 2 that is sinh(2)/sqrt(pi)
         want = math.sinh(2.0) / math.sqrt(math.pi)
-        assert abs(bessel_i(0.5, 2.0) - want) <= 1e-14 * want
+        assert abs(bessel_i_scaled(0.5, 2.0) * math.exp(2.0) - want) <= 1e-14 * want
 
     def test_small_argument_limit(self):
         for nu in (0.0, 0.5, 1.5):
             for r in (1e-2, 1e-4, 1e-6):
                 lead = (r / 2.0) ** nu / math.gamma(nu + 1.0)
-                assert abs(bessel_i(nu, r) / lead - 1.0) < 1e-3
+                assert abs(bessel_i_scaled(nu, r) * math.exp(r) / lead - 1.0) < 1e-3
 
     def test_large_argument_limit(self):
         for r in (50.0, 200.0, 600.0):
@@ -134,15 +148,17 @@ class TestBesselI:
                 assert math.isfinite(got)
                 assert abs(got - want) <= 1e-12 * want
 
-    def test_overflow_signal(self):
-        with pytest.raises(OverflowError):
-            bessel_i(0.5, 800.0)
+    def test_scaled_value_past_the_exp_range(self):
+        # exp(-x) I_(1/2)(x) = (1 - exp(-2x)) / sqrt(2 pi x) where exp(x) overflows
+        for x in (800.0, 1e5):
+            want = -math.expm1(-2.0 * x) / math.sqrt(2.0 * math.pi * x)
+            assert abs(bessel_i_scaled(0.5, x) - want) <= 1e-14 * want
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            bessel_i(0.5, -1.0)
+            bessel_i_scaled(0.5, -1.0)
         with pytest.raises(DomainError):
-            bessel_i(-0.75, 1.0)
+            bessel_i_scaled(-0.75, 1.0)
 
 
 class TestBesselK:
@@ -176,7 +192,8 @@ class TestBesselK:
         for z in (0.5, 1.0, 3.0, 10.0):
             nu = 0.5
             i_minus = math.sqrt(2.0 / (math.pi * z)) * math.cosh(z)
-            recon = math.pi * (i_minus - bessel_i(nu, z)) / (2.0 * math.sin(nu * math.pi))
+            i_plus = bessel_i_scaled(nu, z) * math.exp(z)
+            recon = math.pi * (i_minus - i_plus) / (2.0 * math.sin(nu * math.pi))
             assert abs(bessel_k(nu, z) - recon) < 1e-8 * max(abs(recon), 1.0)
 
     @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.25, 1.4, 2.0])
@@ -195,14 +212,13 @@ class TestBesselK:
 class TestMittagLeffler:
     def test_at_zero(self):
         for beta in (0.25, 0.75, 1.0, 2.0):
-            assert abs(mittag_leffler(0.7, beta, 0.0)
+            assert abs(math.exp(log_mittag_leffler(0.7, beta, 0.0))
                        - 1.0 / math.gamma(beta)) < 1e-15
 
     def test_exponential_special_case(self):
-        for t in (0.5, 2.0, 10.0):
-            assert abs(mittag_leffler(1.0, 1.0, t) - math.exp(t)) <= 1e-12 * math.exp(t)
-        for t in np.linspace(0.0, 20.0, 81):
-            assert abs(mittag_leffler(1.0, 1.0, t) - math.exp(t)) <= 1e-12 * math.exp(t)
+        for t in [0.5, 2.0, 10.0, *np.linspace(0.0, 20.0, 81)]:
+            got = math.exp(log_mittag_leffler(1.0, 1.0, t))
+            assert abs(got - math.exp(t)) <= 1e-12 * math.exp(t)
 
     def test_against_high_precision_series(self):
         def oracle(g, b, t):
@@ -212,7 +228,7 @@ class TestMittagLeffler:
         for g, b, t in [(0.75, 0.75, 1.0), (0.75, 0.75, 7.3), (0.6, 0.9, 2.2),
                         (0.9, 0.6, 5.0)]:
             ref = oracle(g, b, t)
-            assert abs(mittag_leffler(g, b, t) - ref) <= 1e-12 * ref
+            assert abs(math.exp(log_mittag_leffler(g, b, t)) - ref) <= 1e-12 * ref
 
     @pytest.mark.parametrize("g, b", [(0.525, 0.525), (0.75, 0.75), (0.95, 0.95),
                                       (0.6, 1.0), (1.5, 2.0)])
@@ -234,16 +250,16 @@ class TestMittagLeffler:
             log_asy = -math.log(g) + (1.0 - b) / g * math.log(t) + t ** (1.0 / g)
             assert abs(log_mittag_leffler(g, b, t) - log_asy) < 1e-10
 
-    def test_overflow_signal(self):
-        with pytest.raises(OverflowError):
-            mittag_leffler(0.5, 0.5, 1e9)
-        assert math.isfinite(log_mittag_leffler(0.5, 0.5, 1e9))
+    def test_log_value_past_the_exp_range(self):
+        # E_(1/2, 1/2)(1e9) is about exp(1e18); its log is the asymptotic form
+        log_asy = math.log(2.0) + math.log(1e9) + 1e18
+        assert abs(log_mittag_leffler(0.5, 0.5, 1e9) - log_asy) <= 1e-15 * log_asy
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            mittag_leffler(-0.5, 1.0, 1.0)
+            log_mittag_leffler(-0.5, 1.0, 1.0)
         with pytest.raises(DomainError):
-            mittag_leffler(0.5, 1.0, -1.0)
+            log_mittag_leffler(0.5, 1.0, -1.0)
 
 
 class TestRegularizedBeta:
