@@ -16,11 +16,11 @@ and Fatou probe go through them; no value depends on how the points are
 batched.
 
 Density parts are integrated by one peak-adapted polar rule per
-geometry, the same in every d <= 4: geodesic polar coordinates around
-each evaluation direction on the sphere, with the zonal weights of
-``sphere.polar_weights``, polar coordinates around each foot point on
-the hyperplane, with a ring rule on S^(d-2) for the angles.  Slice grids
-on the hyperplane are polar as well.
+geometry: geodesic polar coordinates around each evaluation direction on
+the sphere, with the zonal weights of ``sphere.polar_weights``, polar
+coordinates around each foot point on the hyperplane.  Their rings and
+``sphere_quadrature`` are one product rule on S^(k-1) in every d, refused
+past 2^22 nodes.  Slice grids on the hyperplane are polar as well.
 
 Hardy norms are schedule suprema of slice L^p norms; divergence is a
 reported state, never an exception.  The pointwise fractional Laplacian
@@ -36,6 +36,7 @@ from itertools import repeat
 from typing import Callable, Literal
 
 import numpy as np
+from scipy.special import roots_jacobi
 
 from .core import (StableParams, as_point, basis_last, norm, require_finite,
                    require_unit, sphere_area, _leggauss)
@@ -155,48 +156,45 @@ class HarmonicRepresentation:
 
 # --- quadrature ------------------------------------------------------------
 
-def sphere_quadrature(p: StableParams, resolution: int) -> QuadratureGrid:
-    """Normalized surface measure on the unit sphere, d in {2, 3}.
-
-    d = 2: midpoint trapezoid on the circle (spectral for smooth
-    integrands); d = 3: Gauss-Legendre in the polar cosine times a
-    trapezoid in azimuth with 2 x resolution nodes.
-    """
-    if p.d not in (2, 3):
-        raise DomainError(f"sphere quadrature supports d in {{2, 3}}, got d={p.d}")
-    if resolution < 8:
-        raise DomainError(f"resolution must be >= 8, got {resolution}")
-    if p.d == 2:
-        theta = 2.0 * math.pi * (np.arange(resolution) + 0.5) / resolution
-        nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        weights = np.full(resolution, 1.0 / resolution)
-        return QuadratureGrid(nodes, weights)
-    mu, wmu = _leggauss(resolution)
-    n_az = 2 * resolution
-    phi_az = 2.0 * math.pi * (np.arange(n_az) + 0.5) / n_az
-    sin_th = np.sqrt(1.0 - mu * mu)
-    nodes = np.empty((resolution * n_az, 3))
-    weights = np.empty(resolution * n_az)
-    cp, sp = np.cos(phi_az), np.sin(phi_az)
-    for i in range(resolution):
-        rows = slice(i * n_az, (i + 1) * n_az)
-        nodes[rows, 0] = sin_th[i] * cp
-        nodes[rows, 1] = sin_th[i] * sp
-        nodes[rows, 2] = mu[i]
-        weights[rows] = 0.5 * wmu[i] / n_az
-    return QuadratureGrid(nodes, weights)
-
-
-def _ring(p: StableParams) -> tuple[np.ndarray, np.ndarray]:
-    # normalized surface measure on the unit sphere S^(d-2) of R^(d-1): the
-    # two points +-1 in d = 2, the surface grid of S^(d-2) beyond, with
-    # _RING_NODES nodes around each circle of latitude
-    if p.d == 2:
+def _sphere_rule(d: int, k: int, n: int, radial: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    # Normalized surface measure on S^(k-1): +-1 for k = 1, else the circle's
+    # midpoint trapezoid lifted to {(sqrt(1 - t^2) y, t)} on n Gauss-Jacobi
+    # nodes t per dimension (Legendre over 2n on the circle at k = 3).  Its 1/m
+    # divides last: w_t / 2 times 1/m would move the last bit of some weights.
+    # Refused, naming the caller's d, below 8 nodes per level or past the budget
+    if k > 1 and n < 8:
+        raise DomainError(f"the sphere rule in d={d} needs resolution >= 8, got {n}")
+    count = radial * (2 if k == 1 else n if k == 2 else 2 * n ** (k - 1))
+    if count > _MAX_NODES:
+        raise DomainError(f"{count} nodes in d={d} exceed the budget of {_MAX_NODES}")
+    if k == 1:
         return np.array([[1.0], [-1.0]]), np.array([0.5, 0.5])
-    if p.d > 4:
-        raise DomainError(f"density rules support d <= 4, got d={p.d}")
-    g = sphere_quadrature(StableParams(p.d - 1, p.alpha), _RING_NODES // (p.d - 2))
-    return g.nodes, g.weights
+    m = n if k == 2 else 2 * n
+    theta = 2.0 * math.pi * (np.arange(m) + 0.5) / m
+    nodes, weights = np.stack([np.cos(theta), np.sin(theta)], axis=1), np.ones(m)
+    for j in range(3, k + 1):
+        t, wt = _leggauss(n) if j == 3 else roots_jacobi(n, (j - 3) / 2.0, (j - 3) / 2.0)
+        lifted = (np.sqrt(1.0 - t * t)[:, None, None] * nodes).reshape(-1, j - 1)
+        nodes = np.concatenate([lifted, np.repeat(t, len(weights))[:, None]], axis=1)
+        weights = np.outer(wt * (0.5 if j == 3 else 1.0 / wt.sum()), weights).ravel()
+    return nodes, weights / m
+
+
+def sphere_quadrature(p: StableParams, resolution: int) -> QuadratureGrid:
+    """Normalized surface measure on the unit sphere, in every d.
+
+    d = 2: midpoint trapezoid (spectral for smooth integrands); d >= 3:
+    Gauss-Jacobi in each coordinate above the circle (Gauss-Legendre at
+    d = 3) times a 2 x resolution trapezoid.  A resolution below 8, or a
+    grid past 2^22 nodes, raises DomainError.
+    """
+    return QuadratureGrid(*_sphere_rule(p.d, p.d, resolution))
+
+
+def _ring(p: StableParams, radial: int) -> tuple[np.ndarray, np.ndarray]:
+    # the density rules' directions on S^(d-2), 64 around each circle in d = 3 and
+    # 4, under 8 per level from d = 11; times ``radial``, one point's node count
+    return _sphere_rule(p.d, p.d - 1, _RING_NODES // max(p.d - 2, 1), radial)
 
 
 _TAIL_TOL = 1e-14           # tail share the radial rule aims for
@@ -222,8 +220,8 @@ def hyperplane_quadrature(p: StableParams, resolution: int, decay_exponent: floa
 
     The radius runs through an exponential-sinh map, double-exponential
     toward the center and the tail, which keeps full accuracy for the
-    heavy-tailed kernels; the directions through a ring rule on S^(d-2)
-    (d <= 4).  ``decay_exponent`` is the algebraic decay the integrand is
+    heavy-tailed kernels; the directions through the sphere rule on
+    S^(d-2).  ``decay_exponent`` is the algebraic decay the integrand is
     declared to have; it must exceed d - 1 for integrability and sets how
     far into the tail the radial nodes reach.  ``center``/``scale`` move
     the dense part of the rule (pass a kernel peak's foot point and height).
@@ -245,7 +243,7 @@ def hyperplane_quadrature(p: StableParams, resolution: int, decay_exponent: floa
     if not 0.0 < scale <= math.exp(650.0 / k - 40.0):    # radial weights stay finite
         raise DomainError(f"scale must lie in (0, {math.exp(650.0 / k - 40.0):.3g}]")
     rho, wt = _radial_rule((resolution + 1) // 2, decay_exponent, scale, k)
-    ring, ring_w = _ring(p)
+    ring, ring_w = _ring(p, len(rho))
     nodes = center + (rho[:, None, None] * ring).reshape(-1, k)
     tail = sphere_area(k) * float(rho.max()) ** (k - decay_exponent) / (decay_exponent - k)
     return QuadratureGrid(nodes, np.outer(wt * sphere_area(k), ring_w).ravel(), tail_bound=tail)
@@ -338,7 +336,8 @@ def _ensure_halfspace_integrable(p: StableParams, rep: HarmonicRepresentation) -
 
 # --- evaluating representations ---------------------------------------------
 
-_RING_NODES = 64            # ring rule: nodes around each circle of the S^(d-2) ring
+_RING_NODES = 64            # ring rule: _RING_NODES // (d - 2) nodes per level of S^(d-2)
+_MAX_NODES = 1 << 22        # nodes of one rule, or of one point of a density rule
 _BLOCK = 1 << 15            # density nodes, atom terms or slice points per block
 
 
@@ -417,9 +416,9 @@ def _sphere_polar_rule(p: StableParams, f: BoundaryFunction, rm1: np.ndarray,
                        dirs: np.ndarray) -> np.ndarray:
     # Nodes z = cos(psi) eta + sin(psi) omega, omega on the tangent ring, with
     # the zonal weights of sphere.polar_weights, built once per radius
-    ring, ring_w = _ring(p)
     uniq, inv = np.unique(rm1, return_inverse=True)
     psi, wk = sphere.polar_weights(p, uniq)
+    ring, ring_w = _ring(p, psi.shape[-1])
     cos_sin = np.stack([np.cos(psi), np.sin(psi)], axis=-1)
     out = np.empty(len(rm1))
     for rows in _row_blocks(len(rm1), psi.shape[1] * len(ring_w)):
@@ -469,7 +468,7 @@ def halfspace_values(p: StableParams, rep: HarmonicRepresentation, xbar,
         # node offsets sinh(v) omega at unit height, with the radial weights
         # of halfspace.polar_weights times the ring's
         v, radial = halfspace.polar_weights(p)
-        ring, ring_w = _ring(p)
+        ring, ring_w = _ring(p, len(v))
         with np.errstate(over="ignore"):     # near alpha = 1 tail nodes sit at infinity
             offsets = (np.sinh(v)[:, None, None] * ring).reshape(-1, p.d - 1)
         weights = np.outer(radial, ring_w).ravel()
@@ -762,9 +761,12 @@ def fractional_laplacian(p: StableParams, u, x, eps: float = 1e-4,
                          n_angle: int = 256, n_radial: int = 192) -> PVResult:
     """Pointwise fractional Laplacian of u at x by principal-value quadrature.
 
-    Runs in d in {2, 3} on the directions of ``sphere_quadrature`` at
-    resolution n_angle^(1/(d-1)), which must reach 8: n_angle points on the
-    circle, a 16 x 32 product grid by default in d = 3.  The annulus
+    Runs on the directions of ``sphere_quadrature`` at resolution
+    round(n_angle^(1/(d-1))), which must reach 8: n_angle points on the
+    circle, a 16 x 32 product grid by default in d = 3; from d = 4 on the
+    default is too coarse, and the error names the least n_angle that
+    serves (422 in d = 4; 512 gives an 8 x 8 x 16 grid).  n_angle must be
+    even, so that the direction set is symmetric.  The annulus
     eps <= |h| <= 1 is integrated with the symmetrized increment
     (u(x+h) + u(x-h) - 2u(x))/2, which turns the principal value into an
     absolutely convergent integral for C^2 functions; the remaining
@@ -792,7 +794,11 @@ def fractional_laplacian(p: StableParams, u, x, eps: float = 1e-4,
     a = p.alpha
     coef = sphere.constants(p).a_d_neg_alpha
     x = as_point(x, p.d)
-    grid = sphere_quadrature(p, round(n_angle ** (1.0 / (p.d - 1))))
+    resolution = round(n_angle ** (1.0 / (p.d - 1)))
+    if resolution < 8:      # the least even n_angle whose root rounds to 8 is past 7.5^(d-1)
+        raise DomainError(f"n_angle={n_angle} is too few directions in d={p.d}; it must be "
+                          f"even and at least {2 * math.ceil(7.5 ** (p.d - 1) / 2.0)}")
+    grid = sphere_quadrature(p, resolution)
     dirs, w_dir = grid.nodes, grid.weights * sphere_area(p.d)
     u0 = float(np.asarray(u(x[None, :]))[0])
     gl_x, gl_w = _leggauss(n_radial)

@@ -225,8 +225,8 @@ def kelvin(which: str, p: StableParams, u: Callable, x, *,
                       "green"    = 2^(d-alpha) (the squared constant of
                       the two-argument Green relation).
 
-    A weight kappa |x+e_d|^(alpha-d) or |x|^(alpha-d) beyond the float
-    range raises DomainError.
+    A weight kappa |x+e_d|^(alpha-d) or |x|^(alpha-d), or its product with
+    u at the image, beyond the float range raises DomainError.
     """
     key = which.upper().replace("-", "_")
     if key not in ("K_ALPHA", "K_TILDE_ALPHA"):
@@ -245,4 +245,5 @@ def kelvin(which: str, p: StableParams, u: Callable, x, *,
     except OverflowError:
         weight = math.inf
     image = 2.0 * shifted / n2 - e if tilde else x / n2
-    return finite_value(weight, f"the {key} weight") * float(u(image))
+    return finite_value(finite_value(weight, f"the {key} weight") * float(u(image)),
+                        f"the {key} value")

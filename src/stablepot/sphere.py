@@ -434,6 +434,10 @@ def hitting_probability(p: StableParams, x) -> float:
 
 # --- kernels --------------------------------------------------------------
 
+_DEEP = 2.0 ** -100         # offsets |r - 1| below this take the three-panel rule
+_EDGE = 20.0                # length in v of its first and last panels
+
+
 def polar_weights(p: StableParams, rm1):
     """Zonal weights of the Poisson kernel at x = (1 + rm1) eta, |eta| = 1.
 
@@ -442,27 +446,79 @@ def polar_weights(p: StableParams, rm1):
     the mean of f over the ring at psi_j (Funk-Hecke), and sum_j w_j = Phi.
     psi = min(|r - 1|, 1) sinh(v) on Gauss-Legendre nodes in v keeps the
     kernel peak resolved however near the sphere x lies: 120 nodes up to
-    d = 400, ceil(6 sqrt(d)) beyond.  Returns (psi, w) with the nodes along
+    d = 400, ceil(6 sqrt(d)) beyond.  Below |r - 1| = 2^-100, where v runs
+    out to 747 at the least float, the nodes split into three panels: the
+    first and last 20 in v, and a rule in exp((1 - alpha) v) between them,
+    along which the weight is flat.  Returns (psi, w) with the nodes along
     a new last axis of rm1.
     """
     # w = Phi(0) |S^(d-2)|/|S^(d-1)| cosh(v) dv ((r+1)/b)^(alpha-1) b^(alpha-d)
     # (sin(psi)/m)^(d-2) g^(2-d-alpha), m = min(rho, 1), b = max(rho, 1), g =
     # |x - z| / rho, summed in logs so that no factor leaves the float range
     d, a = p.d, p.alpha
-    gl_x, gl_w = _leggauss(max(120, math.ceil(6.0 * math.sqrt(d))))
-    rm1 = np.asarray(rm1, dtype=float)[..., None]
+    rm1 = np.asarray(rm1, dtype=float)
+    n = max(120, math.ceil(6.0 * math.sqrt(d)))
+    log_c = math.log(constants(p).phi_at_origin / (2.0 * math.sqrt(math.pi))) - \
+        _log_gamma_ratio(d / 2.0, -0.5)
+
+    def zonal(rows, nodes):
+        v, log_dv, psi, log_sin, log_g = nodes(p, rows, n)
+        r, big = 1.0 + rows, np.maximum(np.abs(rows), 1.0)
+        return psi, (log_c + log_dv + v + np.log1p(np.exp(-2.0 * v))
+                     + (a - 1.0) * np.log((r + 1.0) / big) + (a - d) * np.log(big)
+                     + (d - 2.0) * log_sin + (2.0 - d - a) * log_g)
+
+    flat = rm1.reshape(-1, 1)
+    deep = np.abs(flat[:, 0]) < _DEEP
+    if not deep.any():
+        psi, log_w = zonal(flat, _polar_nodes)
+    else:
+        psi, log_w = np.empty((len(flat), n)), np.empty((len(flat), n))
+        for rows, nodes in ((~deep, _polar_nodes), (deep, _deep_polar_nodes)):
+            if rows.any():
+                psi[rows], log_w[rows] = zonal(flat[rows], nodes)
+    return psi.reshape(rm1.shape + (n,)), np.exp(log_w).reshape(rm1.shape + (n,))
+
+
+def _polar_nodes(p: StableParams, rm1: np.ndarray, n: int):
+    # (v, log dv, psi, log(sin(psi) / m), log g), Gauss-Legendre on 0 <= v <= vmax
+    gl_x, gl_w = _leggauss(n)
     rho, r = np.abs(rm1), 1.0 + rm1
-    width, big = np.minimum(rho, 1.0), np.maximum(rho, 1.0)
+    width = np.minimum(rho, 1.0)
     vmax = np.arcsinh(math.pi / width)
     v = (gl_x + 1.0) / 2.0 * vmax
     psi = width * np.sinh(v)
     log_g = np.log(np.hypot(1.0, 2.0 * np.sqrt(r) * np.sin(psi / 2.0) / rho))
-    log_c = math.log(constants(p).phi_at_origin / (2.0 * math.sqrt(math.pi))) - \
-        _log_gamma_ratio(d / 2.0, -0.5)
-    log_w = (log_c + np.log(gl_w * vmax / 2.0) + v + np.log1p(np.exp(-2.0 * v))
-             + (a - 1.0) * np.log((r + 1.0) / big) + (a - d) * np.log(big)
-             + (d - 2.0) * np.log(np.sin(psi) / width) + (2.0 - d - a) * log_g)
-    return psi, np.exp(log_w)
+    return v, np.log(gl_w * vmax / 2.0), psi, np.log(np.sin(psi) / width), log_g
+
+
+def _deep_polar_nodes(p: StableParams, rm1: np.ndarray, n: int):
+    # the same for rho = |r - 1| < 2^-100, in logs: pi / rho, sinh(v) and 1 / rho
+    # leave the float range near the least float.  The weight is C e^((1 - alpha) v)
+    # up to terms in e^(-2v) and e^(2 (v - vmax)): flat in the middle panel's u
+    rho, r = np.abs(rm1), 1.0 + rm1
+    log_rho = np.log(rho)
+    vmax = np.log(math.pi + np.hypot(math.pi, rho)) - log_rho      # arcsinh(pi / rho)
+    n_in, n_mid = 11 * n // 20, n // 20          # 66, 6 and 48 nodes of 120
+    x_in, w_in = _leggauss(n_in)
+    x_mid, w_mid = _leggauss(n_mid)
+    x_out, w_out = _leggauss(n - n_in - n_mid)
+    b = 1.0 - p.alpha
+    u_lo, u_hi = np.exp(b * (vmax - _EDGE)), math.exp(b * _EDGE)
+    u = u_lo + (x_mid + 1.0) / 2.0 * (u_hi - u_lo)
+
+    def panels(*parts):
+        return np.concatenate([np.broadcast_to(q, (len(rho), q.shape[-1])) for q in parts],
+                              axis=1)
+    v = panels((x_in + 1.0) / 2.0 * _EDGE, np.log(u) / b,
+               vmax - (1.0 - x_out) / 2.0 * _EDGE)
+    log_dv = panels(np.log(w_in * _EDGE / 2.0), np.log(w_mid * (u_hi - u_lo) / 2.0 / (-b * u)),
+                    np.log(w_out * _EDGE / 2.0))
+    log_sinh = v - math.log(2.0) + np.log(-np.expm1(-2.0 * v))
+    psi = np.exp(log_rho + log_sinh)
+    log_g = 0.5 * np.logaddexp(0.0, np.log(r) + 2.0 * (
+        log_sinh + np.log(np.sinc(psi / (2.0 * math.pi)))))
+    return v, log_dv, psi, log_sinh + np.log(np.sinc(psi / math.pi)), log_g
 
 
 def _kernel(p: StableParams, rm1, eta, z, c: float):

@@ -20,7 +20,7 @@ from . import analysis, halfspace, montecarlo, relativistic, sphere
 from .analysis import (BoundaryFunction, DiscreteMeasure, HALFSPACE,
                        HarmonicRepresentation, SPHERE)
 from .core import INFINITY, StableParams, basis_last, sphere_area, _leggauss
-from .errors import DivergenceError
+from .errors import DivergenceError, DomainError
 from .montecarlo import RngStream
 from .relativistic import RelativisticParams
 from .report import (CheckEntry, FAIL, SKIP, VerificationReport, check,
@@ -80,8 +80,16 @@ def _ks(check_id: str, draws, cdf, citation: str) -> CheckEntry:
 # identities
 # --------------------------------------------------------------------------
 
+def _require_tuned_dimension(suite: str, d: int) -> None:
+    # the identities and hardy suites' grid sizes are tuned for d = 2 and 3;
+    # past them a sphere grid holds millions of nodes, each a density rule
+    if d not in (2, 3):
+        raise DomainError(f"the {suite} suite's grids are sized for d in {{2, 3}}, got d={d}")
+
+
 def identities_suite(d: int = 2, alpha: float = 1.5, tol: float = 1e-9,
                      seed: int = 0) -> VerificationReport:
+    _require_tuned_dimension("identities", d)
     p = StableParams(d, alpha)
     kc = sphere.constants(p)
     rng = RngStream(seed, 101).generator()
@@ -356,6 +364,7 @@ def identities_suite(d: int = 2, alpha: float = 1.5, tol: float = 1e-9,
 
 def hardy_suite(d: int = 2, alpha: float = 1.5, tol: float = 1e-3,
                 seed: int = 0) -> VerificationReport:
+    _require_tuned_dimension("hardy", d)
     p = StableParams(d, alpha)
     kc = sphere.constants(p)
     rep = VerificationReport("hardy", {"d": d, "alpha": alpha, "tol": tol,

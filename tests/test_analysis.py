@@ -1,4 +1,6 @@
+import hashlib
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -43,10 +45,54 @@ class TestSphereQuadrature:
         assert val == pytest.approx(sphere.hitting_probability(P2, x), abs=1e-6)
 
     def test_unsupported_dimension(self):
-        with pytest.raises(DomainError):
-            sphere_quadrature(StableParams(4, 1.5), 32)
+        # every d takes the product rule; a grid past the node budget (64
+        # nodes per level in d = 5: 33,554,432) is refused before it is built
+        for d, res, count in ((5, 64, 33_554_432), (40, 8, 2 * 8 ** 39)):
+            start = time.perf_counter()
+            with pytest.raises(DomainError, match=f"{count} nodes in d={d}"):
+                sphere_quadrature(StableParams(d, 1.5), res)
+            assert time.perf_counter() - start < 0.5
         with pytest.raises(DomainError):
             sphere_quadrature(P2, 4)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_moments_in_every_dimension(self, d):
+        # resolution 8 is exact to degree 7 (the circle's 8 nodes to degree
+        # 7 as well): E[x_1^2 x_d^4] = 3 / (d (d+2) (d+4)), E[x_2^6] five times that
+        g = sphere_quadrature(StableParams(d, 1.5), 8)
+        assert len(g.nodes) == (8 if d == 2 else 2 * 8 ** (d - 1))
+        np.testing.assert_allclose(np.linalg.norm(g.nodes, axis=1), 1.0, rtol=0, atol=1e-15)
+        x, want = g.nodes, 3.0 / (d * (d + 2) * (d + 4))
+        assert g.integrate(np.ones(len(x))) == pytest.approx(1.0, rel=0, abs=1e-15)
+        assert abs(g.integrate(x[:, 0] * x[:, -1] ** 2)) < 1e-16
+        assert g.integrate(x[:, 0] ** 2 * x[:, -1] ** 4) == pytest.approx(want, rel=0, abs=1e-16)
+        assert g.integrate(x[:, 1] ** 6) == pytest.approx(5.0 * want, rel=0, abs=5e-16)
+
+    # sha256 of nodes and weights, taken from the hand-written d = 2 and 3
+    # rules and d <= 4 rings that the product rule replaced
+    DIGESTS = {
+        ("grid", 2, 16): "f194a921737dd998026d0e3fc643333e6be7ba8d575724d547895e4bb6e507b2",
+        ("grid", 2, 512): "e61f99fccc0a968d61a42c99d035217002a1895a28eb8e42e95a6d79dd92fe21",
+        ("grid", 2, 1024): "bc17830e668fdb16b595d89aee6e139ee1571728ef4568ec4a4640885f1540dd",
+        ("grid", 3, 8): "b37ee963dcd661e1332b90c272208cc2a590df9ff7fb54a0497ec5b70d2e10bd",
+        ("grid", 3, 24): "19d5e4c5211705026deb4d53ebf38483c93ca3cde9e5cfe9cd22d16daf9073e5",
+        ("grid", 3, 64): "ac57041ac2f9cd44202fe412c57e64c7657ec393014ecd088909a4e35d4f18b8",
+        ("grid", 3, 96): "6e4be49eda815494bb7825f9468e8c9c236dd48914a8ddbf1f3ff1ed0392055e",
+        ("ring", 2, 0): "800d279e3e66a5a9cc5ebba21408f63ac39151ff609d827c475b775832a8891c",
+        ("ring", 3, 0): "64954d8e92b40ca2b4a95744a883d00fd6c8647b88cce9e0eb43afbfe40580ab",
+        ("ring", 4, 0): "3cfaf26cc500ed8faa42499b8b3c881a86fa2d04f400d813f8966222ad61fe30",
+    }
+
+    def test_grids_and_rings_keep_their_bits(self):
+        for (kind, d, res), want in self.DIGESTS.items():
+            p = StableParams(d, 1.5)
+            if kind == "grid":
+                g = sphere_quadrature(p, res)
+                nodes, weights = g.nodes, g.weights
+            else:
+                nodes, weights = analysis._ring(p, 1)
+            got = hashlib.sha256(nodes.tobytes() + weights.tobytes()).hexdigest()
+            assert got == want, (kind, d, res)
 
 
 class TestHyperplaneQuadrature:
@@ -364,13 +410,44 @@ class TestEvaluator:
                 assert got == pytest.approx(want, rel=1e-6, abs=0)
 
     def test_density_rules_name_the_callers_dimension(self):
-        # the S^(d-2) ring exists for d <= 4; the error names d, not d - 1
-        p = StableParams(5, 1.5)
-        with pytest.raises(DomainError, match="d=5"):
-            sphere_values(p, HarmonicRepresentation(SPHERE, density=ONE), 0.5,
-                          [basis_last(5)])
-        with pytest.raises(DomainError, match="d=5"):
-            hyperplane_quadrature(p, 16, 6.0)
+        # in d = 6 one point's rule takes 120 radial nodes times a ring of
+        # 131,072, past the node budget; in d = 35 and 67 the ring's
+        # 64 // (d - 2) nodes per level, 1 and 0, fall below the rule's 8
+        # where the count alone would pass.  Each is refused before a node is
+        # built, naming d, not the ring's d - 1.  Past d = 17 halfspace_values
+        # is refused first by its integrability probe's radial scale bound
+        for d in (6, 35, 67):
+            p = StableParams(d, 1.5)
+            why = "nodes in d=6" if d == 6 else f"d={d} needs resolution >= 8"
+            calls = (
+                (lambda: sphere_values(p, HarmonicRepresentation(SPHERE, density=ONE), 0.5,
+                                       [basis_last(d)]), why),
+                (lambda: halfspace_values(p, HarmonicRepresentation(HALFSPACE, density=ONE),
+                                          [np.zeros(d - 1)], 1.0), why if d < 18 else None),
+                (lambda: hyperplane_quadrature(p, 241, d + 1.0, scale=1e-15), why))
+            for call, match in calls:
+                start = time.perf_counter()
+                with pytest.raises(DomainError, match=match):
+                    call()
+                assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_unit_density_and_omega_mass_beyond_d3(self, d):
+        # the product-rule ring carries the density rules past d = 4: P[1]
+        # is Phi on the sphere, 1 on the hyperplane, and omega_alpha has
+        # mass 1, each within 1e-13
+        p = StableParams(d, 1.5)
+        rm1 = np.array([-0.5, -2.0 ** -10, 2.0 ** -30, 3.0, -2.0 ** -300, 2.0 ** -1000])
+        dirs = np.tile(_unit_directions(d, 1), (len(rm1), 1))
+        got = sphere_values(p, HarmonicRepresentation(SPHERE, density=ONE), rm1, dirs)
+        np.testing.assert_allclose(got, 1.0 - sphere.phi_complement_offset(p, rm1),
+                                   rtol=0, atol=1e-13)
+        got = halfspace_values(p, HarmonicRepresentation(HALFSPACE, density=ONE),
+                               np.zeros((2, d - 1)), [1.0, -2.0 ** -20])
+        np.testing.assert_allclose(got, 1.0, rtol=0, atol=1e-13)
+        g = hyperplane_quadrature(p, 241, d + p.alpha - 2.0)
+        assert g.integrate(halfspace.omega_alpha_density(p, g.nodes)) == pytest.approx(
+            1.0, rel=0, abs=1e-13)
 
     def test_non_finite_input_is_refused(self):
         rep = HarmonicRepresentation(SPHERE, density=ONE)
@@ -434,6 +511,7 @@ class TestEvaluator:
         dirs = rng.normal(size=(m, d))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         rm1 = rng.uniform(-0.9, 2.0, m)
+        rm1[1] = 2.0 ** -1000           # a radius on the three-panel zonal rule
         batch = sphere_values(p, rep, rm1, dirs)
         single = [sphere_values(p, rep, rm1[i:i + 1], dirs[i:i + 1])[0] for i in range(m)]
         assert np.array_equal(batch, single)
@@ -736,19 +814,34 @@ class TestFractionalLaplacian:
                                  growth_exponent=1.6)
 
     def test_dimension_guard(self):
-        # the directions come from sphere_quadrature, which stops at d = 3
-        with pytest.raises(DomainError, match="d=4"):
+        # the default 256 directions round to 6 per level in d = 4, below
+        # the rule's 8: the error names n_angle and the least that serves
+        with pytest.raises(DomainError, match="n_angle=256 .* d=4.* at least 422"):
             fractional_laplacian(StableParams(4, 1.5), lambda pts: pts[:, 0],
                                  np.zeros(4), growth_exponent=1.0)
+        for d, least in ((3, 58), (4, 422), (5, 3166)):
+            # n_angle is even: least - 2 rounds to 7 per level, least to 8
+            assert round((least - 2) ** (1.0 / (d - 1))) == 7
+            assert round(least ** (1.0 / (d - 1))) == 8
+            with pytest.raises(DomainError, match=f"n_angle={least - 2} .* even and at least "
+                                                  f"{least}$"):
+                fractional_laplacian(StableParams(d, 1.5), lambda pts: pts[:, 0],
+                                     np.zeros(d), growth_exponent=1.0, n_angle=least - 2)
+        res = fractional_laplacian(StableParams(4, 1.5), lambda pts: pts[:, 0],
+                                   np.zeros(4), growth_exponent=1.0, n_angle=422)
+        assert abs(res.value) < 1e-3 * res.local_scale
+
 
     @pytest.mark.parametrize("alpha", [1.05, 1.2, 1.5, 1.9, 1.99])
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 4])
     def test_gaussian_against_closed_form(self, d, alpha):
         # (-Delta)^(alpha/2) applied to exp(-|x|^2), with the sign of the
-        # generator: -2^alpha Gamma((d+alpha)/2)/Gamma(d/2) 1F1((d+alpha)/2; d/2; -|x|^2)
+        # generator: -2^alpha Gamma((d+alpha)/2)/Gamma(d/2) 1F1((d+alpha)/2; d/2; -|x|^2);
+        # in d = 4 on an 8 x 8 x 16 direction grid
         p = StableParams(d, alpha)
         for x in (np.zeros(d), np.eye(d)[0] * 0.5 - np.eye(d)[1] * 0.3):
-            res = fractional_laplacian(p, lambda pts: np.exp(-np.sum(pts ** 2, axis=1)), x)
+            res = fractional_laplacian(p, lambda pts: np.exp(-np.sum(pts ** 2, axis=1)), x,
+                                       n_angle=512 if d == 4 else 256)
             want = float(-mpmath.mpf(2) ** alpha * mpmath.gamma((d + alpha) / 2.0)
                          / mpmath.gamma(d / 2.0)
                          * mpmath.hyp1f1((d + alpha) / 2.0, d / 2.0, -float(x @ x)))

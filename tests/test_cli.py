@@ -194,6 +194,22 @@ class TestVerify:
             "DIVERGES_AS_EXPECTED"
 
 
+    @pytest.mark.parametrize("suite,code", [("identities", 2), ("hardy", 2), ("all", 2),
+                                            ("relativistic", 0), ("montecarlo", 0),
+                                            ("fatou", 0)])
+    def test_suites_at_d4(self, capsys, suite, code):
+        # the identities and hardy grids are sized for d = 2 and 3; the
+        # other suites run in any d
+        got, out, err = run(capsys, "verify", suite, "--d", "4")
+        assert got == code
+        if code:
+            assert out == ""
+            assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+            assert "d=4" in err
+        else:
+            assert json.loads(out)["summary"]["fail"] == 0
+
+
 class TestSample:
     def test_halfplane_csv_reproducible(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"

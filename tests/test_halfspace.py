@@ -386,6 +386,16 @@ class TestKelvin:
             with pytest.raises(DomainError, match="K_ALPHA weight"):
                 kelvin("K_ALPHA", StableParams(10, 1.5), u, np.full(10, 1e-50))
 
+    def test_value_past_the_float_range_is_refused(self):
+        # a finite weight (1e-29)^(-8.5) = 1e246 times u = 1e300 at the image
+        # returned inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="K_ALPHA value"):
+                kelvin("K_ALPHA", StableParams(10, 1.5), lambda z: 1e300, np.full(10, 1e-30))
+            with pytest.raises(DomainError, match="K_TILDE_ALPHA value"):
+                kelvin("K_TILDE_ALPHA", P2, lambda z: math.inf, np.array([0.3, 0.4]))
+
     def test_pole_errors(self):
         u = lambda z: 1.0
         with pytest.raises(SingularityError):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -12,7 +13,7 @@ from stablepot.errors import DomainError, SingularityError
 from stablepot.sphere import (ball_constant, ball_poisson_kernel, constants,
                               green_function, hitting_probability,
                               martin_kernel, phi, phi_complement,
-                              phi_complement_delta, poisson_kernel)
+                              phi_complement_delta, poisson_kernel, polar_weights)
 
 P2 = StableParams(2, 1.5)
 P3 = StableParams(3, 1.5)
@@ -393,6 +394,35 @@ class TestPoissonKernel:
             assert poisson_kernel(P2, 4.0 ** k * x, z) == pytest.approx(want, rel=1e-13, abs=0)
         both = poisson_kernel(P2, np.array([[0.0, 1e300], [0.0, 0.5]]), z)
         assert both[1] == poisson_kernel(P2, np.array([0.0, 0.5]), z)
+
+
+    @pytest.mark.parametrize("d,alpha", [(2, 1.5), (3, 1.2), (3, 1.9), (4, 1.5), (2, 1.05)])
+    def test_zonal_weights_sum_to_phi_down_to_the_least_offset(self, d, alpha):
+        # below |r - 1| = 2^-100 the zonal rule runs v out to 747: one
+        # Gauss-Legendre rule over it drifted by up to 9e-6 at 2^-1022 and
+        # overflowed at 2^-1074; the three-panel rule holds 1e-12 in range
+        p = StableParams(d, alpha)
+        rm1 = np.array([s * 2.0 ** -k for k in (100, 300, 600, 1000, 1022, 1074)
+                        for s in (1.0, -1.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            psi, w = polar_weights(p, rm1)
+            want = 1.0 - sphere.phi_complement_offset(p, rm1)
+        assert np.all((psi >= 0.0) & (psi < math.pi))
+        np.testing.assert_allclose(np.sum(w, axis=-1), want, rtol=0, atol=1e-12)
+
+    def test_zonal_weights_keep_their_bits_down_to_2_to_the_minus_100(self):
+        # sha256 of (psi, w), taken from the single Gauss-Legendre rule that
+        # still serves these offsets, batched with one below 2^-100
+        rm1 = np.array([-0.5, 2.0 ** -10, -2.0 ** -40, 2.0 ** -64, -2.0 ** -64,
+                        2.0 ** -100, -2.0 ** -100, 3.0])
+        want = {(2, 1.5): "b9fa868e78c99323875cd85c343d964ba84251a2a28af619d3adc3394db61845",
+                (3, 1.2): "f11cb8f8f8583a2ae19324e214e048a681cf1ce82144fa65de4e28a6f1cb7fd3",
+                (4, 1.5): "a4a34a27512ca37e07b429755ad31b3ee106b1e0541218f89f4ba356ccc19adb"}
+        for (d, alpha), digest in want.items():
+            psi, w = polar_weights(StableParams(d, alpha), np.append(rm1, 2.0 ** -500))
+            got = hashlib.sha256(psi[:-1].tobytes() + w[:-1].tobytes()).hexdigest()
+            assert got == digest, (d, alpha)
 
 
 class TestGreenFunction:
