@@ -20,10 +20,16 @@ geometry: geodesic polar coordinates around each evaluation direction on
 the sphere, with the zonal weights of ``sphere.polar_weights``, polar
 coordinates around each foot point on the hyperplane.  Their rings and
 ``sphere_quadrature`` are one product rule on S^(k-1) in every d, refused
-past 2^22 nodes.  Slice grids on the hyperplane are polar as well.
+past 2^22 nodes; each point takes the first ring, from 8 nodes per level
+on, that agrees with a turned check ring of about half its nodes.  A
+density whose ring does not settle within that budget (a kink or a jump
+across the rings) raises ConvergenceError.  Slice grids on the hyperplane
+are polar as well.
 
 Hardy norms are schedule suprema of slice L^p norms; divergence is a
-reported state, never an exception.  The pointwise fractional Laplacian
+reported state, never an exception, though a Hardy norm of a density the
+ring cannot settle raises that ConvergenceError (a RuntimeError, not a
+DomainError).  The pointwise fractional Laplacian
 is a principal-value quadrature with a symmetrized inner annulus, and
 the Fatou probes walk nontangential cones down to the boundary.
 """
@@ -40,7 +46,8 @@ from scipy.special import roots_jacobi
 
 from .core import (StableParams, as_point, basis_last, norm, require_finite,
                    require_unit, sphere_area, _leggauss)
-from .errors import DomainError, IntegrabilityError, RepresentationError
+from .errors import (ConvergenceError, DomainError, IntegrabilityError,
+                     RepresentationError)
 from . import halfspace, sphere
 
 __all__ = [
@@ -106,13 +113,17 @@ class BoundaryFunction:
     """Evaluable scalar function on the boundary.
 
     ``evaluator`` receives an (m, k) array of boundary points and returns
-    an (m,) array.
+    an (m,) array; any other shape raises RepresentationError.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        vals = np.asarray(self.evaluator(np.atleast_2d(pts)), dtype=float)
+        pts = np.atleast_2d(pts)
+        vals = np.asarray(self.evaluator(pts), dtype=float)
+        if vals.shape != (len(pts),):
+            raise RepresentationError(f"the density's evaluator returned shape {vals.shape} "
+                                      f"for {len(pts)} points; it must return ({len(pts)},)")
         return vals
 
     def value_at(self, pt) -> float:
@@ -156,21 +167,21 @@ class HarmonicRepresentation:
 
 # --- quadrature ------------------------------------------------------------
 
-def _sphere_rule(d: int, k: int, n: int, radial: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def _sphere_rule(d: int, k: int, n: int, radial: int = 1,
+                 turn: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     # Normalized surface measure on S^(k-1): +-1 for k = 1, else the circle's
-    # midpoint trapezoid lifted to {(sqrt(1 - t^2) y, t)} on n Gauss-Jacobi
-    # nodes t per dimension (Legendre over 2n on the circle at k = 3).  Its 1/m
-    # divides last: w_t / 2 times 1/m would move the last bit of some weights.
-    # Refused, naming the caller's d, below 8 nodes per level or past the budget
-    if k > 1 and n < 8:
-        raise DomainError(f"the sphere rule in d={d} needs resolution >= 8, got {n}")
+    # midpoint trapezoid, turned by ``turn`` radians, lifted to
+    # {(sqrt(1 - t^2) y, t)} on n Gauss-Jacobi nodes t per dimension (Legendre
+    # over 2n on the circle at k = 3).  Its 1/m divides last: w_t / 2 times 1/m
+    # would move the last bit of some weights.  Refused past the budget,
+    # naming the caller's d
     count = radial * (2 if k == 1 else n if k == 2 else 2 * n ** (k - 1))
     if count > _MAX_NODES:
         raise DomainError(f"{count} nodes in d={d} exceed the budget of {_MAX_NODES}")
     if k == 1:
         return np.array([[1.0], [-1.0]]), np.array([0.5, 0.5])
     m = n if k == 2 else 2 * n
-    theta = 2.0 * math.pi * (np.arange(m) + 0.5) / m
+    theta = 2.0 * math.pi * (np.arange(m) + 0.5) / m + turn
     nodes, weights = np.stack([np.cos(theta), np.sin(theta)], axis=1), np.ones(m)
     for j in range(3, k + 1):
         t, wt = _leggauss(n) if j == 3 else roots_jacobi(n, (j - 3) / 2.0, (j - 3) / 2.0)
@@ -188,13 +199,20 @@ def sphere_quadrature(p: StableParams, resolution: int) -> QuadratureGrid:
     d = 3) times a 2 x resolution trapezoid.  A resolution below 8, or a
     grid past 2^22 nodes, raises DomainError.
     """
+    _require_resolution(p.d, resolution)
     return QuadratureGrid(*_sphere_rule(p.d, p.d, resolution))
 
 
-def _ring(p: StableParams, radial: int) -> tuple[np.ndarray, np.ndarray]:
-    # the density rules' directions on S^(d-2), 64 around each circle in d = 3 and
-    # 4, under 8 per level from d = 11; times ``radial``, one point's node count
-    return _sphere_rule(p.d, p.d - 1, _RING_NODES // max(p.d - 2, 1), radial)
+def _require_resolution(d: int, n: int) -> None:
+    if n < 8:
+        raise DomainError(f"the sphere rule in d={d} needs resolution >= 8, got {n}")
+
+
+def _ring(p: StableParams, n: int, radial: int = 1,
+          turn: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    # directions on S^(d-2), n per level ({+-1} in d = 2), for a rule of
+    # ``radial`` radial nodes: refused where they would pass the budget
+    return _sphere_rule(p.d, p.d - 1, n, radial, turn)
 
 
 _TAIL_TOL = 1e-14           # tail share the radial rule aims for
@@ -242,8 +260,10 @@ def hyperplane_quadrature(p: StableParams, resolution: int, decay_exponent: floa
         raise DomainError(f"center must have length {k}")
     if not 0.0 < scale <= math.exp(650.0 / k - 40.0):    # radial weights stay finite
         raise DomainError(f"scale must lie in (0, {math.exp(650.0 / k - 40.0):.3g}]")
+    per_level = 64 // max(k - 1, 1)     # 64 directions around the circle in d = 3
+    _require_resolution(p.d, per_level)
     rho, wt = _radial_rule((resolution + 1) // 2, decay_exponent, scale, k)
-    ring, ring_w = _ring(p, len(rho))
+    ring, ring_w = _ring(p, per_level, len(rho))
     nodes = center + (rho[:, None, None] * ring).reshape(-1, k)
     tail = sphere_area(k) * float(rho.max()) ** (k - decay_exponent) / (decay_exponent - k)
     return QuadratureGrid(nodes, np.outer(wt * sphere_area(k), ring_w).ravel(), tail_bound=tail)
@@ -336,9 +356,10 @@ def _ensure_halfspace_integrable(p: StableParams, rep: HarmonicRepresentation) -
 
 # --- evaluating representations ---------------------------------------------
 
-_RING_NODES = 64            # ring rule: _RING_NODES // (d - 2) nodes per level of S^(d-2)
-_MAX_NODES = 1 << 22        # nodes of one rule, or of one point of a density rule
+_MAX_NODES = 1 << 22        # nodes of one rule, or of one point in a density rule's pass
 _BLOCK = 1 << 15            # density nodes, atom terms or slice points per block
+_RING_TOL = 1e-14           # a ring's gap to its check, in units of the sum of w |f|
+_TURN = math.pi * (3.0 - math.sqrt(5.0))   # the check ring's turn, the golden angle
 
 
 def _default_sphere_grid(p: StableParams) -> QuadratureGrid:
@@ -376,8 +397,10 @@ def sphere_values(p: StableParams, rep: HarmonicRepresentation, r_minus_one,
     float range.  Densities are integrated in geodesic polar coordinates
     around each direction: the polar angle psi = |r - 1| sinh(v) keeps the
     kernel peak resolved however close the point sits to the sphere.  A
-    value beyond the float range raises DomainError.  ``dirs`` has shape
-    (m, d); returns one value per point.
+    value beyond the float range raises DomainError; a density whose ring
+    does not settle within the 2^22-node budget, such as one with a kink
+    or a jump, raises ConvergenceError.  ``dirs`` has shape (m, d);
+    returns one value per point.
     """
     if rep.space != SPHERE:
         raise RepresentationError("sphere_values needs a SPHERE representation")
@@ -418,15 +441,68 @@ def _sphere_polar_rule(p: StableParams, f: BoundaryFunction, rm1: np.ndarray,
     # the zonal weights of sphere.polar_weights, built once per radius
     uniq, inv = np.unique(rm1, return_inverse=True)
     psi, wk = sphere.polar_weights(p, uniq)
-    ring, ring_w = _ring(p, psi.shape[-1])
     cos_sin = np.stack([np.cos(psi), np.sin(psi)], axis=-1)
-    out = np.empty(len(rm1))
-    for rows in _row_blocks(len(rm1), psi.shape[1] * len(ring_w)):
-        i = inv[rows]
-        nodes = cos_sin[i, None] @ _polar_frames(dirs[rows], ring)   # (m, k, n, d)
-        fv = f(nodes.reshape(-1, p.d)).reshape(len(i), len(ring_w), -1)
-        out[rows] = np.sum(wk[i] * (ring_w @ fv), axis=1)
-    return out
+
+    def values(ring):
+        def at(idx):
+            # (m, ring, radial, d)
+            nodes = cos_sin[inv[idx], None] @ _polar_frames(dirs[idx], ring)
+            return f(nodes.reshape(-1, p.d)).reshape(len(idx), len(ring), -1)
+        return at
+
+    return _ring_rule(p, len(rm1), psi.shape[-1], values,
+                      lambda idx, fv, ring_w: np.sum(wk[inv[idx]] * (ring_w @ fv), axis=1))
+
+
+def _ring_rule(p: StableParams, m: int, radial: int, values, total) -> np.ndarray:
+    # The angular part of both density rules at m points of ``radial`` radial
+    # nodes each.  values(ring)(idx) gives the density at the nodes of the
+    # points idx, one ring node per index of axis 1, and total(idx, fv, ring_w)
+    # their weighted sums.  A point keeps its sum on the first ring of
+    # n = 8, 16, ... nodes per level of S^(d-2) that lies within _RING_TOL
+    # sum w |f| of its sum on a check ring of n / 2 - 1 per level, evaluated
+    # in the same pass: the trapezoid rule converges geometrically, and the
+    # gap bounds its error (Trefethen & Weideman, SIAM Review 56, 2014).  The
+    # check shares no node and no lattice with the kept ring.  Its odd count
+    # keeps a piecewise-constant density, whose ring sums are node counts
+    # over n, from summing alike on both, and its golden-angle turn gives
+    # every angular mode that both rings alias a different phase on each.
+    # The choice and the sum depend on the point alone, never on its batch.
+    # In d = 2 the ring is {+-1}, exact.  Values that are not finite settle
+    # at once and are refused by the caller
+    out, todo, n = np.empty(m), np.arange(m), 8
+    if p.d == 2:
+        ring, ring_w = _ring(p, n, radial)
+        at = values(ring)
+        for rows in _row_blocks(m, radial * len(ring_w)):
+            out[rows] = total(todo[rows], at(todo[rows]), ring_w)
+        return out
+    while True:
+        ring, ring_w = _ring(p, n, radial)
+        check, check_w = _ring(p, n // 2 - 1, radial, _TURN)
+        k, size = len(ring_w), radial * (len(ring_w) + len(check_w))
+        at, (s, a, c) = values(np.concatenate([ring, check])), np.empty((3, len(todo)))
+        for rows in _row_blocks(len(todo), size):
+            idx = todo[rows]
+            fv = at(idx)
+            s[rows] = total(idx, fv[:, :k], ring_w)
+            a[rows] = total(idx, np.abs(fv[:, :k]), ring_w)
+            c[rows] = total(idx, fv[:, k:], check_w)
+        s[~np.isfinite(c)] = np.nan             # refused by the caller, as below
+        with np.errstate(invalid="ignore"):     # inf - inf: refused by the caller
+            gap = np.abs(s - c)
+        moving = gap > _RING_TOL * a
+        out[todo[~moving]] = s[~moving]
+        if not moving.any():
+            return out
+        if size << (p.d - 2) > _MAX_NODES:     # one point's nodes in the next pass
+            worst = np.flatnonzero(moving)[np.argmax(gap[moving])]
+            raise ConvergenceError(
+                f"the density rule's ring does not settle in d={p.d}: at {radial * k} "
+                f"nodes per point its sum still moves by {gap[worst]:.3g} against a "
+                f"sum of w |f| of {a[worst]:.3g}, and the next pass's {size << (p.d - 2)} "
+                f"nodes pass the budget of {_MAX_NODES}")
+        todo, n = todo[moving], 2 * n
 
 
 def halfspace_values(p: StableParams, rep: HarmonicRepresentation, xbar,
@@ -441,7 +517,10 @@ def halfspace_values(p: StableParams, rep: HarmonicRepresentation, xbar,
     kernel weight independent of the height.  Atom distances come from
     the offsets themselves, scaled exactly, so small heights never
     collapse onto the foot point.  A value beyond the float range raises
-    DomainError.  ``xbar`` has shape (m, d-1); returns one value per point.
+    DomainError; a density whose ring does not settle within the
+    2^22-node budget, such as one with a kink or a jump, raises
+    ConvergenceError.  ``xbar`` has shape (m, d-1); returns one value per
+    point.
     """
     if rep.space != HALFSPACE:
         raise RepresentationError("halfspace_values needs a HALFSPACE representation")
@@ -468,21 +547,35 @@ def halfspace_values(p: StableParams, rep: HarmonicRepresentation, xbar,
         # node offsets sinh(v) omega at unit height, with the radial weights
         # of halfspace.polar_weights times the ring's
         v, radial = halfspace.polar_weights(p)
-        ring, ring_w = _ring(p, len(v))
-        with np.errstate(over="ignore"):     # near alpha = 1 tail nodes sit at infinity
-            offsets = (np.sinh(v)[:, None, None] * ring).reshape(-1, p.d - 1)
-        weights = np.outer(radial, ring_w).ravel()
-        for rows in _row_blocks(len(t), len(weights)):
-            # nodes past the float range sit at infinity; a density value
-            # there that is not finite is caught below
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                y = (xbar[rows, None, :] + np.abs(t[rows])[:, None, None] * offsets
-                     ).reshape(-1, p.d - 1)
-                dens = rep.density(y)
-                if martin:
-                    dens = dens / halfspace.omega_alpha_density(p, y)
-                # a row sum, not a BLAS product: as for the atoms above
-                vals[rows] += np.sum(dens.reshape(-1, len(weights)) * weights, axis=1)
+
+        def values(ring):
+            # near alpha = 1 tail nodes sit at infinity, where a zero
+            # coordinate (the odd check ring's equator) stays 0
+            with np.errstate(over="ignore", invalid="ignore"):
+                offsets = np.where(ring == 0.0, 0.0, np.sinh(v)[:, None, None] * ring
+                                   ).reshape(-1, p.d - 1)
+
+            def at(idx):
+                # nodes past the float range sit at infinity; a density value
+                # there that is not finite is caught below
+                with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                    y = np.multiply(np.abs(t[idx])[:, None, None], offsets,
+                                    out=np.empty((len(idx),) + offsets.shape))
+                    y += xbar[idx, None, :]
+                    y = y.reshape(-1, p.d - 1)
+                    dens = rep.density(y)
+                    if martin:
+                        dens = dens / halfspace.omega_alpha_density(p, y)
+                return dens.reshape(len(idx), len(v), -1).transpose(0, 2, 1)
+            return at
+
+        def total(idx, fv, ring_w):
+            # a row sum, not a BLAS product: as for the atoms above
+            with np.errstate(over="ignore", invalid="ignore"):      # caught below
+                flat = fv.transpose(0, 2, 1).reshape(len(idx), -1)     # (m, radial x ring)
+                return np.sum(flat * np.outer(radial, ring_w).ravel(), axis=1)
+
+        vals += _ring_rule(p, len(t), len(v), values, total)
     if rep.constant:
         vals += rep.constant * np.abs(t) ** (p.alpha - 1.0)
     require_finite(vals, "the representation's values")
@@ -491,7 +584,8 @@ def halfspace_values(p: StableParams, rep: HarmonicRepresentation, xbar,
 
 def representation_value(p: StableParams, rep: HarmonicRepresentation, x) -> float:
     """Evaluate a representation at one point off its boundary: the value
-    ``sphere_values`` or ``halfspace_values`` gives it in any batch."""
+    ``sphere_values`` or ``halfspace_values`` gives it in any batch, with
+    their errors (ConvergenceError for a density the ring cannot settle)."""
     x = as_point(x, p.d)
     if rep.space == SPHERE:
         r = norm(x)
@@ -561,7 +655,9 @@ def hardy_norms(p: StableParams, space: str, u, pexps,
     exponent in ``pexps``; one estimate is returned per exponent, in
     order.  An estimate reports whether the running sup is still
     increasing at the schedule ends; a genuine blow-up toward the boundary
-    is flagged as ``diverges`` rather than raised.
+    is flagged as ``diverges`` rather than raised.  A representation whose
+    density ring does not settle raises ConvergenceError, as in
+    ``sphere_values`` and ``halfspace_values``.
     """
     if space not in (SPHERE, HALFSPACE):
         raise DomainError(f"unknown space {space!r}")
@@ -726,6 +822,8 @@ def majorant(p: StableParams, rep: HarmonicRepresentation, pexp: float, x) -> fl
 
     For pexp = 1 the boundary datum is replaced by its total-variation
     version; for pexp > 1 the density is raised to the power pointwise.
+    |f| of a sign-changing density has a kink, which the density ring
+    may not settle from d = 3 on: ConvergenceError.
     """
     if pexp < 1.0:
         raise DomainError("the exponent must be >= 1")

@@ -432,10 +432,10 @@ def hardy_suite(d: int = 2, alpha: float = 1.5, tol: float = 1e-3,
     # sandwich between slice-sup and exit-moment norms on mixed data; the
     # schedule gap at both accumulation points is priced explicitly.  The
     # polar density rule resolves these slices at d = 3 too, where the check
-    # passes, but on this grid and schedule it costs some 50 times the rest
-    # of the suite (55 s against 1 s at (3, 1.2) on a 2-core Xeon VM), and
-    # perfbench/reference.json records its d = 3 status as SKIP; both wait
-    # for a sparser d = 3 schedule and a re-recording.
+    # passes, but on this grid and schedule it costs some 30 times the rest
+    # of the suite (12.4 s against 0.4 s at (3, 1.2) on a 2-core Xeon VM),
+    # and perfbench/reference.json records its d = 3 status as SKIP; both
+    # wait for a sparser d = 3 schedule and a re-recording.
     if d == 2:
         rng = RngStream(seed, 202).generator()
         lo = min(phi0, 1.0 - phi0)
@@ -473,7 +473,7 @@ def hardy_suite(d: int = 2, alpha: float = 1.5, tol: float = 1e-3,
     # contraction of slice norms under the Poisson integral for p in
     # {1, 2, inf}.  The polar density rule resolves any depth; d = 3 stops at
     # depth 4 because at (3, 1.2) depth 16, which passes there too, takes
-    # 3.9 s against 1.0 s, about four times the suite the verify-d3
+    # 0.97 s against 0.23 s, over twice the whole suite the verify-d3
     # benchmark measures
     fsharp = BoundaryFunction(lambda pts: 1.0 + 0.5 * pts[:, 0])
     rep_c = HarmonicRepresentation(SPHERE, density=fsharp)

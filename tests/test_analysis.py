@@ -1,6 +1,7 @@
 import hashlib
 import math
 import time
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -19,7 +20,7 @@ from stablepot.analysis import (HALFSPACE, SPHERE, BoundaryFunction,
                                 representation_value, sphere_quadrature,
                                 sphere_values)
 from stablepot.core import StableParams, basis_last
-from stablepot.errors import (DomainError, IntegrabilityError,
+from stablepot.errors import (ConvergenceError, DomainError, IntegrabilityError,
                               RepresentationError)
 
 P2 = StableParams(2, 1.5)
@@ -69,7 +70,9 @@ class TestSphereQuadrature:
         assert g.integrate(x[:, 1] ** 6) == pytest.approx(5.0 * want, rel=0, abs=5e-16)
 
     # sha256 of nodes and weights, taken from the hand-written d = 2 and 3
-    # rules and d <= 4 rings that the product rule replaced
+    # rules and d <= 4 rings that the product rule replaced; the rings at 64
+    # and 32 per level are hyperplane_quadrature's, those at 8 the density
+    # rules' first ring, and the checks its turned 3-per-level check ring
     DIGESTS = {
         ("grid", 2, 16): "f194a921737dd998026d0e3fc643333e6be7ba8d575724d547895e4bb6e507b2",
         ("grid", 2, 512): "e61f99fccc0a968d61a42c99d035217002a1895a28eb8e42e95a6d79dd92fe21",
@@ -78,9 +81,13 @@ class TestSphereQuadrature:
         ("grid", 3, 24): "19d5e4c5211705026deb4d53ebf38483c93ca3cde9e5cfe9cd22d16daf9073e5",
         ("grid", 3, 64): "ac57041ac2f9cd44202fe412c57e64c7657ec393014ecd088909a4e35d4f18b8",
         ("grid", 3, 96): "6e4be49eda815494bb7825f9468e8c9c236dd48914a8ddbf1f3ff1ed0392055e",
-        ("ring", 2, 0): "800d279e3e66a5a9cc5ebba21408f63ac39151ff609d827c475b775832a8891c",
-        ("ring", 3, 0): "64954d8e92b40ca2b4a95744a883d00fd6c8647b88cce9e0eb43afbfe40580ab",
-        ("ring", 4, 0): "3cfaf26cc500ed8faa42499b8b3c881a86fa2d04f400d813f8966222ad61fe30",
+        ("ring", 2, 8): "800d279e3e66a5a9cc5ebba21408f63ac39151ff609d827c475b775832a8891c",
+        ("ring", 3, 64): "64954d8e92b40ca2b4a95744a883d00fd6c8647b88cce9e0eb43afbfe40580ab",
+        ("ring", 4, 32): "3cfaf26cc500ed8faa42499b8b3c881a86fa2d04f400d813f8966222ad61fe30",
+        ("ring", 3, 8): "2d48cec6e2620a459ce8bc99503f4c7f526a255a7a9e79b302fb05be8085cf0e",
+        ("check", 3, 3): "4f4ac66edfa7e8ac5365e18401272ef47f121c9188562078156ca354e642fa00",
+        ("ring", 4, 8): "b37ee963dcd661e1332b90c272208cc2a590df9ff7fb54a0497ec5b70d2e10bd",
+        ("check", 4, 3): "09b1113df687da1eb9353719787163bcdba31c17d27952c9a3ab12eb257d0c02",
     }
 
     def test_grids_and_rings_keep_their_bits(self):
@@ -90,7 +97,8 @@ class TestSphereQuadrature:
                 g = sphere_quadrature(p, res)
                 nodes, weights = g.nodes, g.weights
             else:
-                nodes, weights = analysis._ring(p, 1)
+                turn = analysis._TURN if kind == "check" else 0.0
+                nodes, weights = analysis._ring(p, res, 1, turn)
             got = hashlib.sha256(nodes.tobytes() + weights.tobytes()).hexdigest()
             assert got == want, (kind, d, res)
 
@@ -410,26 +418,116 @@ class TestEvaluator:
                 assert got == pytest.approx(want, rel=1e-6, abs=0)
 
     def test_density_rules_name_the_callers_dimension(self):
-        # in d = 6 one point's rule takes 120 radial nodes times a ring of
-        # 131,072, past the node budget; in d = 35 and 67 the ring's
+        # in d = 7 the density rules' first ring, 8 nodes per level of S^5,
+        # takes 65,536 nodes times 120 radial ones, past the node budget, and
+        # so does hyperplane_quadrature's 12 per level; in d = 35 and 67 its
         # 64 // (d - 2) nodes per level, 1 and 0, fall below the rule's 8
         # where the count alone would pass.  Each is refused before a node is
         # built, naming d, not the ring's d - 1.  Past d = 17 halfspace_values
         # is refused first by its integrability probe's radial scale bound
-        for d in (6, 35, 67):
+        for d in (7, 35, 67):
             p = StableParams(d, 1.5)
-            why = "nodes in d=6" if d == 6 else f"d={d} needs resolution >= 8"
+            budget = f"nodes in d={d} exceed the budget"
             calls = (
                 (lambda: sphere_values(p, HarmonicRepresentation(SPHERE, density=ONE), 0.5,
-                                       [basis_last(d)]), why),
+                                       [basis_last(d)]), budget),
                 (lambda: halfspace_values(p, HarmonicRepresentation(HALFSPACE, density=ONE),
-                                          [np.zeros(d - 1)], 1.0), why if d < 18 else None),
-                (lambda: hyperplane_quadrature(p, 241, d + 1.0, scale=1e-15), why))
+                                          [np.zeros(d - 1)], 1.0), budget if d < 18 else None),
+                (lambda: hyperplane_quadrature(p, 241, d + 1.0, scale=1e-15),
+                 budget if d == 7 else f"d={d} needs resolution >= 8"))
             for call, match in calls:
                 start = time.perf_counter()
                 with pytest.raises(DomainError, match=match):
                     call()
                 assert time.perf_counter() - start < 0.5
+
+    def test_unit_density_in_d6(self):
+        # 8 nodes per level make a ring of 2 8^4 = 8,192 nodes on S^4, which
+        # the budget admits in d = 6: P[1] is Phi on the sphere and 1 on the
+        # hyperplane.  hyperplane_quadrature's 16 per level pass the budget
+        # there, so the integrability probe cannot run in d = 6, and its
+        # verdict for density 1 is recorded by hand
+        p = StableParams(6, 1.5)
+        counts = []
+        one = BoundaryFunction(lambda z: counts.append(len(z)) or np.ones(len(z)))
+        rm1 = np.array([-0.5, -2.0 ** -10, 2.0 ** -30, 3.0, -2.0 ** -300, 2.0 ** -1000])
+        dirs = np.tile(_unit_directions(6, 1), (len(rm1), 1))
+        got = sphere_values(p, HarmonicRepresentation(SPHERE, density=one), rm1, dirs)
+        np.testing.assert_allclose(got, 1.0 - sphere.phi_complement_offset(p, rm1),
+                                   rtol=0, atol=1e-14)
+        assert counts == [(8192 + 2 * 3 ** 4) * 120] * len(rm1)   # one pass with its check
+        rep = HarmonicRepresentation(HALFSPACE, density=ONE)
+        rep._integrability_checked.add(p)
+        got = halfspace_values(p, rep, np.zeros((2, 5)), [1.0, -2.0 ** -20])
+        np.testing.assert_allclose(got, 1.0, rtol=0, atol=1e-14)
+
+    def test_kinked_density_does_not_settle(self):
+        # sign(z1) jumps across every ring around a direction off the
+        # equator, so the ring converges only algebraically: the rule
+        # doubles it up to the budget and says so.  The frame about
+        # (0.6, 0, 0.8) centres each jump's arc on the ring, so a check ring
+        # of exactly half the nodes would count the same share of its nodes
+        # and agree with the kept ring from 512 nodes on
+        p = StableParams(3, 1.2)
+        rep = HarmonicRepresentation(SPHERE, density=BoundaryFunction(
+            lambda z: np.sign(z[:, 0])))
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="1966080 nodes per point"):
+            sphere_values(p, rep, 1.0, [[0.6, 0.0, 0.8]])
+        assert time.perf_counter() - start < 2.0
+
+    @pytest.mark.parametrize("degree", [16, 32, 48])
+    def test_ring_aliases_are_seen(self, degree):
+        # Re((x1 + i x2)^n) on rings about e_3 on the sphere, and about the
+        # foot point 0 on the hyperplane, is one angular mode n: every
+        # midpoint ring whose node count divides n sums it to the same
+        # nonzero value.  A check of half the nodes would agree with the kept
+        # ring on modes 16 and 32, and an unturned 3-node check with the
+        # 8-node ring on mode 48.  The true value is 0 by symmetry
+        p = StableParams(3, 1.2)
+        rep = HarmonicRepresentation(SPHERE, density=BoundaryFunction(
+            lambda z: ((z[:, 0] + 1j * z[:, 1]) ** degree).real))
+        got = sphere_values(p, rep, [-0.5, 1.0], [[0.0, 0.0, 1.0]] * 2)
+        np.testing.assert_allclose(got, 0.0, rtol=0, atol=1e-12)
+
+        def mode(y):
+            # r^n cos(n theta) exp(n (1 - r^2) / 2), 1 at its peak r = 1
+            rr = np.sum(y * y, axis=1)
+            with np.errstate(divide="ignore"):
+                return (np.cos(degree * np.arctan2(y[:, 1], y[:, 0]))
+                        * np.exp(0.5 * degree * (np.log(rr) + 1.0 - rr)))
+        rep = HarmonicRepresentation(HALFSPACE, density=BoundaryFunction(mode))
+        got = halfspace_values(p, rep, np.zeros((2, 2)), [1.0, 3.0])
+        np.testing.assert_allclose(got, 0.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("space", [SPHERE, HALFSPACE])
+    def test_misshapen_density_is_refused(self, space):
+        # an evaluator must return one value per point; a scalar or a short
+        # array is refused by name, never broadcast
+        p = P3
+        for bad, shape in ((lambda z: 1.0, r"\(\)"), (lambda z: np.ones(3), r"\(3,\)")):
+            rep = HarmonicRepresentation(space, density=BoundaryFunction(bad))
+            with pytest.raises(RepresentationError, match=shape):
+                if space == SPHERE:
+                    sphere_values(p, rep, 0.5, [basis_last(3)])
+                else:
+                    halfspace_values(p, rep, [[0.0, 0.0]], 1.0)
+
+    def test_d5_halfspace_density_stays_small(self):
+        # one point in d = 5: the ring of 1,024 nodes and its check, built in
+        # one buffer per block.  The rule alone is traced here; the
+        # integrability probe, on hyperplane_quadrature's grid, runs first
+        p = StableParams(5, 1.5)
+        rep = HarmonicRepresentation(HALFSPACE, density=ONE)
+        analysis._ensure_halfspace_integrable(p, rep)
+        tracemalloc.start()
+        try:
+            got = halfspace_values(p, rep, np.zeros((1, 4)), 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got[0] == pytest.approx(1.0, rel=0, abs=1e-14)
+        assert peak < 64e6
 
     @pytest.mark.parametrize("d", [4, 5])
     def test_unit_density_and_omega_mass_beyond_d3(self, d):
@@ -515,6 +613,28 @@ class TestEvaluator:
         batch = sphere_values(p, rep, rm1, dirs)
         single = [sphere_values(p, rep, rm1[i:i + 1], dirs[i:i + 1])[0] for i in range(m)]
         assert np.array_equal(batch, single)
+        if d == 2:
+            return
+        # a kappa = 50 cap about e_d on a degree-1 density: rings about e_d
+        # are level sets of the cap and settle at once, near the sphere too;
+        # from r = 2 beside the cap the ring must double
+        counts = []
+        rep = HarmonicRepresentation(SPHERE, density=BoundaryFunction(
+            lambda z: counts.append(len(z)) or
+            1.0 + z[:, 0] / 2.0 + np.exp(50.0 * (z[:, -1] - 1.0))))
+        axis, side = basis_last(d), np.eye(d)[0]
+        rm1 = np.array([2.0 ** -20, 1.0, -2.0 ** -20, 2.0 ** -1000, 1.0, -0.5])
+        dirs = np.array([axis, side, -axis, axis, (side + axis) / math.sqrt(2.0), axis])
+        batch = sphere_values(p, rep, rm1, dirs)
+        single, nodes = [], []
+        for i in range(len(rm1)):
+            counts.clear()
+            single.append(sphere_values(p, rep, rm1[i:i + 1], dirs[i:i + 1])[0])
+            nodes.append(sum(counts))
+        assert np.array_equal(batch, single)
+        first = 120 * (len(analysis._ring(p, 8)[1]) + len(analysis._ring(p, 3)[1]))
+        assert nodes[0] == nodes[2] == nodes[3] == nodes[5] == first
+        assert min(nodes[1], nodes[4]) > first
 
 
 class TestHardyNorm:
