@@ -74,8 +74,9 @@ e2 = np.array([0.0, 1.0])
 kt = lambda pts: (2.0 ** ((4.0 - a) / 2.0) * np.atleast_2d(pts)[:, 0]
                   * np.sum((np.atleast_2d(pts) + e2) ** 2, axis=1)
                   ** ((a - 4.0) / 2.0))
-big = analysis.sphere_quadrature(p, 65536)
-est = analysis.hardy_norm(p, SPHERE, kt, 1.0, grid=big,
+# a rule centred on the image's pole at -e_2, finer than the deepest offset 2^-12
+pole = analysis.sphere_quadrature(p, 64, -e2, 2.0 ** -13)
+est = analysis.hardy_norm(p, SPHERE, kt, 1.0, grid=pole,
                           schedule=analysis.default_schedule(SPHERE, 12))
 print(f"shifted Kelvin image on the sphere complement: diverges = {est.diverges}; "
       "slice norms toward the circle:")

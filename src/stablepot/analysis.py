@@ -191,16 +191,81 @@ def _sphere_rule(d: int, k: int, n: int, radial: int = 1,
     return nodes, weights / m
 
 
-def sphere_quadrature(p: StableParams, resolution: int) -> QuadratureGrid:
+def sphere_quadrature(p: StableParams, resolution: int, center=None,
+                      scale: float | None = None) -> QuadratureGrid:
     """Normalized surface measure on the unit sphere, in every d.
 
     d = 2: midpoint trapezoid (spectral for smooth integrands); d >= 3:
     Gauss-Jacobi in each coordinate above the circle (Gauss-Legendre at
-    d = 3) times a 2 x resolution trapezoid.  A resolution below 8, or a
-    grid past 2^22 nodes, raises DomainError.
+    d = 3) times a 2 x resolution trapezoid.
+
+    With a unit ``center`` the rule is centred on that pole instead, for
+    integrands peaked there with width ``scale`` in (0, 1] (default 1):
+    geodesic polar angle psi = scale sinh(v) on Gauss-Legendre nodes in
+    v in [0, asinh(pi / scale)], the double-exponential map of Takahasi
+    and Mori, times the rule on S^(d-2) at ``resolution`` per level in the
+    center's tangent space.  The radial nodes start at ``resolution`` and
+    double until the zonal moments E[(center . z)^(2j)], j <= 4, hold to
+    1e-14 relative (plus 4 eps asinh(pi / scale), the map's rounding); the
+    smaller the scale and the larger d, the more they take (64 at d = 2
+    and 3 for scale 2^-13, 512 at 2^-300).
+
+    A resolution below 8, a grid past 2^22 nodes, a center that is not a
+    unit vector, a scale outside (0, 1] or so small that pi / scale
+    overflows, or a radial rule that does not settle within 4,096 nodes
+    raises DomainError.
     """
     _require_resolution(p.d, resolution)
-    return QuadratureGrid(*_sphere_rule(p.d, p.d, resolution))
+    if center is None:
+        if scale is not None:
+            raise DomainError("a scale needs a center to centre the rule on")
+        return QuadratureGrid(*_sphere_rule(p.d, p.d, resolution))
+    center = np.asarray(center, dtype=float)
+    if center.shape != (p.d,):
+        raise DomainError(f"center must have length d={p.d}")
+    require_unit(center, "the rule's center")
+    scale = 1.0 if scale is None else float(scale)
+    if not 0.0 < scale <= 1.0:
+        raise DomainError(f"scale must lie in (0, 1], got {scale!r}")
+    psi, wpsi = _pole_radial_rule(p.d, resolution, scale)
+    ring, ring_w = _sphere_rule(p.d, p.d - 1, resolution, len(psi))
+    # (ring, radial, d): z = cos(psi) center + sin(psi) T omega
+    frames = _polar_frames(center[None, :] / norm(center), ring)[0]
+    nodes = np.stack([np.cos(psi), np.sin(psi)], axis=1) @ frames
+    return QuadratureGrid(nodes.reshape(-1, p.d), np.outer(ring_w, wpsi).ravel())
+
+
+_POLE_TOL = 1e-14           # the pole-centred radial rule's zonal moments, relative
+_POLE_MAX_RADIAL = 4096     # radial nodes it may take
+
+
+def _pole_radial_rule(d: int, n: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    # psi = scale sinh(v) with the normalized zonal weight
+    # |S^(d-2)| / |S^(d-1)| sin^(d-2)(psi) dpsi.  Toward psi = pi the map grows
+    # double-exponentially, so the nodes the rule needs grow with
+    # asinh(pi / scale) and with d: n doubles until the moments
+    # E[cos^(2j) psi] = prod_(i<j) (2i + 1) / (d + 2i), j <= 4, hold to
+    # _POLE_TOL plus the map's own rounding: v carries an error of eps vmax,
+    # which moves psi near pi by as much, relative
+    vmax = math.asinh(math.pi / scale)
+    if math.isinf(vmax):
+        raise DomainError(f"scale {scale:.3g} is too small for the pole-centred rule")
+    tol = _POLE_TOL + 4.0 * np.finfo(float).eps * vmax
+    area = scale * sphere_area(d - 1) / sphere_area(d)
+    powers = 2 * np.arange(5)
+    want = np.cumprod(np.r_[1.0, (powers[:-1] + 1.0) / (d + powers[:-1])])
+    while n <= _POLE_MAX_RADIAL:
+        x, w = _leggauss(n)
+        v = (x + 1.0) / 2.0 * vmax
+        psi = scale * np.sinh(v)
+        weights = w * (vmax / 2.0) * area * np.cosh(v) * np.sin(psi) ** (d - 2)
+        got = (np.cos(psi)[None, :] ** powers[:, None]) @ weights
+        if np.all(np.abs(got - want) <= tol * want):
+            return psi, weights
+        n *= 2
+    raise DomainError(
+        f"the pole-centred rule at scale {scale:.3g} in d={d} misses its zonal "
+        f"moments by more than {tol:.2g} at {_POLE_MAX_RADIAL} radial nodes")
 
 
 def _require_resolution(d: int, n: int) -> None:

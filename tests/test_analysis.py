@@ -102,6 +102,51 @@ class TestSphereQuadrature:
             got = hashlib.sha256(nodes.tobytes() + weights.tobytes()).hexdigest()
             assert got == want, (kind, d, res)
 
+    @staticmethod
+    def _centers(d):
+        c = np.random.default_rng(d).standard_normal(d)
+        return c / np.linalg.norm(c), -basis_last(d)         # random, and the pole -e_d
+
+    @pytest.mark.parametrize("d,res", [(2, 8), (2, 64), (3, 8), (3, 16), (4, 8), (5, 8)])
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** -13, 2.0 ** -40])
+    def test_pole_centred_rule_keeps_its_moments(self, d, res, scale):
+        # normalized measure: total 1, E[(c . z)^2] = E[z_d^2] = 1/d about any
+        # unit center, however small the scale; at d >= 4 too, where the
+        # radial nodes grow with d and 1 / scale rather than lose digits
+        p = StableParams(d, 1.5)
+        for c in self._centers(d):
+            g = sphere_quadrature(p, res, c, scale)
+            z, w = g.nodes, g.weights
+            np.testing.assert_allclose(np.linalg.norm(z, axis=1), 1.0, rtol=0, atol=1e-15)
+            assert abs(np.sum(w) - 1.0) < 1e-13
+            assert abs(w @ (z @ c) ** 2 - 1.0 / d) < 1e-13
+            assert abs(w @ z[:, -1] ** 2 - 1.0 / d) < 1e-13
+
+    def test_pole_centred_rule_refusals(self):
+        p = StableParams(3, 1.5)
+        e3 = basis_last(3)
+        for center, scale, match in (
+                (2.0 * e3, 0.5, "unit"), (np.array([0.0, 0.6, 0.79]), 0.5, "unit"),
+                (np.array([0.0, 1.0]), 0.5, "length"), (np.array([np.nan, 0.0, 1.0]), 0.5, "unit"),
+                (e3, 0.0, r"\(0, 1\]"), (e3, -0.5, r"\(0, 1\]"), (e3, 1.5, r"\(0, 1\]"),
+                (e3, math.nan, r"\(0, 1\]"), (None, 0.5, "needs a center")):
+            with pytest.raises(DomainError, match=match):
+                sphere_quadrature(p, 8, center, scale)
+        with pytest.raises(DomainError, match="resolution >= 8"):
+            sphere_quadrature(p, 4, e3, 0.5)
+        # past the node budget: 2 * 40^3 ring nodes times 40 radial ones
+        with pytest.raises(DomainError, match="5120000 nodes in d=5"):
+            sphere_quadrature(StableParams(5, 1.5), 40, basis_last(5), 1.0)
+        with pytest.raises(DomainError, match="too small"):
+            sphere_quadrature(p, 8, e3, 5e-324)       # pi / scale overflows
+
+    def test_pole_centred_rule_that_does_not_settle(self, monkeypatch):
+        # scale 2^-40 takes 128 radial nodes; capped at 64 it is refused
+        # rather than returned coarse
+        monkeypatch.setattr(analysis, "_POLE_MAX_RADIAL", 64)
+        with pytest.raises(DomainError, match="at 64 radial nodes"):
+            sphere_quadrature(P3, 8, basis_last(3), 2.0 ** -40)
+
 
 class TestHyperplaneQuadrature:
     @pytest.mark.parametrize("p,alpha", [(2, 1.2), (2, 1.5), (3, 1.5), (3, 1.8)])
@@ -685,6 +730,25 @@ class TestHardyNorm:
                          schedule=default_schedule(SPHERE, 12))
         assert est.diverges and est.increasing_at_boundary
 
+    @pytest.mark.parametrize("d,alpha,res", [(2, 1.5, 64), (3, 1.2, 16)])
+    def test_shifted_kelvin_image_grows_on_the_pole_centred_grid(self, d, alpha, res):
+        # x_1 |x + e_d|^(alpha-d-2) has a non-integrable pole at -e_d: on a
+        # rule centred there its L^1 slice norms grow like |r - 1|^(alpha-2)
+        # on each side, by 2^(2 (2 - alpha)) per two steps of k (2 at
+        # (2, 1.5), 3.03 at (3, 1.2)), where a product grid of 131,072 nodes
+        # levels off near 51.5 at d = 3
+        p = StableParams(d, alpha)
+        kt = lambda pts: (pts[:, 0] * (np.sum(pts[:, :-1] ** 2, axis=1)
+                                       + (pts[:, -1] + 1.0) ** 2) ** ((alpha - d - 2.0) / 2.0))
+        grid = sphere_quadrature(p, res, -basis_last(d), 2.0 ** -13)
+        slices = dict(hardy_norm(p, SPHERE, kt, 1.0, grid=grid,
+                                 schedule=default_schedule(SPHERE, 12)).slices)
+        want = 2.0 ** (2.0 * (2.0 - alpha))
+        for side in (-1.0, 1.0):
+            growth = [slices[1.0 + side * 2.0 ** -(k + 2)] / slices[1.0 + side * 2.0 ** -k]
+                      for k in range(6, 11)]
+            assert all(0.96 * want < g < 1.06 * want for g in growth), (side, growth)
+
     def test_exponent_guard(self):
         with pytest.raises(DomainError):
             hardy_norm(P2, SPHERE, lambda pts: np.ones(len(pts)), 0.5)
@@ -715,6 +779,25 @@ class TestHardyNorms:
             apart = [hardy_norm(p, space, u, pexp, schedule=schedule, grid=grid)
                      for pexp in self.PEXPS]
             assert together == apart
+
+    @pytest.mark.parametrize("d,alpha,fine", [(2, 1.5, 64), (3, 1.2, 24)])
+    def test_resolution_8_is_exact_for_degree_1_slices(self, d, alpha, fine):
+        # every slice of a degree-1 density plus c (1 - Phi) is degree 1 on
+        # the sphere, so resolution 8 gives the L^2 norms of the finer grid,
+        # and the L^1 norms too where the slices keep one sign; its grid
+        # maximum, a lower bound of the sup, is no larger
+        p = StableParams(d, alpha)
+        schedule = default_schedule(SPHERE, 4)
+        cases = [((1.0, 0.5, 0.0), True), ((0.8, 0.5, 0.6), True), ((0.4, 0.9, -0.7), False)]
+        for (a1, a2, c), one_signed in cases:
+            f = BoundaryFunction(lambda pts, a1=a1, a2=a2: a1 + a2 * pts[:, 0])
+            rep = HarmonicRepresentation(SPHERE, density=f, constant=c)
+            coarse, ref = (hardy_norms(p, SPHERE, rep, self.PEXPS, schedule=schedule,
+                                       grid=sphere_quadrature(p, res)) for res in (8, fine))
+            for i in (0, 1) if one_signed else (1,):
+                for (s, got), (_, want) in zip(coarse[i].slices, ref[i].slices):
+                    assert got == pytest.approx(want, rel=1e-13, abs=0), (a1, c, i, s)
+            assert coarse[2].value <= ref[2].value
 
     def test_each_slice_evaluated_once(self):
         calls = []
