@@ -23,13 +23,14 @@ coordinates around each foot point on the hyperplane.  Their rings and
 past 2^22 nodes; each point takes the first ring, from 8 nodes per level
 on, that agrees with a turned check ring of about half its nodes.  A
 density whose ring does not settle within that budget (a kink or a jump
-across the rings) raises ConvergenceError.  Slice grids on the hyperplane
-are polar as well.
+across the rings) raises ConvergenceError.
 
-Hardy norms are schedule suprema of slice L^p norms; divergence is a
-reported state, never an exception, though a Hardy norm of a density the
-ring cannot settle raises that ConvergenceError (a RuntimeError, not a
-DomainError).  The pointwise fractional Laplacian
+Hardy norms are schedule suprema of slice L^p norms on one grid per
+schedule, which a hyperplane slice moves to the boundary support and
+scales by its height.  Divergence is a reported state, never an
+exception; a density the ring cannot settle raises that ConvergenceError
+(a RuntimeError), a slice off the domain DomainError.  The pointwise
+fractional Laplacian
 is a principal-value quadrature with a symmetrized inner annulus, and
 the Fatou probes walk nontangential cones down to the boundary.
 """
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Callable, Literal
 
 import numpy as np
@@ -66,7 +66,6 @@ __all__ = [
     "HardyNormEstimate",
     "hardy_norm",
     "hardy_norms",
-    "radial_profile",
     "prob_hardy_norm",
     "majorant",
     "PVResult",
@@ -347,12 +346,12 @@ def _shell_test(p: StableParams, nodes: np.ndarray,
     # at least half the next one's mass and twice the share rho that the
     # reference measure's own |ybar|^(-(d + alpha - 2)) tail puts there
     # (rho is 0.01 at alpha = 1.5, 0.66 at alpha = 1.1).
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):            # a sum past the float range reads inf
         radii = np.sqrt(np.sum(nodes ** 2, axis=1))
-    inc = np.array([contrib[(radii >= lo) & (radii < hi)].sum()
-                    for lo, hi in zip(_SHELL_EDGES[:-1], _SHELL_EDGES[1:])])
-    if not inc[-1] > 1e-12 * max(inc.sum(), 1e-300):
-        return False, inc
+        inc = np.array([contrib[(radii >= lo) & (radii < hi)].sum()
+                        for lo, hi in zip(_SHELL_EDGES[:-1], _SHELL_EDGES[1:])])
+        if not inc[-1] > 1e-12 * max(inc.sum(), 1e-300):
+            return False, inc
     s = p.alpha - 1.0                   # the reference decay beyond dimension d - 1
     lo, mid, reach = _SHELL_EDGES[-3], _SHELL_EDGES[-2], float(radii.max())
     rho = (mid ** -s - reach ** -s) / (lo ** -s - mid ** -s)
@@ -683,22 +682,17 @@ def default_schedule(space: str, depth: int = 24) -> np.ndarray:
     return np.unique(np.concatenate([ts, -ts]))
 
 
-def _slice_points(space: str, p: StableParams, grid: QuadratureGrid, s: float) -> np.ndarray:
-    if space == SPHERE:
-        return s * grid.nodes
-    t_col = np.full((grid.nodes.shape[0], 1), s)
-    return np.concatenate([grid.nodes, t_col], axis=1)
-
-
 def _slice_norm(space: str, p: StableParams, values: np.ndarray,
-                grid: QuadratureGrid, pexp: float) -> float:
+                grid: QuadratureGrid, pexp: float, mass: float = 1.0) -> float:
+    # ``mass`` scales the measure of the slice's ``grid``
     if math.isinf(pexp):
         return float(np.max(np.abs(values)))  # grid max: lower bound of ess sup
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):            # a sum past the float range reads inf
         contrib = grid.weights * np.abs(values) ** pexp
+        total = mass * float(np.sum(contrib))
     if space == HALFSPACE and _shell_test(p, grid.nodes, contrib)[0]:
         return math.inf
-    return float(np.sum(contrib)) ** (1.0 / pexp)
+    return total ** (1.0 / pexp)
 
 
 def hardy_norm(p: StableParams, space: str, u, pexp: float,
@@ -713,74 +707,73 @@ def hardy_norms(p: StableParams, space: str, u, pexps,
                 grid: QuadratureGrid | None = None) -> list[HardyNormEstimate]:
     """Schedule suprema of ||u_s||_p over slices s (radii or heights), per p.
 
-    ``u`` is either a vectorized callable on (m, d) arrays of points, called
-    once per slice, or a HarmonicRepresentation; a sphere representation's
-    slices share one grid and are evaluated together, in batches of up to
-    ``_BLOCK`` points.  Each slice is evaluated once and reduced for every
-    exponent in ``pexps``; one estimate is returned per exponent, in
-    order.  An estimate reports whether the running sup is still
-    increasing at the schedule ends; a genuine blow-up toward the boundary
-    is flagged as ``diverges`` rather than raised.  A representation whose
-    density ring does not settle raises ConvergenceError, as in
-    ``sphere_values`` and ``halfspace_values``.
+    ``u`` is a vectorized callable on (m, d) arrays of points or a
+    HarmonicRepresentation.  One grid serves the schedule: ``grid``, by
+    default the fixed sphere grid or ``hyperplane_quadrature(p, 241,
+    d + alpha - 2)``.  A sphere slice puts it at radius s.  A hyperplane
+    grid is read at unit scale about the origin: the slice at height t
+    takes the nodes center + lam y, lam = max(|t|, spread) about the
+    boundary support, and multiplies its sum of w |u|^p by lam^(d-1), so a
+    power-of-two lam gives the bits of the grid built at that scale.
+    Only a sphere representation's slices are batched, through
+    ``sphere_values`` up to ``_BLOCK`` points and at least one slice per
+    call, each radius as the exact offset s - 1; any other ``u`` takes one
+    call per slice.  Each slice is reduced for every exponent in
+    ``pexps``, one estimate per exponent, in order; an estimate flags a
+    blow-up toward the boundary as ``diverges`` rather than raising.
+
+    An empty schedule, a slice that is not finite, a radius below 0 or
+    equal to 1, a height of 0, or a hyperplane slice whose nodes or
+    measure leave the float range raises DomainError; a density ring that
+    does not settle raises ConvergenceError, as in ``sphere_values`` and
+    ``halfspace_values``.
     """
     if space not in (SPHERE, HALFSPACE):
         raise DomainError(f"unknown space {space!r}")
     pexps = [float(q) for q in pexps]
     if not all(q >= 1.0 for q in pexps):
         raise DomainError("the slice exponent must be >= 1")
-    if schedule is None:
-        schedule = default_schedule(space)
+    schedule = np.asarray(default_schedule(space) if schedule is None else schedule,
+                          dtype=float)
+    if schedule.size == 0:
+        raise DomainError("the slice schedule is empty")
+    require_finite(schedule, "the slice schedule")
+    off = schedule == 0.0 if space == HALFSPACE else (schedule < 0.0) | (schedule == 1.0)
+    if np.any(off):
+        raise DomainError(f"no slice at {schedule[off][0]!r}: a radius < 0 or 1, or height 0")
     rep = u if isinstance(u, HarmonicRepresentation) else None
-    builder = None
-    if grid is None:
-        if space == SPHERE:
-            grid = _default_sphere_grid(p)
-        else:
-            # slice integrands peak at the boundary support with width |t|;
-            # the grid follows the slice so the peak stays resolved
-            center, spread = _halfspace_support(p, rep)
-            builder = lambda t: hyperplane_quadrature(
-                p, 241, p.d + p.alpha - 2.0, center=center,
-                scale=max(abs(t), spread))
+    if space == SPHERE:
+        grid = _default_sphere_grid(p) if grid is None else grid
+        step = max(1, _BLOCK // len(grid.nodes))
+    else:
+        grid = hyperplane_quadrature(p, 241, p.d + p.alpha - 2.0) if grid is None else grid
+        # slice integrands peak at the support with width |t|: the grid follows
+        center, spread = _halfspace_support(p, rep)
+        grid_mass = float(np.sum(grid.weights))
     slices: list[list[tuple[float, float]]] = [[] for _ in pexps]
-    for s, values, g in _slice_values(p, space, u, rep,
-                                      np.asarray(schedule, dtype=float), grid, builder):
-        for q, out in zip(pexps, slices):
-            out.append((float(s), _slice_norm(space, p, values, g, q)))
-    return [_summarize_schedule(space, sl) for sl in slices]
-
-
-def _slice_values(p: StableParams, space: str, u, rep, schedule: np.ndarray,
-                  grid: QuadratureGrid | None, builder):
-    # (s, values on the slice, its grid), slice by slice.  A sphere
-    # representation's slices share the fixed grid, so they go through
-    # sphere_values together, up to _BLOCK points and at least one slice per
-    # call, each slice radius entering as the exact s - 1
-    if rep is not None and space == SPHERE:
-        n = len(grid.nodes)
-        for rows in _row_blocks(len(schedule), n):
-            batch = schedule[rows]
-            values = sphere_values(p, rep, np.repeat(batch - 1.0, n),
-                                   np.tile(grid.nodes, (len(batch), 1)))
-            yield from zip(batch, values.reshape(-1, n), repeat(grid))
-        return
-    for s in schedule:
-        g = builder(s) if builder is not None else grid
-        if rep is None:
-            values = np.asarray(u(_slice_points(space, p, g, s)), dtype=float)
+    for i, s in enumerate(schedule):
+        g, mass = grid, 1.0
+        if space == SPHERE and rep is not None:
+            if i % step == 0:
+                batch = schedule[i:i + step]
+                block = sphere_values(p, rep, np.repeat(batch - 1.0, len(grid.nodes)),
+                                      np.tile(grid.nodes, (len(batch), 1)))
+            values = block.reshape(-1, len(grid.nodes))[i % step]
+        elif space == SPHERE:
+            values = u(s * grid.nodes)
         else:
-            values = halfspace_values(p, rep, g.nodes, s)
-        yield s, values, g
-
-
-def radial_profile(p: StableParams, fn: Callable[[StableParams, float], float]):
-    """u(x) = fn(p, |x|) for ``hardy_norms`` on sphere slices, whose points
-    share one radius: ``fn`` runs once per slice, at its first point."""
-    def u(pts):
-        pts = np.atleast_2d(pts)
-        return np.full(len(pts), fn(p, float(np.linalg.norm(pts[0]))))
-    return u
+            lam = max(abs(s), spread)
+            with np.errstate(over="ignore"):
+                g = QuadratureGrid(center + lam * grid.nodes, grid.weights)
+                mass = float(np.float64(lam) ** (p.d - 1))
+            if not (np.all(np.isfinite(g.nodes)) and math.isfinite(mass * grid_mass)):
+                raise DomainError(f"the slice at height {s:.3g} leaves the float range")
+            values = (halfspace_values(p, rep, g.nodes, s) if rep is not None
+                      else u(np.concatenate([g.nodes, np.full((len(g.nodes), 1), s)], axis=1)))
+        values = np.asarray(values, dtype=float)
+        for q, out in zip(pexps, slices):
+            out.append((float(s), _slice_norm(space, p, values, g, q, mass)))
+    return [_summarize_schedule(space, sl) for sl in slices]
 
 
 def _halfspace_support(p: StableParams,

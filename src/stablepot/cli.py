@@ -293,9 +293,11 @@ def _curve_fatou_decay(p, args, meta):
 
 def _curve_hardy_schedule(p, args, meta):
     meta["p"] = args.pexp
-    grid = analysis.sphere_quadrature(p, 64)
-    est = analysis.hardy_norm(p, analysis.SPHERE, analysis.radial_profile(p, sphere.phi),
-                              args.pexp, grid=grid)
+    # P[1] = Phi is radial: one node of weight 1 holds each slice norm exactly
+    one_node = analysis.QuadratureGrid(basis_last(p.d)[None, :], np.ones(1))
+    poisson_of_one = analysis.HarmonicRepresentation(
+        analysis.SPHERE, density=analysis.BoundaryFunction(lambda pts: np.ones(len(pts))))
+    est = analysis.hardy_norm(p, analysis.SPHERE, poisson_of_one, args.pexp, grid=one_node)
     write_csv(args.out, meta, est.slices, ["r", "slice_norm"])
 
 

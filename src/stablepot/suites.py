@@ -375,10 +375,14 @@ def hardy_suite(d: int = 2, alpha: float = 1.5, tol: float = 1e-3,
     # the hitting probability itself: slice norms are phi(r), sup = 1.
     # The sup is approached like |c|(2 2^-k)^(alpha-1) toward the sphere and
     # like Phi(0) 2^(k(alpha-2)) toward infinity, so the schedule depth must
-    # follow alpha for the stated tolerance to be reachable
-    phi_fun = analysis.radial_profile(p, sphere.phi)
-    comp_fun = analysis.radial_profile(p, sphere.phi_complement)
-    # the profile, sandwich and contraction slices are degree <= 1 on the
+    # follow alpha for the stated tolerance to be reachable.  P[1] = Phi and
+    # 1 (1 - Phi) are radial, constant on each slice, so one node of weight 1
+    # holds every slice norm exactly, the slice entering at its offset s - 1
+    one_node = analysis.QuadratureGrid(basis_last(d)[None, :], np.ones(1))
+    poisson_of_one = HarmonicRepresentation(
+        SPHERE, density=BoundaryFunction(lambda pts: np.ones(len(pts))))
+    constant_one = HarmonicRepresentation(SPHERE, constant=1.0)
+    # the sandwich and contraction slices are degree <= 1 on the
     # sphere, sign-definite where their L^1 norm is taken, so resolution 8
     # (exact to degree 7) gives their L^1 and L^2 norms exactly in every d
     small_grid = analysis.sphere_quadrature(p, 8)
@@ -398,10 +402,10 @@ def hardy_suite(d: int = 2, alpha: float = 1.5, tol: float = 1e-3,
     # reachable sup may sit this far below 1 regardless of the tolerance
     tol_profile = max(tol, 0.8 * near_gap + far_gap)
     pexps, tags = (1.0, 2.0, math.inf), ("l1", "l2", "sup")
-    profiles = [(name, analysis.hardy_norms(p, SPHERE, fn, pexps, grid=small_grid,
+    profiles = [(name, analysis.hardy_norms(p, SPHERE, profile, pexps, grid=one_node,
                                             schedule=profile_schedule))
-                for name, fn in (("poisson-of-one", phi_fun),
-                                 ("constant-profile", comp_fun))]
+                for name, profile in (("poisson-of-one", poisson_of_one),
+                                      ("constant-profile", constant_one))]
     for i, tag in enumerate(tags):
         for name, ests in profiles:
             est = ests[i]

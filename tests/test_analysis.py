@@ -719,6 +719,14 @@ class TestHardyNorm:
                          schedule=default_schedule(HALFSPACE, 10))
         assert est.diverges
 
+    def test_slice_sum_past_the_float_range_reads_inf(self):
+        # near alpha = 1 the outer slice sums of x_1 pass the float range:
+        # they read inf, without a numpy overflow warning
+        lin = lambda pts: np.atleast_2d(pts)[:, 0]
+        est = hardy_norm(StableParams(2, 1.01), HALFSPACE, lin, 1.0,
+                         schedule=default_schedule(HALFSPACE, 10))
+        assert est.diverges and math.isinf(est.value)
+
     def test_shifted_kelvin_image_diverges(self):
         e2 = basis_last(2)
         a = P2.alpha
@@ -876,6 +884,106 @@ class TestHardyNorms:
                                  np.tile(grid.nodes, (len(rs), 1)))
         apart = np.concatenate([sphere_values(P2, rep, r - 1.0, grid.nodes) for r in rs])
         assert np.array_equal(together, apart)
+
+    @staticmethod
+    def _per_slice_hyperplane(p, u, pexps, schedule):
+        # the reference: each slice on a grid built at its own scale about the
+        # support, hyperplane_quadrature(p, 241, d + alpha - 2, center, lam)
+        rep = u if isinstance(u, HarmonicRepresentation) else None
+        center, spread = analysis._halfspace_support(p, rep)
+        slices = [[] for _ in pexps]
+        for t in schedule:
+            g = hyperplane_quadrature(p, 241, p.d + p.alpha - 2.0, center, max(abs(t), spread))
+            values = (halfspace_values(p, rep, g.nodes, t) if rep is not None
+                      else u(np.concatenate([g.nodes, np.full((len(g.nodes), 1), t)], axis=1)))
+            for q, out in zip(pexps, slices):
+                out.append((float(t), analysis._slice_norm(HALFSPACE, p, values, g, q)))
+        return [analysis._summarize_schedule(HALFSPACE, sl) for sl in slices]
+
+    @pytest.mark.parametrize("kind", ["atom", "linear"])
+    @pytest.mark.parametrize("d,alpha", [(2, 1.5), (3, 1.2)])
+    def test_shared_hyperplane_grid_equals_per_slice_grids(self, d, alpha, kind,
+                                                           monkeypatch):
+        # every height of the default schedule is a power of two, and so is
+        # each slice's scale: the one unit grid, scaled, gives every field of
+        # every estimate the bits of the grids built slice by slice
+        p = StableParams(d, alpha)
+        u = (HarmonicRepresentation(HALFSPACE, measure=DiscreteMeasure(np.zeros((1, d - 1)),
+                                                                       [1.0]))
+             if kind == "atom" else lambda pts: pts[:, 0])
+        schedule = default_schedule(HALFSPACE, 16)
+        want = self._per_slice_hyperplane(p, u, self.PEXPS, schedule)
+        calls = []
+        counted = lambda *args, **kw: calls.append(1) or hyperplane_quadrature(*args, **kw)
+        monkeypatch.setattr(analysis, "hyperplane_quadrature", counted)
+        assert hardy_norms(p, HALFSPACE, u, self.PEXPS, schedule=schedule) == want
+        assert len(calls) == 1
+
+    def test_shared_hyperplane_grid_at_a_support_spread(self):
+        # atoms at 0 and 1.5 spread 0.75 about their mean: slices below that
+        # height take the scale 0.75, which rounds the nodes differently
+        p, space, u, schedule, _ = self._cases()[2]
+        want = self._per_slice_hyperplane(p, u, self.PEXPS, schedule)
+        for got, ref in zip(hardy_norms(p, space, u, self.PEXPS, schedule=schedule), want):
+            assert [s for s, _ in got.slices] == [s for s, _ in ref.slices]
+            assert [v for _, v in got.slices] == pytest.approx(
+                [v for _, v in ref.slices], rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("d,alpha", [(2, 1.5), (3, 1.2)])
+    def test_radial_profiles_read_at_the_exact_radius(self, d, alpha):
+        # P[1] = Phi and 1 (1 - Phi) are radial: on one node each slice norm
+        # is the profile at the slice radius s, which enters as the exact
+        # offset s - 1, never as the norm of a node rounded onto its sphere
+        p = StableParams(d, alpha)
+        one_node = QuadratureGrid(basis_last(d)[None, :], np.ones(1))
+        ks = np.arange(1, 49, dtype=float)
+        schedule = np.concatenate([1.0 - 2.0 ** -ks, 1.0 + 2.0 ** -ks, 2.0 ** ks])
+        poisson_of_one = HarmonicRepresentation(
+            SPHERE, density=BoundaryFunction(lambda pts: np.ones(len(pts))))
+        for est in hardy_norms(p, SPHERE, poisson_of_one, self.PEXPS, schedule=schedule,
+                               grid=one_node):
+            for s, v in est.slices:
+                assert v == pytest.approx(sphere.phi(p, s), rel=1e-13, abs=0), s
+        constant_one = HarmonicRepresentation(SPHERE, constant=1.0)
+        for est in hardy_norms(p, SPHERE, constant_one, self.PEXPS, schedule=schedule,
+                               grid=one_node):
+            for s, v in est.slices:
+                assert v == sphere.phi_complement_offset(p, s - 1.0), s
+
+    REFUSED = [("empty", SPHERE, []), ("empty", HALFSPACE, []),
+               ("not-finite", SPHERE, [0.5, math.nan]),
+               ("not-finite", HALFSPACE, [0.5, -math.inf]),
+               ("negative-radius", SPHERE, [0.5, -0.5]),
+               ("radius-one", SPHERE, [0.5, 1.0]),
+               ("zero-height", HALFSPACE, [0.5, 0.0])]
+
+    @pytest.mark.parametrize("kind", ["representation", "callable"])
+    @pytest.mark.parametrize("why,space,schedule", REFUSED,
+                             ids=[f"{w}-{s.lower()}" for w, s, _ in REFUSED])
+    def test_schedule_refused(self, why, space, schedule, kind):
+        # a sphere callable at s = 1 would read 1.0 and a hyperplane one at
+        # t = 0 would read inf: every such schedule is refused before any slice
+        if kind == "callable":
+            u = lambda pts: np.ones(len(pts))
+        elif space == SPHERE:
+            u = HarmonicRepresentation(SPHERE, constant=1.0)
+        else:
+            u = HarmonicRepresentation(HALFSPACE, measure=DiscreteMeasure(np.zeros((1, 1)),
+                                                                          [1.0]))
+        with pytest.raises(DomainError):
+            hardy_norms(P2, space, u, self.PEXPS, schedule=np.array(schedule))
+
+    @pytest.mark.parametrize("kind", ["representation", "callable"])
+    @pytest.mark.parametrize("d,t", [(2, 1e300), (3, 1e160)], ids=["nodes", "measure"])
+    def test_slice_past_the_float_range_refused(self, d, t, kind):
+        # at d = 2 the scaled nodes leave the float range, at d = 3 the
+        # slice's measure lam^2 sum w: refused, never reported as diverging
+        p = StableParams(d, 1.5)
+        u = (HarmonicRepresentation(HALFSPACE, measure=DiscreteMeasure(np.zeros((1, d - 1)),
+                                                                       [1.0]))
+             if kind == "representation" else lambda pts: np.ones(len(pts)))
+        with pytest.raises(DomainError, match="float range"):
+            hardy_norms(p, HALFSPACE, u, self.PEXPS, schedule=np.array([1.0, t]))
 
 
 class TestProbHardyNorm:

@@ -301,8 +301,7 @@ class TestReport:
         assert np.all(np.diff(running) <= 1e-15)         # nonincreasing
 
     def test_hardy_schedule_curve_in_d3(self, capsys, tmp_path):
-        # the slice points share one radius, so each slice norm is phi there;
-        # the radius is taken as |s z| for a unit node z, s up to rounding
+        # each slice norm is P[1] = phi at the slice radius
         out_file = tmp_path / "hardy.csv"
         code, _, _ = run(capsys, "report", "--curve", "hardy-schedule", "--d", "3",
                          "--alpha", "1.2", "--out", str(out_file))
@@ -403,7 +402,8 @@ GOLDEN_CSV = [
      "report --curve poisson-H-profile --d 3 --alpha 1.2 --r=-6:6:201"),
     ("9ee9e4871c792737d5747992eaa71df493c897d5e1e871d9fb8c94e49e9cac75",
      "report --curve omega-alpha --d 3 --alpha 1.5 --r 0.01:5:101"),
-    ("d26a1cfceb77133f83ef89593baf6e629d431c5ecbfa5ec52aa340a9ec44f201",
+    # P[1] on one node at each exact radius, within 1.0e-15 of sphere.phi
+    ("80b5d48db40a8c008d9a5141c98e7a867a956664ba87f482b58854d0f1bc410f",
      "report --curve hardy-schedule --d 2 --alpha 1.5 --p 2"),
     ("da33465fa92d828e088e50708f587cbe492caba00b0d4e68dd47da30b427cebd",
      "report --curve fatou-decay --d 2 --alpha 1.5 --depth 12 --seed 7"),
