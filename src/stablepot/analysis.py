@@ -15,15 +15,18 @@ per-point entry, ``representation_value``, and every slice norm, majorant
 and Fatou probe go through them; no value depends on how the points are
 batched.
 
-Density parts are integrated by one peak-adapted polar rule per
-geometry: geodesic polar coordinates around each evaluation direction on
-the sphere, with the zonal weights of ``sphere.polar_weights``, polar
-coordinates around each foot point on the hyperplane.  Their rings and
-``sphere_quadrature`` are one product rule on S^(k-1) in every d, refused
-past 2^22 nodes; each point takes the first ring, from 8 nodes per level
-on, that agrees with a turned check ring of about half its nodes.  A
-density whose ring does not settle within that budget (a kink or a jump
-across the rings) raises ConvergenceError.
+Density parts are integrated by one driver, ``_ring_rule``, in both
+geometries.  Each evaluator hands it the density (a martin density g as
+g / omega), its radial weights and its node placement: geodesic polar
+coordinates around each evaluation direction on the sphere, with the
+zonal weights of ``sphere.polar_weights``, and polar coordinates around
+each foot point on the hyperplane, with those of
+``halfspace.polar_weights``.  The rings and ``sphere_quadrature`` are one
+product rule on S^(k-1) in every d, refused past 2^22 nodes; each point
+takes the first ring, from 8 nodes per level on, that agrees with a
+turned check ring of about half its nodes.  A density whose ring does
+not settle within that budget (a kink or a jump across the rings) raises
+ConvergenceError.
 
 Hardy norms are schedule suprema of slice L^p norms on one grid per
 schedule, which a hyperplane slice moves to the boundary support and
@@ -135,7 +138,6 @@ class QuadratureGrid:
 
     nodes: np.ndarray
     weights: np.ndarray
-    tail_bound: float = 0.0
 
     def integrate(self, values: np.ndarray) -> float:
         # np.dot performs a fixed pairwise reduction: bit-stable per grid
@@ -307,8 +309,6 @@ def hyperplane_quadrature(p: StableParams, resolution: int, decay_exponent: floa
     declared to have; it must exceed d - 1 for integrability and sets how
     far into the tail the radial nodes reach.  ``center``/``scale`` move
     the dense part of the rule (pass a kernel peak's foot point and height).
-    The reported ``tail_bound`` is the residual integral of
-    |y|^(-decay_exponent) beyond the largest radius, per unit coefficient.
     """
     k = p.d - 1
     if decay_exponent <= k:
@@ -329,8 +329,7 @@ def hyperplane_quadrature(p: StableParams, resolution: int, decay_exponent: floa
     rho, wt = _radial_rule((resolution + 1) // 2, decay_exponent, scale, k)
     ring, ring_w = _ring(p, per_level, len(rho))
     nodes = center + (rho[:, None, None] * ring).reshape(-1, k)
-    tail = sphere_area(k) * float(rho.max()) ** (k - decay_exponent) / (decay_exponent - k)
-    return QuadratureGrid(nodes, np.outer(wt * sphere_area(k), ring_w).ravel(), tail_bound=tail)
+    return QuadratureGrid(nodes, np.outer(wt * sphere_area(k), ring_w).ravel())
 
 
 # --- reference-measure integrals -------------------------------------------
@@ -345,11 +344,13 @@ def _shell_test(p: StableParams, nodes: np.ndarray,
     # and whether the outermost shell marks a divergent tail: it must hold
     # at least half the next one's mass and twice the share rho that the
     # reference measure's own |ybar|^(-(d + alpha - 2)) tail puts there
-    # (rho is 0.01 at alpha = 1.5, 0.66 at alpha = 1.1).
+    # (rho is 0.01 at alpha = 1.5, 0.66 at alpha = 1.1).  Radii sum their
+    # squares coordinate by coordinate, the bits of np.sum over a short row;
+    # one past the float range (or NaN) falls beyond the last edge, in no shell
     with np.errstate(over="ignore"):            # a sum past the float range reads inf
-        radii = np.sqrt(np.sum(nodes ** 2, axis=1))
-        inc = np.array([contrib[(radii >= lo) & (radii < hi)].sum()
-                        for lo, hi in zip(_SHELL_EDGES[:-1], _SHELL_EDGES[1:])])
+        radii = np.sqrt(sum(nodes[:, j] ** 2 for j in range(nodes.shape[1])))
+        shell = np.searchsorted(_SHELL_EDGES, radii, "right") - 1
+        inc = np.bincount(shell, weights=contrib, minlength=len(_SHELL_EDGES))[:-1]
         if not inc[-1] > 1e-12 * max(inc.sum(), 1e-300):
             return False, inc
     s = p.alpha - 1.0                   # the reference decay beyond dimension d - 1
@@ -483,15 +484,17 @@ def sphere_values(p: StableParams, rep: HarmonicRepresentation, r_minus_one,
         atoms = rep.measure.atoms
         require_unit(atoms, "sphere atoms")
         c = sphere.constants(p).phi_at_origin
-        # a row sum rather than a BLAS product, whose last bits depend on a
-        # row's place in the call: no value depends on how points are batched
-        for rows in _row_blocks(len(rm1), len(atoms)):
-            with np.errstate(over="ignore", invalid="ignore"):      # caught below
-                kern = sphere._kernel(p, rm1[rows, None], dirs[rows, None, :],
-                                      atoms[None, :, :], c)
-            vals[rows] += np.sum(kern * rep.measure.weights, axis=1)
+        vals += _atom_sums(rep.measure, len(rm1), lambda rows: sphere._kernel(
+            p, rm1[rows, None], dirs[rows, None, :], atoms[None, :, :], c))
     if rep.density is not None:
-        vals += _sphere_polar_rule(p, rep.density, rm1, dirs)
+        # nodes z = cos(psi) eta + sin(psi) omega, omega on the ring turned
+        # into eta's tangent space, with the zonal weights of
+        # sphere.polar_weights, built once per radius
+        uniq, inv = np.unique(rm1, return_inverse=True)
+        psi, wk = sphere.polar_weights(p, uniq)
+        cos_sin = np.stack([np.cos(psi), np.sin(psi)], axis=-1)
+        vals += _ring_rule(p, rep.density, wk, inv, lambda idx, ring:
+                           cos_sin[inv[idx], None] @ _polar_frames(dirs[idx], ring))
     if rep.constant:
         uniq, inv = np.unique(rm1, return_inverse=True)
         vals += rep.constant * sphere.phi_complement_offset(p, uniq)[inv]
@@ -499,61 +502,58 @@ def sphere_values(p: StableParams, rep: HarmonicRepresentation, r_minus_one,
     return vals
 
 
-def _sphere_polar_rule(p: StableParams, f: BoundaryFunction, rm1: np.ndarray,
-                       dirs: np.ndarray) -> np.ndarray:
-    # Nodes z = cos(psi) eta + sin(psi) omega, omega on the tangent ring, with
-    # the zonal weights of sphere.polar_weights, built once per radius
-    uniq, inv = np.unique(rm1, return_inverse=True)
-    psi, wk = sphere.polar_weights(p, uniq)
-    cos_sin = np.stack([np.cos(psi), np.sin(psi)], axis=-1)
-
-    def values(ring):
-        def at(idx):
-            # (m, ring, radial, d)
-            nodes = cos_sin[inv[idx], None] @ _polar_frames(dirs[idx], ring)
-            return f(nodes.reshape(-1, p.d)).reshape(len(idx), len(ring), -1)
-        return at
-
-    return _ring_rule(p, len(rm1), psi.shape[-1], values,
-                      lambda idx, fv, ring_w: np.sum(wk[inv[idx]] * (ring_w @ fv), axis=1))
+def _atom_sums(measure: DiscreteMeasure, m: int, kernel) -> np.ndarray:
+    # sum_j w_j kernel(rows)[:, j] at m points, kernel(rows) giving the kernel
+    # at the points ``rows`` and every atom: a row sum rather than a BLAS
+    # product, whose last bits depend on a row's place in the call, so no
+    # value depends on how points are batched
+    out = np.empty(m)
+    for rows in _row_blocks(m, len(measure.atoms)):
+        with np.errstate(over="ignore", invalid="ignore"):      # refused by the caller
+            out[rows] = np.sum(kernel(rows) * measure.weights, axis=1)
+    return out
 
 
-def _ring_rule(p: StableParams, m: int, radial: int, values, total) -> np.ndarray:
-    # The angular part of both density rules at m points of ``radial`` radial
-    # nodes each.  values(ring)(idx) gives the density at the nodes of the
-    # points idx, one ring node per index of axis 1, and total(idx, fv, ring_w)
-    # their weighted sums.  A point keeps its sum on the first ring of
-    # n = 8, 16, ... nodes per level of S^(d-2) that lies within _RING_TOL
-    # sum w |f| of its sum on a check ring of n / 2 - 1 per level, evaluated
-    # in the same pass: the trapezoid rule converges geometrically, and the
-    # gap bounds its error (Trefethen & Weideman, SIAM Review 56, 2014).  The
-    # check shares no node and no lattice with the kept ring.  Its odd count
-    # keeps a piecewise-constant density, whose ring sums are node counts
-    # over n, from summing alike on both, and its golden-angle turn gives
-    # every angular mode that both rings alias a different phase on each.
-    # The choice and the sum depend on the point alone, never on its batch.
-    # In d = 2 the ring is {+-1}, exact.  Values that are not finite settle
+def _ring_rule(p: StableParams, f: Callable[[np.ndarray], np.ndarray],
+               radial_w: np.ndarray, row_of: np.ndarray, place) -> np.ndarray:
+    # The one density rule: point i sums radial_w[row_of[i], j] (a row per
+    # radius, not a copy per point) times the mean of f over the ring at its
+    # radial node j, whose nodes place(idx, ring) gives as one (len(idx),
+    # len(ring), radial, k) array.  A point keeps its sum on the first ring
+    # of n = 8, 16, ... nodes per level of S^(d-2) that lies within
+    # _RING_TOL sum w |f| of its sum on a check ring of n / 2 - 1 per level,
+    # evaluated in the same pass: the trapezoid rule converges geometrically,
+    # and the gap bounds its error (Trefethen & Weideman, SIAM Review 56,
+    # 2014).  The check shares no node and no lattice with the kept ring.
+    # Its odd count keeps a piecewise-constant density, whose ring sums are
+    # node counts over n, from summing alike on both, and its golden-angle
+    # turn gives every angular mode that both rings alias a different phase
+    # on each.  In d = 2 the ring is {+-1}, exact, and takes no check.  The
+    # choice and the sum depend on the point alone, never on its batch.
+    # Nodes past the float range are inf; values that are not finite settle
     # at once and are refused by the caller
-    out, todo, n = np.empty(m), np.arange(m), 8
-    if p.d == 2:
-        ring, ring_w = _ring(p, n, radial)
-        at = values(ring)
-        for rows in _row_blocks(m, radial * len(ring_w)):
-            out[rows] = total(todo[rows], at(todo[rows]), ring_w)
-        return out
+    todo, n, radial = np.arange(len(row_of)), 8, radial_w.shape[1]
+    out = np.empty(len(todo))
     while True:
         ring, ring_w = _ring(p, n, radial)
-        check, check_w = _ring(p, n // 2 - 1, radial, _TURN)
-        k, size = len(ring_w), radial * (len(ring_w) + len(check_w))
-        at, (s, a, c) = values(np.concatenate([ring, check])), np.empty((3, len(todo)))
-        for rows in _row_blocks(len(todo), size):
-            idx = todo[rows]
-            fv = at(idx)
-            s[rows] = total(idx, fv[:, :k], ring_w)
-            a[rows] = total(idx, np.abs(fv[:, :k]), ring_w)
-            c[rows] = total(idx, fv[:, k:], check_w)
-        s[~np.isfinite(c)] = np.nan             # refused by the caller, as below
-        with np.errstate(invalid="ignore"):     # inf - inf: refused by the caller
+        k = len(ring_w)
+        if p.d > 2:
+            check, check_w = _ring(p, n // 2 - 1, radial, _TURN)
+            ring = np.concatenate([ring, check])
+        size, (s, a, c) = radial * len(ring), np.empty((3, len(todo)))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for rows in _row_blocks(len(todo), size):
+                idx = todo[rows]
+                y, w = place(idx, ring), radial_w[row_of[idx]]
+                fv = f(y.reshape(-1, y.shape[-1])).reshape(y.shape[:-1])
+                s[rows] = np.sum(w * (ring_w @ fv[:, :k]), axis=1)
+                if p.d > 2:
+                    a[rows] = np.sum(w * (ring_w @ np.abs(fv[:, :k])), axis=1)
+                    c[rows] = np.sum(w * (check_w @ fv[:, k:]), axis=1)
+                del y, w, fv        # before the next block's: its arrays reuse their memory
+            if p.d == 2:                # the ring {+-1} is exact
+                return s
+            s[~np.isfinite(c)] = np.nan         # settles: refused by the caller
             gap = np.abs(s - c)
         moving = gap > _RING_TOL * a
         out[todo[~moving]] = s[~moving]
@@ -578,7 +578,9 @@ def halfspace_values(p: StableParams, rep: HarmonicRepresentation, xbar,
     are first checked against the reference measure; a divergent check
     raises IntegrabilityError.  Densities are integrated in polar
     coordinates around each foot point: the radius |t| sinh(v) makes the
-    kernel weight independent of the height.  Atom distances come from
+    kernel weight independent of the height.  A martin density g enters
+    as the Poisson integral of g / omega, where a node with g = 0 adds 0
+    however small omega gets.  Atom distances come from
     the offsets themselves, scaled exactly, so small heights never
     collapse onto the foot point.  A value beyond the float range raises
     DomainError; a density whose ring does not settle within the
@@ -601,45 +603,33 @@ def halfspace_values(p: StableParams, rep: HarmonicRepresentation, xbar,
     if rep.measure is not None:
         kernel = halfspace._martin if martin else halfspace._poisson
         atoms = rep.measure.atoms
-        # a row sum, as on the sphere: no value depends on how points are batched
-        for rows in _row_blocks(len(t), len(atoms)):
-            with np.errstate(over="ignore", invalid="ignore"):      # caught below
-                kern = kernel(p, t[rows, None], xbar[rows, None, :], atoms[None, :, :])
-            vals[rows] += np.sum(kern * rep.measure.weights, axis=1)
+        vals += _atom_sums(rep.measure, len(t), lambda rows: kernel(
+            p, t[rows, None], xbar[rows, None, :], atoms[None, :, :]))
     if rep.density is not None:
         _ensure_halfspace_integrable(p, rep)
-        # node offsets sinh(v) omega at unit height, with the radial weights
-        # of halfspace.polar_weights times the ring's
+        f = rep.density
+        if martin:
+            def f(y):
+                # g / omega without omega_alpha_density's finite-point check:
+                # near alpha = 1 tail nodes sit at infinity, where both vanish
+                gy = rep.density(y)
+                return np.divide(gy, halfspace._poisson(p, 1.0, np.zeros(p.d - 1), y),
+                                 out=np.zeros_like(gy), where=gy != 0.0)
+
+        # nodes xbar + |t| sinh(v) omega, with the radial weights of
+        # halfspace.polar_weights shared by every point
         v, radial = halfspace.polar_weights(p)
 
-        def values(ring):
-            # near alpha = 1 tail nodes sit at infinity, where a zero
-            # coordinate (the odd check ring's equator) stays 0
-            with np.errstate(over="ignore", invalid="ignore"):
-                offsets = np.where(ring == 0.0, 0.0, np.sinh(v)[:, None, None] * ring
-                                   ).reshape(-1, p.d - 1)
+        def place(idx, ring):
+            # one array per block, built in place; near alpha = 1 tail nodes sit at
+            # infinity, where a zero coordinate (the check ring's equator) stays 0
+            offsets = np.where(ring[:, None] == 0.0, 0.0, ring[:, None] * np.sinh(v)[:, None])
+            y = np.multiply(np.abs(t[idx])[:, None, None, None], offsets,
+                            out=np.empty((len(idx),) + offsets.shape))
+            y += xbar[idx, None, None, :]
+            return y
 
-            def at(idx):
-                # nodes past the float range sit at infinity; a density value
-                # there that is not finite is caught below
-                with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                    y = np.multiply(np.abs(t[idx])[:, None, None], offsets,
-                                    out=np.empty((len(idx),) + offsets.shape))
-                    y += xbar[idx, None, :]
-                    y = y.reshape(-1, p.d - 1)
-                    dens = rep.density(y)
-                    if martin:
-                        dens = dens / halfspace.omega_alpha_density(p, y)
-                return dens.reshape(len(idx), len(v), -1).transpose(0, 2, 1)
-            return at
-
-        def total(idx, fv, ring_w):
-            # a row sum, not a BLAS product: as for the atoms above
-            with np.errstate(over="ignore", invalid="ignore"):      # caught below
-                flat = fv.transpose(0, 2, 1).reshape(len(idx), -1)     # (m, radial x ring)
-                return np.sum(flat * np.outer(radial, ring_w).ravel(), axis=1)
-
-        vals += _ring_rule(p, len(t), len(v), values, total)
+        vals += _ring_rule(p, f, radial[None, :], np.zeros(len(t), dtype=int), place)
     if rep.constant:
         vals += rep.constant * np.abs(t) ** (p.alpha - 1.0)
     require_finite(vals, "the representation's values")
@@ -668,7 +658,6 @@ class HardyNormEstimate:
     slices: list[tuple[float, float]]
     sup_at: float
     increasing_at_boundary: bool
-    increasing_at_infinity: bool
     diverges: bool
 
 
@@ -797,16 +786,13 @@ def _summarize_schedule(space: str, slices: list[tuple[float, float]]) -> HardyN
     inner.sort(key=lambda t: -t[0])   # by decreasing distance to the boundary
     seq = [v for _, v in inner]
     inc_boundary = _tail_increasing(seq)
-    outer = sorted(((abs(s), v) for s, v in slices), key=lambda t: t[0])
-    inc_inf = _tail_increasing([v for _, v in outer])
     diverges = bool(np.any(np.isinf(svals)))
     if inc_boundary and len(seq) >= 4:
         half = seq[len(seq) // 2]
         if half > 0 and seq[-1] / half > 1.5:
             diverges = True
     return HardyNormEstimate(value=value, slices=slices, sup_at=sup_at,
-                             increasing_at_boundary=inc_boundary,
-                             increasing_at_infinity=inc_inf, diverges=diverges)
+                             increasing_at_boundary=inc_boundary, diverges=diverges)
 
 
 def _tail_increasing(seq: list[float], k: int = 3) -> bool:

