@@ -346,10 +346,12 @@ def _shell_test(p: StableParams, nodes: np.ndarray,
     # reference measure's own |ybar|^(-(d + alpha - 2)) tail puts there
     # (rho is 0.01 at alpha = 1.5, 0.66 at alpha = 1.1).  Radii sum their
     # squares coordinate by coordinate, the bits of np.sum over a short row;
-    # one past the float range (or NaN) falls beyond the last edge, in no shell
+    # one past the float range reads inf and lies in the outermost shell, a
+    # NaN falls beyond the last edge, in no shell
     with np.errstate(over="ignore"):            # a sum past the float range reads inf
         radii = np.sqrt(sum(nodes[:, j] ** 2 for j in range(nodes.shape[1])))
         shell = np.searchsorted(_SHELL_EDGES, radii, "right") - 1
+        shell[radii == math.inf] = len(_SHELL_EDGES) - 2
         inc = np.bincount(shell, weights=contrib, minlength=len(_SHELL_EDGES))[:-1]
         if not inc[-1] > 1e-12 * max(inc.sum(), 1e-300):
             return False, inc

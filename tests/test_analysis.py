@@ -313,6 +313,25 @@ class TestOmegaProbe:
         assert not div
         assert val == pytest.approx(1.0, abs=1e-6)
 
+    def test_nodes_past_the_float_range_lie_in_the_outermost_shell(self):
+        # at (2, 1.01) the probe grid reaches |y| ~ 2e282: 14 nodes have a
+        # squared radius past the float range and carry about 0.024 of the
+        # reference measure, all of it beyond the last finite edge 1e12
+        p = StableParams(2, 1.01)
+        grid = hyperplane_quadrature(p, 241, decay_exponent=p.d + p.alpha - 2.0)
+        contrib = grid.weights * halfspace.omega_alpha_density(p, grid.nodes)
+        far = np.max(np.abs(grid.nodes), axis=1) > 1e154
+        assert far.sum() == 14
+        assert contrib[far].sum() == pytest.approx(0.024, abs=1e-3)
+        far_shell = np.max(np.abs(grid.nodes), axis=1) >= 1e12
+        _, inc = analysis._shell_test(p, grid.nodes, contrib)
+        assert inc[-1] == pytest.approx(contrib[far_shell].sum(), rel=1e-12)
+        assert inc.sum() == pytest.approx(contrib.sum(), rel=1e-12)
+        nodes = grid.nodes.copy()
+        nodes[0] = np.nan                 # a NaN node lies in no shell
+        _, inc = analysis._shell_test(p, nodes, contrib)
+        assert inc.sum() == pytest.approx(contrib[1:].sum(), rel=1e-12)
+
     def test_divergent_at_interior_point(self):
         with np.errstate(all="ignore"):
             _, div, _ = omega_integral_probe(

@@ -320,29 +320,83 @@ def _walk_oracle(p, x, cfg, n, rng):
     return hits, escapes, int(active.sum())
 
 
+class _ScriptedRng:
+    # .random(m) returns the prepared arrays in turn, then draws from a
+    # Philox stream; records every m asked for
+    def __init__(self, arrays, seed):
+        self.arrays = list(arrays)
+        self.rng = RngStream(seed, 0).generator()
+        self.calls = []
+
+    def random(self, m):
+        self.calls.append(m)
+        if self.arrays:
+            a = self.arrays.pop(0)
+            assert len(a) == m
+            return a.copy()
+        return self.rng.random(m)
+
+
 class TestAgainstFirstFormulations:
     @staticmethod
     def _same_stream_after(a, b):
         return np.array_equal(a.random(8), b.random(8))
 
-    @pytest.mark.parametrize("shape", [0.05, 0.25, 0.6, 0.75])
-    @pytest.mark.parametrize("size", [1, 7, 15000])
+    @pytest.mark.parametrize("shape", [1e-3, 0.05, 0.1, 0.25, 0.6, 0.75, 0.999])
+    @pytest.mark.parametrize("size", [1, 2, 7, 33, 15000, 100_000])
     def test_gamma(self, shape, size):
         r1, r2 = RngStream(31, 2).generator(), RngStream(31, 2).generator()
         assert np.array_equal(gamma_small_shape(shape, r1, size),
                               _gamma_oracle(shape, r2, size))
         assert self._same_stream_after(r1, r2)
 
-    @pytest.mark.parametrize("p", [P2, StableParams(3, 1.2)])
+    @pytest.mark.parametrize("second_round", [False, True])
+    def test_gamma_past_the_prefix(self, second_round):
+        # a round of need = 100 draws m = 216 proposals and first evaluates
+        # 182 of them.  The script accepts 70 of those (or none) and rejects
+        # the rest, with v just below 1 on both branches (u alternates 0.5
+        # and 0.95, so half of them have prop > 1); it accepts all 34 of the
+        # round's rest (or 10).  So the rest of the round completes the
+        # draws, or a second round from the Philox stream behind the script
+        # draws the last 90
+        shape, need, m, cut = 0.5, 100, 216, 182
+        u = np.tile([0.5, 0.95], m // 2)
+        v = np.full(m, 1.0 - 1e-12)
+        if second_round:
+            v[cut:cut + 10] = 0.0
+        else:
+            v[:70] = v[cut:] = 0.0
+        r1, r2 = _ScriptedRng([u, v], 34), _ScriptedRng([u, v], 34)
+        assert np.array_equal(gamma_small_shape(shape, r1, need),
+                              _gamma_oracle(shape, r2, need))
+        assert r1.calls == r2.calls == [m, m] + [196, 196] * second_round
+        assert self._same_stream_after(r1.rng, r2.rng)
+
+    @pytest.mark.parametrize("p", [P2, StableParams(3, 1.2), StableParams(4, 1.5),
+                                   StableParams(5, 0.7), StableParams(9, 1.9)])
     @pytest.mark.parametrize("size", [1, 5000])
     def test_ball_exit(self, p, size):
         r1, r2 = RngStream(32, 0).generator(), RngStream(32, 0).generator()
-        assert np.array_equal(sample_ball_exit_center(p, r1, size),
-                              _ball_exit_oracle(p, r2, size))
+        got = sample_ball_exit_center(p, r1, size)
+        assert np.array_equal(got, _ball_exit_oracle(p, r2, size))
+        assert got.shape == (size, p.d) and got.flags.c_contiguous
+        assert self._same_stream_after(r1, r2)
+
+    @pytest.mark.parametrize("p", [StableParams(4, 1.5), StableParams(5, 1.2)])
+    def test_ball_exit_with_radial(self, p):
+        r1, r2, r3 = (RngStream(35, 1).generator() for _ in range(3))
+        pts, radial = sample_ball_exit_center(p, r1, 3000, return_radial=True)
+        g1 = _gamma_oracle(p.alpha / 2.0, r3, 3000)
+        g2 = _gamma_oracle(1.0 - p.alpha / 2.0, r3, 3000)
+        assert np.array_equal(pts, _ball_exit_oracle(p, r2, 3000))
+        assert np.array_equal(radial, g2 / (g1 + g2))
         assert self._same_stream_after(r1, r2)
 
     @pytest.mark.parametrize("p,x", [(P2, [0.5, 0.0]),
-                                     (StableParams(3, 1.2), [2.0, 0.0, 0.0])])
+                                     (StableParams(3, 1.2), [2.0, 0.0, 0.0]),
+                                     (StableParams(4, 1.5), [0.3, -1.1, 0.4, 0.2]),
+                                     (P2, [0.0, 0.0]),
+                                     (StableParams(3, 1.2), [0.0, 0.0, 0.0])])
     def test_walk(self, p, x):
         cfg = WalkConfig()
         r1, r2 = RngStream(33, 0).generator(), RngStream(33, 0).generator()
@@ -351,12 +405,15 @@ class TestAgainstFirstFormulations:
         want = WalkResult.from_counts(hits, escapes, inconclusive, 2000,
                                       res.bias_terms["shell"], res.bias_terms["escape_sup"])
         assert res == want
+        assert {type(res.hits), type(res.escapes), type(res.inconclusive)} == {int}
         assert self._same_stream_after(r1, r2)
 
 
 class TestSamplerRefusals:
     @pytest.mark.parametrize("size", [0, -1])
     def test_fewer_than_one_draw(self, size):
+        with pytest.raises(DomainError, match="at least one draw"):
+            gamma_small_shape(0.5, RngStream(0, 0).generator(), size)
         with pytest.raises(DomainError, match="at least one draw"):
             sample_ball_exit_center(P2, RngStream(0, 0).generator(), size)
         with pytest.raises(DomainError, match="at least one draw"):
