@@ -125,13 +125,6 @@ class TailPair:
         return tails
 
 
-def _libm_map(fn, x: np.ndarray, *args) -> np.ndarray:
-    # fn, a function of floats such as math.exp or pow, at every element of x
-    # (and of args), rounded as the C library rounds it: numpy's own exp, log1p
-    # and power differ in the last place for some 5% of arguments
-    return np.fromiter(map(fn, x.tolist(), *args), float, count=x.size)
-
-
 def _gauss_2f1_minus_one_array(a: float, b: float, c: float, s: np.ndarray) -> np.ndarray:
     # F(a, b; c; s) - 1 at every element of s, |s| < 1, by hyp2f1, which
     # takes an a below ~1e-13 for 0: so F(a, b; 2a; s) (the sphere's F1 as
@@ -140,8 +133,8 @@ def _gauss_2f1_minus_one_array(a: float, b: float, c: float, s: np.ndarray) -> n
     # prefactor past the float range taken as inf
     if c != 2.0 * a:
         return _sps.hyp2f1(a, b, c, s) - 1.0
-    log_pref = -b * _libm_map(math.log1p, -s / 2.0)
-    pref = _libm_map(math.exp, np.minimum(log_pref, _LOG_HUGE))
+    log_pref = -b * np.log1p(-s / 2.0)
+    pref = np.exp(np.minimum(log_pref, _LOG_HUGE))
     pref[log_pref >= _LOG_HUGE] = math.inf
     with np.errstate(invalid="ignore"):
         return pref * _sps.hyp2f1(b / 2.0, b / 2.0 + 0.5, a + 0.5, (s / (2.0 - s)) ** 2) - 1.0

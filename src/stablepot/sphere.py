@@ -26,8 +26,8 @@ shape.  Each checks its argument and hands it, with its formula for
 r^2 - 1, to one dispatcher: an array of 64 or more elements takes the
 array route, which runs the branches above under masks; anything smaller
 takes the float route element by element.  The two routes give the same
-bits at every d: the array route rounds each exp, log1p, expm1 and power
-as the C library does.
+bits at every d: both take each exp, log1p, expm1 and power from numpy,
+which rounds a float as it rounds the same float inside an array.
 
 The Poisson kernel has one assembly, shared with the batch evaluator in
 ``analysis``: a point enters as its offset r - 1 and direction eta, and
@@ -42,14 +42,13 @@ from __future__ import annotations
 import math
 import sys
 from functools import cached_property, lru_cache
-from itertools import repeat
 
 import numpy as np
 
 from .core import (StableParams, Infinity, as_point, as_points, finite_value, norm,
                    require_unit, far_scale, scaled_dist2, _leggauss)
 from .errors import DomainError, SingularityError
-from .specfun import TailPair, gauss_2f1, _libm_map, _sps
+from .specfun import TailPair, gauss_2f1, _sps
 
 __all__ = [
     "KernelConstants",
@@ -221,12 +220,12 @@ def _phi_golden(p: StableParams, delta: float) -> tuple[float, float]:
     # accurate inside the sphere at alpha ~ 2, where T cancels 200-fold.
     kc = constants(p)
     d, a = p.d, p.alpha
-    s, log_v2 = (delta / (1.0 + delta), math.log1p(delta)) if delta > 0.0 else (-delta, 0.0)
-    v_ad = math.exp(0.5 * (a - d) * log_v2)
+    s, log_v2 = (delta / (1.0 + delta), float(np.log1p(delta))) if delta > 0.0 else (-delta, 0.0)
+    v_ad = float(np.exp(0.5 * (a - d) * log_v2))
     tail1, tail2 = kc.golden_tails(s)
     f1_tail = v_ad * tail1
-    f2 = kc.series_c * abs(delta) ** (a - 1.0) * math.exp(0.5 * (2.0 - d - a) * log_v2) * \
-        (1.0 + tail2)
+    f2 = kc.series_c * float(np.power(abs(delta), a - 1.0)) * \
+        float(np.exp(0.5 * (2.0 - d - a) * log_v2)) * (1.0 + tail2)
     value = v_ad + (f1_tail + f2)
     # v^(a-d) F1 and f2 cancel, harder as d grows, and each carries some d ulp
     # (powers of v, series), so Phi loses ~d ulp per unit of their excess over
@@ -235,7 +234,7 @@ def _phi_golden(p: StableParams, delta: float) -> tuple[float, float]:
     if not (abs(v_ad + f1_tail) + abs(f2) - abs(value)) * d <= _GOLDEN_BUDGET * abs(value):
         total = float(np.sum(polar_weights(p, delta / (1.0 + math.sqrt(1.0 + delta)))[1]))
         return total, 1.0 - total
-    return value, -math.expm1(0.5 * (a - d) * log_v2) - (f1_tail + f2)
+    return value, -float(np.expm1(0.5 * (a - d) * log_v2)) - (f1_tail + f2)
 
 
 def _phi_t1(p: StableParams, delta: float) -> float:
@@ -245,11 +244,11 @@ def _phi_t1(p: StableParams, delta: float) -> float:
     d, a = p.d, p.alpha
     if delta < 0.0:
         arg = (1.0 + delta) / delta            # -r^2/(1 - r^2), in (-1, 0]
-        return kc.phi_at_origin * (-delta) ** (a / 2.0 - 1.0) * \
+        return kc.phi_at_origin * float(np.power(-delta, a / 2.0 - 1.0)) * \
             gauss_2f1(a / 2.0, 1.0 - a / 2.0, d / 2.0, arg)
     arg = -1.0 / delta
-    return kc.phi_at_origin * delta ** (a / 2.0 - 1.0) * \
-        (1.0 + delta) ** ((2.0 - d) / 2.0) * \
+    return kc.phi_at_origin * float(np.power(delta, a / 2.0 - 1.0)) * \
+        float(np.power(1.0 + delta, (2.0 - d) / 2.0)) * \
         gauss_2f1(a / 2.0, 1.0 - a / 2.0, d / 2.0, arg)
 
 
@@ -268,11 +267,11 @@ def _phi_pair(p: StableParams, delta: float) -> tuple[float, float]:
 
 
 # The array route: _phi_pair's branches under masks, _BLOCK radii at a time so
-# that its temporaries stay small.  Every exp, log1p, expm1 and power is the C
-# library's, element by element, and the rest is the float route's arithmetic
-# in its order, so both routes give the same bits: numpy's own exp and power
-# differ in the last place for some 5% of arguments, which the band's
-# cancellation would carry up to 5e-14 into Phi.
+# that its temporaries stay small.  Its exp, log1p, expm1 and power are numpy's,
+# as on the float route, and the rest is the float route's arithmetic in its
+# order, so both routes give the same bits.  The C library's exp and power
+# differ from numpy's in the last place for some 5% of arguments, which the
+# band's cancellation would carry up to 5e-14 into Phi, so no route mixes them.
 
 _BLOCK = 4096
 
@@ -283,14 +282,14 @@ def _phi_golden_array(p: StableParams, delta: np.ndarray) -> tuple[np.ndarray, n
     above = delta > 0.0
     s = np.where(above, delta / (1.0 + delta), -delta)
     log_v2 = np.zeros_like(delta)
-    log_v2[above] = _libm_map(math.log1p, delta[above])
-    v_ad = _libm_map(math.exp, 0.5 * (a - d) * log_v2)
+    log_v2[above] = np.log1p(delta[above])
+    v_ad = np.exp(0.5 * (a - d) * log_v2)
     tail1, tail2 = kc.golden_tails.on_array(s)
     f1_tail = v_ad * tail1
-    f2 = kc.series_c * _libm_map(pow, np.abs(delta), repeat(a - 1.0)) * \
-        _libm_map(math.exp, 0.5 * (2.0 - d - a) * log_v2) * (1.0 + tail2)
+    f2 = kc.series_c * np.power(np.abs(delta), a - 1.0) * \
+        np.exp(0.5 * (2.0 - d - a) * log_v2) * (1.0 + tail2)
     value = v_ad + (f1_tail + f2)
-    comp = -_libm_map(math.expm1, 0.5 * (a - d) * log_v2) - (f1_tail + f2)
+    comp = -np.expm1(0.5 * (a - d) * log_v2) - (f1_tail + f2)
     over = ~((np.abs(v_ad + f1_tail) + np.abs(f2) - np.abs(value)) * d <=
              _GOLDEN_BUDGET * np.abs(value))
     if over.any():
@@ -303,8 +302,8 @@ def _phi_golden_array(p: StableParams, delta: np.ndarray) -> tuple[np.ndarray, n
 def _phi_t1_array(p: StableParams, delta: np.ndarray) -> np.ndarray:
     d, a = p.d, p.alpha
     below = delta < 0.0
-    value = constants(p).phi_at_origin * _libm_map(pow, np.abs(delta), repeat(a / 2.0 - 1.0))
-    value[~below] *= _libm_map(pow, 1.0 + delta[~below], repeat((2.0 - d) / 2.0))
+    value = constants(p).phi_at_origin * np.power(np.abs(delta), a / 2.0 - 1.0)
+    value[~below] *= np.power(1.0 + delta[~below], (2.0 - d) / 2.0)
     return value * _sps.hyp2f1(a / 2.0, 1.0 - a / 2.0, d / 2.0,
                                np.where(below, (1.0 + delta) / delta, -1.0 / delta))
 
@@ -336,8 +335,8 @@ def _refuse(x, ok, what: str) -> None:
 
 
 # Fewer radii than this take the float route one at a time: the array route
-# costs ~0.1 ms however few radii it gets, ~0.6 ms in the band, where its
-# series takes up to 80 numpy passes, while the float route costs ~3 us a radius
+# costs 30-60 us however few radii it gets, up to 160 us in the band, where its
+# series takes up to 80 numpy passes, while the float route costs 3-7 us a radius
 _ARRAY_MIN = 64
 _DELTA_RANGE = "delta = r^2 - 1 must be finite and >= -1"
 # each front end's kind for _radial: its part of _phi_pair, r^2 - 1 from its

@@ -386,11 +386,12 @@ def hardy_suite(d: int = 2, alpha: float = 1.5, tol: float = 1e-3,
     # sphere, sign-definite where their L^1 norm is taken, so resolution 8
     # (exact to degree 7) gives their L^1 and L^2 norms exactly in every d
     small_grid = analysis.sphere_quadrature(p, 8)
-    k_near = int(min(max(24.0, math.log2(
-        2.0 * (abs(kc.series_c) / (0.3 * tol)) ** (1.0 / (alpha - 1.0))) + 2.0),
-        48.0))   # slice coordinates round onto the circle past ~2^-48
-    k_far = int(min(max(24.0, math.log2(
-        (0.3 * tol / kc.phi_at_origin) ** (1.0 / (alpha - 2.0))) + 2.0), 300.0))
+    # the depths at which those approaches come within 0.3 tol, formed in
+    # logs: their powers overflow as alpha -> 1 and as alpha -> 2
+    k_near = int(min(max(24.0, 1.0 + math.log2(abs(kc.series_c) / (0.3 * tol)) / (alpha - 1.0)
+                         + 2.0), 48.0))   # slice coordinates round onto the circle past ~2^-48
+    k_far = int(min(max(24.0, math.log2(0.3 * tol / kc.phi_at_origin) / (alpha - 2.0) + 2.0),
+                    300.0))
     ks_near = np.arange(1, k_near + 1, dtype=float)
     ks_far = np.arange(1, k_far + 1, dtype=float)
     profile_schedule = np.unique(np.concatenate(
@@ -750,7 +751,7 @@ def montecarlo_suite(d: int = 2, alpha: float = 1.5, tol: float = 1e-3,
     hits, t0 = montecarlo.sample_halfplane_hit(
         p, x0, RngStream(seed, 4).generator(), n_draws, return_time=True)
     e.append(_ks("halfplane-hitting-time-ks", t0,
-                 lambda t: _sps.gammaincc(shape, x0[-1] ** 2 / (2.0 * np.asarray(t))),
+                 lambda t: _sps.gammaincc(shape, x0[-1] ** 2 / 2.0 / np.asarray(t)),
                  "halfplane-hitting-time-law"))
     if d == 2:
         e.append(_ks("halfplane-hit-position-ks", hits[:, 0],

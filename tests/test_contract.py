@@ -370,6 +370,55 @@ def test_phi_array_route_equals_float_route(d, alpha, radii, rows):
                 getattr(sphere, name)(p, _as_route_input(name, spoiled))
 
 
+def _premise_arguments():
+    # arguments of the kind the Phi routes pass: log1p of delta in the band
+    # and of -s/2; exp and expm1 of (alpha - d)/2 log(1 + delta) up to d = 1000
+    # and of a clipped 2F1 prefactor; powers of |delta| with the band's and
+    # the far route's exponents
+    rng = np.random.default_rng(26)
+    n = 1024
+    tiny = 10.0 ** rng.uniform(-300.0, 0.2, n)
+    return {
+        "log1p": np.concatenate([rng.uniform(-0.62, 1.62, 3 * n), tiny]),
+        "exp": np.concatenate([-10.0 ** rng.uniform(-17.0, 2.7, 2 * n),
+                               rng.uniform(-745.0, 709.0, 2 * n)]),
+        "expm1": np.concatenate([-10.0 ** rng.uniform(-17.0, 2.7, 3 * n), tiny]),
+        "power": np.concatenate([tiny, rng.uniform(0.6, 1.7, n),
+                                 10.0 ** rng.uniform(0.2, 308.0, 2 * n)]),
+    }
+
+
+def test_numpy_rounds_a_float_as_an_array_element():
+    # The premise of the two Phi routes agreeing bit for bit: numpy's exp,
+    # log1p, expm1 and power give a Python float the bits they give it as an
+    # element of an array, of any size and stride.  The C library rounds
+    # some 5% of these arguments differently, so a route that mixed the two
+    # would not agree.
+    failures = []
+    for name, x in _premise_arguments().items():
+        ufunc = getattr(np, name)
+        exponents = (0.005, 0.25, 0.99, -0.005, -0.5, -1.5, -499.0) if name == "power" \
+            else (None,)
+        for e in exponents:
+            args = () if e is None else (e,)
+            with np.errstate(all="ignore"):     # powers past the float range: inf or 0
+                scalar = np.array([float(ufunc(v, *args)) for v in x.tolist()])
+                layouts = [(f"an array of size {m}", np.concatenate(
+                    [ufunc(x[i:i + m], *args) for i in range(0, x.size, m)]))
+                    for m in (1, 17, 4096)]
+                layouts.append(("a strided view", ufunc(np.repeat(x, 2)[::2], *args)))
+            for layout, got in layouts:
+                bad = np.flatnonzero(got != scalar)
+                if bad.size:
+                    i = bad[0]
+                    failures.append(
+                        f"np.{name}({float(x[i])!r}{', ' + repr(e) if args else ''}) is "
+                        f"{float(scalar[i])!r} on a float but {float(got[i])!r} in {layout} "
+                        f"({bad.size} of {x.size} arguments differ)")
+    assert not failures, "this numpy build rounds floats and arrays apart, so " \
+        "sphere.phi's float and array routes disagree:\n" + "\n".join(failures)
+
+
 @CONTRACT
 @given(curve=st.sampled_from(["phi", "one-minus-phi"]),
        d=st.sampled_from([2, 3, 13]),
