@@ -9,14 +9,17 @@ Three pieces stay here, each for a measured reason: the F - 1 series
 sums as many of 80 terms as |s| needs, about 6 at 2e-3 and 22 at 0.19, up
 to a reach it works out from the coefficients: |s| ~ 0.66 at d = 2, 0.09
 at d = 400 for the sphere); the x >= 30 expansion of ``bessel_i_scaled``,
-because scipy's ``ive`` is NaN from x ~ 1.1e9 on; and the Mittag-Leffler
-function, which scipy lacks, as its logarithm.  Bessel I and the
-Mittag-Leffler function come only in these forms, which never overflow.
+because scipy's ``ive`` is NaN from x ~ 1.1e9 on (orders 0, 1/2 and 1 take
+``i0e``, a closed form and ``i1e`` instead, 5-10x faster than ``ive``); and
+the Mittag-Leffler function, which scipy lacks, as its logarithm.  Bessel I
+and the Mittag-Leffler function come only in these forms, which never
+overflow.
 
 The Mittag-Leffler function takes arrays: below t^(1/gamma) = 45 its
-series is summed in log space as one block per band of arguments, with
-the term count set by the band's largest t^(1/gamma); past it the
-one-term asymptotic form is exact to 1e-19 relative.
+series is summed in log space as one block per band of arguments, sorted
+so that each band is a slice, with the count of terms above e^-45 of the
+largest set by the band's largest t^(1/gamma); past it the one-term
+asymptotic form is exact to 1e-19 relative.
 ``_log_mittag_leffler_scaled`` gives log(e^(-t^(1/gamma)) E(t)) from
 log t, for callers whose t leaves the float range or who would cancel
 the e^(t^(1/gamma)).
@@ -188,6 +191,25 @@ def _bessel_i_expansion(nu: float, x: np.ndarray) -> np.ndarray:
     return 1.0 + np.sum(terms, axis=1, where=reach <= x[:, None])
 
 
+# the orders of dimensions 2, 3 and 4 have forms good for every x, and faster than
+# ive's; exp(-x) I_(1/2)(x) = (1 - exp(-2x)) / sqrt(2 pi x), 0 at x = 0
+_IVE = {0.0: _sps.i0e, 1.0: _sps.i1e,
+        0.5: lambda x: np.divide(-np.expm1(-2.0 * x), math.sqrt(2.0 * math.pi) * np.sqrt(x),
+                                 out=np.zeros_like(x), where=x > 0.0)}
+
+
+def _bessel_i_scaled(nu: float, x: np.ndarray) -> np.ndarray:
+    """exp(-x) I_nu(x) at an array of x >= 0, nu >= -1/2, unchecked."""
+    if nu in _IVE:
+        return np.asarray(_IVE[nu](x))
+    big = x >= _BESSEL_I_SWITCH
+    out = np.asarray(_sps.ive(nu, np.where(big, 0.0, x)))
+    if big.any():
+        xb = x[big]
+        out[big] = _bessel_i_expansion(nu, xb) / np.sqrt(2.0 * math.pi * xb)
+    return out
+
+
 def bessel_i_scaled(nu: float, x):
     """exp(-x) I_nu(x) for x >= 0, nu >= -1/2; never overflows; broadcasts over arrays of x."""
     xa = np.asarray(x, dtype=float)
@@ -195,13 +217,9 @@ def bessel_i_scaled(nu: float, x):
         raise DomainError(f"bessel_i requires x >= 0, got {x}")
     if nu < -0.5:
         raise DomainError(f"bessel_i requires nu >= -1/2, got {nu}")
-    big = xa >= _BESSEL_I_SWITCH
-    out = np.asarray(_sps.ive(nu, np.where(big, 0.0, xa)))
+    out = _bessel_i_scaled(nu, xa)
     if nu < 0.0:
         out[xa == 0.0] = math.inf   # scipy gives NaN for this limit
-    if big.any():
-        xb = xa[big]
-        out[big] = _bessel_i_expansion(nu, xb) / np.sqrt(2.0 * math.pi * xb)
     return out if out.ndim else float(out)
 
 
@@ -233,6 +251,24 @@ def _ml_switch(gamma: float, beta: float) -> float:
     return u
 
 
+@lru_cache(maxsize=16)
+def _ml_terms(gamma: float, beta: float) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """n and log Gamma(beta + gamma n) for every term the series may sum
+    below the switch, and counts[j], the terms above e^-45 of the largest
+    at log u = j/4 - 20.  Past the largest, the terms fall for good (n log t
+    - log Gamma is concave in n), each higher relative to it as t grows, so
+    a count covers every u below its own."""
+    switch = _ml_switch(gamma, beta)
+    n = np.arange(math.ceil((2.0 * switch + 40.0) / gamma) + 1.0)
+    log_gamma = _sps.gammaln(beta + gamma * n)
+    log_u = np.arange(-80, 4.0 * math.log(switch) + 1) / 4.0
+    logs = np.multiply.outer(gamma * log_u, n) - log_gamma
+    kept = logs >= logs.max(axis=1, keepdims=True) - 45.0
+    for arr in (n, log_gamma):
+        arr.setflags(write=False)
+    return n, log_gamma, tuple((n.size - np.argmax(kept[:, ::-1], axis=1)).tolist())
+
+
 def _log_mittag_leffler_scaled(gamma: float, beta: float, log_t):
     """log(exp(-t^(1/gamma)) E_(gamma,beta)(t)) at t = exp(log_t), elementwise.
 
@@ -240,22 +276,30 @@ def _log_mittag_leffler_scaled(gamma: float, beta: float, log_t):
     value never holds the e^u that would cancel against a caller's e^-u.
     """
     log_t = np.asarray(log_t, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):   # 0 * log 0 at beta = 1
+    # 0 * log 0 at beta = 1 and, in a term, at t = 0
+    with np.errstate(over="ignore", invalid="ignore"):
         u = np.exp(log_t / gamma)
-        out = np.array(-math.log(gamma) + (1.0 - beta) / gamma * log_t)
-    # the terms needed grow with u: sum each band of u with its own count
-    for lo, hi in ((-1.0, 4.0), (4.0, 16.0), (16.0, _ml_switch(gamma, beta))):
-        band = (lo < u) & (u <= hi)
-        if not band.any():
-            continue
-        # from gamma n = 2u + 40 on, a term is below e^-50 of the sum
-        n = np.arange(math.ceil((2.0 * u[band].max() + 40.0) / gamma) + 1)
-        log_gamma = _sps.gammaln(beta + gamma * n)
-        with np.errstate(invalid="ignore"):      # 0 * log 0 at t = 0
-            logs = np.multiply.outer(log_t[band], n) - log_gamma
-        logs[:, 0] = -log_gamma[0]               # t^0 = 1, also at t = 0
-        top = logs.max(axis=1)
-        out[band] = top + np.log(np.exp(logs - top[:, None]).sum(axis=1)) - u[band]
+        out = np.asarray(-math.log(gamma) + (1.0 - beta) / gamma * log_t)
+        # the terms needed grow with u: sorted by u, each band of u is a slice,
+        # summed with the count its largest u needs (at gamma = 0.6, 14 below 0.01,
+        # where a third of the time integral's nodes lie, against 62 at 4)
+        order = np.argsort(u, axis=None)
+        su, slt, sout = u.ravel()[order], log_t.ravel()[order], out.ravel()[order]
+        n, log_gamma, counts = _ml_terms(gamma, beta)
+        start, edges = 0, (0.01, 4.0, 16.0, _ml_switch(gamma, beta))
+        for stop in np.searchsorted(su, edges, "right").tolist():
+            if stop > start:
+                top_u = su[stop - 1]
+                m = counts[max(math.ceil(4.0 * math.log(top_u)) + 80, 0) if top_u else 0]
+                logs = np.multiply.outer(slt[start:stop], n[:m])
+                logs -= log_gamma[:m]
+                logs[:, 0] = -log_gamma[0]           # t^0 = 1, also at t = 0
+                top = logs.max(axis=1)
+                logs -= top[:, None]
+                sout[start:stop] = (top + np.log(np.exp(logs, out=logs).sum(axis=1))
+                                    - su[start:stop])
+                start = stop
+    out.ravel()[order] = sout
     return out
 
 

@@ -334,10 +334,12 @@ def _refuse(x, ok, what: str) -> None:
     raise DomainError(f"{what}, got {x[~ok][0] if np.ndim(x) else x}")
 
 
-# Fewer radii than this take the float route one at a time: the array route
-# costs 30-60 us however few radii it gets, up to 160 us in the band, where its
-# series takes up to 80 numpy passes, while the float route costs 3-7 us a radius
-_ARRAY_MIN = 64
+# Fewer radii than this take the float route, at 4-5 us a radius.  The array
+# route costs about 50 us however few radii it gets outside the sphere, 100 us
+# within 1e-3 of it and 280 us for radii spread over (0.05, 4), where band
+# radii far from 1 take 80 Horner steps of the 2F1 tails: break-even at 16, 32
+# and 64 radii
+_ARRAY_MIN = 32
 _DELTA_RANGE = "delta = r^2 - 1 must be finite and >= -1"
 # each front end's kind for _radial: its part of _phi_pair, r^2 - 1 from its
 # argument, and its value where that leaves the float range (2F1 is exactly 1)

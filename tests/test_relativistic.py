@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from stablepot import halfspace
+from stablepot import halfspace, relativistic
 from stablepot.cli import main
 from stablepot.core import INFINITY, StableParams
 from stablepot.errors import DivergenceError, DomainError
@@ -428,3 +428,96 @@ class TestKilledHyperplaneKernel:
         for z in ([math.nan], INFINITY):
             with pytest.raises(DomainError):
                 poisson_kernel_halfspace(RP2, x, z)
+
+
+# --- reference: QUADPACK over the whole line of log s ------------------------
+#
+# No power map and none of the package's quadrature: scipy's quad on pieces
+# of l = log s, broken down to 1.7e8 below log s0 so that the diagonal's
+# exp((alpha - 1) l / 2) tail is resolved even at alpha = 1.00001.  The
+# integrand is the package's own; test_against_quadpack_reference checks it
+# against an independent one.
+
+def _ref_log_line_potential(rp, x, y):
+    l0 = 2.0 * math.log(max(x, y))
+    radii = relativistic._radius_logs(x, y)
+
+    def f(l):
+        return math.exp(float(relativistic._log_time_integrand(rp, np.array([l]), radii)[0]) + l)
+
+    ends = ([-math.inf] + [l0 - 10.0 * 4.0 ** j for j in range(13, -1, -1)]
+            + [l0, l0 + 10.0, l0 + 40.0, math.inf])
+    return sum(integrate.quad(f, a, b, limit=400, epsabs=0.0, epsrel=1e-11, full_output=1)[0]
+               for a, b in zip(ends[:-1], ends[1:]))
+
+
+class TestTimeIntegralNearAlphaOne:
+    @pytest.mark.parametrize("alpha", [1.0001, 1.00001, 1.05, 1.5, 1.95])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_against_log_line_reference(self, d, alpha):
+        # the inner map once lost s in (s0 e^-10, s0) for alpha <= 1.00015, and
+        # the cutoff of nearly equal radii (1e-8 apart at alpha = 1.95, 1e-12 at
+        # 1.5): off, on and next to the diagonal
+        rp = RelativisticParams(StableParams(d, alpha), 1.0, 0.5 if d == 2 else 0.0)
+        for x, y in ((1.0, 2.0), (1.0, 1.0), (1.0, 1.0 + 1e-8), (1.0, 1.0 + 1e-12)):
+            want = _ref_log_line_potential(rp, x, y)
+            assert lambda_potential(rp, x, y) == pytest.approx(want, rel=1e-9, abs=0), (x, y)
+
+    def test_eval_near_alpha_one(self, capsys):
+        # 0.64100 before: the first pass never sampled w in (0.9995, 1)
+        code = main(["eval", "u-lambda", "--d", "3", "--alpha", "1.0001", "--m", "1",
+                     "--x", "1", "--y", "2"])
+        out, _ = capsys.readouterr()
+        assert code == 0
+        want = _ref_log_line_potential(RelativisticParams(StableParams(3, 1.0001), 1.0), 1.0, 2.0)
+        assert float(out) == pytest.approx(want, rel=1e-9, abs=0)
+
+
+class TestBatchedHittingRatio:
+    CASES = [(3, 1.2, 1.3, 0.0, 1.0, 1.7), (3, 1.5, 0.7, 0.0, 0.8, 2.9),
+             (4, 1.9, 2.0, 0.0, 1.5, 1.6), (3, 1.2, 1.0, 0.6, 1.0, 2.0),
+             (3, 1.02, 1.0, 0.0, 1.0, 3.0), (2, 1.5, 1.0, 0.3, 1.0, 0.4)]
+
+    @pytest.mark.parametrize("d, alpha, m, lam, r, rho", CASES)
+    def test_equals_ratio_of_separate_potentials(self, d, alpha, m, lam, r, rho):
+        rp = RelativisticParams(StableParams(d, alpha), m, lam)
+        want = lambda_potential(rp, rho, r) / lambda_potential(rp, r, r)
+        base = RelativisticParams(StableParams(d, alpha), m)
+        got = (hitting_laplace_transform(base, r, rho, lam) if lam
+               else hitting_probability_sphere(base, r, rho))
+        assert got == pytest.approx(min(want, 1.0), rel=2e-10, abs=0)
+
+    @pytest.mark.parametrize("d, alpha, m, lam, r, rho", CASES)
+    def test_one_integrand_call_per_pass(self, d, alpha, m, lam, r, rho, monkeypatch):
+        # a pass is one call of the integrator's log_f; each makes exactly one
+        # call of the time integrand, for the rows of both potentials
+        calls, passes = [], []
+        integrand, integrate_log = relativistic._log_time_integrand, relativistic._integrate_log
+
+        def counted_integrand(rp, log_s, radii):
+            calls.append(len(log_s))
+            return integrand(rp, log_s, radii)
+
+        def counted_run(log_f, intervals, n, tol):
+            def counted_log_f(params, u):
+                passes.append(len(u))
+                return log_f(params, u)
+            return integrate_log(counted_log_f, intervals, n, tol)
+
+        monkeypatch.setattr(relativistic, "_log_time_integrand", counted_integrand)
+        monkeypatch.setattr(relativistic, "_integrate_log", counted_run)
+        rp = RelativisticParams(StableParams(d, alpha), m, lam)
+        alone, first = [], 0
+        for x in (rho, r):
+            lambda_potential(rp, x, r)
+            alone.append(len(passes))
+            first += passes[0]
+            calls.clear(), passes.clear()
+        base = RelativisticParams(StableParams(d, alpha), m)
+        if lam:
+            hitting_laplace_transform(base, r, rho, lam)
+        else:
+            hitting_probability_sphere(base, r, rho)
+        assert calls == passes
+        assert len(passes) == max(alone)        # the potentials run side by side
+        assert passes[0] == first
