@@ -900,8 +900,14 @@ class PVResult:
     local_scale: float
 
 
-def fractional_laplacian(p: StableParams, u, x, eps: float = 1e-4,
-                         rmax: float = 1e4, growth_exponent: float = 0.0,
+_PV_EPS = 1e-4      # radius of the ball the curvature estimate stands in for
+# outer radius of the direct integral, 1e4 rather than 1e3: growth exponents
+# near alpha - 1 make the truncated tail scale like rmax^(-alpha), and 1e3
+# leaves it above the per-mille accuracy the harmonicity probes target
+_PV_RMAX = 1e4
+
+
+def fractional_laplacian(p: StableParams, u, x, growth_exponent: float = 0.0,
                          n_angle: int = 256, n_radial: int = 192) -> PVResult:
     """Pointwise fractional Laplacian of u at x by principal-value quadrature.
 
@@ -911,18 +917,15 @@ def fractional_laplacian(p: StableParams, u, x, eps: float = 1e-4,
     default is too coarse, and the error names the least n_angle that
     serves (422 in d = 4; 512 gives an 8 x 8 x 16 grid).  n_angle must be
     even, so that the direction set is symmetric.  The annulus
-    eps <= |h| <= 1 is integrated with the symmetrized increment
+    eps = 1e-4 <= |h| <= 1 is integrated with the symmetrized increment
     (u(x+h) + u(x-h) - 2u(x))/2, which turns the principal value into an
     absolutely convergent integral for C^2 functions; the remaining
     eps-ball contributes c2 eps^(2-alpha)/(2-alpha) at leading order and
     is added back from a curvature estimate of the innermost rings, with
-    the residual priced into the error estimate.  [1, rmax] is integrated
-    directly; the tail beyond rmax is bounded analytically from
+    the residual priced into the error estimate.  [1, rmax] = [1, 1e4] is
+    integrated directly; the tail beyond rmax is bounded analytically from
     ``growth_exponent`` (the declared growth |u(y)| = O(|y|^g), g < alpha)
-    and also reported in the error estimate.  The default rmax is 1e4
-    rather than 1e3: growth exponents near alpha - 1 make the truncated
-    tail scale like rmax^(-alpha), and 1e3 leaves it above the per-mille
-    accuracy the harmonicity probes target.
+    and also reported in the error estimate.
 
     ``local_scale`` is the integral of the absolute integrand, the
     natural magnitude against which a residual should be judged.
@@ -931,11 +934,9 @@ def fractional_laplacian(p: StableParams, u, x, eps: float = 1e-4,
         raise IntegrabilityError(
             f"declared growth {growth_exponent} >= alpha={p.alpha}: "
             "the tail integral does not converge")
-    if not (0.0 < eps < 1.0 < rmax):
-        raise DomainError("need 0 < eps < 1 < rmax")
     if n_angle % 2:
         raise DomainError("n_angle must be even so that the direction set is symmetric")
-    a = p.alpha
+    a, eps, rmax = p.alpha, _PV_EPS, _PV_RMAX
     coef = sphere.constants(p).a_d_neg_alpha
     x = as_point(x, p.d)
     resolution = round(n_angle ** (1.0 / (p.d - 1)))

@@ -255,10 +255,13 @@ def _shell_complement_sup(p: StableParams, eps: float) -> float:
     return max(sphere.phi_complement(p, 1.0 - eps), sphere.phi_complement(p, 1.0 + eps))
 
 
-def _far_field_sup(p: StableParams, r_max: float, n_grid: int = 64) -> float:
+_FAR_FIELD_GRID = 64
+
+
+def _far_field_sup(p: StableParams, r_max: float) -> float:
     # sup of Phi over [r_max, 10 r_max] on a grid; radial monotonicity far
     # out is not a stated fact, so the window is scanned rather than assumed
-    rs = np.geomspace(r_max, 10.0 * r_max, n_grid)
+    rs = np.geomspace(r_max, 10.0 * r_max, _FAR_FIELD_GRID)
     return float(np.max(sphere.phi(p, rs)))
 
 

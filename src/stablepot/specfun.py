@@ -7,13 +7,14 @@ package's domain checks and typed errors.
 Three pieces stay here, each for a measured reason: the F - 1 series
 ``TailPair``, because ``hyp2f1 - 1`` loses digits where F - 1 is small (it
 sums as many of 80 terms as |s| needs, about 6 at 2e-3 and 22 at 0.19, up
-to a reach it works out from the coefficients: |s| ~ 0.66 at d = 2, 0.09
-at d = 400 for the sphere); the x >= 30 expansion of ``bessel_i_scaled``,
-because scipy's ``ive`` is NaN from x ~ 1.1e9 on (orders 0, 1/2 and 1 take
-``i0e``, a closed form and ``i1e`` instead, 5-10x faster than ``ive``); and
-the Mittag-Leffler function, which scipy lacks, as its logarithm.  Bessel I
-and the Mittag-Leffler function come only in these forms, which never
-overflow.
+to a reach it works out from the coefficients: |s| ~ 0.65 at d = 2, 0.61
+at d = 5 and 0.09 at d = 400 for the sphere, and NaN past it, where from
+d = 5 on the sphere's Phi is the sum of its zonal weights); the x >= 30
+expansion of ``bessel_i_scaled``, because scipy's ``ive`` is NaN from
+x ~ 1.1e9 on (orders 0, 1/2 and 1 take ``i0e``, a closed form and ``i1e``
+instead, 5-10x faster than ``ive``); and the Mittag-Leffler function,
+which scipy lacks, as its logarithm.  Bessel I and the Mittag-Leffler
+function come only in these forms, which never overflow.
 
 The Mittag-Leffler function takes arrays: below t^(1/gamma) = 45 its
 series is summed in log space as one block per band of arguments, sorted
@@ -45,9 +46,6 @@ __all__ = [
     "regularized_beta_cdf",
 ]
 
-_LOG_HUGE = 709.0   # exp() overflows above this
-
-
 def _check_2f1(c: float, s: float) -> None:
     if c <= 0.0 and c == math.floor(c):
         raise PoleError(f"gauss_2f1 parameter c has a pole at nonpositive integer {c}")
@@ -67,11 +65,12 @@ _TAIL_TERMS = 80
 class TailPair:
     """F(a, b; c; s) - 1 free of cancellation for two fixed triples (a, b, c):
     sum_(n >= 1) (a)_n (b)_n / ((c)_n n!) s^n for both by Horner's rule, in one
-    pass over as many of 80 terms as |s| needs; past their reach, hyp2f1 - 1."""
+    pass over as many of 80 terms as |s| needs; NaN past their reach, which
+    the sphere's golden band |s| <= 1/golden passes from d = 5 on, where its
+    Phi is the sum of the zonal weights."""
 
     def __init__(self, first: tuple, second: tuple):
-        self.params = (first, second)
-        a, b, c = np.array(self.params).T[:, :, None]
+        a, b, c = np.array((first, second)).T[:, :, None]
         k = np.arange(_TAIL_TERMS + 1.0)
         rho = (a + k) * (b + k) / ((c + k) * (k + 1.0))
         with np.errstate(over="ignore"):           # past the float range: no reach
@@ -89,13 +88,9 @@ class TailPair:
         self._coef_columns = np.array(self._coef)[:, :, None]
 
     def __call__(self, s: float) -> tuple[float, float]:
-        # NaN and |s| >= 1 land past the reach, where _check_2f1 refuses them
         n = bisect_right(self._reach, abs(s)) + 1
-        if n > _TAIL_TERMS:
-            for _, _, c in self.params:
-                _check_2f1(c, s)
-            return tuple(float(_gauss_2f1_minus_one_array(*abc, np.array([s]))[0])
-                         for abc in self.params)
+        if n > _TAIL_TERMS:                        # past the reach, NaN included
+            return math.nan, math.nan
         tail1 = tail2 = 0.0
         for c1, c2 in self._coef[_TAIL_TERMS - n:]:
             tail1 = (tail1 + c1) * s
@@ -103,10 +98,10 @@ class TailPair:
         return tail1, tail2
 
     def on_array(self, s: np.ndarray) -> np.ndarray:
-        """Both tails at every element of a flat array s, finite with |s| < 1,
-        stacked on a new first axis: ``__call__``'s Horner steps, run on each
-        element from its own first term, so every element sees the arithmetic
-        of ``__call__``; past the reach, hyp2f1 - 1."""
+        """Both tails at every element of a flat array s, stacked on a new
+        first axis: ``__call__``'s Horner steps, run on each element from its
+        own first term, so every element sees the arithmetic of ``__call__``;
+        NaN past the reach."""
         # an element of n terms joins at coefficient row 80 - n; sorted by that
         # row, the elements under way at each row are a prefix
         first = _TAIL_TERMS - 1 - np.searchsorted(self._reach, np.abs(s), side="right")
@@ -123,24 +118,8 @@ class TailPair:
                 t *= s_sorted[:m]
         tails = np.empty_like(sorted_tails)
         tails[:, order] = sorted_tails
-        if past.any():
-            tails[:, past] = [_gauss_2f1_minus_one_array(*abc, s[past]) for abc in self.params]
+        tails[:, past] = math.nan
         return tails
-
-
-def _gauss_2f1_minus_one_array(a: float, b: float, c: float, s: np.ndarray) -> np.ndarray:
-    # F(a, b; c; s) - 1 at every element of s, |s| < 1, by hyp2f1, which
-    # takes an a below ~1e-13 for 0: so F(a, b; 2a; s) (the sphere's F1 as
-    # alpha -> 2) by the quadratic transformation (1 - s/2)^(-b)
-    # F(b/2, b/2 + 1/2; a + 1/2; (s/(2 - s))^2) (DLMF 15.8.13), with a
-    # prefactor past the float range taken as inf
-    if c != 2.0 * a:
-        return _sps.hyp2f1(a, b, c, s) - 1.0
-    log_pref = -b * np.log1p(-s / 2.0)
-    pref = np.exp(np.minimum(log_pref, _LOG_HUGE))
-    pref[log_pref >= _LOG_HUGE] = math.inf
-    with np.errstate(invalid="ignore"):
-        return pref * _sps.hyp2f1(b / 2.0, b / 2.0 + 0.5, a + 0.5, (s / (2.0 - s)) ** 2) - 1.0
 
 
 # --- Legendre function of the first kind on (1, oo) ---------------------

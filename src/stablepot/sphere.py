@@ -17,13 +17,15 @@ the Green functions can supply exactly.  Within the golden-ratio band
 expansion gives both Phi and 1 - Phi, the latter accurate up to the
 sphere; outside it, the expansion around argument 1 gives Phi.  The two
 routes agree within 5e-14 across the band edges at d <= 4.  Where the
-band's two terms cancel, Phi is the sum of the zonal weights of the
-Poisson kernel (``polar_weights``, which ``analysis`` integrates with).
+band's two terms cancel, and from d = 5 on where |s| passes the reach of
+their F - 1 series (``specfun.TailPair``, NaN there), Phi is the sum of
+the zonal weights of the Poisson kernel (``polar_weights``, which
+``analysis`` integrates with).
 
 ``phi``, ``phi_complement``, ``phi_complement_offset`` and
 ``phi_complement_delta`` take a number or an array and return the same
 shape.  Each checks its argument and hands it, with its formula for
-r^2 - 1, to one dispatcher: an array of 64 or more elements takes the
+r^2 - 1, to one dispatcher: an array of 32 or more elements takes the
 array route, which runs the branches above under masks; anything smaller
 takes the float route element by element.  The two routes give the same
 bits at every d: both take each exp, log1p, expm1 and power from numpy,
@@ -229,8 +231,9 @@ def _phi_golden(p: StableParams, delta: float) -> tuple[float, float]:
     value = v_ad + (f1_tail + f2)
     # v^(a-d) F1 and f2 cancel, harder as d grows, and each carries some d ulp
     # (powers of v, series), so Phi loses ~d ulp per unit of their excess over
-    # Phi.  Past _GOLDEN_BUDGET ulp (d <= 4 stays below 180) or at inf - inf
-    # (from d ~ 1e5), Phi is the sum of the zonal weights: ~d ulp in all
+    # Phi.  Past _GOLDEN_BUDGET ulp (d <= 4 stays below 180), at inf - inf
+    # (from d ~ 1e5) or past the tails' reach, where they are NaN (from d = 5
+    # on, near the band edges), Phi is the sum of the zonal weights: ~d ulp in all
     if not (abs(v_ad + f1_tail) + abs(f2) - abs(value)) * d <= _GOLDEN_BUDGET * abs(value):
         total = float(np.sum(polar_weights(p, delta / (1.0 + math.sqrt(1.0 + delta)))[1]))
         return total, 1.0 - total
@@ -290,6 +293,7 @@ def _phi_golden_array(p: StableParams, delta: np.ndarray) -> tuple[np.ndarray, n
         np.exp(0.5 * (2.0 - d - a) * log_v2) * (1.0 + tail2)
     value = v_ad + (f1_tail + f2)
     comp = -np.expm1(0.5 * (a - d) * log_v2) - (f1_tail + f2)
+    # _phi_golden's test: past the budget, at inf - inf or past the tails' reach
     over = ~((np.abs(v_ad + f1_tail) + np.abs(f2) - np.abs(value)) * d <=
              _GOLDEN_BUDGET * np.abs(value))
     if over.any():

@@ -61,41 +61,48 @@ class TestGauss2F1:
     def test_tail_reach_follows_the_coefficients(self, d):
         # with b ~ d/2 the terms grow until n ~ b |s|: 80 of them fall short
         # of s = 0.56 at d = 400 (the sum was off by orders of magnitude),
-        # while at d = 2 they reach past 0.618; past the reach, F(a, b; 2a; s)
-        # - 1 from the quadratic transformation, good to ~1e-13 where F
-        # reaches 4e18 (d = 400, s = 0.64)
+        # while at d = 2 they reach past 0.618; past the reach (0.375 at d =
+        # 40, 0.086 at d = 400) both tails are NaN
         a, b, c = 0.25, (d - 1.5) / 2.0, 0.5
+        reach = {2: 0.65, 40: 0.37, 400: 0.086}[d]
         for s in (1e-9, 2e-3, 0.05, 0.2, 0.56, 0.64, -0.56):
+            got = TailPair((a, b, c), (a, b, c))(s)
+            if abs(s) > reach:
+                assert all(math.isnan(t) for t in got), s
+                continue
             with mpmath.workdps(40):
                 ref = float(mpmath.hyp2f1(a, b, c, s) - 1)
-            got = TailPair((a, b, c), (a, b, c))(s)[0]
-            assert abs(got - ref) <= 1e-12 * abs(ref), s
+            assert abs(got[0] - ref) <= 1e-12 * abs(ref), s
 
     @pytest.mark.parametrize("d", [2, 40, 400])
     def test_tails_on_array_equal_the_float_call(self, d):
-        # every element takes the float call's Horner steps, or past the
-        # reach its hyp2f1 - 1 (c = 2a, by the quadratic transformation,
-        # and c != 2a directly), to the bit
+        # every element takes the float call's Horner steps, to the bit, and
+        # is NaN where the float call is: past the reach, from d = 40 here
         s = np.concatenate([np.linspace(-0.64, 0.64, 129), [0.0, 1e-300, -2e-3]])
         for pair in (TailPair((0.25, (d - 1.5) / 2.0, 0.5), (0.4, 0.9, 1.7)),
                      TailPair((0.1, d / 2.0, 1.3), (0.25, (d - 1.5) / 2.0, 0.5))):
             got = pair.on_array(s)
             assert got.shape == (2, s.size)
-            assert np.array_equal(got.T, [pair(x) for x in s.tolist()])
+            np.testing.assert_array_equal(got.T, [pair(x) for x in s.tolist()])
+            assert np.isnan(got).any() == (d > 2)
 
     @pytest.mark.parametrize("d", [5, 10, 400])
     def test_tail_as_alpha_tends_to_two(self, d):
-        # the sphere's F1 = F(1 - alpha/2, (d - alpha)/2; 2 - alpha; s): hyp2f1
-        # takes a first parameter below ~1e-13 for 0 and returned F = 1 (F - 1
-        # off by 100%); past the reach F(a, b; 2a; s) takes the quadratic
-        # transformation, within 1.4e-13 where F reaches 3e30 (d = 400)
+        # the sphere's F1 = F(1 - alpha/2, (d - alpha)/2; 2 - alpha; s), whose
+        # a and c tend to 0 (hyp2f1 takes an a below ~1e-13 for 0, F - 1 off
+        # by 100%): the series keeps its digits up to its reach (0.61 at d = 5,
+        # 0.55 at d = 10, 0.085 at d = 400), and is NaN past it
+        reach = {5: 0.609, 10: 0.55, 400: 0.085}[d]
         for alpha in (2.0 - 2.0 ** -52, 2.0 - 1e-13, 1.9):
             abc = (1.0 - alpha / 2.0, (d - alpha) / 2.0, 2.0 - alpha)
             pair = TailPair(abc, abc)
-            for s in (0.3, 0.56, 0.618):
+            for s in (0.05, 0.3, 0.56, 0.618):
+                if s > reach:
+                    assert math.isnan(pair(s)[0]), (alpha, s)
+                    continue
                 with mpmath.workdps(40):
                     ref = float(mpmath.hyp2f1(*abc, s) - 1)
-                assert abs(pair(s)[0] - ref) <= 2e-13 * abs(ref), (alpha, s)
+                assert abs(pair(s)[0] - ref) <= 1e-14 * abs(ref), (alpha, s)
 
 
 class TestLegendreF1:

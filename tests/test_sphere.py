@@ -180,6 +180,56 @@ class TestConstants:
                 assert abs(phi_complement(p, r) - want_comp) <= comp_bound * want_comp, \
                     (alpha, r)
 
+    def test_golden_tails_reach_past_the_band_up_to_d_4(self):
+        # the band's |s| runs up to 1/golden = 0.618, which the F - 1 series
+        # reaches at every alpha up to d = 4 (least 0.624 there, at alpha ->
+        # 2), so no band radius leaves it there; at d = 5 none reaches it
+        edge = max(1.0 / sphere._GOLDEN, sphere._GOLDEN / (1.0 + sphere._GOLDEN))
+        alphas = [1.0 + 1e-12, 1.001, *np.linspace(1.01, 1.99, 50).tolist(),
+                  1.999, 2.0 - 1e-13, 2.0 - 2.0 ** -52]
+        for d in (2, 3, 4, 5):
+            for alpha in alphas:
+                tails = constants(StableParams(d, alpha)).golden_tails
+                got = [*tails(edge), *tails(-edge),
+                       *tails.on_array(np.array([edge, -edge])).ravel()]
+                assert np.isnan(got).all() if d == 5 else np.isfinite(got).all(), (d, alpha)
+
+    # worst relative errors of (phi, 1 - phi) at band radii past the F - 1
+    # series' reach, where phi is the sum of the zonal weights, over alpha
+    # in {1.2, 1.5, 1.9, 1.99} as measured against the reference: (1.5e-15,
+    # 2.8e-13) at d = 5, (2.6e-15, 1.7e-13) at 8, (1.7e-15, 1.1e-13) at 13,
+    # (8.0e-15, 4.2e-13) at 40 and (7.3e-14, 2.3e-12) at 400; 1 - phi is
+    # not pinned at alpha = 2 - 1e-13, where it is ~1e-13 of phi
+    PAST_REACH_BOUNDS = {5: (1e-14, 1e-12), 8: (1e-14, 1e-12), 13: (1e-14, 1e-12),
+                         40: (3e-14, 1e-12), 400: (1e-13, 3e-12)}
+
+    @pytest.mark.parametrize("d", list(PAST_REACH_BOUNDS))
+    def test_band_past_the_series_reach_against_legendre_reference(self, d):
+        # from d = 5 on the F - 1 series is NaN near the band edges, and phi
+        # there is the zonal sum, the same bits on either route
+        bound, comp_bound = self.PAST_REACH_BOUNDS[d]
+        edge = 1.0 / sphere._GOLDEN
+        for alpha in (1.2, 1.9, 1.99, 2.0 - 1e-13):
+            p = StableParams(d, alpha)
+            tails = constants(p).golden_tails
+            reach = tails._reach[-1]
+            ss = [reach + (edge - reach) * (k + 0.5) / 6.0 for k in range(6)]
+            radii = [1.0 / math.sqrt(1.0 - s) for s in ss] + [math.sqrt(1.0 - s) for s in ss]
+            for s, r in zip(ss + ss, radii):
+                assert np.isnan(tails(s)).all()
+                with mpmath.workdps(60):
+                    ref = _mp_phi(d, alpha, r)
+                    want, want_comp = float(ref), float(1 - ref)
+                assert abs(phi(p, r) - want) <= bound * want, (alpha, r)
+                if alpha <= 1.99:
+                    assert abs(phi_complement(p, r) - want_comp) <= comp_bound * want_comp, \
+                        (alpha, r)
+            many = np.array(radii * 3)              # enough for the array route
+            assert many.size >= sphere._ARRAY_MIN
+            assert np.array_equal(phi(p, many), [phi(p, r) for r in many.tolist()])
+            assert np.array_equal(phi_complement(p, many),
+                                  [phi_complement(p, r) for r in many.tolist()])
+
     @pytest.mark.parametrize("d", [100_000, 1_000_000])
     def test_overflowing_band_terms_take_the_zonal_sum(self, d):
         # the band's two terms overflow to +-inf and their sum is NaN; the
@@ -193,9 +243,9 @@ class TestConstants:
 
     def test_phi_stays_within_the_unit_interval_near_alpha_two(self):
         # inside the sphere phi -> 1 as alpha -> 2, and the golden-band terms
-        # rounded to 1 + 4.7e-15 at (32, 2 - 2 ulp, 0.75); the quadratic
-        # transformation keeps F1 right where hyp2f1 takes its tiny a for 0
-        # (phi was -0.44 at (10, 2 - 1 ulp, 1.5))
+        # rounded to 1 + 4.7e-15 at (32, 2 - 2 ulp, 0.75); past the F - 1
+        # series' reach the zonal sum keeps phi right where hyp2f1 took its
+        # tiny a for 0 (phi was -0.44 at (10, 2 - 1 ulp, 1.5))
         for d in (10, 32):
             for alpha in (2.0 - 2.0 ** -52, 2.0 - 2.0 ** -51):
                 for r in (0.75, 1.5):
