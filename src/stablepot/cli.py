@@ -1,28 +1,21 @@
 """Command line front end: evaluate kernels, verify identities, sample, report.
 
-Subcommands, each with the options it reads besides --d and --alpha
-(any other option is a usage error):
-
-eval     print one kernel value: --x --y --z --r --center --radius --m
-         --lambda --format;
-verify   run an identity suite, or all in order, print a JSON report and
-         exit 1 on any FAIL: --tol --seed --out;
-sample   draw from an exact sampler: --x --n --seed --stream --eps-shell
-         --r-max --out (CSV file);
-report   write a plot-ready CSV curve: --curve --r --m --p --beta --depth
-         --seed --out.
-
-Exit codes: 0 success, 1 verification failure, 2 usage, domain or
-numerical error, 3 I/O error.  Equal --seed values (default 42)
+``eval KERNEL`` prints a kernel value, ``verify SUITE`` a JSON report (exit
+1 on any FAIL); ``sample SAMPLER`` and ``report --curve CURVE`` write CSV.
+One grammar, from the table ``_GRAMMAR`` (-h prints it): the command, then
+its positional and the options it reads in any order, each ``--opt value``
+or ``--opt=value``, the value being the next token unless it starts with
+"--" (so ``--x -1,1`` works); the last repeat wins; an abbreviated or unread
+option is a usage error.  Exit codes: 0 success, 1 verification failure, 2 usage,
+domain or numerical error, 3 I/O error.  Equal --seed values (default 42)
 reproduce byte-identical outputs.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -39,7 +32,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-# the largest row count of a report range; its two columns alone take 160 MB
+# the largest row count of a report range or sample; a range's columns take 160 MB
 _MAX_ROWS = 10_000_000
 
 
@@ -75,67 +68,6 @@ def _scalar(args, name: str) -> float:
     raise DomainError(f"--{name} must be a single number for this kernel")
 
 
-# options shared by several subcommands
-_OPTIONS = {
-    "--d": dict(type=int, default=2),
-    "--alpha": dict(type=float, default=1.5),
-    "--m": dict(type=float, default=1.0),
-    "--lambda": dict(dest="lam", type=float, default=0.0),
-    "--p": dict(dest="pexp", type=float, default=1.0),
-    "--tol": dict(type=float, default=None),
-    "--seed": dict(type=int, default=42),
-    "--n": dict(type=int, default=10_000),
-    "--out": dict(type=str, default=None),
-    "--format": dict(choices=("text", "json"), default="text"),
-}
-
-
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # built once per process: parse_args fills a fresh namespace each call
-    ap = argparse.ArgumentParser(
-        prog="stablepot",
-        description="kernels, verification suites and hitting samplers for "
-                    "stable processes off a sphere or hyperplane")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(sp, *flags):
-        for flag in ("--d", "--alpha", *flags):
-            sp.add_argument(flag, **_OPTIONS[flag])
-
-    se = sub.add_parser("eval", help="evaluate a kernel at given points")
-    se.add_argument("kernel", choices=KERNELS)
-    se.add_argument("--x", type=str, default=None)
-    se.add_argument("--y", type=str, default=None)
-    se.add_argument("--z", type=str, default=None)
-    se.add_argument("--center", type=str, default="0,0")
-    se.add_argument("--radius", type=float, default=1.0)
-    se.add_argument("--r", type=float, default=None)
-    common(se, "--m", "--lambda", "--format")
-
-    sv = sub.add_parser("verify", help="run an identity suite")
-    sv.add_argument("suite", choices=tuple(SUITES) + ("all",))
-    common(sv, "--tol", "--seed", "--out")
-
-    ss = sub.add_parser("sample", help="draw from an exact sampler")
-    ss.add_argument("sampler", choices=("ball-exit", "halfplane-hit",
-                                        "walk-on-balls"))
-    ss.add_argument("--x", type=str, default=None)
-    ss.add_argument("--stream", type=int, default=0)
-    ss.add_argument("--eps-shell", type=float, default=1e-4)
-    ss.add_argument("--r-max", type=float, default=1e3)
-    common(ss, "--seed", "--n", "--out")
-
-    sr = sub.add_parser("report", help="write a plot-ready CSV curve")
-    sr.add_argument("--curve", choices=CURVES, required=True)
-    sr.add_argument("--r", type=str, default="0.01:10:200",
-                    help="abscissa range start:stop:count")
-    sr.add_argument("--beta", type=float, default=1.0)
-    sr.add_argument("--depth", type=int, default=20)
-    common(sr, "--m", "--p", "--seed", "--out")
-    return ap
-
-
 # --- eval -------------------------------------------------------------------
 
 def _radius_or_point(a):
@@ -169,7 +101,8 @@ _KERNELS = {
     "green-H": lambda p, a: halfspace.green_function(p, *_points(a, "x", "y")),
     "martin-H": lambda p, a: halfspace.martin_kernel(p, *_points(a, "x", "z")),
     "ball-poisson": lambda p, a: sphere.ball_poisson_kernel(
-        p, _parse_point(a.center, "center"), a.radius, *_points(a, "x", "y")),
+        p, np.zeros(p.d) if a.center is None else _parse_point(a.center, "center"),
+        a.radius, *_points(a, "x", "y")),
     "phi-rel": lambda p, a: relativistic.hitting_probability_sphere(
         RelativisticParams(p, a.m), a.radius, _radius_or_point(a)),
     "poisson-H-rel": lambda p, a: relativistic.poisson_kernel_halfspace(
@@ -206,6 +139,8 @@ def _cmd_verify(args) -> int:
 # --- sample -----------------------------------------------------------------
 
 def _cmd_sample(args) -> int:
+    if args.n > _MAX_ROWS:
+        raise DomainError(f"--n must be at most {_MAX_ROWS}, got {args.n}")
     p = StableParams(args.d, args.alpha)
     stream = RngStream(args.seed, args.stream)
     rng = stream.generator()
@@ -321,15 +256,98 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {"eval": _cmd_eval, "verify": _cmd_verify, "sample": _cmd_sample,
-             "report": _cmd_report}
+# every option: flag -> (type, default[, dest]); a tuple type lists the choices,
+# a default of ... makes it required, and dest is else the flag with "-" as "_"
+_OPTIONS = {
+    "--d": (int, 2), "--alpha": (float, 1.5), "--x": (str, None), "--y": (str, None),
+    "--z": (str, None), "--center": (str, None), "--radius": (float, 1.0), "--r": (float, None),
+    "--m": (float, 1.0), "--lambda": (float, 0.0, "lam"), "--p": (float, 1.0, "pexp"),
+    "--tol": (float, None), "--seed": (int, 42), "--n": (int, 10_000), "--stream": (int, 0),
+    "--eps-shell": (float, 1e-4), "--r-max": (float, 1e3), "--beta": (float, 1.0),
+    "--depth": (int, 20), "--out": (str, None), "--format": (("text", "json"), "text"),
+    "--curve": (CURVES, ...),
+}
+
+
+def _reads(*flags):
+    # flag -> (type, default, dest) of --d, --alpha and the flags named
+    return {f: (*_OPTIONS[f], f[2:].replace("-", "_"))[:3] for f in ("--d", "--alpha", *flags)}
+
+
+# command -> (handler, positional, its choices, the options read; report's --r is a range)
+_GRAMMAR = {
+    "eval": (_cmd_eval, "kernel", KERNELS, _reads("--x", "--y", "--z", "--center", "--radius",
+                                                  "--r", "--m", "--lambda", "--format")),
+    "verify": (_cmd_verify, "suite", (*SUITES, "all"), _reads("--tol", "--seed", "--out")),
+    "sample": (_cmd_sample, "sampler", ("ball-exit", "halfplane-hit", "walk-on-balls"),
+               _reads("--x", "--stream", "--eps-shell", "--r-max", "--seed", "--n", "--out")),
+    "report": (_cmd_report, None, (), _reads("--curve", "--beta", "--depth", "--m", "--p", "--seed",
+                                             "--out") | {"--r": (str, "0.01:10:200", "r")}),
+}
+
+
+def _usage(command: str) -> str:
+    _, positional, choices, options = _GRAMMAR[command]
+    words = [f"usage: stablepot {command}"] + ["{%s}" % ",".join(choices)] * bool(positional)
+    for flag, (kind, default, dest) in options.items():
+        arg = f"{flag} " + ("{%s}" % ",".join(kind) if type(kind) is tuple else dest.upper())
+        words.append(arg if default is ... else f"[{arg}]")
+    return " ".join(words)
+
+
+def _fail(command, message: str):
+    # argparse's wording and exit code
+    print(f"stablepot{' ' + command if command else ''}: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
+def _value(command, name: str, kind, text: str):
+    if type(kind) is tuple and text not in kind:
+        _fail(command, f"argument {name}: invalid choice: {text!r} (choose from "
+                       f"{', '.join(map(repr, kind))})")
+    try:
+        return text if type(kind) is tuple else kind(text)
+    except ValueError:
+        _fail(command, f"argument {name}: invalid {kind.__name__} value: {text!r}")
+
+
+def _parse(argv) -> SimpleNamespace:
+    """The arguments of one command line, read by the grammar table."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if {"-h", "--help"} & set(argv):       # the usage of the command, or of all
+        print("\n".join(map(_usage, argv[:1] if argv[0] in _GRAMMAR else _GRAMMAR)))
+        raise SystemExit(EXIT_OK)
+    command = _value(None, "command", tuple(_GRAMMAR), argv[0]) if argv else _fail(
+        None, "the following arguments are required: command")
+    _, positional, choices, options = _GRAMMAR[command]
+    args = {"command": command} | {dest: d for _, d, dest in options.values() if d is not ...}
+    extras, tokens = [], iter(argv[1:])
+    for tok in tokens:
+        flag, eq, text = tok.partition("=")
+        if flag in options:
+            if not eq:      # the next token, even one like -1,1, but no option
+                text = next(tokens, "--")
+                if text.startswith("--"):
+                    _fail(command, f"argument {flag}: expected one argument")
+            kind, _, dest = options[flag]
+            args[dest] = _value(command, flag, kind, text)
+        elif positional and positional not in args and not tok.startswith("--"):
+            args[positional] = _value(command, positional, choices, tok)
+        else:
+            extras.append(tok)
+    missing = [positional] * bool(positional and positional not in args) + [
+        f for f, (_, d, dest) in options.items() if d is ... and dest not in args]
+    if missing:
+        _fail(command, "the following arguments are required: " + ", ".join(missing))
+    if extras:
+        _fail(None, "unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = _parse(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _GRAMMAR[args.command][0](args)
     except (DomainError, DivergenceError, ValueError, ConvergenceError,
             OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

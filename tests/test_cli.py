@@ -1,7 +1,10 @@
+import argparse
 import hashlib
+import importlib.util
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -13,8 +16,10 @@ import pytest
 import stablepot
 from stablepot import cli
 from stablepot.cli import main
+from stablepot.suites import SUITES
 
 SRC = str(Path(stablepot.__file__).resolve().parents[1])
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def run(capsys, *argv):
@@ -35,6 +40,60 @@ def run_cli_process(*argv):
         filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "stablepot.cli", *argv],
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+def argparse_oracle() -> argparse.ArgumentParser:
+    # the argparse parser the CLI's grammar table replaced, kept as a
+    # reference; only --center's default follows the table (the origin of
+    # R^d, given as None, where it was "0,0")
+    options = {
+        "--d": dict(type=int, default=2),
+        "--alpha": dict(type=float, default=1.5),
+        "--m": dict(type=float, default=1.0),
+        "--lambda": dict(dest="lam", type=float, default=0.0),
+        "--p": dict(dest="pexp", type=float, default=1.0),
+        "--tol": dict(type=float, default=None),
+        "--seed": dict(type=int, default=42),
+        "--n": dict(type=int, default=10_000),
+        "--out": dict(type=str, default=None),
+        "--format": dict(choices=("text", "json"), default="text"),
+    }
+    ap = argparse.ArgumentParser(prog="stablepot")
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    def common(sp, *flags):
+        for flag in ("--d", "--alpha", *flags):
+            sp.add_argument(flag, **options[flag])
+
+    se = sub.add_parser("eval")
+    se.add_argument("kernel", choices=cli.KERNELS)
+    se.add_argument("--x", type=str, default=None)
+    se.add_argument("--y", type=str, default=None)
+    se.add_argument("--z", type=str, default=None)
+    se.add_argument("--center", type=str, default=None)
+    se.add_argument("--radius", type=float, default=1.0)
+    se.add_argument("--r", type=float, default=None)
+    common(se, "--m", "--lambda", "--format")
+
+    sv = sub.add_parser("verify")
+    sv.add_argument("suite", choices=tuple(SUITES) + ("all",))
+    common(sv, "--tol", "--seed", "--out")
+
+    ss = sub.add_parser("sample")
+    ss.add_argument("sampler", choices=("ball-exit", "halfplane-hit", "walk-on-balls"))
+    ss.add_argument("--x", type=str, default=None)
+    ss.add_argument("--stream", type=int, default=0)
+    ss.add_argument("--eps-shell", type=float, default=1e-4)
+    ss.add_argument("--r-max", type=float, default=1e3)
+    common(ss, "--seed", "--n", "--out")
+
+    sr = sub.add_parser("report")
+    sr.add_argument("--curve", choices=cli.CURVES, required=True)
+    sr.add_argument("--r", type=str, default="0.01:10:200")
+    sr.add_argument("--beta", type=float, default=1.0)
+    sr.add_argument("--depth", type=int, default=20)
+    common(sr, "--m", "--p", "--seed", "--out")
+    return ap
 
 
 class TestEval:
@@ -71,6 +130,26 @@ class TestEval:
                              "--radius", "1.0", "--x", "0,0", "--y", "0,-1.7")
         assert code == code2 == 0
         assert out == out2              # isotropy from the center
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_ball_poisson_center_defaults_to_the_origin(self, capsys, d):
+        x, y = ",".join(["0"] * d), ",".join(["2"] + ["0"] * (d - 1))
+        code, out, err = run(capsys, "eval", "ball-poisson", "--d", str(d), "--x", x, "--y", y)
+        assert code == 0 and err == ""
+        code2, out2, _ = run(capsys, "eval", "ball-poisson", "--d", str(d), "--x", x, "--y", y,
+                             "--center", ",".join(["0"] * d))
+        assert code2 == 0
+        assert out == out2
+
+    def test_negative_values_in_either_form(self, capsys):
+        code, a, _ = run(capsys, "eval", "green-H", "--x", "-1,1", "--y", "1,-1")
+        code2, b, _ = run(capsys, "eval", "green-H", "--x=-1,1", "--y=1,-1")
+        assert code == code2 == 0
+        assert a == b
+        code, a, _ = run(capsys, "eval", "phi", "--x", "-0.5,-1")
+        code2, b, _ = run(capsys, "eval", "phi", "--x=-0.5,-1")
+        assert code == code2 == 0
+        assert a == b
 
     def test_relativistic_hitting(self, capsys):
         code, out, _ = run(capsys, "eval", "phi-rel", "--d", "2",
@@ -152,10 +231,9 @@ class TestOptions:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_cached_parser_keeps_no_state_between_calls(self, capsys):
-        # the parser is built once per process; a verify with non-default
-        # options, then the usage errors above, must leave every later
-        # parse equal to one by a freshly built parser
+    def test_parser_keeps_no_state_between_calls(self, capsys):
+        # a verify with non-default options, then the usage errors above,
+        # must leave every later parse equal to one by a fresh argparse oracle
         code, _, _ = run(capsys, "verify", "relativistic", "--d", "3", "--alpha", "1.2",
                          "--tol", "0.5", "--seed", "7")
         assert code == 0
@@ -163,11 +241,108 @@ class TestOptions:
             with pytest.raises(SystemExit):
                 main(list(argv))
         capsys.readouterr()
-        fresh = cli._build_parser.__wrapped__()
+        fresh = argparse_oracle()
         for argv in (["verify", "relativistic"], ["eval", "phi", "--r", "2"],
                      ["sample", "ball-exit"], ["report", "--curve", "qm"]):
-            assert vars(cli._build_parser().parse_args(argv)) == vars(fresh.parse_args(argv))
-        assert cli._build_parser() is cli._build_parser()
+            assert vars(cli._parse(argv)) == vars(fresh.parse_args(argv))
+
+
+def load_workloads():
+    # perfbench/workloads.py, which imports only the standard library
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def workload_argvs():
+    # every argv the benchmark generates: the cold eval of each session, the
+    # full and probe-sized cli-mix sessions, and the verify commands
+    wl = load_workloads()
+    argvs = [wl.setup_argv(seed) for seed in (1, 2, 3)]
+    argvs += [op["argv"] for seed in (1, 2, 3) for index in range(4)
+              for scale in (1.0, wl.PROBE_SCALE) for op in wl.cli_session(seed, index, scale)]
+    argvs += [wl.verify_argv(workload, vseed) for workload in wl.VERIFY_PARAMS
+              for vseed in range(1, 11)]
+    return argvs
+
+
+def usage_error(capsys, parse, argv):
+    # the message after "error: " of a usage error, which must exit 2
+    with pytest.raises(SystemExit) as exc:
+        parse(list(argv))
+    assert exc.value.code == 2
+    return capsys.readouterr().err.splitlines()[-1].split("error: ", 1)[1]
+
+
+BAD_ARGVS = [
+    ("eval", "phi", "--r", "2", "--bogus", "1"),              # an unknown option
+    ("sample", "ball-exit", "--curve", "phi"),                # another command's option
+    ("eval", "bogus-kernel"),
+    ("verify", "bogus-suite"),
+    ("sample", "bogus-sampler"),
+    ("report", "--curve", "bogus"),
+    ("eval", "phi", "--r", "2", "--format", "xml"),
+    ("sample", "ball-exit", "--n", "1.5"),
+    ("verify", "identities", "--seed", "x"),
+    ("report", "--curve", "fatou-decay", "--depth", "3.0"),
+    ("eval", "phi", "--r", "x"),
+    ("eval", "phi", "--r"),                                   # a missing value
+    ("eval", "green-H", "--x", "--y", "0,1"),
+    ("report", "--r", "0:1:5"),                               # no --curve
+    ("eval", "--r", "2"),                                     # no kernel
+    ("bogus",),
+    (),                                                       # no command
+]
+
+
+class TestGrammar:
+    def test_workload_argvs_parse_as_under_argparse(self):
+        oracle = argparse_oracle()
+        argvs = workload_argvs()
+        assert len(argvs) > 6000
+        for argv in argvs:
+            assert vars(cli._parse(argv)) == vars(oracle.parse_args(argv)), argv
+
+    @pytest.mark.parametrize("argv", BAD_ARGVS, ids=lambda a: " ".join(a) or "no command")
+    def test_usage_error_in_argparse_wording(self, capsys, argv):
+        assert usage_error(capsys, cli._parse, argv) == \
+            usage_error(capsys, argparse_oracle().parse_args, argv)
+
+    @pytest.mark.parametrize("argv,joined", [
+        ("eval green-H --x -1,1 --y 1,-1", "eval green-H --x=-1,1 --y=1,-1"),
+        ("eval phi --r -inf", "eval phi --r=-inf"),
+        ("sample walk-on-balls --x -0.5,0 --n 10", "sample walk-on-balls --x=-0.5,0 --n 10"),
+    ])
+    def test_space_form_reads_a_negative_value(self, capsys, argv, joined):
+        # argparse takes such a value for an option and refuses the line; the
+        # table takes the next token, as argparse does in the --opt=value form
+        oracle = argparse_oracle()
+        assert "expected one argument" in usage_error(capsys, oracle.parse_args, argv.split())
+        assert vars(cli._parse(argv.split())) == vars(oracle.parse_args(joined.split()))
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "phi", "--r", "2", "--alp", "1.5"),
+        ("verify", "identities", "--se", "3"),
+        ("sample", "walk-on-balls", "--r", "5"),                # --r-max to argparse
+    ])
+    def test_abbreviation_is_a_usage_error(self, capsys, argv):
+        argparse_oracle().parse_args(list(argv))
+        assert usage_error(capsys, main, argv).startswith("unrecognized arguments: ")
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    @pytest.mark.parametrize("command", [None, *cli._GRAMMAR])
+    def test_help_prints_the_table_usage(self, capsys, flag, command):
+        with pytest.raises(SystemExit) as exc:
+            main([flag] if command is None else [command, flag])
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        commands = list(cli._GRAMMAR) if command is None else [command]
+        assert err == "" and len(out.splitlines()) == len(commands)
+        for line, name in zip(out.splitlines(), commands):
+            _, _, choices, options = cli._GRAMMAR[name]
+            assert line.startswith(f"usage: stablepot {name}")
+            assert all(word in line for word in (*choices, *options))
 
 
 class TestVerify:
@@ -273,6 +448,26 @@ class TestSample:
         assert code == 0
         est = float(out.split("estimate=")[1].split()[0])
         assert abs(est - 0.8472130847939793) < 0.05
+
+    @pytest.mark.parametrize("sampler", ["ball-exit", "halfplane-hit", "walk-on-balls"])
+    def test_n_past_the_row_cap_is_one_error_line(self, capsys, sampler):
+        # refused before any draw or walker is allocated
+        code, out, err = run(capsys, "sample", sampler, "--n", str(cli._MAX_ROWS + 1))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_huge_n_under_a_memory_limit(self):
+        # 1e11 draws once ended in numpy's allocation error and exit 1; the
+        # child runs under a 3 GB address-space limit in case the cap breaks
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        res = subprocess.run([sys.executable, "-m", "stablepot.cli", "sample", "ball-exit",
+                              "--n", "100000000000"], env=env, capture_output=True, text=True,
+                             timeout=120, preexec_fn=limit)
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
 
     def test_io_error_exit_code(self, capsys):
         code, _, err = run(capsys, "sample", "ball-exit", "--n", "10",
