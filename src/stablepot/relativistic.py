@@ -21,25 +21,28 @@ for lambda = 0 only in d >= 3; both failure modes raise
 
 The integrand is evaluated in log form on whole arrays of log s, so that
 s may lie beyond the float range (radii near 1e+-300 put the mass of the
-integral near s = 1e+-600).  The quadrature splits at s0 = max(x, y)^2:
-s = s0 w^(2/(alpha-1)) on w in (0, 1] absorbs the s^((alpha-3)/2)
-endpoint, and s = s0 / v^2 on v in (0, 1] maps the tail.  For alpha < 1.05,
-and for radii closer than 2 e^(-3.5/(alpha-1)) max(x, y), the inner map
-splits at s0 e^-80 (see ``_pieces``), since it would squeeze the features
-of the integrand past the nodes of a pass.  The time integral is right to
-its 1e-10 tolerance for alpha - 1 >= 1e-5 (tested against QUADPACK over
-log s down to alpha = 1.00001); closer to 1 the rounding of log s ~
-2/(alpha-1) below s0 e^-80 can keep a diagonal potential from converging,
-which raises ``ConvergenceError``.  One globally adaptive Gauss-Kronrod
+integral near s = 1e+-600).  The Mittag-Leffler factor is read from
+``specfun``'s table for (alpha/2, alpha/2), built once per alpha.  The
+quadrature splits at s0 = max(x, y)^2: s = s0 w^(2/(alpha-1)) on w in
+(0, 1] absorbs the s^((alpha-3)/2) endpoint, and s = s0 / v^2 on v in
+(0, 1] maps the tail.  For alpha < 1.05, and for radii closer than
+2 e^(-3.5/(alpha-1)) max(x, y), the inner map splits at s0 e^-80, since
+it would squeeze the features of the integrand past the nodes of a pass;
+in d = 2, where s0 times the rate of the exponential cutoff is below
+e^-20, the tail starts on intervals e^-2 apart in v, since the integrand
+is a v^(1-alpha) spike out to v ~ sqrt(s0 rate) there (see ``_pieces``).
+The time integral is right to its 1e-10 tolerance for alpha - 1 >= 1e-5
+(tested against QUADPACK over log s down to alpha = 1.00001); closer to
+1 the rounding of log s ~ 2/(alpha-1) below s0 e^-80 can keep a diagonal
+potential from converging, which raises ``ConvergenceError``.  One globally adaptive Gauss-Kronrod
 (10, 21) run integrates a batch of potentials: each pass evaluates the
 nodes of every new interval of every unconverged potential in one call,
 and each potential keeps its own shift, error sum and stopping test, so
 a hitting ratio costs about one potential.  The sums are kept relative to
 their largest term, so potentials beyond the float range still give
 finite hitting ratios.  On the benchmark's evals a potential takes 1.2
-passes and about 260 nodes: ``eval u-lambda`` about 0.5 ms and ``eval
-phi-rel`` at d = 3 about 0.6 ms on a 2-core Xeon VM at its usual speed,
-0.55-0.77 of their time with a run per potential.
+passes and about 260 nodes: ``eval u-lambda`` about 0.26 ms and ``eval
+phi-rel`` at d = 3 about 0.31 ms in-process on a 2-core Xeon VM.
 
 The hitting probability of the sphere of radius r is identically 1 in
 d = 2 and u_m(|x|, r)/u_m(r, r) in d >= 3; the exponentially-discounted
@@ -301,14 +304,27 @@ def _integrate_log(log_f, intervals: np.ndarray, n: int, tol: float) -> np.ndarr
 # the integrand is the diagonal's power law or nothing.
 _POWER_CAP = 40.0
 _FAR = 80.0
+# s > s0 maps to s = s0 / v^2.  In d = 2 the integrand falls there only like
+# s^((alpha-4)/2) up to s ~ 1/rate, a v^(1-alpha) spike on (sqrt(s0 rate), 1) that
+# ends in the cutoff exp(-rate s0 / v^2), which a pass no longer resolves once
+# s0 rate is small.  Below s0 rate = e^-20 the map's starting intervals are instead
+# geometric, e^-2 apart from v = 1 down to past e^-3 sqrt(s0 rate), then one to 0,
+# so that each holds a smooth piece of the spike or of the cutoff.
+_LOG_TAIL_SPIKE = -20.0
+_TAIL_STEP = 2.0
 
 
 @lru_cache(maxsize=16)
-def _pieces(pw: float, split: bool) -> tuple:
+def _pieces(pw: float, split: bool, tail_steps: int) -> tuple:
     """The time integral's starting intervals on the line of u, a row
     (midpoint, half-width, o, c0, c1, log|c1|) each, where its piece maps
-    log s = log s0 + c0 + c1 log|u - o|."""
-    pieces = [(2.0, 0.0, -2.0, np.linspace(1.0, 2.0, 5))]       # s = s0 / v^2, v = 2 - u
+    log s = log s0 + c0 + c1 log|u - o|; ``tail_steps`` geometric ones in the
+    tail, or 0 for four even ones."""
+    if tail_steps:                                               # s = s0 / v^2, v = u
+        ends = np.exp(-_TAIL_STEP * np.arange(tail_steps, -1.0, -1.0))
+        pieces = [(0.0, 0.0, -2.0, [0.0, *ends])]
+    else:
+        pieces = [(2.0, 0.0, -2.0, np.linspace(1.0, 2.0, 5))]   # s = s0 / v^2, v = 2 - u
     if not split:
         pieces.append((0.0, 0.0, pw, np.linspace(0.0, 1.0, 9)))
     else:
@@ -338,12 +354,16 @@ def _log_potentials(rp: RelativisticParams, pairs, quad_tol: float) -> np.ndarra
             if x == 0.0:
                 raise DivergenceError("the potential is infinite at x = y = 0")
     pw = 2.0 / (a - 1.0) if a > 1.0 else 4.0
+    rate = _mass_power(rp.m, a) - _mass_power(rp.m - rp.lam, a)
     rows = []
     for i, (x, y) in enumerate(pairs):
         log_s0, radii = 2.0 * math.log(max(x, y)), _radius_logs(x, y)
         split = pw > _POWER_CAP or -3.5 * pw > radii[1] - log_s0 > -math.inf
+        log_spike = log_s0 + math.log(rate) if rp.d == 2 and rate > 0.0 else 0.0
+        tail_steps = (math.ceil((3.0 - 0.5 * log_spike) / _TAIL_STEP)
+                      if log_spike < _LOG_TAIL_SPIKE else 0)
         rows += [(mid, half, i, o, log_s0 + c0, c1, log_c1, *radii)
-                 for mid, half, o, c0, c1, log_c1 in _pieces(pw, split)]
+                 for mid, half, o, c0, c1, log_c1 in _pieces(pw, split, tail_steps)]
     intervals = np.array(rows)
 
     def log_f(params, u):

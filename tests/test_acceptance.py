@@ -149,10 +149,10 @@ def test_criterion_04_martin_limits():
 
 
 def test_criterion_05_phi_dual_path_and_limits():
-    # the golden-band and t = 1 routes, on both sides of the band edges
-    # r^2 - 1 = golden and -1/golden, where both hold
+    # the golden-band and t = 1 routes, inside the band up to both of its
+    # edges r^2 - 1 = golden and -1/golden, where phi takes the band's route
     golden = (math.sqrt(5.0) + 1.0) / 2.0
-    deltas = (1.2, 1.5, golden, 1.7, 2.0, -0.55, -0.6, -1.0 / golden, -0.65, -0.7)
+    deltas = (1.2, 1.5, 1.6, 1.61, golden, -0.55, -0.6, -0.61, -0.615, -1.0 / golden)
     worst = 0.0
     for d in (2, 3):
         for alpha in (1.2, 1.5, 1.8):

@@ -463,6 +463,32 @@ class TestTimeIntegralNearAlphaOne:
             want = _ref_log_line_potential(rp, x, y)
             assert lambda_potential(rp, x, y) == pytest.approx(want, rel=1e-9, abs=0), (x, y)
 
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.88])
+    @pytest.mark.parametrize("r", [1e-20, 1e-50])
+    def test_planar_small_radii_against_log_line_reference(self, r, alpha):
+        # in d = 2 the tail is a v^(1-alpha) spike out to v ~ r sqrt(rate), which
+        # the four even starting intervals left unresolved at alpha = 1.5 and 1.88
+        # (ConvergenceError)
+        rp = RelativisticParams(StableParams(2, alpha), 0.18, 0.13)
+        want = _ref_log_line_potential(rp, r, 1.07 * r)
+        assert lambda_potential(rp, r, 1.07 * r) == pytest.approx(want, rel=1e-9, abs=0)
+
+    def test_even_tail_intervals_at_benchmark_scale(self, monkeypatch):
+        # the geometric tail starts only below s0 rate = e^-20; radii and masses
+        # as the eval workloads draw them (0.2 to 3, 0.5 to 2) stay above it
+        steps = []
+        pieces = relativistic._pieces
+
+        def recorded(pw, split, tail_steps):
+            steps.append(tail_steps)
+            return pieces(pw, split, tail_steps)
+
+        monkeypatch.setattr(relativistic, "_pieces", recorded)
+        for m, lam, x, y in [(0.5, 0.05, 0.2, 0.2 + 1e-3), (2.0, 1.8, 3.0, 0.2), (0.5, 0.45, 0.2, 3.0)]:
+            lambda_potential(RelativisticParams(StableParams(2, 1.5), m, lam), x, y)
+        lambda_potential(RelativisticParams(StableParams(2, 1.5), 0.18, 0.13), 1e-20, 1e-20)
+        assert steps == [0, 0, 0, 26]
+
     def test_eval_near_alpha_one(self, capsys):
         # 0.64100 before: the first pass never sampled w in (0.9995, 1)
         code = main(["eval", "u-lambda", "--d", "3", "--alpha", "1.0001", "--m", "1",

@@ -7,7 +7,11 @@ import pytest
 import scipy.special as sps
 from scipy import integrate
 
+from stablepot import specfun
+from stablepot.core import StableParams
 from stablepot.errors import DomainError, PoleError
+from stablepot.relativistic import (RelativisticParams, lambda_potential,
+                                    log_subordinator_potential)
 from stablepot.specfun import (TailPair, bessel_i_scaled, bessel_k,
                                gauss_2f1, legendre_f1, log_mittag_leffler,
                                regularized_beta_cdf)
@@ -267,6 +271,73 @@ class TestMittagLeffler:
             log_mittag_leffler(-0.5, 1.0, 1.0)
         with pytest.raises(DomainError):
             log_mittag_leffler(0.5, 1.0, -1.0)
+
+
+class TestMittagLefflerTable:
+    """The Chebyshev table of h(log t) = log E(t) - t^(1/gamma) below the switch."""
+
+    PAIRS = [(0.5 + 1e-9, 0.5 + 1e-9), (0.525, 0.525), (0.6, 0.6), (0.75, 0.75),
+             (0.95, 0.95), (1.0 - 1e-9, 1.0 - 1e-9), (0.6, 1.0), (1.5, 2.0), (0.7, 0.25),
+             (5.0, 1.0)]
+
+    @pytest.mark.parametrize("g, b", PAIRS)
+    def test_against_40_digit_series(self, g, b):
+        # a dense grid of log u = log t / g, from below the table's lower end to
+        # just under the switch; the oracle is the series itself at 40 digits
+        switch = specfun._ml_switch(g, b)
+        # bisection stops at the series' own rounding, not well past it
+        assert len(specfun._ml_table(g, b)[-1]) <= 40
+        log_t = g * np.linspace(-42.0, math.log(switch) - 1e-3, 241)
+        got = np.exp(specfun._log_mittag_leffler_scaled(g, b, log_t))
+        with mpmath.workdps(40):
+            n_max = int(3.0 * switch / g) + 80
+            inv_gamma = [1 / mpmath.gamma(mpmath.mpf(b) + mpmath.mpf(g) * n) for n in range(n_max)]
+            for lt, e in zip(log_t, got):
+                t = mpmath.exp(mpmath.mpf(lt))
+                power, total = mpmath.mpf(1), mpmath.mpf(0)
+                for c in inv_gamma:
+                    total += power * c
+                    power *= t
+                ref = total * mpmath.exp(-t ** (1 / mpmath.mpf(g)))
+                assert abs(e / float(ref) - 1.0) <= 1e-13, (lt, e, ref)
+
+    def test_limits_and_nan(self):
+        # t = 0 gives 1/Gamma(beta) exactly; log t = +inf and NaN give the
+        # asymptotic form's value, as the banded series did
+        for g, b in [(0.75, 0.75), (0.6, 1.0), (1.5, 2.0), (5.0, 1.0)]:
+            got = specfun._log_mittag_leffler_scaled(g, b, np.array([-math.inf, math.inf, math.nan]))
+            assert got[0] == -math.lgamma(b)
+            with np.errstate(invalid="ignore"):
+                assert np.array_equal(got[1:], -math.log(g) + (1.0 - b) / g
+                                      * np.array([math.inf, math.nan]), equal_nan=True)
+
+    def test_rebuild_gives_the_same_bits(self):
+        log_t = np.linspace(-45.0, 4.0, 1001)
+        first = specfun._log_mittag_leffler_scaled(0.75, 0.75, log_t)
+        specfun._ml_table.cache_clear()
+        assert np.array_equal(specfun._log_mittag_leffler_scaled(0.75, 0.75, log_t), first)
+
+    @pytest.mark.parametrize("g, b", [(0.6, 0.6), (0.75, 0.75), (0.7, 0.25)])
+    def test_scalar_and_array_give_the_same_bits(self, g, b):
+        ts = np.concatenate([[0.0], np.geomspace(1e-20, 60.0 ** g, 60)])
+        values = log_mittag_leffler(g, b, ts)
+        assert [log_mittag_leffler(g, b, float(t)) for t in ts] == values.tolist()
+        # and inside a 2-d array, as the time integrand passes it
+        assert np.array_equal(log_mittag_leffler(g, b, ts.reshape(-1, 1)).ravel(), values)
+
+    def test_built_once_per_pair(self):
+        # the table is built on first use for a (gamma, beta) and then only read,
+        # whichever entry point reads it
+        rp = RelativisticParams(StableParams(3, 1.5), 1.3, 0.4)
+        specfun._ml_table.cache_clear()
+        for _ in range(3):
+            log_mittag_leffler(0.75, 0.75, 2.0)
+            log_mittag_leffler(0.75, 0.75, np.linspace(0.0, 60.0, 50))
+            log_subordinator_potential(rp, np.linspace(0.01, 8.0, 20))
+            lambda_potential(rp, 0.7, 1.9)
+        assert specfun._ml_table.cache_info().misses == 1
+        log_mittag_leffler(0.6, 0.6, 2.0)
+        assert specfun._ml_table.cache_info().misses == 2
 
 
 class TestRegularizedBeta:
