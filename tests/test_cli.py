@@ -623,7 +623,7 @@ GOLDEN_CSV = [
      "report --curve phi --d 2 --alpha 1.5 --r 0.3:2.5:301"),     # across both band edges
     ("07cf49283a7dc5d32c74e5f408f7f6bc855258d058c95e30650f082d0495ab99",
      "report --curve one-minus-phi --d 3 --alpha 1.2 --r 0.3:2.5:301"),
-    ("0715837360f146e6b19c374bcce41589b5d384e013b799edb574a1e594b3a5dd",
+    ("afc125e7a78f3c7b951cc941beba5939e5052c135f23e6bcc025f9b17e85a1f4",
      "report --curve qm --d 2 --alpha 1.5 --m 1.3 --r 0.01:8:201"),
     ("bd3dc9c8d6e08a9e7d5ca7ea3bf1a4c5e5226a413a96d1d5d88be5e1857421f3",
      "report --curve poisson-H-profile --d 3 --alpha 1.2 --r=-6:6:201"),
