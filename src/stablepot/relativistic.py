@@ -41,8 +41,8 @@ and each potential keeps its own shift, error sum and stopping test, so
 a hitting ratio costs about one potential.  The sums are kept relative to
 their largest term, so potentials beyond the float range still give
 finite hitting ratios.  On the benchmark's evals a potential takes 1.2
-passes and about 260 nodes: ``eval u-lambda`` about 0.26 ms and ``eval
-phi-rel`` at d = 3 about 0.31 ms in-process on a 2-core Xeon VM.
+passes and about 260 nodes: ``eval u-lambda`` about 0.29 ms and ``eval
+phi-rel`` at d = 3 about 0.34 ms in-process on a 2-core Xeon VM.
 
 The hitting probability of the sphere of radius r is identically 1 in
 d = 2 and u_m(|x|, r)/u_m(r, r) in d >= 3; the exponentially-discounted
