@@ -7,7 +7,7 @@ limits recover the plain stable formulas.
 """
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate   # the quadrature cross-check only: scipy comes with the test extra
 
 from stablepot import StableParams, halfspace, relativistic
 from stablepot.relativistic import RelativisticParams

@@ -42,10 +42,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Literal
 
 import numpy as np
-from scipy.special import roots_jacobi
+import numpy.ma  # noqa: F401 -- np.unique reads it, and numpy loads it on first use
 
 from .core import (StableParams, as_point, basis_last, norm, require_finite,
                    require_unit, sphere_area, _leggauss)
@@ -168,6 +169,30 @@ class HarmonicRepresentation:
 
 # --- quadrature ------------------------------------------------------------
 
+@lru_cache(maxsize=64)
+def _gauss_jacobi(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    # Gauss-Jacobi nodes (ascending) and weights for the weight (1 - t^2)^a on
+    # [-1, 1], the weights summing to 1: the eigenvalues of the Jacobi matrix
+    # (Golub & Welsch, Math. Comp. 23, 1969), each polished by a Newton step on
+    # the orthonormal three-term recurrence, whose sum of squares gives the
+    # weight (the Christoffel function).  For n <= 64 and a = 1/2 .. 2 the nodes
+    # are within 1e-16 and the weights within 6e-14 of a 40-digit rule
+    k = np.arange(1.0, n)
+    off = np.sqrt(k * (k + 2.0 * a) / ((2.0 * k + 2.0 * a + 1.0) * (2.0 * k + 2.0 * a - 1.0)))
+    t = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    for polish in (True, False):
+        q0, q1, dq0, dq1, total = np.zeros(n), np.ones(n), np.zeros(n), np.zeros(n), np.zeros(n)
+        for b0, b1 in zip(np.concatenate([[0.0], off]), np.concatenate([off, [1.0]])):
+            total += q1 * q1
+            q0, q1, dq0, dq1 = q1, (t * q1 - b0 * q0) / b1, dq1, (q1 + t * dq1 - b0 * dq0) / b1
+        if polish:
+            t = t - q1 / dq1
+    t, w = 0.5 * (t - t[::-1]), 0.5 * (1.0 / total + 1.0 / total[::-1])
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
+
+
 def _sphere_rule(d: int, k: int, n: int, radial: int = 1,
                  turn: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     # Normalized surface measure on S^(k-1): +-1 for k = 1, else the circle's
@@ -185,7 +210,7 @@ def _sphere_rule(d: int, k: int, n: int, radial: int = 1,
     theta = 2.0 * math.pi * (np.arange(m) + 0.5) / m + turn
     nodes, weights = np.stack([np.cos(theta), np.sin(theta)], axis=1), np.ones(m)
     for j in range(3, k + 1):
-        t, wt = _leggauss(n) if j == 3 else roots_jacobi(n, (j - 3) / 2.0, (j - 3) / 2.0)
+        t, wt = _leggauss(n) if j == 3 else _gauss_jacobi(n, (j - 3) / 2.0)
         lifted = (np.sqrt(1.0 - t * t)[:, None, None] * nodes).reshape(-1, j - 1)
         nodes = np.concatenate([lifted, np.repeat(t, len(weights))[:, None]], axis=1)
         weights = np.outer(wt * (0.5 if j == 3 else 1.0 / wt.sum()), weights).ravel()

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import numpy.random  # noqa: F401 -- numpy loads it on first use; here no sampler pays it mid-run
 
 from .core import StableParams, as_point
 from .errors import DomainError

@@ -1,27 +1,23 @@
-"""Special functions underlying every closed-form kernel.
+"""Special functions underlying every closed-form kernel, on numpy and math alone.
 
-Gauss 2F1, the exponentially scaled modified Bessel function I, the
-modified Bessel function K and the regularized incomplete beta are
-``scipy.special``'s ``hyp2f1``, ``ive``, ``kv`` and ``betainc`` behind this
-package's domain checks and typed errors.
-Three pieces stay here, each for a measured reason: the F - 1 series
-``TailPair``, because ``hyp2f1 - 1`` loses digits where F - 1 is small (it
-sums as many of 80 terms as |s| needs, about 6 at 2e-3 and 22 at 0.19, up
-to a reach it works out from the coefficients: |s| ~ 0.65 at d = 2, 0.61
-at d = 5 and 0.09 at d = 400 for the sphere, and NaN past it, where from
-d = 5 on the sphere's Phi is the sum of its zonal weights); the x >= 30
-expansion of ``bessel_i_scaled``, because scipy's ``ive`` is NaN from
-x ~ 1.1e9 on (orders 0, 1/2 and 1 take ``i0e``, a closed form and ``i1e``
-instead, 5-10x faster than ``ive``); and the Mittag-Leffler function,
-which scipy lacks, as its logarithm.  Bessel I and the Mittag-Leffler
-function come only in these forms, which never overflow.
+Each is evaluated one way over the domain its callers reach, and states its
+accuracy against 40-digit mpmath: Gauss 2F1 by its power series, with
+``TailPair`` summing F - 1 free of cancellation for two triples at once in
+Phi's golden band (as many of 80 terms as |s| needs, up to a reach it works
+out from the coefficients: |s| ~ 0.65 at d = 2, 0.61 at d = 5 and 0.09 at
+d = 400 for the sphere, and NaN past it, where from d = 5 on the sphere's
+Phi is the sum of its zonal weights); e^-x I_nu(x) by its power series
+below x = 30 and its large-x series above; K_nu(z) by the trapezoid rule;
+the exact samplers' laws (incomplete beta and gamma, normal CDF) by their
+continued fractions and series; the Mittag-Leffler function as its log.
 
-The Mittag-Leffler function takes arrays: below t^(1/gamma) = 45 it is
-read from a table of Chebyshev interpolants in log t, built on first use
-for each (gamma, beta) from its series summed in log space (16 panels and
-1.4-1.7 ms at gamma = beta = 0.6 or 0.75), in a fixed number of array
-operations per call; past it the one-term asymptotic form is exact to
-1e-19 relative.
+Bessel I and the Mittag-Leffler function come only in these forms, which
+never overflow.  The Mittag-Leffler function takes arrays: below
+t^(1/gamma) = 45 it is read from a table of Chebyshev interpolants in
+log t, built on first use for each (gamma, beta) from its series summed
+in log space (16 panels and 1.4-1.7 ms at gamma = beta = 0.6 or 0.75),
+in a fixed number of array operations per call; past it the one-term
+asymptotic form is exact to 1e-19 relative.
 ``_log_mittag_leffler_scaled`` gives log(e^(-t^(1/gamma)) E(t)) from
 log t, for callers whose t leaves the float range or who would cancel
 the e^(t^(1/gamma)).
@@ -34,9 +30,8 @@ from bisect import bisect_right
 from functools import lru_cache
 
 import numpy as np
-from scipy import special as _sps
 
-from .errors import DomainError, PoleError
+from .errors import ConvergenceError, DomainError, PoleError
 
 __all__ = [
     "gauss_2f1",
@@ -47,6 +42,15 @@ __all__ = [
     "regularized_beta_cdf",
 ]
 
+_EPS = 2.0 ** -53
+_TINY = 1e-300
+
+# --- Gauss 2F1 ------------------------------------------------------------
+
+_F21_REACH = 0.625      # the series' coefficients serve |s| <= 5/8, past Phi's 1/golden
+_CAP = 5000            # the most terms, or levels of a fraction, any sum here takes
+
+
 def _check_2f1(c: float, s: float) -> None:
     if c <= 0.0 and c == math.floor(c):
         raise PoleError(f"gauss_2f1 parameter c has a pole at nonpositive integer {c}")
@@ -54,10 +58,47 @@ def _check_2f1(c: float, s: float) -> None:
         raise DomainError(f"gauss_2f1 requires |s| < 1, got s={s}")
 
 
+@lru_cache(maxsize=64)
+def _f21_coefficients(a: float, b: float, c: float, reach: float) -> tuple:
+    """The coefficients of F(a, b; c; s) - 1, highest power first, until the
+    rest at |s| = reach, which shrink at least by reach times the larger of 1
+    and the next ratio, is below 2^-53 of the sum of the terms' sizes."""
+    coef, term, total = [], 1.0, 1.0
+    for k in range(_CAP):
+        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0))
+        coef.append(term)
+        size = abs(term) * reach ** (k + 1)
+        total += size
+        shrink = reach * max(1.0, abs((a + k + 1.0) * (b + k + 1.0)
+                                      / ((c + k + 1.0) * (k + 2.0))))
+        if shrink < 1.0 and size * shrink <= _EPS * total * (1.0 - shrink):
+            return tuple(coef[::-1])
+    raise ConvergenceError(f"the 2F1 series needs over {_CAP} terms at |s| = {reach}")
+
+
+def _gauss_2f1_series(a: float, b: float, c: float, s, reach: float = _F21_REACH):
+    """F(a, b; c; s) for |s| <= reach by Horner's rule, on a float or
+    elementwise on an array with the same bits.  At s in [-1/golden, 0]
+    (Phi's far route, d = 2 to 400) it is within 2.2e-16 of mpmath in at
+    most 70 terms."""
+    tail = 0.0
+    for coef in _f21_coefficients(a, b, c, reach):
+        tail = (tail + coef) * s
+    return 1.0 + tail
+
+
 def gauss_2f1(a: float, b: float, c: float, s: float) -> float:
-    """Gauss hypergeometric F(a, b; c; s) for |s| < 1."""
+    """Gauss hypergeometric F(a, b; c; s) for |s| < 1, from its power series.
+
+    Below s = -5/8 Pfaff's transformation F = (1 - s)^-a F(a, c - b; c;
+    s/(s - 1)) brings the argument into (0.38, 0.5).  Past s = 5/8 the
+    series takes more terms (about 400 at s = 0.9); where it needs more
+    than 5000 (s within ~0.007 of 1) it raises ConvergenceError.
+    """
     _check_2f1(c, s)
-    return float(_sps.hyp2f1(a, b, c, s))
+    if s < -_F21_REACH:
+        return (1.0 - s) ** -a * gauss_2f1(a, c - b, c, s / (s - 1.0))
+    return _gauss_2f1_series(a, b, c, s, max(s, _F21_REACH))
 
 
 _TAIL_TERMS = 80
@@ -148,67 +189,122 @@ def legendre_f1(d: int, alpha: float, t: float) -> float:
 
 # --- modified Bessel functions ------------------------------------------
 
-_BESSEL_I_SWITCH = 30.0  # scipy below, asymptotic expansion above
-_EXPANSION_TERMS = 40
+_BESSEL_I_SWITCH = 30.0  # power series below, large-x expansion above
+_SERIES_TERMS = 64       # a power of two, past the 44 that x = 30 needs at nu = -1/2
 
 
 @lru_cache(maxsize=16)
-def _expansion_ratios(nu: float) -> tuple[np.ndarray, np.ndarray]:
-    """Ratios of successive terms of the large-x series (times x), and
-    their running maximum: term k is below term k-1 while x >= the latter."""
-    k = np.arange(_EXPANSION_TERMS)
-    ratio = -(4.0 * nu * nu - (2.0 * k + 1.0) ** 2) / (8.0 * (k + 1.0))
-    for arr in (ratio, reach := np.maximum.accumulate(np.abs(ratio))):
+def _bessel_i_coefficients(nu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The power series' coefficients of (x^2)^k, a column of 64; the ratios
+    of successive terms of the large-x series (times x), up to the first
+    below 2^-53 at x = 30, or 40 if one before it grows there; and their
+    running maximum: term k is below term k-1 while x >= that maximum."""
+    k = np.arange(_SERIES_TERMS - 1.0)
+    series = np.cumprod(np.concatenate([[1.0], 0.25 / ((k + 1.0) * (k + 1.0 + nu))]))[:, None]
+    k = np.arange(40.0)
+    ratio = (2.0 * k + 1.0 - 2.0 * nu) * (2.0 * k + 1.0 + 2.0 * nu) / (8.0 * (k + 1.0))
+    reach = np.maximum.accumulate(np.abs(ratio))
+    small = np.cumprod(np.abs(ratio) / _BESSEL_I_SWITCH) < _EPS
+    n = int(np.argmax(small)) if small.any() else len(k)
+    n = n if reach[max(n - 1, 0)] <= _BESSEL_I_SWITCH else len(k)
+    out = (series, ratio[:n], reach[:n])
+    for arr in out:
         arr.setflags(write=False)
-    return ratio, reach
-
-
-def _bessel_i_expansion(nu: float, x: np.ndarray) -> np.ndarray:
-    """sqrt(2 pi x) exp(-x) I_nu(x) from the large-x series in 1/x,
-    truncated at its smallest term; elementwise over x."""
-    ratio, reach = _expansion_ratios(nu)
-    terms = np.cumprod(ratio / x[:, None], axis=1)
-    return 1.0 + np.sum(terms, axis=1, where=reach <= x[:, None])
-
-
-# the orders of dimensions 2, 3 and 4 have forms good for every x, and faster than
-# ive's; exp(-x) I_(1/2)(x) = (1 - exp(-2x)) / sqrt(2 pi x), 0 at x = 0
-_IVE = {0.0: _sps.i0e, 1.0: _sps.i1e,
-        0.5: lambda x: np.divide(-np.expm1(-2.0 * x), math.sqrt(2.0 * math.pi) * np.sqrt(x),
-                                 out=np.zeros_like(x), where=x > 0.0)}
-
-
-def _bessel_i_scaled(nu: float, x: np.ndarray) -> np.ndarray:
-    """exp(-x) I_nu(x) at an array of x >= 0, nu >= -1/2, unchecked."""
-    if nu in _IVE:
-        return np.asarray(_IVE[nu](x))
-    big = x >= _BESSEL_I_SWITCH
-    out = np.asarray(_sps.ive(nu, np.where(big, 0.0, x)))
-    if big.any():
-        xb = x[big]
-        out[big] = _bessel_i_expansion(nu, xb) / np.sqrt(2.0 * math.pi * xb)
     return out
 
 
+def _estrin(coef: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """sum_k coef[k] q^k, coef a column of a power of two of rows, by Estrin's
+    scheme: pairs of terms, then pairs of pairs in q^2, and so on; elementwise,
+    so a scalar and the same q inside an array get the same bits."""
+    a = coef[0::2] + coef[1::2] * q
+    while len(a) > 1:
+        q = q * q
+        a = a[0::2] + a[1::2] * q
+    return a[0]
+
+
+def _bessel_i_scaled(nu: float, x: np.ndarray) -> np.ndarray:
+    """exp(-x) I_nu(x) at an array of x >= 0, nu >= -1/2, unchecked.
+
+    Below x = 30 the power series (DLMF 10.25.2), all of its terms
+    positive, is within 2e-15 of mpmath at nu = 0, 1, 3/2 and 5/2; above,
+    the large-x series in 1/x (DLMF 10.40.1), to 2^-53 or its smallest
+    term.  Order 1/2, the sphere's at d = 3, takes its closed form
+    (1 - e^(-2x)) / sqrt(2 pi x)."""
+    if nu == 0.5:
+        return np.divide(-np.expm1(-2.0 * x), math.sqrt(2.0 * math.pi) * np.sqrt(x),
+                         out=np.zeros_like(x), where=x > 0.0)
+    series, ratio, reach = _bessel_i_coefficients(nu)
+    flat = x.ravel()
+    out = np.empty_like(flat)
+    big = flat >= _BESSEL_I_SWITCH
+    xs = flat[~big]
+    s = _estrin(series, xs * xs)
+    s *= np.exp(-xs)
+    if nu:
+        s *= np.power(0.5 * xs, nu) / math.gamma(nu + 1.0)
+    out[~big] = s
+    xb = flat[big]
+    terms = np.cumprod(ratio / xb[:, None], axis=1)
+    out[big] = (1.0 + np.sum(terms, axis=1, where=reach <= xb[:, None])) / (
+        math.sqrt(2.0 * math.pi) * np.sqrt(xb))
+    return out.reshape(x.shape)
+
+
 def bessel_i_scaled(nu: float, x):
-    """exp(-x) I_nu(x) for x >= 0, nu >= -1/2; never overflows; broadcasts over arrays of x."""
+    """exp(-x) I_nu(x) for x >= 0, nu >= -1/2; never overflows; broadcasts over
+    arrays of x.  NaN raises DomainError; x = 0 gives the limit, inf for nu < 0."""
     xa = np.asarray(x, dtype=float)
-    if (xa < 0.0).any():
+    if not (xa >= 0.0).all():
         raise DomainError(f"bessel_i requires x >= 0, got {x}")
-    if nu < -0.5:
+    if not nu >= -0.5:
         raise DomainError(f"bessel_i requires nu >= -1/2, got {nu}")
-    out = _bessel_i_scaled(nu, xa)
-    if nu < 0.0:
-        out[xa == 0.0] = math.inf   # scipy gives NaN for this limit
+    with np.errstate(divide="ignore"):            # 0^nu for nu < 0: inf, the limit
+        out = _bessel_i_scaled(nu, xa)
     return out if out.ndim else float(out)
 
 
+_K_NODES = np.arange(4096.0)
+
+
 def bessel_k(nu: float, z):
-    """Modified Bessel K_nu(z) for z > 0; broadcasts over arrays of z."""
-    if not np.all(np.asarray(z) > 0.0):
+    """Modified Bessel K_nu(z) for z > 0; broadcasts over arrays of z.
+
+    The trapezoid rule on K_nu(z) = e^-z int_0^oo e^(-2z sinh^2(t/2))
+    cosh(nu t) dt (DLMF 10.32.9), which converges exponentially (Trefethen &
+    Weideman, SIAM Review 56, 2014): steps of min(0.2, 0.6/sqrt(z)), over
+    max(1, |nu|/2.5), out to where 2z sinh^2(t/2) = 50 + 4|nu|.  For
+    nu = (d + alpha - 2)/2, d = 2..5, and z in [1e-8, 600] it is within
+    1.2e-15 of mpmath (scipy's kv: 5.3e-14); at nu = 10 and 20, 3e-14.  A z
+    so small that cosh(nu t) would overflow on the nodes, where K_nu(z)
+    itself exceeds ~1e250 for |nu| <= 40, raises DomainError; z = inf gives 0.
+    """
+    za = np.asarray(z, dtype=float)
+    z_min = float(za.min(initial=math.inf))
+    if not z_min > 0.0:
         raise DomainError(f"bessel_k requires z > 0, got {z}")
-    out = _sps.kv(nu, z)
-    return out if np.ndim(out) else float(out)
+    nu = abs(nu)
+    slow = max(1.0, nu / 2.5)
+    # the last node grows as z falls: take the count from the smallest z, or
+    # from the large-z bound 2 asinh(w/root) root/0.6 < 2 w/0.6
+    w, r = math.sqrt(25.0 + 2.0 * nu), math.sqrt(min(z_min, 1e300))
+    t_max = 2.0 * math.asinh(w / r)
+    if nu * t_max > 700.0:
+        raise DomainError(f"K_{nu}(z) nears the float range at z={z_min}")
+    n = math.ceil(slow * max(t_max / min(0.2, 0.6 / r), 2.0 * w / 0.6))
+    root = np.sqrt(np.minimum(za, 1e300))[..., None]
+    h = np.minimum(0.2 / slow, (0.6 / slow) / root)
+    t = h * _K_NODES[:n + 1]
+    g = np.sinh(0.5 * t)
+    g *= root
+    g *= g
+    g *= -2.0
+    np.exp(g, out=g)
+    t *= nu
+    g *= np.cosh(t, out=t)
+    out = (g.sum(axis=-1) - 0.5) * h[..., 0] * np.exp(-za)
+    return out if out.ndim else float(out)
 
 
 # --- Mittag-Leffler ------------------------------------------------------
@@ -244,6 +340,10 @@ _ML_DCT = np.cos(np.pi / (2 * _ML_POINTS) * (np.multiply.outer(_ML_ODD, np.arang
     np.where(np.arange(_ML_POINTS), 2.0, 1.0) / _ML_POINTS)
 _ML_LOG_TINY = -54.0 * math.log(2.0)
 _ML_MIN_HALF = 2.0 ** -8            # bisection stops at this half-width
+# the (gamma, beta) the table is checked on: within 1e-13 of mpmath from
+# gamma = 0.15 (1.5e-11 at 0.1, where the panels reach _ML_MIN_HALF)
+_ML_GAMMA = (0.1, 20.0)
+_ML_BETA = (1e-5, 20.0)
 
 
 def _ml_switch(gamma: float, beta: float) -> float:
@@ -258,9 +358,12 @@ def _ml_table(gamma: float, beta: float) -> tuple:
     """The Chebyshev table of h on [lo, hi]: lo, hi, the inner panel edges,
     the panels' midpoints and inverse half-widths, and their coefficients,
     a column of 17 per panel."""
+    if not (_ML_GAMMA[0] <= gamma <= _ML_GAMMA[1] and _ML_BETA[0] <= beta <= _ML_BETA[1]):
+        raise DomainError(f"mittag_leffler requires gamma in {list(_ML_GAMMA)} and beta "
+                          f"in {list(_ML_BETA)}, got {gamma}, {beta}")
     switch = _ml_switch(gamma, beta)
     n = np.arange(math.ceil((2.0 * switch + 40.0) / gamma) + 1.0)   # every term that can matter
-    log_gamma = _sps.gammaln(beta + gamma * n)
+    log_gamma = np.array([math.lgamma(v) for v in (beta + gamma * n).tolist()])
     hi = gamma * math.log(switch)
     lo = min(_ML_LOG_TINY + math.lgamma(beta + gamma) - math.lgamma(beta),
              gamma * _ML_LOG_TINY)
@@ -312,30 +415,139 @@ def _log_mittag_leffler_scaled(gamma: float, beta: float, log_t):
 
 
 def log_mittag_leffler(gamma: float, beta: float, t):
-    """log E_(gamma,beta)(t) for gamma, beta > 0 and t >= 0; broadcasts over arrays of t.
+    """log E_(gamma,beta)(t) for gamma in [0.1, 20], beta in [1e-5, 20] and
+    t >= 0; broadcasts over arrays of t.
 
     Below the switch it is read from a Chebyshev table of the all-positive
     series, summed in log space; past it the asymptotic form takes over.
-    The result stays finite even where E itself overflows.
+    The result is finite even where E itself overflows; where its log does
+    too (t^(1/gamma) past the float range, t = inf included) DomainError.
     """
-    if gamma <= 0.0 or beta <= 0.0:
-        raise DomainError(f"mittag_leffler requires gamma, beta > 0, got {gamma}, {beta}")
     ta = np.asarray(t, dtype=float)
     if not np.all(ta >= 0.0):
         raise DomainError(f"mittag_leffler requires t >= 0, got {t}")
     with np.errstate(divide="ignore", over="ignore"):
         out = _log_mittag_leffler_scaled(gamma, beta, np.log(ta)) + ta ** (1.0 / gamma)
+    if not np.all(np.isfinite(out)):
+        raise DomainError(f"log mittag_leffler leaves the float range at t={t}")
     return out if out.ndim else float(out)
 
 
-# --- regularized incomplete beta -----------------------------------------
+# --- the samplers' laws: incomplete beta and gamma, normal CDF -------------
+#
+# Each continued fraction is summed from the bottom, at the depth where the
+# modified Lentz method (Thompson & Barnett, J. Comput. Phys. 64, 1986)
+# finds it converged at its slowest x, for every x: an x gets the same bits
+# alone or in an array.
+
+def _lentz_depth(parts) -> int:
+    """Levels of a_1/(b_1 + a_2/(b_2 + ...)), parts yielding (a_n, b_n), at
+    which the modified Lentz method finds it converged, plus two."""
+    c, d = _TINY, 0.0
+    for n, (an, bn) in enumerate(parts, 1):
+        d = 1.0 / ((bn + an * d) or _TINY)
+        c = (bn + an / c) or _TINY
+        if abs(c * d - 1.0) <= _EPS:
+            return n + 2
+    raise ConvergenceError(f"a continued fraction did not converge in {_CAP} levels")
+
+
+@lru_cache(maxsize=16)
+def _beta_fraction(a: float, b: float) -> tuple:
+    """The numerators of I_x(a, b) over x (DLMF 8.17.22), deepest first, as
+    many as x = (a + 1)/(a + b + 2) needs, past which 1 - I_(1-x)(b, a) serves."""
+    m = np.arange(1.0, _CAP // 2 + 1.0)
+    e = np.empty(_CAP)
+    e[0::2] = -(a + m - 1.0) * (a + b + m - 1.0) / ((a + 2.0 * m - 2.0) * (a + 2.0 * m - 1.0))
+    e[1::2] = m * (b - m) / ((a + 2.0 * m - 1.0) * (a + 2.0 * m))
+    depth = _lentz_depth(zip([1.0, *(e * ((a + 1.0) / (a + b + 2.0)))], [1.0] * _CAP))
+    return tuple(e[depth - 1::-1].tolist())
+
+
+def _beta_below(a: float, b: float, x):
+    """I_x(a, b) below the hand-over, on a float or elementwise on an array."""
+    f = 1.0
+    for e in _beta_fraction(a, b):
+        f = x / f * e + 1.0
+    with np.errstate(divide="ignore"):          # log 0 at x = 0: the power 0
+        return np.exp(a * np.log(x) + b * np.log1p(-x)
+                      - math.lgamma(a) - math.lgamma(b) + math.lgamma(a + b)) / (a * f)
+
 
 def regularized_beta_cdf(a: float, b: float, x):
-    """Regularized incomplete beta I_x(a, b), the Beta(a, b) CDF; x in [0, 1] or an array."""
-    if a <= 0.0 or b <= 0.0:
+    """Regularized incomplete beta I_x(a, b), the Beta(a, b) CDF; x in [0, 1] or an array.
+
+    The continued fraction DLMF 8.17.22 for x <= (a + 1)/(a + b + 2), and
+    1 - I_(1-x)(b, a) above.  On the suites' pairs (a, 1 - a) and (a, 1/2),
+    a in [0.005, 0.5], it is within 5e-15 of mpmath, and (a, 1/2) stays so
+    up to a = 0.995.  Where 1 - I_(1-x)(b, a) is small it cancels: (a, 1 - a)
+    with a in [0.5, 0.95] is within 5e-14, and at a = 0.995 within 2e-13
+    (scipy's betainc, which this replaces: 5e-16).
+    """
+    if not (a > 0.0 and b > 0.0):
         raise DomainError(f"beta parameters must be positive, got a={a}, b={b}")
     xa = np.asarray(x, dtype=float)
     if not np.all((xa >= 0.0) & (xa <= 1.0)):
         raise DomainError(f"beta argument must lie in [0, 1], got {x}")
-    out = _sps.betainc(a, b, xa)
-    return out if np.ndim(out) else float(out)
+    flip = xa > (a + 1.0) / (a + b + 2.0)
+    if not xa.ndim:
+        x = float(xa)
+        return float(1.0 - _beta_below(b, a, 1.0 - x) if flip else _beta_below(a, b, x))
+    out = np.empty_like(xa)
+    out[~flip] = _beta_below(a, b, xa[~flip])
+    out[flip] = 1.0 - _beta_below(b, a, 1.0 - xa[flip])
+    return out
+
+
+@lru_cache(maxsize=16)
+def _gamma_rules(a: float) -> tuple[tuple, int]:
+    """The coefficients of the series of P(a, x), highest power first, and the
+    depth of the fraction of Q(a, x), each enough at x = a + 1."""
+    x, coef = a + 1.0, [1.0]
+    while coef[-1] * x ** (len(coef) - 1) > _EPS / 8.0:
+        coef.append(coef[-1] / (a + len(coef)))
+    depth = _lentz_depth((-(n - 1.0) * (n - 1.0 - a) if n > 1 else 1.0, x + 2.0 * n - 1.0 - a)
+                         for n in range(1, _CAP))
+    return tuple(coef[::-1]), depth
+
+
+def _regularized_gamma(a: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P(a, x) and Q(a, x) = 1 - P, the Gamma(a) CDF and its complement, for
+    0 < a <= 1 at an array of x >= 0.
+
+    Below x = a + 1 the series of P (DLMF 8.7.1) by Horner's rule, and
+    Q = 1 - P; above, Legendre's continued fraction of Q (DLMF 8.9.2), and
+    P = 1 - Q.  For a in [0.005, 0.5] and x in [1e-10, 60] P is within
+    6e-16 of mpmath and Q within 4.5e-13 (it cancels where P nears 1,
+    below x = a + 1 at small a).
+    """
+    coef, depth = _gamma_rules(a)
+    x = np.asarray(x, dtype=float)
+    p, q = np.empty_like(x), np.empty_like(x)
+    low = x < a + 1.0
+    v = x[low]
+    s = np.full_like(v, coef[0])
+    for c in coef[1:]:
+        s *= v
+        s += c
+    s *= np.power(v, a) * np.exp(-v) / math.gamma(a + 1.0)
+    p[low], q[low] = s, 1.0 - s
+    v = np.minimum(x[~low], 1e300)             # x = inf: Q = 0
+    va = v - a
+    g = np.full_like(v, 2.0 * depth - 1.0)      # f_n - (x - a), f_depth first
+    for n in range(depth - 1, 0, -1):
+        g += va
+        np.divide(n * (n - a), g, out=g)
+        np.subtract(2.0 * n - 1.0, g, out=g)
+    g = np.power(v, a) * np.exp(-v) / (math.gamma(a) * (g + va))
+    q[~low], p[~low] = g, 1.0 - g
+    return p, q
+
+
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    """The standard normal CDF at an array of x: Q(1/2, x^2/2)/2 below 0 and
+    (1 + P(1/2, x^2/2))/2 above.  It is within 1.4e-15 of mpmath for |x| <= 5;
+    further out the rounding of x^2/2 grows through e^(-x^2/2), to 3.6e-15
+    at x = -10 and 5.6e-14 at -37."""
+    p, q = _regularized_gamma(0.5, 0.5 * x * x)
+    return np.where(x < 0.0, 0.5 * q, 0.5 + 0.5 * p)

@@ -50,7 +50,7 @@ import numpy as np
 from .core import (StableParams, Infinity, as_point, as_points, finite_value, norm,
                    require_unit, far_scale, scaled_dist2, _leggauss)
 from .errors import DomainError, SingularityError
-from .specfun import TailPair, gauss_2f1, _sps
+from .specfun import TailPair, gauss_2f1, _gauss_2f1_series
 
 __all__ = [
     "KernelConstants",
@@ -246,7 +246,7 @@ def _phi_t1(p: StableParams, delta: float) -> float:
     kc = constants(p)
     d, a = p.d, p.alpha
     if delta < 0.0:
-        arg = (1.0 + delta) / delta            # -r^2/(1 - r^2), in (-1, 0]
+        arg = (1.0 + delta) / delta            # -r^2/(1 - r^2), in (-1/golden, 0]
         return kc.phi_at_origin * float(np.power(-delta, a / 2.0 - 1.0)) * \
             gauss_2f1(a / 2.0, 1.0 - a / 2.0, d / 2.0, arg)
     arg = -1.0 / delta
@@ -308,8 +308,8 @@ def _phi_t1_array(p: StableParams, delta: np.ndarray) -> np.ndarray:
     below = delta < 0.0
     value = constants(p).phi_at_origin * np.power(np.abs(delta), a / 2.0 - 1.0)
     value[~below] *= np.power(1.0 + delta[~below], (2.0 - d) / 2.0)
-    return value * _sps.hyp2f1(a / 2.0, 1.0 - a / 2.0, d / 2.0,
-                               np.where(below, (1.0 + delta) / delta, -1.0 / delta))
+    return value * _gauss_2f1_series(a / 2.0, 1.0 - a / 2.0, d / 2.0,
+                                     np.where(below, (1.0 + delta) / delta, -1.0 / delta))
 
 
 def _phi_pairs(p: StableParams, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special as _sps
 
 from . import analysis, halfspace, montecarlo, relativistic, sphere
 from .analysis import (BoundaryFunction, DiscreteMeasure, HALFSPACE,
@@ -25,7 +24,8 @@ from .montecarlo import RngStream
 from .relativistic import RelativisticParams
 from .report import (CheckEntry, FAIL, SKIP, VerificationReport, check,
                      diverges, merge_reports, within)
-from .specfun import legendre_f1, regularized_beta_cdf
+from .specfun import (legendre_f1, regularized_beta_cdf, _normal_cdf,
+                      _regularized_gamma)
 
 __all__ = ["SUITES", "run_suite", "identities_suite", "hardy_suite",
            "fatou_suite", "relativistic_suite", "montecarlo_suite"]
@@ -704,7 +704,7 @@ def montecarlo_suite(d: int = 2, alpha: float = 1.5, tol: float = 1e-3,
 
     # power: a half-sigma shift must be rejected at the 1% level
     z = rng.standard_normal(100_000) + 0.5
-    res = montecarlo.ks_test(z, lambda x: _sps.ndtr(x))
+    res = montecarlo.ks_test(z, _normal_cdf)
     e.append(check("ks-power-shifted-normal", not res.passed[0.01],
                    res.statistic, res.critical[0.01], None, "gof-power"))
 
@@ -712,7 +712,7 @@ def montecarlo_suite(d: int = 2, alpha: float = 1.5, tol: float = 1e-3,
     shape = (alpha - 1.0) / 2.0
     g = montecarlo.gamma_small_shape(shape, RngStream(seed, 2).generator(),
                                      n_draws)
-    e.append(_ks("gamma-small-shape-law", g, lambda x: _sps.gammainc(shape, x),
+    e.append(_ks("gamma-small-shape-law", g, lambda x: _regularized_gamma(shape, x)[0],
                  "gamma-sampler-validation"))
 
     # ball exit radius: the quadrature oracle first, then the draws
@@ -752,8 +752,7 @@ def montecarlo_suite(d: int = 2, alpha: float = 1.5, tol: float = 1e-3,
     hits, t0 = montecarlo.sample_halfplane_hit(
         p, x0, RngStream(seed, 4).generator(), n_draws, return_time=True)
     e.append(_ks("halfplane-hitting-time-ks", t0,
-                 # 1 - P(shape, .) is Q to 1.3e-15 here, and gammaincc costs ~10x
-                 lambda t: 1.0 - _sps.gammainc(shape, x0[-1] ** 2 / 2.0 / np.asarray(t)),
+                 lambda t: _regularized_gamma(shape, x0[-1] ** 2 / 2.0 / np.asarray(t))[1],
                  "halfplane-hitting-time-law"))
     if d == 2:
         e.append(_ks("halfplane-hit-position-ks", hits[:, 0],

@@ -56,6 +56,32 @@ class TestSphereQuadrature:
         with pytest.raises(DomainError):
             sphere_quadrature(P2, 4)
 
+    @pytest.mark.parametrize("a", [0.5, 1.0, 1.5, 2.0])
+    def test_gauss_jacobi_against_a_40_digit_rule(self, a):
+        # the rule of the weight (1 - t^2)^a, weights summing to 1, that lifts
+        # the grids at d >= 4 and the rings at d >= 5.  The reference takes
+        # Newton steps on the orthonormal recurrence at 40 digits from each
+        # node, and the weight 1 / sum q_k^2 (the Christoffel function) there.
+        # Over n = 1..64 the nodes are within 1e-16 and the weights within
+        # 5.8e-14 (scipy's roots_jacobi: 1.7e-16 and 2.8e-12)
+        for n in (1, 2, 5, 16, 33, 64):
+            t, w = analysis._gauss_jacobi(n, a)
+            assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
+            with mpmath.workdps(40):
+                b = [mpmath.sqrt(k * (k + 2 * mpmath.mpf(a))
+                                 / ((2 * k + 2 * a + 1) * (2 * k + 2 * a - 1))) for k in range(1, n)]
+                for x, wx in zip(t.tolist(), w.tolist()):
+                    ref = mpmath.mpf(x)
+                    for _ in range(3):
+                        q0, q1, dq0, dq1, total = 0, 1, 0, 0, 0
+                        for b0, b1 in zip([0, *b], [*b, 1]):
+                            total += q1 * q1
+                            q0, q1, dq0, dq1 = q1, (ref * q1 - b0 * q0) / b1, dq1, \
+                                (q1 + ref * dq1 - b0 * dq0) / b1
+                        ref -= q1 / dq1
+                    assert abs(x - ref) <= 2e-16, (n, x)
+                    assert abs(wx * total - 1) <= 1e-13, (n, x)
+
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_moments_in_every_dimension(self, d):
         # resolution 8 is exact to degree 7 (the circle's 8 nodes to degree
@@ -671,6 +697,8 @@ class TestEvaluator:
 
     # sha256 of sphere_values for 1 + z_1/2 + z_d^2 and for P[1], so that no
     # change to how the density rule lays out or reduces its nodes moves a bit
+    # (d = 5, whose rings lift on Gauss-Jacobi nodes, re-recorded for the
+    # Golub-Welsch rule: P[1] within 8.9e-16 of mpmath's Phi, 6.3e-16 before)
     SPHERE_DENSITY_DIGESTS = {
         (2, "one"): "b320488dc9da154097827e4323e1b8a82cc1c246d4c1bd5b32d1443beffee059",
         (2, "poly"): "ae26f834c2b02bec9099b1cbd07d30ed4de01e548a09a435e31e2d76d25b9d9d",
@@ -678,8 +706,8 @@ class TestEvaluator:
         (3, "poly"): "6883cc81e44cb9c9b64ecddb011f4c9198549bfbe650d5608aa73de8f0606664",
         (4, "one"): "96d3240cc658b56d9d69c0a1114eca2a43a5a3ba9529ec32d56e5757f9743791",
         (4, "poly"): "1d99af8907c2bdad49b0d80606f0cc01485692a8b700270fcc4134088199c183",
-        (5, "one"): "639cd6adeed44a3a1bc7c0f88bc83ab01e7959d0d9ccf7bc395e2202602d6b59",
-        (5, "poly"): "825e629366d0ec10c0a67d74160b6ff8545290dafa7f4b08fb72806651bff225",
+        (5, "one"): "cd6bda8abc8a0c912fb8830858fa6baed75cd011cba66baf04eeac901b5a82ad",
+        (5, "poly"): "567e7ed9cb53138fb0ebdbf4c50aea56e5ea9c1e552fda4a497147a4187dd236",
     }
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])

@@ -617,13 +617,17 @@ class TestReport:
 
 
 # SHA-256 of the file each CSV-writing command writes, recorded before the
-# writer formatted numbers by array operations: the bytes must not move
+# writer formatted numbers by array operations: the bytes must not move.  The
+# phi, one-minus-phi and qm files were re-recorded when Phi's far-route 2F1
+# and the Mittag-Leffler table's log-Gamma became this package's own: their
+# moved rows are as close to 40-digit mpmath as before (at most 3.9e-16,
+# 4.6e-16 and 4.2e-15 relative, against 7.6e-16, 6.0e-16 and 6.0e-15)
 GOLDEN_CSV = [
-    ("89d988abea44804f2f5d5224917f796b5dc0c08cdbd0371f220fa6f8013da122",
+    ("d79289eb96f6ac75429bf4ce355f2b8511d52a7f338bfba7c53fa2e6c6449825",
      "report --curve phi --d 2 --alpha 1.5 --r 0.3:2.5:301"),     # across both band edges
-    ("07cf49283a7dc5d32c74e5f408f7f6bc855258d058c95e30650f082d0495ab99",
+    ("8d763e2f88b92b251195cfbefe0081fefd85e0b7a56b5280b2b02697dfda5be1",
      "report --curve one-minus-phi --d 3 --alpha 1.2 --r 0.3:2.5:301"),
-    ("afc125e7a78f3c7b951cc941beba5939e5052c135f23e6bcc025f9b17e85a1f4",
+    ("458589311b1b979fd42d8aa439cdb3a6e2d3d057f5ddb97f0973e182156b70de",
      "report --curve qm --d 2 --alpha 1.5 --m 1.3 --r 0.01:8:201"),
     ("bd3dc9c8d6e08a9e7d5ca7ea3bf1a4c5e5226a413a96d1d5d88be5e1857421f3",
      "report --curve poisson-H-profile --d 3 --alpha 1.2 --r=-6:6:201"),
@@ -653,10 +657,44 @@ def test_csv_bytes_match_golden_digest(capsys, tmp_path, digest, command):
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
-def test_import_leaves_scipy_integrate_out():
-    # scipy.integrate costs every command ~0.5 s and ~26 MB to import; the
-    # verification suites integrate with the package's own Gauss rules
-    code = "import sys, stablepot.cli; sys.exit('scipy.integrate' in sys.modules)"
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+# one eval of every kernel family per d; phi at r = 2.5 takes the far route's 2F1
+# series, u-lambda at d = 2 reads Bessel I and poisson-H-rel Bessel K
+SCIPY_FREE_EVALS = {
+    "phi": ["--r=2.5"], "poisson-D": ["--x={x}", "--z={z}"], "green-D": ["--x={x}", "--y={y}"],
+    "martin-D": ["--x={x}", "--z={z}"], "poisson-H": ["--x={h}", "--z={b}"],
+    "green-H": ["--x={h}", "--y={y}"], "martin-H": ["--x={h}", "--z={b}"],
+    "ball-poisson": ["--center={o}", "--radius=1", "--x={x}", "--y={y}"],
+    "phi-rel": ["--x={y}", "--radius=1", "--m=1.3"],
+    "poisson-H-rel": ["--x={h}", "--z={b}", "--m=1.3"],
+    "u-lambda": ["--x=0.5", "--y=1.5", "--m=1.3", "--lambda=0.5"],
+}
+
+
+def test_commands_leave_scipy_out(tmp_path):
+    # scipy costs every command ~0.2 s and ~15 MB to import, so no command
+    # family may read it: every eval kernel at d = 2 and 3, every report
+    # curve and sampler, and verify all at both benchmark points
+    assert set(SCIPY_FREE_EVALS) == set(cli.KERNELS)
+    argvs = []
+    for d in (2, 3):
+        pts = {"x": [0.0] * (d - 1) + [0.5], "z": [0.0] * (d - 1) + [1.0], "o": [0.0] * d,
+               "y": [0.0] * (d - 1) + [2.0], "h": [0.3] * (d - 1) + [1.0], "b": [0.3] * (d - 1)}
+        text = {k: ",".join(map(str, v)) for k, v in pts.items()}
+        argvs += [["eval", kernel, "--d", str(d), "--alpha", "1.5",
+                   *(opt.format(**text) for opt in opts)]
+                  for kernel, opts in SCIPY_FREE_EVALS.items()]
+    argvs += [[*cmd.split(), "--out", str(tmp_path / "out.csv")] for _, cmd in GOLDEN_CSV]
+    argvs += [["verify", "all", "--d", "2", "--alpha", "1.5"],
+              ["verify", "all", "--d", "3", "--alpha", "1.2"]]
+    assert {a[2] for a in argvs if a[0] == "report"} == set(cli.CURVES)
+    assert {a[1] for a in argvs if a[0] == "sample"} == set(cli._GRAMMAR["sample"][2])
+    code = ("import contextlib, io, json, sys\n"
+            "from stablepot.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
+    res = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=300)
     assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == []

@@ -9,7 +9,7 @@ from scipy import integrate
 
 from stablepot import specfun
 from stablepot.core import StableParams
-from stablepot.errors import DomainError, PoleError
+from stablepot.errors import ConvergenceError, DomainError, PoleError
 from stablepot.relativistic import (RelativisticParams, lambda_potential,
                                     log_subordinator_potential)
 from stablepot.specfun import (TailPair, bessel_i_scaled, bessel_k,
@@ -39,6 +39,28 @@ class TestGauss2F1:
             gauss_2f1(1.0, 1.0, 2.0, -1.5)
         with pytest.raises(PoleError):
             gauss_2f1(1.0, 1.0, -3.0, 0.5)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 13, 40, 400])
+    def test_far_route_series_against_mpmath(self, d):
+        # Phi's far route reads F(alpha/2, 1 - alpha/2; d/2; s) at -1/golden <= s
+        # <= 0; the array form gives the float calls' bits
+        s = -np.linspace(0.0, 2.0 / (1.0 + math.sqrt(5.0)), 41)
+        for alpha in (1.0001, 1.2, 1.5, 1.9, 1.9999):
+            abc = (alpha / 2.0, 1.0 - alpha / 2.0, d / 2.0)
+            got = specfun._gauss_2f1_series(*abc, s)
+            assert got.tolist() == [gauss_2f1(*abc, x) for x in s.tolist()]
+            with mpmath.workdps(40):
+                for x, value in zip(s.tolist(), got.tolist()):
+                    assert abs(value / float(mpmath.hyp2f1(*abc, x)) - 1.0) <= 4.5e-16, (alpha, x)
+
+    def test_pfaff_below_five_eighths_and_the_term_cap(self):
+        for a, b, c, s in ((0.25, 0.5, 1.5, -0.99), (1.3, -0.4, 2.2, -0.7),
+                           (0.75, 0.25, 1.0, 0.97)):
+            with mpmath.workdps(40):
+                ref = float(mpmath.hyp2f1(a, b, c, s))
+            assert abs(gauss_2f1(a, b, c, s) / ref - 1.0) <= 1e-14, s
+        with pytest.raises(ConvergenceError):
+            gauss_2f1(1.0, 1.0, 2.0, 0.9995)
 
     def test_tail_variant(self):
         s = 0.37
@@ -165,6 +187,28 @@ class TestBesselI:
             want = -math.expm1(-2.0 * x) / math.sqrt(2.0 * math.pi * x)
             assert abs(bessel_i_scaled(0.5, x) - want) <= 1e-14 * want
 
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5, 2.5])
+    def test_power_series_against_mpmath(self, nu):
+        # below x = 30; the orders of the relativistic integrand at d = 2 to 7
+        xs = np.concatenate([np.geomspace(1e-10, 29.999, 60), np.linspace(0.5, 29.5, 30), [2.0]])
+        got = bessel_i_scaled(nu, xs)
+        with mpmath.workdps(40):
+            for x, value in zip(xs.tolist(), got.tolist()):
+                ref = float(mpmath.besseli(nu, x) * mpmath.exp(-x))
+                assert abs(value / ref - 1.0) <= 3e-15, x
+
+    def test_edges_are_typed(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                bessel_i_scaled(1.25, math.nan)
+            with pytest.raises(DomainError):
+                bessel_i_scaled(1.25, np.array([1.0, math.nan]))
+            big = bessel_i_scaled(1.25, 1e308)
+            assert abs(big * math.sqrt(2.0 * math.pi) * 1e154 - 1.0) < 1e-15
+            assert bessel_i_scaled(0.0, 0.0) == 1.0 and bessel_i_scaled(1.25, 0.0) == 0.0
+            assert bessel_i_scaled(-0.25, 0.0) == math.inf
+
     def test_domain(self):
         with pytest.raises(DomainError):
             bessel_i_scaled(0.5, -1.0)
@@ -212,6 +256,31 @@ class TestBesselK:
         for z in (2e-7, 1e-3, 0.1, 1.0, 5.0, 30.0, 200.0):
             ref = sps.kv(nu, z)
             assert abs(bessel_k(nu, z) - ref) <= 1e-11 * ref
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_trapezoid_rule_against_mpmath(self, d):
+        # the orders (d + alpha - 2)/2 of the killed hitting density, over the
+        # arguments its callers reach
+        zs = np.geomspace(1e-8, 600.0, 41)
+        for alpha in (1.01, 1.2, 1.5, 1.99):
+            nu = (d + alpha - 2.0) / 2.0
+            got = bessel_k(nu, zs)
+            with mpmath.workdps(40):
+                for z, value in zip(zs.tolist(), got.tolist()):
+                    assert abs(value / float(mpmath.besselk(nu, z)) - 1.0) <= 2e-15, (nu, z)
+
+    def test_edges_are_typed(self):
+        # below z ~ 1e-300 K_1.25 passes the float range; K_0 grows like log(1/z);
+        # z = inf is 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for z in (1e-320, np.array([1.0, 1e-320])):
+                with pytest.raises(DomainError, match="float range"):
+                    bessel_k(1.25, z)
+            with mpmath.workdps(40):
+                assert abs(bessel_k(0.0, 1e-300) / float(mpmath.besselk(0, 1e-300)) - 1.0) < 1e-14
+            assert bessel_k(1.25, math.inf) == 0.0
+            assert bessel_k(1.25, np.empty(0)).shape == (0,)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -265,6 +334,19 @@ class TestMittagLeffler:
         # E_(1/2, 1/2)(1e9) is about exp(1e18); its log is the asymptotic form
         log_asy = math.log(2.0) + math.log(1e9) + 1e18
         assert abs(log_mittag_leffler(0.5, 0.5, 1e9) - log_asy) <= 1e-15 * log_asy
+
+    def test_parameters_outside_the_table_are_refused(self):
+        # gamma in [0.1, 20] and beta in [1e-5, 20]; NaN, infinities and values
+        # the table cannot hold are typed errors, as is a log that overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (math.nan, math.inf, -math.inf, 1e308, 1e-320):
+                for g, b in ((bad, 0.75), (0.75, bad)):
+                    with pytest.raises(DomainError, match="gamma in"):
+                        log_mittag_leffler(g, b, 1.0)
+            for t in (1e308, math.inf, np.array([1.0, 1e308])):
+                with pytest.raises(DomainError, match="float range"):
+                    log_mittag_leffler(0.75, 0.75, t)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -372,3 +454,40 @@ class TestRegularizedBeta:
             regularized_beta_cdf(-1.0, 1.0, 0.5)
         with pytest.raises(DomainError):
             regularized_beta_cdf(1.0, 1.0, 1.5)
+
+
+class TestSamplerLaws:
+    """The laws ``suites`` tests the exact samplers' draws against."""
+
+    @pytest.mark.parametrize("a", [0.005, 0.125, 0.25, 0.495, 0.5])
+    def test_incomplete_gamma_against_mpmath(self, a):
+        xs = np.concatenate([np.geomspace(1e-10, 60.0, 45), a + 1.0 + np.array([-1e-9, 0.0, 1e-9])])
+        p, q = specfun._regularized_gamma(a, xs)
+        with mpmath.workdps(40):
+            for x, pv, qv in zip(xs.tolist(), p.tolist(), q.tolist()):
+                assert abs(pv / float(mpmath.gammainc(a, 0, x, regularized=True)) - 1.0) <= 1e-15, x
+                assert abs(qv / float(mpmath.gammainc(a, x, mpmath.inf, regularized=True)) - 1.0) \
+                    <= 5e-13, x
+
+    def test_normal_cdf_against_mpmath(self):
+        zs = np.concatenate([np.linspace(-5.0, 5.0, 81), np.linspace(-37.0, -5.0, 17), [9.0]])
+        got = specfun._normal_cdf(zs)
+        with mpmath.workdps(40):
+            for z, value in zip(zs.tolist(), got.tolist()):
+                bound = 2e-15 if abs(z) <= 5.0 else 1e-13
+                assert abs(value / float(mpmath.ncdf(z)) - 1.0) <= bound, z
+
+    @pytest.mark.parametrize("a", [0.005, 0.1, 0.25, 0.4, 0.495, 0.6, 0.75, 0.995])
+    def test_incomplete_beta_on_the_suites_pairs(self, a):
+        # (a, 1 - a) and (a, 1/2); past a = 1/2 the hand-over 1 - I_(1-x)(b, a)
+        # cancels where it is small, to 2e-13 at a = 0.995
+        xs = np.concatenate([np.geomspace(1e-12, 0.5, 20), 1.0 - np.geomspace(1e-12, 0.5, 20),
+                             np.linspace(0.02, 0.98, 25)])
+        for b, bound in ((1.0 - a, 5e-15 if a <= 0.5 else 5e-14 if a <= 0.95 else 2e-13),
+                         (0.5, 6e-15)):
+            got = regularized_beta_cdf(a, b, xs)
+            assert got.tolist() == [regularized_beta_cdf(a, b, x) for x in xs.tolist()]
+            with mpmath.workdps(40):
+                for x, value in zip(xs.tolist(), got.tolist()):
+                    ref = float(mpmath.betainc(a, b, 0, x, regularized=True))
+                    assert abs(value / ref - 1.0) <= bound, (b, x)
