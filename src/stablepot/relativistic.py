@@ -22,7 +22,9 @@ for lambda = 0 only in d >= 3; both failure modes raise
 The integrand is evaluated in log form on whole arrays of log s, so that
 s may lie beyond the float range (radii near 1e+-300 put the mass of the
 integral near s = 1e+-600).  The Mittag-Leffler factor is read from
-``specfun``'s table for (alpha/2, alpha/2), built once per alpha.  The
+``specfun``'s table for (alpha/2, alpha/2), built once per alpha; that
+table is checked from order 0.015, so the potentials and q_m take
+alpha >= 0.03 and raise DomainError below.  The
 quadrature splits at s0 = max(x, y)^2: s = s0 w^(2/(alpha-1)) on w in
 (0, 1] absorbs the s^((alpha-3)/2) endpoint, and s = s0 / v^2 on v in
 (0, 1] maps the tail.  For alpha < 1.05, and for radii closer than
@@ -66,7 +68,7 @@ import numpy as np
 
 from .core import StableParams, as_point, as_points, finite_value, norm, scaled_dist2
 from .errors import ConvergenceError, DivergenceError, DomainError
-from .specfun import (_bessel_i_scaled, _log_mittag_leffler_scaled, bessel_k,
+from .specfun import (_ML_GAMMA, _bessel_i_scaled, _log_mittag_leffler_scaled, bessel_k,
                       log_mittag_leffler)
 from .sphere import _gamma_product
 
@@ -169,8 +171,17 @@ def _mass_power(m: float, alpha: float) -> float:
                           f"alpha={alpha}") from None
 
 
+def _require_ml_alpha(alpha: float) -> None:
+    """The Mittag-Leffler factor has order alpha/2, which its table takes from 0.015."""
+    if alpha < 2.0 * _ML_GAMMA[0]:
+        raise DomainError(f"the Mittag-Leffler factor E_(alpha/2, alpha/2) needs "
+                          f"alpha >= {2.0 * _ML_GAMMA[0]}, got alpha={alpha}")
+
+
 def log_subordinator_potential(rp: RelativisticParams, x):
-    """log q_m(x) for finite x > 0, finite where q_m is not; elementwise."""
+    """log q_m(x) for finite x > 0, finite where q_m is not; elementwise;
+    alpha >= 0.03."""
+    _require_ml_alpha(rp.alpha)
     xa = np.asarray(x, dtype=float)
     if not np.all((xa > 0.0) & (xa < math.inf)):
         raise DomainError(f"the potential density needs finite x > 0, got {x}")
@@ -339,6 +350,7 @@ def _log_potentials(rp: RelativisticParams, pairs, quad_tol: float) -> np.ndarra
     """log u_m^lambda(x, y) at each radius pair (x, y), all in one run of the
     integrator; finite where a potential itself leaves the float range."""
     a = rp.alpha
+    _require_ml_alpha(a)
     for x, y in pairs:
         if not (0.0 <= x < math.inf and 0.0 <= y < math.inf):
             raise DomainError(f"radii must be finite and nonnegative, got {x}, {y}")
@@ -380,7 +392,8 @@ def lambda_potential(rp: RelativisticParams, x: float, y: float,
     """The radial potential u_m^lambda(x, y); u_m for lam = 0.
 
     ``quad_tol`` is the relative tolerance of the time quadrature, which
-    holds for alpha - 1 >= 1e-5 (see the module docstring).
+    holds for alpha - 1 >= 1e-5 (see the module docstring).  Off the
+    diagonal alpha may lie below 1, down to 0.03.
     Raises ``DivergenceError`` in the regimes where the time integral is
     infinite: alpha <= 1 on the diagonal x = y, lam = 0 in d = 2, and the
     origin-diagonal x = y = 0.

@@ -7,7 +7,8 @@ Phi's golden band (as many of 80 terms as |s| needs, up to a reach it works
 out from the coefficients: |s| ~ 0.65 at d = 2, 0.61 at d = 5 and 0.09 at
 d = 400 for the sphere, and NaN past it, where from d = 5 on the sphere's
 Phi is the sum of its zonal weights); e^-x I_nu(x) by its power series
-below x = 30 and its large-x series above; K_nu(z) by the trapezoid rule;
+below x = 30, its large-x series from max(30, nu^2) and a backward
+recurrence in the order between; K_nu(z) by the trapezoid rule;
 the exact samplers' laws (incomplete beta and gamma, normal CDF) by their
 continued fractions and series; the Mittag-Leffler function as its log.
 
@@ -224,30 +225,56 @@ def _estrin(coef: np.ndarray, q: np.ndarray) -> np.ndarray:
     return a[0]
 
 
+def _bessel_i_recurrence(nu: float, x: np.ndarray) -> np.ndarray:
+    """exp(-x) I_nu(x) at a flat array of x >= 30, nu > 1: exp(-x) I_nu0(x),
+    nu0 = nu - floor(nu), times the ratios r_mu = I_(mu+1)/I_mu for mu = nu0
+    .. nu - 1.  They come from the backward recurrence r_(mu-1) = 1/(2 mu/x
+    + r_mu) (DLMF 10.29.1), started from 0 at a mu where -log r_mu ~
+    asinh(mu/x) has summed, from nu on, past the 40 that shrink the start's
+    error below 2^-53 of r_nu; each x runs from its own start."""
+    m = math.floor(nu)
+    nu0 = nu - m
+    start = m + np.ceil(np.maximum(np.sqrt(nu * nu + 91.0 * x) - nu, 46.0))
+    r, prod = np.zeros_like(x), np.ones_like(x)
+    for j in range(int(start.max(initial=0.0)), 0, -1):
+        np.divide(1.0, 2.0 * (nu0 + j) / x + r, out=r, where=j <= start)
+        if j <= m:
+            prod *= r
+    return _bessel_i_scaled(nu0, x) * prod
+
+
 def _bessel_i_scaled(nu: float, x: np.ndarray) -> np.ndarray:
     """exp(-x) I_nu(x) at an array of x >= 0, nu >= -1/2, unchecked.
 
     Below x = 30 the power series (DLMF 10.25.2), all of its terms
-    positive, is within 2e-15 of mpmath at nu = 0, 1, 3/2 and 5/2; above,
+    positive, is within 1.6e-15 of mpmath for nu up to 169.5; from 170 on
+    (x/2)^nu / Gamma(nu + 1) is formed in logs, 1.4e-13 at nu = 200.  Above,
     the large-x series in 1/x (DLMF 10.40.1), to 2^-53 or its smallest
-    term.  Order 1/2, the sphere's at d = 3, takes its closed form
-    (1 - e^(-2x)) / sqrt(2 pi x)."""
+    term, within 4.5e-16 from x = nu^2 on, where its terms no longer cancel;
+    between 30 and nu^2 ``_bessel_i_recurrence``, within 3.2e-15 up to
+    nu = 200 and 5e-15 at 1000.  Order 1/2, the sphere's at d = 3, takes
+    its closed form (1 - e^(-2x)) / sqrt(2 pi x)."""
     if nu == 0.5:
         return np.divide(-np.expm1(-2.0 * x), math.sqrt(2.0 * math.pi) * np.sqrt(x),
                          out=np.zeros_like(x), where=x > 0.0)
     series, ratio, reach = _bessel_i_coefficients(nu)
     flat = x.ravel()
     out = np.empty_like(flat)
-    big = flat >= _BESSEL_I_SWITCH
-    xs = flat[~big]
+    low = ~(flat >= _BESSEL_I_SWITCH)                 # NaN too
+    high = flat >= max(nu * nu, _BESSEL_I_SWITCH)
+    xs = flat[low]
     s = _estrin(series, xs * xs)
     s *= np.exp(-xs)
-    if nu:
-        s *= np.power(0.5 * xs, nu) / math.gamma(nu + 1.0)
-    out[~big] = s
-    xb = flat[big]
+    if nu:                          # (x/2)^nu / Gamma(nu + 1), in logs past Gamma's range
+        s *= (np.power(0.5 * xs, nu) / math.gamma(nu + 1.0) if nu < 170.0 else
+              np.exp(nu * np.log(0.5 * xs) - math.lgamma(nu + 1.0)))
+    out[low] = s
+    if nu * nu > _BESSEL_I_SWITCH:
+        mid = ~(low | high)
+        out[mid] = _bessel_i_recurrence(nu, flat[mid])
+    xb = flat[high]
     terms = np.cumprod(ratio / xb[:, None], axis=1)
-    out[big] = (1.0 + np.sum(terms, axis=1, where=reach <= xb[:, None])) / (
+    out[high] = (1.0 + np.sum(terms, axis=1, where=reach <= xb[:, None])) / (
         math.sqrt(2.0 * math.pi) * np.sqrt(xb))
     return out.reshape(x.shape)
 
@@ -265,9 +292,6 @@ def bessel_i_scaled(nu: float, x):
     return out if out.ndim else float(out)
 
 
-_K_NODES = np.arange(4096.0)
-
-
 def bessel_k(nu: float, z):
     """Modified Bessel K_nu(z) for z > 0; broadcasts over arrays of z.
 
@@ -276,7 +300,8 @@ def bessel_k(nu: float, z):
     Weideman, SIAM Review 56, 2014): steps of min(0.2, 0.6/sqrt(z)), over
     max(1, |nu|/2.5), out to where 2z sinh^2(t/2) = 50 + 4|nu|.  For
     nu = (d + alpha - 2)/2, d = 2..5, and z in [1e-8, 600] it is within
-    1.2e-15 of mpmath (scipy's kv: 5.3e-14); at nu = 10 and 20, 3e-14.  A z
+    1.2e-15 of mpmath (scipy's kv: 5.3e-14); at nu = 10 and 20, 3e-14, and
+    at nu = 200 to 300 with z in [300, 600], 2.4e-14.  A z
     so small that cosh(nu t) would overflow on the nodes, where K_nu(z)
     itself exceeds ~1e250 for |nu| <= 40, raises DomainError; z = inf gives 0.
     """
@@ -295,13 +320,17 @@ def bessel_k(nu: float, z):
     n = math.ceil(slow * max(t_max / min(0.2, 0.6 / r), 2.0 * w / 0.6))
     root = np.sqrt(np.minimum(za, 1e300))[..., None]
     h = np.minimum(0.2 / slow, (0.6 / slow) / root)
-    t = h * _K_NODES[:n + 1]
+    t = h * np.arange(n + 1.0)
     g = np.sinh(0.5 * t)
     g *= root
     g *= g
     g *= -2.0
     np.exp(g, out=g)
     t *= nu
+    if nu * n * min(0.2, 0.6 / r) / slow > 700.0:
+        # a large z's nodes run past its own cut-off, where cosh(nu t) would
+        # overflow against an exp that underflows; capped, they stay zeros
+        np.minimum(t, 700.0, out=t)
     g *= np.cosh(t, out=t)
     out = (g.sum(axis=-1) - 0.5) * h[..., 0] * np.exp(-za)
     return out if out.ndim else float(out)
@@ -340,9 +369,11 @@ _ML_DCT = np.cos(np.pi / (2 * _ML_POINTS) * (np.multiply.outer(_ML_ODD, np.arang
     np.where(np.arange(_ML_POINTS), 2.0, 1.0) / _ML_POINTS)
 _ML_LOG_TINY = -54.0 * math.log(2.0)
 _ML_MIN_HALF = 2.0 ** -8            # bisection stops at this half-width
-# the (gamma, beta) the table is checked on: within 1e-13 of mpmath from
-# gamma = 0.15 (1.5e-11 at 0.1, where the panels reach _ML_MIN_HALF)
-_ML_GAMMA = (0.1, 20.0)
+# the (gamma, beta) the table is checked on: within 5.1e-14 of mpmath down to
+# gamma = 0.015 (at beta = gamma, 1e-5, 1 and 20).  Below it, at large beta,
+# panels reach _ML_MIN_HALF with trailing coefficients past the bound: 1.5e-13
+# at (0.01, 20).  A build grows as 1/gamma, to 0.2 s and 44 MB at (0.015, 20)
+_ML_GAMMA = (0.015, 20.0)
 _ML_BETA = (1e-5, 20.0)
 
 
@@ -415,7 +446,7 @@ def _log_mittag_leffler_scaled(gamma: float, beta: float, log_t):
 
 
 def log_mittag_leffler(gamma: float, beta: float, t):
-    """log E_(gamma,beta)(t) for gamma in [0.1, 20], beta in [1e-5, 20] and
+    """log E_(gamma,beta)(t) for gamma in [0.015, 20], beta in [1e-5, 20] and
     t >= 0; broadcasts over arrays of t.
 
     Below the switch it is read from a Chebyshev table of the all-positive
@@ -490,13 +521,10 @@ def regularized_beta_cdf(a: float, b: float, x):
     if not np.all((xa >= 0.0) & (xa <= 1.0)):
         raise DomainError(f"beta argument must lie in [0, 1], got {x}")
     flip = xa > (a + 1.0) / (a + b + 2.0)
-    if not xa.ndim:
-        x = float(xa)
-        return float(1.0 - _beta_below(b, a, 1.0 - x) if flip else _beta_below(a, b, x))
     out = np.empty_like(xa)
     out[~flip] = _beta_below(a, b, xa[~flip])
     out[flip] = 1.0 - _beta_below(b, a, 1.0 - xa[flip])
-    return out
+    return out if out.ndim else float(out)
 
 
 @lru_cache(maxsize=16)

@@ -180,6 +180,19 @@ class TestBesselTransition:
         small = log_bessel_transition(3, 1e300, 1e-300, 1.0)
         assert small == pytest.approx(-1.5 * math.log(2e300), rel=1e-14, abs=0)
 
+    @pytest.mark.parametrize("d", [40, 344, 400])
+    def test_high_dimensions_against_mpmath(self, d):
+        # order d/2 - 1 past Gamma's float range; z = xy/2t below 30, between
+        # 30 and the order squared, and past it
+        nu = d / 2.0 - 1.0
+        for t, x, y in [(1.0, 2.0, 5.0), (1.0, 10.0, 20.0), (1.0, 300.0, 400.0)]:
+            with mpmath.workdps(40):
+                z = mpmath.mpf(x) * y / (2 * t)
+                want = float(mpmath.loggamma(d / 2.0) - mpmath.log(2 * t)
+                             + (1 - d / 2.0) * mpmath.log(z * t) - (x - y) ** 2 / (4 * t)
+                             + mpmath.log(mpmath.besseli(nu, z, maxterms=10 ** 6)) - z)
+            assert log_bessel_transition(d, t, x, y) == pytest.approx(want, rel=1e-14, abs=1e-11)
+
     def test_array_times(self):
         ts = np.array([1e-6, 0.3, 1.0, 40.0])
         want = [log_bessel_transition(3, t, 0.8, 1.1) for t in ts]
@@ -288,6 +301,37 @@ class TestLambdaPotential:
                     (d, a, m, lam_frac, x, y)
                 checked += 1
         assert checked >= 16
+
+    def test_high_dimension_evaluates(self, capsys):
+        # order d/2 - 1 = 171 puts Gamma(nu + 1) past the float range
+        rp = RelativisticParams(StableParams(344, 1.5), 1.0, 0.5)
+        a, b = lambda_potential(rp, 1.0, 2.0), lambda_potential(rp, 2.0, 1.0)
+        assert 0.0 < a < math.inf and a == pytest.approx(b, rel=1e-9, abs=0)
+        code = main(["eval", "u-lambda", "--d", "344", "--m", "1", "--lambda", "0.5",
+                     "--x", "1", "--y", "2"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "") and float(out) == pytest.approx(a, rel=1e-12, abs=0)
+
+    def test_mittag_leffler_floor_is_stated_in_alpha(self, capsys):
+        # E_(alpha/2, alpha/2) is tabulated from order 0.015: below alpha = 0.03
+        # the potentials refuse in terms of alpha, above it they are computed
+        low = RelativisticParams(StableParams(3, 0.025), 1.0, 0.5)
+        for call in (lambda: lambda_potential(low, 1.0, 2.0),
+                     lambda: log_subordinator_potential(low, 1.0)):
+            with pytest.raises(DomainError, match="needs alpha >= 0.03, got alpha=0.025"):
+                call()
+        code = main(["eval", "u-lambda", "--d", "3", "--alpha", "0.025", "--m", "1",
+                     "--lambda", "0.5", "--x", "1", "--y", "2"])
+        err = capsys.readouterr().err
+        assert code == 2 and "alpha >= 0.03" in err and "gamma" not in err
+        for a in (0.05, 0.1):
+            rp = RelativisticParams(StableParams(3, a), 1.0, 0.5)
+            assert lambda_potential(rp, 1.0, 2.0) == pytest.approx(
+                _ref_lambda_potential(rp, 1.0, 2.0), rel=1e-9, abs=0)
+            xs = np.geomspace(0.01, 8.0, 9)
+            want = [-rp.m ** (2.0 / a) * x + (a / 2.0 - 1.0) * math.log(x)
+                    + _ref_log_mittag_leffler(a / 2.0, a / 2.0, rp.m * x ** (a / 2.0)) for x in xs]
+            np.testing.assert_allclose(log_subordinator_potential(rp, xs), want, rtol=1e-13)
 
     def test_potential_beyond_the_float_range_is_refused(self):
         # u(r, r) ~ r^(alpha - d) is about 1e450 at r = 1e-300

@@ -197,6 +197,24 @@ class TestBesselI:
                 ref = float(mpmath.besseli(nu, x) * mpmath.exp(-x))
                 assert abs(value / ref - 1.0) <= 3e-15, x
 
+    @pytest.mark.parametrize("nu", [6.0, 20.5, 200.0])
+    def test_high_orders_against_mpmath(self, nu):
+        # the relativistic integrand reads order d/2 - 1 for every d: the power
+        # series below 30, with (x/2)^nu / Gamma(nu + 1) in logs past Gamma's
+        # float range; the backward recurrence from 30 to nu^2, where the 1/x
+        # series cancels; and that series past nu^2
+        xs = np.concatenate([np.geomspace(nu / 10.0, 29.9, 10),
+                             np.geomspace(30.0, 4.0 * nu * nu, 20)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bessel_i_scaled(nu, xs)
+            np.testing.assert_array_equal(got, [bessel_i_scaled(nu, x) for x in xs.tolist()])
+        with mpmath.workdps(40):
+            for x, value in zip(xs.tolist(), got.tolist()):
+                ref = float(mpmath.besseli(nu, x, maxterms=10 ** 6) * mpmath.exp(-x))
+                tol = 2e-13 if nu > 170.0 and x < 30.0 else 4e-15
+                assert abs(value / ref - 1.0) <= tol, x
+
     def test_edges_are_typed(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -269,6 +287,16 @@ class TestBesselK:
                 for z, value in zip(zs.tolist(), got.tolist()):
                     assert abs(value / float(mpmath.besselk(nu, z)) - 1.0) <= 2e-15, (nu, z)
 
+    def test_high_orders_against_mpmath(self):
+        # from order ~170 on a large z takes over 4096 nodes, and its last ones
+        # lie past the point where cosh(nu t) would overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bessel_k(300.0, np.array([400.0, 600.0]))
+            assert got.tolist() == [bessel_k(300.0, 400.0), bessel_k(300.0, 600.0)]
+        with mpmath.workdps(25):                 # 1.7 s a value at 40 digits
+            assert abs(got[0] / float(mpmath.besselk(300, 400)) - 1.0) <= 2e-15
+
     def test_edges_are_typed(self):
         # below z ~ 1e-300 K_1.25 passes the float range; K_0 grows like log(1/z);
         # z = inf is 0
@@ -336,7 +364,7 @@ class TestMittagLeffler:
         assert abs(log_mittag_leffler(0.5, 0.5, 1e9) - log_asy) <= 1e-15 * log_asy
 
     def test_parameters_outside_the_table_are_refused(self):
-        # gamma in [0.1, 20] and beta in [1e-5, 20]; NaN, infinities and values
+        # gamma in [0.015, 20] and beta in [1e-5, 20]; NaN, infinities and values
         # the table cannot hold are typed errors, as is a log that overflows
         with warnings.catch_warnings():
             warnings.simplefilter("error")
