@@ -19,6 +19,7 @@ __all__ = [
     "as_points",
     "norm",
     "require_finite",
+    "as_number",
     "finite_value",
     "require_unit",
     "far_scale",
@@ -109,6 +110,18 @@ def require_finite(x, what: str) -> None:
     """Raise DomainError unless every entry of x is finite (no NaN, no inf)."""
     if not np.isfinite(x).all():
         raise DomainError(f"{what} must be finite")
+
+
+def as_number(value, what: str) -> float:
+    """value as a float, or DomainError unless it is one real number (a 0-d
+    array included); its range is the caller's to check."""
+    try:
+        v = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} must be a real number, got {value!r}") from None
+    if v.ndim:
+        raise DomainError(f"{what} must be a single number, got shape {v.shape}")
+    return float(v)
 
 
 def finite_value(out, what: str):

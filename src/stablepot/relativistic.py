@@ -21,10 +21,14 @@ for lambda = 0 only in d >= 3; both failure modes raise
 
 The integrand is evaluated in log form on whole arrays of log s, so that
 s may lie beyond the float range (radii near 1e+-300 put the mass of the
-integral near s = 1e+-600).  The Mittag-Leffler factor is read from
-``specfun``'s table for (alpha/2, alpha/2), built once per alpha; that
-table is checked from order 0.015, so the potentials and q_m take
-alpha >= 0.03 and raise DomainError below.  The
+integral near s = 1e+-600).  Both special-function factors are read
+from ``specfun``'s tables, in one reader call per pass: the
+Mittag-Leffler factor from the table for (alpha/2, alpha/2), built once
+per alpha, and the Bessel factor of f, h_nu(log z) = log(e^-z I_nu(z)) -
+nu log(z/2) + lgamma(nu + 1) at z = xy/2s, from the table for order
+nu = d/2 - 1, built in logs once per d, so that it underflows at no d.  The
+Mittag-Leffler table is checked from order 0.015, so the potentials and
+q_m take alpha >= 0.03 and raise DomainError below.  The
 quadrature splits at s0 = max(x, y)^2: s = s0 w^(2/(alpha-1)) on w in
 (0, 1] absorbs the s^((alpha-3)/2) endpoint, and s = s0 / v^2 on v in
 (0, 1] maps the tail.  For alpha < 1.05, and for radii closer than
@@ -43,8 +47,10 @@ and each potential keeps its own shift, error sum and stopping test, so
 a hitting ratio costs about one potential.  The sums are kept relative to
 their largest term, so potentials beyond the float range still give
 finite hitting ratios.  On the benchmark's evals a potential takes 1.2
-passes and about 260 nodes: ``eval u-lambda`` about 0.29 ms and ``eval
-phi-rel`` at d = 3 about 0.34 ms in-process on a 2-core Xeon VM.
+passes and about 260 nodes: ``eval u-lambda`` about 0.21 ms at d = 2 and
+0.20 ms at d = 3, and ``eval phi-rel`` at d = 3 about 0.24 ms, in-process
+on a 2-core Xeon VM (the median over the benchmark sessions' evals of each
+one's best of 8 runs).
 
 The hitting probability of the sphere of radius r is identically 1 in
 d = 2 and u_m(|x|, r)/u_m(r, r) in d >= 3; the exponentially-discounted
@@ -66,9 +72,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import StableParams, as_point, as_points, finite_value, norm, scaled_dist2
+from .core import StableParams, as_number, as_point, as_points, finite_value, norm, scaled_dist2
 from .errors import ConvergenceError, DivergenceError, DomainError
-from .specfun import (_ML_GAMMA, _bessel_i_scaled, _log_mittag_leffler_scaled, bessel_k,
+from .specfun import (_ML_GAMMA, _bessel_table, _ml_table, _read_tables, bessel_k,
                       log_mittag_leffler)
 from .sphere import _gamma_product
 
@@ -114,51 +120,43 @@ class RelativisticParams:
 
 
 _LOG2 = math.log(2.0)
-_LOG_SMALL_Z = math.log(1e-8)  # below, (z/2)^nu / Gamma(nu+1) is exp(z) I_nu(z) to rounding
-_LOG_BIG_Z = 690.0             # above, exp(z) I_nu(z) sqrt(2 pi z) is 1 to rounding
 
 
-def _radius_logs(x: float, y: float) -> tuple[float, float, float]:
-    """log(x y / 2), log((x - y)^2 / 4) and log((x^2 + y^2) / 4) of radii x, y
-    >= 0 (-inf where a factor is 0), formed so that none leaves the float range."""
+def _radius_logs(x: float, y: float) -> tuple[float, float]:
+    """log(x y / 2) and log((x - y)^2 / 4) of radii x, y >= 0 (-inf where a
+    factor is 0), formed so that neither leaves the float range."""
     def log(v):
         return math.log(v) if v > 0.0 else -math.inf
-    return (log(x) + log(y) - _LOG2, 2.0 * (log(abs(x - y)) - _LOG2),
-            2.0 * (log(math.hypot(x, y)) - _LOG2))
+    return log(x) + log(y) - _LOG2, 2.0 * (log(abs(x - y)) - _LOG2)
 
 
-def _log_transition(d: int, log_t, radii):
-    """log f(t, x, y) at t = exp(log_t), an array, from the radius logs of
-    finite radii x, y >= 0, which broadcast against it."""
-    log_xy, log_diff2, log_sum2 = radii
+def _log_transition_parts(d: int, log_t, radii) -> tuple:
+    """log f(t, x, y) at t = exp(log_t), an array, less its Bessel factor
+    h_nu(log z), and log z = log(x y / 2t), from the radius logs of finite
+    radii x, y >= 0, which broadcast against it: log f is
+    -(d/2)(log 2 + log t) - (x - y)^2 / 4t + h_nu(log z), nu = d/2 - 1."""
+    log_xy, log_diff2 = radii
     with np.errstate(over="ignore"):
-        log_z = log_xy - log_t
-        # below z = 1e-8 the terms in log z cancel: the small-z form, also at x y = 0
-        out = np.asarray(-d / 2.0 * (_LOG2 + log_t) - np.exp(log_sum2 - log_t))
-        mid = log_z >= _LOG_SMALL_Z
-        if mid.any():
-            lt, lz = log_t[mid], log_z[mid]
-            lzc = np.minimum(lz, _LOG_BIG_Z)
-            out[mid] = (math.lgamma(d / 2.0) - _LOG2 + (1.0 - d / 2.0) * lz - d / 2.0 * lt
-                        - np.exp((log_diff2 - log_t)[mid])
-                        + np.log(_bessel_i_scaled(d / 2.0 - 1.0, np.exp(lzc)))
-                        + 0.5 * (lzc - lz))
-    return out
+        return -d / 2.0 * (_LOG2 + log_t) - np.exp(log_diff2 - log_t), log_xy - log_t
 
 
 def log_bessel_transition(d: int, t, x: float, y: float):
     """log of the radial Bessel transition density f(t, x, y), t > 0; arrays of t.
 
-    Evaluated through the exponentially scaled Bessel I so that the
-    (x - y)^2 / 4t Gaussian factor is explicit and nothing overflows.
-    x = 0 or y = 0 is the small-argument limit (2t)^(-d/2) e^(-(x^2+y^2)/4t).
+    The Bessel factor is read from ``specfun``'s table of h_nu(log z) =
+    log(e^-z I_nu(z)) - nu log(z/2) + lgamma(nu + 1), z = xy/2t, built in
+    logs, so that the (x - y)^2 / 4t Gaussian factor is explicit and nothing
+    overflows or underflows at any d.  x = 0 or y = 0 is the small-argument
+    limit (2t)^(-d/2) e^(-(x^2+y^2)/4t).
     """
+    x, y = as_number(x, "radius x"), as_number(y, "radius y")
     ta = np.asarray(t, dtype=float)
     if not np.all(ta > 0.0):
         raise DomainError(f"time must be positive, got {t}")
     if x < 0.0 or y < 0.0:
         raise DomainError("radii must be nonnegative")
-    out = _log_transition(d, np.log(ta), _radius_logs(x, y))
+    rest, log_z = _log_transition_parts(d, np.log(ta), _radius_logs(x, y))
+    out = rest + _read_tables((_bessel_table(d / 2.0 - 1.0), log_z))[0]
     return out if out.ndim else float(out)
 
 
@@ -204,13 +202,16 @@ def _log_time_integrand(rp: RelativisticParams, log_s, radii):
     exp(-m^(2/alpha) s) E((m-lambda) s^(alpha/2)) is formed as
     exp(-(m^(2/alpha) - (m-lambda)^(2/alpha)) s) times the scaled
     Mittag-Leffler function, so no terms of size s cancel (at lambda = 0
-    the rate is 0 and the integrand stays finite for any s).
+    the rate is 0 and the integrand stays finite for any s).  Its table and
+    the Bessel factor's are read in one pass.
     """
     log_s = np.asarray(log_s, dtype=float)
     a, m, lam = rp.alpha, rp.m, rp.lam
     g = a / 2.0
-    out = ((g - 1.0) * log_s + _log_transition(rp.d, log_s, radii)
-           + _log_mittag_leffler_scaled(g, g, math.log(m - lam) + g * log_s))
+    rest, log_z = _log_transition_parts(rp.d, log_s, radii)
+    ml, bessel = _read_tables((_ml_table(g, g), math.log(m - lam) + g * log_s),
+                              (_bessel_table(rp.d / 2.0 - 1.0), log_z))
+    out = (g - 1.0) * log_s + rest + bessel + ml
     rate = _mass_power(m, a) - _mass_power(m - lam, a)
     if rate > 0.0:
         with np.errstate(over="ignore"):
@@ -398,6 +399,7 @@ def lambda_potential(rp: RelativisticParams, x: float, y: float,
     infinite: alpha <= 1 on the diagonal x = y, lam = 0 in d = 2, and the
     origin-diagonal x = y = 0.
     """
+    x, y = as_number(x, "radius x"), as_number(y, "radius y")
     with np.errstate(over="ignore"):
         return finite_value(np.exp(_log_potentials(rp, [(x, y)], quad_tol)[0]), "the potential")
 
@@ -418,6 +420,7 @@ def hitting_laplace_transform(rp: RelativisticParams, r: float, x, lam: float) -
     nonincreasing in lam and tends to the plain hitting probability as
     lam -> 0 where that is defined.
     """
+    lam = as_number(lam, "killing rate lam")
     if not (0.0 < lam < rp.m):
         raise DomainError(f"the transform needs 0 < lam < m, got lam={lam}")
     return _hitting_ratio(rp, r, x, lam)
@@ -429,6 +432,7 @@ def _hitting_ratio(rp: RelativisticParams, r: float, x, lam: float) -> float:
     float range; at most 1 (the potential peaks on the diagonal), which the
     quadrature's relative error could otherwise pass."""
     rp.base.require_hitting_range()
+    r = as_number(r, "sphere radius")
     if not 0.0 < r < math.inf:
         raise DomainError(f"sphere radius must be positive and finite, got {r}")
     rho = _radial_argument(rp, x)
@@ -436,6 +440,11 @@ def _hitting_ratio(rp: RelativisticParams, r: float, x, lam: float) -> float:
         return 1.0
     shifted = RelativisticParams(rp.base, rp.m, lam)
     log_u = _log_potentials(shifted, [(rho, r), (r, r)], _QUAD_TOL)
+    if log_u[1] == -math.inf:
+        # u(r, r) > 0, but far out (r = 1e308, lam > 0) the killing underflows
+        # the integrand at every node: its mass lies at s ~ 1/rate << r^2
+        raise ConvergenceError(f"the time quadrature finds no mass in u(r, r) at r={r}, "
+                               f"lam={lam}")
     return math.exp(min(log_u[0] - log_u[1], 0.0))
 
 

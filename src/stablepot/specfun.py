@@ -7,18 +7,26 @@ Phi's golden band (as many of 80 terms as |s| needs, up to a reach it works
 out from the coefficients: |s| ~ 0.65 at d = 2, 0.61 at d = 5 and 0.09 at
 d = 400 for the sphere, and NaN past it, where from d = 5 on the sphere's
 Phi is the sum of its zonal weights); e^-x I_nu(x) by its power series
-below x = 30, its large-x series from max(30, nu^2) and a backward
-recurrence in the order between; K_nu(z) by the trapezoid rule;
-the exact samplers' laws (incomplete beta and gamma, normal CDF) by their
-continued fractions and series; the Mittag-Leffler function as its log.
+below x = 30 (order 1/2 by its closed form), its large-x series from
+max(30, nu^2) and a backward recurrence in the order between; K_nu(z) by
+the trapezoid rule; the exact samplers' laws (incomplete beta and gamma,
+normal CDF) by their continued fractions and series; the Mittag-Leffler
+function as its log.
 
 Bessel I and the Mittag-Leffler function come only in these forms, which
-never overflow.  The Mittag-Leffler function takes arrays: below
-t^(1/gamma) = 45 it is read from a table of Chebyshev interpolants in
-log t, built on first use for each (gamma, beta) from its series summed
-in log space (16 panels and 1.4-1.7 ms at gamma = beta = 0.6 or 0.75),
-in a fixed number of array operations per call; past it the one-term
-asymptotic form is exact to 1e-19 relative.
+never overflow.  Two smooth functions are tabulated, each as polynomials
+of degree 16 on panels of its log argument, built on first use from its
+series and ending in edge panels that carry its exact outer forms:
+log(e^(-t^(1/gamma)) E_(gamma,beta)(t)) below t^(1/gamma) = 45, once per
+(gamma, beta), from the series summed in log space (17 panels and 1.0-1.5
+ms at gamma = beta = 0.75 or 0.6), past which the one-term asymptotic form
+is exact to 1e-19 relative; and the radial transition density's Bessel
+factor h_nu = log(e^-z I_nu(z)) - nu log(z/2) + lgamma(nu + 1) over
+log z, once per order, from the series and recurrence above taken in
+logs (21-23 panels and about 0.6 ms at nu = 0, 1/2 and 1; 24 ms at
+nu = 199).
+``_read_tables`` evaluates any number of (table, argument) pairs in one
+pass of some 25 array operations, elementwise.
 ``_log_mittag_leffler_scaled`` gives log(e^(-t^(1/gamma)) E(t)) from
 log t, for callers whose t leaves the float range or who would cancel
 the e^(t^(1/gamma)).
@@ -32,6 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .core import as_number
 from .errors import ConvergenceError, DomainError, PoleError
 
 __all__ = [
@@ -192,6 +201,7 @@ def legendre_f1(d: int, alpha: float, t: float) -> float:
 
 _BESSEL_I_SWITCH = 30.0  # power series below, large-x expansion above
 _SERIES_TERMS = 64       # a power of two, past the 44 that x = 30 needs at nu = -1/2
+_LOG2 = math.log(2.0)
 
 
 @lru_cache(maxsize=16)
@@ -215,80 +225,98 @@ def _bessel_i_coefficients(nu: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def _estrin(coef: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """sum_k coef[k] q^k, coef a column of a power of two of rows, by Estrin's
-    scheme: pairs of terms, then pairs of pairs in q^2, and so on; elementwise,
-    so a scalar and the same q inside an array get the same bits."""
-    a = coef[0::2] + coef[1::2] * q
+    """sum_k coef[k] q^k by Estrin's scheme: pairs of terms, then pairs of
+    pairs in q^2, and so on, over 2^n rows of coefficients, or 2^n + 1, whose
+    last joins the last pair.  Elementwise, so a scalar and the same q inside
+    an array get the same bits."""
+    n = len(coef) & -2
+    a = coef[1:n:2] * q
+    q = q * q
+    if n < len(coef):
+        a[-1] += coef[n] * q
+    a += coef[0:n:2]
     while len(a) > 1:
-        q = q * q
-        a = a[0::2] + a[1::2] * q
+        b = a[1::2] * q
+        b += a[0::2]
+        a = b
+        if len(a) > 1:
+            q = q * q
     return a[0]
 
 
-def _bessel_i_recurrence(nu: float, x: np.ndarray) -> np.ndarray:
-    """exp(-x) I_nu(x) at a flat array of x >= 30, nu > 1: exp(-x) I_nu0(x),
-    nu0 = nu - floor(nu), times the ratios r_mu = I_(mu+1)/I_mu for mu = nu0
-    .. nu - 1.  They come from the backward recurrence r_(mu-1) = 1/(2 mu/x
-    + r_mu) (DLMF 10.29.1), started from 0 at a mu where -log r_mu ~
-    asinh(mu/x) has summed, from nu on, past the 40 that shrink the start's
-    error below 2^-53 of r_nu; each x runs from its own start."""
+def _bessel_i_recurrence(nu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-x) I_nu(x) = v 2^e at a flat array of x >= 30, nu > 1: exp(-x)
+    I_nu0(x), nu0 = nu - floor(nu), times the ratios r_mu = I_(mu+1)/I_mu for
+    mu = nu0 .. nu - 1, their product carried as a mantissa and a power of
+    two so that it never underflows.  The ratios come from the backward
+    recurrence r_(mu-1) = 1/(2 mu/x + r_mu) (DLMF 10.29.1), started from 0 at
+    a mu where -log r_mu ~ asinh(mu/x) has summed, from nu on, past the 40
+    that shrink the start's error below 2^-53 of r_nu; each x runs from its
+    own start."""
     m = math.floor(nu)
     nu0 = nu - m
     start = m + np.ceil(np.maximum(np.sqrt(nu * nu + 91.0 * x) - nu, 46.0))
-    r, prod = np.zeros_like(x), np.ones_like(x)
+    r, prod, e = np.zeros_like(x), np.ones_like(x), np.zeros(x.shape, dtype=np.intp)
     for j in range(int(start.max(initial=0.0)), 0, -1):
         np.divide(1.0, 2.0 * (nu0 + j) / x + r, out=r, where=j <= start)
         if j <= m:
             prod *= r
-    return _bessel_i_scaled(nu0, x) * prod
+            if j % 32 == 0:                       # each r is above 30/(2 mu + 32)
+                prod, step = np.frexp(prod)
+                e += step
+    return _bessel_i_past_switch(nu0, x)[0] * prod, e
 
 
-def _bessel_i_scaled(nu: float, x: np.ndarray) -> np.ndarray:
-    """exp(-x) I_nu(x) at an array of x >= 0, nu >= -1/2, unchecked.
-
-    Below x = 30 the power series (DLMF 10.25.2), all of its terms
-    positive, is within 1.6e-15 of mpmath for nu up to 169.5; from 170 on
-    (x/2)^nu / Gamma(nu + 1) is formed in logs, 1.4e-13 at nu = 200.  Above,
-    the large-x series in 1/x (DLMF 10.40.1), to 2^-53 or its smallest
-    term, within 4.5e-16 from x = nu^2 on, where its terms no longer cancel;
-    between 30 and nu^2 ``_bessel_i_recurrence``, within 3.2e-15 up to
-    nu = 200 and 5e-15 at 1000.  Order 1/2, the sphere's at d = 3, takes
-    its closed form (1 - e^(-2x)) / sqrt(2 pi x)."""
-    if nu == 0.5:
-        return np.divide(-np.expm1(-2.0 * x), math.sqrt(2.0 * math.pi) * np.sqrt(x),
-                         out=np.zeros_like(x), where=x > 0.0)
-    series, ratio, reach = _bessel_i_coefficients(nu)
-    flat = x.ravel()
-    out = np.empty_like(flat)
-    low = ~(flat >= _BESSEL_I_SWITCH)                 # NaN too
-    high = flat >= max(nu * nu, _BESSEL_I_SWITCH)
-    xs = flat[low]
-    s = _estrin(series, xs * xs)
-    s *= np.exp(-xs)
-    if nu:                          # (x/2)^nu / Gamma(nu + 1), in logs past Gamma's range
-        s *= (np.power(0.5 * xs, nu) / math.gamma(nu + 1.0) if nu < 170.0 else
-              np.exp(nu * np.log(0.5 * xs) - math.lgamma(nu + 1.0)))
-    out[low] = s
-    if nu * nu > _BESSEL_I_SWITCH:
-        mid = ~(low | high)
-        out[mid] = _bessel_i_recurrence(nu, flat[mid])
-    xb = flat[high]
+def _bessel_i_past_switch(nu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-x) I_nu(x) = v 2^e at a flat array of x >= 30: the large-x series
+    in 1/x (DLMF 10.40.1), to 2^-53 or its smallest term, from x = nu^2 on,
+    where its terms no longer cancel; ``_bessel_i_recurrence`` below."""
+    _, ratio, reach = _bessel_i_coefficients(nu)
+    v, e = np.empty_like(x), np.zeros(x.shape, dtype=np.intp)
+    high = x >= nu * nu
+    if not high.all():
+        v[~high], e[~high] = _bessel_i_recurrence(nu, x[~high])
+    xb = x[high]
     terms = np.cumprod(ratio / xb[:, None], axis=1)
-    out[high] = (1.0 + np.sum(terms, axis=1, where=reach <= xb[:, None])) / (
+    v[high] = (1.0 + np.sum(terms, axis=1, where=reach <= xb[:, None])) / (
         math.sqrt(2.0 * math.pi) * np.sqrt(xb))
-    return out.reshape(x.shape)
+    return v, e
 
 
 def bessel_i_scaled(nu: float, x):
     """exp(-x) I_nu(x) for x >= 0, nu >= -1/2; never overflows; broadcasts over
-    arrays of x.  NaN raises DomainError; x = 0 gives the limit, inf for nu < 0."""
+    arrays of x.  NaN raises DomainError; x = 0 gives the limit, inf for nu < 0.
+
+    Below x = 30 the power series (DLMF 10.25.2), all of its terms
+    positive, is within 1.6e-15 of mpmath for nu up to 169.5; from 170 on
+    (x/2)^nu / Gamma(nu + 1) is formed in logs, 1.4e-13 at nu = 200.  Above,
+    the large-x series in 1/x, within 4.5e-16 from x = nu^2 on; between 30
+    and nu^2 the backward recurrence in the order, within 3.2e-15 up to
+    nu = 200 and 5e-15 at 1000.  Order 1/2 takes its closed form
+    (1 - e^(-2x)) / sqrt(2 pi x), within 4.4e-16 where the series gives 1.2e-15.
+    """
     xa = np.asarray(x, dtype=float)
     if not (xa >= 0.0).all():
         raise DomainError(f"bessel_i requires x >= 0, got {x}")
     if not nu >= -0.5:
         raise DomainError(f"bessel_i requires nu >= -1/2, got {nu}")
-    with np.errstate(divide="ignore"):            # 0^nu for nu < 0: inf, the limit
-        out = _bessel_i_scaled(nu, xa)
+    if nu == 0.5:
+        out = np.divide(-np.expm1(-2.0 * xa), math.sqrt(2.0 * math.pi) * np.sqrt(xa),
+                        out=np.zeros_like(xa), where=xa > 0.0)
+        return out if out.ndim else float(out)
+    flat = xa.ravel()
+    out = np.empty_like(flat)
+    low = flat < _BESSEL_I_SWITCH
+    xs = flat[low]
+    s = _estrin(_bessel_i_coefficients(nu)[0], xs * xs)
+    s *= np.exp(-xs)
+    if nu:                          # (x/2)^nu / Gamma(nu + 1), in logs past Gamma's range
+        with np.errstate(divide="ignore"):        # 0^nu for nu < 0: inf, the limit
+            s *= (np.power(0.5 * xs, nu) / math.gamma(nu + 1.0) if nu < 170.0 else
+                  np.exp(nu * np.log(0.5 * xs) - math.lgamma(nu + 1.0)))
+    out[low] = s
+    out[~low] = np.ldexp(*_bessel_i_past_switch(nu, flat[~low]))
+    out = out.reshape(xa.shape)
     return out if out.ndim else float(out)
 
 
@@ -301,9 +329,9 @@ def bessel_k(nu: float, z):
     max(1, |nu|/2.5), out to where 2z sinh^2(t/2) = 50 + 4|nu|.  For
     nu = (d + alpha - 2)/2, d = 2..5, and z in [1e-8, 600] it is within
     1.2e-15 of mpmath (scipy's kv: 5.3e-14); at nu = 10 and 20, 3e-14, and
-    at nu = 200 to 300 with z in [300, 600], 2.4e-14.  A z
-    so small that cosh(nu t) would overflow on the nodes, where K_nu(z)
-    itself exceeds ~1e250 for |nu| <= 40, raises DomainError; z = inf gives 0.
+    at nu = 200 to 400 with z in [300, 650], 2.4e-14.  A z so small that the
+    log of the integrand, nu t - 2z sinh^2(t/2), peaks past 700 (K_nu(z)
+    near e^700 and past), raises DomainError; z = inf gives 0.
     """
     za = np.asarray(z, dtype=float)
     z_min = float(za.min(initial=math.inf))
@@ -311,12 +339,14 @@ def bessel_k(nu: float, z):
         raise DomainError(f"bessel_k requires z > 0, got {z}")
     nu = abs(nu)
     slow = max(1.0, nu / 2.5)
+    # the integrand's log peaks at t = asinh(nu/z), highest at the smallest z
+    zc = min(z_min, 1e300)
+    if nu * math.asinh(nu / zc) - (math.hypot(nu, zc) - zc) > 700.0:
+        raise DomainError(f"K_{nu}(z) nears the float range at z={z_min}")
     # the last node grows as z falls: take the count from the smallest z, or
     # from the large-z bound 2 asinh(w/root) root/0.6 < 2 w/0.6
-    w, r = math.sqrt(25.0 + 2.0 * nu), math.sqrt(min(z_min, 1e300))
+    w, r = math.sqrt(25.0 + 2.0 * nu), math.sqrt(zc)
     t_max = 2.0 * math.asinh(w / r)
-    if nu * t_max > 700.0:
-        raise DomainError(f"K_{nu}(z) nears the float range at z={z_min}")
     n = math.ceil(slow * max(t_max / min(0.2, 0.6 / r), 2.0 * w / 0.6))
     root = np.sqrt(np.minimum(za, 1e300))[..., None]
     h = np.minimum(0.2 / slow, (0.6 / slow) / root)
@@ -325,15 +355,154 @@ def bessel_k(nu: float, z):
     g *= root
     g *= g
     g *= -2.0
-    np.exp(g, out=g)
     t *= nu
     if nu * n * min(0.2, 0.6 / r) / slow > 700.0:
-        # a large z's nodes run past its own cut-off, where cosh(nu t) would
-        # overflow against an exp that underflows; capped, they stay zeros
+        # past nu t = 700 cosh(nu t) would overflow: cosh(nu t) = cosh(700)
+        # e^(nu t - 700) to rounding there, and the excess joins the exponent
+        g += np.maximum(t - 700.0, 0.0)
         np.minimum(t, 700.0, out=t)
+    np.exp(g, out=g)
     g *= np.cosh(t, out=t)
     out = (g.sum(axis=-1) - 0.5) * h[..., 0] * np.exp(-za)
     return out if out.ndim else float(out)
+
+
+# --- piecewise polynomial tables ------------------------------------------
+#
+# A table holds a smooth function h of x on [lo, hi] as polynomials of degree
+# 16, one per panel.  It is built once: h is evaluated at the 17 Chebyshev
+# points of each of 8 even panels of [lo, hi], and a panel is bisected until
+# its two trailing Chebyshev coefficients are at most 2^-52 of the largest of
+# 1 and the size of the terms that make up h on it (so of its rounding), or
+# until its half-width is 2^-8.  Each panel's Chebyshev coefficients then
+# become monomial ones in z = (x - mid) / half, in [-1, 1].  Two edge panels
+# carry h's exact outer forms: a constant below lo (inverse half-width 0, so
+# z = 0) and a line above hi, whose z is x 2^-900 and whose slope is scaled by
+# 2^900 (both exact), so that z^2 and up vanish for any x the reader takes.
+#
+# ``_read_tables`` evaluates any number of tables, each at its own array, in
+# one pass: a searchsorted per table, one gather of the panels' columns
+# (midpoint, inverse half-width, coefficients) of all the tables side by
+# side, and Estrin's scheme, in some 25 array operations.  Each step is
+# elementwise, so a scalar and the same value inside an array get the same
+# bits.
+
+_POINTS = 17                        # per panel: degree 16
+# the interpolation points cos(pi j / 34), j = 33, 31, .., 1 (ascending), and the
+# matrix taking the values there to the coefficients of T_0 .. T_16 (a DCT).  Its
+# angles are reduced mod 2 pi in integers: unreduced, the rounding of cos(16 theta)
+# gave a constant 4e-16 of itself in T_16, past the bisection's bound
+_ODD = np.arange(2 * _POINTS - 1, 0, -2)
+_CHEB = np.cos(np.pi / (2 * _POINTS) * _ODD)
+_DCT = np.cos(np.pi / (2 * _POINTS) * (np.multiply.outer(_ODD, np.arange(_POINTS))
+                                       % (4 * _POINTS))) * (
+    np.where(np.arange(_POINTS), 2.0, 1.0) / _POINTS)
+# row k: the monomial coefficients of T_k, by T_k = 2 z T_(k-1) - T_(k-2), exactly
+_MONOMIAL = np.eye(_POINTS)
+for _k in range(2, _POINTS):
+    _MONOMIAL[_k, 1:] = 2.0 * _MONOMIAL[_k - 1, :-1]
+    _MONOMIAL[_k] -= _MONOMIAL[_k - 2]
+_MIN_HALF = 2.0 ** -8               # bisection stops at this half-width
+_HUGE = 1e250                       # the reader clips its arguments to +-1e250
+_FAR = 2.0 ** -900                  # z = x 2^-900 on the upper edge panel
+
+
+class _Table:
+    """A built table: its panel edges lo .. hi, and a column per panel (the
+    edge panels first and last) of its midpoint, its inverse half-width and
+    its 17 monomial coefficients, lowest first.  Hashed by identity."""
+
+    __slots__ = ("edges", "columns")
+
+
+def _build_table(values, lo: float, hi: float, below: float, line: tuple) -> _Table:
+    """The table of h on [lo, hi], values(x) giving h and the size of its
+    terms at a (panels, 17) array of x; h = below under lo and
+    line[0] + line[1] x over hi."""
+    start = np.linspace(lo, hi, 9)
+    todo, done = np.column_stack([start[:-1], start[1:]]), []
+    while len(todo):
+        mid, half = todo.mean(axis=1), 0.5 * (todo[:, 1] - todo[:, 0])
+        h, size = values(mid[:, None] + half[:, None] * _CHEB)
+        coef = h @ _DCT
+        scale = np.maximum(size.max(axis=1), 1.0)
+        ok = (np.abs(coef[:, -2:]).max(axis=1) <= 2.0 ** -52 * scale) | (half <= _MIN_HALF)
+        done += zip(todo[ok, 0].tolist(), coef[ok])
+        split, cut = todo[~ok], mid[~ok]
+        todo = np.column_stack([split[:, 0], cut, cut, split[:, 1]]).reshape(-1, 2)
+    done.sort(key=lambda panel: panel[0])
+    edges = np.array([a for a, _ in done] + [hi])
+    outer = np.zeros((2, _POINTS))
+    outer[0, 0], outer[1, :2] = below, (line[0], line[1] / _FAR)
+    coef = np.concatenate([outer[:1], np.array([c for _, c in done]) @ _MONOMIAL, outer[1:]])
+    table = _Table()
+    table.edges = edges
+    table.columns = np.vstack([np.concatenate([[0.0], 0.5 * (edges[1:] + edges[:-1]), [0.0]]),
+                               np.concatenate([[0.0], 2.0 / (edges[1:] - edges[:-1]), [_FAR]]),
+                               coef.T])
+    edges.setflags(write=False)
+    table.columns.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=16)
+def _stacked(tables: tuple) -> tuple:
+    """The columns of the tables side by side, and each table's first column."""
+    first = np.cumsum([0] + [t.columns.shape[1] for t in tables[:-1]]).tolist()
+    return first, np.concatenate([t.columns for t in tables], axis=1)
+
+
+def _read_tables(*pairs) -> list:
+    """h of each (table, x) pair at its array x, elementwise, in one pass.
+    NaN reads the upper edge panel, and +-inf its edge form at +-1e250."""
+    first, columns = _stacked(tuple(t for t, _ in pairs))
+    xs = [np.asarray(x, dtype=float) for _, x in pairs]
+    panel = np.concatenate([np.searchsorted(t.edges, x.ravel(), side="right") + f
+                            for (t, _), x, f in zip(pairs, xs, first)])
+    x = np.concatenate([x.ravel() for x in xs])
+    np.minimum(np.maximum(x, -_HUGE, out=x), _HUGE, out=x)
+    # take, unlike columns[:, panel], gathers into rows that Estrin's steps read
+    # contiguously
+    c = columns.take(panel, axis=1)
+    h = _estrin(c[2:], (x - c[0]) * c[1])
+    out, at = [], 0
+    for x in xs:
+        out.append(h[at:at + x.size].reshape(x.shape))
+        at += x.size
+    return out
+
+
+# --- the Bessel factor of the radial transition density -------------------
+#
+# h_nu(u) = log(e^-z I_nu(z)) - nu log(z/2) + lgamma(nu + 1) at u = log z is
+# 0 at z = 0, and tends to the log of the first term of the large-z series,
+# -(nu + 1/2) u + nu log 2 + lgamma(nu + 1) - log(2 pi)/2.  Below u = -40 it is
+# -z to within z^2, so 0 to within 4e-18; above u = 37 + 2 log max(1, 2 nu) the
+# series' second term, (4 nu^2 - 1)/8z, is below 1.2e-17.  Between, the table
+# is built in logs, so that nothing underflows however large nu: below z = 30
+# from the power series' sum S (all terms positive), h = log S - z; above from
+# e^-z I_nu(z) = v 2^e.
+
+@lru_cache(maxsize=16)
+def _bessel_table(nu: float) -> _Table:
+    """The table of h_nu over u = log z, built once per order."""
+    series = _bessel_i_coefficients(nu)[0]
+    lgam = math.lgamma(nu + 1.0)
+
+    def values(u):
+        z = np.exp(u.ravel())
+        low = z < _BESSEL_I_SWITCH
+        h, size = np.empty_like(z), np.empty_like(z)
+        zl = z[low]
+        log_sum = np.log(_estrin(series, zl * zl))
+        h[low], size[low] = log_sum - zl, log_sum + zl
+        v, e = _bessel_i_past_switch(nu, z[~low])
+        log_v, power = np.log(v) + e * _LOG2, nu * np.log(0.5 * z[~low])
+        h[~low], size[~low] = log_v - power + lgam, np.abs(log_v) + np.abs(power) + lgam
+        return h.reshape(u.shape), size.reshape(u.shape)
+
+    return _build_table(values, -40.0, 37.0 + 2.0 * math.log(max(1.0, 2.0 * nu)), 0.0,
+                        (nu * _LOG2 + lgam - 0.5 * math.log(2.0 * math.pi), -(nu + 0.5)))
 
 
 # --- Mittag-Leffler ------------------------------------------------------
@@ -346,33 +515,20 @@ def bessel_k(nu: float, z):
 # switch out with the power; for gamma > 4 the dropped exponentials
 # e^(u cos(2 pi k/gamma)) move it out by 1/(1 - cos(2 pi/gamma)).
 #
-# Below the switch h(log t) = log E(t) - u is read from a table of
-# Chebyshev interpolants of degree 16, one per panel of log t.  Each
-# (gamma, beta) gets its own: the series is summed at the interpolation
-# points of one panel spanning the range, and a panel is bisected until
-# its two trailing coefficients are at most 2^-52 of the largest of 1,
-# |h| and u on it (u is the size of the terms that cancel in h, and so
-# of the series' rounding).  Below the table, where t Gamma(beta) /
-# Gamma(beta + gamma) and u are both under 2^-54, h is -lgamma(beta) to
-# within 2^-53.
+# Below the switch h(log t) = log E(t) - u is read from a table, one per
+# (gamma, beta), built from the series summed in log space at each point;
+# the size of its terms is the larger of |h| and u (the terms that cancel in
+# h).  Below the table, where t Gamma(beta) / Gamma(beta + gamma) and u are
+# both under 2^-54, h is -lgamma(beta) to within 2^-53; above it, h is the
+# asymptotic form's -log gamma + (1 - beta) log t / gamma.
 
 _ML_SWITCH = 45.0
-_ML_POINTS = 17                     # per panel: degree 16
-# the interpolation points cos(pi j / 34), j = 33, 31, .., 1 (ascending), and the
-# matrix taking the values there to the coefficients of T_0 .. T_16 (a DCT).  Its
-# angles are reduced mod 2 pi in integers: unreduced, the rounding of cos(16 theta)
-# gave a constant 4e-16 of itself in T_16, past the bisection's bound
-_ML_ODD = np.arange(2 * _ML_POINTS - 1, 0, -2)
-_ML_CHEB = np.cos(np.pi / (2 * _ML_POINTS) * _ML_ODD)
-_ML_DCT = np.cos(np.pi / (2 * _ML_POINTS) * (np.multiply.outer(_ML_ODD, np.arange(_ML_POINTS))
-                                             % (4 * _ML_POINTS))) * (
-    np.where(np.arange(_ML_POINTS), 2.0, 1.0) / _ML_POINTS)
 _ML_LOG_TINY = -54.0 * math.log(2.0)
-_ML_MIN_HALF = 2.0 ** -8            # bisection stops at this half-width
 # the (gamma, beta) the table is checked on: within 5.1e-14 of mpmath down to
 # gamma = 0.015 (at beta = gamma, 1e-5, 1 and 20).  Below it, at large beta,
-# panels reach _ML_MIN_HALF with trailing coefficients past the bound: 1.5e-13
-# at (0.01, 20).  A build grows as 1/gamma, to 0.2 s and 44 MB at (0.015, 20)
+# panels reach the 2^-8 half-width with trailing coefficients past the bound:
+# 1.5e-13 at (0.01, 20).  A build grows as 1/gamma, to 0.2 s and 44 MB at
+# (0.015, 20)
 _ML_GAMMA = (0.015, 20.0)
 _ML_BETA = (1e-5, 20.0)
 
@@ -385,40 +541,26 @@ def _ml_switch(gamma: float, beta: float) -> float:
 
 
 @lru_cache(maxsize=16)
-def _ml_table(gamma: float, beta: float) -> tuple:
-    """The Chebyshev table of h on [lo, hi]: lo, hi, the inner panel edges,
-    the panels' midpoints and inverse half-widths, and their coefficients,
-    a column of 17 per panel."""
+def _ml_table(gamma: float, beta: float) -> _Table:
+    """The table of h over log t, built once per (gamma, beta)."""
     if not (_ML_GAMMA[0] <= gamma <= _ML_GAMMA[1] and _ML_BETA[0] <= beta <= _ML_BETA[1]):
         raise DomainError(f"mittag_leffler requires gamma in {list(_ML_GAMMA)} and beta "
                           f"in {list(_ML_BETA)}, got {gamma}, {beta}")
     switch = _ml_switch(gamma, beta)
     n = np.arange(math.ceil((2.0 * switch + 40.0) / gamma) + 1.0)   # every term that can matter
     log_gamma = np.array([math.lgamma(v) for v in (beta + gamma * n).tolist()])
-    hi = gamma * math.log(switch)
-    lo = min(_ML_LOG_TINY + math.lgamma(beta + gamma) - math.lgamma(beta),
-             gamma * _ML_LOG_TINY)
-    todo, done = np.array([[lo, hi]]), []
-    while len(todo):
-        mid, half = todo.mean(axis=1), 0.5 * (todo[:, 1] - todo[:, 0])
-        log_t = mid[:, None] + half[:, None] * _ML_CHEB
+
+    def values(log_t):
         u = np.exp(log_t / gamma)
         logs = np.multiply.outer(log_t, n) - log_gamma   # the series, in log space
         top = logs.max(axis=-1)
         h = top + np.log(np.exp(logs - top[..., None]).sum(axis=-1)) - u
-        coef = h @ _ML_DCT
-        scale = np.maximum(np.maximum(np.abs(h), u).max(axis=1), 1.0)
-        ok = (np.abs(coef[:, -2:]).max(axis=1) <= 2.0 ** -52 * scale) | (half <= _ML_MIN_HALF)
-        done += zip(todo[ok, 0].tolist(), coef[ok])
-        split, cut = todo[~ok], mid[~ok]
-        todo = np.column_stack([split[:, 0], cut, cut, split[:, 1]]).reshape(-1, 2)
-    done.sort(key=lambda panel: panel[0])
-    edges = np.array([a for a, _ in done] + [hi])
-    table = (edges[1:-1], 0.5 * (edges[1:] + edges[:-1]), 2.0 / (edges[1:] - edges[:-1]),
-             np.array([c for _, c in done]).T.copy())
-    for arr in table:
-        arr.setflags(write=False)
-    return (lo, hi, *table)
+        return h, np.maximum(np.abs(h), u)
+
+    lo = min(_ML_LOG_TINY + math.lgamma(beta + gamma) - math.lgamma(beta),
+             gamma * _ML_LOG_TINY)
+    return _build_table(values, lo, gamma * math.log(switch), -math.lgamma(beta),
+                        (-math.log(gamma), (1.0 - beta) / gamma))
 
 
 def _log_mittag_leffler_scaled(gamma: float, beta: float, log_t):
@@ -427,33 +569,19 @@ def _log_mittag_leffler_scaled(gamma: float, beta: float, log_t):
     Given log t, t itself may lie beyond the float range, and the scaled
     value never holds the e^u that would cancel against a caller's e^-u.
     """
-    log_t = np.asarray(log_t, dtype=float)
-    lo, hi, inner, mid, inv_half, coef = _ml_table(gamma, beta)
-    with np.errstate(invalid="ignore"):           # 0 * inf at beta = 1
-        asymptotic = -math.log(gamma) + (1.0 - beta) / gamma * log_t
-    x = np.clip(log_t.ravel(), lo, hi)
-    panel = np.searchsorted(inner, x)               # NaN: the last panel
-    z = (x - mid[panel]) * inv_half[panel]
-    # Clenshaw's recurrence down the gathered columns: elementwise ufuncs only,
-    # so a scalar t and the same t inside an array get the same bits
-    c = coef[:, panel]
-    z2, b1, b2 = z + z, c[-1], 0.0
-    for k in range(_ML_POINTS - 2, 0, -1):
-        b1, b2 = c[k] + z2 * b1 - b2, b1
-    h = (c[0] + z * b1 - b2).reshape(log_t.shape)
-    h[log_t < lo] = -math.lgamma(beta)              # t = 0 too
-    return np.where(log_t <= hi, h, asymptotic)     # NaN: the asymptotic form's NaN
+    return _read_tables((_ml_table(gamma, beta), log_t))[0]
 
 
 def log_mittag_leffler(gamma: float, beta: float, t):
     """log E_(gamma,beta)(t) for gamma in [0.015, 20], beta in [1e-5, 20] and
     t >= 0; broadcasts over arrays of t.
 
-    Below the switch it is read from a Chebyshev table of the all-positive
-    series, summed in log space; past it the asymptotic form takes over.
-    The result is finite even where E itself overflows; where its log does
-    too (t^(1/gamma) past the float range, t = inf included) DomainError.
+    Below the switch it is read from a table of the all-positive series,
+    summed in log space; past it the asymptotic form takes over.  The
+    result is finite even where E itself overflows; where its log does too
+    (t^(1/gamma) past the float range, t = inf included) DomainError.
     """
+    gamma, beta = as_number(gamma, "gamma"), as_number(beta, "beta")
     ta = np.asarray(t, dtype=float)
     if not np.all(ta >= 0.0):
         raise DomainError(f"mittag_leffler requires t >= 0, got {t}")

@@ -621,13 +621,15 @@ class TestReport:
 # phi, one-minus-phi and qm files were re-recorded when Phi's far-route 2F1
 # and the Mittag-Leffler table's log-Gamma became this package's own: their
 # moved rows are as close to 40-digit mpmath as before (at most 3.9e-16,
-# 4.6e-16 and 4.2e-15 relative, against 7.6e-16, 6.0e-16 and 6.0e-15)
+# 4.6e-16 and 4.2e-15 relative, against 7.6e-16, 6.0e-16 and 6.0e-15).  The qm
+# file again when the table's panels became monomials read by Estrin's scheme:
+# 118 of 201 rows move, at most 4.2e-15 from mpmath against 4.9e-15 before
 GOLDEN_CSV = [
     ("d79289eb96f6ac75429bf4ce355f2b8511d52a7f338bfba7c53fa2e6c6449825",
      "report --curve phi --d 2 --alpha 1.5 --r 0.3:2.5:301"),     # across both band edges
     ("8d763e2f88b92b251195cfbefe0081fefd85e0b7a56b5280b2b02697dfda5be1",
      "report --curve one-minus-phi --d 3 --alpha 1.2 --r 0.3:2.5:301"),
-    ("458589311b1b979fd42d8aa439cdb3a6e2d3d057f5ddb97f0973e182156b70de",
+    ("a227a7fde6731176b6d4999ee74b64068b46823c569197a9e6ab489094928c8f",
      "report --curve qm --d 2 --alpha 1.5 --m 1.3 --r 0.01:8:201"),
     ("bd3dc9c8d6e08a9e7d5ca7ea3bf1a4c5e5226a413a96d1d5d88be5e1857421f3",
      "report --curve poisson-H-profile --d 3 --alpha 1.2 --r=-6:6:201"),

@@ -9,7 +9,7 @@ from scipy import integrate, special
 from stablepot import halfspace, relativistic
 from stablepot.cli import main
 from stablepot.core import INFINITY, StableParams
-from stablepot.errors import DivergenceError, DomainError
+from stablepot.errors import ConvergenceError, DivergenceError, DomainError
 from stablepot.relativistic import (RelativisticParams,
                                     hitting_laplace_transform,
                                     hitting_probability_sphere,
@@ -185,13 +185,34 @@ class TestBesselTransition:
         # order d/2 - 1 past Gamma's float range; z = xy/2t below 30, between
         # 30 and the order squared, and past it
         nu = d / 2.0 - 1.0
-        for t, x, y in [(1.0, 2.0, 5.0), (1.0, 10.0, 20.0), (1.0, 300.0, 400.0)]:
+        for t, x, y in [(1.0, 2.0, 5.0), (1.0, 10.0, 20.0), (1.0, 300.0, 400.0),
+                        (1.0, 0.01, 0.02)]:
             with mpmath.workdps(40):
                 z = mpmath.mpf(x) * y / (2 * t)
                 want = float(mpmath.loggamma(d / 2.0) - mpmath.log(2 * t)
                              + (1 - d / 2.0) * mpmath.log(z * t) - (x - y) ** 2 / (4 * t)
                              + mpmath.log(mpmath.besseli(nu, z, maxterms=10 ** 6)) - z)
             assert log_bessel_transition(d, t, x, y) == pytest.approx(want, rel=1e-14, abs=1e-11)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_bessel_factor_edges_against_mpmath(self, d):
+        # x y = 0; z = xy/2t below e^-40, where h_nu reads 0; the table's middle;
+        # and z past its upper edge, where h_nu is the large-z series' first term
+        points = [(1.0, 0.0, 2.0), (1e20, 1e-5, 1e-5), (1.0, 1e-9, 1e-10), (0.7, 1.0, 1.9),
+                  (1e-3, 1.0, 1.0), (1e-20, 1.0, 2.0), (1e-40, 3.0, 3.0 + 1e-30)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [log_bessel_transition(d, t, x, y) for t, x, y in points]
+        for (t, x, y), value in zip(points, got):
+            t, x, y = (mpmath.mpf(v) for v in (t, x, y))
+            with mpmath.workdps(80):
+                z = x * y / (2 * t)
+                want = -d / mpmath.mpf(2) * mpmath.log(2 * t) - (x * x + y * y) / (4 * t)
+                if z:
+                    nu = mpmath.mpf(d) / 2 - 1
+                    want += (mpmath.log(mpmath.besseli(nu, z)) - nu * mpmath.log(z / 2)
+                             + mpmath.loggamma(nu + 1))
+            assert value == pytest.approx(float(want), rel=1e-14, abs=1e-11), (t, x, y)
 
     def test_array_times(self):
         ts = np.array([1e-6, 0.3, 1.0, 40.0])
@@ -311,6 +332,23 @@ class TestLambdaPotential:
                      "--x", "1", "--y", "2"])
         out, err = capsys.readouterr()
         assert (code, err) == (0, "") and float(out) == pytest.approx(a, rel=1e-12, abs=0)
+
+    def test_far_apart_radii_at_large_d(self):
+        # the transition's Bessel factor once underflowed at small z for d = 400,
+        # and the time integral did not converge; now u(0.01, 2) = e^715.14, past
+        # the float range and refused as such, and a dense sum over log s agrees
+        rp = RelativisticParams(StableParams(400, 1.5), 1.0, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log_u = relativistic._log_potentials(rp, [(0.01, 2.0), (2.0, 0.01)], 1e-10)
+            with pytest.raises(DomainError, match="float range"):
+                lambda_potential(rp, 0.01, 2.0)
+        radii = relativistic._radius_logs(0.01, 2.0)
+        log_s = np.linspace(-30.0, 30.0, 60001)
+        f = relativistic._log_time_integrand(rp, log_s, radii) + log_s
+        want = f.max() + math.log(np.exp(f - f.max()).sum() * (log_s[1] - log_s[0]))
+        assert log_u[0] == pytest.approx(want, rel=1e-12, abs=0)
+        assert log_u[1] == pytest.approx(log_u[0], rel=1e-12, abs=0)
 
     def test_mittag_leffler_floor_is_stated_in_alpha(self, capsys):
         # E_(alpha/2, alpha/2) is tabulated from order 0.015: below alpha = 0.03
@@ -543,6 +581,34 @@ class TestTimeIntegralNearAlphaOne:
         assert float(out) == pytest.approx(want, rel=1e-9, abs=0)
 
 
+class TestErrorContract:
+    RP = RelativisticParams(P3, 1.0, 0.5)
+    PAIR = np.array([1.0, 2.0])
+
+    @pytest.mark.parametrize("call", [
+        lambda rp, v: lambda_potential(rp, v, 1.0),
+        lambda rp, v: lambda_potential(rp, 1.0, v),
+        lambda rp, v: hitting_probability_sphere(rp, v, 2.0),
+        lambda rp, v: hitting_laplace_transform(rp, v, 2.0, 0.3),
+        lambda rp, v: hitting_laplace_transform(rp, 1.0, 2.0, 0.2 * v),
+    ])
+    def test_an_array_where_a_number_is_documented(self, call):
+        # each once raised numpy's "truth value of an array is ambiguous"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="single number"):
+                call(self.RP, self.PAIR)
+            assert math.isfinite(call(self.RP, np.float64(1.5)))
+
+    def test_discounted_hitting_of_a_huge_sphere(self):
+        # the killing underflows u(r, r)'s integrand at every node: once a NaN
+        # from -inf - -inf, with "invalid value encountered in scalar subtract"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="no mass"):
+                hitting_laplace_transform(RP3, 1e308, 2.0, 0.3)
+
+
 class TestBatchedHittingRatio:
     CASES = [(3, 1.2, 1.3, 0.0, 1.0, 1.7), (3, 1.5, 0.7, 0.0, 0.8, 2.9),
              (4, 1.9, 2.0, 0.0, 1.5, 1.6), (3, 1.2, 1.0, 0.6, 1.0, 2.0),
@@ -591,3 +657,29 @@ class TestBatchedHittingRatio:
         assert calls == passes
         assert len(passes) == max(alone)        # the potentials run side by side
         assert passes[0] == first
+
+    @pytest.mark.parametrize("d, alpha, m, lam, r, rho", CASES)
+    def test_one_table_read_per_pass(self, d, alpha, m, lam, r, rho, monkeypatch):
+        # the Mittag-Leffler and Bessel factors of every node of a pass come
+        # from one call of the table reader
+        reads, passes = [], []
+        read_tables, integrate_log = relativistic._read_tables, relativistic._integrate_log
+
+        def counted_read(*pairs):
+            reads.append(len(pairs))
+            return read_tables(*pairs)
+
+        def counted_run(log_f, intervals, n, tol):
+            def counted_log_f(params, u):
+                passes.append(len(u))
+                return log_f(params, u)
+            return integrate_log(counted_log_f, intervals, n, tol)
+
+        monkeypatch.setattr(relativistic, "_read_tables", counted_read)
+        monkeypatch.setattr(relativistic, "_integrate_log", counted_run)
+        base = RelativisticParams(StableParams(d, alpha), m)
+        if lam:
+            hitting_laplace_transform(base, r, rho, lam)
+        else:
+            hitting_probability_sphere(base, r, rho)
+        assert passes and reads == [2] * len(passes)

@@ -11,7 +11,7 @@ from stablepot import specfun
 from stablepot.core import StableParams
 from stablepot.errors import ConvergenceError, DomainError, PoleError
 from stablepot.relativistic import (RelativisticParams, lambda_potential,
-                                    log_subordinator_potential)
+                                    log_bessel_transition, log_subordinator_potential)
 from stablepot.specfun import (TailPair, bessel_i_scaled, bessel_k,
                                gauss_2f1, legendre_f1, log_mittag_leffler,
                                regularized_beta_cdf)
@@ -297,6 +297,16 @@ class TestBesselK:
         with mpmath.workdps(25):                 # 1.7 s a value at 40 digits
             assert abs(got[0] / float(mpmath.besselk(300, 400)) - 1.0) <= 2e-15
 
+    def test_guard_bounds_the_whole_integrand(self):
+        # cosh(nu t) alone passes e^700 on the nodes of K_400(650), but the
+        # integrand, e^(nu t - 2z sinh^2(t/2)), peaks near e^120
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bessel_k(400.0, 650.0)
+        with mpmath.workdps(25):
+            assert abs(got / float(mpmath.besselk(400, 650)) - 1.0) <= 1e-13
+        assert 1.9e-232 < got < 2.1e-232
+
     def test_edges_are_typed(self):
         # below z ~ 1e-300 K_1.25 passes the float range; K_0 grows like log(1/z);
         # z = inf is 0
@@ -376,6 +386,18 @@ class TestMittagLeffler:
                 with pytest.raises(DomainError, match="float range"):
                     log_mittag_leffler(0.75, 0.75, t)
 
+    def test_array_parameters_are_refused(self):
+        # gamma and beta are numbers; an array of them is a typed error, not
+        # lru_cache's TypeError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for g, b in ((np.array([0.5, 0.6]), 0.75), (0.75, np.array([0.5, 0.6])),
+                         ([0.75], 0.75), (None, 0.75)):
+                with pytest.raises(DomainError, match="gamma|beta"):
+                    log_mittag_leffler(g, b, 1.0)
+            assert log_mittag_leffler(np.float64(0.75), np.array(0.75), 1.0) == \
+                log_mittag_leffler(0.75, 0.75, 1.0)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             log_mittag_leffler(-0.5, 1.0, 1.0)
@@ -384,7 +406,7 @@ class TestMittagLeffler:
 
 
 class TestMittagLefflerTable:
-    """The Chebyshev table of h(log t) = log E(t) - t^(1/gamma) below the switch."""
+    """The table of h(log t) = log E(t) - t^(1/gamma) below the switch."""
 
     PAIRS = [(0.5 + 1e-9, 0.5 + 1e-9), (0.525, 0.525), (0.6, 0.6), (0.75, 0.75),
              (0.95, 0.95), (1.0 - 1e-9, 1.0 - 1e-9), (0.6, 1.0), (1.5, 2.0), (0.7, 0.25),
@@ -395,8 +417,9 @@ class TestMittagLefflerTable:
         # a dense grid of log u = log t / g, from below the table's lower end to
         # just under the switch; the oracle is the series itself at 40 digits
         switch = specfun._ml_switch(g, b)
-        # bisection stops at the series' own rounding, not well past it
-        assert specfun._ml_table(g, b)[-1].shape[1] <= 40
+        # bisection stops at the series' own rounding, not well past it: at most
+        # 40 panels, not counting the two edge panels
+        assert len(specfun._ml_table(g, b).edges) - 1 <= 40
         log_t = g * np.linspace(-42.0, math.log(switch) - 1e-3, 241)
         got = np.exp(specfun._log_mittag_leffler_scaled(g, b, log_t))
         with mpmath.workdps(40):
@@ -412,14 +435,17 @@ class TestMittagLefflerTable:
                 assert abs(e / float(ref) - 1.0) <= 1e-13, (lt, e, ref)
 
     def test_limits_and_nan(self):
-        # t = 0 gives 1/Gamma(beta) exactly; log t = +inf and NaN give the
-        # asymptotic form's value, as the banded series did
+        # t = 0 gives 1/Gamma(beta) exactly, NaN gives NaN, and the edge panels
+        # carry the asymptotic form's bits: past the switch, and at log t = +inf,
+        # which the reader takes as 1e250 (the public function refuses t = inf)
         for g, b in [(0.75, 0.75), (0.6, 1.0), (1.5, 2.0), (5.0, 1.0)]:
-            got = specfun._log_mittag_leffler_scaled(g, b, np.array([-math.inf, math.inf, math.nan]))
-            assert got[0] == -math.lgamma(b)
-            with np.errstate(invalid="ignore"):
-                assert np.array_equal(got[1:], -math.log(g) + (1.0 - b) / g
-                                      * np.array([math.inf, math.nan]), equal_nan=True)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = specfun._log_mittag_leffler_scaled(
+                    g, b, np.array([-math.inf, math.inf, math.nan, 30.0, 1e250]))
+            assert got[0] == -math.lgamma(b) and math.isnan(got[2])
+            assert got[[1, 3, 4]].tolist() == [-math.log(g) + (1.0 - b) / g * v
+                                               for v in (1e250, 30.0, 1e250)]
 
     def test_rebuild_gives_the_same_bits(self):
         log_t = np.linspace(-45.0, 4.0, 1001)
@@ -448,6 +474,68 @@ class TestMittagLefflerTable:
         assert specfun._ml_table.cache_info().misses == 1
         log_mittag_leffler(0.6, 0.6, 2.0)
         assert specfun._ml_table.cache_info().misses == 2
+
+
+def _ref_bessel_factor(nu, u):
+    # h_nu(u) = log(e^-z I_nu(z)) - nu log(z/2) + lgamma(nu + 1), z = e^u, with
+    # the digits that the cancelling z takes on top of 40
+    with mpmath.workdps(40 + max(0, int(u / 2.3))):
+        z, nu = mpmath.exp(mpmath.mpf(u)), mpmath.mpf(nu)
+        return float(mpmath.log(mpmath.besseli(nu, z, maxterms=10 ** 6)) - z
+                     - nu * mpmath.log(z / 2) + mpmath.loggamma(nu + 1))
+
+
+class TestBesselFactorTable:
+    """The table of h_nu(log z) that the radial transition density reads."""
+
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5, 19.0, 199.0])
+    def test_against_40_digit_mpmath(self, nu):
+        # from below log z = -40, where the table ends in the constant 0, to past
+        # its upper edge, where it ends in the large-z series' first term
+        table = specfun._bessel_table(nu)
+        hi = table.edges[-1]
+        assert table.edges[0] == -40.0 and hi == 37.0 + 2.0 * math.log(max(1.0, 2.0 * nu))
+        u = np.concatenate([np.linspace(-45.0, hi + 5.0, 101), [-40.0, hi, 200.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = specfun._read_tables((table, u))[0]
+        for ui, h in zip(u.tolist(), got.tolist()):
+            want = _ref_bessel_factor(nu, ui)
+            assert abs(h - want) <= 4e-15 * max(1.0, abs(want)), (ui, h, want)
+
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 199.0])
+    def test_edge_panels(self, nu):
+        # z = 0 (x y = 0) and log z < -40 read exactly 0, NaN reads NaN, and past
+        # the upper edge the line's own bits
+        table = specfun._bessel_table(nu)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = specfun._read_tables((table, np.array([-math.inf, -1e300, -40.5, math.nan,
+                                                         60.0, 1e5])))[0]
+        assert got[:3].tolist() == [0.0, 0.0, 0.0] and math.isnan(got[3])
+        line = nu * math.log(2.0) + math.lgamma(nu + 1.0) - 0.5 * math.log(2.0 * math.pi)
+        assert got[4:].tolist() == [line + -(nu + 0.5) * u for u in (60.0, 1e5)]
+
+    def test_scalar_and_arrays_give_the_same_bits(self):
+        ts = np.geomspace(1e-30, 1e30, 60)
+        for d in (2, 3, 400):
+            values = log_bessel_transition(d, ts, 0.7, 1.9)
+            assert [log_bessel_transition(d, float(t), 0.7, 1.9) for t in ts] == values.tolist()
+            assert np.array_equal(log_bessel_transition(d, ts.reshape(-1, 3), 0.7, 1.9).ravel(),
+                                  values)
+
+    def test_built_once_per_order(self):
+        # h_nu is built on first use for an order nu = d/2 - 1 and then only read,
+        # by the transition density and by the potentials' time integrand
+        rp = RelativisticParams(StableParams(3, 1.5), 1.3, 0.4)
+        specfun._bessel_table.cache_clear()
+        for _ in range(3):
+            log_bessel_transition(3, 0.7, 1.0, 2.0)
+            log_bessel_transition(3, np.linspace(0.1, 9.0, 50), 1.0, 2.0)
+            lambda_potential(rp, 0.7, 1.9)
+        assert specfun._bessel_table.cache_info().misses == 1
+        log_bessel_transition(4, 0.7, 1.0, 2.0)
+        assert specfun._bessel_table.cache_info().misses == 2
 
 
 class TestRegularizedBeta:
