@@ -299,13 +299,6 @@ def _require_resolution(d: int, n: int) -> None:
         raise DomainError(f"the sphere rule in d={d} needs resolution >= 8, got {n}")
 
 
-def _ring(p: StableParams, n: int, radial: int = 1,
-          turn: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    # directions on S^(d-2), n per level ({+-1} in d = 2), for a rule of
-    # ``radial`` radial nodes: refused where they would pass the budget
-    return _sphere_rule(p.d, p.d - 1, n, radial, turn)
-
-
 _TAIL_TOL = 1e-14           # tail share the radial rule aims for
 
 
@@ -352,7 +345,7 @@ def hyperplane_quadrature(p: StableParams, resolution: int, decay_exponent: floa
     per_level = 64 // max(k - 1, 1)     # 64 directions around the circle in d = 3
     _require_resolution(p.d, per_level)
     rho, wt = _radial_rule((resolution + 1) // 2, decay_exponent, scale, k)
-    ring, ring_w = _ring(p, per_level, len(rho))
+    ring, ring_w = _sphere_rule(p.d, k, per_level, len(rho))
     nodes = center + (rho[:, None, None] * ring).reshape(-1, k)
     return QuadratureGrid(nodes, np.outer(wt * sphere_area(k), ring_w).ravel())
 
@@ -562,10 +555,10 @@ def _ring_rule(p: StableParams, f: Callable[[np.ndarray], np.ndarray],
     todo, n, radial = np.arange(len(row_of)), 8, radial_w.shape[1]
     out = np.empty(len(todo))
     while True:
-        ring, ring_w = _ring(p, n, radial)
+        ring, ring_w = _sphere_rule(p.d, p.d - 1, n, radial)
         k = len(ring_w)
         if p.d > 2:
-            check, check_w = _ring(p, n // 2 - 1, radial, _TURN)
+            check, check_w = _sphere_rule(p.d, p.d - 1, n // 2 - 1, radial, _TURN)
             ring = np.concatenate([ring, check])
         size, (s, a, c) = radial * len(ring), np.empty((3, len(todo)))
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):

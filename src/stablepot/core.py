@@ -43,10 +43,13 @@ class StableParams:
     alpha: float
 
     def __post_init__(self):
-        if int(self.d) != self.d or self.d < 2:
+        d, alpha = as_number(self.d, "dimension"), as_number(self.alpha, "alpha")
+        if not (d.is_integer() and d >= 2):
             raise DomainError(f"dimension must be an integer >= 2, got {self.d}")
-        if not (0.0 < self.alpha < 2.0):
+        if not (0.0 < alpha < 2.0):
             raise DomainError(f"alpha must lie in (0, 2), got {self.alpha}")
+        object.__setattr__(self, "d", int(d))
+        object.__setattr__(self, "alpha", alpha)
 
     def require_hitting_range(self) -> None:
         """Raise unless alpha in (1, 2), the range where the surfaces are non-polar."""
@@ -114,7 +117,9 @@ def require_finite(x, what: str) -> None:
 
 def as_number(value, what: str) -> float:
     """value as a float, or DomainError unless it is one real number (a 0-d
-    array included); its range is the caller's to check."""
+    array included; text and None are not); its range is the caller's to check."""
+    if value is None or isinstance(value, (str, bytes)):
+        raise DomainError(f"{what} must be a real number, got {value!r}")
     try:
         v = np.asarray(value, dtype=float)
     except (TypeError, ValueError):

@@ -37,7 +37,7 @@ it would squeeze the features of the integrand past the nodes of a pass;
 in d = 2, where s0 times the rate of the exponential cutoff is below
 e^-20, the tail starts on intervals e^-2 apart in v, since the integrand
 is a v^(1-alpha) spike out to v ~ sqrt(s0 rate) there (see ``_pieces``).
-The time integral is right to its 1e-10 tolerance for alpha - 1 >= 1e-5
+The time integral is right to its fixed 1e-10 tolerance for alpha - 1 >= 1e-5
 (tested against QUADPACK over log s down to alpha = 1.00001); closer to
 1 the rounding of log s ~ 2/(alpha-1) below s0 e^-80 can keep a diagonal
 potential from converging, which raises ``ConvergenceError``.  One globally adaptive Gauss-Kronrod
@@ -80,7 +80,6 @@ from .sphere import _gamma_product
 
 __all__ = [
     "RelativisticParams",
-    "log_bessel_transition",
     "subordinator_potential",
     "log_subordinator_potential",
     "lambda_potential",
@@ -103,12 +102,15 @@ class RelativisticParams:
     lam: float = 0.0
 
     def __post_init__(self):
-        if self.m <= 0.0:
+        m, lam = as_number(self.m, "mass m"), as_number(self.lam, "killing rate lam")
+        if m <= 0.0:
             raise DomainError(f"mass must be positive, got {self.m}")
-        if not math.isfinite(self.m):
+        if not math.isfinite(m):
             raise DomainError(f"mass must be finite, got {self.m}")
-        if not (0.0 <= self.lam < self.m):
+        if not (0.0 <= lam < m):
             raise DomainError(f"killing rate must satisfy 0 <= lam < m, got {self.lam}")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "lam", lam)
 
     @property
     def d(self) -> int:
@@ -138,26 +140,6 @@ def _log_transition_parts(d: int, log_t, radii) -> tuple:
     log_xy, log_diff2 = radii
     with np.errstate(over="ignore"):
         return -d / 2.0 * (_LOG2 + log_t) - np.exp(log_diff2 - log_t), log_xy - log_t
-
-
-def log_bessel_transition(d: int, t, x: float, y: float):
-    """log of the radial Bessel transition density f(t, x, y), t > 0; arrays of t.
-
-    The Bessel factor is read from ``specfun``'s table of h_nu(log z) =
-    log(e^-z I_nu(z)) - nu log(z/2) + lgamma(nu + 1), z = xy/2t, built in
-    logs, so that the (x - y)^2 / 4t Gaussian factor is explicit and nothing
-    overflows or underflows at any d.  x = 0 or y = 0 is the small-argument
-    limit (2t)^(-d/2) e^(-(x^2+y^2)/4t).
-    """
-    x, y = as_number(x, "radius x"), as_number(y, "radius y")
-    ta = np.asarray(t, dtype=float)
-    if not np.all(ta > 0.0):
-        raise DomainError(f"time must be positive, got {t}")
-    if x < 0.0 or y < 0.0:
-        raise DomainError("radii must be nonnegative")
-    rest, log_z = _log_transition_parts(d, np.log(ta), _radius_logs(x, y))
-    out = rest + _read_tables((_bessel_table(d / 2.0 - 1.0), log_z))[0]
-    return out if out.ndim else float(out)
 
 
 def _mass_power(m: float, alpha: float) -> float:
@@ -237,7 +219,7 @@ _WG21 = np.zeros(21)
 _WG21[1::2] = np.concatenate([_WG[::-1], _WG])
 _WKG = np.column_stack([_WK21, _WG21])
 _MAX_PASSES = 50     # bounds the bisection depth ...
-_MAX_INTERVALS = 500  # ... and this the breadth, per integral (a smooth case needs 12 to 24)
+_MAX_INTERVALS = 500  # ... and this the breadth, per integral past its starting intervals
 _QUAD_TOL = 1e-10    # relative tolerance of the time quadrature
 
 
@@ -249,32 +231,33 @@ def _integrate_log(log_f, intervals: np.ndarray, n: int, tol: float) -> np.ndarr
     makes one call log_f(params, u) on the nodes u of every new interval
     of every unconverged integral.  Each integral then stops once its
     summed error estimate is at most tol times its value, or bisects its
-    intervals whose estimate is at least a quarter of its largest.  Values
-    are kept relative to exp(shift), the largest integrand value the
-    integral has seen, so no end of the float range is hit; an integral
-    whose first pass underflows everywhere is -inf.
+    intervals whose estimate is at least a quarter of its largest, up to
+    500 more than its starting ones.  Values are kept relative to
+    exp(shift), the largest integrand value the integral has seen, so no
+    end of the float range is hit; an integral whose first pass underflows
+    everywhere is -inf.
     """
-    # a row per interval: midpoint, half-width, integral, parameters, value, error, shift
-    rows = np.empty((len(intervals), intervals.shape[1] + 3))
-    rows[:, :-3] = intervals
-    val, err, sh = rows.shape[1] - 3, rows.shape[1] - 2, rows.shape[1] - 1
+    # a row per interval: midpoint, half-width, integral, parameters, value, error
+    rows = np.empty((len(intervals), intervals.shape[1] + 2))
+    rows[:, :-2] = intervals
+    val, err = rows.shape[1] - 2, rows.shape[1] - 1
     kept = rows[:0]
+    budget = np.bincount(intervals[:, 2].astype(np.intp), minlength=n) + _MAX_INTERVALS
     shift = np.full(n, -math.inf)
     out = np.full(n, -math.inf)
     live = np.ones(n, dtype=bool)
     # -inf - -inf on an integral that underflows, and 0/0 in the error scaling
     with np.errstate(invalid="ignore", divide="ignore"):
         for _ in range(_MAX_PASSES):
-            half = rows[:, 1]
+            half, k = rows[:, 1], rows[:, 2].astype(np.intp)
             lf = log_f(rows[:, 3:val], rows[:, :1] + half[:, None] * _NODES)
             top = lf.max(axis=1)
-            if not len(kept) or (top > rows[:, sh]).any():   # a new largest value
-                k, ki = rows[:, 2].astype(np.intp), kept[:, 2].astype(np.intp)
+            if not len(kept) or (top > shift[k]).any():   # a new largest value
+                old = shift.copy()
                 np.maximum.at(shift, k, top)
-                kept[:, val:sh] *= np.exp(kept[:, sh:] - shift[ki, None])
-                kept[:, sh], rows[:, sh] = shift[ki], shift[k]
+                kept[:, val:] *= np.exp(old - shift)[kept[:, 2].astype(np.intp), None]
                 live &= shift > -math.inf
-            f = np.exp(lf - rows[:, sh:])
+            f = np.exp(lf - shift[k, None])
             kg = f @ _WKG
             f -= 0.5 * kg[:, :1]
             asc = np.abs(f, out=f) @ _WK21
@@ -296,14 +279,14 @@ def _integrate_log(log_f, intervals: np.ndarray, n: int, tol: float) -> np.ndarr
             np.maximum.at(worst, ki, kept[:, err])
             split = kept[:, err] >= 0.25 * worst[ki]
             halves, kept = kept[split], kept[~split]
-            if len(kept) + 2 * len(halves) > _MAX_INTERVALS * live.sum():
+            if len(kept) + 2 * len(halves) > budget[live].sum():
                 break
             rows = np.repeat(halves, 2, axis=0)
             rows[:, 1] *= 0.5
             rows[0::2, 0] -= rows[0::2, 1]
             rows[1::2, 0] += rows[1::2, 1]
-    raise ConvergenceError(f"the time integral did not reach relative tolerance {tol} "
-                           f"within {_MAX_PASSES} passes and {_MAX_INTERVALS} intervals")
+    raise ConvergenceError(f"the time integral did not reach relative tolerance {tol} within "
+                           f"{_MAX_PASSES} passes and {_MAX_INTERVALS} intervals past its start")
 
 
 # s < s0 maps to s = s0 w^p, p = 2/(alpha-1), absorbing the diagonal's
@@ -347,7 +330,7 @@ def _pieces(pw: float, split: bool, tail_steps: int) -> tuple:
                  for o, c0, c1, ends in pieces for lo, hi in zip(ends[:-1], ends[1:]))
 
 
-def _log_potentials(rp: RelativisticParams, pairs, quad_tol: float) -> np.ndarray:
+def _log_potentials(rp: RelativisticParams, pairs, tol: float) -> np.ndarray:
     """log u_m^lambda(x, y) at each radius pair (x, y), all in one run of the
     integrator; finite where a potential itself leaves the float range."""
     a = rp.alpha
@@ -385,23 +368,22 @@ def _log_potentials(rp: RelativisticParams, pairs, quad_tol: float) -> np.ndarra
         log_s = log_s1 + c1 * log_w
         return _log_time_integrand(rp, log_s, radii) + log_s - log_w + log_c1
 
-    return _integrate_log(log_f, intervals, len(pairs), quad_tol)
+    return _integrate_log(log_f, intervals, len(pairs), tol)
 
 
-def lambda_potential(rp: RelativisticParams, x: float, y: float,
-                     quad_tol: float = _QUAD_TOL) -> float:
+def lambda_potential(rp: RelativisticParams, x: float, y: float) -> float:
     """The radial potential u_m^lambda(x, y); u_m for lam = 0.
 
-    ``quad_tol`` is the relative tolerance of the time quadrature, which
-    holds for alpha - 1 >= 1e-5 (see the module docstring).  Off the
-    diagonal alpha may lie below 1, down to 0.03.
+    The time quadrature's relative tolerance is 1e-10, which holds for
+    alpha - 1 >= 1e-5 (see the module docstring).  Off the diagonal alpha
+    may lie below 1, down to 0.03.
     Raises ``DivergenceError`` in the regimes where the time integral is
     infinite: alpha <= 1 on the diagonal x = y, lam = 0 in d = 2, and the
     origin-diagonal x = y = 0.
     """
     x, y = as_number(x, "radius x"), as_number(y, "radius y")
     with np.errstate(over="ignore"):
-        return finite_value(np.exp(_log_potentials(rp, [(x, y)], quad_tol)[0]), "the potential")
+        return finite_value(np.exp(_log_potentials(rp, [(x, y)], _QUAD_TOL)[0]), "the potential")
 
 
 def hitting_probability_sphere(rp: RelativisticParams, r: float, x) -> float:

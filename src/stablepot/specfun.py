@@ -205,11 +205,10 @@ _LOG2 = math.log(2.0)
 
 
 @lru_cache(maxsize=16)
-def _bessel_i_coefficients(nu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The power series' coefficients of (x^2)^k, a column of 64; the ratios
-    of successive terms of the large-x series (times x), up to the first
-    below 2^-53 at x = 30, or 40 if one before it grows there; and their
-    running maximum: term k is below term k-1 while x >= that maximum."""
+def _bessel_i_coefficients(nu: float) -> tuple[np.ndarray, np.ndarray]:
+    """The power series' coefficients of (x^2)^k, a column of 64, and the
+    ratios r_k of successive terms of the large-x series (times x), up to
+    the first below 2^-53 at x = 30, or 40 if one before it grows there."""
     k = np.arange(_SERIES_TERMS - 1.0)
     series = np.cumprod(np.concatenate([[1.0], 0.25 / ((k + 1.0) * (k + 1.0 + nu))]))[:, None]
     k = np.arange(40.0)
@@ -218,7 +217,7 @@ def _bessel_i_coefficients(nu: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
     small = np.cumprod(np.abs(ratio) / _BESSEL_I_SWITCH) < _EPS
     n = int(np.argmax(small)) if small.any() else len(k)
     n = n if reach[max(n - 1, 0)] <= _BESSEL_I_SWITCH else len(k)
-    out = (series, ratio[:n], reach[:n])
+    out = (series, ratio[:n])
     for arr in out:
         arr.setflags(write=False)
     return out
@@ -270,16 +269,16 @@ def _bessel_i_recurrence(nu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def _bessel_i_past_switch(nu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """exp(-x) I_nu(x) = v 2^e at a flat array of x >= 30: the large-x series
     in 1/x (DLMF 10.40.1), to 2^-53 or its smallest term, from x = nu^2 on,
-    where its terms no longer cancel; ``_bessel_i_recurrence`` below."""
-    _, ratio, reach = _bessel_i_coefficients(nu)
+    where every kept ratio |r_k| <= max(nu^2/2, 19.51) <= x, so its terms no
+    longer grow or cancel; ``_bessel_i_recurrence`` below."""
+    ratio = _bessel_i_coefficients(nu)[1]
     v, e = np.empty_like(x), np.zeros(x.shape, dtype=np.intp)
     high = x >= nu * nu
     if not high.all():
         v[~high], e[~high] = _bessel_i_recurrence(nu, x[~high])
     xb = x[high]
     terms = np.cumprod(ratio / xb[:, None], axis=1)
-    v[high] = (1.0 + np.sum(terms, axis=1, where=reach <= xb[:, None])) / (
-        math.sqrt(2.0 * math.pi) * np.sqrt(xb))
+    v[high] = (1.0 + np.sum(terms, axis=1)) / (math.sqrt(2.0 * math.pi) * np.sqrt(xb))
     return v, e
 
 

@@ -124,7 +124,7 @@ class TestSphereQuadrature:
                 nodes, weights = g.nodes, g.weights
             else:
                 turn = analysis._TURN if kind == "check" else 0.0
-                nodes, weights = analysis._ring(p, res, 1, turn)
+                nodes, weights = analysis._sphere_rule(d, d - 1, res, 1, turn)
             got = hashlib.sha256(nodes.tobytes() + weights.tobytes()).hexdigest()
             assert got == want, (kind, d, res)
 
@@ -765,7 +765,7 @@ class TestEvaluator:
             single.append(sphere_values(p, rep, rm1[i:i + 1], dirs[i:i + 1])[0])
             nodes.append(sum(counts))
         assert np.array_equal(batch, single)
-        first = 120 * (len(analysis._ring(p, 8)[1]) + len(analysis._ring(p, 3)[1]))
+        first = 120 * sum(len(analysis._sphere_rule(d, d - 1, n)[1]) for n in (8, 3))
         assert nodes[0] == nodes[2] == nodes[3] == nodes[5] == first
         assert min(nodes[1], nodes[4]) > first
 

@@ -659,6 +659,40 @@ def test_csv_bytes_match_golden_digest(capsys, tmp_path, digest, command):
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
+# sha256 of the stdout of each command list, run in one process, like GOLDEN_CSV:
+# a change that moves a value re-records the digest and lists what moved
+RELATIVISTIC_EVALS = [
+    "eval u-lambda --d 2 --alpha 1.5 --m 1.3 --lambda 0.5 --x 0.5 --y 1.5",
+    "eval u-lambda --d 2 --alpha 1.2 --m 0.7 --lambda 0.1 --x 2 --y 0.3",
+    "eval u-lambda --d 2 --alpha 1.88 --m 0.18 --lambda 0.13 --x 1e-20 --y 1.07e-20",
+    "eval u-lambda --d 3 --alpha 1.5 --m 1 --x 1 --y 1",
+    "eval u-lambda --d 3 --alpha 1.2 --m 1.3 --lambda 0.4 --x 0.7 --y 1.9",
+    "eval u-lambda --d 3 --alpha 1.0001 --m 1 --x 1 --y 2",
+    "eval u-lambda --d 3 --alpha 0.9 --m 1 --lambda 0.5 --x 1 --y 2",
+    "eval phi-rel --d 3 --alpha 1.5 --m 1.3 --radius 1 --x=0,0,2",
+    "eval phi-rel --d 3 --alpha 1.2 --m 0.5 --radius 2 --x=0.3,-1,0.5",
+    "eval phi-rel --d 3 --alpha 1.95 --m 2 --radius 0.5 --x=10,0,0",
+]
+GOLDEN_STDOUT = [
+    ("c8c714e967e83701407dd70d19f3f9b5d84ba2fa819232f6f9eb6aa18c569c92",
+     ["verify all --d 2 --alpha 1.5 --seed 1"]),
+    ("e13ec6da53322dcab7953ce405fec9abd619cadc481134105f100e02158635f7",
+     ["verify all --d 3 --alpha 1.2 --seed 1"]),
+    ("92660effccef80bf0bb2a21c50b48971329e6beb2b90ed575bdd7f8b39549593", RELATIVISTIC_EVALS),
+]
+
+
+@pytest.mark.parametrize("digest,commands", GOLDEN_STDOUT,
+                         ids=["verify-d2", "verify-d3", "relativistic-evals"])
+def test_stdout_matches_golden_digest(capsys, digest, commands):
+    out = []
+    for command in commands:
+        code, text, _ = run(capsys, *command.split())
+        assert code == 0, command
+        out.append(text)
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == digest
+
+
 # one eval of every kernel family per d; phi at r = 2.5 takes the far route's 2F1
 # series, u-lambda at d = 2 reads Bessel I and poisson-H-rel Bessel K
 SCIPY_FREE_EVALS = {

@@ -1,14 +1,49 @@
 import importlib
 import math
 import pkgutil
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
 import stablepot
-from stablepot.core import _leggauss, sphere_area
+from stablepot.core import StableParams, _leggauss, sphere_area
 from stablepot.errors import DomainError
+from stablepot.relativistic import RelativisticParams
+
+P2 = StableParams(2, 1.5)
+
+
+class TestParameterObjects:
+    @pytest.mark.parametrize("make", [
+        # each once raised numpy's "truth value ... ambiguous" or a TypeError
+        lambda: StableParams(2, np.array([1.5, 1.6])),
+        lambda: StableParams(np.array([2, 3]), 1.5),
+        lambda: StableParams(2, "1.5"),
+        lambda: StableParams(None, 1.5),
+        lambda: StableParams(math.nan, 1.5),
+        lambda: StableParams(math.inf, 1.5),
+        lambda: StableParams(2.5, 1.5),
+        lambda: StableParams(2, 1.5 + 0.5j),
+        lambda: RelativisticParams(P2, np.array([1.0, 2.0])),
+        lambda: RelativisticParams(P2, "1", 0.0),
+        lambda: RelativisticParams(P2, 1.0, np.array([0.1, 0.2])),
+        lambda: RelativisticParams(P2, 1.0, None),
+        lambda: RelativisticParams(P2, math.nan),
+        lambda: RelativisticParams(P2, 1.0, math.nan),
+    ])
+    def test_inputs_that_are_no_parameter_raise_domain_error(self, make):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                make()
+
+    def test_the_checked_numbers_are_stored(self):
+        p = StableParams(np.int64(3), np.array(1.25))
+        assert (type(p.d), type(p.alpha), p) == (int, float, StableParams(3, 1.25))
+        rp = RelativisticParams(p, np.float64(2.0), np.array(0.5))
+        assert (type(rp.m), type(rp.lam), rp.m, rp.lam) == (float, float, 2.0, 0.5)
 
 
 class TestSphereArea:

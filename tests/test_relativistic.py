@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from stablepot import halfspace, relativistic
+from stablepot import halfspace, relativistic, specfun
 from stablepot.cli import main
 from stablepot.core import INFINITY, StableParams
 from stablepot.errors import ConvergenceError, DivergenceError, DomainError
@@ -14,7 +14,6 @@ from stablepot.relativistic import (RelativisticParams,
                                     hitting_laplace_transform,
                                     hitting_probability_sphere,
                                     lambda_potential,
-                                    log_bessel_transition,
                                     log_subordinator_potential,
                                     poisson_kernel_halfspace,
                                     relativistic_constant,
@@ -128,8 +127,17 @@ class TestParams:
         assert "Numerical result out of range" not in err
 
 
+def _log_transition(d, t, x, y):
+    # log f(t, x, y) through the time integrand's own two calls: the
+    # transition's explicit terms, then the Bessel factor's table of order d/2 - 1
+    rest, log_z = relativistic._log_transition_parts(
+        d, np.log(np.asarray(t, dtype=float)), relativistic._radius_logs(x, y))
+    out = rest + specfun._read_tables((specfun._bessel_table(d / 2.0 - 1.0), log_z))[0]
+    return out if out.ndim else float(out)
+
+
 def _transition(d, t, x, y):
-    return math.exp(log_bessel_transition(d, t, x, y))
+    return math.exp(_log_transition(d, t, x, y))
 
 
 class TestBesselTransition:
@@ -168,16 +176,16 @@ class TestBesselTransition:
         for d in (2, 3, 4):
             for c in (1e150, 1e-150):
                 for (t, x, y) in [(0.7, 1.0, 1.3), (2.0, 0.0, 0.4), (1e-3, 1.0, 1.0)]:
-                    want = log_bessel_transition(d, t, x, y) - d * math.log(c)
-                    got = log_bessel_transition(d, c * c * t, c * x, c * y)
+                    want = _log_transition(d, t, x, y) - d * math.log(c)
+                    got = _log_transition(d, c * c * t, c * x, c * y)
                     assert got == pytest.approx(want, rel=1e-12, abs=0)
         # a density far below e^-745 keeps a finite log; at 1e300 the log
         # itself, -(x - y)^2 / 4t ~ -2.5e599, is beyond the float range
-        far = log_bessel_transition(3, 1.0, 1e150, 1.5)
+        far = _log_transition(3, 1.0, 1e150, 1.5)
         assert math.isfinite(far)
         assert far == pytest.approx(-0.25e300, rel=1e-13, abs=0)    # formed in logs
-        assert log_bessel_transition(3, 1.0, 1e300, 1.5) == -math.inf
-        small = log_bessel_transition(3, 1e300, 1e-300, 1.0)
+        assert _log_transition(3, 1.0, 1e300, 1.5) == -math.inf
+        small = _log_transition(3, 1e300, 1e-300, 1.0)
         assert small == pytest.approx(-1.5 * math.log(2e300), rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("d", [40, 344, 400])
@@ -192,7 +200,7 @@ class TestBesselTransition:
                 want = float(mpmath.loggamma(d / 2.0) - mpmath.log(2 * t)
                              + (1 - d / 2.0) * mpmath.log(z * t) - (x - y) ** 2 / (4 * t)
                              + mpmath.log(mpmath.besseli(nu, z, maxterms=10 ** 6)) - z)
-            assert log_bessel_transition(d, t, x, y) == pytest.approx(want, rel=1e-14, abs=1e-11)
+            assert _log_transition(d, t, x, y) == pytest.approx(want, rel=1e-14, abs=1e-11)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_bessel_factor_edges_against_mpmath(self, d):
@@ -202,7 +210,7 @@ class TestBesselTransition:
                   (1e-3, 1.0, 1.0), (1e-20, 1.0, 2.0), (1e-40, 3.0, 3.0 + 1e-30)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = [log_bessel_transition(d, t, x, y) for t, x, y in points]
+            got = [_log_transition(d, t, x, y) for t, x, y in points]
         for (t, x, y), value in zip(points, got):
             t, x, y = (mpmath.mpf(v) for v in (t, x, y))
             with mpmath.workdps(80):
@@ -216,8 +224,8 @@ class TestBesselTransition:
 
     def test_array_times(self):
         ts = np.array([1e-6, 0.3, 1.0, 40.0])
-        want = [log_bessel_transition(3, t, 0.8, 1.1) for t in ts]
-        np.testing.assert_allclose(log_bessel_transition(3, ts, 0.8, 1.1), want, rtol=1e-15)
+        want = [_log_transition(3, t, 0.8, 1.1) for t in ts]
+        np.testing.assert_allclose(_log_transition(3, ts, 0.8, 1.1), want, rtol=1e-15)
 
 
 class TestSubordinatorPotential:
@@ -272,8 +280,8 @@ class TestLambdaPotential:
 
     def test_quadrature_self_consistency(self):
         rp = RelativisticParams(P3, 1.0, 0.5)
-        coarse = lambda_potential(rp, 1.0, 2.0, quad_tol=1e-8)
-        fine = lambda_potential(rp, 1.0, 2.0, quad_tol=1e-13)
+        coarse, fine = (math.exp(relativistic._log_potentials(rp, [(1.0, 2.0)], tol)[0])
+                        for tol in (1e-8, 1e-13))
         assert coarse == pytest.approx(fine, rel=1e-7, abs=0)
 
     def test_low_alpha_diverges_on_diagonal(self):
@@ -554,6 +562,16 @@ class TestTimeIntegralNearAlphaOne:
         rp = RelativisticParams(StableParams(2, alpha), 0.18, 0.13)
         want = _ref_log_line_potential(rp, r, 1.07 * r)
         assert lambda_potential(rp, r, 1.07 * r) == pytest.approx(want, rel=1e-9, abs=0)
+
+    def test_long_geometric_tail_against_log_line_reference(self):
+        # at r = 1e-300 and alpha = 1.99 the tail starts on 357 intervals and its
+        # bisection needs about 710: ConvergenceError under a flat 500 per integral
+        rp = RelativisticParams(StableParams(2, 1.99), 0.18, 0.13)
+        want = _ref_log_line_potential(rp, 1e-300, 1.07e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = lambda_potential(rp, 1e-300, 1.07e-300)
+        assert got == pytest.approx(want, rel=1e-9, abs=0)
 
     def test_even_tail_intervals_at_benchmark_scale(self, monkeypatch):
         # the geometric tail starts only below s0 rate = e^-20; radii and masses

@@ -10,8 +10,8 @@ from scipy import integrate
 from stablepot import specfun
 from stablepot.core import StableParams
 from stablepot.errors import ConvergenceError, DomainError, PoleError
-from stablepot.relativistic import (RelativisticParams, lambda_potential,
-                                    log_bessel_transition, log_subordinator_potential)
+from stablepot.relativistic import (RelativisticParams, hitting_probability_sphere,
+                                    lambda_potential, log_subordinator_potential)
 from stablepot.specfun import (TailPair, bessel_i_scaled, bessel_k,
                                gauss_2f1, legendre_f1, log_mittag_leffler,
                                regularized_beta_cdf)
@@ -517,24 +517,26 @@ class TestBesselFactorTable:
         assert got[4:].tolist() == [line + -(nu + 0.5) * u for u in (60.0, 1e5)]
 
     def test_scalar_and_arrays_give_the_same_bits(self):
-        ts = np.geomspace(1e-30, 1e30, 60)
-        for d in (2, 3, 400):
-            values = log_bessel_transition(d, ts, 0.7, 1.9)
-            assert [log_bessel_transition(d, float(t), 0.7, 1.9) for t in ts] == values.tolist()
-            assert np.array_equal(log_bessel_transition(d, ts.reshape(-1, 3), 0.7, 1.9).ravel(),
+        # the read is elementwise: log z = log(xy/2t) alone, and inside a 1-d or
+        # 2-d array as the time integrand passes it, reads the same bits
+        log_z = math.log(0.7 * 1.9 / 2.0) - np.log(np.geomspace(1e-30, 1e30, 60))
+        for nu in (0.0, 0.5, 199.0):
+            table = specfun._bessel_table(nu)
+            values = specfun._read_tables((table, log_z))[0]
+            assert [float(specfun._read_tables((table, u))[0]) for u in log_z] == values.tolist()
+            assert np.array_equal(specfun._read_tables((table, log_z.reshape(-1, 3)))[0].ravel(),
                                   values)
 
     def test_built_once_per_order(self):
         # h_nu is built on first use for an order nu = d/2 - 1 and then only read,
-        # by the transition density and by the potentials' time integrand
+        # by the potentials' time integrand and by the hitting ratio's
         rp = RelativisticParams(StableParams(3, 1.5), 1.3, 0.4)
         specfun._bessel_table.cache_clear()
         for _ in range(3):
-            log_bessel_transition(3, 0.7, 1.0, 2.0)
-            log_bessel_transition(3, np.linspace(0.1, 9.0, 50), 1.0, 2.0)
             lambda_potential(rp, 0.7, 1.9)
+            hitting_probability_sphere(rp, 1.0, [0.0, 0.0, 2.0])
         assert specfun._bessel_table.cache_info().misses == 1
-        log_bessel_transition(4, 0.7, 1.0, 2.0)
+        lambda_potential(RelativisticParams(StableParams(4, 1.5), 1.3, 0.4), 0.7, 1.9)
         assert specfun._bessel_table.cache_info().misses == 2
 
 
