@@ -500,6 +500,7 @@ def sphere_values(p: StableParams, rep: HarmonicRepresentation, r_minus_one,
     if np.any(rm1 < -1.0):
         raise DomainError("radius must be nonnegative")
     vals = np.zeros(len(rm1))
+    uniq, inv = np.unique(rm1, return_inverse=True)
     if rep.measure is not None:
         atoms = rep.measure.atoms
         require_unit(atoms, "sphere atoms")
@@ -510,13 +511,11 @@ def sphere_values(p: StableParams, rep: HarmonicRepresentation, r_minus_one,
         # nodes z = cos(psi) eta + sin(psi) omega, omega on the ring turned
         # into eta's tangent space, with the zonal weights of
         # sphere.polar_weights, built once per radius
-        uniq, inv = np.unique(rm1, return_inverse=True)
         psi, wk = sphere.polar_weights(p, uniq)
         cos_sin = np.stack([np.cos(psi), np.sin(psi)], axis=-1)
         vals += _ring_rule(p, rep.density, wk, inv, lambda idx, ring:
                            cos_sin[inv[idx], None] @ _polar_frames(dirs[idx], ring))
     if rep.constant:
-        uniq, inv = np.unique(rm1, return_inverse=True)
         vals += rep.constant * sphere.phi_complement_offset(p, uniq)[inv]
     require_finite(vals, "the representation's values")
     return vals

@@ -27,9 +27,11 @@ the zonal weights of the Poisson kernel (``polar_weights``, which
 shape.  Each checks its argument and hands it, with its formula for
 r^2 - 1, to one dispatcher: an array of 32 or more elements takes the
 array route, which runs the branches above under masks; anything smaller
-takes the float route element by element.  The two routes give the same
-bits at every d: both take each exp, log1p, expm1 and power from numpy,
-which rounds a float as it rounds the same float inside an array.
+takes the float route element by element.  Each formula is written once,
+elementwise on a float or an array, so the routes differ only in how they
+branch, and give the same bits at every d: both take each exp, log1p,
+expm1 and power from numpy, which rounds a float as it rounds the same
+float inside an array.
 
 The Poisson kernel has one assembly, shared with the batch evaluator in
 ``analysis``: a point enters as its offset r - 1 and direction eta, and
@@ -209,50 +211,67 @@ def ball_constant(p: StableParams) -> float:
 
 _GOLDEN = (math.sqrt(5.0) + 1.0) / 2.0
 _GOLDEN_BUDGET = 1e3
+_BLOCK = 4096           # radii at a time on the array route, so that its temporaries stay small
 
 
-def _phi_golden(p: StableParams, delta: float) -> tuple[float, float]:
-    # (Phi, 1 - Phi) for -1/golden <= delta <= golden, from the reduced
+# Phi's formulas, one body each for both routes (see the module docstring).  On
+# the float route num takes numpy's results back to Python floats: arithmetic on
+# numpy scalars would cost about 1 us a Phi.  The C library's exp and power differ
+# from numpy's in the last place for some 5% of arguments, which the band's
+# cancellation would carry up to 5e-14 into Phi, so neither route takes them.
+
+def _golden_terms(p: StableParams, delta, s, log_v2, tails):
+    # (Phi, 1 - Phi, kept) for -1/golden <= delta <= golden, from the reduced
     # two-term expansion of the Legendre function in 2/(1+t), t >= sqrt(5):
     #   Phi = v^(a-d) + T,  1 - Phi = (1 - v^(a-d)) - T,
     #   T = v^(a-d) (F1(s) - 1) + c |delta|^(a-1) v^(2-d-a) F2(s),
     # s = delta/(1+delta), v^2 = 1 + delta above the sphere, s = -delta, v = 1 below;
-    # F1 = F(1-a/2, (d-a)/2; 2-a; .), F2 = F(a/2, (a+d)/2-1; a; .), c = series_c < 0.
-    # F2 - 1 comes from the series with F1 - 1: quicker than hyp2f1, and more
-    # accurate inside the sphere at alpha ~ 2, where T cancels 200-fold.
-    kc = constants(p)
+    # F1 = F(1-a/2, (d-a)/2; 2-a; .), F2 = F(a/2, (a+d)/2-1; a; .), c = series_c < 0;
+    # tails = (F1 - 1, F2 - 1).  v^(a-d) F1 and f2 cancel, harder as d grows, and
+    # each carries some d ulp, so Phi loses ~d ulp per unit of their excess over
+    # Phi.  kept is false past _GOLDEN_BUDGET ulp (d <= 4 stays below 180), at
+    # inf - inf (from d ~ 1e5) or past the tails' reach (NaN, from d = 5 on near
+    # the band edges); there Phi is the sum of the zonal weights, ~d ulp in all
     d, a = p.d, p.alpha
-    s, log_v2 = (delta / (1.0 + delta), float(np.log1p(delta))) if delta > 0.0 else (-delta, 0.0)
-    v_ad = float(np.exp(0.5 * (a - d) * log_v2))
-    tail1, tail2 = kc.golden_tails(s)
-    f1_tail = v_ad * tail1
-    f2 = kc.series_c * float(np.power(abs(delta), a - 1.0)) * \
-        float(np.exp(0.5 * (2.0 - d - a) * log_v2)) * (1.0 + tail2)
+    num = float if isinstance(delta, float) else np.asarray
+    v_ad = num(np.exp(0.5 * (a - d) * log_v2))
+    f1_tail = v_ad * tails[0]
+    f2 = constants(p).series_c * num(np.power(abs(delta), a - 1.0)) * \
+        num(np.exp(0.5 * (2.0 - d - a) * log_v2)) * (1.0 + tails[1])
     value = v_ad + (f1_tail + f2)
-    # v^(a-d) F1 and f2 cancel, harder as d grows, and each carries some d ulp
-    # (powers of v, series), so Phi loses ~d ulp per unit of their excess over
-    # Phi.  Past _GOLDEN_BUDGET ulp (d <= 4 stays below 180), at inf - inf
-    # (from d ~ 1e5) or past the tails' reach, where they are NaN (from d = 5
-    # on, near the band edges), Phi is the sum of the zonal weights: ~d ulp in all
-    if not (abs(v_ad + f1_tail) + abs(f2) - abs(value)) * d <= _GOLDEN_BUDGET * abs(value):
-        total = float(np.sum(polar_weights(p, delta / (1.0 + math.sqrt(1.0 + delta)))[1]))
-        return total, 1.0 - total
-    return value, -float(np.expm1(0.5 * (a - d) * log_v2)) - (f1_tail + f2)
+    kept = (abs(v_ad + f1_tail) + abs(f2) - abs(value)) * d <= _GOLDEN_BUDGET * abs(value)
+    return value, -num(np.expm1(0.5 * (a - d) * log_v2)) - (f1_tail + f2), kept
+
+
+def _t1_value(p: StableParams, delta, f):
+    # Phi outside the golden-ratio band from its 2F1 value f around t = 1, whose
+    # prefactor ((t+1)/(t-1))^((1-d/2)/2) |delta|^(a/2-1) r^(1-d/2) is |delta|^(a/2-1)
+    # times r^(2-d) = (1 + delta)^((2-d)/2) above the sphere and 1 below
+    d, a = p.d, p.alpha
+    num = float if isinstance(delta, float) else np.asarray
+    return constants(p).phi_at_origin * num(np.power(abs(delta), a / 2.0 - 1.0)) * \
+        num(np.power(1.0 + delta * (delta > 0.0), (2.0 - d) / 2.0)) * f
+
+
+def _zonal_phi(p: StableParams, delta):
+    # Phi as the sum of the zonal weights at r^2 - 1 = delta
+    return np.sum(polar_weights(p, delta / (1.0 + np.sqrt(1.0 + delta)))[1], axis=-1)
+
+
+def _phi_golden(p: StableParams, delta: float) -> tuple[float, float]:
+    # (Phi, 1 - Phi) for -1/golden <= delta <= golden
+    s, log_v2 = (delta / (1.0 + delta), float(np.log1p(delta))) if delta > 0.0 else (-delta, 0.0)
+    value, comp, kept = _golden_terms(p, delta, s, log_v2, constants(p).golden_tails(s))
+    if kept:
+        return value, comp
+    value = float(_zonal_phi(p, delta))
+    return value, 1.0 - value
 
 
 def _phi_t1(p: StableParams, delta: float) -> float:
-    # Phi outside the golden-ratio band, from the expansion around t = 1: the prefactor
-    # ((t+1)/(t-1))^((1-d/2)/2) combines with |delta|^(a/2-1) r^(1-d/2) into delta powers
-    kc = constants(p)
-    d, a = p.d, p.alpha
-    if delta < 0.0:
-        arg = (1.0 + delta) / delta            # -r^2/(1 - r^2), in (-1/golden, 0]
-        return kc.phi_at_origin * float(np.power(-delta, a / 2.0 - 1.0)) * \
-            gauss_2f1(a / 2.0, 1.0 - a / 2.0, d / 2.0, arg)
-    arg = -1.0 / delta
-    return kc.phi_at_origin * float(np.power(delta, a / 2.0 - 1.0)) * \
-        float(np.power(1.0 + delta, (2.0 - d) / 2.0)) * \
-        gauss_2f1(a / 2.0, 1.0 - a / 2.0, d / 2.0, arg)
+    # Phi outside the golden-ratio band
+    arg = (1.0 + delta) / delta if delta < 0.0 else -1.0 / delta    # in (-1/golden, 0]
+    return _t1_value(p, delta, gauss_2f1(p.alpha / 2.0, 1.0 - p.alpha / 2.0, p.d / 2.0, arg))
 
 
 def _phi_pair(p: StableParams, delta: float) -> tuple[float, float]:
@@ -269,51 +288,9 @@ def _phi_pair(p: StableParams, delta: float) -> tuple[float, float]:
     return value, comp
 
 
-# The array route: _phi_pair's branches under masks, _BLOCK radii at a time so
-# that its temporaries stay small.  Its exp, log1p, expm1 and power are numpy's,
-# as on the float route, and the rest is the float route's arithmetic in its
-# order, so both routes give the same bits.  The C library's exp and power
-# differ from numpy's in the last place for some 5% of arguments, which the
-# band's cancellation would carry up to 5e-14 into Phi, so no route mixes them.
-
-_BLOCK = 4096
-
-
-def _phi_golden_array(p: StableParams, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    kc = constants(p)
-    d, a = p.d, p.alpha
-    above = delta > 0.0
-    s = np.where(above, delta / (1.0 + delta), -delta)
-    log_v2 = np.zeros_like(delta)
-    log_v2[above] = np.log1p(delta[above])
-    v_ad = np.exp(0.5 * (a - d) * log_v2)
-    tail1, tail2 = kc.golden_tails.on_array(s)
-    f1_tail = v_ad * tail1
-    f2 = kc.series_c * np.power(np.abs(delta), a - 1.0) * \
-        np.exp(0.5 * (2.0 - d - a) * log_v2) * (1.0 + tail2)
-    value = v_ad + (f1_tail + f2)
-    comp = -np.expm1(0.5 * (a - d) * log_v2) - (f1_tail + f2)
-    # _phi_golden's test: past the budget, at inf - inf or past the tails' reach
-    over = ~((np.abs(v_ad + f1_tail) + np.abs(f2) - np.abs(value)) * d <=
-             _GOLDEN_BUDGET * np.abs(value))
-    if over.any():
-        rm1 = delta[over] / (1.0 + np.sqrt(1.0 + delta[over]))
-        value[over] = np.sum(polar_weights(p, rm1)[1], axis=-1)
-        comp[over] = 1.0 - value[over]
-    return value, comp
-
-
-def _phi_t1_array(p: StableParams, delta: np.ndarray) -> np.ndarray:
-    d, a = p.d, p.alpha
-    below = delta < 0.0
-    value = constants(p).phi_at_origin * np.power(np.abs(delta), a / 2.0 - 1.0)
-    value[~below] *= np.power(1.0 + delta[~below], (2.0 - d) / 2.0)
-    return value * _gauss_2f1_series(a / 2.0, 1.0 - a / 2.0, d / 2.0,
-                                     np.where(below, (1.0 + delta) / delta, -1.0 / delta))
-
-
 def _phi_pairs(p: StableParams, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # _phi_pair at every element of a flat array of finite delta >= -1
+    d, a = p.d, p.alpha
     value, comp = np.ones_like(delta), np.zeros_like(delta)
     with np.errstate(over="ignore", invalid="ignore"):   # inf and nan as float arithmetic
         for i in range(0, delta.size, _BLOCK):
@@ -321,9 +298,17 @@ def _phi_pairs(p: StableParams, delta: np.ndarray) -> tuple[np.ndarray, np.ndarr
             band = (-1.0 / _GOLDEN <= dl) & (dl <= _GOLDEN) & (dl != 0.0)
             far = ~band & (dl != 0.0)
             if band.any():
-                v[band], c[band] = _phi_golden_array(p, dl[band])
+                db = dl[band]
+                s = np.where(db > 0.0, db / (1.0 + db), -db)
+                vb, cb, kept = _golden_terms(p, db, s, np.log1p(np.fmax(db, 0.0)),
+                                             constants(p).golden_tails.on_array(s))
+                if not kept.all():
+                    vb[~kept] = _zonal_phi(p, db[~kept])
+                v[band], c[band] = vb, np.where(kept, cb, 1.0 - vb)
             if far.any():
-                v[far] = _phi_t1_array(p, dl[far])
+                df = dl[far]
+                arg = np.where(df < 0.0, (1.0 + df) / df, -1.0 / df)
+                v[far] = _t1_value(p, df, _gauss_2f1_series(a / 2.0, 1.0 - a / 2.0, d / 2.0, arg))
                 c[far] = 1.0 - v[far]
             clip = (v > 1.0) | (c < 0.0)
             v[clip], c[clip] = 1.0, 0.0
@@ -475,13 +460,10 @@ def polar_weights(p: StableParams, rm1):
 
     flat = rm1.reshape(-1, 1)
     deep = np.abs(flat[:, 0]) < _DEEP
-    if not deep.any():
-        psi, log_w = zonal(flat, _polar_nodes)
-    else:
-        psi, log_w = np.empty((len(flat), n)), np.empty((len(flat), n))
-        for rows, nodes in ((~deep, _polar_nodes), (deep, _deep_polar_nodes)):
-            if rows.any():
-                psi[rows], log_w[rows] = zonal(flat[rows], nodes)
+    psi, log_w = np.empty((len(flat), n)), np.empty((len(flat), n))
+    for rows, nodes in ((~deep, _polar_nodes), (deep, _deep_polar_nodes)):
+        if rows.any():
+            psi[rows], log_w[rows] = zonal(flat[rows], nodes)
     return psi.reshape(rm1.shape + (n,)), np.exp(log_w).reshape(rm1.shape + (n,))
 
 

@@ -623,13 +623,15 @@ class TestReport:
 # moved rows are as close to 40-digit mpmath as before (at most 3.9e-16,
 # 4.6e-16 and 4.2e-15 relative, against 7.6e-16, 6.0e-16 and 6.0e-15).  The qm
 # file again when the table's panels became monomials read by Estrin's scheme:
-# 118 of 201 rows move, at most 4.2e-15 from mpmath against 4.9e-15 before
+# 118 of 201 rows move, at most 4.2e-15 from mpmath against 4.9e-15 before; and
+# when q_m took the scaled Mittag-Leffler form, free of the -m^(2/alpha) x that
+# cancelled: 179 rows move, at most 2.2e-15 from mpmath against 4.1e-15 before
 GOLDEN_CSV = [
     ("d79289eb96f6ac75429bf4ce355f2b8511d52a7f338bfba7c53fa2e6c6449825",
      "report --curve phi --d 2 --alpha 1.5 --r 0.3:2.5:301"),     # across both band edges
     ("8d763e2f88b92b251195cfbefe0081fefd85e0b7a56b5280b2b02697dfda5be1",
      "report --curve one-minus-phi --d 3 --alpha 1.2 --r 0.3:2.5:301"),
-    ("a227a7fde6731176b6d4999ee74b64068b46823c569197a9e6ab489094928c8f",
+    ("d80299bf28f6a050d2e799c167a0dfe150790ce469f8b586a1ca6d1031f50ea5",
      "report --curve qm --d 2 --alpha 1.5 --m 1.3 --r 0.01:8:201"),
     ("bd3dc9c8d6e08a9e7d5ca7ea3bf1a4c5e5226a413a96d1d5d88be5e1857421f3",
      "report --curve poisson-H-profile --d 3 --alpha 1.2 --r=-6:6:201"),

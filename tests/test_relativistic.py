@@ -108,13 +108,22 @@ class TestParams:
         lambda: relativistic_constant(RelativisticParams(StableParams(40, 1.5), 1e308)),
         lambda: poisson_kernel_halfspace(RelativisticParams(StableParams(1500, 1.5), 1.0),
                                          [0.0] * 1499 + [1.0], np.zeros(1499)),
-        lambda: subordinator_potential(RelativisticParams(P2, 1e300), 1.0),
         lambda: hitting_probability_sphere(RelativisticParams(P3, 1e300), 2.0, 1.0),
     ])
     def test_quantities_past_the_float_range_are_refused(self, call):
         # m^(2/alpha) or C4 beyond the float range: a DomainError naming it
         with pytest.raises(DomainError, match="C4|m\\^\\(2/alpha\\)"):
             call()
+
+    def test_potential_density_needs_no_rate_in_the_float_range(self):
+        # q_m takes no m^(2/alpha): at m = 1e300, x = 1 it is the one-term
+        # asymptotic form's (1/g) m^((1-g)/g), g = alpha/2, about 1.33e100
+        g = P2.alpha / 2.0
+        want = 1e300 ** ((1.0 - g) / g) / g
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = subordinator_potential(RelativisticParams(P2, 1e300), 1.0)
+        assert got == pytest.approx(want, rel=5e-14, abs=0)
 
     @pytest.mark.parametrize("m", ["1e300", "inf"])
     def test_eval_at_an_extreme_mass_is_one_error_line(self, m, capsys):
@@ -259,6 +268,29 @@ class TestSubordinatorPotential:
         for x in (0.0, math.inf, math.nan, [0.5, 0.0]):
             with pytest.raises(DomainError):
                 subordinator_potential(RP2, x)
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.9])
+    @pytest.mark.parametrize("m", [0.5, 1.3, 2.0])
+    def test_against_mpmath_out_to_1e12(self, alpha, m):
+        # within the Mittag-Leffler table's 5e-14 for x from 1e-6 to 1e12.  q_m
+        # once added log E back to -m^(2/alpha) x, terms of size m^(2/alpha) x
+        # that cancel: 6.0e-3 off at x = 1e12 (alpha = 1.9, m = 2).  Past
+        # u = m^(2/alpha) x = 80 the oracle is the one-term asymptotic form
+        # (1/g) m^((1-g)/g), g = alpha/2, whose remainder is e^-u times a power of u
+        rp = RelativisticParams(StableParams(2, alpha), m)
+        xs = np.geomspace(1e-6, 1e12, 37)
+        got = subordinator_potential(rp, xs)
+        with mpmath.workdps(40):
+            g, mm = mpmath.mpf(alpha) / 2, mpmath.mpf(m)
+            for x, value in zip(xs.tolist(), got):
+                u = mm ** (1 / g) * x
+                if u > 80:
+                    ref = mm ** ((1 - g) / g) / g
+                else:
+                    t = mm * mpmath.mpf(x) ** g
+                    ref = mpmath.exp(-u) * mpmath.mpf(x) ** (g - 1) * mpmath.fsum(
+                        t ** n / mpmath.gamma(g + g * n) for n in range(int(3 * u / g) + 80))
+                assert abs(value / float(ref) - 1.0) <= 5e-14, (x, value, float(ref))
 
     def test_array_matches_scalar_calls(self):
         # the qm report curve evaluates its whole abscissa in one call
@@ -617,6 +649,24 @@ class TestErrorContract:
             with pytest.raises(DomainError, match="single number"):
                 call(self.RP, self.PAIR)
             assert math.isfinite(call(self.RP, np.float64(1.5)))
+
+    @pytest.mark.parametrize("x", ["2", None, b"2", -1.0, math.nan, math.inf, INFINITY,
+                                   [2.0], [[0.0, 0.0, 2.0]]])
+    def test_what_is_neither_a_radius_nor_a_point_is_refused(self, x):
+        # text once raised a raw TypeError from the radius check
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                hitting_probability_sphere(self.RP, 1.0, x)
+
+    @pytest.mark.parametrize("x", [2.0, 2, np.float64(2.0), np.array(2.0), [0.0, 0.0, 2.0],
+                                   np.array([0.0, 2.0, 0.0])])
+    def test_a_radius_or_a_point(self, x):
+        # a 0-d array was once refused as "expected a flat coordinate vector"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = hitting_probability_sphere(self.RP, 1.0, x)
+        assert got == hitting_probability_sphere(self.RP, 1.0, 2.0)
 
     def test_discounted_hitting_of_a_huge_sphere(self):
         # the killing underflows u(r, r)'s integrand at every node: once a NaN
