@@ -46,7 +46,6 @@ from functools import lru_cache
 from typing import Callable, Literal
 
 import numpy as np
-import numpy.ma  # noqa: F401 -- np.unique reads it, and numpy loads it on first use
 
 from .core import (StableParams, as_point, basis_last, norm, require_finite,
                    require_unit, sphere_area, _leggauss)
@@ -98,8 +97,7 @@ class DiscreteMeasure:
             raise DomainError("each atom needs exactly one weight")
         if not np.all(np.isfinite(self.atoms)) or not np.all(np.isfinite(self.weights)):
             raise DomainError("atoms and weights must be finite")
-        uniq = np.unique(self.atoms, axis=0)
-        if uniq.shape[0] != self.atoms.shape[0]:
+        if len(set(map(tuple, self.atoms.tolist()))) != self.atoms.shape[0]:
             raise DomainError("atoms must be distinct")
 
     @property
@@ -685,9 +683,9 @@ def default_schedule(space: str, depth: int = 24) -> np.ndarray:
     ks = np.arange(1, depth + 1, dtype=float)
     if space == SPHERE:
         rs = np.concatenate([2.0 ** -ks, 1.0 - 2.0 ** -ks, 1.0 + 2.0 ** -ks, 2.0 ** ks])
-        return np.unique(rs[rs > 0])
+        return np.array(sorted(set(rs[rs > 0].tolist())))
     ts = np.concatenate([2.0 ** -ks, 2.0 ** ks])
-    return np.unique(np.concatenate([ts, -ts]))
+    return np.array(sorted(set(np.concatenate([ts, -ts]).tolist())))
 
 
 def _slice_norm(space: str, p: StableParams, values: np.ndarray,

@@ -80,7 +80,7 @@ def as_point(x, d: int | None = None) -> np.ndarray:
     """Coerce to a finite float vector, optionally checking its length."""
     if isinstance(x, Infinity):
         raise DomainError("expected a finite point, got INFINITY")
-    p = np.asarray(x, dtype=float)
+    p = _float_array(x, "point coordinates")
     if p.ndim != 1:
         raise DomainError(f"expected a flat coordinate vector, got shape {p.shape}")
     if d is not None and p.shape[0] != d:
@@ -97,11 +97,19 @@ def as_points(x, n: int, what: str) -> np.ndarray:
     """
     if isinstance(x, Infinity):
         raise DomainError(f"{what} must be finite, got INFINITY")
-    y = np.asarray(x, dtype=float)
+    y = _float_array(x, what)
     if y.ndim == 0 or y.shape[-1] != n:
         raise DomainError(f"{what} must have length {n}, got shape {y.shape}")
     require_finite(y, what)
     return y
+
+
+def _float_array(x, what: str) -> np.ndarray:
+    """x as a float array, or DomainError where it is ragged or holds text."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} must be an array of real numbers, got {x!r}") from None
 
 
 def norm(x) -> float:

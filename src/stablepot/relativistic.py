@@ -435,8 +435,8 @@ def _hitting_ratio(rp: RelativisticParams, r: float, x, lam: float) -> float:
 
 
 def _radial_argument(rp: RelativisticParams, x) -> float:
-    # one number (a 0-d array included) is a radius, anything else a point
-    if np.ndim(x):
+    # one number (a 0-d array included) is a radius; a list, ragged too, a point
+    if isinstance(x, (list, tuple)) or np.ndim(x):
         return norm(as_point(x, rp.d))
     rho = as_number(x, "radius")
     if not 0.0 <= rho < math.inf:

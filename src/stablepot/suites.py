@@ -394,9 +394,9 @@ def hardy_suite(d: int = 2, alpha: float = 1.5, tol: float = 1e-3,
                     300.0))
     ks_near = np.arange(1, k_near + 1, dtype=float)
     ks_far = np.arange(1, k_far + 1, dtype=float)
-    profile_schedule = np.unique(np.concatenate(
+    profile_schedule = np.array(sorted(set(np.concatenate(
         [2.0 ** -ks_near, 1.0 - 2.0 ** -ks_near, 1.0 + 2.0 ** -ks_near,
-         2.0 ** ks_far]))
+         2.0 ** ks_far]).tolist())))
     near_gap = 2.0 * abs(kc.series_c) * (2.0 * 2.0 ** -k_near) ** (alpha - 1.0)
     far_gap = 2.0 * kc.phi_at_origin * 2.0 ** (k_far * (alpha - 2.0))
     # radii cannot approach the sphere beyond the 48-bit cap, so the
@@ -703,7 +703,8 @@ def montecarlo_suite(d: int = 2, alpha: float = 1.5, tol: float = 1e-3,
                    res.critical[0.05], None, "gof-calibration"))
 
     # power: a half-sigma shift must be rejected at the 1% level
-    z = rng.standard_normal(100_000) + 0.5
+    z = rng.standard_normal(100_000)
+    z += 0.5
     res = montecarlo.ks_test(z, _normal_cdf)
     e.append(check("ks-power-shifted-normal", not res.passed[0.01],
                    res.statistic, res.critical[0.01], None, "gof-power"))

@@ -709,9 +709,10 @@ SCIPY_FREE_EVALS = {
 
 
 def test_commands_leave_scipy_out(tmp_path):
-    # scipy costs every command ~0.2 s and ~15 MB to import, so no command
-    # family may read it: every eval kernel at d = 2 and 3, every report
-    # curve and sampler, and verify all at both benchmark points
+    # scipy costs every command ~0.2 s and ~15 MB to import, and numpy.ma
+    # (which np.unique loads unless asked for an inverse) ~8 ms and ~1.4 MB,
+    # so no command family may read either: every eval kernel at d = 2 and
+    # 3, every report curve and sampler, and verify all at both benchmark points
     assert set(SCIPY_FREE_EVALS) == set(cli.KERNELS)
     argvs = []
     for d in (2, 3):
@@ -731,7 +732,8 @@ def test_commands_leave_scipy_out(tmp_path):
             "for argv in json.loads(sys.argv[1]):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert main(argv) == 0, argv\n"
-            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+            "                        or m.split('.')[:2] == ['numpy', 'ma'])))\n")
     res = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], capture_output=True,
                          text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=300)
     assert res.returncode == 0, res.stderr

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import stablepot
-from stablepot.core import StableParams, _leggauss, sphere_area
+from stablepot import halfspace, sphere
+from stablepot.core import StableParams, _leggauss, as_point, as_points, sphere_area
 from stablepot.errors import DomainError
-from stablepot.relativistic import RelativisticParams
+from stablepot.relativistic import RelativisticParams, hitting_probability_sphere
 
 P2 = StableParams(2, 1.5)
 
@@ -44,6 +45,27 @@ class TestParameterObjects:
         assert (type(p.d), type(p.alpha), p) == (int, float, StableParams(3, 1.25))
         rp = RelativisticParams(p, np.float64(2.0), np.array(0.5))
         assert (type(rp.m), type(rp.lam), rp.m, rp.lam) == (float, float, 2.0, 0.5)
+
+
+RAGGED, TEXT = [[1.0], [1.0, 2.0]], [1.0, "a"]
+
+
+@pytest.mark.parametrize("call", [
+    # each once let numpy's ValueError escape ("inhomogeneous shape",
+    # "could not convert string to float")
+    lambda x: as_point(x, 2),
+    lambda x: as_points(x, 2, "points"),
+    lambda x: sphere.hitting_probability(P2, x),
+    lambda x: sphere.poisson_kernel(P2, x, [0.0, 1.0]),
+    lambda x: halfspace.poisson_kernel(P2, [0.0, 1.0], x),
+    lambda x: hitting_probability_sphere(RelativisticParams(P2, 1.0), 1.0, x),
+])
+@pytest.mark.parametrize("x", [RAGGED, TEXT], ids=["ragged", "text"])
+def test_coordinates_that_are_no_numbers_raise_domain_error(call, x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="real numbers"):
+            call(x)
 
 
 class TestSphereArea:

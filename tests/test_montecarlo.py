@@ -9,11 +9,11 @@ from scipy import integrate
 from stablepot.core import StableParams, basis_last
 from stablepot.errors import DomainError
 from stablepot.montecarlo import (EmpiricalSample, RngStream, WalkConfig,
-                                  WalkResult, gamma_small_shape, ks_test,
+                                  WalkResult, _KS_BLOCK, gamma_small_shape, ks_test,
                                   sample_ball_exit_center,
                                   sample_halfplane_hit, walk_on_balls_hitting)
 from stablepot import sphere
-from stablepot.specfun import regularized_beta_cdf
+from stablepot.specfun import _normal_cdf, regularized_beta_cdf
 
 P2 = StableParams(2, 1.5)
 P3 = StableParams(3, 1.5)
@@ -85,9 +85,7 @@ class TestBallExit:
         n = 100_000
         draws = sample_ball_exit_center(P2, RngStream(4, 0).generator(), n)
         w = np.clip(1.0 / np.linalg.norm(draws, axis=1) ** 2, 0.0, 1.0)
-        cdf = lambda v: np.array([regularized_beta_cdf(a2, 1.0 - a2, float(t))
-                                  for t in np.atleast_1d(v)])
-        res = ks_test(w, cdf)
+        res = ks_test(w, lambda v: regularized_beta_cdf(a2, 1.0 - a2, v))
         assert res.passed[0.01]
         assert res.statistic < 1.36 / math.sqrt(n) * 1.5
 
@@ -129,9 +127,7 @@ class TestHalfplaneHit:
         def cdf(y):
             y = np.atleast_1d(np.asarray(y, dtype=float))
             wc = 1.0 / (1.0 + y * y)
-            half = np.array([1.0 - regularized_beta_cdf((a - 1.0) / 2.0, 0.5,
-                                                        float(v))
-                             for v in wc])
+            half = 1.0 - regularized_beta_cdf((a - 1.0) / 2.0, 0.5, wc)
             return 0.5 + 0.5 * np.sign(y) * half
 
         for y0 in (0.3, 1.0, 4.0):
@@ -219,6 +215,34 @@ class TestGOF:
     def test_ks_needs_monotone_cdf(self):
         with pytest.raises(DomainError):
             ks_test(np.linspace(0, 1, 100), lambda x: -np.asarray(x))
+
+    @pytest.mark.parametrize("n", [8, _KS_BLOCK - 1, _KS_BLOCK, _KS_BLOCK + 1, 100_000])
+    def test_ks_statistic_is_the_whole_array_formula(self, n):
+        z = RngStream(16, 0).generator().standard_normal(n)
+        z += 0.5
+        xs = np.sort(z)
+        f, grid = _normal_cdf(xs), np.arange(1, n + 1) / n
+        whole = float(max(np.max(np.abs(grid - f)), np.max(np.abs(grid - 1.0 / n - f))))
+        assert ks_test(z, _normal_cdf).statistic == whole
+
+    def test_ks_reads_the_cdf_one_sorted_block_at_a_time(self):
+        blocks = []
+
+        def cdf(x):
+            blocks.append(x.copy())
+            return _normal_cdf(x)
+
+        z = RngStream(17, 0).generator().standard_normal(3 * _KS_BLOCK + 5)
+        ks_test(z, cdf)
+        assert max(len(b) for b in blocks) <= _KS_BLOCK
+        assert np.array_equal(np.concatenate(blocks), np.sort(z))
+
+    def test_ks_sees_a_cdf_that_falls_across_a_block_edge(self):
+        xs = np.arange(2 * _KS_BLOCK) / (2 * _KS_BLOCK)
+        edge = xs[_KS_BLOCK]
+        # monotone inside each block, but it drops by 0.25 at the edge
+        with pytest.raises(DomainError, match="monotone"):
+            ks_test(xs, lambda x: np.where(x < edge, x, x - 0.25))
 
 
 class TestEmpiricalSample:
