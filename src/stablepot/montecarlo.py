@@ -16,8 +16,11 @@ constructions from the closed forms:
 Gamma variates with shape < 1 come from a vectorized squeeze-accept
 rejection (valid precisely for shape < 1) that the test suite validates
 against the regularized incomplete gamma before anything trusts it.  A
-round evaluates only the proposals it is likely to keep, with the stream
-and draws of evaluating them all (the tests keep that form as an oracle).
+round evaluates only the proposals it is likely to keep, and on a Philox
+stream draws only those too: Philox is counter-based, so the uniforms a
+round never reads are jumped over.  Stream and draws stay those of
+drawing and evaluating the whole round (the tests keep that form as an
+oracle).
 """
 
 from __future__ import annotations
@@ -97,15 +100,25 @@ class WalkConfig:
             raise DomainError("max_steps must be positive")
 
 
+# rounds of fewer proposals are drawn whole: there the state read and the
+# two jumps (about 6 µs) cost more than the draws they skip
+_JUMP_MIN = 2048
+
+
 def gamma_small_shape(shape: float, rng: np.random.Generator,
                       size: int) -> np.ndarray:
     """Gamma(shape, 1) variates for 0 < shape < 1 by squeeze-accept rejection.
 
-    The GS rejection of Ahrens and Dieter: a round draws m = 2 need + 16
-    uniforms u, then m uniforms v, and proposes prop = (1 + shape/e) u.
-    It evaluates a prefix of 1.5 need + 32 proposals (1.08 need accepted
-    at the worst acceptance, 0.72), the rest of the round only if that
-    falls short, so stream and draws are those of evaluating them all.
+    The GS rejection of Ahrens and Dieter: a round stands for m = 2 need + 16
+    uniforms u, then m uniforms v, and proposes prop = (1 + shape/e) u.  It
+    evaluates a prefix of k = need/A + 3 sqrt(need) + 16 proposals, A the
+    exact acceptance Gamma(shape + 1)/(1 + shape/e) (0.72 at worst), and
+    the rest of the round only if that falls short.  On a Philox stream a
+    round of m >= _JUMP_MIN draws only u[:k] and v[:k] and jumps the
+    counter over the rest; if the prefix falls short, the stream is put
+    back and the whole round drawn.  Every other round draws it whole.
+    Either way the draws and the stream after each round are those of
+    drawing and evaluating the whole round.
     """
     if not (0.0 < shape < 1.0):
         raise DomainError(f"this sampler covers shape in (0, 1), got {shape}")
@@ -114,19 +127,48 @@ def gamma_small_shape(shape: float, rng: np.random.Generator,
     out = np.empty(size)
     filled = 0
     b = 1.0 + shape / math.e
-    while filled < size:
-        need = size - filled
-        m = 2 * need + 16
-        prop, v = rng.random(m), rng.random(m)
-        prop *= b
-        cut = min(m, need + need // 2 + 32)
-        for lo, hi in ((0, cut), (cut, m)):
-            x = _gs_accepted(shape, b, prop[lo:hi], v[lo:hi])[:size - filled]
-            out[filled:filled + len(x)] = x
-            filled += len(x)
-            if filled == size:
-                break
+    acceptance = math.gamma(shape + 1.0) / b
+    bitgen = rng.bit_generator
+    philox = isinstance(bitgen, np.random.Philox)
+    with np.errstate(all="ignore"):             # prop^(1/shape) may underflow
+        while filled < size:
+            need = size - filled
+            m = 2 * need + 16
+            k = min(m, int(need / acceptance + 3.0 * math.sqrt(need)) + 16)
+            state = bitgen.state if philox and m >= _JUMP_MIN else None
+            if state and not state["has_uint32"]:   # a jump would drop a buffered 32-bit half
+                unread = 4 - state["buffer_pos"]    # draws left in the current block of 4
+                prop = rng.random(k)                # k >= 16 draws run past that block
+                _skip(bitgen, m - k, (unread - k) % 4)
+                v = rng.random(k)
+                _skip(bitgen, m - k, (unread - m - k) % 4)
+                prop *= b
+                x = _gs_accepted(shape, b, prop, v)
+                if len(x) >= need:
+                    out[filled:] = x[:need]
+                    return out
+                bitgen.state = state                # fell short: draw the whole round
+            prop, v = rng.random(m), rng.random(m)
+            prop *= b
+            for lo, hi in ((0, k), (k, m)):
+                x = _gs_accepted(shape, b, prop[lo:hi], v[lo:hi])[:size - filled]
+                out[filled:filled + len(x)] = x
+                filled += len(x)
+                if filled == size:
+                    break
     return out
+
+
+def _skip(bitgen: np.random.Philox, n: int, unread: int) -> None:
+    # advance a Philox stream by n draws, the first `unread` of them still in
+    # its buffer: one counter step is a block of 4 draws, and a jump drops
+    # the buffer, so the draws past the last whole block are read and dropped
+    if n <= unread:
+        bitgen.random_raw(n)
+        return
+    blocks, rest = divmod(n - unread, 4)
+    bitgen.advance(blocks)
+    bitgen.random_raw(rest)
 
 
 def _gs_accepted(shape: float, b: float, prop: np.ndarray,
@@ -135,15 +177,16 @@ def _gs_accepted(shape: float, b: float, prop: np.ndarray,
     # proposal takes the prop <= 1 branch, x = prop^(1/shape) accepted when
     # v <= exp(-x); the few with prop > 1 are then redone on their indices
     # alone: x = -log((b - prop)/shape) accepted when v <= x^(shape - 1).
-    with np.errstate(all="ignore"):             # prop^(1/shape) may underflow
-        x = prop ** (1.0 / shape)
-        scratch = np.negative(x)
-        keep = v <= np.exp(scratch, out=scratch)
-        big = np.flatnonzero(prop > 1.0)
+    # The caller ignores floating-point errors.
+    x = prop ** (1.0 / shape)
+    scratch = np.negative(x)
+    keep = v <= np.exp(scratch, out=scratch)
+    big = np.flatnonzero(prop > 1.0)
+    if big.size:
         x_big = -np.log((b - prop[big]) / shape)
         x[big] = x_big
         keep[big] = v[big] <= x_big ** (shape - 1.0)
-    return x[keep]
+    return x.compress(keep)
 
 
 def _row_norms(z: np.ndarray) -> np.ndarray:
@@ -283,25 +326,25 @@ def walk_on_balls_hitting(p: StableParams, x, cfg: WalkConfig, n: int,
         raise DomainError("need at least one walker")
     pos = np.tile(x, (n, 1))      # the live walkers, in their original order
     hits = escapes = 0
-    for _ in range(cfg.max_steps):
-        with np.errstate(over="ignore"):    # a radius past the float range escapes
+    with np.errstate(over="ignore"):        # a radius past the float range escapes
+        for _ in range(cfg.max_steps):
             dist = _row_norms(pos)
-        esc = dist > cfg.r_max
-        dist -= 1.0
-        np.abs(dist, out=dist)
-        hit = dist < cfg.eps_shell
-        esc &= ~hit
-        n_hit, n_esc = int(np.count_nonzero(hit)), int(np.count_nonzero(esc))
-        if n_hit or n_esc:                  # compact only when a walker left
-            hits += n_hit
-            escapes += n_esc
-            live = ~(hit | esc)
-            pos, dist = pos[live], dist[live]
-            if len(pos) == 0:
-                break
-        step = sample_ball_exit_center(p, rng, len(pos))
-        step *= dist[:, None]
-        pos += step
+            esc = dist > cfg.r_max
+            dist -= 1.0
+            np.abs(dist, out=dist)
+            hit = dist < cfg.eps_shell
+            esc &= ~hit
+            n_hit, n_esc = int(np.count_nonzero(hit)), int(np.count_nonzero(esc))
+            if n_hit or n_esc:              # compact only when a walker left
+                hits += n_hit
+                escapes += n_esc
+                live = np.flatnonzero(~(hit | esc))
+                pos, dist = pos.take(live, axis=0), dist.take(live)
+                if len(pos) == 0:
+                    break
+            step = sample_ball_exit_center(p, rng, len(pos))
+            step *= dist[:, None]
+            pos += step
     return WalkResult.from_counts(hits, escapes, len(pos), n,
                                   _shell_complement_sup(p, cfg.eps_shell),
                                   _far_field_sup(p, cfg.r_max))

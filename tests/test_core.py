@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import importlib
 import math
+import pickle
 import pkgutil
 import warnings
 
@@ -45,6 +48,17 @@ class TestParameterObjects:
         assert (type(p.d), type(p.alpha), p) == (int, float, StableParams(3, 1.25))
         rp = RelativisticParams(p, np.float64(2.0), np.array(0.5))
         assert (type(rp.m), type(rp.lam), rp.m, rp.lam) == (float, float, 2.0, 0.5)
+
+    def test_hash_is_the_dataclass_hash_and_survives_copies(self):
+        p = StableParams(np.int64(3), np.array(1.25))
+        assert hash(p) == hash(StableParams(3, 1.25)) == hash((3, 1.25))
+        assert {p: 1}[StableParams(3.0, 1.25)] == 1
+        assert hash(StableParams(3, 1.5)) != hash(p)
+        for q in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p),
+                  dataclasses.replace(p)):
+            assert q == p and hash(q) == hash(p)
+        assert repr(p) == "StableParams(d=3, alpha=1.25)"
+        assert [f.name for f in dataclasses.fields(p)] == ["d", "alpha"]
 
 
 RAGGED, TEXT = [[1.0], [1.0, 2.0]], [1.0, "a"]

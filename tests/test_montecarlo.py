@@ -8,8 +8,9 @@ from scipy import integrate
 
 from stablepot.core import StableParams, basis_last
 from stablepot.errors import DomainError
+from stablepot import montecarlo
 from stablepot.montecarlo import (EmpiricalSample, RngStream, WalkConfig,
-                                  WalkResult, _KS_BLOCK, gamma_small_shape, ks_test,
+                                  WalkResult, _KS_BLOCK, _skip, gamma_small_shape, ks_test,
                                   sample_ball_exit_center,
                                   sample_halfplane_hit, walk_on_balls_hitting)
 from stablepot import sphere
@@ -344,63 +345,98 @@ def _walk_oracle(p, x, cfg, n, rng):
     return hits, escapes, int(active.sum())
 
 
-class _ScriptedRng:
-    # .random(m) returns the prepared arrays in turn, then draws from a
-    # Philox stream; records every m asked for
-    def __init__(self, arrays, seed):
-        self.arrays = list(arrays)
-        self.rng = RngStream(seed, 0).generator()
-        self.calls = []
+def _generator(kind, seed, stream):
+    if kind == "Philox":
+        return RngStream(seed, stream).generator()
+    return np.random.Generator(getattr(np.random, kind)([seed, stream]))
 
-    def random(self, m):
-        self.calls.append(m)
-        if self.arrays:
-            a = self.arrays.pop(0)
-            assert len(a) == m
-            return a.copy()
-        return self.rng.random(m)
+
+def _with_generators(sizes):
+    # (kind, size) on each bit generator; Philox, the library's own, keeps
+    # the plain size as its id.  1016 draws make a round of m = 2048
+    # proposals, the first that a Philox stream jumps through
+    return [pytest.param(kind, size, id=str(size) if kind == "Philox" else f"{size}-{kind}")
+            for kind in ("Philox", "PCG64", "MT19937") for size in sizes]
 
 
 class TestAgainstFirstFormulations:
     @staticmethod
     def _same_stream_after(a, b):
-        return np.array_equal(a.random(8), b.random(8))
+        return (np.array_equal(a.random(8), b.random(8))
+                and np.array_equal(a.standard_normal(8), b.standard_normal(8)))
+
+    @staticmethod
+    def _count_calls(monkeypatch, name):
+        calls = []
+        fn = getattr(montecarlo, name)
+        monkeypatch.setattr(montecarlo, name, lambda *a: calls.append(1) or fn(*a))
+        return calls
 
     @pytest.mark.parametrize("shape", [1e-3, 0.05, 0.1, 0.25, 0.6, 0.75, 0.999])
-    @pytest.mark.parametrize("size", [1, 2, 7, 33, 15000, 100_000])
-    def test_gamma(self, shape, size):
-        r1, r2 = RngStream(31, 2).generator(), RngStream(31, 2).generator()
+    @pytest.mark.parametrize("kind,size", _with_generators([1, 2, 7, 33, 1015, 1016,
+                                                             15000, 100_000]))
+    def test_gamma(self, shape, kind, size):
+        r1, r2 = _generator(kind, 31, 2), _generator(kind, 31, 2)
         assert np.array_equal(gamma_small_shape(shape, r1, size),
                               _gamma_oracle(shape, r2, size))
         assert self._same_stream_after(r1, r2)
 
     @pytest.mark.parametrize("second_round", [False, True])
-    def test_gamma_past_the_prefix(self, second_round):
-        # a round of need = 100 draws m = 216 proposals and first evaluates
-        # 182 of them.  The script accepts 70 of those (or none) and rejects
-        # the rest, with v just below 1 on both branches (u alternates 0.5
-        # and 0.95, so half of them have prop > 1); it accepts all 34 of the
-        # round's rest (or 10).  So the rest of the round completes the
-        # draws, or a second round from the Philox stream behind the script
-        # draws the last 90
-        shape, need, m, cut = 0.5, 100, 216, 182
-        u = np.tile([0.5, 0.95], m // 2)
-        v = np.full(m, 1.0 - 1e-12)
+    def test_gamma_past_the_prefix(self, second_round, monkeypatch):
+        # need = 1016 at shape 0.8 (acceptance 0.7196): a round of m = 2048
+        # proposals of which the Philox jump draws a prefix of k = 1523, and
+        # those accept under 1016 about once in 3e5 streams.  Stream
+        # (53192, 0) is one: the stream is put back and the whole round
+        # drawn, whose prefix and rest are then evaluated.  On stream
+        # (5279, 1) a ball exit at alpha = 1.6 meets the same in its
+        # Gamma(0.8) round, and the Gamma(0.2) round and the normals follow.
+        # (A second round within one call would need a round of 2048
+        # proposals to accept under half of them, about 22 sigma short.)
+        chunks = self._count_calls(monkeypatch, "_gs_accepted")
+        skips = self._count_calls(monkeypatch, "_skip")
         if second_round:
-            v[cut:cut + 10] = 0.0
+            p = StableParams(2, 1.6)
+            r1, r2 = RngStream(5279, 1).generator(), RngStream(5279, 1).generator()
+            assert np.array_equal(sample_ball_exit_center(p, r1, 1016),
+                                  _ball_exit_oracle(p, r2, 1016))
         else:
-            v[:70] = v[cut:] = 0.0
-        r1, r2 = _ScriptedRng([u, v], 34), _ScriptedRng([u, v], 34)
-        assert np.array_equal(gamma_small_shape(shape, r1, need),
-                              _gamma_oracle(shape, r2, need))
-        assert r1.calls == r2.calls == [m, m] + [196, 196] * second_round
-        assert self._same_stream_after(r1.rng, r2.rng)
+            r1, r2 = RngStream(53192, 0).generator(), RngStream(53192, 0).generator()
+            assert np.array_equal(gamma_small_shape(0.8, r1, 1016),
+                                  _gamma_oracle(0.8, r2, 1016))
+        assert (len(chunks), len(skips)) == ((4, 4) if second_round else (3, 2))
+        assert self._same_stream_after(r1, r2)
+
+    def test_gamma_keeps_a_buffered_half_draw(self, monkeypatch):
+        # a 32-bit draw leaves half of a 64-bit draw buffered, which a jump
+        # would drop: such a round is drawn whole, and the next 32-bit draw
+        # is that buffered half
+        skips = self._count_calls(monkeypatch, "_skip")
+        r1, r2 = RngStream(37, 0).generator(), RngStream(37, 0).generator()
+        assert r1.integers(1 << 30, dtype=np.int32) == r2.integers(1 << 30, dtype=np.int32)
+        assert np.array_equal(gamma_small_shape(0.5, r1, 5000), _gamma_oracle(0.5, r2, 5000))
+        assert np.array_equal(r1.integers(1 << 30, size=3, dtype=np.int32),
+                              r2.integers(1 << 30, size=3, dtype=np.int32))
+        assert skips == [] and self._same_stream_after(r1, r2)
+
+    @pytest.mark.parametrize("pos", [1, 2, 3, 4])
+    def test_skip_is_drawing_and_discarding(self, pos):
+        # from each buffer position of a Philox block, _skip(n) leaves the
+        # stream where n draws read and dropped leave it
+        for n in range(41):
+            a, b = np.random.Philox(key=[36, pos]), np.random.Philox(key=[36, pos])
+            a.random_raw(pos + 8)
+            b.random_raw(pos + 8)
+            assert a.state["buffer_pos"] == pos
+            _skip(a, n, 4 - pos)
+            b.random_raw(n)
+            ga, gb = np.random.Generator(a), np.random.Generator(b)
+            assert self._same_stream_after(ga, gb), n
 
     @pytest.mark.parametrize("p", [P2, StableParams(3, 1.2), StableParams(4, 1.5),
                                    StableParams(5, 0.7), StableParams(9, 1.9)])
-    @pytest.mark.parametrize("size", [1, 5000])
-    def test_ball_exit(self, p, size):
-        r1, r2 = RngStream(32, 0).generator(), RngStream(32, 0).generator()
+    @pytest.mark.parametrize("kind,size", _with_generators([1, 1015, 1016, 5000]))
+    def test_ball_exit(self, p, kind, size):
+        r1, r2 = _generator(kind, 32, 0), _generator(kind, 32, 0)
         got = sample_ball_exit_center(p, r1, size)
         assert np.array_equal(got, _ball_exit_oracle(p, r2, size))
         assert got.shape == (size, p.d) and got.flags.c_contiguous
