@@ -50,12 +50,6 @@ class StableParams:
             raise DomainError(f"alpha must lie in (0, 2), got {self.alpha}")
         object.__setattr__(self, "d", int(d))
         object.__setattr__(self, "alpha", alpha)
-        # the hash the dataclass would compute on every call, computed once:
-        # each cached kernel constant looks its params up by it
-        object.__setattr__(self, "_hash", hash((self.d, alpha)))
-
-    def __hash__(self):
-        return self._hash
 
     def require_hitting_range(self) -> None:
         """Raise unless alpha in (1, 2), the range where the surfaces are non-polar."""

@@ -326,25 +326,25 @@ def walk_on_balls_hitting(p: StableParams, x, cfg: WalkConfig, n: int,
         raise DomainError("need at least one walker")
     pos = np.tile(x, (n, 1))      # the live walkers, in their original order
     hits = escapes = 0
-    with np.errstate(over="ignore"):        # a radius past the float range escapes
-        for _ in range(cfg.max_steps):
+    for _ in range(cfg.max_steps):
+        with np.errstate(over="ignore"):    # a radius past the float range escapes
             dist = _row_norms(pos)
-            esc = dist > cfg.r_max
-            dist -= 1.0
-            np.abs(dist, out=dist)
-            hit = dist < cfg.eps_shell
-            esc &= ~hit
-            n_hit, n_esc = int(np.count_nonzero(hit)), int(np.count_nonzero(esc))
-            if n_hit or n_esc:              # compact only when a walker left
-                hits += n_hit
-                escapes += n_esc
-                live = np.flatnonzero(~(hit | esc))
-                pos, dist = pos.take(live, axis=0), dist.take(live)
-                if len(pos) == 0:
-                    break
-            step = sample_ball_exit_center(p, rng, len(pos))
-            step *= dist[:, None]
-            pos += step
+        esc = dist > cfg.r_max
+        dist -= 1.0
+        np.abs(dist, out=dist)
+        hit = dist < cfg.eps_shell
+        esc &= ~hit
+        n_hit, n_esc = int(np.count_nonzero(hit)), int(np.count_nonzero(esc))
+        if n_hit or n_esc:                  # compact only when a walker left
+            hits += n_hit
+            escapes += n_esc
+            live = np.flatnonzero(~(hit | esc))
+            pos, dist = pos.take(live, axis=0), dist.take(live)
+            if len(pos) == 0:
+                break
+        step = sample_ball_exit_center(p, rng, len(pos))
+        step *= dist[:, None]
+        pos += step
     return WalkResult.from_counts(hits, escapes, len(pos), n,
                                   _shell_complement_sup(p, cfg.eps_shell),
                                   _far_field_sup(p, cfg.r_max))

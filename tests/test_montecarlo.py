@@ -345,6 +345,25 @@ def _walk_oracle(p, x, cfg, n, rng):
     return hits, escapes, int(active.sum())
 
 
+class _ScriptedRng:
+    # .random(m) returns the prepared arrays in turn, then draws from a
+    # Philox stream; records every m asked for.  Its rounds stay below
+    # _JUMP_MIN, so they are drawn whole and the bit generator is not read
+    def __init__(self, arrays, seed):
+        self.arrays = list(arrays)
+        self.rng = RngStream(seed, 0).generator()
+        self.bit_generator = self.rng.bit_generator
+        self.calls = []
+
+    def random(self, m):
+        self.calls.append(m)
+        if self.arrays:
+            a = self.arrays.pop(0)
+            assert len(a) == m
+            return a.copy()
+        return self.rng.random(m)
+
+
 def _generator(kind, seed, stream):
     if kind == "Philox":
         return RngStream(seed, stream).generator()
@@ -390,8 +409,9 @@ class TestAgainstFirstFormulations:
         # drawn, whose prefix and rest are then evaluated.  On stream
         # (5279, 1) a ball exit at alpha = 1.6 meets the same in its
         # Gamma(0.8) round, and the Gamma(0.2) round and the normals follow.
-        # (A second round within one call would need a round of 2048
-        # proposals to accept under half of them, about 22 sigma short.)
+        # (A second round within one call after a jump round would need
+        # 2048 proposals to accept under half, about 22 sigma short: the
+        # scripted rounds below drive the while loop's second pass.)
         chunks = self._count_calls(monkeypatch, "_gs_accepted")
         skips = self._count_calls(monkeypatch, "_skip")
         if second_round:
@@ -405,6 +425,29 @@ class TestAgainstFirstFormulations:
                                   _gamma_oracle(0.8, r2, 1016))
         assert (len(chunks), len(skips)) == ((4, 4) if second_round else (3, 2))
         assert self._same_stream_after(r1, r2)
+
+    @pytest.mark.parametrize("second_round", [False, True])
+    def test_gamma_scripted_rounds(self, second_round, monkeypatch):
+        # a round of need = 100 draws m = 216 proposals and first evaluates
+        # 179 of them.  The script accepts 70 of those (or none) and rejects
+        # the rest, with v just below 1 on both branches (u alternates 0.5
+        # and 0.95, so half of them have prop > 1); it accepts all 37 of the
+        # round's rest (or 10).  So the rest of the round completes the
+        # draws, or a second round from the Philox stream behind the script
+        # draws the last 90
+        skips = self._count_calls(monkeypatch, "_skip")
+        shape, need, m, cut = 0.5, 100, 216, 179
+        u = np.tile([0.5, 0.95], m // 2)
+        v = np.full(m, 1.0 - 1e-12)
+        if second_round:
+            v[cut:cut + 10] = 0.0
+        else:
+            v[:70] = v[cut:] = 0.0
+        r1, r2 = _ScriptedRng([u, v], 34), _ScriptedRng([u, v], 34)
+        assert np.array_equal(gamma_small_shape(shape, r1, need),
+                              _gamma_oracle(shape, r2, need))
+        assert r1.calls == r2.calls == [m, m] + [196, 196] * second_round
+        assert skips == [] and self._same_stream_after(r1.rng, r2.rng)
 
     def test_gamma_keeps_a_buffered_half_draw(self, monkeypatch):
         # a 32-bit draw leaves half of a 64-bit draw buffered, which a jump
